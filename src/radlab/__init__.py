@@ -83,6 +83,7 @@ __all__ = [
     "load_config",
     "march",
     "numeric_classify",
+    "parse_expr",
     "phi",
     "phi_inverse",
     "picard_bootstrap",

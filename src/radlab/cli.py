@@ -33,7 +33,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -222,6 +221,10 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
             "bootstrap_nodes": int(solution.bootstrap_nodes),
             "sweeps": int(solution.sweeps),
             "rhs_evals": int(solution.rhs_evals),
+            "accepted_steps": int(solution.accepted_steps),
+            "rejected_steps": int(solution.rejected_steps),
+            "dt_min": solution.dt_min,
+            "dt_max": solution.dt_max,
         },
         notes=payload["notes"] + list(solution.notes),
         trajectory_csv="trajectory.csv",
@@ -287,18 +290,15 @@ def _sweep_row(
 
 def cmd_sweep(config: RunConfig, out_dir: str, solve: bool) -> int:
     if config.sweep_parameter is None:
-        jobs: list[tuple[RunConfig, str, float | None]] = [(config, "", None)]
+        rows = [_sweep_row(config, "", None, solve)]
     else:
-        jobs = [
-            (config.with_value(config.sweep_parameter, value),
-             config.sweep_parameter, value)
+        rows = [
+            _sweep_row(
+                config.with_value(config.sweep_parameter, value),
+                config.sweep_parameter, value, solve,
+            )
             for value in config.sweep_values
         ]
-
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        rows = list(
-            pool.map(lambda job: _sweep_row(job[0], job[1], job[2], solve), jobs)
-        )
 
     fieldnames = ["parameter", "value", "unweighted", "weighted", "predicted_class"]
     if solve:

@@ -7,17 +7,22 @@ maps
     T2[v,w](r) = v0 + integral_0^r [ s**(1-n)  * integral_0^s t**(n-1) f2 g2(v) h(w) dt ]**(1/(p-1)) ds
 
 to a fixed point on a graded grid over a small interval [0, rho], which
-resolves the removable singularity at the origin.  From rho an adaptive
-trapezoidal march advances the accumulated source integrals
+resolves the removable singularity at the origin.  From rho the march
+advances the state (u, v, I1, I2), where
 
     I1(r) = integral_0^r t**d     f1(t) g1(v) dt,
     I2(r) = integral_0^r t**(n-1) f2(t) g2(v) h(w) dt,
 
 recovering w = u' = ((d/(n-1)) I1 / r**d)**theta and v' = (I2 /
 r**(n-1))**(1/(p-1)) algebraically, so positivity and monotonicity are
-structural.  Each step is a step-doubled Heun (explicit trapezoid) pair with
-Richardson extrapolation accepted and the coarse/fine gap as error estimate;
-error excess halves the step.
+structural.  Each step is a Dormand-Prince 5(4) pair (Dormand & Prince,
+J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-6): seven stages with the last reused as the first of the next step,
+the embedded fourth-order solution as local error estimate, and the
+step-size factor 0.9 * err**(-1/5) clamped to [0.2, 5].  Every accepted
+step also emits interior nodes from the fourth-order continuous extension,
+so the trajectory is dense enough for finite-difference residuals, panel
+quotients and tail fits at any step size.
 
 Blow-up is detected geometrically: the radii where v crosses
 threshold * 2**j form a sequence whose gaps contract by a fixed ratio
@@ -62,6 +67,7 @@ __all__ = [
 V_HARD_CAP = 1e250
 
 _FP_TOL_FACTOR = 0.02  # fixed-point stop at this fraction of rel_tol
+_FP_MIN_SWEEPS = 2  # the first sweep sees u' = 0, so it never decides alone
 _LADDER_MIN_CROSSINGS = 6
 _LADDER_CONTRACTION = 0.97
 _AITKEN_STABILITY = 0.01
@@ -81,9 +87,13 @@ class SolverError(RuntimeError):
 class SolverOptions:
     """Numeric knobs for :func:`march`.
 
-    Defaults follow the target radius: the first trial step is
-    1e-4 * target_radius, the smallest allowed step 1e-14 * target_radius,
-    and the Picard stage covers [0, 1e-3 * target_radius].
+    ``rel_tol`` bounds the local error of each Dormand-Prince step, per
+    component, at 0.1 * rel_tol relative to the state; the Picard stage
+    stops at 0.02 * rel_tol.  v crossing ``blowup_threshold`` starts the
+    blow-up ladder.  Defaults follow the target radius: the first trial step
+    is 1e-4 * target_radius, a rejected step may shrink to no less than
+    1e-14 * target_radius, and the Picard stage covers
+    [0, 1e-3 * target_radius].  ``max_steps`` caps the accepted steps.
     """
 
     target_radius: float
@@ -162,7 +172,8 @@ def picard_bootstrap(
     max_shrinks: int = 20,
 ) -> BootstrapSegment:
     """Iterate the integral maps from the constant pair (u0, v0) on [0, rho]
-    until the sup-relative change drops below 0.02 * rel_tol.
+    until the sup-relative change of u, v, u' and v' drops below
+    0.02 * rel_tol, after at least two sweeps.
 
     Non-contraction (no convergence within ``max_sweeps`` sweeps, or a
     diverging iterate) shrinks rho by half and retries, up to ``max_shrinks``
@@ -235,8 +246,9 @@ def _picard_on_grid(spec, u0, v0, rho, rel_tol, n_points, max_sweeps, shrinks):
     u = np.full(n_points, float(u0))
     v = np.full(n_points, float(v0))
     w = np.zeros(n_points)
+    dv = np.zeros(n_points)
     for sweep in range(1, max_sweeps + 1):
-        u_new, v_new, w_new, dv, I1, I2, fI1, fI2 = picard_apply(
+        u_new, v_new, w_new, dv_new, I1, I2, fI1, fI2 = picard_apply(
             spec, u0, v0, r, v, w
         )
         if not (np.isfinite(u_new[-1]) and np.isfinite(v_new[-1])):
@@ -244,16 +256,25 @@ def _picard_on_grid(spec, u0, v0, rho, rel_tol, n_points, max_sweeps, shrinks):
         if v_new[-1] > v_cap:
             raise _NonContraction
         change = max(
-            float(np.max(np.abs(u_new - u))) / float(u_new[-1]),
-            float(np.max(np.abs(v_new - v))) / float(v_new[-1]),
+            _sup_relative_change(u_new, u),
+            _sup_relative_change(v_new, v),
+            _sup_relative_change(w_new, w),
+            _sup_relative_change(dv_new, dv),
         )
-        u, v, w = u_new, v_new, w_new
-        if change < fp_tol:
+        u, v, w, dv = u_new, v_new, w_new, dv_new
+        if sweep >= _FP_MIN_SWEEPS and change < fp_tol:
             return BootstrapSegment(
                 r=r, u=u, v=v, w=w, dv=dv, I1=I1, I2=I2, fI1=fI1, fI2=fI2,
                 rho=rho, sweeps=sweep, shrinks=shrinks,
             )
     raise _NonContraction
+
+
+def _sup_relative_change(new: np.ndarray, old: np.ndarray) -> float:
+    """sup |new - old| over the larger end value of two nondecreasing
+    profiles (0 when both vanish identically)."""
+    scale = max(float(new[-1]), float(old[-1]))
+    return float(np.max(np.abs(new - old))) / scale if scale > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -265,6 +286,12 @@ class RadialSolution:
     trajectory supports cubic-Hermite resampling.  ``R0`` is the extrapolated
     blow-up radius when ``terminated`` is BlowUp (None if the run ended via
     the hard value cap before enough threshold crossings accumulated).
+
+    ``rhs_evals`` counts every evaluation of the right-hand side: the
+    march's stages and the vectorised pass over its emitted nodes.
+    ``accepted_steps`` and ``rejected_steps`` count the march's steps, and
+    ``dt_min``/``dt_max`` bound its accepted step sizes (None when no step
+    was accepted).
     """
 
     spec: ProblemSpec
@@ -283,6 +310,10 @@ class RadialSolution:
     bootstrap_nodes: int
     sweeps: int
     rhs_evals: int
+    accepted_steps: int
+    rejected_steps: int
+    dt_min: float | None
+    dt_max: float | None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -374,17 +405,119 @@ def _rhs_factory(spec: ProblemSpec):
     return rhs
 
 
+def _rhs_arrays(spec: ProblemSpec, r, v, I1, I2):
+    """The right-hand side (w, dv, fI1, fI2) at arrays of nodes with r > 0."""
+    delta = spec.delta
+    rd = r**delta
+    rn = r ** float(spec.n - 1)
+    w = (delta / (spec.n - 1.0) * I1 / rd) ** spec.theta
+    dv = (I2 / rn) ** (1.0 / (spec.p - 1.0))
+    fI1 = rd * _vectorized(spec.f1)(r) * _vectorized(spec.g1)(v)
+    fI2 = rn * _vectorized(spec.f2)(r) * _vectorized(spec.g2)(v) * _vectorized(spec.h)(w)
+    return w, dv, fI1, fI2
+
+
+# Dormand-Prince 5(4): nodes, stage weights, the fifth-order weights (equal
+# to the last stage row, which makes the pair first-same-as-last), the
+# error weights b - b*, and Shampine's dense-output weights (Hairer, Norsett
+# & Wanner, Solving ODEs I, Table II.5.2 and the code DOPRI5).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+)
+
+#: The local error is held below this fraction of rel_tol: the emitted
+#: nodes feed finite-difference checks that amplify interpolation error.
+_ERR_SCALE = 0.1
+#: Each accepted step is emitted as this many equal sub-panels, the interior
+#: nodes taken from the continuous extension.
+_SUBPANELS = 4
+_SUB_THETAS = tuple(k / _SUBPANELS for k in range(1, _SUBPANELS))
+
+
+def _dense(theta, h, y0, y1, k1, k7, kd):
+    """The fourth-order continuous extension of one step of size h from y0
+    to y1 (slopes k1 at the start, k7 at the end, kd = h * sum D_i k_i),
+    evaluated at the fraction theta of the step.  Works on floats and on
+    broadcasting arrays with the same arithmetic, so both give equal bits."""
+    dy = y1 - y0
+    b = h * k1 - dy
+    c = dy - h * k7 - b
+    return y0 + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * kd)))
+
+
+class _CrossingLadder:
+    """Radii where v crosses threshold * 2**j, and the Aitken estimate of
+    the blow-up radius once their gaps contract steadily."""
+
+    def __init__(self, threshold: float, v_start: float):
+        self.next = threshold
+        while self.next <= v_start:  # start the ladder above the initial v
+            self.next *= 2.0
+        self.crossings: list[float] = []
+        self.estimate: float | None = None
+        self.confirmed = False
+
+    def feed(self, ra: float, va: float, rb: float, vb: float, r_end: float):
+        """Record the crossings inside the panel [ra, rb], interpolating
+        log v linearly; ``r_end`` is the end of the trajectory so far."""
+        crossings = self.crossings
+        while vb >= self.next and not self.confirmed:
+            frac = math.log(self.next / va) / math.log(vb / va)
+            crossings.append(ra + (rb - ra) * frac)
+            self.next *= 2.0
+            if len(crossings) < 4:
+                continue
+            d1 = crossings[-3] - crossings[-4]
+            d2 = crossings[-2] - crossings[-3]
+            d3 = crossings[-1] - crossings[-2]
+            if not (d1 > 0.0 and d2 > 0.0 and d3 > 0.0 and d3 < d2):
+                continue
+            ratio = d3 / d2
+            aitken = crossings[-1] + d3 * ratio / (1.0 - ratio)
+            if (
+                len(crossings) >= _LADDER_MIN_CROSSINGS
+                and d2 <= _LADDER_CONTRACTION * d1
+                and d3 <= _LADDER_CONTRACTION * d2
+                and self.estimate is not None
+                and aitken > r_end
+                and abs(aitken - self.estimate)
+                <= _AITKEN_STABILITY * (aitken - r_end)
+            ):
+                self.confirmed = True
+            self.estimate = aitken
+
+
 def march(
     spec: ProblemSpec, u0: float, v0: float, options: SolverOptions
 ) -> RadialSolution:
     """Integrate outward from the origin until the target radius, a confirmed
     blow-up, or step underflow.
 
-    The Picard stage covers [0, bootstrap_radius]; from there the accumulated
-    integrals advance by step-doubled Heun steps with Richardson-extrapolated
-    accepts, the coarse/fine gap as local error estimate against a
-    per-component relative scale, halving on error excess and growing by at
-    most 1.8x on acceptance.
+    The Picard stage covers [0, bootstrap_radius]; from there the state
+    (u, v, I1, I2) advances by Dormand-Prince 5(4) steps.  A step is
+    accepted when its embedded error estimate lies below 0.1 * rel_tol
+    times max(|y|, |y_new|) in every component; the next step size is the
+    current one times 0.9 * err**(-1/5), clamped to [0.2, 5].  Each
+    accepted step is emitted as four equal sub-panels whose interior nodes
+    come from the continuous extension, and the threshold crossings of the
+    blow-up ladder are read off the emitted nodes.  The run ends as
+    StepUnderflow, with a note, when a rejection shrinks the step below
+    ``min_step`` or when a step or one of its sub-nodes would no longer
+    advance r strictly.
     """
     ensure_valid(spec)
     if not spec.gradient_balanced:
@@ -401,133 +534,106 @@ def march(
         n_points=options.bootstrap_points,
     )
 
-    rs = list(boot.r)
-    us = list(boot.u)
-    vs = list(boot.v)
-    ws = list(boot.w)
-    dvs = list(boot.dv)
-    I1s = list(boot.I1)
-    I2s = list(boot.I2)
-    fI1s = list(boot.fI1)
-    fI2s = list(boot.fI2)
-    notes: list[str] = []
-
     rhs = _rhs_factory(spec)
-    rel = options.rel_tol
+    tol = _ERR_SCALE * options.rel_tol
     target = options.target_radius
-    threshold = options.blowup_threshold
+    notes: list[str] = []
 
     r = float(boot.r[-1])
     y = (float(boot.u[-1]), float(boot.v[-1]), float(boot.I1[-1]), float(boot.I2[-1]))
-    f0 = rhs(r, *y)
+    k1 = rhs(r, *y)
     evals = 1
-    steps = 0
+    rejected = 0
     dt = min(options.initial_step, target - r)
-
+    ladder = _CrossingLadder(options.blowup_threshold, y[1])
+    # Per accepted step: start radius, size, and the data of its dense output.
+    steps: list[tuple] = []
     terminated = None
-    R0 = None
-    next_threshold = threshold
-    while next_threshold <= y[1]:  # start the ladder above the initial v
-        next_threshold *= 2.0
-    crossings: list[float] = []
-    prev_aitken = None
-
-    def append_node(rv, yv, fv):
-        rs.append(rv)
-        us.append(yv[0])
-        vs.append(yv[1])
-        I1s.append(yv[2])
-        I2s.append(yv[3])
-        ws.append(max(fv[0], ws[-1]))
-        dvs.append(max(fv[1], dvs[-1]))
-        fI1s.append(fv[2])
-        fI2s.append(fv[3])
 
     while True:
         if target - r <= options.min_step:
             terminated = TerminationReason.REACHED_TARGET
             break
-        if steps >= options.max_steps:
+        if len(steps) >= options.max_steps:
             raise SolverError(
                 f"step budget of {options.max_steps} exhausted at r={r!r}"
             )
         dt = min(dt, target - r)
-
-        # Coarse Heun step over dt.
-        yE = tuple(y[k] + dt * f0[k] for k in range(4))
-        fE = rhs(r + dt, *yE)
-        yc = tuple(y[k] + 0.5 * dt * (f0[k] + fE[k]) for k in range(4))
-        # Fine: two Heun half-steps.
-        half = 0.5 * dt
-        yE1 = tuple(y[k] + half * f0[k] for k in range(4))
-        fE1 = rhs(r + half, *yE1)
-        ym = tuple(y[k] + 0.5 * half * (f0[k] + fE1[k]) for k in range(4))
-        fm = rhs(r + half, *ym)
-        yE2 = tuple(ym[k] + half * fm[k] for k in range(4))
-        fE2 = rhs(r + dt, *yE2)
-        yf = tuple(ym[k] + 0.5 * half * (fm[k] + fE2[k]) for k in range(4))
-        evals += 4
-
-        err_ratio = 0.0
-        for k in range(4):
-            scale = 3.0 * (1e-300 + rel * max(abs(y[k]), abs(yf[k])))
-            err_ratio = max(err_ratio, abs(yf[k] - yc[k]) / scale)
-
-        if not err_ratio <= 1.0:  # rejects NaN as well
-            dt *= 0.5
-            if dt < options.min_step:
-                notes.append(
-                    f"step underflow at r={r:.12g} (dt={dt:.3g} < min_step)"
-                )
-                terminated = TerminationReason.STEP_UNDERFLOW
-                break
-            continue
-
-        y_new = tuple(
-            max(yf[k] + (yf[k] - yc[k]) / 3.0, y[k]) for k in range(4)
-        )
         r_new = r + dt
-        f_new = rhs(r_new, *y_new)
-        evals += 1
-        if not all(math.isfinite(val) for val in (*y_new, *f_new)):
-            dt *= 0.5
+        sub_r = [r + dt * th for th in _SUB_THETAS]
+        grid = [r, *sub_r, r_new]
+        if not all(a < b for a, b in zip(grid, grid[1:])):
+            notes.append(
+                f"step underflow at r={r:.12g}: dt={dt:.3g} no longer advances "
+                f"r through its {_SUBPANELS} sub-panels"
+            )
+            terminated = TerminationReason.STEP_UNDERFLOW
+            break
+
+        try:
+            k2 = rhs(r + _C2 * dt, *[
+                y[j] + dt * (_A21 * k1[j]) for j in range(4)])
+            k3 = rhs(r + _C3 * dt, *[
+                y[j] + dt * (_A31 * k1[j] + _A32 * k2[j]) for j in range(4)])
+            k4 = rhs(r + _C4 * dt, *[
+                y[j] + dt * (_A41 * k1[j] + _A42 * k2[j] + _A43 * k3[j])
+                for j in range(4)])
+            k5 = rhs(r + _C5 * dt, *[
+                y[j] + dt * (_A51 * k1[j] + _A52 * k2[j] + _A53 * k3[j]
+                             + _A54 * k4[j])
+                for j in range(4)])
+            k6 = rhs(r_new, *[
+                y[j] + dt * (_A61 * k1[j] + _A62 * k2[j] + _A63 * k3[j]
+                             + _A64 * k4[j] + _A65 * k5[j])
+                for j in range(4)])
+            y_new = tuple(
+                y[j] + dt * (_B1 * k1[j] + _B3 * k3[j] + _B4 * k4[j]
+                             + _B5 * k5[j] + _B6 * k6[j])
+                for j in range(4))
+            k7 = rhs(r_new, *y_new)
+        except OverflowError:
+            k7 = (math.inf,) * 4
+            y_new = (math.inf,) * 4
+        evals += 6
+
+        if all(map(math.isfinite, y_new + k7)):
+            err = max(
+                abs(dt * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j] + _E5 * k5[j]
+                          + _E6 * k6[j] + _E7 * k7[j]))
+                / (tol * max(abs(y[j]), abs(y_new[j])) + 1e-300)
+                for j in range(4)
+            )
+        else:
+            err = math.inf
+        factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
+        if err > 1.0:
+            rejected += 1
+            dt *= factor
             if dt < options.min_step:
-                notes.append(f"step underflow at r={r:.12g} (non-finite state)")
+                notes.append(f"step underflow at r={r:.12g} (dt={dt:.3g} < min_step)")
                 terminated = TerminationReason.STEP_UNDERFLOW
                 break
             continue
 
-        append_node(r_new, y_new, f_new)
-        steps += 1
+        kd = tuple(
+            dt * (_D1 * k1[j] + _D3 * k3[j] + _D4 * k4[j] + _D5 * k5[j]
+                  + _D6 * k6[j] + _D7 * k7[j])
+            for j in range(4))
+        steps.append((r, dt, y, y_new, k1, k7, kd))
 
-        v_old, v_new = y[1], y_new[1]
-        while v_new >= next_threshold and terminated is None:
-            frac = math.log(next_threshold / v_old) / math.log(v_new / v_old)
-            crossings.append(r + dt * frac)
-            next_threshold *= 2.0
-            if len(crossings) >= 4:
-                d1 = crossings[-3] - crossings[-4]
-                d2 = crossings[-2] - crossings[-3]
-                d3 = crossings[-1] - crossings[-2]
-                if d1 > 0.0 and d2 > 0.0 and d3 > 0.0 and d3 < d2:
-                    ratio = d3 / d2
-                    aitken = crossings[-1] + d3 * ratio / (1.0 - ratio)
-                    if (
-                        len(crossings) >= _LADDER_MIN_CROSSINGS
-                        and d2 <= _LADDER_CONTRACTION * d1
-                        and d3 <= _LADDER_CONTRACTION * d2
-                        and prev_aitken is not None
-                        and aitken > r_new
-                        and abs(aitken - prev_aitken)
-                        <= _AITKEN_STABILITY * (aitken - r_new)
-                    ):
-                        R0 = aitken
-                        terminated = TerminationReason.BLOW_UP
-                    prev_aitken = aitken
-        if terminated is not None:
-            break
+        v_new = y_new[1]
+        if v_new >= ladder.next:
+            ra, va = r, y[1]
+            for rb, th in zip(sub_r + [r_new], _SUB_THETAS + (1.0,)):
+                vb = v_new if th == 1.0 else _dense(
+                    th, dt, y[1], v_new, k1[1], k7[1], kd[1])
+                vb = max(vb, va)
+                ladder.feed(ra, va, rb, vb, r_new)
+                ra, va = rb, vb
+            if ladder.confirmed:
+                terminated = TerminationReason.BLOW_UP
+                break
         if v_new > V_HARD_CAP:
-            R0 = prev_aitken
             notes.append(
                 f"value cap {V_HARD_CAP:g} reached at r={r_new:.12g} before "
                 "the crossing ladder confirmed contraction"
@@ -535,31 +641,59 @@ def march(
             terminated = TerminationReason.BLOW_UP
             break
 
-        r, y, f0 = r_new, y_new, f_new
-        if err_ratio > 0.0:
-            dt *= min(1.8, max(0.3, 0.85 * err_ratio ** (-1.0 / 3.0)))
-        else:
-            dt *= 1.8
+        r, y, k1 = r_new, y_new, k7
+        dt *= factor
 
+    R0 = ladder.estimate if terminated is TerminationReason.BLOW_UP else None
+    columns = _emit_nodes(spec, boot, steps)
+    evals += len(columns["r"]) - len(boot.r)
+    sizes = [step[1] for step in steps]
     return RadialSolution(
         spec=spec,
         options=options,
-        r=np.array(rs),
-        u=np.array(us),
-        v=np.array(vs),
-        w=np.array(ws),
-        dv=np.array(dvs),
-        I1=np.array(I1s),
-        I2=np.array(I2s),
-        fI1=np.array(fI1s),
-        fI2=np.array(fI2s),
+        **columns,
         terminated=terminated,
         R0=R0,
         bootstrap_nodes=len(boot.r),
         sweeps=boot.sweeps,
         rhs_evals=evals,
+        accepted_steps=len(steps),
+        rejected_steps=rejected,
+        dt_min=min(sizes) if sizes else None,
+        dt_max=max(sizes) if sizes else None,
         notes=tuple(notes),
     )
+
+
+def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, steps) -> dict:
+    """The trajectory columns: the bootstrap segment, then every accepted
+    step as its sub-nodes from the continuous extension and its end node.
+    Roundoff-level dips of the dense output are clamped so every profile
+    stays nondecreasing, and the right-hand side is evaluated in one
+    vectorised pass over the march's nodes."""
+    columns = {"r": boot.r, "u": boot.u, "v": boot.v, "I1": boot.I1, "I2": boot.I2}
+    if steps:
+        r0, dt, y0, y1, k1, k7, kd = (np.array(col) for col in zip(*steps))
+        theta = np.array(_SUB_THETAS)[None, :, None]
+        sub = _dense(theta, dt[:, None, None], y0[:, None, :], y1[:, None, :],
+                     k1[:, None, :], k7[:, None, :], kd[:, None, :])
+        states = np.concatenate([sub, y1[:, None, :]], axis=1).reshape(-1, 4)
+        radii = np.concatenate(
+            [r0[:, None] + dt[:, None] * theta[:, :, 0], (r0 + dt)[:, None]], axis=1
+        ).ravel()
+        for key, arr in zip(("u", "v", "I1", "I2"), states.T):
+            columns[key] = np.maximum.accumulate(np.concatenate([columns[key], arr]))
+        columns["r"] = np.concatenate([boot.r, radii])
+    m = len(boot.r)
+    r = columns["r"]
+    w, dv, fI1, fI2 = _rhs_arrays(
+        spec, r[m:], columns["v"][m:], columns["I1"][m:], columns["I2"][m:]
+    )
+    columns["w"] = np.maximum.accumulate(np.concatenate([boot.w, w]))
+    columns["dv"] = np.maximum.accumulate(np.concatenate([boot.dv, dv]))
+    columns["fI1"] = np.concatenate([boot.fI1, fI1])
+    columns["fI2"] = np.concatenate([boot.fI2, fI2])
+    return columns
 
 
 def scale_problem(spec: ProblemSpec, lam: float) -> ProblemSpec:

@@ -241,6 +241,13 @@ def test_solve_writes_deterministic_outputs(tmp_path, capsys):
     }
     assert all(r["pass"] for r in report["verify"])
     assert report["envelope"]["pass"] is True
+    stats = report["stats"]
+    assert list(stats) == [
+        "nodes", "bootstrap_nodes", "sweeps", "rhs_evals",
+        "accepted_steps", "rejected_steps", "dt_min", "dt_max",
+    ]
+    assert stats["accepted_steps"] > 0
+    assert 0.0 < stats["dt_min"] <= stats["dt_max"]
 
     csv1 = (out1 / "trajectory.csv").read_text()
     assert csv1.splitlines()[0] == "r,u,v,du,dv,res_eq1,res_eq2"
@@ -356,3 +363,30 @@ def test_seed_override_accepted(tmp_path, capsys):
         ["classify", "--config", path, "--seed", "99"], capsys
     )
     assert code == 0
+
+
+# A B2 problem whose march used to stall at the pole: steps fell below
+# ulp(r) while v kept climbing, and the repeated radius broke the grid.
+POLE_STALL = GOOD.replace('g1 = "t"', 'g1 = "t + t^2"').split("[sweep]")[0]
+
+
+def test_pole_stall_ends_with_labelled_verdict(tmp_path, capsys):
+    path = write(tmp_path, POLE_STALL)
+    code, _, _ = run_cli(["solve", "--config", path, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["termination"] in ("BlowUp", "StepUnderflow")
+    assert report["numeric_class"] in ("B2", "Undecided")
+    assert report["reconcile"]["status"] in ("agree", "indeterminate")
+
+    code, out, _ = run_cli(["verify", "--config", path], capsys)
+    assert code in (0, 1)
+    assert len(json.loads(out)["reports"]) == 5
+
+    sweep = path.replace("run.cfg", "sweep.cfg")
+    write(tmp_path, POLE_STALL + "[sweep]\nparameter = q\nvalues = 6\n", "sweep.cfg")
+    code, out, _ = run_cli(
+        ["sweep", "--config", sweep, "--out", str(tmp_path), "--solve"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[1].split(",")[5] in ("B2", "Undecided")

@@ -138,3 +138,9 @@ def test_monotone_in_each_coefficient():
     bigger = parse_expr("1 + 2*t^2")
     ts = np.linspace(0.0, 10.0, 50)
     assert np.all(bigger(ts) >= base(ts))
+
+
+def test_parse_expr_is_exported():
+    import radlab
+
+    assert "parse_expr" in radlab.__all__ and radlab.parse_expr is parse_expr

@@ -17,6 +17,8 @@ from radlab.solver import (
     relative_residuals,
 )
 
+from radlab.verify import check_convexity_bounds, check_monotone
+
 from conftest import CASE_BY_NAME, power_spec
 
 
@@ -57,6 +59,22 @@ def test_march_detects_blowup(solved_cases):
     assert run.v_final > run.options.blowup_threshold
     assert run.R0 is not None
     assert run.r_end < run.R0 < 1.02 * run.r_end
+
+
+def test_march_rhs_budget_on_problem_c(solved_cases):
+    # Dormand-Prince with dense output needs ~7k evaluations here; the
+    # step-doubled Heun march it replaced needed 56k.
+    run = solved_cases["C"]
+    assert run.options.rel_tol == 1e-8
+    assert run.rhs_evals < 15_000
+
+
+def test_march_step_diagnostics(solved_cases):
+    for run in solved_cases.values():
+        assert run.accepted_steps > 0 and run.rejected_steps >= 0
+        assert 0.0 < run.dt_min <= run.dt_max < run.options.target_radius
+        march_nodes = len(run.r) - run.bootstrap_nodes
+        assert march_nodes == 4 * run.accepted_steps
 
 
 def test_march_profiles_monotone(solved_cases):
@@ -160,3 +178,21 @@ def test_blowup_radius_consistent_under_refinement():
     coarse = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0, rel_tol=1e-6))
     fine = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0, rel_tol=1e-9))
     assert coarse.R0 == pytest.approx(fine.R0, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "p, alpha, q, u0, v0",
+    [(2.0, 0.0, 6, 1e6, 1e-6), (1.5, 0.25, 3, 1.0, 1.0)],
+)
+def test_picard_stage_does_not_stop_with_flat_v(p, alpha, q, u0, v0):
+    # The first sweep feeds u' = 0 into the second map, so with h(0) = 0 it
+    # returns v' = 0 everywhere; a stop after that sweep leaves v flat on
+    # the whole bootstrap segment, which the checks rightly reject.
+    spec = power_spec(p, alpha, 1, 0, q)
+    run = march(spec, u0, v0, SolverOptions(target_radius=20.0))
+    assert run.sweeps >= 2
+    assert np.all(run.dv[1 : run.bootstrap_nodes] > 0.0)
+    for report in (check_monotone(run), check_convexity_bounds(run)):
+        assert report.passed, (
+            f"{report.name} violated at {report.max_relative_violation:.3e}"
+        )
