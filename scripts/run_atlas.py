@@ -17,7 +17,7 @@ import sys
 import time
 
 from radlab.classify import Domain, numeric_classify, predict, reconcile
-from radlab.criteria import BorderlineUndecidable, CriterionKind, criterion
+from radlab.criteria import CriterionKind, criterion
 from radlab.expressions import parse_expr
 from radlab.problem import ProblemSpec
 from radlab.solver import SolverError, SolverOptions, march
@@ -61,11 +61,8 @@ def main(argv: list[str] | None = None) -> int:
             "unweighted": "", "weighted": "", "predicted": "",
             "numeric": "", "agree": "", "error": "",
         }
-        try:
-            row["unweighted"] = criterion(spec, CriterionKind.UNWEIGHTED).verdict.value
-            row["weighted"] = criterion(spec, CriterionKind.WEIGHTED).verdict.value
-        except BorderlineUndecidable as exc:
-            row["error"] = str(exc)
+        row["unweighted"] = criterion(spec, CriterionKind.UNWEIGHTED).verdict.value
+        row["weighted"] = criterion(spec, CriterionKind.WEIGHTED).verdict.value
         predicted = predict(spec, Domain.BALL)
         row["predicted"] = predicted.label.value
         if args.solve:

@@ -27,7 +27,6 @@ from .classify import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .criteria import (
-    BorderlineUndecidable,
     ConvergenceVerdict,
     CriterionKind,
     Method,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis",
-    "BorderlineUndecidable",
     "BoundaryClass",
     "Classification",
     "ConfigError",

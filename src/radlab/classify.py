@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import (
-    BorderlineUndecidable,
-    CriterionKind,
-    Verdict,
-    criterion,
-)
-from .expressions import FuncExpr
+from .criteria import CriterionKind, Verdict, criterion
 from .problem import ProblemSpec
 from .solver import RadialSolution, TerminationReason
 
@@ -121,13 +115,10 @@ def power_exponents(spec: ProblemSpec) -> tuple[float, float, float] | None:
 
     Only pure powers ``c * t**e`` with constant radial weights qualify; the
     exponent triple is what the closed-form regime inequalities consume.
-    Returns None when any piece is a sum, a general callable, or when the
-    radial weights f1, f2 are non-constant.
+    Returns None when any piece is a sum, or when the radial weights f1, f2
+    are non-constant.
     """
 
-    pieces = (spec.f1, spec.f2, spec.g1, spec.g2, spec.h)
-    if not all(isinstance(piece, FuncExpr) for piece in pieces):
-        return None
     for weight in (spec.f1, spec.f2):
         terms = weight.terms
         if len(terms) != 1 or terms[0][1] != 0.0:
@@ -205,9 +196,6 @@ def predict(spec: ProblemSpec, omega: Domain) -> Classification:
     A gradient exponent with ``alpha >= p - 1`` saturates the growth of
     the p-Laplacian and excludes positive radial solutions outright, on
     either domain.
-
-    A borderline numeric-heuristic verdict surfaces as ``Undecided``
-    rather than an exception.
     """
 
     details: list[str] = []
@@ -223,45 +211,36 @@ def predict(spec: ProblemSpec, omega: Domain) -> Classification:
             details=tuple(details),
         )
 
-    try:
-        unweighted = criterion(spec, CriterionKind.UNWEIGHTED)
-        details.append(
-            f"unweighted criterion {unweighted.verdict.value} "
-            f"({unweighted.method.value})"
+    unweighted = criterion(spec, CriterionKind.UNWEIGHTED)
+    details.append(
+        f"unweighted criterion {unweighted.verdict.value} "
+        f"({unweighted.method.value})"
+    )
+    if omega is Domain.WHOLE_SPACE:
+        label = (
+            BoundaryClass.GLOBAL
+            if unweighted.verdict is Verdict.INFINITE
+            else BoundaryClass.NO_SOLUTION
         )
-        if omega is Domain.WHOLE_SPACE:
-            label = (
-                BoundaryClass.GLOBAL
-                if unweighted.verdict is Verdict.INFINITE
-                else BoundaryClass.NO_SOLUTION
-            )
-            return Classification(
-                label=label,
-                omega=omega,
-                basis=Basis.THEOREM,
-                details=tuple(details),
-            )
-        if unweighted.verdict is Verdict.INFINITE:
-            details.extend(_power_law_details(spec))
-            return Classification(
-                label=BoundaryClass.B1,
-                omega=omega,
-                basis=Basis.THEOREM,
-                details=tuple(details),
-            )
-        weighted = criterion(spec, CriterionKind.WEIGHTED)
-        details.append(
-            f"weighted criterion {weighted.verdict.value} "
-            f"({weighted.method.value})"
-        )
-    except BorderlineUndecidable as exc:
-        details.append(f"criterion borderline: {exc}")
         return Classification(
-            label=BoundaryClass.UNDECIDED,
+            label=label,
             omega=omega,
             basis=Basis.THEOREM,
             details=tuple(details),
         )
+    if unweighted.verdict is Verdict.INFINITE:
+        details.extend(_power_law_details(spec))
+        return Classification(
+            label=BoundaryClass.B1,
+            omega=omega,
+            basis=Basis.THEOREM,
+            details=tuple(details),
+        )
+    weighted = criterion(spec, CriterionKind.WEIGHTED)
+    details.append(
+        f"weighted criterion {weighted.verdict.value} "
+        f"({weighted.method.value})"
+    )
     details.extend(_power_law_details(spec))
     label = (
         BoundaryClass.B2

@@ -38,7 +38,7 @@ import numpy as np
 
 from .classify import Domain, numeric_classify, predict, reconcile
 from .config import ConfigError, RunConfig, load_config
-from .criteria import BorderlineUndecidable, CriterionKind, criterion
+from .criteria import CriterionKind, criterion
 from .problem import InvalidProblem, ProblemSpec, validate_assumptions
 from .solver import (
     SolverError,
@@ -86,7 +86,6 @@ def _validation_payload(config: RunConfig, report) -> dict:
         "validation": {
             "ok": report.ok,
             "errors": list(report.errors),
-            "warnings": list(report.warnings),
             "k1": report.k1,
             "k2": report.k2,
         },
@@ -112,17 +111,10 @@ def cmd_classify(config: RunConfig) -> int:
         return 1
 
     balanced = spec.gradient_balanced
-    notes: list[str] = []
     criteria: dict[str, dict | None] = {"unweighted": None, "weighted": None}
     if balanced:
-        for key, kind in (
-            ("unweighted", CriterionKind.UNWEIGHTED),
-            ("weighted", CriterionKind.WEIGHTED),
-        ):
-            try:
-                criteria[key] = criterion(spec, kind).to_dict()
-            except BorderlineUndecidable as exc:
-                notes.append(f"{key} criterion undecided: {exc}")
+        criteria["unweighted"] = criterion(spec, CriterionKind.UNWEIGHTED).to_dict()
+        criteria["weighted"] = criterion(spec, CriterionKind.WEIGHTED).to_dict()
 
     classification = predict(spec, config.domain())
     payload = {
@@ -134,7 +126,7 @@ def cmd_classify(config: RunConfig) -> int:
         "criterion_unweighted": criteria["unweighted"],
         "criterion_weighted": criteria["weighted"],
         "predicted_class": classification.label.value,
-        "notes": list(classification.details) + notes,
+        "notes": list(classification.details),
     }
     _print_json(payload)
     return 0
@@ -267,11 +259,8 @@ def _sweep_row(
         return row
 
     if spec.gradient_balanced:
-        try:
-            row["unweighted"] = criterion(spec, CriterionKind.UNWEIGHTED).verdict.value
-            row["weighted"] = criterion(spec, CriterionKind.WEIGHTED).verdict.value
-        except BorderlineUndecidable as exc:
-            row["error"] = str(exc)
+        row["unweighted"] = criterion(spec, CriterionKind.UNWEIGHTED).verdict.value
+        row["weighted"] = criterion(spec, CriterionKind.WEIGHTED).verdict.value
 
     predicted = predict(spec, config.domain())
     row["predicted_class"] = predicted.label.value
@@ -367,11 +356,11 @@ def cmd_verify(config: RunConfig, trajectory_path: str | None) -> int:
             subject = _load_trajectory(trajectory_path, spec, config.solver_options())
         else:
             subject = march(spec, config.u0, config.v0, config.solver_options())
+        checks = trajectory_reports(subject)
     except (SolverError, InvalidProblem, OSError, ValueError) as exc:
         _print_json({"reports": [], "pass": False, "error": str(exc)})
         return 1
 
-    checks = trajectory_reports(subject)
     checks.append(_sandwich_report(config, spec))
     payload = {
         "reports": [check.to_dict() for check in checks],

@@ -11,9 +11,8 @@ Phi and its inverse give the gradient envelope near a blow-up radius; and the
 sandwich inequalities tie the h-form integrals to their cumulative H-form
 equivalents.
 
-For power-sum ``h`` the verdicts are exact exponent arithmetic ("Symbolic");
-for plain-callable ``h`` a sampled log-log slope decides ("NumericHeuristic")
-and is flagged as such in every report.
+Every ``h`` is a power sum, so the verdicts are exact exponent arithmetic
+("Symbolic").
 """
 
 from __future__ import annotations
@@ -22,24 +21,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .expressions import FuncExpr
 from .problem import InvalidProblem, ProblemSpec
-from .quadrature import (
-    adaptive_quad,
-    integral_to_infinity,
-    integral_with_endpoint_power,
-)
+from .quadrature import integral_to_infinity, integral_with_endpoint_power
+
+# Unused here, but radbench/spans.py traces quadrature by wrapping this name.
+from .quadrature import adaptive_quad  # noqa: F401
 
 __all__ = [
     "Verdict",
     "Method",
     "CriterionKind",
     "ConvergenceVerdict",
-    "BorderlineUndecidable",
     "CriterionDiverges",
-    "theta",
     "outer_power",
     "tail_exponent_verdict",
     "h_theta",
@@ -49,8 +43,6 @@ __all__ = [
     "phi_inverse",
     "sandwich_check",
 ]
-
-_BORDERLINE_WINDOW = 1e-6
 
 # Exponent arithmetic runs in floating point, so a tail exponent that equals
 # the borderline -1 in exact rationals can land a few ulps to either side.
@@ -65,16 +57,11 @@ class Verdict(str, Enum):
 
 class Method(str, Enum):
     SYMBOLIC = "Symbolic"
-    NUMERIC_HEURISTIC = "NumericHeuristic"
 
 
 class CriterionKind(str, Enum):
     UNWEIGHTED = "Unweighted"
     WEIGHTED = "Weighted"
-
-
-class BorderlineUndecidable(RuntimeError):
-    """Sampled decay slope too close to the borderline to call numerically."""
 
 
 class CriterionDiverges(ValueError):
@@ -117,11 +104,6 @@ class ConvergenceVerdict:
         return out
 
 
-def theta(spec: ProblemSpec) -> float:
-    """The gradient-inversion exponent 1 / (p - 1 - alpha)."""
-    return spec.theta
-
-
 def outer_power(spec: ProblemSpec) -> float:
     """The criterion's outer power nu = k1*p / (k1*p + p - 1 - k2)."""
     k1, k2, p = spec.k1, spec.k2, spec.p
@@ -150,45 +132,40 @@ def tail_exponent_verdict(
     return verdict, exponent
 
 
-def h_theta(h, theta_value: float, t: float) -> float:
+def h_theta(h: FuncExpr, theta_value: float, t: float) -> float:
     """The cumulative transform  H_theta(t) = integral_0^t h(s**theta) ds."""
     if t < 0.0:
         raise ValueError("the argument must be non-negative")
     if t == 0.0:
         return 0.0
-    if isinstance(h, FuncExpr):
-        return h.compose_power(theta_value).antiderivative()(t)
-    return adaptive_quad(lambda s: h(s**theta_value), 0.0, t)
+    return h.compose_power(theta_value).antiderivative()(t)
 
 
-def inner_integral(h, theta_value: float, p: float, s: float) -> float:
+def inner_integral(h: FuncExpr, theta_value: float, p: float, s: float) -> float:
     """The criterion's inner integral  integral_0^s h(t**theta)**(1/p) dt.
 
-    Single-term power sums use the closed form; other power sums use
-    substitution-assisted quadrature keyed to their behaviour at 0; plain
-    callables use adaptive quadrature directly.
+    Single-term ``h`` uses the closed form; other power sums use
+    substitution-assisted quadrature keyed to their behaviour at 0.
     """
     if s < 0.0:
         raise ValueError("the upper limit must be non-negative")
     if s == 0.0:
         return 0.0
-    if isinstance(h, FuncExpr):
-        composed = h.compose_power(theta_value)
-        root = composed.pointwise_power(1.0 / p)
-        if root is not None:
-            return root.antiderivative()(s)
-        zero_exponent = composed.smallest_exponent / p
-        fn = composed.scalar_fn()
-        return integral_with_endpoint_power(
-            lambda t: fn(t) ** (1.0 / p), s, zero_exponent
-        )
-    return adaptive_quad(lambda t: h(t**theta_value) ** (1.0 / p), 0.0, s)
+    composed = h.compose_power(theta_value)
+    root = composed.pointwise_power(1.0 / p)
+    if root is not None:
+        return root.antiderivative()(s)
+    zero_exponent = composed.smallest_exponent / p
+    fn = composed.scalar_fn()
+    return integral_with_endpoint_power(
+        lambda t: fn(t) ** (1.0 / p), s, zero_exponent
+    )
 
 
 def _single_term_inner(spec: ProblemSpec) -> tuple[float, float] | None:
     """For single-term h return (A, b) with inner(s) = A * s**b, else None."""
     h = spec.h
-    if not isinstance(h, FuncExpr) or len(h.terms) != 1:
+    if len(h.terms) != 1:
         return None
     coeff, exponent = h.terms[0]
     b = exponent * spec.theta / spec.p + 1.0
@@ -233,76 +210,40 @@ def _finite_value(spec: ProblemSpec, weight: float, power: float, decay: float) 
     return integral_to_infinity(integrand, 1.0, tail_exponent=decay, rel_tol=1e-9)
 
 
-def _sampled_slope(integrand) -> float:
-    """Least-squares log-log slope of ``integrand`` over 50 samples of
-    s in [1e3, 1e6], raising :class:`BorderlineUndecidable` within 1e-6 of
-    the borderline slope -1."""
-    samples = np.logspace(3.0, 6.0, 50)
-    log_values = np.log([integrand(s) for s in samples])
-    slope = float(np.polyfit(np.log(samples), log_values, 1)[0])
-    if abs(slope + 1.0) <= _BORDERLINE_WINDOW:
-        raise BorderlineUndecidable(
-            f"sampled outer-integrand slope {slope!r} is within "
-            f"{_BORDERLINE_WINDOW:g} of the borderline -1"
-        )
-    return slope
-
-
 def criterion(spec: ProblemSpec, kind: CriterionKind) -> ConvergenceVerdict:
     """Convergence verdict for the Unweighted (w = 0) or Weighted (w = theta)
     criterion integral of ``spec``.
 
-    Power-sum ``h``: the verdict is exact exponent arithmetic and, when
-    Finite, the value is computed by adaptive quadrature.  Plain-callable
-    ``h``: a least-squares log-log slope over 50 samples of the outer
-    integrand on s in [1e3, 1e6] decides, raising
-    :class:`BorderlineUndecidable` inside a 1e-6 window of the borderline.
+    The verdict is exact exponent arithmetic and, when Finite, the value is
+    computed in closed form or by adaptive quadrature.
     """
     kind = CriterionKind(kind)
     theta_value = spec.theta
     power = outer_power(spec)
     weight = 0.0 if kind is CriterionKind.UNWEIGHTED else theta_value
 
-    if isinstance(spec.h, FuncExpr):
-        growth = spec.h.leading_exponent * theta_value / spec.p
-        verdict, exponent = tail_exponent_verdict(growth, power, weight)
-        if verdict is Verdict.INFINITE:
-            return ConvergenceVerdict(
-                verdict, Method.SYMBOLIC, divergence_exponent=exponent
-            )
-        value = _finite_value(spec, weight, power, decay=-exponent)
-        return ConvergenceVerdict(verdict, Method.SYMBOLIC, value=value)
-
-    integrand = _outer_integrand(spec, weight, power)
-    slope = _sampled_slope(integrand)
-    if slope > -1.0:
+    growth = spec.h.leading_exponent * theta_value / spec.p
+    verdict, exponent = tail_exponent_verdict(growth, power, weight)
+    if verdict is Verdict.INFINITE:
         return ConvergenceVerdict(
-            Verdict.INFINITE, Method.NUMERIC_HEURISTIC, divergence_exponent=slope
+            verdict, Method.SYMBOLIC, divergence_exponent=exponent
         )
-    value = integral_to_infinity(integrand, 1.0, tail_exponent=-slope, rel_tol=1e-8)
-    return ConvergenceVerdict(Verdict.FINITE, Method.NUMERIC_HEURISTIC, value=value)
+    value = _finite_value(spec, weight, power, decay=-exponent)
+    return ConvergenceVerdict(verdict, Method.SYMBOLIC, value=value)
 
 
 def _tail_decay(spec: ProblemSpec, power: float) -> float:
     """Asymptotic decay rate gamma of the unweighted outer integrand, i.e.
     integrand(s) ~ s**-gamma; raises :class:`CriterionDiverges` unless
     gamma > 1 (the Finite case, which makes the tail integral exist)."""
-    if isinstance(spec.h, FuncExpr):
-        growth = spec.h.leading_exponent * spec.theta / spec.p
-        verdict, exponent = tail_exponent_verdict(growth, power, 0.0)
-        if verdict is Verdict.INFINITE:
-            raise CriterionDiverges(
-                "the unweighted criterion integral diverges, so the tail "
-                "function is undefined"
-            )
-        return -exponent
-    slope = _sampled_slope(_outer_integrand(spec, 0.0, power))
-    if slope > -1.0:
+    growth = spec.h.leading_exponent * spec.theta / spec.p
+    verdict, exponent = tail_exponent_verdict(growth, power, 0.0)
+    if verdict is Verdict.INFINITE:
         raise CriterionDiverges(
             "the unweighted criterion integral diverges, so the tail "
             "function is undefined"
         )
-    return -slope
+    return -exponent
 
 
 def phi(spec: ProblemSpec, t: float) -> float:
@@ -363,15 +304,7 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
     return math.sqrt(lo * hi)
 
 
-def _cumulative(h) -> tuple:
-    """H(t) = integral_0^t h and the exponent of H near 0 (None if unknown)."""
-    if isinstance(h, FuncExpr):
-        H = h.antiderivative()
-        return H.scalar_fn(), H.smallest_exponent
-    return (lambda t: adaptive_quad(h, 0.0, t, rel_tol=1e-12)), None
-
-
-def sandwich_check(h, p: float, s: float) -> tuple[float, float, float]:
+def sandwich_check(h: FuncExpr, p: float, s: float) -> tuple[float, float, float]:
     """The three quantities of the cumulative-transform sandwich at ``s > 0``:
 
         lhs = (p-1)**(2p-1) * ( integral_0^s     H**(1/(p-1)) )**(p-1)
@@ -385,23 +318,19 @@ def sandwich_check(h, p: float, s: float) -> tuple[float, float, float]:
     if not p > 1.0:
         raise ValueError("p must exceed 1")
 
-    H, H_zero_exponent = _cumulative(h)
+    antiderivative = h.antiderivative()
+    H = antiderivative.scalar_fn()
     root = 1.0 / (p - 1.0)
 
     def integral_H_root(upper: float) -> float:
-        if H_zero_exponent is not None:
-            return integral_with_endpoint_power(
-                lambda t: H(t) ** root, upper, H_zero_exponent * root
-            )
-        return adaptive_quad(lambda t: H(t) ** root, 0.0, upper)
-
-    if isinstance(h, FuncExpr):
-        fn = h.scalar_fn()
-        h_integral = integral_with_endpoint_power(
-            lambda t: fn(t) ** (1.0 / p), p * s, h.smallest_exponent / p
+        return integral_with_endpoint_power(
+            lambda t: H(t) ** root, upper, antiderivative.smallest_exponent * root
         )
-    else:
-        h_integral = adaptive_quad(lambda t: h(t) ** (1.0 / p), 0.0, p * s)
+
+    fn = h.scalar_fn()
+    h_integral = integral_with_endpoint_power(
+        lambda t: fn(t) ** (1.0 / p), p * s, h.smallest_exponent / p
+    )
 
     lhs = (p - 1.0) ** (2.0 * p - 1.0) * integral_H_root(s) ** (p - 1.0)
     mid = (p - 1.0) ** (p - 1.0) * h_integral**p

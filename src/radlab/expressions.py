@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -185,11 +185,6 @@ class FuncExpr:
             return None
         return FuncExpr.from_terms([(coeff**x, exponent * x)])
 
-    def __add__(self, other: "FuncExpr") -> "FuncExpr":
-        if not isinstance(other, FuncExpr):
-            return NotImplemented
-        return FuncExpr.from_terms(self.terms + other.terms)
-
     # -- printing ---------------------------------------------------------
 
     def to_text(self) -> str:
@@ -205,9 +200,6 @@ class FuncExpr:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-ScalarFunction = Union[FuncExpr, Callable[[float], float]]
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from enum import Enum
 import numpy as np
 
 from .criteria import phi, phi_inverse
-from .expressions import FuncExpr
 from .problem import InvalidProblem, ProblemSpec, ensure_valid
 from .quadrature import cumulative_power_graded, cumulative_quadratic
 
@@ -128,16 +127,6 @@ class SolverOptions:
             raise ValueError("max_steps must be positive")
 
 
-def _scalar(fn):
-    return fn.scalar_fn() if isinstance(fn, FuncExpr) else fn
-
-
-def _vectorized(fn):
-    if isinstance(fn, FuncExpr):
-        return fn
-    return lambda arr: np.array([float(fn(float(t))) for t in arr])
-
-
 @dataclass(frozen=True)
 class BootstrapSegment:
     """Converged Picard trajectory on the graded grid over [0, rho]."""
@@ -219,7 +208,7 @@ def picard_apply(
     rd = r**delta
     rn = r ** float(n - 1)
 
-    fI1 = rd * _vectorized(spec.f1)(r) * _vectorized(spec.g1)(v)
+    fI1 = rd * spec.f1(r) * spec.g1(v)
     I1 = np.maximum.accumulate(np.maximum(cumulative_power_graded(fI1, r), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         W = c1 * I1 / rd
@@ -227,7 +216,7 @@ def picard_apply(
     w_new = np.maximum.accumulate(W**theta)
     u_new = np.maximum.accumulate(u0 + cumulative_quadratic(w_new, r))
 
-    fI2 = rn * _vectorized(spec.f2)(r) * _vectorized(spec.g2)(v) * _vectorized(spec.h)(w)
+    fI2 = rn * spec.f2(r) * spec.g2(v) * spec.h(w)
     I2 = np.maximum.accumulate(np.maximum(cumulative_power_graded(fI2, r), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         Z = I2 / rn
@@ -389,11 +378,11 @@ def _rhs_factory(spec: ProblemSpec):
     c1 = delta / (spec.n - 1.0)
     inv_pm1 = 1.0 / (spec.p - 1.0)
     nm1 = float(spec.n - 1)
-    f1 = _scalar(spec.f1)
-    g1 = _scalar(spec.g1)
-    f2 = _scalar(spec.f2)
-    g2 = _scalar(spec.g2)
-    h = _scalar(spec.h)
+    f1 = spec.f1.scalar_fn()
+    g1 = spec.g1.scalar_fn()
+    f2 = spec.f2.scalar_fn()
+    g2 = spec.g2.scalar_fn()
+    h = spec.h.scalar_fn()
 
     def rhs(r, u, v, I1, I2):
         rd = r**delta
@@ -412,8 +401,8 @@ def _rhs_arrays(spec: ProblemSpec, r, v, I1, I2):
     rn = r ** float(spec.n - 1)
     w = (delta / (spec.n - 1.0) * I1 / rd) ** spec.theta
     dv = (I2 / rn) ** (1.0 / (spec.p - 1.0))
-    fI1 = rd * _vectorized(spec.f1)(r) * _vectorized(spec.g1)(v)
-    fI2 = rn * _vectorized(spec.f2)(r) * _vectorized(spec.g2)(v) * _vectorized(spec.h)(w)
+    fI1 = rd * spec.f1(r) * spec.g1(v)
+    fI2 = rn * spec.f2(r) * spec.g2(v) * spec.h(w)
     return w, dv, fI1, fI2
 
 
@@ -707,28 +696,15 @@ def scale_problem(spec: ProblemSpec, lam: float) -> ProblemSpec:
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    a1 = lam ** (spec.p - spec.alpha)
-    a2 = lam**spec.p
-
-    def scaled_f(fn, amp):
-        if isinstance(fn, FuncExpr):
-            return fn.scale_argument(lam).scale_value(amp)
-        return lambda t, fn=fn, amp=amp: amp * fn(lam * t)
-
-    if isinstance(spec.h, FuncExpr):
-        h_t = spec.h.scale_argument(1.0 / lam)
-    else:
-        h_t = lambda t, fn=spec.h: fn(t / lam)  # noqa: E731
-
     return ProblemSpec(
         p=spec.p,
         alpha=spec.alpha,
         n=spec.n,
-        f1=scaled_f(spec.f1, a1),
-        f2=scaled_f(spec.f2, a2),
+        f1=spec.f1.scale_argument(lam).scale_value(lam ** (spec.p - spec.alpha)),
+        f2=spec.f2.scale_argument(lam).scale_value(lam**spec.p),
         g1=spec.g1,
         g2=spec.g2,
-        h=h_t,
+        h=spec.h.scale_argument(1.0 / lam),
     )
 
 
@@ -854,8 +830,7 @@ def blowup_envelope_check(
     if count < 4:
         raise SolverError("too few grid points in the final decade before R0")
     idx = np.nonzero(mask)[0]
-    single_term = isinstance(spec.h, FuncExpr) and len(spec.h.terms) == 1
-    if not single_term and count > 257:
+    if len(spec.h.terms) > 1 and count > 257:
         # Each phi call costs a quadrature here; a spanning subsample keeps
         # the check O(1) without shrinking the fitted decade.
         idx = idx[np.unique(np.linspace(0, count - 1, 257).astype(int))]
@@ -947,17 +922,11 @@ def relative_residuals(
     dW = fd_derivative(r, W)
     dZ = fd_derivative(r, Z)
 
-    f1r = _vectorized(spec.f1)(r)
-    f2r = _vectorized(spec.f2)(r)
-    g1v = _vectorized(spec.g1)(v)
-    g2v = _vectorized(spec.g2)(v)
-    hw = _vectorized(spec.h)(du)
-
     with np.errstate(divide="ignore", invalid="ignore"):
         sing1 = np.where(r > 0.0, delta * W / np.where(r > 0.0, r, 1.0), 0.0)
         sing2 = np.where(r > 0.0, (n - 1.0) * Z / np.where(r > 0.0, r, 1.0), 0.0)
-    src1 = c1 * f1r * g1v
-    src2 = f2r * g2v * hw
+    src1 = c1 * spec.f1(r) * spec.g1(v)
+    src2 = spec.f2(r) * spec.g2(v) * spec.h(du)
 
     res1 = np.abs(dW + sing1 - src1) / (np.abs(dW) + np.abs(sing1) + np.abs(src1) + 1e-300)
     res2 = np.abs(dZ + sing2 - src2) / (np.abs(dZ) + np.abs(sing2) + np.abs(src2) + 1e-300)

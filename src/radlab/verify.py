@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import sandwich_check
+from .expressions import FuncExpr
 from .problem import ProblemSpec
-from .solver import SolverOptions, _vectorized, fd_derivative
+from .solver import SolverOptions
 
 __all__ = [
     "MONOTONE_SLACK",
@@ -168,12 +169,8 @@ def check_convexity_bounds(solution) -> InequalityReport:
     # Panels [r_i, r_{i+1}] whose closure lies in the window (0, 0.9*r_end];
     # the first panel touches r = 0 but tests the derivative on its interior.
     panels = r[1:] <= _CONVEXITY_WINDOW * r[-1]
-    src1 = c1 * _vectorized(spec.f1)(r) * _vectorized(spec.g1)(solution.v)
-    src2 = (
-        _vectorized(spec.f2)(r)
-        * _vectorized(spec.g2)(solution.v)
-        * _vectorized(spec.h)(solution.w)
-    )
+    src1 = c1 * spec.f1(r) * spec.g1(solution.v)
+    src2 = spec.f2(r) * spec.g2(solution.v) * spec.h(solution.w)
 
     eps = float(np.finfo(float).eps)
     worst = 0.0
@@ -218,11 +215,7 @@ def check_uprime_estimate(solution) -> InequalityReport:
     r = solution.r[interior]
     W = solution.w[interior] ** (spec.p - 1.0 - spec.alpha)
     lhs = W / r
-    rhs = (
-        bound_factor
-        * _vectorized(spec.f1)(r)
-        * _vectorized(spec.g1)(solution.v[interior])
-    )
+    rhs = bound_factor * spec.f1(r) * spec.g1(solution.v[interior])
     violation = float(np.max((lhs - rhs) / (np.maximum(lhs, rhs) + 1e-300)))
     violation = max(0.0, violation)
     return InequalityReport(
@@ -233,7 +226,7 @@ def check_uprime_estimate(solution) -> InequalityReport:
     )
 
 
-def check_sandwich(h, p: float, samples) -> InequalityReport:
+def check_sandwich(h: FuncExpr, p: float, samples) -> InequalityReport:
     """Ordering of the three cumulative-transform quantities at every
     sample point s > 0 (slack covers quadrature error only)."""
     samples = np.asarray(samples, dtype=float)

@@ -21,7 +21,6 @@ from radlab.criteria import (
     phi,
     sandwich_check,
     tail_exponent_verdict,
-    theta,
 )
 from radlab.expressions import FuncExpr, parse_expr
 from radlab.quadrature import adaptive_quad, integral_to_infinity
@@ -203,7 +202,7 @@ def test_criterion_07_closed_form_value():
     raw adaptive quadrature, the criterion evaluator, and the tail function."""
     expected = 3.0 * 4.0 ** (2.0 / 3.0) / 5.0
     spec = CASE_BY_NAME["B"].spec()
-    th, p, nu = theta(spec), spec.p, outer_power(spec)
+    th, p, nu = spec.theta, spec.p, outer_power(spec)
     h = spec.h
 
     def inner(s: float) -> float:

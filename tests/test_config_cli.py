@@ -185,12 +185,21 @@ def test_classify_json_shape(tmp_path, capsys):
 
 
 def test_classify_validation_failure_exits_nonzero(tmp_path, capsys):
-    path = write(tmp_path, GOOD.replace('g1 = "t"', 'g1 = "1"'))  # k1 = 0
-    code, out, _ = run_cli(["classify", "--config", path], capsys)
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["validation"]["ok"] is False
-    assert payload["validation"]["errors"]
+    cases = [
+        (GOOD.replace('g1 = "t"', 'g1 = "1"'), None),  # k1 = 0
+        # t^60 overflows at the 1e6 end of the sampled grid
+        (GOOD.replace('h = "t^6"', 'h = "t^60"'),
+         "h produced non-finite values on the sampled grid"),
+    ]
+    for text, error in cases:
+        path = write(tmp_path, text)
+        code, out, _ = run_cli(["classify", "--config", path], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["validation"]["ok"] is False
+        assert payload["validation"]["errors"]
+        if error is not None:
+            assert error in payload["validation"]["errors"]
 
 
 def test_classify_unbalanced_alpha_is_no_solution(tmp_path, capsys):
@@ -348,13 +357,21 @@ def test_verify_rejects_corrupted_trajectory(tmp_path, capsys):
 
 def test_verify_rejects_unparseable_trajectory(tmp_path, capsys):
     path = write(tmp_path, GOOD)
-    bad = tmp_path / "garbage.csv"
-    bad.write_text("r,u,v,du,dv\n0.0,1.0,1.0,0.0,zero\n")
-    code, out, _ = run_cli(
-        ["verify", "--config", path, "--trajectory", str(bad)], capsys
-    )
-    assert code == 1
-    assert json.loads(out)["pass"] is False
+    garbage = tmp_path / "garbage.csv"
+    garbage.write_text("r,u,v,du,dv\n0.0,1.0,1.0,0.0,zero\n")
+    # Five well-formed rows: too few for the convexity check.
+    run_cli(["solve", "--config", path, "--out", str(tmp_path)], capsys)
+    short = tmp_path / "short.csv"
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[:6]
+    short.write_text("\n".join(rows) + "\n")
+    for bad in (garbage, short):
+        code, out, _ = run_cli(
+            ["verify", "--config", path, "--trajectory", str(bad)], capsys
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        assert payload["reports"] == [] and payload["error"]
 
 
 def test_seed_override_accepted(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radlab.criteria import (
-    BorderlineUndecidable,
     CriterionDiverges,
     CriterionKind,
     Method,
@@ -20,7 +19,6 @@ from radlab.criteria import (
     phi,
     phi_inverse,
     sandwich_check,
-    theta,
 )
 from radlab.expressions import parse_expr
 from radlab.quadrature import adaptive_quad, integral_to_infinity
@@ -30,7 +28,7 @@ from conftest import power_spec
 
 def test_theta_and_outer_power_reference_values():
     spec = power_spec(2.0, 0.0, 1, 0, 1)
-    assert theta(spec) == pytest.approx(1.0)
+    assert spec.theta == pytest.approx(1.0)
     # nu = k1*p / (k1*p + p - 1 - k2) with k1 = 1, k2 = 0, p = 2
     assert outer_power(spec) == pytest.approx(2.0 / 3.0)
 
@@ -80,7 +78,7 @@ def test_divergence_exponent_arithmetic():
 def test_single_term_criterion_against_raw_quadrature():
     spec = power_spec(2.0, 0.0, 1, 0, 6)
     nu = outer_power(spec)
-    th = theta(spec)
+    th = spec.theta
 
     def integrand(s: float) -> float:
         return inner_integral(spec.h, th, spec.p, s) ** -nu
@@ -100,7 +98,7 @@ def test_multi_term_h_criterion_against_raw_quadrature():
     result = criterion(spec, CriterionKind.UNWEIGHTED)
     if result.verdict is Verdict.FINITE:
         nu = outer_power(spec)
-        th = theta(spec)
+        th = spec.theta
         oracle = integral_to_infinity(
             lambda s: inner_integral(spec.h, th, spec.p, s) ** -nu,
             1.0,
