@@ -20,7 +20,7 @@ compares the two.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,8 +42,8 @@ __all__ = [
 
 #: Minimum fitted tail exponent of ``ln u'`` against ``ln (R0 - r)`` for a
 #: blow-up run to be labelled B3 (u unbounded) rather than B2 (u bounded).
-#: The theoretical threshold is sigma >= 1; the fitted slope on a finite
-#: ladder undershoots slightly, so the cut sits below 1 but well above the
+#: The theoretical threshold is sigma >= 1; the slope fitted over a finite
+#: tail undershoots slightly, so the cut sits below 1 but well above the
 #: largest sub-critical sigma on the reference problems (5/7).
 _SIGMA_CUT = 0.9
 
@@ -260,19 +260,13 @@ def _tail_slope(solution: RadialSolution) -> tuple[float, int] | None:
     run left too little resolved tail to fit.
     """
 
-    R0 = solution.R0
-    if R0 is None or R0 <= solution.r_end:
-        return None
-    d = R0 - solution.r
-    d_end = d[-1]
-    if d_end <= 0.0:
-        return None
-    mask = (d <= 10.0 * d_end) & (solution.w > 0.0)
+    d = solution.R0 - solution.r
+    mask = (d <= 10.0 * d[-1]) & (solution.w > 0.0)
     if int(mask.sum()) < 8:
         # Fall back to the final stretch of nodes regardless of decade.
         tail = min(32, d.size)
         mask = np.zeros(d.shape, dtype=bool)
-        mask[-tail:] = (d[-tail:] > 0.0) & (solution.w[-tail:] > 0.0)
+        mask[-tail:] = solution.w[-tail:] > 0.0
         if int(mask.sum()) < 8:
             return None
     x = np.log(d[mask])
@@ -329,10 +323,7 @@ def numeric_classify(
         )
 
     if omega is Domain.WHOLE_SPACE:
-        details.append(
-            "v blows up at finite radius"
-            + (f" R0 = {solution.R0:g}" if solution.R0 is not None else "")
-        )
+        details.append(f"v blows up at finite radius R0 = {solution.R0:g}")
         return Classification(
             label=BoundaryClass.NO_SOLUTION,
             omega=omega,
@@ -389,7 +380,10 @@ def reconcile(predicted: Classification, numeric: Classification) -> dict:
     ``B1``) also counts as agreement: the ball run is a truncation of the
     global solution, which is the only observable evidence for ``Global``
     at any finite horizon.  ``Undecided`` on either side yields
-    ``"indeterminate"`` rather than a hard disagreement.
+    ``"indeterminate"`` rather than a hard disagreement, and so does a run
+    that reached its target (``B1``) against a predicted blow-up (``B2`` or
+    ``B3``): the blow-up radius may lie beyond the target, which the
+    numeric details then record.
     """
 
     if (
@@ -397,6 +391,11 @@ def reconcile(predicted: Classification, numeric: Classification) -> dict:
         or numeric.label is BoundaryClass.UNDECIDED
     ):
         status = "indeterminate"
+    elif numeric.label is BoundaryClass.B1 and predicted.label in (
+        BoundaryClass.B2, BoundaryClass.B3
+    ):
+        status = "indeterminate"
+        numeric = replace(numeric, details=numeric.details + ("R0 > target",))
     elif predicted.label is numeric.label:
         status = "agree"
     elif {predicted.label, numeric.label} == {

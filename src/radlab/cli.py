@@ -190,10 +190,7 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
     checks.append(_sandwich_report(config, spec))
 
     envelope = None
-    if (
-        solution.terminated is TerminationReason.BLOW_UP
-        and solution.R0 is not None
-    ):
+    if solution.terminated is TerminationReason.BLOW_UP:
         try:
             envelope = blowup_envelope_check(solution, spec).to_dict()
         except SolverError as exc:

@@ -18,6 +18,7 @@ Every ``h`` is a power sum, so the verdicts are exact exponent arithmetic
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -269,8 +270,10 @@ def phi(spec: ProblemSpec, t: float) -> float:
 
 
 def phi_inverse(spec: ProblemSpec, y: float) -> float:
-    """Inverse of :func:`phi` (closed form for single-term h, otherwise
-    monotone bisection in log space to relative tolerance 1e-8)."""
+    """Inverse of :func:`phi`: closed form for single-term h, otherwise
+    Newton's method in ln t with phi'(t) = -inner(t)**-nu, kept inside a
+    bracket by bisection, run until the iterate moves by no more than a few
+    ulps."""
     if not y > 0.0:
         raise ValueError("the argument must be positive")
     power = outer_power(spec)
@@ -295,13 +298,23 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
         lo /= 4.0
         if lo < 1e-280:
             raise ValueError("no inverse within the floating-point range")
-    while hi / lo - 1.0 > 1e-8:
-        mid = math.sqrt(lo * hi)
-        if phi(spec, mid) < y:
-            hi = mid
+    t = math.sqrt(lo * hi)
+    for _ in range(100):  # bisection alone reaches roundoff in ~55 halvings
+        value = phi(spec, t)
+        if value > y:
+            lo = t
         else:
-            lo = mid
-    return math.sqrt(lo * hi)
+            hi = t
+        inner = inner_integral(spec.h, spec.theta, spec.p, t)
+        step = (value - y) * inner**power / t  # the Newton step in ln t
+        if math.log(lo / t) < step < math.log(hi / t):
+            t_new = t * math.exp(step)
+        else:
+            t_new = math.sqrt(lo * hi)
+        if abs(t_new - t) <= 4.0 * sys.float_info.epsilon * t:
+            return t_new
+        t = t_new
+    return t
 
 
 def sandwich_check(h: FuncExpr, p: float, s: float) -> tuple[float, float, float]:

@@ -24,17 +24,21 @@ step also emits interior nodes from the fourth-order continuous extension,
 so the trajectory is dense enough for finite-difference residuals, panel
 quotients and tail fits at any step size.
 
-Blow-up is detected geometrically: the radii where v crosses
-threshold * 2**j form a sequence whose gaps contract by a fixed ratio
-exactly when v has a finite-radius pole, and Aitken extrapolation of the
-crossing radii estimates R0.  Exponential or power growth keeps the gaps
-from contracting, so unbounded-but-global solutions are not mislabelled.
+Near a pole the march changes its independent variable to s = ln v (Stuart
+& Floater, Eur. J. Appl. Math. 1, 1990): once v passes the blow-up
+threshold the same stepper advances (r, u, I1, I2) in s, where
+dr/ds = v/v' ~ (R0 - r)/b tends to 0.  R0 is then the limit of r(s) that
+the march converges to, estimated at each step as r + b * dr/ds with
+b = -1 / (d ln(dr/ds)/ds), and the run ends once that estimate settles.
+Exponential or power growth keeps dr/ds from decaying geometrically, so
+the estimate keeps moving with r and unbounded-but-global solutions are
+not mislabelled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -61,15 +65,8 @@ __all__ = [
     "relative_residuals",
 ]
 
-#: Hard state cap: v above this terminates the run as blow-up regardless of
-#: the crossing ladder, keeping every later power evaluation finite.
-V_HARD_CAP = 1e250
-
 _FP_TOL_FACTOR = 0.02  # fixed-point stop at this fraction of rel_tol
 _FP_MIN_SWEEPS = 2  # the first sweep sees u' = 0, so it never decides alone
-_LADDER_MIN_CROSSINGS = 6
-_LADDER_CONTRACTION = 0.97
-_AITKEN_STABILITY = 0.01
 
 
 class TerminationReason(str, Enum):
@@ -88,10 +85,11 @@ class SolverOptions:
 
     ``rel_tol`` bounds the local error of each Dormand-Prince step, per
     component, at 0.1 * rel_tol relative to the state; the Picard stage
-    stops at 0.02 * rel_tol.  v crossing ``blowup_threshold`` starts the
-    blow-up ladder.  Defaults follow the target radius: the first trial step
-    is 1e-4 * target_radius, a rejected step may shrink to no less than
-    1e-14 * target_radius, and the Picard stage covers
+    stops at 0.02 * rel_tol.  v crossing ``blowup_threshold`` switches the
+    march from r to s = ln v.  Defaults follow the target radius: the first
+    trial step is 1e-4 * target_radius, a rejected step (in r, or in s)
+    may shrink to no less than 1e-14 * target_radius, and the Picard stage
+    covers
     [0, 1e-3 * target_radius].  ``max_steps`` caps the accepted steps.
     """
 
@@ -272,15 +270,15 @@ class RadialSolution:
 
     ``w`` is u' and ``dv`` is v'.  ``I1``/``I2`` are the accumulated source
     integrals, with node derivatives ``fI1``/``fI2`` retained so the
-    trajectory supports cubic-Hermite resampling.  ``R0`` is the extrapolated
-    blow-up radius when ``terminated`` is BlowUp (None if the run ended via
-    the hard value cap before enough threshold crossings accumulated).
+    trajectory supports cubic-Hermite resampling.  ``R0`` is the blow-up
+    radius, the limit of r(s) as s = ln v grows, when ``terminated`` is
+    BlowUp and None otherwise.
 
     ``rhs_evals`` counts every evaluation of the right-hand side: the
     march's stages and the vectorised pass over its emitted nodes.
     ``accepted_steps`` and ``rejected_steps`` count the march's steps, and
-    ``dt_min``/``dt_max`` bound its accepted step sizes (None when no step
-    was accepted).
+    ``dt_min``/``dt_max`` bound the increments in r of its accepted steps
+    (None when no step was accepted).
     """
 
     spec: ProblemSpec
@@ -316,9 +314,10 @@ class RadialSolution:
         for name, series in (("u", u), ("v", v), ("w", w), ("dv", dv)):
             if np.any(np.diff(series) < 0.0):
                 raise ValueError(f"{name} must be non-decreasing")
-        if self.terminated is TerminationReason.BLOW_UP:
-            if not v[-1] > self.options.blowup_threshold:
-                raise ValueError("a blow-up trajectory must end above the threshold")
+        if (self.R0 is not None) != (self.terminated is TerminationReason.BLOW_UP):
+            raise ValueError("R0 is set exactly for a blow-up trajectory")
+        if self.R0 is not None and not v[-1] > self.options.blowup_threshold:
+            raise ValueError("a blow-up trajectory must end above the threshold")
 
     @property
     def r_end(self) -> float:
@@ -448,62 +447,72 @@ def _dense(theta, h, y0, y1, k1, k7, kd):
     return y0 + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * kd)))
 
 
-class _CrossingLadder:
-    """Radii where v crosses threshold * 2**j, and the Aitken estimate of
-    the blow-up radius once their gaps contract steadily."""
-
-    def __init__(self, threshold: float, v_start: float):
-        self.next = threshold
-        while self.next <= v_start:  # start the ladder above the initial v
-            self.next *= 2.0
-        self.crossings: list[float] = []
-        self.estimate: float | None = None
-        self.confirmed = False
-
-    def feed(self, ra: float, va: float, rb: float, vb: float, r_end: float):
-        """Record the crossings inside the panel [ra, rb], interpolating
-        log v linearly; ``r_end`` is the end of the trajectory so far."""
-        crossings = self.crossings
-        while vb >= self.next and not self.confirmed:
-            frac = math.log(self.next / va) / math.log(vb / va)
-            crossings.append(ra + (rb - ra) * frac)
-            self.next *= 2.0
-            if len(crossings) < 4:
-                continue
-            d1 = crossings[-3] - crossings[-4]
-            d2 = crossings[-2] - crossings[-3]
-            d3 = crossings[-1] - crossings[-2]
-            if not (d1 > 0.0 and d2 > 0.0 and d3 > 0.0 and d3 < d2):
-                continue
-            ratio = d3 / d2
-            aitken = crossings[-1] + d3 * ratio / (1.0 - ratio)
-            if (
-                len(crossings) >= _LADDER_MIN_CROSSINGS
-                and d2 <= _LADDER_CONTRACTION * d1
-                and d3 <= _LADDER_CONTRACTION * d2
-                and self.estimate is not None
-                and aitken > r_end
-                and abs(aitken - self.estimate)
-                <= _AITKEN_STABILITY * (aitken - r_end)
-            ):
-                self.confirmed = True
-            self.estimate = aitken
+def _dp_step(f, x, h, y, k1, tol):
+    """One Dormand-Prince 5(4) step of size h for y' = f(x, *y) from (x, y),
+    where k1 = f(x, *y).  Returns the fifth-order solution, its slope k7,
+    the dense-output term kd = h * sum D_i k_i, and the error estimate in
+    units of tol * max(|y|, |y_new|); err is inf, with no solution, when a
+    stage overflows or leaves the finite range."""
+    try:
+        k2 = f(x + _C2 * h, *[
+            y[j] + h * (_A21 * k1[j]) for j in range(4)])
+        k3 = f(x + _C3 * h, *[
+            y[j] + h * (_A31 * k1[j] + _A32 * k2[j]) for j in range(4)])
+        k4 = f(x + _C4 * h, *[
+            y[j] + h * (_A41 * k1[j] + _A42 * k2[j] + _A43 * k3[j])
+            for j in range(4)])
+        k5 = f(x + _C5 * h, *[
+            y[j] + h * (_A51 * k1[j] + _A52 * k2[j] + _A53 * k3[j]
+                        + _A54 * k4[j])
+            for j in range(4)])
+        k6 = f(x + h, *[
+            y[j] + h * (_A61 * k1[j] + _A62 * k2[j] + _A63 * k3[j]
+                        + _A64 * k4[j] + _A65 * k5[j])
+            for j in range(4)])
+        y_new = tuple(
+            y[j] + h * (_B1 * k1[j] + _B3 * k3[j] + _B4 * k4[j]
+                        + _B5 * k5[j] + _B6 * k6[j])
+            for j in range(4))
+        k7 = f(x + h, *y_new)
+    except (OverflowError, ZeroDivisionError):
+        y_new = k7 = (math.inf,) * 4
+    if not all(map(math.isfinite, y_new + k7)):
+        return None, None, None, math.inf
+    err = max(
+        abs(h * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j] + _E5 * k5[j]
+                 + _E6 * k6[j] + _E7 * k7[j]))
+        / (tol * max(abs(y[j]), abs(y_new[j])) + 1e-300)
+        for j in range(4)
+    )
+    kd = tuple(
+        h * (_D1 * k1[j] + _D3 * k3[j] + _D4 * k4[j] + _D5 * k5[j]
+             + _D6 * k6[j] + _D7 * k7[j])
+        for j in range(4))
+    return y_new, k7, kd, err
 
 
 def march(
     spec: ProblemSpec, u0: float, v0: float, options: SolverOptions
 ) -> RadialSolution:
-    """Integrate outward from the origin until the target radius, a confirmed
+    """Integrate outward from the origin until the target radius, a resolved
     blow-up, or step underflow.
 
-    The Picard stage covers [0, bootstrap_radius]; from there the state
-    (u, v, I1, I2) advances by Dormand-Prince 5(4) steps.  A step is
-    accepted when its embedded error estimate lies below 0.1 * rel_tol
-    times max(|y|, |y_new|) in every component; the next step size is the
-    current one times 0.9 * err**(-1/5), clamped to [0.2, 5].  Each
-    accepted step is emitted as four equal sub-panels whose interior nodes
-    come from the continuous extension, and the threshold crossings of the
-    blow-up ladder are read off the emitted nodes.  The run ends as
+    The Picard stage covers [0, bootstrap_radius]; from there Dormand-Prince
+    5(4) steps advance the state (u, v, I1, I2) in r until an accepted step
+    ends with v >= ``blowup_threshold``, and then the state (r, u, I1, I2)
+    in s = ln v.  A step is accepted when its embedded error estimate lies
+    below 0.1 * rel_tol times max(|y|, |y_new|) in every component; the next
+    step size is the current one times 0.9 * err**(-1/5), clamped to
+    [0.2, 5].  Each accepted step is emitted as four equal sub-panels whose
+    interior nodes come from the continuous extension.
+
+    The run ends as ReachedTarget once r is within ``min_step`` of the
+    target; in s a step that would overshoot it by more than that is
+    shrunk onto it.  It ends as BlowUp once the pole estimate
+    R0 = r + b * dr/ds, with b = -1 / (d ln(dr/ds)/ds) taken across the
+    last step, moves by at most rel_tol * R0 from one step to the next and
+    per unit of s: the estimate converges geometrically in s, so a change
+    per step alone would stop early on short steps.  It ends as
     StepUnderflow, with a note, when a rejection shrinks the step below
     ``min_step`` or when a step or one of its sub-nodes would no longer
     advance r strictly.
@@ -524,129 +533,105 @@ def march(
     )
 
     rhs = _rhs_factory(spec)
+
+    def pole_rhs(s, r, u, I1, I2):
+        v = math.exp(s)
+        w, dv, fI1, fI2 = rhs(r, u, v, I1, I2)
+        drds = v / dv
+        return drds, drds * w, drds * fI1, drds * fI2
+
     tol = _ERR_SCALE * options.rel_tol
     target = options.target_radius
     notes: list[str] = []
 
-    r = float(boot.r[-1])
+    # x is r and y is (u, v, I1, I2) until v reaches the threshold; from
+    # then on x is s = ln v and y is (r, u, I1, I2).
+    f = rhs
+    x = float(boot.r[-1])
     y = (float(boot.u[-1]), float(boot.v[-1]), float(boot.I1[-1]), float(boot.I2[-1]))
-    k1 = rhs(r, *y)
+    k1 = f(x, *y)
     evals = 1
     rejected = 0
-    dt = min(options.initial_step, target - r)
-    ladder = _CrossingLadder(options.blowup_threshold, y[1])
-    # Per accepted step: start radius, size, and the data of its dense output.
-    steps: list[tuple] = []
+    h = min(options.initial_step, target - x)
+    # Per accepted step: start, size, and the data of its dense output.
+    radial_steps: list[tuple] = []
+    pole_steps: list[tuple] = []
+    R0 = None
     terminated = None
 
     while True:
+        in_pole = f is pole_rhs
+        r = y[0] if in_pole else x
         if target - r <= options.min_step:
             terminated = TerminationReason.REACHED_TARGET
             break
-        if len(steps) >= options.max_steps:
+        if len(radial_steps) + len(pole_steps) >= options.max_steps:
             raise SolverError(
                 f"step budget of {options.max_steps} exhausted at r={r!r}"
             )
-        dt = min(dt, target - r)
-        r_new = r + dt
-        sub_r = [r + dt * th for th in _SUB_THETAS]
-        grid = [r, *sub_r, r_new]
-        if not all(a < b for a, b in zip(grid, grid[1:])):
-            notes.append(
-                f"step underflow at r={r:.12g}: dt={dt:.3g} no longer advances "
-                f"r through its {_SUBPANELS} sub-panels"
-            )
-            terminated = TerminationReason.STEP_UNDERFLOW
-            break
-
-        try:
-            k2 = rhs(r + _C2 * dt, *[
-                y[j] + dt * (_A21 * k1[j]) for j in range(4)])
-            k3 = rhs(r + _C3 * dt, *[
-                y[j] + dt * (_A31 * k1[j] + _A32 * k2[j]) for j in range(4)])
-            k4 = rhs(r + _C4 * dt, *[
-                y[j] + dt * (_A41 * k1[j] + _A42 * k2[j] + _A43 * k3[j])
-                for j in range(4)])
-            k5 = rhs(r + _C5 * dt, *[
-                y[j] + dt * (_A51 * k1[j] + _A52 * k2[j] + _A53 * k3[j]
-                             + _A54 * k4[j])
-                for j in range(4)])
-            k6 = rhs(r_new, *[
-                y[j] + dt * (_A61 * k1[j] + _A62 * k2[j] + _A63 * k3[j]
-                             + _A64 * k4[j] + _A65 * k5[j])
-                for j in range(4)])
-            y_new = tuple(
-                y[j] + dt * (_B1 * k1[j] + _B3 * k3[j] + _B4 * k4[j]
-                             + _B5 * k5[j] + _B6 * k6[j])
-                for j in range(4))
-            k7 = rhs(r_new, *y_new)
-        except OverflowError:
-            k7 = (math.inf,) * 4
-            y_new = (math.inf,) * 4
+        h = min(h, (target - r) / k1[0] if in_pole else target - r)
+        y_new, k7, kd, err = _dp_step(f, x, h, y, k1, tol)
         evals += 6
-
-        if all(map(math.isfinite, y_new + k7)):
-            err = max(
-                abs(dt * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j] + _E5 * k5[j]
-                          + _E6 * k6[j] + _E7 * k7[j]))
-                / (tol * max(abs(y[j]), abs(y_new[j])) + 1e-300)
-                for j in range(4)
-            )
-        else:
-            err = math.inf
         factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
-        if err > 1.0:
+        if err > 1.0 or (in_pole and y_new[0] - target > options.min_step):
             rejected += 1
-            dt *= factor
-            if dt < options.min_step:
-                notes.append(f"step underflow at r={r:.12g} (dt={dt:.3g} < min_step)")
+            h *= factor if err > 1.0 else (target - r) / (y_new[0] - r)
+            if h < options.min_step:
+                notes.append(f"step underflow at r={r:.12g} (step {h:.3g} < min_step)")
                 terminated = TerminationReason.STEP_UNDERFLOW
                 break
             continue
 
-        kd = tuple(
-            dt * (_D1 * k1[j] + _D3 * k3[j] + _D4 * k4[j] + _D5 * k5[j]
-                  + _D6 * k6[j] + _D7 * k7[j])
-            for j in range(4))
-        steps.append((r, dt, y, y_new, k1, k7, kd))
-
-        v_new = y_new[1]
-        if v_new >= ladder.next:
-            ra, va = r, y[1]
-            for rb, th in zip(sub_r + [r_new], _SUB_THETAS + (1.0,)):
-                vb = v_new if th == 1.0 else _dense(
-                    th, dt, y[1], v_new, k1[1], k7[1], kd[1])
-                vb = max(vb, va)
-                ladder.feed(ra, va, rb, vb, r_new)
-                ra, va = rb, vb
-            if ladder.confirmed:
-                terminated = TerminationReason.BLOW_UP
-                break
-        if v_new > V_HARD_CAP:
+        if in_pole:
+            radii = [r, *(_dense(th, h, r, y_new[0], k1[0], k7[0], kd[0])
+                          for th in _SUB_THETAS), y_new[0]]
+        else:
+            radii = [x, *(x + h * th for th in _SUB_THETAS), x + h]
+        if not all(a < b for a, b in zip(radii, radii[1:])):
             notes.append(
-                f"value cap {V_HARD_CAP:g} reached at r={r_new:.12g} before "
-                "the crossing ladder confirmed contraction"
+                f"step underflow at r={r:.12g}: dt={radii[-1] - r:.3g} no longer "
+                f"advances r through its {_SUBPANELS} sub-panels"
             )
-            terminated = TerminationReason.BLOW_UP
+            terminated = TerminationReason.STEP_UNDERFLOW
             break
 
-        r, y, k1 = r_new, y_new, k7
-        dt *= factor
+        (pole_steps if in_pole else radial_steps).append(
+            (x, h, y, y_new, k1, k7, kd))
+        if in_pole:
+            slope = math.log(k7[0] / k1[0]) / h
+            previous, R0 = R0, (y_new[0] - k7[0] / slope if slope < 0.0 else None)
+            if (
+                R0 is not None
+                and previous is not None
+                and abs(R0 - previous) <= options.rel_tol * R0 * min(h, 1.0)
+            ):
+                terminated = TerminationReason.BLOW_UP
+                break
+        x, y, k1 = x + h, y_new, k7
+        h *= factor
+        if not in_pole and y[1] >= options.blowup_threshold:
+            # From here march in s = ln v; the next increment in r is kept.
+            f = pole_rhs
+            x, y = math.log(y[1]), (x, y[0], y[2], y[3])
+            k1 = f(x, *y)
+            evals += 1
+            h /= k1[0]
 
-    R0 = ladder.estimate if terminated is TerminationReason.BLOW_UP else None
-    columns = _emit_nodes(spec, boot, steps)
+    columns = _emit_nodes(spec, boot, radial_steps, pole_steps)
     evals += len(columns["r"]) - len(boot.r)
-    sizes = [step[1] for step in steps]
+    sizes = [step[1] for step in radial_steps] + [
+        step[3][0] - step[2][0] for step in pole_steps
+    ]
     return RadialSolution(
         spec=spec,
         options=options,
         **columns,
         terminated=terminated,
-        R0=R0,
+        R0=R0 if terminated is TerminationReason.BLOW_UP else None,
         bootstrap_nodes=len(boot.r),
         sweeps=boot.sweeps,
         rhs_evals=evals,
-        accepted_steps=len(steps),
+        accepted_steps=len(sizes),
         rejected_steps=rejected,
         dt_min=min(sizes) if sizes else None,
         dt_max=max(sizes) if sizes else None,
@@ -654,27 +639,37 @@ def march(
     )
 
 
-def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, steps) -> dict:
+def _emit_nodes(
+    spec: ProblemSpec, boot: BootstrapSegment, radial_steps, pole_steps
+) -> dict:
     """The trajectory columns: the bootstrap segment, then every accepted
-    step as its sub-nodes from the continuous extension and its end node.
+    step as its sub-nodes from the continuous extension and its end node,
+    the steps in s = ln v mapped back to (r, u, v = e**s, I1, I2).
     Roundoff-level dips of the dense output are clamped so every profile
     stays nondecreasing, and the right-hand side is evaluated in one
     vectorised pass over the march's nodes."""
-    columns = {"r": boot.r, "u": boot.u, "v": boot.v, "I1": boot.I1, "I2": boot.I2}
-    if steps:
-        r0, dt, y0, y1, k1, k7, kd = (np.array(col) for col in zip(*steps))
-        theta = np.array(_SUB_THETAS)[None, :, None]
-        sub = _dense(theta, dt[:, None, None], y0[:, None, :], y1[:, None, :],
+    parts = [(boot.r, boot.u, boot.v, boot.I1, boot.I2)]
+    theta = np.array(_SUB_THETAS)[None, :, None]
+    for steps, in_pole in ((radial_steps, False), (pole_steps, True)):
+        if not steps:
+            continue
+        x0, h, y0, y1, k1, k7, kd = (np.array(col) for col in zip(*steps))
+        sub = _dense(theta, h[:, None, None], y0[:, None, :], y1[:, None, :],
                      k1[:, None, :], k7[:, None, :], kd[:, None, :])
-        states = np.concatenate([sub, y1[:, None, :]], axis=1).reshape(-1, 4)
-        radii = np.concatenate(
-            [r0[:, None] + dt[:, None] * theta[:, :, 0], (r0 + dt)[:, None]], axis=1
+        states = np.concatenate([sub, y1[:, None, :]], axis=1).reshape(-1, 4).T
+        x = np.concatenate(
+            [x0[:, None] + h[:, None] * theta[:, :, 0], (x0 + h)[:, None]], axis=1
         ).ravel()
-        for key, arr in zip(("u", "v", "I1", "I2"), states.T):
-            columns[key] = np.maximum.accumulate(np.concatenate([columns[key], arr]))
-        columns["r"] = np.concatenate([boot.r, radii])
+        if in_pole:
+            r, u, I1, I2 = states
+            parts.append((r, u, np.exp(x), I1, I2))
+        else:
+            parts.append((x, *states))
+    r, u, v, I1, I2 = (np.concatenate(col) for col in zip(*parts))
+    columns = {"r": r}
+    for key, col in (("u", u), ("v", v), ("I1", I1), ("I2", I2)):
+        columns[key] = np.maximum.accumulate(col)
     m = len(boot.r)
-    r = columns["r"]
     w, dv, fI1, fI2 = _rhs_arrays(
         spec, r[m:], columns["v"][m:], columns["I1"][m:], columns["I2"][m:]
     )
@@ -812,19 +807,13 @@ def blowup_envelope_check(
     (widened by a factor 1e-12 so re-inversion roundoff cannot manufacture
     spurious violations), and re-checks the pinch pointwise.
 
-    Raises :class:`SolverError` unless the trajectory blew up with a resolved
-    radius, and :class:`radlab.criteria.CriterionDiverges` when the tail
-    integral does not exist (unweighted criterion infinite).
+    Raises :class:`SolverError` unless the trajectory blew up, and
+    :class:`radlab.criteria.CriterionDiverges` when the tail integral does
+    not exist (unweighted criterion infinite).
     """
     if solution.terminated is not TerminationReason.BLOW_UP:
         raise SolverError("the envelope check requires a blow-up trajectory")
-    R0 = solution.R0
-    if R0 is None or R0 <= solution.r_end:
-        raise SolverError(
-            "the blow-up radius was not resolved past the trajectory end; "
-            "no envelope window exists"
-        )
-    d = R0 - solution.r
+    d = solution.R0 - solution.r
     mask = (d <= 10.0 * d[-1]) & (solution.w > 0.0)
     count = int(mask.sum())
     if count < 4:

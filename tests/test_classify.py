@@ -17,6 +17,8 @@ from radlab.classify import (
     reconcile,
 )
 
+from radlab.solver import SolverOptions, TerminationReason, march
+
 from conftest import CASE_BY_NAME, REFERENCE_CASES, power_spec
 
 
@@ -150,6 +152,18 @@ def test_reconcile_undecided_is_indeterminate():
     report = reconcile(decided, undecided)
     assert report["status"] == "indeterminate"
     assert report["agree"] is False
+
+
+def test_reconcile_reached_target_against_blowup_is_indeterminate():
+    # From u0 = 1e6, v0 = 1e-6 the predicted B2 blow-up lies beyond r = 20,
+    # so the run reaches its target; a finite run cannot refute the blow-up.
+    spec = power_spec(2.0, 0.0, 1, 0, 6)
+    run = march(spec, 1e6, 1e-6, SolverOptions(target_radius=20.0))
+    assert run.terminated is TerminationReason.REACHED_TARGET
+    report = reconcile(predict(spec, Domain.BALL), numeric_classify(run))
+    assert report["status"] == "indeterminate"
+    assert report["agree"] is False
+    assert any(d.startswith("R0 > target") for d in report["numeric"]["details"])
 
 
 def test_reconcile_global_vs_truncated_ball_run():

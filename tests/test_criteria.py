@@ -158,6 +158,20 @@ def test_phi_inverse_round_trip_bisection_path():
         assert phi_inverse(spec, y) == pytest.approx(t, rel=1e-6)
 
 
+def test_phi_inverse_multi_term_round_trip_to_roundoff():
+    # The envelope check widens its constants by only 1e-12, so the inverse
+    # must undo phi far below that.
+    base = power_spec(2.0, 0.0, 1, 0, 1)
+    for h in ("t + t^6", "t^2 + t^4"):
+        spec = type(base)(
+            p=base.p, alpha=base.alpha, n=base.n,
+            f1=base.f1, f2=base.f2, g1=base.g1, g2=base.g2,
+            h=parse_expr(h),
+        )
+        for t in (0.01, 0.5, 2.0, 20.0):
+            assert phi_inverse(spec, phi(spec, t)) == pytest.approx(t, rel=1e-12)
+
+
 def test_phi_raises_on_divergent_unweighted():
     spec = power_spec(2.0, 0.0, 1, 0, 1)  # unweighted diverges
     with pytest.raises(CriterionDiverges):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from radlab.problem import InvalidProblem
+from radlab.classify import BoundaryClass, numeric_classify
+from radlab.expressions import parse_expr
+from radlab.problem import InvalidProblem, ProblemSpec
 from radlab.solver import (
     SolverError,
     SolverOptions,
@@ -17,7 +19,12 @@ from radlab.solver import (
     relative_residuals,
 )
 
-from radlab.verify import check_convexity_bounds, check_monotone
+from radlab.verify import (
+    check_convexity_bounds,
+    check_monotone,
+    check_sandwich,
+    trajectory_reports,
+)
 
 from conftest import CASE_BY_NAME, power_spec
 
@@ -171,6 +178,55 @@ def test_solver_options_validation():
         SolverOptions(target_radius=0.0)
     with pytest.raises(ValueError):
         SolverOptions(target_radius=1.0, rel_tol=0.0)
+
+
+def test_pole_phase_resolves_steep_blowup():
+    # With g1 = t + t^2 the pole is so steep that r is within 1e-11 of R0
+    # when v reaches 1e8, where steps in r approach ulp(r); in s = ln v
+    # the march still resolves R0.
+    base = power_spec(2.0, 0.0, 1, 0, 6)
+    spec = ProblemSpec(
+        p=base.p, alpha=base.alpha, n=base.n, f1=base.f1, f2=base.f2,
+        g1=parse_expr("t + t^2"), g2=base.g2, h=base.h,
+    )
+    run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+    assert run.terminated is TerminationReason.BLOW_UP
+    assert run.R0 == pytest.approx(2.378450691, rel=1e-8)
+    reports = trajectory_reports(run)
+    reports.append(check_sandwich(spec.h, spec.p, [0.01, 0.3, 1.0, 7.0, 60.0]))
+    for report in reports:
+        assert report.passed, (
+            f"{report.name} violated at {report.max_relative_violation:.3e}"
+        )
+    assert blowup_envelope_check(run, spec).passed
+    assert numeric_classify(run).label is BoundaryClass.B2
+
+
+def test_blowup_radius_independent_of_threshold(solved_cases):
+    # Below the threshold the march is in r, above it in s = ln v; R0 is the
+    # limit of the s-march wherever that starts.
+    spec = CASE_BY_NAME["C"].spec()
+    early = march(
+        spec, 1.0, 1.0, SolverOptions(target_radius=20.0, blowup_threshold=10.0)
+    )
+    assert early.terminated is TerminationReason.BLOW_UP
+    assert early.R0 == pytest.approx(solved_cases["C"].R0, rel=1e-6)
+
+
+def test_pole_phase_lands_on_target():
+    # v grows like a power of r here, so r(s) is convex and steps in
+    # s = ln v overshoot the target radius until they are shrunk onto it.
+    spec = power_spec(3.0, 0.0, 1, 0, 1)
+    run = march(
+        spec, 1.0, 1.0, SolverOptions(target_radius=20.0, blowup_threshold=2.0)
+    )
+    assert run.terminated is TerminationReason.REACHED_TARGET
+    assert run.r_end == pytest.approx(20.0, abs=1e-12)
+    reference = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+    probe = np.linspace(1.0, 20.0, 20)
+    assert np.allclose(
+        run.sample(probe)["v"], reference.sample(probe)["v"], rtol=1e-8, atol=0.0
+    )
 
 
 def test_blowup_radius_consistent_under_refinement():
