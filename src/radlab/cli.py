@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .classify import Domain, numeric_classify, predict, reconcile
+from .classify import numeric_classify, predict, reconcile
 from .config import ConfigError, RunConfig, load_config
 from .criteria import CriterionKind, criterion
 from .problem import InvalidProblem, ProblemSpec, validate_assumptions
@@ -214,6 +214,7 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
             "rejected_steps": int(solution.rejected_steps),
             "dt_min": solution.dt_min,
             "dt_max": solution.dt_max,
+            "pole_switch_r": solution.pole_switch_r,
         },
         notes=payload["notes"] + list(solution.notes),
         trajectory_csv="trajectory.csv",

@@ -44,7 +44,7 @@ from typing import Callable
 
 from .classify import Domain
 from .expressions import ExpressionError, parse_expr
-from .problem import InvalidProblem, ProblemSpec
+from .problem import ProblemSpec
 from .solver import SolverOptions
 
 __all__ = [

@@ -284,10 +284,14 @@ def _nonneg_panel_repair(panels: np.ndarray, x: np.ndarray, y: np.ndarray) -> No
     non-increasing.  Panels touching a zero sample get a power-law estimate
     fitted to the two nearest positive neighbours (exact when the data is
     locally c*(x - x_zero)**k); panels with positive ends fall back to the
-    trapezoid.  Mutates ``panels`` in place.
+    trapezoid.  Panels between two zero samples are set to zero at once.
+    Mutates ``panels`` in place.
     """
     n = x.size
-    for j in np.nonzero(panels <= 0.0)[0]:
+    bad = panels <= 0.0
+    flat = bad & (y[:-1] == 0.0) & (y[1:] == 0.0)
+    panels[flat] = 0.0
+    for j in np.nonzero(bad & ~flat)[0]:
         yi, yj = y[j], y[j + 1]
         h = x[j + 1] - x[j]
         if yi == 0.0 and yj > 0.0 and j + 2 < n and y[j + 2] > yj > 0.0:

@@ -25,14 +25,18 @@ so the trajectory is dense enough for finite-difference residuals, panel
 quotients and tail fits at any step size.
 
 Near a pole the march changes its independent variable to s = ln v (Stuart
-& Floater, Eur. J. Appl. Math. 1, 1990): once v passes the blow-up
-threshold the same stepper advances (r, u, I1, I2) in s, where
-dr/ds = v/v' ~ (R0 - r)/b tends to 0.  R0 is then the limit of r(s) that
-the march converges to, estimated at each step as r + b * dr/ds with
-b = -1 / (d ln(dr/ds)/ds), and the run ends once that estimate settles.
-Exponential or power growth keeps dr/ds from decaying geometrically, so
-the estimate keeps moving with r and unbounded-but-global solutions are
-not mislabelled.
+& Floater, Eur. J. Appl. Math. 1, 1990) once the pole dominates, that is
+once dr/ds = v/v' is below r and falling: power growth v ~ r**k has
+v/v' = r/k, which rises, while a pole has v/v' ~ (R0 - r)/b, which falls
+to 0 whatever the rate b.  The same stepper then advances
+(r, u, ln I1, ln I2) in s, so the accumulators, which grow exponentially
+in s, are held to an absolute error in their logarithms, as in the
+rescaling of Berger & Kohn (CPAM 41, 1988).  R0 is the limit of r(s),
+estimated at each step as r + b * dr/ds with b = -1 / (d ln(dr/ds)/ds);
+the estimate's error contracts geometrically in s, and the run ends once
+the sum of the remaining contractions bounds it.  Power growth keeps
+dr/ds from decaying geometrically, so the estimate keeps moving with r and
+unbounded-but-global solutions are not mislabelled.
 """
 
 from __future__ import annotations
@@ -84,13 +88,16 @@ class SolverOptions:
     """Numeric knobs for :func:`march`.
 
     ``rel_tol`` bounds the local error of each Dormand-Prince step, per
-    component, at 0.1 * rel_tol relative to the state; the Picard stage
-    stops at 0.02 * rel_tol.  v crossing ``blowup_threshold`` switches the
-    march from r to s = ln v.  Defaults follow the target radius: the first
-    trial step is 1e-4 * target_radius, a rejected step (in r, or in s)
-    may shrink to no less than 1e-14 * target_radius, and the Picard stage
-    covers
-    [0, 1e-3 * target_radius].  ``max_steps`` caps the accepted steps.
+    component, at 0.1 * rel_tol relative to the state (absolute on the
+    logarithms of the accumulators near a pole); the Picard stage stops at
+    0.02 * rel_tol, and a blow-up radius is resolved to about
+    0.1 * rel_tol.  ``blowup_threshold`` is the level of u above which
+    :func:`radlab.verify.check_no_u_only_blowup` demands that v grew too;
+    the march does not read it.  Defaults follow the target radius: the
+    first trial step is 1e-4 * target_radius, a rejected step (in r, or in
+    s) may shrink to no less than 1e-14 * target_radius, and the Picard
+    stage covers [0, 1e-3 * target_radius].  ``max_steps`` caps the
+    accepted steps.
     """
 
     target_radius: float
@@ -272,7 +279,9 @@ class RadialSolution:
     integrals, with node derivatives ``fI1``/``fI2`` retained so the
     trajectory supports cubic-Hermite resampling.  ``R0`` is the blow-up
     radius, the limit of r(s) as s = ln v grows, when ``terminated`` is
-    BlowUp and None otherwise.
+    BlowUp and None otherwise; it lies beyond the last node.
+    ``pole_switch_r`` is the radius at which the march changed to s, or
+    None if it never did.
 
     ``rhs_evals`` counts every evaluation of the right-hand side: the
     march's stages and the vectorised pass over its emitted nodes.
@@ -301,6 +310,7 @@ class RadialSolution:
     rejected_steps: int
     dt_min: float | None
     dt_max: float | None
+    pole_switch_r: float | None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -316,8 +326,8 @@ class RadialSolution:
                 raise ValueError(f"{name} must be non-decreasing")
         if (self.R0 is not None) != (self.terminated is TerminationReason.BLOW_UP):
             raise ValueError("R0 is set exactly for a blow-up trajectory")
-        if self.R0 is not None and not v[-1] > self.options.blowup_threshold:
-            raise ValueError("a blow-up trajectory must end above the threshold")
+        if self.R0 is not None and not self.R0 > r[-1]:
+            raise ValueError("a blow-up radius must lie beyond the last node")
 
     @property
     def r_end(self) -> float:
@@ -447,12 +457,13 @@ def _dense(theta, h, y0, y1, k1, k7, kd):
     return y0 + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * kd)))
 
 
-def _dp_step(f, x, h, y, k1, tol):
+def _dp_step(f, x, h, y, k1, tol, absolute):
     """One Dormand-Prince 5(4) step of size h for y' = f(x, *y) from (x, y),
     where k1 = f(x, *y).  Returns the fifth-order solution, its slope k7,
     the dense-output term kd = h * sum D_i k_i, and the error estimate in
-    units of tol * max(|y|, |y_new|); err is inf, with no solution, when a
-    stage overflows or leaves the finite range."""
+    units of tol * max(|y|, |y_new|), or of tol alone for the components
+    flagged in ``absolute``; err is inf, with no solution, when a stage
+    overflows or leaves the finite range."""
     try:
         k2 = f(x + _C2 * h, *[
             y[j] + h * (_A21 * k1[j]) for j in range(4)])
@@ -481,7 +492,7 @@ def _dp_step(f, x, h, y, k1, tol):
     err = max(
         abs(h * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j] + _E5 * k5[j]
                  + _E6 * k6[j] + _E7 * k7[j]))
-        / (tol * max(abs(y[j]), abs(y_new[j])) + 1e-300)
+        / (tol * (1.0 if absolute[j] else max(abs(y[j]), abs(y_new[j]))) + 1e-300)
         for j in range(4)
     )
     kd = tuple(
@@ -498,24 +509,28 @@ def march(
     blow-up, or step underflow.
 
     The Picard stage covers [0, bootstrap_radius]; from there Dormand-Prince
-    5(4) steps advance the state (u, v, I1, I2) in r until an accepted step
-    ends with v >= ``blowup_threshold``, and then the state (r, u, I1, I2)
-    in s = ln v.  A step is accepted when its embedded error estimate lies
-    below 0.1 * rel_tol times max(|y|, |y_new|) in every component; the next
-    step size is the current one times 0.9 * err**(-1/5), clamped to
-    [0.2, 5].  Each accepted step is emitted as four equal sub-panels whose
-    interior nodes come from the continuous extension.
+    5(4) steps advance the state (u, v, I1, I2) in r.  An accepted step
+    that ends with I1, I2 > 0 and dr/ds = v/v' below r and below its value
+    at the step's start switches the march to the state
+    (r, u, ln I1, ln I2) in s = ln v; both values of v/v' come from the
+    step's first and last stages, so the test costs no evaluation.  A step
+    is accepted when its embedded error estimate lies below 0.1 * rel_tol
+    times max(|y|, |y_new|) in every component, or below 0.1 * rel_tol
+    itself for the two logarithms; the next step size is the current one
+    times 0.9 * err**(-1/5), clamped to [0.2, 5].  Each accepted step is
+    emitted as four equal sub-panels whose interior nodes come from the
+    continuous extension.
 
     The run ends as ReachedTarget once r is within ``min_step`` of the
     target; in s a step that would overshoot it by more than that is
-    shrunk onto it.  It ends as BlowUp once the pole estimate
-    R0 = r + b * dr/ds, with b = -1 / (d ln(dr/ds)/ds) taken across the
-    last step, moves by at most rel_tol * R0 from one step to the next and
-    per unit of s: the estimate converges geometrically in s, so a change
-    per step alone would stop early on short steps.  It ends as
-    StepUnderflow, with a note, when a rejection shrinks the step below
-    ``min_step`` or when a step or one of its sub-nodes would no longer
-    advance r strictly.
+    shrunk onto it.  It ends as BlowUp on the pole estimate
+    R0 = r + b * dr/ds, with b = -1 / (d ln(dr/ds)/ds) = -1 / slope taken
+    across the last step of size h.  The estimate's error, like
+    (R0 - r)**2, contracts by rho = exp(2 * h * slope) per step, so the run
+    stops once |change of R0| * rho / (1 - rho) <= 0.1 * rel_tol * R0.  It
+    ends as StepUnderflow, with a note, when a rejection shrinks the step
+    below ``min_step`` or when a step or one of its sub-nodes would no
+    longer advance r strictly.
     """
     ensure_valid(spec)
     if not spec.gradient_balanced:
@@ -534,19 +549,22 @@ def march(
 
     rhs = _rhs_factory(spec)
 
-    def pole_rhs(s, r, u, I1, I2):
+    def pole_rhs(s, r, u, L1, L2):
         v = math.exp(s)
+        I1 = math.exp(L1)
+        I2 = math.exp(L2)
         w, dv, fI1, fI2 = rhs(r, u, v, I1, I2)
         drds = v / dv
-        return drds, drds * w, drds * fI1, drds * fI2
+        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
 
     tol = _ERR_SCALE * options.rel_tol
     target = options.target_radius
     notes: list[str] = []
 
-    # x is r and y is (u, v, I1, I2) until v reaches the threshold; from
-    # then on x is s = ln v and y is (r, u, I1, I2).
+    # x is r and y is (u, v, I1, I2) until the pole dominates; from then on
+    # x is s = ln v and y is (r, u, ln I1, ln I2).
     f = rhs
+    absolute = (False, False, False, False)
     x = float(boot.r[-1])
     y = (float(boot.u[-1]), float(boot.v[-1]), float(boot.I1[-1]), float(boot.I2[-1]))
     k1 = f(x, *y)
@@ -557,6 +575,7 @@ def march(
     radial_steps: list[tuple] = []
     pole_steps: list[tuple] = []
     R0 = None
+    pole_switch_r = None
     terminated = None
 
     while True:
@@ -570,7 +589,7 @@ def march(
                 f"step budget of {options.max_steps} exhausted at r={r!r}"
             )
         h = min(h, (target - r) / k1[0] if in_pole else target - r)
-        y_new, k7, kd, err = _dp_step(f, x, h, y, k1, tol)
+        y_new, k7, kd, err = _dp_step(f, x, h, y, k1, tol, absolute)
         evals += 6
         factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
         if err > 1.0 or (in_pole and y_new[0] - target > options.min_step):
@@ -600,19 +619,28 @@ def march(
         if in_pole:
             slope = math.log(k7[0] / k1[0]) / h
             previous, R0 = R0, (y_new[0] - k7[0] / slope if slope < 0.0 else None)
-            if (
-                R0 is not None
-                and previous is not None
-                and abs(R0 - previous) <= options.rel_tol * R0 * min(h, 1.0)
-            ):
-                terminated = TerminationReason.BLOW_UP
-                break
+            if R0 is not None and previous is not None:
+                # The estimate's error, like (R0 - r)**2, contracts by rho per
+                # step, so what remains after this step is about
+                # |R0 - previous| * rho / (1 - rho).
+                rho = math.exp(2.0 * h * slope)
+                if abs(R0 - previous) * rho / (1.0 - rho) <= tol * R0:
+                    terminated = TerminationReason.BLOW_UP
+                    break
+        # dr/ds = v/v' is r/k under power growth r**k and (R0 - r)/b near a
+        # pole: the pole dominates once it is below r and falling.
+        switch = not in_pole and (
+            y_new[2] > 0.0 and y_new[3] > 0.0 and k1[1] > 0.0 and k7[1] > 0.0
+            and y_new[1] / k7[1] < min(x + h, y[1] / k1[1])
+        )
         x, y, k1 = x + h, y_new, k7
         h *= factor
-        if not in_pole and y[1] >= options.blowup_threshold:
+        if switch:
             # From here march in s = ln v; the next increment in r is kept.
             f = pole_rhs
-            x, y = math.log(y[1]), (x, y[0], y[2], y[3])
+            absolute = (False, False, True, True)
+            pole_switch_r = x
+            x, y = math.log(y[1]), (x, y[0], math.log(y[2]), math.log(y[3]))
             k1 = f(x, *y)
             evals += 1
             h /= k1[0]
@@ -635,6 +663,7 @@ def march(
         rejected_steps=rejected,
         dt_min=min(sizes) if sizes else None,
         dt_max=max(sizes) if sizes else None,
+        pole_switch_r=pole_switch_r,
         notes=tuple(notes),
     )
 
@@ -644,7 +673,8 @@ def _emit_nodes(
 ) -> dict:
     """The trajectory columns: the bootstrap segment, then every accepted
     step as its sub-nodes from the continuous extension and its end node,
-    the steps in s = ln v mapped back to (r, u, v = e**s, I1, I2).
+    the steps in s = ln v mapped back to (r, u, v = e**s, I1 = e**ln I1,
+    I2 = e**ln I2).
     Roundoff-level dips of the dense output are clamped so every profile
     stays nondecreasing, and the right-hand side is evaluated in one
     vectorised pass over the march's nodes."""
@@ -661,8 +691,8 @@ def _emit_nodes(
             [x0[:, None] + h[:, None] * theta[:, :, 0], (x0 + h)[:, None]], axis=1
         ).ravel()
         if in_pole:
-            r, u, I1, I2 = states
-            parts.append((r, u, np.exp(x), I1, I2))
+            r, u, L1, L2 = states
+            parts.append((r, u, np.exp(x), np.exp(L1), np.exp(L2)))
         else:
             parts.append((x, *states))
     r, u, v, I1, I2 = (np.concatenate(col) for col in zip(*parts))

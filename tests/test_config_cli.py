@@ -253,7 +253,7 @@ def test_solve_writes_deterministic_outputs(tmp_path, capsys):
     stats = report["stats"]
     assert list(stats) == [
         "nodes", "bootstrap_nodes", "sweeps", "rhs_evals",
-        "accepted_steps", "rejected_steps", "dt_min", "dt_max",
+        "accepted_steps", "rejected_steps", "dt_min", "dt_max", "pole_switch_r",
     ]
     assert stats["accepted_steps"] > 0
     assert 0.0 < stats["dt_min"] <= stats["dt_max"]

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from radlab.classify import BoundaryClass, numeric_classify
+from radlab.classify import (
+    BoundaryClass,
+    Domain,
+    numeric_classify,
+    predict,
+    reconcile,
+)
 from radlab.expressions import parse_expr
 from radlab.problem import InvalidProblem, ProblemSpec
 from radlab.solver import (
@@ -63,8 +69,8 @@ def test_march_reaches_target_on_bounded_case(solved_cases):
 def test_march_detects_blowup(solved_cases):
     run = solved_cases["B"]
     assert run.terminated is TerminationReason.BLOW_UP
-    assert run.v_final > run.options.blowup_threshold
-    assert run.R0 is not None
+    assert run.R0 == pytest.approx(4.440015366348077, rel=1e-9)
+    assert run.pole_switch_r is not None
     assert run.r_end < run.R0 < 1.02 * run.r_end
 
 
@@ -214,19 +220,52 @@ def test_blowup_radius_independent_of_threshold(solved_cases):
 
 
 def test_pole_phase_lands_on_target():
-    # v grows like a power of r here, so r(s) is convex and steps in
-    # s = ln v overshoot the target radius until they are shrunk onto it.
-    spec = power_spec(3.0, 0.0, 1, 0, 1)
-    run = march(
-        spec, 1.0, 1.0, SolverOptions(target_radius=20.0, blowup_threshold=2.0)
-    )
+    # v/v' falls below r and keeps falling for a while here, so the march
+    # enters s = ln v; r(s) is then convex and steps in s overshoot the
+    # target radius until they are shrunk onto it.
+    spec = power_spec(3.0, 0.0, 1, 0, 2)
+    run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+    assert run.pole_switch_r is not None
     assert run.terminated is TerminationReason.REACHED_TARGET
     assert run.r_end == pytest.approx(20.0, abs=1e-12)
-    reference = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+    reference = march(
+        spec, 1.0, 1.0, SolverOptions(target_radius=20.0, rel_tol=1e-10)
+    )
     probe = np.linspace(1.0, 20.0, 20)
     assert np.allclose(
         run.sample(probe)["v"], reference.sample(probe)["v"], rtol=1e-8, atol=0.0
     )
+
+
+def test_power_growth_stays_in_r():
+    # v grows like a power of r, so v/v' ~ r/k rises and the march never
+    # changes its independent variable.
+    spec = power_spec(3.0, 0.0, 1, 0, 1)
+    run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+    assert run.terminated is TerminationReason.REACHED_TARGET
+    assert run.pole_switch_r is None
+
+
+@pytest.mark.parametrize(
+    "p, alpha, n, m, beta, q",
+    [
+        (1.55, 0.33, 3, 1.93, 0.06, 6.52),
+        (2.61, 1.5, 5, 2.23, 1.21, 2.43),
+        (2.35, 1.25, 2, 1.95, 1.35, 4.32),
+        (2.08, 0.99, 3, 2.2, 2.12, 6.17),
+    ],
+)
+def test_slow_pole_ends_in_blowup(p, alpha, n, m, beta, q):
+    # The blow-up rate b of v ~ (R0 - r)**-b is below 1 here, so v would
+    # reach a fixed threshold like 1e8 only within a few ulps of R0; the
+    # switch to s = ln v must not wait for it.
+    spec = power_spec(p, alpha, m, beta, q, n=n)
+    run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+    assert run.terminated is TerminationReason.BLOW_UP
+    predicted = predict(spec, Domain.BALL)
+    numeric = numeric_classify(run)
+    assert numeric.label is predicted.label
+    assert reconcile(predicted, numeric)["status"] == "agree"
 
 
 def test_blowup_radius_consistent_under_refinement():
