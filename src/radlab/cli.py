@@ -33,6 +33,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -140,10 +141,9 @@ def _trajectory_csv_text(spec: ProblemSpec, solution) -> str:
     res1, res2 = relative_residuals(
         spec, solution.r, solution.v, solution.w, solution.dv
     )
+    table = (solution.r, solution.u, solution.v, solution.w, solution.dv, res1, res2)
     lines = [",".join(_TRAJECTORY_COLUMNS)]
-    for row in zip(solution.r, solution.u, solution.v, solution.w,
-                   solution.dv, res1, res2):
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(",".join(map(repr, row)) for row in np.column_stack(table).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -311,35 +311,42 @@ def cmd_sweep(config: RunConfig, out_dir: str, solve: bool) -> int:
 # verify
 
 
-def _load_trajectory(
-    path: str, spec: ProblemSpec, options
-) -> TrajectoryData:
+def _load_trajectory(path: str, spec: ProblemSpec, options) -> TrajectoryData:
     """Read a trajectory CSV: the first five columns must be r,u,v,du,dv."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty trajectory file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{path}: empty trajectory file")
         if tuple(header[:5]) != _TRAJECTORY_COLUMNS[:5]:
             raise ValueError(
                 f"{path}: expected columns r,u,v,du,dv, got {','.join(header[:5])}"
             )
-        columns: list[list[float]] = [[], [], [], [], []]
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) < 5:
-                raise ValueError(f"{path}: line {lineno}: fewer than 5 columns")
-            for store, cell in zip(columns, cells):
-                try:
-                    store.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: non-numeric value {cell!r}"
-                    ) from None
-    r, u, v, du, dv = (np.asarray(col, dtype=float) for col in columns)
-    return TrajectoryData(spec=spec, options=options, r=r, u=u, v=v, w=du, dv=dv)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # no rows: TrajectoryData says so
+                table = np.loadtxt(fh, delimiter=",", usecols=range(5), ndmin=2,
+                                   comments=None, quotechar='"')
+        except ValueError as exc:
+            fh.seek(0)
+            raise ValueError(f"{path}: {_first_bad_row(fh) or exc}") from None
+    try:
+        return TrajectoryData(spec, options, *table.T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _first_bad_row(fh) -> str | None:
+    """Where a trajectory CSV that numpy rejected goes wrong; read only then."""
+    rows = csv.reader(fh)
+    next(rows)
+    for lineno, cells in enumerate(rows, start=2):
+        if cells and len(cells) < 5:
+            return f"line {lineno}: fewer than 5 columns"
+        for cell in cells[:5]:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {lineno}: non-numeric value {cell!r}"
 
 
 def cmd_verify(config: RunConfig, trajectory_path: str | None) -> int:

@@ -884,11 +884,12 @@ def blowup_envelope_check(
     )
 
 
-def fd_derivative(x: np.ndarray, y: np.ndarray, *, points: int = 5) -> np.ndarray:
-    """Derivative of samples ``y`` on the strictly increasing grid ``x`` by
-    nonuniform finite differences (windows of ``points`` nodes, shifted
-    one-sided at the edges), solved as batched normalized Vandermonde
-    systems."""
+def fd_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Derivative of samples ``y`` on the strictly increasing grid ``x``: at
+    x_i, that of the Lagrange interpolant through five nodes (all, on
+    shorter grids), centred or shifted one-sided at the ends.  Its weights,
+    k and j in the window (Fornberg, Math. Comp. 51, 1988), are w_i =
+    sum_{k!=i} 1/(x_i-x_k), w_j = prod_{k!=i,j}(x_i-x_k) / prod_{k!=j}(x_j-x_k)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
@@ -896,16 +897,17 @@ def fd_derivative(x: np.ndarray, y: np.ndarray, *, points: int = 5) -> np.ndarra
         raise ValueError("at least two samples are required")
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("the grid must be strictly increasing")
-    m = min(points, n)
-    start = np.clip(np.arange(n) - m // 2, 0, n - m)
-    idx = start[:, None] + np.arange(m)[None, :]
-    dx = x[idx] - x[:, None]
-    span = np.mean(np.abs(dx), axis=1, keepdims=True)
-    z = dx / span
-    powers = z[:, None, :] ** np.arange(m)[None, :, None]
-    rhs = np.zeros((n, m, 1))
-    rhs[:, 1, 0] = 1.0
-    weights = np.linalg.solve(powers, rhs)[:, :, 0] / span
+    m = min(5, n)
+    rows = np.arange(n)
+    at = rows - np.clip(rows - m // 2, 0, n - m)  # where x_i sits in its window
+    idx = (rows - at)[:, None] + np.arange(m)
+    xw = x[idx]
+    ahead = x[:, None] - xw  # x_i - x_k
+    ahead[rows, at] = 1.0
+    gaps = xw[:, :, None] - xw[:, None, :] + np.eye(m)  # x_j - x_k, 1 at k = j
+    weights = np.prod(ahead, axis=1, keepdims=True) / (ahead * np.prod(gaps, axis=2))
+    ahead[rows, at] = np.inf
+    weights[rows, at] = np.sum(1.0 / ahead, axis=1)
     return np.einsum("ij,ij->i", weights, y[idx])
 
 
@@ -922,36 +924,27 @@ def relative_residuals(
         [du**(p-1-a)]' + (d/r)  du**(p-1-a) = (d/(n-1)) f1 g1(v)
         [dv**(p-1)]'   + ((n-1)/r) dv**(p-1) =          f2 g2(v) h(du)
 
-    normalized by the sum of the term magnitudes.  Derivatives come from
-    five-point finite differences of the trajectory values alone, so the
-    result is an independent consistency check, not a tautology of the
-    integrator.  At r = 0 the removable-limit forms
-    (1+d) W'(0) = (d/(n-1)) f1 g1 and n Z'(0) = f2 g2 h are used.
+    in W = du**(p-1-a) and Z = dv**(p-1), each normalized by the sum of its
+    term magnitudes.  W' and Z' come from :func:`fd_derivative` of the
+    sampled values, not from the integrator, so this is an independent
+    check.  At r = 0 the removable limits W/r -> W'(0) and Z/r -> Z'(0)
+    turn the left sides into (1+d) W'(0) and n Z'(0).
     """
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    du = np.asarray(du, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    n = spec.n
-    delta = spec.delta
-    c1 = delta / (n - 1.0)
-
+    r, v, du, dv = (np.asarray(a, dtype=float) for a in (r, v, du, dv))
+    n, delta = spec.n, spec.delta
     W = du ** (spec.p - 1.0 - spec.alpha)
     Z = dv ** (spec.p - 1.0)
-    dW = fd_derivative(r, W)
-    dZ = fd_derivative(r, Z)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sing1 = np.where(r > 0.0, delta * W / np.where(r > 0.0, r, 1.0), 0.0)
-        sing2 = np.where(r > 0.0, (n - 1.0) * Z / np.where(r > 0.0, r, 1.0), 0.0)
-    src1 = c1 * spec.f1(r) * spec.g1(v)
+    dW, dZ = fd_derivative(r, W), fd_derivative(r, Z)
+    if r[0] == 0.0:
+        dW[0] *= 1.0 + delta
+        dZ[0] *= n
+    inner = r > 0.0
+    sing1 = np.divide(delta * W, r, out=np.zeros_like(r), where=inner)
+    sing2 = np.divide((n - 1.0) * Z, r, out=np.zeros_like(r), where=inner)
+    src1 = delta / (n - 1.0) * spec.f1(r) * spec.g1(v)
     src2 = spec.f2(r) * spec.g2(v) * spec.h(du)
 
-    res1 = np.abs(dW + sing1 - src1) / (np.abs(dW) + np.abs(sing1) + np.abs(src1) + 1e-300)
-    res2 = np.abs(dZ + sing2 - src2) / (np.abs(dZ) + np.abs(sing2) + np.abs(src2) + 1e-300)
-    if r[0] == 0.0:
-        lhs1 = (1.0 + delta) * dW[0]
-        res1[0] = abs(lhs1 - src1[0]) / (abs(lhs1) + abs(src1[0]) + 1e-300)
-        lhs2 = n * dZ[0]
-        res2[0] = abs(lhs2 - src2[0]) / (abs(lhs2) + abs(src2[0]) + 1e-300)
-    return res1, res2
+    def defect(d, sing, src):
+        return np.abs(d + sing - src) / (np.abs(d) + np.abs(sing) + np.abs(src) + 1e-300)
+
+    return defect(dW, sing1, src1), defect(dZ, sing2, src2)

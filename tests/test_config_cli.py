@@ -1,7 +1,9 @@
 """Run-file parsing and the four CLI subcommands."""
 
 import json
+import pathlib
 import textwrap
+import warnings
 
 import pytest
 
@@ -372,6 +374,48 @@ def test_verify_rejects_unparseable_trajectory(tmp_path, capsys):
         payload = json.loads(out)
         assert payload["pass"] is False
         assert payload["reports"] == [] and payload["error"]
+
+
+def test_verify_parse_errors_name_the_file(tmp_path, capsys):
+    path = write(tmp_path, GOOD)
+    header = "r,u,v,du,dv,res_eq1,res_eq2\n"
+    bad_files = {
+        "nonnumeric.csv": (header + "0.0,1.0,1.0,0.0,zero\n", "line 2"),
+        "short_row.csv": (header + "0.0,1.0,1.0,0.0\n", "line 2"),
+        "header_only.csv": (header, None),
+    }
+    for name, (text, where) in bad_files.items():
+        bad = tmp_path / name
+        bad.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                ["verify", "--config", path, "--trajectory", str(bad)], capsys
+            )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["reports"] == []
+        assert str(bad) in payload["error"]
+        if where is not None:
+            assert where in payload["error"]
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_verify_trajectory_round_trip(name, tmp_path, capsys):
+    # The CSV carries every float in shortest round-trip form, so checks
+    # re-run on the written file must reproduce the solve's reports exactly.
+    config = str(
+        pathlib.Path(__file__).resolve().parent.parent / "configs" / f"problem_{name}.cfg"
+    )
+    assert run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)[0] == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    code, out, _ = run_cli(
+        ["verify", "--config", config, "--trajectory",
+         str(tmp_path / "trajectory.csv")],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["reports"] == report["verify"]
 
 
 def test_seed_override_accepted(tmp_path, capsys):

@@ -20,6 +20,7 @@ from radlab.solver import (
     TerminationReason,
     blowup_envelope_check,
     check_scaling_identity,
+    fd_derivative,
     march,
     picard_bootstrap,
     relative_residuals,
@@ -130,6 +131,33 @@ def test_sample_reproduces_nodes(solved_cases):
     assert np.allclose(out["dv"], run.dv[idx], rtol=1e-13, atol=0.0)
 
 
+def test_fd_derivative_exact_on_quartics():
+    # Five-node weights differentiate degree-4 polynomials exactly, on the
+    # centred windows and on the shifted one-sided windows at both ends.
+    rng = np.random.default_rng(7)
+    grids = {
+        "random": np.sort(rng.uniform(1.0, 2.0, 200)),
+        "geometric": np.geomspace(1e-3, 10.0, 60),
+    }
+    for name, x in grids.items():
+        for degree in range(1, 5):
+            coeffs = rng.normal(size=degree + 1)
+            slope = np.polyder(coeffs)
+            error = fd_derivative(x, np.polyval(coeffs, x)) - np.polyval(slope, x)
+            # relative to the derivative's size without cancellation
+            scale = np.polyval(np.abs(slope), np.abs(x))
+            assert np.all(np.abs(error) <= 1e-9 * scale), (name, degree)
+
+
+def test_fd_derivative_rejects_bad_grids():
+    with pytest.raises(ValueError):
+        fd_derivative(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4))
+    with pytest.raises(ValueError):
+        fd_derivative(np.array([0.0, 2.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError):
+        fd_derivative(np.array([1.0]), np.zeros(1))
+
+
 def test_residuals_small_on_solved_runs(solved_cases):
     for name, run in solved_cases.items():
         res1, res2 = relative_residuals(
@@ -208,15 +236,23 @@ def test_pole_phase_resolves_steep_blowup():
     assert numeric_classify(run).label is BoundaryClass.B2
 
 
-def test_blowup_radius_independent_of_threshold(solved_cases):
-    # Below the threshold the march is in r, above it in s = ln v; R0 is the
-    # limit of the s-march wherever that starts.
-    spec = CASE_BY_NAME["C"].spec()
-    early = march(
-        spec, 1.0, 1.0, SolverOptions(target_radius=20.0, blowup_threshold=10.0)
+@pytest.mark.parametrize(
+    "g1, q", [("t", 6), ("t", 4), ("t + t^2", 6)], ids=["B", "C", "pole-stall"]
+)
+def test_blowup_radius_matches_tight_run(g1, q):
+    # The pole phase stops once its remaining R0 correction is a tenth of
+    # rel_tol; the R0 it returns must then hold to rel_tol against a run
+    # a hundredfold tighter.
+    base = power_spec(2.0, 0.0, 1, 0, q)
+    spec = ProblemSpec(
+        p=base.p, alpha=base.alpha, n=base.n, f1=base.f1, f2=base.f2,
+        g1=parse_expr(g1), g2=base.g2, h=base.h,
     )
-    assert early.terminated is TerminationReason.BLOW_UP
-    assert early.R0 == pytest.approx(solved_cases["C"].R0, rel=1e-6)
+    options = SolverOptions(target_radius=20.0)
+    run = march(spec, 1.0, 1.0, options)
+    tight = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0, rel_tol=1e-10))
+    assert run.terminated is tight.terminated is TerminationReason.BLOW_UP
+    assert abs(run.R0 - tight.R0) <= options.rel_tol * tight.R0
 
 
 def test_pole_phase_lands_on_target():
