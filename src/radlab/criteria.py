@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .expressions import FuncExpr
 from .problem import InvalidProblem, ProblemSpec
@@ -42,6 +43,7 @@ __all__ = [
     "criterion",
     "phi",
     "phi_inverse",
+    "sandwich_quantities",
     "sandwich_check",
 ]
 
@@ -142,6 +144,25 @@ def h_theta(h: FuncExpr, theta_value: float, t: float) -> float:
     return h.compose_power(theta_value).antiderivative()(t)
 
 
+def _root_integral(f: FuncExpr, power: float) -> Callable[[float], float]:
+    """The map s -> integral_0^s f(t)**power dt.
+
+    When f**power is a power sum again (single-term ``f``) this is its
+    closed-form antiderivative; otherwise substitution-assisted quadrature
+    keyed to the behaviour of f**power at 0.
+    """
+    root = f.pointwise_power(power)
+    if root is not None:
+        return root.antiderivative().scalar_fn()
+    fn = f.scalar_fn()
+    zero_exponent = f.smallest_exponent * power
+
+    def integral(s: float) -> float:
+        return integral_with_endpoint_power(lambda t: fn(t) ** power, s, zero_exponent)
+
+    return integral
+
+
 def inner_integral(h: FuncExpr, theta_value: float, p: float, s: float) -> float:
     """The criterion's inner integral  integral_0^s h(t**theta)**(1/p) dt.
 
@@ -152,15 +173,7 @@ def inner_integral(h: FuncExpr, theta_value: float, p: float, s: float) -> float
         raise ValueError("the upper limit must be non-negative")
     if s == 0.0:
         return 0.0
-    composed = h.compose_power(theta_value)
-    root = composed.pointwise_power(1.0 / p)
-    if root is not None:
-        return root.antiderivative()(s)
-    zero_exponent = composed.smallest_exponent / p
-    fn = composed.scalar_fn()
-    return integral_with_endpoint_power(
-        lambda t: fn(t) ** (1.0 / p), s, zero_exponent
-    )
+    return _root_integral(h.compose_power(theta_value), 1.0 / p)(float(s))
 
 
 def _single_term_inner(spec: ProblemSpec) -> tuple[float, float] | None:
@@ -317,6 +330,31 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
     return t
 
 
+def sandwich_quantities(
+    h: FuncExpr, p: float
+) -> Callable[[float], tuple[float, float, float]]:
+    """The map s -> (lhs, mid, rhs) of :func:`sandwich_check` for one (h, p),
+    with its integrals set up once for any number of sample points.
+
+    For single-term ``h`` both integrands, H**(1/(p-1)) and h**(1/p), are
+    power sums again, so their integrals are closed-form antiderivatives;
+    other power sums use substitution-assisted quadrature keyed to their
+    behaviour at 0.
+    """
+    if not p > 1.0:
+        raise ValueError("p must exceed 1")
+    integral_H_root = _root_integral(h.antiderivative(), 1.0 / (p - 1.0))
+    integral_h_root = _root_integral(h, 1.0 / p)
+
+    def quantities(s: float) -> tuple[float, float, float]:
+        lhs = (p - 1.0) ** (2.0 * p - 1.0) * integral_H_root(s) ** (p - 1.0)
+        mid = (p - 1.0) ** (p - 1.0) * integral_h_root(p * s) ** p
+        rhs = integral_H_root(p * p * s) ** (p - 1.0)
+        return lhs, mid, rhs
+
+    return quantities
+
+
 def sandwich_check(h: FuncExpr, p: float, s: float) -> tuple[float, float, float]:
     """The three quantities of the cumulative-transform sandwich at ``s > 0``:
 
@@ -328,24 +366,4 @@ def sandwich_check(h: FuncExpr, p: float, s: float) -> tuple[float, float, float
     """
     if not s > 0.0:
         raise ValueError("the sample point must be positive")
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-
-    antiderivative = h.antiderivative()
-    H = antiderivative.scalar_fn()
-    root = 1.0 / (p - 1.0)
-
-    def integral_H_root(upper: float) -> float:
-        return integral_with_endpoint_power(
-            lambda t: H(t) ** root, upper, antiderivative.smallest_exponent * root
-        )
-
-    fn = h.scalar_fn()
-    h_integral = integral_with_endpoint_power(
-        lambda t: fn(t) ** (1.0 / p), p * s, h.smallest_exponent / p
-    )
-
-    lhs = (p - 1.0) ** (2.0 * p - 1.0) * integral_H_root(s) ** (p - 1.0)
-    mid = (p - 1.0) ** (p - 1.0) * h_integral**p
-    rhs = integral_H_root(p * p * s) ** (p - 1.0)
-    return lhs, mid, rhs
+    return sandwich_quantities(h, p)(s)

@@ -4,6 +4,13 @@ The embedded 7/15-point rule drives a worst-first adaptive bisection with a
 relative-tolerance target and an absolute floor.  Improper integrals and
 integrands with power-law endpoint behaviour are reduced to the finite smooth
 case by explicit substitutions so that the panel rule converges quickly.
+
+Cumulative integrals of samples on a grid use one quadratic panel per
+interval.  The panel weights depend on the grid alone: :class:`CumulativeGrid`
+builds them once per grid and applies them to every sample vector it is
+given, which is how the Picard stage reuses the weights of its fixed radial
+grid across all sweeps.  :func:`cumulative_quadratic` and
+:func:`cumulative_power_graded` run the same code on a grid used once.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ __all__ = [
     "adaptive_quad",
     "integral_with_endpoint_power",
     "integral_to_infinity",
+    "CumulativeGrid",
     "cumulative_quadratic",
     "cumulative_power_graded",
 ]
@@ -205,17 +213,15 @@ def integral_to_infinity(
     )
 
 
-def _parabola_integrals(
+def _parabola_weights(
     x0: np.ndarray,
     x1: np.ndarray,
     x2: np.ndarray,
-    y0: np.ndarray,
-    y1: np.ndarray,
-    y2: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-) -> np.ndarray:
-    """Integrals over [u, v] of the parabolas through three (x, y) samples.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (w0, w1, w2) with w0*y0 + w1*y1 + w2*y2 the integral over
+    [u, v] of the parabola through (x0, y0), (x1, y1), (x2, y2).
 
     Worked in coordinates shifted to ``u`` so the cubic terms carry no
     cancellation on strongly graded grids.
@@ -230,7 +236,110 @@ def _parabola_integrals(
     w0 = pair_primitive(a1, a2, span) / ((x0 - x1) * (x0 - x2))
     w1 = pair_primitive(a0, a2, span) / ((x1 - x0) * (x1 - x2))
     w2 = pair_primitive(a0, a1, span) / ((x2 - x0) * (x2 - x1))
-    return w0 * y0 + w1 * y1 + w2 * y2
+    return w0, w1, w2
+
+
+class CumulativeGrid:
+    """Cumulative integrals of any number of sample vectors on one grid ``x``.
+
+    The quadratic-panel weights depend on ``x`` alone, so they are built on
+    first use and kept; each integral then costs one weighted sum per panel,
+    with the same arithmetic as building the weights afresh.
+    :meth:`power_graded` integrates on a substituted grid that depends on the
+    fitted exponent as well, so it builds that grid on each call and reuses
+    only the weights of ``x`` (for its plain-panel fallbacks).
+    :func:`cumulative_quadratic` and :func:`cumulative_power_graded` are these
+    methods on a one-use grid.
+    """
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("x and y must be one-dimensional arrays of equal length")
+        self.x = x
+        self._weights = None
+
+    def _samples(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if y.shape != self.x.shape:
+            raise ValueError("x and y must be one-dimensional arrays of equal length")
+        return y
+
+    def quadratic(self, y) -> np.ndarray:
+        """See :func:`cumulative_quadratic`."""
+        x = self.x
+        y = self._samples(y)
+        n = x.size
+        if n < 2:
+            return np.zeros(n)
+        if n == 2:
+            return np.array([0.0, 0.5 * (y[0] + y[1]) * (x[1] - x[0])])
+
+        if self._weights is None:
+            u, v = x[:-1], x[1:]
+            self._weights = (
+                _parabola_weights(x[:-2], x[1:-1], x[2:], u[1:], v[1:]),
+                _parabola_weights(x[:-2], x[1:-1], x[2:], u[:-1], v[:-1]),
+            )
+        (l0, l1, l2), (r0, r1, r2) = self._weights
+        y0, y1, y2 = y[:-2], y[1:-1], y[2:]
+        left = l0 * y0 + l1 * y1 + l2 * y2
+        right = r0 * y0 + r1 * y1 + r2 * y2
+        panels = np.empty(n - 1)
+        panels[0] = right[0]
+        panels[-1] = left[-1]
+        if n > 3:
+            panels[1:-1] = 0.5 * (left[:-1] + right[1:])
+
+        if np.all(y >= 0.0) and np.any(panels <= 0.0):
+            _nonneg_panel_repair(panels, x, y)
+
+        out = np.empty(n)
+        out[0] = 0.0
+        np.cumsum(panels, out=out[1:])
+        return out
+
+    def power_graded(self, y, *, max_exponent: float = 25.0) -> np.ndarray:
+        """See :func:`cumulative_power_graded`."""
+        x = self.x
+        y = self._samples(y)
+        if x.size and x[0] != 0.0:
+            raise ValueError("the grid must start at x = 0")
+        if np.any(y < 0.0):
+            raise ValueError("samples must be non-negative")
+        if x.size < 4:
+            return self.quadratic(y)
+
+        positive = np.nonzero(y[1:] > 0.0)[0]
+        if positive.size < 2 or positive[1] != positive[0] + 1:
+            return self.quadratic(y)
+        i = 1 + int(positive[0])
+        ratio = y[i + 1] / y[i]
+        if not (math.isfinite(ratio) and ratio > 0.0):
+            return self.quadratic(y)
+        k = math.log(ratio) / math.log(x[i + 1] / x[i])
+        if not math.isfinite(k):
+            return self.quadratic(y)
+        k = min(max(k, 0.0), max_exponent)
+        if min(abs(k - 0.0), abs(k - 1.0), abs(k - 2.0)) < 1e-9:
+            return self.quadratic(y)
+
+        # Work in zhat = (x/x_max)^(k+1) rather than z = x^(k+1)/(k+1): the
+        # panel arithmetic cubes local spans, and for large k the unscaled z
+        # values sit so far below 1 that those cubes fall out of normal float
+        # range.
+        with np.errstate(over="ignore"):
+            xk = x**k
+            zhat = (x / x[-1]) ** (k + 1.0)
+        if not (np.isfinite(xk[-1]) and xk[-1] > 0.0):
+            return self.quadratic(y)
+        phi = np.zeros_like(y)
+        np.divide(y[1:], xk[1:], out=phi[1:], where=y[1:] > 0.0)
+        phi[0] = phi[i]
+        if not np.all(np.isfinite(phi)):
+            return self.quadratic(y)
+        scale = x[-1] * xk[-1] / (k + 1.0)
+        return scale * CumulativeGrid(zhat).quadratic(phi)
 
 
 def cumulative_quadratic(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -239,39 +348,10 @@ def cumulative_quadratic(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Exact for quadratics; third-order accurate on non-uniform grids, which
     keeps strongly graded startup grids from polluting downstream integrals.
+    Panels that come out non-positive for non-negative samples are repaired
+    (:func:`_nonneg_panel_repair`).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be one-dimensional arrays of equal length")
-    n = x.size
-    if n == 0:
-        return np.zeros(0)
-    if n == 1:
-        return np.zeros(1)
-    if n == 2:
-        return np.array([0.0, 0.5 * (y[0] + y[1]) * (x[1] - x[0])])
-
-    u, v = x[:-1], x[1:]
-    left = _parabola_integrals(
-        x[:-2], x[1:-1], x[2:], y[:-2], y[1:-1], y[2:], u[1:], v[1:]
-    )
-    right = _parabola_integrals(
-        x[:-2], x[1:-1], x[2:], y[:-2], y[1:-1], y[2:], u[:-1], v[:-1]
-    )
-    panels = np.empty(n - 1)
-    panels[0] = right[0]
-    panels[-1] = left[-1]
-    if n > 3:
-        panels[1:-1] = 0.5 * (left[:-1] + right[1:])
-
-    if np.all(y >= 0.0) and np.any(panels <= 0.0):
-        _nonneg_panel_repair(panels, x, y)
-
-    out = np.empty(n)
-    out[0] = 0.0
-    np.cumsum(panels, out=out[1:])
-    return out
+    return CumulativeGrid(x).quadratic(y)
 
 
 def _nonneg_panel_repair(panels: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -323,43 +403,4 @@ def cumulative_power_graded(y: np.ndarray, x: np.ndarray, *, max_exponent: float
     asymptotically exact.  Exponents in {0, 1, 2} (parabola-exact already)
     and failed fits fall back to the plain panels.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be one-dimensional arrays of equal length")
-    if x.size and x[0] != 0.0:
-        raise ValueError("the grid must start at x = 0")
-    if np.any(y < 0.0):
-        raise ValueError("samples must be non-negative")
-    if x.size < 4:
-        return cumulative_quadratic(y, x)
-
-    positive = np.nonzero(y[1:] > 0.0)[0]
-    if positive.size < 2 or positive[1] != positive[0] + 1:
-        return cumulative_quadratic(y, x)
-    i = 1 + int(positive[0])
-    ratio = y[i + 1] / y[i]
-    if not (math.isfinite(ratio) and ratio > 0.0):
-        return cumulative_quadratic(y, x)
-    k = math.log(ratio) / math.log(x[i + 1] / x[i])
-    if not math.isfinite(k):
-        return cumulative_quadratic(y, x)
-    k = min(max(k, 0.0), max_exponent)
-    if min(abs(k - 0.0), abs(k - 1.0), abs(k - 2.0)) < 1e-9:
-        return cumulative_quadratic(y, x)
-
-    # Work in zhat = (x/x_max)^(k+1) rather than z = x^(k+1)/(k+1): the panel
-    # arithmetic cubes local spans, and for large k the unscaled z values sit
-    # so far below 1 that those cubes fall out of normal float range.
-    with np.errstate(over="ignore"):
-        xk = x**k
-        zhat = (x / x[-1]) ** (k + 1.0)
-    if not (np.isfinite(xk[-1]) and xk[-1] > 0.0):
-        return cumulative_quadratic(y, x)
-    phi = np.zeros_like(y)
-    np.divide(y[1:], xk[1:], out=phi[1:], where=y[1:] > 0.0)
-    phi[0] = phi[i]
-    if not np.all(np.isfinite(phi)):
-        return cumulative_quadratic(y, x)
-    scale = x[-1] * xk[-1] / (k + 1.0)
-    return scale * cumulative_quadratic(phi, zhat)
+    return CumulativeGrid(x).power_graded(y, max_exponent=max_exponent)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .criteria import phi, phi_inverse
 from .problem import InvalidProblem, ProblemSpec, ensure_valid
-from .quadrature import cumulative_power_graded, cumulative_quadratic
+from .quadrature import CumulativeGrid
 
 __all__ = [
     "TerminationReason",
@@ -194,17 +194,18 @@ def picard_apply(
     spec: ProblemSpec,
     u0: float,
     v0: float,
-    r: np.ndarray,
+    grid: CumulativeGrid,
     v: np.ndarray,
     w: np.ndarray,
 ):
     """One application of the integral maps to the state (v, w = u') on the
-    grid ``r``: the first map uses the given v, the second the given v and w
-    (so applying it to the constant pair, w = 0, leaves v unchanged whenever
-    h(0) = 0).
+    radii ``grid.x``: the first map uses the given v, the second the given v
+    and w (so applying it to the constant pair, w = 0, leaves v unchanged
+    whenever h(0) = 0).  The grid keeps its panel weights across calls.
 
     Returns (u_new, v_new, w_new, dv_new, I1, I2, fI1, fI2).
     """
+    r = grid.x
     n = spec.n
     theta = spec.theta
     delta = spec.delta
@@ -214,20 +215,20 @@ def picard_apply(
     rn = r ** float(n - 1)
 
     fI1 = rd * spec.f1(r) * spec.g1(v)
-    I1 = np.maximum.accumulate(np.maximum(cumulative_power_graded(fI1, r), 0.0))
+    I1 = np.maximum.accumulate(np.maximum(grid.power_graded(fI1), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         W = c1 * I1 / rd
     W[0] = 0.0
     w_new = np.maximum.accumulate(W**theta)
-    u_new = np.maximum.accumulate(u0 + cumulative_quadratic(w_new, r))
+    u_new = np.maximum.accumulate(u0 + grid.quadratic(w_new))
 
     fI2 = rn * spec.f2(r) * spec.g2(v) * spec.h(w)
-    I2 = np.maximum.accumulate(np.maximum(cumulative_power_graded(fI2, r), 0.0))
+    I2 = np.maximum.accumulate(np.maximum(grid.power_graded(fI2), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         Z = I2 / rn
     Z[0] = 0.0
     dv_new = np.maximum.accumulate(Z**inv_pm1)
-    v_new = np.maximum.accumulate(v0 + cumulative_quadratic(dv_new, r))
+    v_new = np.maximum.accumulate(v0 + grid.quadratic(dv_new))
     return u_new, v_new, w_new, dv_new, I1, I2, fI1, fI2
 
 
@@ -235,6 +236,7 @@ def _picard_on_grid(spec, u0, v0, rho, rel_tol, n_points, max_sweeps, shrinks):
     fp_tol = _FP_TOL_FACTOR * rel_tol
     idx = np.arange(n_points, dtype=float)
     r = rho * (idx / (n_points - 1)) ** 2
+    grid = CumulativeGrid(r)
 
     v_cap = max(1e12, 1e6 * v0)
     u = np.full(n_points, float(u0))
@@ -243,7 +245,7 @@ def _picard_on_grid(spec, u0, v0, rho, rel_tol, n_points, max_sweeps, shrinks):
     dv = np.zeros(n_points)
     for sweep in range(1, max_sweeps + 1):
         u_new, v_new, w_new, dv_new, I1, I2, fI1, fI2 = picard_apply(
-            spec, u0, v0, r, v, w
+            spec, u0, v0, grid, v, w
         )
         if not (np.isfinite(u_new[-1]) and np.isfinite(v_new[-1])):
             raise _NonContraction
@@ -463,43 +465,79 @@ def _dp_step(f, x, h, y, k1, tol, absolute):
     the dense-output term kd = h * sum D_i k_i, and the error estimate in
     units of tol * max(|y|, |y_new|), or of tol alone for the components
     flagged in ``absolute``; err is inf, with no solution, when a stage
-    overflows or leaves the finite range."""
+    overflows or leaves the finite range.
+
+    The four state components are written out: this is the march's inner
+    loop, and per-component loops cost more than the arithmetic.  Stage j of
+    component i is the name s<j><i>."""
+    y0, y1, y2, y3 = y
+    s10, s11, s12, s13 = k1
+    isfinite = math.isfinite
     try:
-        k2 = f(x + _C2 * h, *[
-            y[j] + h * (_A21 * k1[j]) for j in range(4)])
-        k3 = f(x + _C3 * h, *[
-            y[j] + h * (_A31 * k1[j] + _A32 * k2[j]) for j in range(4)])
-        k4 = f(x + _C4 * h, *[
-            y[j] + h * (_A41 * k1[j] + _A42 * k2[j] + _A43 * k3[j])
-            for j in range(4)])
-        k5 = f(x + _C5 * h, *[
-            y[j] + h * (_A51 * k1[j] + _A52 * k2[j] + _A53 * k3[j]
-                        + _A54 * k4[j])
-            for j in range(4)])
-        k6 = f(x + h, *[
-            y[j] + h * (_A61 * k1[j] + _A62 * k2[j] + _A63 * k3[j]
-                        + _A64 * k4[j] + _A65 * k5[j])
-            for j in range(4)])
-        y_new = tuple(
-            y[j] + h * (_B1 * k1[j] + _B3 * k3[j] + _B4 * k4[j]
-                        + _B5 * k5[j] + _B6 * k6[j])
-            for j in range(4))
-        k7 = f(x + h, *y_new)
+        s20, s21, s22, s23 = f(
+            x + _C2 * h,
+            y0 + h * (_A21 * s10),
+            y1 + h * (_A21 * s11),
+            y2 + h * (_A21 * s12),
+            y3 + h * (_A21 * s13),
+        )
+        s30, s31, s32, s33 = f(
+            x + _C3 * h,
+            y0 + h * (_A31 * s10 + _A32 * s20),
+            y1 + h * (_A31 * s11 + _A32 * s21),
+            y2 + h * (_A31 * s12 + _A32 * s22),
+            y3 + h * (_A31 * s13 + _A32 * s23),
+        )
+        s40, s41, s42, s43 = f(
+            x + _C4 * h,
+            y0 + h * (_A41 * s10 + _A42 * s20 + _A43 * s30),
+            y1 + h * (_A41 * s11 + _A42 * s21 + _A43 * s31),
+            y2 + h * (_A41 * s12 + _A42 * s22 + _A43 * s32),
+            y3 + h * (_A41 * s13 + _A42 * s23 + _A43 * s33),
+        )
+        s50, s51, s52, s53 = f(
+            x + _C5 * h,
+            y0 + h * (_A51 * s10 + _A52 * s20 + _A53 * s30 + _A54 * s40),
+            y1 + h * (_A51 * s11 + _A52 * s21 + _A53 * s31 + _A54 * s41),
+            y2 + h * (_A51 * s12 + _A52 * s22 + _A53 * s32 + _A54 * s42),
+            y3 + h * (_A51 * s13 + _A52 * s23 + _A53 * s33 + _A54 * s43),
+        )
+        s60, s61, s62, s63 = f(
+            x + h,
+            y0 + h * (_A61 * s10 + _A62 * s20 + _A63 * s30 + _A64 * s40 + _A65 * s50),
+            y1 + h * (_A61 * s11 + _A62 * s21 + _A63 * s31 + _A64 * s41 + _A65 * s51),
+            y2 + h * (_A61 * s12 + _A62 * s22 + _A63 * s32 + _A64 * s42 + _A65 * s52),
+            y3 + h * (_A61 * s13 + _A62 * s23 + _A63 * s33 + _A64 * s43 + _A65 * s53),
+        )
+        n0 = y0 + h * (_B1 * s10 + _B3 * s30 + _B4 * s40 + _B5 * s50 + _B6 * s60)
+        n1 = y1 + h * (_B1 * s11 + _B3 * s31 + _B4 * s41 + _B5 * s51 + _B6 * s61)
+        n2 = y2 + h * (_B1 * s12 + _B3 * s32 + _B4 * s42 + _B5 * s52 + _B6 * s62)
+        n3 = y3 + h * (_B1 * s13 + _B3 * s33 + _B4 * s43 + _B5 * s53 + _B6 * s63)
+        k7 = s70, s71, s72, s73 = f(x + h, n0, n1, n2, n3)
     except (OverflowError, ZeroDivisionError):
-        y_new = k7 = (math.inf,) * 4
-    if not all(map(math.isfinite, y_new + k7)):
         return None, None, None, math.inf
+    if not (isfinite(n0) and isfinite(n1) and isfinite(n2) and isfinite(n3)
+            and isfinite(s70) and isfinite(s71) and isfinite(s72)
+            and isfinite(s73)):
+        return None, None, None, math.inf
+    a0, a1, a2, a3 = absolute
     err = max(
-        abs(h * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j] + _E5 * k5[j]
-                 + _E6 * k6[j] + _E7 * k7[j]))
-        / (tol * (1.0 if absolute[j] else max(abs(y[j]), abs(y_new[j]))) + 1e-300)
-        for j in range(4)
+        abs(h * (_E1 * s10 + _E3 * s30 + _E4 * s40 + _E5 * s50 + _E6 * s60 + _E7 * s70))
+        / (tol * (1.0 if a0 else max(abs(y0), abs(n0))) + 1e-300),
+        abs(h * (_E1 * s11 + _E3 * s31 + _E4 * s41 + _E5 * s51 + _E6 * s61 + _E7 * s71))
+        / (tol * (1.0 if a1 else max(abs(y1), abs(n1))) + 1e-300),
+        abs(h * (_E1 * s12 + _E3 * s32 + _E4 * s42 + _E5 * s52 + _E6 * s62 + _E7 * s72))
+        / (tol * (1.0 if a2 else max(abs(y2), abs(n2))) + 1e-300),
+        abs(h * (_E1 * s13 + _E3 * s33 + _E4 * s43 + _E5 * s53 + _E6 * s63 + _E7 * s73))
+        / (tol * (1.0 if a3 else max(abs(y3), abs(n3))) + 1e-300),
     )
-    kd = tuple(
-        h * (_D1 * k1[j] + _D3 * k3[j] + _D4 * k4[j] + _D5 * k5[j]
-             + _D6 * k6[j] + _D7 * k7[j])
-        for j in range(4))
-    return y_new, k7, kd, err
+    kd = (
+        h * (_D1 * s10 + _D3 * s30 + _D4 * s40 + _D5 * s50 + _D6 * s60 + _D7 * s70),
+        h * (_D1 * s11 + _D3 * s31 + _D4 * s41 + _D5 * s51 + _D6 * s61 + _D7 * s71),
+        h * (_D1 * s12 + _D3 * s32 + _D4 * s42 + _D5 * s52 + _D6 * s62 + _D7 * s72),
+        h * (_D1 * s13 + _D3 * s33 + _D4 * s43 + _D5 * s53 + _D6 * s63 + _D7 * s73),
+    )
+    return (n0, n1, n2, n3), k7, kd, err
 
 
 def march(
@@ -577,6 +615,7 @@ def march(
     R0 = None
     pole_switch_r = None
     terminated = None
+    th1, th2, th3 = _SUB_THETAS
 
     while True:
         in_pole = f is pole_rhs
@@ -602,13 +641,15 @@ def march(
             continue
 
         if in_pole:
-            radii = [r, *(_dense(th, h, r, y_new[0], k1[0], k7[0], kd[0])
-                          for th in _SUB_THETAS), y_new[0]]
+            r_end = y_new[0]
+            r1, r2, r3 = (_dense(th, h, r, r_end, k1[0], k7[0], kd[0])
+                          for th in _SUB_THETAS)
         else:
-            radii = [x, *(x + h * th for th in _SUB_THETAS), x + h]
-        if not all(a < b for a, b in zip(radii, radii[1:])):
+            r_end = x + h
+            r1, r2, r3 = x + h * th1, x + h * th2, x + h * th3
+        if not r < r1 < r2 < r3 < r_end:
             notes.append(
-                f"step underflow at r={r:.12g}: dt={radii[-1] - r:.3g} no longer "
+                f"step underflow at r={r:.12g}: dt={r_end - r:.3g} no longer "
                 f"advances r through its {_SUBPANELS} sub-panels"
             )
             terminated = TerminationReason.STEP_UNDERFLOW

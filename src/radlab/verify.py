@@ -9,8 +9,9 @@ a computed (or externally supplied) trajectory.  Each check returns an
 failure pinpoints both the inequality and its margin.
 
 The slacks encode discretization error only: finite differences for the
-convexity bounds, quadrature for the sandwich.  A structural violation
-(wrong sign, wrong ordering) fails regardless of magnitude.
+convexity bounds, quadrature for the sandwich of a multi-term h (a
+single-term h has it in closed form).  A structural violation (wrong sign,
+wrong ordering) fails regardless of magnitude.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import sandwich_check
+from .criteria import sandwich_quantities
 from .expressions import FuncExpr
 from .problem import ProblemSpec
 from .solver import SolverOptions
@@ -228,15 +229,17 @@ def check_uprime_estimate(solution) -> InequalityReport:
 
 def check_sandwich(h: FuncExpr, p: float, samples) -> InequalityReport:
     """Ordering of the three cumulative-transform quantities at every
-    sample point s > 0 (slack covers quadrature error only)."""
+    sample point s > 0 (slack covers quadrature error only; single-term h
+    has closed forms)."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("at least one sample point is required")
     if np.any(samples <= 0.0):
         raise ValueError("sample points must be positive")
+    quantities = sandwich_quantities(h, p)
     worst = 0.0
     for s in samples:
-        lhs, mid, rhs = sandwich_check(h, p, float(s))
+        lhs, mid, rhs = quantities(float(s))
         scale = max(abs(lhs), abs(mid), abs(rhs), 1e-300)
         worst = max(worst, (lhs - mid) / scale, (mid - rhs) / scale)
     violation = max(0.0, worst)

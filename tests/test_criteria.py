@@ -21,7 +21,11 @@ from radlab.criteria import (
     sandwich_check,
 )
 from radlab.expressions import parse_expr
-from radlab.quadrature import adaptive_quad, integral_to_infinity
+from radlab.quadrature import (
+    adaptive_quad,
+    integral_to_infinity,
+    integral_with_endpoint_power,
+)
 
 from conftest import power_spec
 
@@ -204,6 +208,40 @@ def test_sandwich_ordering_property(p, s, exponent, coeff):
     slack = 1e-9 * max(abs(lhs), abs(mid), abs(rhs))
     assert lhs <= mid + slack
     assert mid <= rhs + slack
+
+
+def _sandwich_by_quadrature(h, p, s):
+    """The sandwich quantities with every integral by adaptive quadrature."""
+    H = h.antiderivative()
+    H_fn, h_fn = H.scalar_fn(), h.scalar_fn()
+    root = 1.0 / (p - 1.0)
+
+    def integral_H_root(upper):
+        return integral_with_endpoint_power(
+            lambda t: H_fn(t) ** root, upper, H.smallest_exponent * root, rel_tol=1e-12
+        )
+
+    h_integral = integral_with_endpoint_power(
+        lambda t: h_fn(t) ** (1.0 / p), p * s, h.smallest_exponent / p, rel_tol=1e-12
+    )
+    return (
+        (p - 1.0) ** (2.0 * p - 1.0) * integral_H_root(s) ** (p - 1.0),
+        (p - 1.0) ** (p - 1.0) * h_integral**p,
+        integral_H_root(p * p * s) ** (p - 1.0),
+    )
+
+
+@pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 3.0, 4.5])
+def test_sandwich_closed_forms_match_quadrature(p):
+    # Single-term h takes the closed-form antiderivatives; the quadrature is
+    # an independent oracle for them.
+    for exponent in (0.0, 1.0, 2.5, 6.0):
+        for coeff in (0.3, 4.0):
+            h = parse_expr(f"{coeff}*t^{exponent}")
+            for s in (0.05, 1.0, 30.0):
+                got = sandwich_check(h, p, s)
+                want = _sandwich_by_quadrature(h, p, s)
+                assert got == pytest.approx(want, rel=1e-12), (exponent, coeff, s)
 
 
 def test_sandwich_multi_term():

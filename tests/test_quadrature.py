@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radlab import quadrature
 from radlab.quadrature import (
+    CumulativeGrid,
     QuadratureError,
     adaptive_quad,
     cumulative_power_graded,
@@ -146,6 +148,30 @@ def test_cumulative_power_graded_monotone_property(k, n):
     out = cumulative_power_graded(x**k, x)
     assert np.all(np.diff(out) >= 0.0)
     assert out[0] == 0.0
+
+
+def test_reused_grid_matches_fresh_integrals_bit_for_bit(monkeypatch):
+    # One grid keeps its panel weights across calls; every result must equal
+    # a one-use grid's, so nothing one call computes leaks into the next.
+    repairs = []
+    repair = quadrature._nonneg_panel_repair
+
+    def counting_repair(panels, x, y):
+        repairs.append(len(panels))
+        repair(panels, x, y)
+
+    monkeypatch.setattr(quadrature, "_nonneg_panel_repair", counting_repair)
+    x = graded_grid()
+    grid = CumulativeGrid(x)
+    samples = [x**8, np.sin(300.0 * x), 2.0 + x, x**8, x**3.5, 1e-3 * x**8]
+    for y in samples:
+        assert grid.quadratic(y).tobytes() == cumulative_quadratic(y, x).tobytes()
+    # Both paths repaired x**8 (three times), x**3.5 and nothing else.
+    assert len(repairs) == 2 * 4
+    # Power-graded integrals with changing fitted exponents, and x**2, which
+    # fits k = 2 and falls back to the plain panels of the reused grid.
+    for y in samples[:1] + samples[2:] + [x**2]:
+        assert grid.power_graded(y).tobytes() == cumulative_power_graded(y, x).tobytes()
 
 
 def test_integral_to_infinity_slow_decay_does_not_overflow():

@@ -1,6 +1,7 @@
 """The radial integrator: bootstrap accuracy, marching, diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from radlab.classify import (
 from radlab.expressions import parse_expr
 from radlab.problem import InvalidProblem, ProblemSpec
 from radlab.solver import (
+    _dp_step,
     SolverError,
     SolverOptions,
     TerminationReason,
@@ -327,3 +329,91 @@ def test_picard_stage_does_not_stop_with_flat_v(p, alpha, q, u0, v0):
         assert report.passed, (
             f"{report.name} violated at {report.max_relative_violation:.3e}"
         )
+
+
+# Dormand-Prince 5(4) as published (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2, and the dense output of the code DOPRI5), kept as exact
+# fractions so that the error weights b - b* carry no extra rounding.
+_DP_C = [Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(4, 5), Fraction(8, 9), 1, 1]
+_DP_A = [
+    [],
+    [Fraction(1, 5)],
+    [Fraction(3, 40), Fraction(9, 40)],
+    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
+    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
+     Fraction(-212, 729)],
+    [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247),
+     Fraction(49, 176), Fraction(-5103, 18656)],
+    [Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192),
+     Fraction(-2187, 6784), Fraction(11, 84)],
+]
+_DP_B = _DP_A[6] + [0]
+_DP_BSTAR = [Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640),
+             Fraction(-92097, 339200), Fraction(187, 2100), Fraction(1, 40)]
+_DP_D = [Fraction(-12715105075, 11282082432), 0, Fraction(87487479700, 32700410799),
+         Fraction(-10690763975, 1880347072), Fraction(701980252875, 199316789632),
+         Fraction(-1453857185, 822651844), Fraction(69997945, 29380423)]
+
+
+def reference_dp_step(f, x, h, y, tol, absolute):
+    """One DP5 step written as loops over the tableau above."""
+    k = [f(x, *y)]
+    for i in range(1, 7):
+        stage = [
+            y[j] + h * sum(float(a) * k[m][j] for m, a in enumerate(_DP_A[i]))
+            for j in range(4)
+        ]
+        k.append(f(x + float(_DP_C[i]) * h, *stage))
+    y_new = [
+        y[j] + h * sum(float(b) * k[m][j] for m, b in enumerate(_DP_B)) for j in range(4)
+    ]
+    err = max(
+        abs(h * sum(float(b - bs) * k[m][j]
+                    for m, (b, bs) in enumerate(zip(_DP_B, _DP_BSTAR))))
+        / (tol * (1.0 if absolute[j] else max(abs(y[j]), abs(y_new[j]))))
+        for j in range(4)
+    )
+    kd = [h * sum(float(d) * k[m][j] for m, d in enumerate(_DP_D)) for j in range(4)]
+    return y_new, k[6], kd, err
+
+
+def _smooth_rhs(x, a, b, c, d):
+    return (b + math.sin(x), -a * c, 0.5 * d + math.cos(a), a * b / (1.0 + c * c))
+
+
+@pytest.mark.parametrize(
+    # the march's two patterns, and one that tells every component apart
+    "absolute", [(False,) * 4, (False, False, True, True), (True, False, True, False)]
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_dp_step_matches_loop_reference(seed, absolute):
+    # Component sizes spread over six decades, so that which component sets
+    # the error estimate, and whether it is scaled, varies with the seed.
+    rng = np.random.default_rng(seed)
+    x = float(rng.uniform(0.0, 2.0))
+    h = float(rng.uniform(0.05, 0.5))
+    y = tuple(float(v) for v in rng.uniform(0.5, 2.0, 4) * 10.0 ** rng.uniform(-3, 3, 4))
+    tol = 1e-9
+    got = _dp_step(_smooth_rhs, x, h, y, _smooth_rhs(x, *y), tol, absolute)
+    want = reference_dp_step(_smooth_rhs, x, h, y, tol, absolute)
+    for name, g, w in zip(("y_new", "k7", "kd"), got[:3], want[:3]):
+        assert np.allclose(g, w, rtol=1e-13, atol=0.0), name
+    assert got[3] == pytest.approx(want[3], rel=1e-13)
+    assert got[3] > 0.0
+
+
+def test_dp_step_overflow_gives_no_solution():
+    # A stage argument past ~709.8 makes exp raise OverflowError; a product
+    # past the float range turns into inf without raising.  k1 is finite in
+    # both cases, and a step of size 1 reaches the overflow.
+    def raising(x, a, b, c, d):
+        return math.exp(a), 1.0, 1.0, 1.0
+
+    def overflowing(x, a, b, c, d):
+        return 1.0, a * 1e308, 1.0, 1.0
+
+    for f, y in ((raising, (700.0, 1.0, 1.0, 1.0)), (overflowing, (1.0, 1.0, 1.0, 1.0))):
+        k1 = f(0.0, *y)
+        assert all(map(math.isfinite, k1))
+        result = _dp_step(f, 0.0, 1.0, y, k1, 1e-9, (False,) * 4)
+        assert result == (None, None, None, math.inf)
