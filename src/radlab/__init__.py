@@ -7,8 +7,8 @@ The package splits into six pieces:
   for the coefficient and nonlinearity functions;
 - :mod:`radlab.criteria` — the two improper-integral convergence criteria
   and the gradient-bound (sandwich) machinery;
-- :mod:`radlab.solver` — Picard bootstrap plus adaptive outward marching
-  of the radial system, scaling and envelope diagnostics;
+- :mod:`radlab.solver` — a closed-form start at the origin plus adaptive
+  outward marching of the radial system, scaling and envelope diagnostics;
 - :mod:`radlab.classify` — boundary-class prediction from the criteria and
   labelling of numerical runs, with reconciliation between the two;
 - :mod:`radlab.verify` — a posteriori inequality checks on trajectories;

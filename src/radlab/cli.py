@@ -208,7 +208,7 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
         stats={
             "nodes": int(len(solution.r)),
             "bootstrap_nodes": int(solution.bootstrap_nodes),
-            "sweeps": int(solution.sweeps),
+            "start_radius": solution.start_radius,
             "rhs_evals": int(solution.rhs_evals),
             "accepted_steps": int(solution.accepted_steps),
             "rejected_steps": int(solution.rejected_steps),
@@ -311,7 +311,7 @@ def cmd_sweep(config: RunConfig, out_dir: str, solve: bool) -> int:
 # verify
 
 
-def _load_trajectory(path: str, spec: ProblemSpec, options) -> TrajectoryData:
+def _load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryData:
     """Read a trajectory CSV: the first five columns must be r,u,v,du,dv."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -330,7 +330,7 @@ def _load_trajectory(path: str, spec: ProblemSpec, options) -> TrajectoryData:
             fh.seek(0)
             raise ValueError(f"{path}: {_first_bad_row(fh) or exc}") from None
     try:
-        return TrajectoryData(spec, options, *table.T)
+        return TrajectoryData(spec, *table.T)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -358,7 +358,7 @@ def cmd_verify(config: RunConfig, trajectory_path: str | None) -> int:
 
     try:
         if trajectory_path is not None:
-            subject = _load_trajectory(trajectory_path, spec, config.solver_options())
+            subject = _load_trajectory(trajectory_path, spec)
         else:
             subject = march(spec, config.u0, config.v0, config.solver_options())
         checks = trajectory_reports(subject)

@@ -21,7 +21,6 @@ optional parameter sweep::
     u0 = 1
     v0 = 1
     target_radius = 50
-    blowup_threshold = 1e8
     rel_tol = 1e-8
 
     [sweep]
@@ -102,7 +101,6 @@ class RunConfig:
     u0: float
     v0: float
     target_radius: float
-    blowup_threshold: float = 1e8
     rel_tol: float = 1e-8
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
@@ -125,11 +123,7 @@ class RunConfig:
         return Domain.BALL if self.omega == "ball" else Domain.WHOLE_SPACE
 
     def solver_options(self) -> SolverOptions:
-        return SolverOptions(
-            target_radius=self.target_radius,
-            rel_tol=self.rel_tol,
-            blowup_threshold=self.blowup_threshold,
-        )
+        return SolverOptions(target_radius=self.target_radius, rel_tol=self.rel_tol)
 
     def with_value(self, parameter: str, value: float) -> "RunConfig":
         """Return a copy with one sweepable parameter replaced.
@@ -175,7 +169,7 @@ _SECTIONS = ("problem", "solver", "sweep")
 
 _SECTION_KEYS: dict[str, tuple[str, ...]] = {
     "problem": ("p", "alpha", "n", "f1", "f2", "g1", "g2", "h", "omega"),
-    "solver": ("u0", "v0", "target_radius", "blowup_threshold", "rel_tol"),
+    "solver": ("u0", "v0", "target_radius", "rel_tol"),
     "sweep": ("parameter", "values"),
 }
 
@@ -367,7 +361,7 @@ def parse_config_text(text: str) -> RunConfig:
 
     # ---------------- [solver]
     reals: dict[str, float] = {}
-    defaults = {"blowup_threshold": 1e8, "rel_tol": 1e-8}
+    defaults = {"rel_tol": 1e-8}
     for key in _SECTION_KEYS["solver"]:
         got = _take_number(solver, key, errors)
         if got is None:
@@ -448,7 +442,6 @@ def parse_config_text(text: str) -> RunConfig:
         u0=reals["u0"],
         v0=reals["v0"],
         target_radius=reals["target_radius"],
-        blowup_threshold=reals["blowup_threshold"],
         rel_tol=reals["rel_tol"],
         sweep_parameter=sweep_parameter,
         sweep_values=sweep_values,

@@ -21,9 +21,7 @@ import numpy as np
 __all__ = [
     "ExpressionError",
     "FuncExpr",
-    "GrowthProfile",
     "parse_expr",
-    "derive_k",
 ]
 
 
@@ -128,7 +126,10 @@ class FuncExpr:
 
     @property
     def leading_exponent(self) -> float:
-        """Exponent of the dominant term as t -> oo."""
+        """Exponent of the dominant term as t -> oo: the growth order, the
+        unique k with f(t)/t**k non-increasing on (0, oo) and a positive
+        limit at infinity (every other term contributes c*t**(e-k) with
+        e - k < 0)."""
         return self.terms[-1][1]
 
     @property
@@ -200,29 +201,6 @@ class FuncExpr:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Asymptotic degree of a power sum: f(t) ~ leading_coeff * t**leading_exponent."""
-
-    leading_exponent: float
-    leading_coeff: float
-
-
-def derive_k(g: FuncExpr) -> GrowthProfile:
-    """Growth order of a power sum: the unique k with g(t)/t**k non-increasing
-    on (0, oo) and a positive limit at infinity.
-
-    For this family that is the largest exponent: every other term contributes
-    c*t**(e-k) with e - k <= 0, so the quotient is non-increasing and tends to
-    the leading coefficient.  Identically-zero functions are unrepresentable,
-    so no separate rejection is needed here.
-    """
-    if not isinstance(g, FuncExpr):
-        raise TypeError("growth order needs a parsed power sum")
-    coeff, exponent = g.terms[-1]
-    return GrowthProfile(leading_exponent=exponent, leading_coeff=coeff)
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import FuncExpr, derive_k
+from .expressions import FuncExpr
 
 __all__ = [
     "InvalidProblem",
@@ -92,12 +92,12 @@ class ProblemSpec:
     @property
     def k1(self) -> float:
         """Growth order of g1."""
-        return derive_k(self.g1).leading_exponent
+        return self.g1.leading_exponent
 
     @property
     def k2(self) -> float:
         """Growth order of g2."""
-        return derive_k(self.g2).leading_exponent
+        return self.g2.leading_exponent
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,25 @@
 """Outward integrator for the radial system.
 
-The trajectory is built in two stages.  A Picard stage iterates the integral
-maps
-
-    T1[v](r) = u0 + integral_0^r [ (d/(n-1)) s**-d * integral_0^s t**d f1 g1(v) dt ]**theta ds
-    T2[v,w](r) = v0 + integral_0^r [ s**(1-n)  * integral_0^s t**(n-1) f2 g2(v) h(w) dt ]**(1/(p-1)) ds
-
-to a fixed point on a graded grid over a small interval [0, rho], which
-resolves the removable singularity at the origin.  From rho the march
-advances the state (u, v, I1, I2), where
+The march advances the state (u, v, I1, I2), where
 
     I1(r) = integral_0^r t**d     f1(t) g1(v) dt,
     I2(r) = integral_0^r t**(n-1) f2(t) g2(v) h(w) dt,
 
 recovering w = u' = ((d/(n-1)) I1 / r**d)**theta and v' = (I2 /
 r**(n-1))**(1/(p-1)) algebraically, so positivity and monotonicity are
-structural.  Each step is a Dormand-Prince 5(4) pair (Dormand & Prince,
-J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
+structural.
+
+The origin is a singularity of the first kind (de Hoog & Weiss, SIAM J.
+Numer. Anal. 13, 1976), so the trajectory starts from a closed form on
+[0, r0].  While v is v0 to within a hundredth of rel_tol, freezing it there
+turns every integrand into a power sum: I1 = g1(v0) * integral t**d f1 is
+exact, w follows algebraically, and the powers of a multi-term W that enter
+u and I2 = g2(v0) * integral t**(n-1) f2 h(w) are binomial series.  r0 is
+the largest radius at which neither the growth of v nor the remainder of a
+cut series exceeds that hundredth of rel_tol.
+
+From r0 each step is a Dormand-Prince 5(4) pair (Dormand & Prince, J.
+Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
 II.4-6): seven stages with the last reused as the first of the next step,
 the embedded fourth-order solution as local error estimate, and the
 step-size factor 0.9 * err**(-1/5) clamped to [0.2, 5].  Every accepted
@@ -49,7 +52,6 @@ import numpy as np
 
 from .criteria import phi, phi_inverse
 from .problem import InvalidProblem, ProblemSpec, ensure_valid
-from .quadrature import CumulativeGrid
 
 __all__ = [
     "TerminationReason",
@@ -57,7 +59,6 @@ __all__ = [
     "SolverOptions",
     "BootstrapSegment",
     "RadialSolution",
-    "picard_apply",
     "picard_bootstrap",
     "march",
     "scale_problem",
@@ -69,8 +70,25 @@ __all__ = [
     "relative_residuals",
 ]
 
-_FP_TOL_FACTOR = 0.02  # fixed-point stop at this fraction of rel_tol
-_FP_MIN_SWEEPS = 2  # the first sweep sees u' = 0, so it never decides alone
+#: The closed-form start ends where the growth of v, or the remainder of a
+#: cut binomial series, reaches this fraction of rel_tol.
+_START_TOL = 0.01
+#: ... and at most at this fraction of the target radius.
+_START_CAP = 0.5
+#: Binomial series of multi-term powers are cut after this power.
+_SERIES_ORDER = 8
+#: The start segment is emitted at the origin and on a geometric grid of
+#: this many nodes over [1e-3 * r0, r0]: finite differences of a power of r
+#: lose accuracy with the relative spacing, which this keeps at 0.7%.
+_START_NODES = 1024
+_START_SPAN = 1e-3
+#: The first trial step of the march, as a fraction of r0.
+_FIRST_STEP = 0.1
+#: A rejected step (in r, or in s) may shrink to no less than this fraction
+#: of the target radius.
+_MIN_STEP = 1e-14
+#: Accepted steps allowed in one march.
+_MAX_STEPS = 2_000_000
 
 
 class TerminationReason(str, Enum):
@@ -89,52 +107,24 @@ class SolverOptions:
 
     ``rel_tol`` bounds the local error of each Dormand-Prince step, per
     component, at 0.1 * rel_tol relative to the state (absolute on the
-    logarithms of the accumulators near a pole); the Picard stage stops at
-    0.02 * rel_tol, and a blow-up radius is resolved to about
-    0.1 * rel_tol.  ``blowup_threshold`` is the level of u above which
-    :func:`radlab.verify.check_no_u_only_blowup` demands that v grew too;
-    the march does not read it.  Defaults follow the target radius: the
-    first trial step is 1e-4 * target_radius, a rejected step (in r, or in
-    s) may shrink to no less than 1e-14 * target_radius, and the Picard
-    stage covers [0, 1e-3 * target_radius].  ``max_steps`` caps the
-    accepted steps.
+    logarithms of the accumulators near a pole); the closed-form start holds
+    its truncations to 0.01 * rel_tol, and a blow-up radius is resolved to
+    about 0.1 * rel_tol.  The march stops at ``target_radius``.
     """
 
     target_radius: float
     rel_tol: float = 1e-8
-    blowup_threshold: float = 1e8
-    initial_step: float | None = None
-    min_step: float | None = None
-    max_steps: int = 2_000_000
-    bootstrap_points: int = 1025
-    bootstrap_radius: float | None = None
 
     def __post_init__(self):
         if not self.target_radius > 0.0:
             raise ValueError("target_radius must be positive")
         if not 0.0 < self.rel_tol < 0.1:
             raise ValueError("rel_tol must lie in (0, 0.1)")
-        if not self.blowup_threshold > 0.0:
-            raise ValueError("blowup_threshold must be positive")
-        if self.initial_step is None:
-            object.__setattr__(self, "initial_step", 1e-4 * self.target_radius)
-        if self.min_step is None:
-            object.__setattr__(self, "min_step", 1e-14 * self.target_radius)
-        if self.bootstrap_radius is None:
-            object.__setattr__(self, "bootstrap_radius", 1e-3 * self.target_radius)
-        if not 0.0 < self.min_step < self.initial_step < self.target_radius:
-            raise ValueError("steps must satisfy 0 < min_step < initial_step < target_radius")
-        if not 0.0 < self.bootstrap_radius < self.target_radius:
-            raise ValueError("bootstrap_radius must lie in (0, target_radius)")
-        if self.bootstrap_points < 9:
-            raise ValueError("bootstrap_points must be at least 9")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
 
 
 @dataclass(frozen=True)
 class BootstrapSegment:
-    """Converged Picard trajectory on the graded grid over [0, rho]."""
+    """The closed-form start: the origin and its geometric grid up to r0."""
 
     r: np.ndarray
     u: np.ndarray
@@ -145,132 +135,156 @@ class BootstrapSegment:
     I2: np.ndarray
     fI1: np.ndarray
     fI2: np.ndarray
-    rho: float
-    sweeps: int
-    shrinks: int
+
+    @property
+    def r0(self) -> float:
+        return float(self.r[-1])
+
+    @property
+    def sweeps(self) -> int:
+        """Applications of the integral maps: the closed form is one."""
+        return 1
 
 
-class _NonContraction(Exception):
-    pass
+# Power sums near the origin are lists of (multiplier, log scale, exponent)
+# triples c * exp(lc) * r**e: the log scales hold coefficients far outside
+# the float range, like those of w**q for steep h, and the multipliers the
+# signed coefficients of binomial series, 1 elsewhere.
+
+
+def _terms(f, shift=0.0, log_scale=0.0):
+    """The power sum ``exp(log_scale) * t**shift * f(t)`` of a FuncExpr f."""
+    return [(1.0, math.log(c) + log_scale, e + shift) for c, e in f.terms]
+
+
+def _log_at(f, x):
+    """log f(x) for a FuncExpr f and x > 0."""
+    return float(np.logaddexp.reduce([lc + e * math.log(x) for _, lc, e in _terms(f)]))
+
+
+def _integrated(terms):
+    """The antiderivative vanishing at 0."""
+    return [(c, lc - math.log(e + 1.0), e + 1.0) for c, lc, e in terms]
+
+
+def _evaluate(terms, r):
+    """A power sum at radii r > 0."""
+    log_r = np.log(r)
+    return sum(c * np.exp(lc + e * log_r) for c, lc, e in terms)
+
+
+def _binomial(eps, y, budget):
+    """(1 + eps)**y for eps a sum of (coefficient, exponent > 0) pairs, cut
+    after eps**_SERIES_ORDER, as (coefficient, exponent) pairs; and the log
+    of the largest radius at which the Lagrange remainder, at most
+    |binom(y, K+1)| * eps**(K+1) * e, stays within ``budget`` (inf when the
+    series ends before the cut)."""
+    series = {0.0: 1.0}
+    power = {0.0: 1.0}
+    binom = 1.0
+    for k in range(1, _SERIES_ORDER + 1):
+        binom *= (y - k + 1.0) / k
+        product: dict[float, float] = {}
+        for e1, c1 in power.items():
+            for c2, e2 in eps:
+                product[e1 + e2] = product.get(e1 + e2, 0.0) + c1 * c2
+        power = product
+        for e, c in power.items():
+            series[e] = series.get(e, 0.0) + binom * c
+    binom *= (y - _SERIES_ORDER) / (_SERIES_ORDER + 1.0)
+    if not eps or binom == 0.0:
+        return [(c, e) for e, c in series.items() if c != 0.0], math.inf
+    # (1 + xi)**(y - K - 1) <= e once eps <= 1/y
+    log_eps = math.log(budget / (math.e * abs(binom))) / (_SERIES_ORDER + 1.0)
+    if y > _SERIES_ORDER + 1.0:
+        log_eps = min(log_eps, -math.log(y))
+    log_radius = min(
+        (log_eps - math.log(len(eps) * c)) / e for c, e in eps
+    )
+    return [(c, e) for e, c in series.items() if c != 0.0], log_radius
 
 
 def picard_bootstrap(
-    spec: ProblemSpec,
-    u0: float,
-    v0: float,
-    rho: float,
-    *,
-    rel_tol: float = 1e-8,
-    n_points: int = 1025,
-    max_sweeps: int = 100,
-    max_shrinks: int = 20,
+    spec: ProblemSpec, u0: float, v0: float, options: SolverOptions
 ) -> BootstrapSegment:
-    """Iterate the integral maps from the constant pair (u0, v0) on [0, rho]
-    until the sup-relative change of u, v, u' and v' drops below
-    0.02 * rel_tol, after at least two sweeps.
+    """The trajectory on [0, r0]: one application of both integral maps to
+    the constant pair (u0, v0), in closed form.
 
-    Non-contraction (no convergence within ``max_sweeps`` sweeps, or a
-    diverging iterate) shrinks rho by half and retries, up to ``max_shrinks``
-    times.
+    With v frozen at v0, I1 = g1(v0) * integral_0^r t**d f1 is a power sum
+    and gives W = (d/(n-1)) I1 / r**d and w = W**theta exactly.  Written as
+    W0 * (1 + eps) with W0 its leading term, w and each power of w in h
+    are binomial series in eps, cut after eps**8, so I2 = g2(v0) *
+    integral_0^r t**(n-1) f2 h(w) and u are power sums too.  v grows by at
+    most the integral of a power-sum bound on v' = (I2 / r**(n-1))**(1/(p-1)),
+    and is emitted as v0 plus that bound.  r0 is the largest radius where
+    the bound stays within 0.01 * rel_tol of v0 and every cut series within
+    0.01 * rel_tol of its sum, capped at half the target radius.  The
+    segment is the origin and 1024 geometrically spaced nodes over
+    [1e-3 * r0, r0], less the lowest of them where a profile is not yet a
+    positive normal float; :class:`SolverError` is raised when r0 itself is
+    one of them.
     """
     if not (u0 > 0.0 and v0 > 0.0):
         raise ValueError("u0 and v0 must be positive")
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    for shrink in range(max_shrinks + 1):
-        try:
-            return _picard_on_grid(
-                spec, u0, v0, rho, rel_tol, n_points, max_sweeps, shrink
-            )
-        except _NonContraction:
-            rho *= 0.5
-    raise SolverError(
-        "the Picard stage failed to contract even after shrinking the "
-        f"start interval {max_shrinks} times (final rho {rho!r})"
-    )
-
-
-def picard_apply(
-    spec: ProblemSpec,
-    u0: float,
-    v0: float,
-    grid: CumulativeGrid,
-    v: np.ndarray,
-    w: np.ndarray,
-):
-    """One application of the integral maps to the state (v, w = u') on the
-    radii ``grid.x``: the first map uses the given v, the second the given v
-    and w (so applying it to the constant pair, w = 0, leaves v unchanged
-    whenever h(0) = 0).  The grid keeps its panel weights across calls.
-
-    Returns (u_new, v_new, w_new, dv_new, I1, I2, fI1, fI2).
-    """
-    r = grid.x
+    budget = _START_TOL * options.rel_tol
     n = spec.n
-    theta = spec.theta
     delta = spec.delta
-    c1 = delta / (n - 1.0)
+    theta = spec.theta
     inv_pm1 = 1.0 / (spec.p - 1.0)
-    rd = r**delta
-    rn = r ** float(n - 1)
+    c1 = delta / (n - 1.0)
 
-    fI1 = rd * spec.f1(r) * spec.g1(v)
-    I1 = np.maximum.accumulate(np.maximum(grid.power_graded(fI1), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        W = c1 * I1 / rd
-    W[0] = 0.0
-    w_new = np.maximum.accumulate(W**theta)
-    u_new = np.maximum.accumulate(u0 + grid.quadratic(w_new))
+    I1_terms = _integrated(_terms(spec.f1, delta, _log_at(spec.g1, v0)))
+    (lW, eW), *rest = sorted(
+        ((math.log(c * c1) + lc, e - delta) for c, lc, e in I1_terms),
+        key=lambda term: term[1],
+    )
+    eps = [(math.exp(lc - lW), e - eW) for lc, e in rest]
+    radii = [math.log(_START_CAP * options.target_radius)]
 
-    fI2 = rn * spec.f2(r) * spec.g2(v) * spec.h(w)
-    I2 = np.maximum.accumulate(np.maximum(grid.power_graded(fI2), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Z = I2 / rn
-    Z[0] = 0.0
-    dv_new = np.maximum.accumulate(Z**inv_pm1)
-    v_new = np.maximum.accumulate(v0 + grid.quadratic(dv_new))
-    return u_new, v_new, w_new, dv_new, I1, I2, fI1, fI2
+    def power_of_W(y, log_scale=0.0):
+        series, log_radius = _binomial(eps, y, budget)
+        radii.append(log_radius)
+        return [(c, log_scale + y * lW, y * eW + e) for c, e in series]
 
+    w_terms = power_of_W(theta)
+    h_of_w = [
+        term
+        for c, q in spec.h.terms
+        for term in power_of_W(theta * q, math.log(c))
+    ]
+    I2_terms = _integrated([
+        (cf * ch, lf + lh, ef + eh)
+        for cf, lf, ef in _terms(spec.f2, n - 1.0, _log_at(spec.g2, v0))
+        for ch, lh, eh in h_of_w
+    ])
+    # v' = Z**x with Z = I2 / r**(n-1) and x = 1/(p-1); over J terms,
+    # Z**x <= J**max(0, x-1) * sum |term|**x.
+    J = len(I2_terms)
+    log_factor = max(0.0, inv_pm1 - 1.0) * math.log(J)
+    growth = _integrated([
+        (1.0, log_factor + inv_pm1 * (math.log(abs(c)) + lc), inv_pm1 * (e - n + 1.0))
+        for c, lc, e in I2_terms
+    ])
+    log_share = math.log(budget) + math.log(v0) - math.log(J)
+    radii += [(log_share - lc) / e for _, lc, e in growth]
+    r0 = math.exp(min(radii))
 
-def _picard_on_grid(spec, u0, v0, rho, rel_tol, n_points, max_sweeps, shrinks):
-    fp_tol = _FP_TOL_FACTOR * rel_tol
-    idx = np.arange(n_points, dtype=float)
-    r = rho * (idx / (n_points - 1)) ** 2
-    grid = CumulativeGrid(r)
-
-    v_cap = max(1e12, 1e6 * v0)
-    u = np.full(n_points, float(u0))
-    v = np.full(n_points, float(v0))
-    w = np.zeros(n_points)
-    dv = np.zeros(n_points)
-    for sweep in range(1, max_sweeps + 1):
-        u_new, v_new, w_new, dv_new, I1, I2, fI1, fI2 = picard_apply(
-            spec, u0, v0, grid, v, w
-        )
-        if not (np.isfinite(u_new[-1]) and np.isfinite(v_new[-1])):
-            raise _NonContraction
-        if v_new[-1] > v_cap:
-            raise _NonContraction
-        change = max(
-            _sup_relative_change(u_new, u),
-            _sup_relative_change(v_new, v),
-            _sup_relative_change(w_new, w),
-            _sup_relative_change(dv_new, dv),
-        )
-        u, v, w, dv = u_new, v_new, w_new, dv_new
-        if sweep >= _FP_MIN_SWEEPS and change < fp_tol:
-            return BootstrapSegment(
-                r=r, u=u, v=v, w=w, dv=dv, I1=I1, I2=I2, fI1=fI1, fI2=fI2,
-                rho=rho, sweeps=sweep, shrinks=shrinks,
-            )
-    raise _NonContraction
-
-
-def _sup_relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    """sup |new - old| over the larger end value of two nondecreasing
-    profiles (0 when both vanish identically)."""
-    scale = max(float(new[-1]), float(old[-1]))
-    return float(np.max(np.abs(new - old))) / scale if scale > 0.0 else 0.0
+    r = np.geomspace(_START_SPAN * r0, r0, _START_NODES)
+    I1 = _evaluate(I1_terms, r)
+    I2 = _evaluate(I2_terms, r)
+    v = v0 + _evaluate(growth, r)
+    w, dv, fI1, fI2 = _rhs_arrays(spec, r, v, I1, I2)
+    W = w ** (spec.p - 1.0 - spec.alpha)
+    Z = dv ** (spec.p - 1.0)
+    keep = np.minimum.reduce([I1, I2, w, dv, fI1, fI2, W, Z]) >= np.finfo(float).tiny
+    if not keep[-1]:
+        raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
+    u = u0 + _evaluate(_integrated(w_terms), r)
+    origin = (0.0, u0, v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    columns = (r, u, v, w, dv, I1, I2, fI1, fI2)
+    return BootstrapSegment(*(
+        np.concatenate(([at0], col[keep])) for at0, col in zip(origin, columns)
+    ))
 
 
 @dataclass(frozen=True)
@@ -283,7 +297,9 @@ class RadialSolution:
     radius, the limit of r(s) as s = ln v grows, when ``terminated`` is
     BlowUp and None otherwise; it lies beyond the last node.
     ``pole_switch_r`` is the radius at which the march changed to s, or
-    None if it never did.
+    None if it never did.  ``start_radius`` is r0, where the closed-form
+    start hands over to the march, and ``bootstrap_nodes`` counts the nodes
+    of that start, the origin included.
 
     ``rhs_evals`` counts every evaluation of the right-hand side: the
     march's stages and the vectorised pass over its emitted nodes.
@@ -306,7 +322,7 @@ class RadialSolution:
     terminated: TerminationReason
     R0: float | None
     bootstrap_nodes: int
-    sweeps: int
+    start_radius: float
     rhs_evals: int
     accepted_steps: int
     rejected_steps: int
@@ -546,10 +562,11 @@ def march(
     """Integrate outward from the origin until the target radius, a resolved
     blow-up, or step underflow.
 
-    The Picard stage covers [0, bootstrap_radius]; from there Dormand-Prince
-    5(4) steps advance the state (u, v, I1, I2) in r.  An accepted step
-    that ends with I1, I2 > 0 and dr/ds = v/v' below r and below its value
-    at the step's start switches the march to the state
+    The closed-form start (:func:`picard_bootstrap`) covers [0, r0]; from
+    there, with a first trial step of 0.1 * r0, Dormand-Prince 5(4) steps
+    advance the state (u, v, I1, I2) in r.  An accepted step that ends with
+    I1, I2 > 0 and dr/ds = v/v' below r and below its value at the step's
+    start switches the march to the state
     (r, u, ln I1, ln I2) in s = ln v; both values of v/v' come from the
     step's first and last stages, so the test costs no evaluation.  A step
     is accepted when its embedded error estimate lies below 0.1 * rel_tol
@@ -559,16 +576,16 @@ def march(
     emitted as four equal sub-panels whose interior nodes come from the
     continuous extension.
 
-    The run ends as ReachedTarget once r is within ``min_step`` of the
-    target; in s a step that would overshoot it by more than that is
+    The run ends as ReachedTarget once r is within 1e-14 * target_radius
+    of the target; in s a step that would overshoot it by more than that is
     shrunk onto it.  It ends as BlowUp on the pole estimate
     R0 = r + b * dr/ds, with b = -1 / (d ln(dr/ds)/ds) = -1 / slope taken
     across the last step of size h.  The estimate's error, like
     (R0 - r)**2, contracts by rho = exp(2 * h * slope) per step, so the run
     stops once |change of R0| * rho / (1 - rho) <= 0.1 * rel_tol * R0.  It
     ends as StepUnderflow, with a note, when a rejection shrinks the step
-    below ``min_step`` or when a step or one of its sub-nodes would no
-    longer advance r strictly.
+    below 1e-14 * target_radius or when a step or one of its sub-nodes would
+    no longer advance r strictly.
     """
     ensure_valid(spec)
     if not spec.gradient_balanced:
@@ -576,14 +593,7 @@ def march(
             "the gradient exponent must satisfy alpha < p - 1 for radial "
             "solutions to exist"
         )
-    boot = picard_bootstrap(
-        spec,
-        u0,
-        v0,
-        options.bootstrap_radius,
-        rel_tol=options.rel_tol,
-        n_points=options.bootstrap_points,
-    )
+    boot = picard_bootstrap(spec, u0, v0, options)
 
     rhs = _rhs_factory(spec)
 
@@ -597,6 +607,7 @@ def march(
 
     tol = _ERR_SCALE * options.rel_tol
     target = options.target_radius
+    min_step = _MIN_STEP * target
     notes: list[str] = []
 
     # x is r and y is (u, v, I1, I2) until the pole dominates; from then on
@@ -608,7 +619,7 @@ def march(
     k1 = f(x, *y)
     evals = 1
     rejected = 0
-    h = min(options.initial_step, target - x)
+    h = _FIRST_STEP * x
     # Per accepted step: start, size, and the data of its dense output.
     radial_steps: list[tuple] = []
     pole_steps: list[tuple] = []
@@ -620,22 +631,22 @@ def march(
     while True:
         in_pole = f is pole_rhs
         r = y[0] if in_pole else x
-        if target - r <= options.min_step:
+        if target - r <= min_step:
             terminated = TerminationReason.REACHED_TARGET
             break
-        if len(radial_steps) + len(pole_steps) >= options.max_steps:
-            raise SolverError(
-                f"step budget of {options.max_steps} exhausted at r={r!r}"
-            )
+        if len(radial_steps) + len(pole_steps) >= _MAX_STEPS:
+            raise SolverError(f"step budget of {_MAX_STEPS} exhausted at r={r!r}")
         h = min(h, (target - r) / k1[0] if in_pole else target - r)
         y_new, k7, kd, err = _dp_step(f, x, h, y, k1, tol, absolute)
         evals += 6
         factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
-        if err > 1.0 or (in_pole and y_new[0] - target > options.min_step):
+        if err > 1.0 or (in_pole and y_new[0] - target > min_step):
             rejected += 1
             h *= factor if err > 1.0 else (target - r) / (y_new[0] - r)
-            if h < options.min_step:
-                notes.append(f"step underflow at r={r:.12g} (step {h:.3g} < min_step)")
+            if h < min_step:
+                notes.append(
+                    f"step underflow at r={r:.12g} (step {h:.3g} < {min_step:.3g})"
+                )
                 terminated = TerminationReason.STEP_UNDERFLOW
                 break
             continue
@@ -698,7 +709,7 @@ def march(
         terminated=terminated,
         R0=R0 if terminated is TerminationReason.BLOW_UP else None,
         bootstrap_nodes=len(boot.r),
-        sweeps=boot.sweeps,
+        start_radius=boot.r0,
         rhs_evals=evals,
         accepted_steps=len(sizes),
         rejected_steps=rejected,
@@ -712,7 +723,7 @@ def march(
 def _emit_nodes(
     spec: ProblemSpec, boot: BootstrapSegment, radial_steps, pole_steps
 ) -> dict:
-    """The trajectory columns: the bootstrap segment, then every accepted
+    """The trajectory columns: the closed-form start, then every accepted
     step as its sub-nodes from the continuous extension and its end node,
     the steps in s = ln v mapped back to (r, u, v = e**s, I1 = e**ln I1,
     I2 = e**ln I2).

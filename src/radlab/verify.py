@@ -23,7 +23,6 @@ import numpy as np
 from .criteria import sandwich_quantities
 from .expressions import FuncExpr
 from .problem import ProblemSpec
-from .solver import SolverOptions
 
 __all__ = [
     "MONOTONE_SLACK",
@@ -49,8 +48,9 @@ SANDWICH_SLACK = 1e-9
 #: tail is where finite differences of a blow-up trajectory lose accuracy.
 _CONVEXITY_WINDOW = 0.9
 
-#: v staying below this multiple of v(0) counts as "v bounded" when testing
-#: that u never diverges alone.
+#: u above this level counts as "u blown up", and v staying below this
+#: multiple of v(0) as "v bounded", when testing that u never diverges alone.
+_U_BLOWUP_LEVEL = 1e8
 _V_BOUNDED_FACTOR = 1e3
 
 
@@ -81,11 +81,10 @@ class InequalityReport:
 @dataclass(frozen=True)
 class TrajectoryData:
     """A bare trajectory, e.g. loaded from CSV, carrying just enough for
-    the inequality checks: the problem, options for thresholds, and the
-    sampled columns (``w`` is u')."""
+    the inequality checks: the problem and the sampled columns (``w`` is
+    u')."""
 
     spec: ProblemSpec
-    options: SolverOptions
     r: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -253,13 +252,12 @@ def check_sandwich(h: FuncExpr, p: float, samples) -> InequalityReport:
 
 def check_no_u_only_blowup(solution) -> InequalityReport:
     """u can never diverge while v stays bounded: a trajectory with
-    max u above the blow-up threshold but max v below 1e3 * v(0) is
-    structurally impossible and fails outright."""
-    threshold = solution.options.blowup_threshold
+    max u above 1e8 but max v below 1e3 * v(0) is structurally impossible
+    and fails outright."""
     u_max = float(np.max(solution.u))
     v_max = float(np.max(solution.v))
     v0 = float(solution.v[0])
-    bad = u_max > threshold and v_max < _V_BOUNDED_FACTOR * v0
+    bad = u_max > _U_BLOWUP_LEVEL and v_max < _V_BOUNDED_FACTOR * v0
     return InequalityReport(
         name="no_u_only_blowup",
         points_checked=len(solution.u),

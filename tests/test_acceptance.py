@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from radlab.classify import BoundaryClass, Domain, numeric_classify, predict
 from radlab.cli import main
@@ -30,7 +29,6 @@ from radlab.solver import (
     blowup_envelope_check,
     check_scaling_identity,
     march,
-    picard_bootstrap,
 )
 from radlab.verify import trajectory_reports
 
@@ -172,13 +170,13 @@ def test_criterion_04_trajectory_checks(solved_cases):
 
 
 def test_criterion_05_bootstrap_series():
-    """The Picard stage reproduces the local series solution at r = 0.1."""
-    spec = CASE_BY_NAME["A"].spec()
-    boot = picard_bootstrap(spec, 1.0, 1.0, 0.1)
-    r = float(boot.r[-1])
-    assert r == pytest.approx(0.1, abs=0.0)
-    u_err = abs(float(boot.u[-1]) - (1.0 + r**2 / 6.0))
-    v_err = abs(float(boot.v[-1]) - (1.0 + r**3 / 36.0))
+    """The march reproduces the local series solution at r = 0.1."""
+    case = CASE_BY_NAME["A"]
+    run = march(case.spec(), 1.0, 1.0, case.options())
+    r = 0.1
+    at = run.sample([r])
+    u_err = abs(float(at["u"][0]) - (1.0 + r**2 / 6.0))
+    v_err = abs(float(at["v"][0]) - (1.0 + r**3 / 36.0))
     assert u_err < 1e-6, f"u(0.1) off the series by {u_err:.2e}"
     assert v_err < 1e-6, f"v(0.1) off the series by {v_err:.2e}"
     print(f"criterion 5: PASS — series gap u {u_err:.2e}, v {v_err:.2e}")

@@ -52,7 +52,7 @@ def test_parse_full_round_trip():
     assert (cfg.p, cfg.alpha, cfg.n) == (2.0, 0.0, 3)
     assert (cfg.f1, cfg.g1, cfg.h, cfg.omega) == ("1", "t", "t^6", "ball")
     assert (cfg.u0, cfg.v0, cfg.target_radius) == (1.0, 1.0, 20.0)
-    assert cfg.blowup_threshold == 1e8 and cfg.rel_tol == 1e-8  # defaults
+    assert cfg.rel_tol == 1e-8  # default
     assert cfg.seed == 11
     assert cfg.sweep_parameter == "q" and cfg.sweep_values == (1.0, 2.0, 3.0)
 
@@ -254,7 +254,7 @@ def test_solve_writes_deterministic_outputs(tmp_path, capsys):
     assert report["envelope"]["pass"] is True
     stats = report["stats"]
     assert list(stats) == [
-        "nodes", "bootstrap_nodes", "sweeps", "rhs_evals",
+        "nodes", "bootstrap_nodes", "start_radius", "rhs_evals",
         "accepted_steps", "rejected_steps", "dt_min", "dt_max", "pole_switch_r",
     ]
     assert stats["accepted_steps"] > 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radlab.expressions import ExpressionError, FuncExpr, derive_k, parse_expr
+from radlab.expressions import ExpressionError, FuncExpr, parse_expr
 
 
 def test_parse_constants_and_powers():
@@ -84,9 +84,9 @@ def test_pointwise_power_single_term():
 
 
 def test_derive_k_growth_order():
-    profile = derive_k(parse_expr("2 + 7*t^3"))
-    assert profile.leading_exponent == 3.0
-    assert profile.leading_coeff == 7.0
+    g = parse_expr("2 + 7*t^3")
+    assert g.leading_exponent == 3.0
+    assert g.leading_coeff == 7.0
 
 
 def test_to_text_round_trip():

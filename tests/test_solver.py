@@ -1,4 +1,4 @@
-"""The radial integrator: bootstrap accuracy, marching, diagnostics."""
+"""The radial integrator: closed-form start, marching, diagnostics."""
 
 import math
 from fractions import Fraction
@@ -40,26 +40,59 @@ from conftest import CASE_BY_NAME, power_spec
 
 def test_bootstrap_matches_series_expansion():
     # For p = 2, linear coupling, n = 3, u0 = v0 = 1 the local expansion is
-    # u = 1 + r^2/6 + r^5/1080 + ..., v = 1 + r^3/36 + ..., and the Picard
-    # limit must reproduce both at r = 0.1 far inside 1e-6.
-    spec = CASE_BY_NAME["A"].spec()
-    boot = picard_bootstrap(spec, 1.0, 1.0, 0.1)
+    # u = 1 + r^2/6 + r^5/1080 + ..., v = 1 + r^3/36 + ...  The start ends
+    # where v - 1 = r^3/36 reaches 0.01 * rel_tol, and must reproduce both
+    # expansions on its whole segment to roundoff.
+    case = CASE_BY_NAME["A"]
+    boot = picard_bootstrap(case.spec(), 1.0, 1.0, case.options())
+    assert boot.sweeps == 1
+    assert boot.r0 == pytest.approx((36.0 * 0.01 * 1e-8) ** (1.0 / 3.0), rel=1e-12)
     r = boot.r
     u_series = 1.0 + r**2 / 6.0 + r**5 / 1080.0
     v_series = 1.0 + r**3 / 36.0
-    assert np.max(np.abs(boot.u - u_series)) < 1e-9
-    assert np.max(np.abs(boot.v - v_series)) < 1e-8
+    assert np.max(np.abs(boot.u - u_series)) < 1e-15
+    assert np.max(np.abs(boot.v - v_series)) < 1e-15
+    assert np.allclose(boot.w, r / 3.0, rtol=1e-13, atol=0.0)
+    assert np.allclose(boot.dv, r**2 / 12.0, rtol=1e-13, atol=0.0)
 
 
 def test_bootstrap_profiles_start_flat():
-    spec = CASE_BY_NAME["B"].spec()
-    boot = picard_bootstrap(spec, 1.0, 1.0, 0.02)
+    case = CASE_BY_NAME["B"]
+    boot = picard_bootstrap(case.spec(), 1.0, 1.0, case.options())
     assert boot.w[0] == 0.0
     assert boot.dv[0] == 0.0
     assert boot.u[0] == 1.0 and boot.v[0] == 1.0
     # no flat spots after the origin: the sources are strictly positive
     assert np.all(boot.w[1:] > 0.0)
     assert np.all(boot.dv[1:] > 0.0)
+
+
+@pytest.mark.parametrize(
+    "p, alpha, f1, h, min_r0",
+    [
+        # integer powers: the series end, and the growth of v alone sets r0
+        (2.0, 0.0, "1 + t", "t^6", 0.1),
+        (1.7, 0.3, "1 + 2*t^1.5", "t^2.5 + t^9", 0.0),
+        (2.5, 1.2, "1 + t^0.3", "t^2 + t^5", 0.0),
+    ],
+)
+def test_multi_term_start_is_a_solution(p, alpha, f1, h, min_r0):
+    # Multi-term powers enter the start as cut binomial series.  Its profiles
+    # must satisfy both differential relations and agree at r0 with a tight
+    # run, which marches through r0.
+    spec = ProblemSpec(
+        p=p, alpha=alpha, n=3, f1=parse_expr(f1), f2=parse_expr("1 + t"),
+        g1=parse_expr("t"), g2=parse_expr("1"), h=parse_expr(h),
+    )
+    boot = picard_bootstrap(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+    assert boot.r0 > min_r0
+    res1, res2 = relative_residuals(spec, boot.r, boot.v, boot.w, boot.dv)
+    assert max(np.max(res1[5:]), np.max(res2[5:])) < 1e-6
+    tight = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0, rel_tol=1e-11))
+    assert tight.start_radius < boot.r0
+    at = tight.sample([boot.r0])
+    for key, column in (("u", boot.u), ("v", boot.v), ("du", boot.w), ("dv", boot.dv)):
+        assert column[-1] == pytest.approx(at[key][0], rel=1e-7), key
 
 
 def test_march_reaches_target_on_bounded_case(solved_cases):
@@ -291,15 +324,23 @@ def test_power_growth_stays_in_r():
         (2.61, 1.5, 5, 2.23, 1.21, 2.43),
         (2.35, 1.25, 2, 1.95, 1.35, 4.32),
         (2.08, 0.99, 3, 2.2, 2.12, 6.17),
+        (1.7, 0.64, 5, 1.32, 0.39, 6.82),
     ],
 )
 def test_slow_pole_ends_in_blowup(p, alpha, n, m, beta, q):
     # The blow-up rate b of v ~ (R0 - r)**-b is below 1 here, so v would
     # reach a fixed threshold like 1e8 only within a few ulps of R0; the
-    # switch to s = ln v must not wait for it.
+    # switch to s = ln v must not wait for it.  Near the origin v' grows
+    # like r**k with k from 30 to 160, so the trajectory must hold no node
+    # where v' has underflowed, and its first panels no quadrature error.
     spec = power_spec(p, alpha, m, beta, q, n=n)
     run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
     assert run.terminated is TerminationReason.BLOW_UP
+    assert np.all(run.dv[run.r > 0.0] > 0.0)
+    for report in trajectory_reports(run):
+        assert report.passed, (
+            f"{report.name} violated at {report.max_relative_violation:.3e}"
+        )
     predicted = predict(spec, Domain.BALL)
     numeric = numeric_classify(run)
     assert numeric.label is predicted.label
@@ -318,12 +359,11 @@ def test_blowup_radius_consistent_under_refinement():
     [(2.0, 0.0, 6, 1e6, 1e-6), (1.5, 0.25, 3, 1.0, 1.0)],
 )
 def test_picard_stage_does_not_stop_with_flat_v(p, alpha, q, u0, v0):
-    # The first sweep feeds u' = 0 into the second map, so with h(0) = 0 it
-    # returns v' = 0 everywhere; a stop after that sweep leaves v flat on
-    # the whole bootstrap segment, which the checks rightly reject.
+    # Fed u' = 0, the second map returns v' = 0 everywhere when h(0) = 0;
+    # the start must feed it the u' of the first map instead, or v is flat
+    # on the whole start segment, which the checks rightly reject.
     spec = power_spec(p, alpha, 1, 0, q)
     run = march(spec, u0, v0, SolverOptions(target_radius=20.0))
-    assert run.sweeps >= 2
     assert np.all(run.dv[1 : run.bootstrap_nodes] > 0.0)
     for report in (check_monotone(run), check_convexity_bounds(run)):
         assert report.passed, (

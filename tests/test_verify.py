@@ -10,6 +10,7 @@ from radlab.verify import (
     MONOTONE_SLACK,
     SANDWICH_SLACK,
     UPRIME_SLACK,
+    _U_BLOWUP_LEVEL,
     InequalityReport,
     TrajectoryData,
     check_convexity_bounds,
@@ -26,8 +27,7 @@ from conftest import REFERENCE_CASES
 def as_data(run, **overrides) -> TrajectoryData:
     """Copy a solved run into a bare trajectory, optionally doctoring columns."""
     fields = dict(
-        spec=run.spec, options=run.options,
-        r=run.r, u=run.u, v=run.v, w=run.w, dv=run.dv,
+        spec=run.spec, r=run.r, u=run.u, v=run.v, w=run.w, dv=run.dv,
     )
     fields.update(overrides)
     return TrajectoryData(**fields)
@@ -125,8 +125,7 @@ def test_inflated_gradient_fails_uprime_estimate(solved_cases):
 
 def test_u_blowup_with_flat_v_is_structurally_rejected(solved_cases):
     run = solved_cases["B"]
-    threshold = run.options.blowup_threshold
-    u_fake = np.linspace(1.0, 10.0 * threshold, len(run.u))
+    u_fake = np.linspace(1.0, 10.0 * _U_BLOWUP_LEVEL, len(run.u))
     v_flat = np.ones_like(run.v)
     data = as_data(run, u=u_fake, v=v_flat, dv=np.zeros_like(run.dv))
     report = check_no_u_only_blowup(data)
@@ -156,7 +155,7 @@ def test_convexity_needs_enough_points(solved_cases):
     run = solved_cases["A"]
     k = 6
     small = TrajectoryData(
-        spec=run.spec, options=run.options,
+        spec=run.spec,
         r=run.r[:k], u=run.u[:k], v=run.v[:k], w=run.w[:k], dv=run.dv[:k],
     )
     with pytest.raises(ValueError):
