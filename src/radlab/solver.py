@@ -18,14 +18,17 @@ u and I2 = g2(v0) * integral t**(n-1) f2 h(w) are binomial series.  r0 is
 the largest radius at which neither the growth of v nor the remainder of a
 cut series exceeds that hundredth of rel_tol.
 
-From r0 each step is a Dormand-Prince 5(4) pair (Dormand & Prince, J.
-Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-6): seven stages with the last reused as the first of the next step,
-the embedded fourth-order solution as local error estimate, and the
-step-size factor 0.9 * err**(-1/5) clamped to [0.2, 5].  Every accepted
-step also emits interior nodes from the fourth-order continuous extension,
-so the trajectory is dense enough for finite-difference residuals, panel
-quotients and tail fits at any step size.
+From r0 each step is a Dormand-Prince 8(5,3) pair, the code DOP853
+(Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10): twelve stages
+and a thirteenth at the new point, reused as the first of the next step;
+per component, Hairer's combination h * e5**2 / sqrt(e5**2 + 0.01 * e3**2)
+of the embedded fifth- and third-order error estimates, held below
+0.05 * rel_tol; and the step-size factor 0.9 * err**(-1/8) clamped to
+[0.2, 5].  Every accepted step keeps its stages.  After the march, three
+more stages per step, evaluated for all steps at once on arrays, give the
+seventh-order continuous extension, and each step is emitted as 14 equal
+sub-panels, so the trajectory is dense enough for finite-difference
+residuals, panel quotients and tail fits at any step size.
 
 Near a pole the march changes its independent variable to s = ln v (Stuart
 & Floater, Eur. J. Appl. Math. 1, 1990) once the pole dominates, that is
@@ -50,6 +53,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import dop853
 from .criteria import phi, phi_inverse
 from .problem import InvalidProblem, ProblemSpec, ensure_valid
 
@@ -84,8 +88,9 @@ _START_NODES = 1024
 _START_SPAN = 1e-3
 #: The first trial step of the march, as a fraction of r0.
 _FIRST_STEP = 0.1
-#: A rejected step (in r, or in s) may shrink to no less than this fraction
-#: of the target radius.
+#: A rejected step may shrink its increment in r to no less than this
+#: fraction of r, and a march within this fraction of the target radius has
+#: arrived.
 _MIN_STEP = 1e-14
 #: Accepted steps allowed in one march.
 _MAX_STEPS = 2_000_000
@@ -105,11 +110,11 @@ class SolverError(RuntimeError):
 class SolverOptions:
     """Numeric knobs for :func:`march`.
 
-    ``rel_tol`` bounds the local error of each Dormand-Prince step, per
-    component, at 0.1 * rel_tol relative to the state (absolute on the
+    ``rel_tol`` bounds the local error of each Dormand-Prince 8(5,3) step,
+    per component, at 0.05 * rel_tol relative to the state (absolute on the
     logarithms of the accumulators near a pole); the closed-form start holds
     its truncations to 0.01 * rel_tol, and a blow-up radius is resolved to
-    about 0.1 * rel_tol.  The march stops at ``target_radius``.
+    about 0.05 * rel_tol.  The march stops at ``target_radius``.
     """
 
     target_radius: float
@@ -270,16 +275,22 @@ def picard_bootstrap(
     r0 = math.exp(min(radii))
 
     r = np.geomspace(_START_SPAN * r0, r0, _START_NODES)
-    I1 = _evaluate(I1_terms, r)
-    I2 = _evaluate(I2_terms, r)
-    v = v0 + _evaluate(growth, r)
-    w, dv, fI1, fI2 = _rhs_arrays(spec, r, v, I1, I2)
-    W = w ** (spec.p - 1.0 - spec.alpha)
-    Z = dv ** (spec.p - 1.0)
-    keep = np.minimum.reduce([I1, I2, w, dv, fI1, fI2, W, Z]) >= np.finfo(float).tiny
+    # Profiles that leave the float range are not kept, so their
+    # overflows are no error.
+    with np.errstate(all="ignore"):
+        I1 = _evaluate(I1_terms, r)
+        I2 = _evaluate(I2_terms, r)
+        v = v0 + _evaluate(growth, r)
+        w, dv, fI1, fI2 = _rhs_arrays(spec, r, v, I1, I2)
+        W = w ** (spec.p - 1.0 - spec.alpha)
+        Z = dv ** (spec.p - 1.0)
+        u = u0 + _evaluate(_integrated(w_terms), r)
+    profiles = [u, v, I1, I2, w, dv, fI1, fI2, W, Z]
+    keep = (np.minimum.reduce(profiles) >= np.finfo(float).tiny) & (
+        np.maximum.reduce(profiles) < np.inf
+    )
     if not keep[-1]:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
-    u = u0 + _evaluate(_integrated(w_terms), r)
     origin = (0.0, u0, v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     columns = (r, u, v, w, dv, I1, I2, fI1, fI2)
     return BootstrapSegment(*(
@@ -302,7 +313,9 @@ class RadialSolution:
     of that start, the origin included.
 
     ``rhs_evals`` counts every evaluation of the right-hand side: the
-    march's stages and the vectorised pass over its emitted nodes.
+    march's stages, the three dense-output stages of every step, evaluated
+    on arrays after the march, and the vectorised pass over its emitted
+    nodes.
     ``accepted_steps`` and ``rejected_steps`` count the march's steps, and
     ``dt_min``/``dt_max`` bound the increments in r of its accepted steps
     (None when no step was accepted).
@@ -433,127 +446,24 @@ def _rhs_arrays(spec: ProblemSpec, r, v, I1, I2):
     return w, dv, fI1, fI2
 
 
-# Dormand-Prince 5(4): nodes, stage weights, the fifth-order weights (equal
-# to the last stage row, which makes the pair first-same-as-last), the
-# error weights b - b*, and Shampine's dense-output weights (Hairer, Norsett
-# & Wanner, Solving ODEs I, Table II.5.2 and the code DOPRI5).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-)
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075 / 11282082432, 87487479700 / 32700410799,
-    -10690763975 / 1880347072, 701980252875 / 199316789632,
-    -1453857185 / 822651844, 69997945 / 29380423,
-)
-
 #: The local error is held below this fraction of rel_tol: the emitted
 #: nodes feed finite-difference checks that amplify interpolation error.
-_ERR_SCALE = 0.1
+_ERR_SCALE = 0.05
 #: Each accepted step is emitted as this many equal sub-panels, the interior
 #: nodes taken from the continuous extension.
-_SUBPANELS = 4
-_SUB_THETAS = tuple(k / _SUBPANELS for k in range(1, _SUBPANELS))
+_SUBPANELS = 14
 
 
-def _dense(theta, h, y0, y1, k1, k7, kd):
-    """The fourth-order continuous extension of one step of size h from y0
-    to y1 (slopes k1 at the start, k7 at the end, kd = h * sum D_i k_i),
-    evaluated at the fraction theta of the step.  Works on floats and on
-    broadcasting arrays with the same arithmetic, so both give equal bits."""
-    dy = y1 - y0
-    b = h * k1 - dy
-    c = dy - h * k7 - b
-    return y0 + theta * (dy + (1.0 - theta) * (b + theta * (c + (1.0 - theta) * kd)))
-
-
-def _dp_step(f, x, h, y, k1, tol, absolute):
-    """One Dormand-Prince 5(4) step of size h for y' = f(x, *y) from (x, y),
-    where k1 = f(x, *y).  Returns the fifth-order solution, its slope k7,
-    the dense-output term kd = h * sum D_i k_i, and the error estimate in
-    units of tol * max(|y|, |y_new|), or of tol alone for the components
-    flagged in ``absolute``; err is inf, with no solution, when a stage
-    overflows or leaves the finite range.
-
-    The four state components are written out: this is the march's inner
-    loop, and per-component loops cost more than the arithmetic.  Stage j of
-    component i is the name s<j><i>."""
-    y0, y1, y2, y3 = y
-    s10, s11, s12, s13 = k1
-    isfinite = math.isfinite
+def _first_slope(f, x, y, r):
+    """f(x, *y) at the start of a phase, or :class:`SolverError` when the
+    right-hand side leaves the float range there."""
     try:
-        s20, s21, s22, s23 = f(
-            x + _C2 * h,
-            y0 + h * (_A21 * s10),
-            y1 + h * (_A21 * s11),
-            y2 + h * (_A21 * s12),
-            y3 + h * (_A21 * s13),
-        )
-        s30, s31, s32, s33 = f(
-            x + _C3 * h,
-            y0 + h * (_A31 * s10 + _A32 * s20),
-            y1 + h * (_A31 * s11 + _A32 * s21),
-            y2 + h * (_A31 * s12 + _A32 * s22),
-            y3 + h * (_A31 * s13 + _A32 * s23),
-        )
-        s40, s41, s42, s43 = f(
-            x + _C4 * h,
-            y0 + h * (_A41 * s10 + _A42 * s20 + _A43 * s30),
-            y1 + h * (_A41 * s11 + _A42 * s21 + _A43 * s31),
-            y2 + h * (_A41 * s12 + _A42 * s22 + _A43 * s32),
-            y3 + h * (_A41 * s13 + _A42 * s23 + _A43 * s33),
-        )
-        s50, s51, s52, s53 = f(
-            x + _C5 * h,
-            y0 + h * (_A51 * s10 + _A52 * s20 + _A53 * s30 + _A54 * s40),
-            y1 + h * (_A51 * s11 + _A52 * s21 + _A53 * s31 + _A54 * s41),
-            y2 + h * (_A51 * s12 + _A52 * s22 + _A53 * s32 + _A54 * s42),
-            y3 + h * (_A51 * s13 + _A52 * s23 + _A53 * s33 + _A54 * s43),
-        )
-        s60, s61, s62, s63 = f(
-            x + h,
-            y0 + h * (_A61 * s10 + _A62 * s20 + _A63 * s30 + _A64 * s40 + _A65 * s50),
-            y1 + h * (_A61 * s11 + _A62 * s21 + _A63 * s31 + _A64 * s41 + _A65 * s51),
-            y2 + h * (_A61 * s12 + _A62 * s22 + _A63 * s32 + _A64 * s42 + _A65 * s52),
-            y3 + h * (_A61 * s13 + _A62 * s23 + _A63 * s33 + _A64 * s43 + _A65 * s53),
-        )
-        n0 = y0 + h * (_B1 * s10 + _B3 * s30 + _B4 * s40 + _B5 * s50 + _B6 * s60)
-        n1 = y1 + h * (_B1 * s11 + _B3 * s31 + _B4 * s41 + _B5 * s51 + _B6 * s61)
-        n2 = y2 + h * (_B1 * s12 + _B3 * s32 + _B4 * s42 + _B5 * s52 + _B6 * s62)
-        n3 = y3 + h * (_B1 * s13 + _B3 * s33 + _B4 * s43 + _B5 * s53 + _B6 * s63)
-        k7 = s70, s71, s72, s73 = f(x + h, n0, n1, n2, n3)
+        k = f(x, *y)
     except (OverflowError, ZeroDivisionError):
-        return None, None, None, math.inf
-    if not (isfinite(n0) and isfinite(n1) and isfinite(n2) and isfinite(n3)
-            and isfinite(s70) and isfinite(s71) and isfinite(s72)
-            and isfinite(s73)):
-        return None, None, None, math.inf
-    a0, a1, a2, a3 = absolute
-    err = max(
-        abs(h * (_E1 * s10 + _E3 * s30 + _E4 * s40 + _E5 * s50 + _E6 * s60 + _E7 * s70))
-        / (tol * (1.0 if a0 else max(abs(y0), abs(n0))) + 1e-300),
-        abs(h * (_E1 * s11 + _E3 * s31 + _E4 * s41 + _E5 * s51 + _E6 * s61 + _E7 * s71))
-        / (tol * (1.0 if a1 else max(abs(y1), abs(n1))) + 1e-300),
-        abs(h * (_E1 * s12 + _E3 * s32 + _E4 * s42 + _E5 * s52 + _E6 * s62 + _E7 * s72))
-        / (tol * (1.0 if a2 else max(abs(y2), abs(n2))) + 1e-300),
-        abs(h * (_E1 * s13 + _E3 * s33 + _E4 * s43 + _E5 * s53 + _E6 * s63 + _E7 * s73))
-        / (tol * (1.0 if a3 else max(abs(y3), abs(n3))) + 1e-300),
-    )
-    kd = (
-        h * (_D1 * s10 + _D3 * s30 + _D4 * s40 + _D5 * s50 + _D6 * s60 + _D7 * s70),
-        h * (_D1 * s11 + _D3 * s31 + _D4 * s41 + _D5 * s51 + _D6 * s61 + _D7 * s71),
-        h * (_D1 * s12 + _D3 * s32 + _D4 * s42 + _D5 * s52 + _D6 * s62 + _D7 * s72),
-        h * (_D1 * s13 + _D3 * s33 + _D4 * s43 + _D5 * s53 + _D6 * s63 + _D7 * s73),
-    )
-    return (n0, n1, n2, n3), k7, kd, err
+        k = (math.inf,)
+    if not all(map(math.isfinite, k)):
+        raise SolverError(f"the right-hand side is not finite at r={r!r}")
+    return k
 
 
 def march(
@@ -563,18 +473,19 @@ def march(
     blow-up, or step underflow.
 
     The closed-form start (:func:`picard_bootstrap`) covers [0, r0]; from
-    there, with a first trial step of 0.1 * r0, Dormand-Prince 5(4) steps
+    there, with a first trial step of 0.1 * r0, Dormand-Prince 8(5,3) steps
     advance the state (u, v, I1, I2) in r.  An accepted step that ends with
     I1, I2 > 0 and dr/ds = v/v' below r and below its value at the step's
     start switches the march to the state
     (r, u, ln I1, ln I2) in s = ln v; both values of v/v' come from the
     step's first and last stages, so the test costs no evaluation.  A step
-    is accepted when its embedded error estimate lies below 0.1 * rel_tol
-    times max(|y|, |y_new|) in every component, or below 0.1 * rel_tol
+    is accepted when its combined error estimate lies below 0.05 * rel_tol
+    times max(|y|, |y_new|) in every component, or below 0.05 * rel_tol
     itself for the two logarithms; the next step size is the current one
-    times 0.9 * err**(-1/5), clamped to [0.2, 5].  Each accepted step is
-    emitted as four equal sub-panels whose interior nodes come from the
-    continuous extension.
+    times 0.9 * err**(-1/8), clamped to [0.2, 5].  Each accepted step keeps
+    its stages, and after the march :func:`_emit_nodes` emits it as 14 equal
+    sub-panels whose interior nodes come from the seventh-order continuous
+    extension.
 
     The run ends as ReachedTarget once r is within 1e-14 * target_radius
     of the target; in s a step that would overshoot it by more than that is
@@ -582,10 +493,12 @@ def march(
     R0 = r + b * dr/ds, with b = -1 / (d ln(dr/ds)/ds) = -1 / slope taken
     across the last step of size h.  The estimate's error, like
     (R0 - r)**2, contracts by rho = exp(2 * h * slope) per step, so the run
-    stops once |change of R0| * rho / (1 - rho) <= 0.1 * rel_tol * R0.  It
-    ends as StepUnderflow, with a note, when a rejection shrinks the step
-    below 1e-14 * target_radius or when a step or one of its sub-nodes would
-    no longer advance r strictly.
+    stops once |change of R0| * rho / (1 - rho) <= 0.05 * rel_tol * R0.  It
+    ends as StepUnderflow, with a note, when a rejection shrinks the step's
+    increment in r below 1e-14 * r, or when the sub-nodes of a step no
+    longer advance r strictly; that step and every later one are dropped.
+    :class:`SolverError` is raised when the right-hand side is not finite
+    where a phase starts.
     """
     ensure_valid(spec)
     if not spec.gradient_balanced:
@@ -607,7 +520,7 @@ def march(
 
     tol = _ERR_SCALE * options.rel_tol
     target = options.target_radius
-    min_step = _MIN_STEP * target
+    arrival = _MIN_STEP * target
     notes: list[str] = []
 
     # x is r and y is (u, v, I1, I2) until the pole dominates; from then on
@@ -616,61 +529,49 @@ def march(
     absolute = (False, False, False, False)
     x = float(boot.r[-1])
     y = (float(boot.u[-1]), float(boot.v[-1]), float(boot.I1[-1]), float(boot.I2[-1]))
-    k1 = f(x, *y)
+    k1 = _first_slope(f, x, y, x)
     evals = 1
     rejected = 0
     h = _FIRST_STEP * x
-    # Per accepted step: start, size, and the data of its dense output.
+    # Per accepted step: its row for the dense output, in r and then in s,
+    # and the radii where it starts and ends.
     radial_steps: list[tuple] = []
     pole_steps: list[tuple] = []
+    spans: list[tuple[float, float]] = []
     R0 = None
     pole_switch_r = None
     terminated = None
-    th1, th2, th3 = _SUB_THETAS
 
     while True:
         in_pole = f is pole_rhs
         r = y[0] if in_pole else x
-        if target - r <= min_step:
+        if target - r <= arrival:
             terminated = TerminationReason.REACHED_TARGET
             break
-        if len(radial_steps) + len(pole_steps) >= _MAX_STEPS:
+        if len(spans) >= _MAX_STEPS:
             raise SolverError(f"step budget of {_MAX_STEPS} exhausted at r={r!r}")
         h = min(h, (target - r) / k1[0] if in_pole else target - r)
-        y_new, k7, kd, err = _dp_step(f, x, h, y, k1, tol, absolute)
-        evals += 6
-        factor = min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
-        if err > 1.0 or (in_pole and y_new[0] - target > min_step):
+        y_new, k13, row, err = dop853.step(f, x, h, y, k1, tol, absolute)
+        evals += 12
+        factor = min(5.0, max(0.2, 0.9 * err ** -0.125)) if err > 0.0 else 5.0
+        if not err <= 1.0 or (in_pole and y_new[0] - target > arrival):
             rejected += 1
-            h *= factor if err > 1.0 else (target - r) / (y_new[0] - r)
-            if h < min_step:
+            h *= (target - r) / (y_new[0] - r) if err <= 1.0 else factor
+            dr = h * k1[0] if in_pole else h
+            if dr < _MIN_STEP * r:
                 notes.append(
-                    f"step underflow at r={r:.12g} (step {h:.3g} < {min_step:.3g})"
+                    f"step underflow at r={r:.12g} (increment in r {dr:.3g} "
+                    f"< {_MIN_STEP * r:.3g})"
                 )
                 terminated = TerminationReason.STEP_UNDERFLOW
                 break
             continue
 
+        (pole_steps if in_pole else radial_steps).append(row)
+        spans.append((r, y_new[0] if in_pole else x + h))
         if in_pole:
-            r_end = y_new[0]
-            r1, r2, r3 = (_dense(th, h, r, r_end, k1[0], k7[0], kd[0])
-                          for th in _SUB_THETAS)
-        else:
-            r_end = x + h
-            r1, r2, r3 = x + h * th1, x + h * th2, x + h * th3
-        if not r < r1 < r2 < r3 < r_end:
-            notes.append(
-                f"step underflow at r={r:.12g}: dt={r_end - r:.3g} no longer "
-                f"advances r through its {_SUBPANELS} sub-panels"
-            )
-            terminated = TerminationReason.STEP_UNDERFLOW
-            break
-
-        (pole_steps if in_pole else radial_steps).append(
-            (x, h, y, y_new, k1, k7, kd))
-        if in_pole:
-            slope = math.log(k7[0] / k1[0]) / h
-            previous, R0 = R0, (y_new[0] - k7[0] / slope if slope < 0.0 else None)
+            slope = math.log(k13[0] / k1[0]) / h
+            previous, R0 = R0, (y_new[0] - k13[0] / slope if slope < 0.0 else None)
             if R0 is not None and previous is not None:
                 # The estimate's error, like (R0 - r)**2, contracts by rho per
                 # step, so what remains after this step is about
@@ -682,10 +583,10 @@ def march(
         # dr/ds = v/v' is r/k under power growth r**k and (R0 - r)/b near a
         # pole: the pole dominates once it is below r and falling.
         switch = not in_pole and (
-            y_new[2] > 0.0 and y_new[3] > 0.0 and k1[1] > 0.0 and k7[1] > 0.0
-            and y_new[1] / k7[1] < min(x + h, y[1] / k1[1])
+            y_new[2] > 0.0 and y_new[3] > 0.0 and k1[1] > 0.0 and k13[1] > 0.0
+            and y_new[1] / k13[1] < min(x + h, y[1] / k1[1])
         )
-        x, y, k1 = x + h, y_new, k7
+        x, y, k1 = x + h, y_new, k13
         h *= factor
         if switch:
             # From here march in s = ln v; the next increment in r is kept.
@@ -693,15 +594,22 @@ def march(
             absolute = (False, False, True, True)
             pole_switch_r = x
             x, y = math.log(y[1]), (x, y[0], math.log(y[2]), math.log(y[3]))
-            k1 = f(x, *y)
+            k1 = _first_slope(f, x, y, pole_switch_r)
             evals += 1
             h /= k1[0]
 
-    columns = _emit_nodes(spec, boot, radial_steps, pole_steps)
-    evals += len(columns["r"]) - len(boot.r)
-    sizes = [step[1] for step in radial_steps] + [
-        step[3][0] - step[2][0] for step in pole_steps
-    ]
+    columns, kept, dense_evals = _emit_nodes(spec, boot, radial_steps, pole_steps)
+    evals += dense_evals
+    if kept < len(spans):
+        start, end = spans[kept]
+        notes.append(
+            f"step underflow at r={start:.12g}: dt={end - start:.3g} no longer "
+            f"advances r through its {_SUBPANELS} sub-panels"
+        )
+        terminated = TerminationReason.STEP_UNDERFLOW
+        if kept < len(radial_steps):
+            pole_switch_r = None
+    sizes = [end - start for start, end in spans[:kept]]
     return RadialSolution(
         spec=spec,
         options=options,
@@ -720,33 +628,58 @@ def march(
     )
 
 
-def _emit_nodes(
-    spec: ProblemSpec, boot: BootstrapSegment, radial_steps, pole_steps
-) -> dict:
-    """The trajectory columns: the closed-form start, then every accepted
-    step as its sub-nodes from the continuous extension and its end node,
-    the steps in s = ln v mapped back to (r, u, v = e**s, I1 = e**ln I1,
-    I2 = e**ln I2).
+def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, radial_steps, pole_steps):
+    """The trajectory columns, the number of steps kept, and the evaluations
+    of the right-hand side this pass makes.
+
+    The columns are the closed-form start, then every accepted step as the
+    13 interior nodes of its continuous extension and its end node, the
+    steps in s = ln v mapped back to (r, u, v = e**s, I1 = e**ln I1,
+    I2 = e**ln I2).  The three extra stages of the extension are evaluated
+    for all steps of a phase at once, and the first step whose nodes are not
+    finite or do not advance r strictly is dropped with every later one.
     Roundoff-level dips of the dense output are clamped so every profile
     stays nondecreasing, and the right-hand side is evaluated in one
     vectorised pass over the march's nodes."""
+
+    def radial_rhs(r, u, v, I1, I2):
+        return _rhs_arrays(spec, r, v, np.maximum(I1, 0.0), np.maximum(I2, 0.0))
+
+    def pole_rhs(s, r, u, L1, L2):
+        v, I1, I2 = np.exp(s), np.exp(L1), np.exp(L2)
+        w, dv, fI1, fI2 = _rhs_arrays(spec, r, v, I1, I2)
+        drds = v / dv
+        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
+
     parts = [(boot.r, boot.u, boot.v, boot.I1, boot.I2)]
-    theta = np.array(_SUB_THETAS)[None, :, None]
-    for steps, in_pole in ((radial_steps, False), (pole_steps, True)):
+    thetas = np.arange(1, _SUBPANELS) / _SUBPANELS
+    kept = evals = 0
+    for steps, f in ((radial_steps, radial_rhs), (pole_steps, pole_rhs)):
         if not steps:
             continue
-        x0, h, y0, y1, k1, k7, kd = (np.array(col) for col in zip(*steps))
-        sub = _dense(theta, h[:, None, None], y0[:, None, :], y1[:, None, :],
-                     k1[:, None, :], k7[:, None, :], kd[:, None, :])
-        states = np.concatenate([sub, y1[:, None, :]], axis=1).reshape(-1, 4).T
-        x = np.concatenate(
-            [x0[:, None] + h[:, None] * theta[:, :, 0], (x0 + h)[:, None]], axis=1
-        ).ravel()
+        steps = np.array(steps)
+        # Extra stages that leave the float range are caught below, as
+        # nodes that are not finite.
+        with np.errstate(all="ignore"):
+            sub = dop853.dense_output(f, steps, thetas)
+        evals += 3 * len(steps)
+        states = np.concatenate([sub, steps[:, None, 6:10]], axis=1)
+        x = steps[:, :1] + steps[:, 1:2] * np.append(thetas, 1.0)
+        in_pole = f is pole_rhs
+        start, r = (steps[:, 2], states[:, :, 0]) if in_pole else (steps[:, 0], x)
+        advances = np.diff(np.concatenate([start[:, None], r], axis=1), axis=1) > 0.0
+        bad = np.flatnonzero(~(advances.all(axis=1) & np.isfinite(states).all(axis=(1, 2))))
+        end = bad[0] if len(bad) else len(steps)
+        kept += end
+        states = states[:end].reshape(-1, 4).T
+        x = x[:end].ravel()
         if in_pole:
             r, u, L1, L2 = states
             parts.append((r, u, np.exp(x), np.exp(L1), np.exp(L2)))
         else:
             parts.append((x, *states))
+        if len(bad):
+            break
     r, u, v, I1, I2 = (np.concatenate(col) for col in zip(*parts))
     columns = {"r": r}
     for key, col in (("u", u), ("v", v), ("I1", I1), ("I2", I2)):
@@ -759,7 +692,7 @@ def _emit_nodes(
     columns["dv"] = np.maximum.accumulate(np.concatenate([boot.dv, dv]))
     columns["fI1"] = np.concatenate([boot.fI1, fI1])
     columns["fI2"] = np.concatenate([boot.fI2, fI2])
-    return columns
+    return columns, kept, evals + len(r) - m
 
 
 def scale_problem(spec: ProblemSpec, lam: float) -> ProblemSpec:

@@ -1,7 +1,10 @@
 """Run-file parsing and the four CLI subcommands."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import textwrap
 import warnings
 
@@ -265,6 +268,26 @@ def test_solve_writes_deterministic_outputs(tmp_path, capsys):
     assert csv1 == (out2 / "trajectory.csv").read_text()
     assert (out1 / "report.json").read_text() == (out2 / "report.json").read_text()
     assert stdout1.strip() == (out1 / "report.json").read_text().strip()
+
+
+def test_solve_with_unstartable_centre_value_fails_cleanly(tmp_path):
+    # v0 = 1e200 with g1 = t^2 puts g1(v0) past the float range.  The run
+    # must end in a "solver failed" note, not a traceback, and print no
+    # numpy warning on the way.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "radlab", "solve",
+         "--config", str(root / "tests" / "data" / "extreme_v0.cfg"),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["termination"] is None
+    assert len(report["notes"]) == 1
+    assert report["notes"][0].startswith("solver failed: ")
 
 
 def test_sweep_without_solve(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """The radial integrator: closed-form start, marching, diagnostics."""
 
 import math
-from fractions import Fraction
+import pathlib
 
 import numpy as np
 import pytest
 
+from radlab import dop853, solver
 from radlab.classify import (
     BoundaryClass,
     Domain,
@@ -13,10 +14,10 @@ from radlab.classify import (
     predict,
     reconcile,
 )
+from radlab.config import load_config
 from radlab.expressions import parse_expr
 from radlab.problem import InvalidProblem, ProblemSpec
 from radlab.solver import (
-    _dp_step,
     SolverError,
     SolverOptions,
     TerminationReason,
@@ -111,11 +112,26 @@ def test_march_detects_blowup(solved_cases):
 
 
 def test_march_rhs_budget_on_problem_c(solved_cases):
-    # Dormand-Prince with dense output needs ~7k evaluations here; the
-    # step-doubled Heun march it replaced needed 56k.
+    # Dormand-Prince 8(5,3) with dense output needs ~2.6k evaluations here,
+    # Dormand-Prince 5(4) needed 3,194, and the step-doubled Heun march
+    # before it 56k.
     run = solved_cases["C"]
     assert run.options.rel_tol == 1e-8
     assert run.rhs_evals < 15_000
+
+
+def test_sweep_ladder_step_count():
+    # A machine-independent count of the march's work: the q = 1..8 ladder
+    # of configs/sweep_q.cfg takes 724 accepted steps in all (Dormand-Prince
+    # 5(4) took 2,534).
+    config = load_config(
+        pathlib.Path(__file__).resolve().parent.parent / "configs" / "sweep_q.cfg"
+    )
+    steps = 0
+    for value in config.sweep_values:
+        run = config.with_value(config.sweep_parameter, value)
+        steps += march(run.spec(), run.u0, run.v0, run.solver_options()).accepted_steps
+    assert steps < 1000
 
 
 def test_march_step_diagnostics(solved_cases):
@@ -123,7 +139,36 @@ def test_march_step_diagnostics(solved_cases):
         assert run.accepted_steps > 0 and run.rejected_steps >= 0
         assert 0.0 < run.dt_min <= run.dt_max < run.options.target_radius
         march_nodes = len(run.r) - run.bootstrap_nodes
-        assert march_nodes == 4 * run.accepted_steps
+        assert march_nodes == solver._SUBPANELS * run.accepted_steps
+
+
+def test_stalled_sub_panels_end_the_run(monkeypatch, solved_cases):
+    # The dense output is built after the march, so the guard that every
+    # step's sub-nodes advance r runs there: the first step that fails it
+    # ends the run StepUnderflow, and it and every later step are dropped.
+    # Stall the eleventh step in s = ln v of problem B.
+    dense_output = dop853.dense_output
+
+    def stalled(f, steps, thetas):
+        sub = dense_output(f, steps, thetas)
+        if f.__name__ == "pole_rhs":
+            sub[10, :, 0] = steps[10, 2]
+        return sub
+
+    monkeypatch.setattr(dop853, "dense_output", stalled)
+    case = CASE_BY_NAME["B"]
+    run = march(case.spec(), 1.0, 1.0, case.options())
+    full = solved_cases["B"]
+    pole_steps = np.count_nonzero(full.r > full.pole_switch_r) // solver._SUBPANELS
+    assert run.terminated is TerminationReason.STEP_UNDERFLOW and run.R0 is None
+    assert run.notes[-1].endswith(
+        f"no longer advances r through its {solver._SUBPANELS} sub-panels"
+    )
+    assert run.accepted_steps == full.accepted_steps - pole_steps + 10
+    assert len(run.r) == run.bootstrap_nodes + solver._SUBPANELS * run.accepted_steps
+    assert np.array_equal(run.r, full.r[: len(run.r)])
+    assert np.array_equal(run.v, full.v[: len(run.r)])
+    assert run.pole_switch_r == full.pole_switch_r
 
 
 def test_march_profiles_monotone(solved_cases):
@@ -371,50 +416,31 @@ def test_picard_stage_does_not_stop_with_flat_v(p, alpha, q, u0, v0):
         )
 
 
-# Dormand-Prince 5(4) as published (Hairer, Norsett & Wanner, Solving ODEs I,
-# Table II.5.2, and the dense output of the code DOPRI5), kept as exact
-# fractions so that the error weights b - b* carry no extra rounding.
-_DP_C = [Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(4, 5), Fraction(8, 9), 1, 1]
-_DP_A = [
-    [],
-    [Fraction(1, 5)],
-    [Fraction(3, 40), Fraction(9, 40)],
-    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
-    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
-     Fraction(-212, 729)],
-    [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247),
-     Fraction(49, 176), Fraction(-5103, 18656)],
-    [Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192),
-     Fraction(-2187, 6784), Fraction(11, 84)],
-]
-_DP_B = _DP_A[6] + [0]
-_DP_BSTAR = [Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640),
-             Fraction(-92097, 339200), Fraction(187, 2100), Fraction(1, 40)]
-_DP_D = [Fraction(-12715105075, 11282082432), 0, Fraction(87487479700, 32700410799),
-         Fraction(-10690763975, 1880347072), Fraction(701980252875, 199316789632),
-         Fraction(-1453857185, 822651844), Fraction(69997945, 29380423)]
+# The Dormand-Prince 8(5,3) tableau as the loop below reads it: the named
+# coefficients of radlab.dop853, with 0 for every pair a stage does not use.
+_STAGES = range(1, 13)
+_C = [0.0] + [getattr(dop853, f"_C{i}") for i in range(2, 13)]
+_A = [[getattr(dop853, f"_A{i}_{j}", 0.0) for j in range(1, i)] for i in _STAGES]
+_B = [getattr(dop853, f"_B{j}", 0.0) for j in _STAGES]
+_E5 = [getattr(dop853, f"_E{j}", 0.0) for j in _STAGES]
+_BHH = [getattr(dop853, f"_BHH{j}", 0.0) for j in _STAGES]
 
 
-def reference_dp_step(f, x, h, y, tol, absolute):
-    """One DP5 step written as loops over the tableau above."""
+def reference_dop853_step(f, x, h, y, tol, absolute):
+    """One DOP853 step written as loops over the tableau above."""
     k = [f(x, *y)]
-    for i in range(1, 7):
-        stage = [
-            y[j] + h * sum(float(a) * k[m][j] for m, a in enumerate(_DP_A[i]))
-            for j in range(4)
-        ]
-        k.append(f(x + float(_DP_C[i]) * h, *stage))
-    y_new = [
-        y[j] + h * sum(float(b) * k[m][j] for m, b in enumerate(_DP_B)) for j in range(4)
-    ]
-    err = max(
-        abs(h * sum(float(b - bs) * k[m][j]
-                    for m, (b, bs) in enumerate(zip(_DP_B, _DP_BSTAR))))
-        / (tol * (1.0 if absolute[j] else max(abs(y[j]), abs(y_new[j]))))
-        for j in range(4)
-    )
-    kd = [h * sum(float(d) * k[m][j] for m, d in enumerate(_DP_D)) for j in range(4)]
-    return y_new, k[6], kd, err
+    for i in range(1, 12):
+        stage = [y[c] + h * sum(a * k[j][c] for j, a in enumerate(_A[i])) for c in range(4)]
+        k.append(f(x + _C[i] * h, *stage))
+    d = [sum(b * kj[c] for b, kj in zip(_B, k)) for c in range(4)]
+    y_new = [y[c] + h * d[c] for c in range(4)]
+    scale = [tol * (1.0 if absolute[c] else max(abs(y[c]), abs(y_new[c]))) for c in range(4)]
+    e5 = [abs(sum(e * kj[c] for e, kj in zip(_E5, k))) / scale[c] for c in range(4)]
+    e3 = [abs(d[c] - sum(b * kj[c] for b, kj in zip(_BHH, k))) / scale[c] for c in range(4)]
+    err = max(h * p**2 / math.sqrt(p**2 + 0.01 * q**2) for p, q in zip(e5, e3))
+    k13 = f(x + h, *y_new)
+    row = [x, h, *y, *y_new] + [kj[c] for kj in (k[0], *k[5:], k13) for c in range(4)]
+    return y_new, k13, row, err
 
 
 def _smooth_rhs(x, a, b, c, d):
@@ -434,9 +460,9 @@ def test_dp_step_matches_loop_reference(seed, absolute):
     h = float(rng.uniform(0.05, 0.5))
     y = tuple(float(v) for v in rng.uniform(0.5, 2.0, 4) * 10.0 ** rng.uniform(-3, 3, 4))
     tol = 1e-9
-    got = _dp_step(_smooth_rhs, x, h, y, _smooth_rhs(x, *y), tol, absolute)
-    want = reference_dp_step(_smooth_rhs, x, h, y, tol, absolute)
-    for name, g, w in zip(("y_new", "k7", "kd"), got[:3], want[:3]):
+    got = dop853.step(_smooth_rhs, x, h, y, _smooth_rhs(x, *y), tol, absolute)
+    want = reference_dop853_step(_smooth_rhs, x, h, y, tol, absolute)
+    for name, g, w in zip(("y_new", "k13", "row"), got[:3], want[:3]):
         assert np.allclose(g, w, rtol=1e-13, atol=0.0), name
     assert got[3] == pytest.approx(want[3], rel=1e-13)
     assert got[3] > 0.0
@@ -455,5 +481,121 @@ def test_dp_step_overflow_gives_no_solution():
     for f, y in ((raising, (700.0, 1.0, 1.0, 1.0)), (overflowing, (1.0, 1.0, 1.0, 1.0))):
         k1 = f(0.0, *y)
         assert all(map(math.isfinite, k1))
-        result = _dp_step(f, 0.0, 1.0, y, k1, 1e-9, (False,) * 4)
+        result = dop853.step(f, 0.0, 1.0, y, k1, 1e-9, (False,) * 4)
         assert result == (None, None, None, math.inf)
+
+
+def test_dop853_tableau_is_consistent():
+    # The first-order conditions: every stage's row sums to its node, the
+    # weights of each solution sum to 1 and those of the fifth-order error
+    # to 0, and each dense-output row of the last four terms sums to 0.  Any
+    # one of the 155 tabulated coefficients scaled by 1 + 1e-6 breaks one.
+    for i, row in enumerate(_A[1:], start=1):
+        assert sum(row) == pytest.approx(_C[i], abs=1e-14 * sum(map(abs, row))), i
+    for weights, total in ((_B, 1.0), (_BHH, 1.0), (_E5, 0.0)):
+        assert sum(weights) == pytest.approx(total, abs=1e-14 * sum(map(abs, weights)))
+    for row, c in zip(dop853._DENSE_A, dop853._DENSE_C):
+        assert row.sum() == pytest.approx(c, abs=1e-14 * np.abs(row).sum())
+    for row in dop853._DENSE_D:
+        assert row.sum() == pytest.approx(0.0, abs=1e-14 * np.abs(row).sum())
+
+
+def _rotation_rhs(x, a, b, c, d):
+    # a = cos(ln(1+x)), b = sin(ln(1+x)), c = 1/(1+x), d = exp(b): coupled,
+    # nonlinear and explicit in x; works on floats and on arrays.
+    return -b * c, a * c, -c * c, d * a / (1.0 + x)
+
+
+def _rotation_exact(x):
+    angle = np.log1p(x)
+    return np.stack([np.cos(angle), np.sin(angle), 1.0 / (1.0 + x), np.exp(np.sin(angle))], -1)
+
+
+def _fixed_step_errors(steps, end=2.0):
+    """Fixed-step DOP853 over [0, end]: the error at the end, that of the
+    dense output at 13 interior fractions of every step, and the error
+    estimate of the first step."""
+    h = end / steps
+    x, y = 0.0, tuple(_rotation_exact(0.0))
+    k1 = _rotation_rhs(x, *y)
+    rows, first_err = [], None
+    for _ in range(steps):
+        y_new, k13, row, err = dop853.step(_rotation_rhs, x, h, y, k1, 1.0, (True,) * 4)
+        first_err = err if first_err is None else first_err
+        rows.append(row)
+        x, y, k1 = x + h, y_new, k13
+    thetas = np.arange(1, 14) / 14.0
+    rows = np.array(rows)
+    sub = dop853.dense_output(_rotation_rhs, rows, thetas)
+    xs = rows[:, :1] + rows[:, 1:2] * thetas
+    return (
+        float(np.max(np.abs(np.array(y) - _rotation_exact(end)))),
+        float(np.max(np.abs(sub - _rotation_exact(xs)))),
+        first_err,
+    )
+
+
+def test_dop853_convergence_orders():
+    # Halving a fixed step cuts the global error by ~2**8, the dense output's
+    # by ~2**7 (2**7.4 at these steps) and the error estimate, e5**2 / e3 ~
+    # h**12 / h**4, by ~2**8.  Scaling any one of the 155 tabulated
+    # coefficients by 1 + 1e-4 moves one of these orders out of its band,
+    # except for a21, a31, c2 and c3 of the first stages and the three
+    # third-order weights, which the consistency test above catches.
+    coarse, fine = _fixed_step_errors(8), _fixed_step_errors(16)
+    assert fine[0] < 1e-11
+    global_order, dense_order, estimate_order = (
+        math.log2(c / f) for c, f in zip(coarse, fine)
+    )
+    assert 7.5 < global_order < 8.5
+    assert 7.0 < dense_order < 8.5
+    assert 7.5 < estimate_order < 8.5
+
+
+def test_dop853_tableau_matches_scipy():
+    # An independent transcription of the same tableau, where available.
+    dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    A = np.zeros((13, 13))
+    for i in range(12):
+        A[i, :i] = _A[i]
+    A[12, :12] = _B
+    assert np.allclose(_C, dop.C[:12], rtol=1e-15, atol=0.0)
+    assert np.allclose(A, dop.A[:13, :13], rtol=1e-15, atol=0.0)
+    assert np.allclose(_E5, dop.E5[:12], rtol=1e-15, atol=0.0)
+    assert np.allclose(np.subtract(_B, _BHH), dop.E3[:12], rtol=1e-15, atol=1e-17)
+    columns = [j - 1 for j in dop853._DENSE_STAGES]
+    assert np.allclose(dop853._DENSE_C, dop.C[13:], rtol=1e-15, atol=0.0)
+    assert np.allclose(dop853._DENSE_A, dop.A[13:][:, columns], rtol=1e-15, atol=0.0)
+    assert np.allclose(dop853._DENSE_D, dop.D[:, columns], rtol=1e-15, atol=0.0)
+
+
+def test_first_slope_of_a_phase_outside_the_float_range_is_a_solver_error():
+    # The first evaluation of each phase sits outside the step's overflow
+    # guard; where it raises or returns a non-finite slope, the run fails
+    # with a SolverError, which the CLI reports as a "solver failed" note.
+    def raising(x, a, b, c, d):
+        return 1.0, 2.0**x, 1.0, 1.0  # OverflowError once x > 1023
+
+    def overflowing(x, a, b, c, d):
+        return 1.0, 1.0, a * 1e308, 1.0  # inf once a > 1.8
+
+    for f in (raising, overflowing):
+        y = (1.0,) * 4
+        assert solver._first_slope(f, 1.0, y, 1.0) == f(1.0, *y)
+        with pytest.raises(SolverError, match="not finite at r=3.0"):
+            solver._first_slope(f, 2000.0, (10.0,) * 4, 3.0)
+
+
+def test_rejection_floor_does_not_depend_on_the_target():
+    # The pole of this run lies at R0 ~ 1.6e-6, far inside either target, so
+    # the target radius must not change a single step: the floor on a
+    # rejected step is relative to r, in both phases.
+    spec = power_spec(2.03, 0.97, 1.29, 0.64, 1.69, n=5)
+    near, far = (
+        march(spec, 1.0, 1e6, SolverOptions(target_radius=target))
+        for target in (20.0, 1e6)
+    )
+    for run in (near, far):
+        assert run.terminated is TerminationReason.BLOW_UP, run.notes
+    assert near.R0 == far.R0
+    assert near.rhs_evals == far.rhs_evals
