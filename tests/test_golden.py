@@ -32,3 +32,14 @@ def test_sweep_atlas_matches_golden(tmp_path, capsys):
     atlas = (tmp_path / "atlas.csv").read_text()
     expected = (GOLDEN / "sweep_q_atlas.csv").read_text()
     assert atlas == expected
+
+
+def test_solved_sweep_atlas_matches_golden(tmp_path, capsys):
+    # The solved ladder pins every row's numeric class and its agreement
+    # with the predicted one.
+    config = ROOT / "configs" / "sweep_q.cfg"
+    assert main(["sweep", "--config", str(config), "--solve", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    atlas = (tmp_path / "atlas.csv").read_text()
+    expected = (GOLDEN / "sweep_q_solved.csv").read_text()
+    assert atlas == expected
