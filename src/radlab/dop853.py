@@ -6,6 +6,7 @@ of accepted steps.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -272,25 +273,47 @@ def step(f, x, h, y, k1, tol, absolute):
     return (n0, n1, n2, n3), k13, row, err
 
 
+@functools.lru_cache(maxsize=None)
+def _node_matrix(thetas):
+    """The continuous extension at the fractions ``thetas`` of a step, as a
+    (thetas, 13) matrix N with y(theta) = y0 + N @ (y1 - y0, h K_1, ...,
+    h K_12), the K_j the stages of _DENSE_STAGES.
+
+    The extension is y0 + t (F0 + (1-t) (F1 + t (F2 + (1-t) (F3 + t (F4 +
+    (1-t) (F5 + t F6)))))) with F0 = y1 - y0, F1 = h K_1 - F0, F2 = 2 F0 -
+    h (K_1 + K_13) and F3 to F6 the rows of _DENSE_D applied to h K; the
+    nested products are the polynomials P_i below, and the F_i are linear
+    in (y1 - y0, h K)."""
+    t = np.array(thetas)[:, None]
+    s = 1.0 - t
+    P = np.hstack([t, t * s, t * t * s, (t * s) ** 2, t**3 * s**2, (t * s) ** 3, t**4 * s**3])
+    N = np.empty((len(thetas), 1 + len(_DENSE_STAGES)))
+    N[:, 0] = P[:, 0] - P[:, 1] + 2.0 * P[:, 2]
+    N[:, 1:] = P[:, 3:] @ _DENSE_D
+    N[:, 1] += P[:, 1] - P[:, 2]
+    N[:, 1 + _DENSE_STAGES.index(13)] -= P[:, 2]
+    N.flags.writeable = False
+    return N
+
+
 def dense_output(f, steps, thetas):
     """The continuous extensions of accepted steps at the fractions
     ``thetas`` of each: an array of shape (steps, thetas, 4).  ``steps``
     stacks the rows that :func:`step` returns.  f is the right-hand side on
-    arrays; one call of it evaluates an extra stage for every step."""
+    arrays; one call of it evaluates an extra stage for every step.  The
+    extension is linear in y1 - y0 and the stages, so with them stacked as
+    the rows of one (13, 4 * steps) array it is one product with the node
+    matrix of :func:`_node_matrix`, built once for the fractions."""
     x, h = steps[:, 0], steps[:, 1]
-    y0, y1 = steps[:, 2:6], steps[:, 6:10]
-    K = np.zeros((len(steps), len(_DENSE_STAGES), 4))
-    K[:, :9] = steps[:, 10:].reshape(-1, 9, 4)
+    y0 = steps[:, 2:6]
+    m = len(steps)
+    V = np.zeros((1 + len(_DENSE_STAGES), m, 4))
+    V[0] = steps[:, 6:10] - y0
+    K = V[1:]
+    K[:9] = steps[:, 10:].reshape(m, 9, 4).transpose(1, 0, 2)
     for i, (c, row) in enumerate(zip(_DENSE_C, _DENSE_A)):
-        at = y0 + h[:, None] * np.einsum("j,mjc->mc", row, K)
-        K[:, 9 + i] = np.stack(f(x + c * h, *at.T), axis=1)
-    # y0 + t (F0 + (1-t) (F1 + t (F2 + (1-t) (F3 + t (F4 + (1-t) (F5 + t F6))))))
-    h = h[:, None]
-    dy = y1 - y0
-    F = [dy, h * K[:, 0] - dy, 2.0 * dy - h * (K[:, 8] + K[:, 0])]
-    F += list(h * np.einsum("rj,mjc->rmc", _DENSE_D, K))
-    t = np.asarray(thetas)[:, None]
-    y = 0.0
-    for i, Fi in enumerate(reversed(F)):
-        y = (y + Fi[:, None]) * (t if i % 2 == 0 else 1.0 - t)
-    return y0[:, None] + y
+        at = y0 + h[:, None] * (row @ K.reshape(len(row), -1)).reshape(m, 4)
+        K[9 + i] = np.stack(f(x + c * h, *at.T), axis=1)
+    K *= h[:, None]
+    nodes = _node_matrix(tuple(thetas)) @ V.reshape(len(V), -1)
+    return y0[:, None] + nodes.reshape(-1, m, 4).transpose(1, 0, 2)

@@ -24,11 +24,14 @@ and a thirteenth at the new point, reused as the first of the next step;
 per component, Hairer's combination h * e5**2 / sqrt(e5**2 + 0.01 * e3**2)
 of the embedded fifth- and third-order error estimates, held below
 0.05 * rel_tol; and the step-size factor 0.9 * err**(-1/8) clamped to
-[0.2, 5].  Every accepted step keeps its stages.  After the march, three
-more stages per step, evaluated for all steps at once on arrays, give the
-seventh-order continuous extension, and each step is emitted as 14 equal
-sub-panels, so the trajectory is dense enough for finite-difference
-residuals, panel quotients and tail fits at any step size.
+[0.2, 5].  The stages call straight-line kernels compiled from the
+problem's power sums.  Every accepted step keeps its stages.  After the
+march, three more stages per step, evaluated for all steps at once on
+arrays, give the seventh-order continuous extension; it is linear in the
+step's increment and stages, so each step is emitted as 14 equal sub-panels
+by one product with a constant node matrix, and the trajectory is dense
+enough for finite-difference residuals, panel quotients and tail fits at
+any step size.
 
 Near a pole the march changes its independent variable to s = ln v (Stuart
 & Floater, Eur. J. Appl. Math. 1, 1990) once the pole dominates, that is
@@ -50,6 +53,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -226,8 +231,11 @@ def picard_bootstrap(
     0.01 * rel_tol of its sum, capped at half the target radius.  The
     segment is the origin and 1024 geometrically spaced nodes over
     [1e-3 * r0, r0], less the lowest of them where a profile is not yet a
-    positive normal float; :class:`SolverError` is raised when r0 itself is
-    one of them.
+    positive normal float.  When the cap sets r0 and the profiles are not
+    normal floats there, as when h(w) underflows for large theta, r0 moves
+    out to the first of 1024 geometrically spaced radii up to the smaller
+    of the uncapped radius and the target where they are;
+    :class:`SolverError` is raised when there is no such radius.
     """
     if not (u0 > 0.0 and v0 > 0.0):
         raise ValueError("u0 and v0 must be positive")
@@ -244,7 +252,7 @@ def picard_bootstrap(
         key=lambda term: term[1],
     )
     eps = [(math.exp(lc - lW), e - eW) for lc, e in rest]
-    radii = [math.log(_START_CAP * options.target_radius)]
+    radii = []  # log radii to which each cut series and the growth of v keep budget
 
     def power_of_W(y, log_scale=0.0):
         series, log_radius = _binomial(eps, y, budget)
@@ -272,27 +280,42 @@ def picard_bootstrap(
     ])
     log_share = math.log(budget) + math.log(v0) - math.log(J)
     radii += [(log_share - lc) / e for _, lc, e in growth]
-    r0 = math.exp(min(radii))
+    r0 = math.exp(min(math.log(_START_CAP * options.target_radius), *radii))
+    rhs = _kernels(spec).nodes
 
-    r = np.geomspace(_START_SPAN * r0, r0, _START_NODES)
-    # Profiles that leave the float range are not kept, so their
-    # overflows are no error.
-    with np.errstate(all="ignore"):
-        I1 = _evaluate(I1_terms, r)
-        I2 = _evaluate(I2_terms, r)
-        v = v0 + _evaluate(growth, r)
-        w, dv, fI1, fI2 = _rhs_arrays(spec, r, v, I1, I2)
-        W = w ** (spec.p - 1.0 - spec.alpha)
-        Z = dv ** (spec.p - 1.0)
-        u = u0 + _evaluate(_integrated(w_terms), r)
-    profiles = [u, v, I1, I2, w, dv, fI1, fI2, W, Z]
-    keep = (np.minimum.reduce(profiles) >= np.finfo(float).tiny) & (
-        np.maximum.reduce(profiles) < np.inf
-    )
+    def profiles(r):
+        """The columns at radii r, and where they, W and Z are all normal."""
+        # Profiles that leave the float range are not kept, so their
+        # overflows are no error.
+        with np.errstate(all="ignore"):
+            I1 = _evaluate(I1_terms, r)
+            I2 = _evaluate(I2_terms, r)
+            v = v0 + _evaluate(growth, r)
+            w, dv, fI1, fI2 = rhs(r, v, I1, I2)
+            W = w ** (spec.p - 1.0 - spec.alpha)
+            Z = dv ** (spec.p - 1.0)
+            u = u0 + _evaluate(_integrated(w_terms), r)
+        columns = (r, u, v, w, dv, I1, I2, fI1, fI2)
+        every = [*columns[1:], W, Z]
+        keep = (np.minimum.reduce(every) >= np.finfo(float).tiny) & (
+            np.maximum.reduce(every) < np.inf
+        )
+        return columns, keep
+
+    columns, keep = profiles(np.geomspace(_START_SPAN * r0, r0, _START_NODES))
+    if not keep[-1]:
+        # Capped before the profiles are normal floats, as when h(u')
+        # underflows for large theta, the start runs on to the first radius
+        # where they are, within its tolerance and the target.
+        limit = min(math.exp(min(radii)), options.target_radius)
+        if limit > r0:
+            (beyond, *_), normal = profiles(np.geomspace(r0, limit, _START_NODES))
+            if normal.any():
+                r0 = float(beyond[normal.argmax()])
+                columns, keep = profiles(np.geomspace(_START_SPAN * r0, r0, _START_NODES))
     if not keep[-1]:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
     origin = (0.0, u0, v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    columns = (r, u, v, w, dv, I1, I2, fI1, fI2)
     return BootstrapSegment(*(
         np.concatenate(([at0], col[keep])) for at0, col in zip(origin, columns)
     ))
@@ -412,38 +435,131 @@ class RadialSolution:
         }
 
 
-def _rhs_factory(spec: ProblemSpec):
-    theta = spec.theta
-    delta = spec.delta
-    c1 = delta / (spec.n - 1.0)
-    inv_pm1 = 1.0 / (spec.p - 1.0)
-    nm1 = float(spec.n - 1)
-    f1 = spec.f1.scalar_fn()
-    g1 = spec.g1.scalar_fn()
-    f2 = spec.f2.scalar_fn()
-    g2 = spec.g2.scalar_fn()
-    h = spec.h.scalar_fn()
+class _Kernels(NamedTuple):
+    """The right-hand side of one problem, compiled.  On floats, for the
+    march: ``radial(r, u, v, I1, I2)`` gives (w, dv, fI1, fI2) and
+    ``pole(s, r, u, L1, L2)`` the derivatives in s = ln v of (r, u, ln I1,
+    ln I2).  On arrays: ``nodes(r, v, I1, I2)`` gives (w, dv, fI1, fI2) at
+    nodes with r > 0, and ``radial_rhs`` and ``pole_rhs`` are the two
+    phases' right-hand sides for the dense stages."""
 
-    def rhs(r, u, v, I1, I2):
-        rd = r**delta
-        rn = r**nm1
+    radial: Callable
+    pole: Callable
+    nodes: Callable
+    radial_rhs: Callable
+    pole_rhs: Callable
+
+
+# With W = c1 * I1 / r**delta and Z = I2 / r**(n-1), the right-hand side is
+# w = W**theta, dv = Z**(1/(p-1)), fI1 = r**delta f1(r) g1(v) and
+# fI2 = r**(n-1) f2(r) g2(v) h(w).  On floats an accumulator that a stage
+# leaves at or below zero gives a zero derivative: a negative float to a
+# fractional power is complex in Python.
+_RADIAL_BODY = """\
+        rd = r ** delta
+        rn = r ** nm1
         w = (c1 * I1 / rd) ** theta if I1 > 0.0 else 0.0
         dv = (I2 / rn) ** inv_pm1 if I2 > 0.0 else 0.0
-        return w, dv, rd * f1(r) * g1(v), rn * f2(r) * g2(v) * h(w)
+        fI1 = {fI1}
+        fI2 = {fI2}
+"""
+_KERNEL_SOURCE = """\
+def make({constants}):
+    def radial(r, u, v, I1, I2):
+{body}\
+        return w, dv, fI1, fI2
 
-    return rhs
+    def pole(s, r, u, L1, L2):
+        v = exp(s)
+        I1 = exp(L1)
+        I2 = exp(L2)
+{body}\
+        drds = v / dv
+        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
+
+    def nodes(r, v, I1, I2):
+        rd = r ** delta
+        rn = r ** nm1
+        w = (c1 * I1 / rd) ** theta
+        dv = (I2 / rn) ** inv_pm1
+        return w, dv, {fI1}, {fI2}
+
+    def radial_rhs(r, u, v, I1, I2):
+        return nodes(r, v, np.maximum(I1, 0.0), np.maximum(I2, 0.0))
+
+    def pole_rhs(s, r, u, L1, L2):
+        v, I1, I2 = np.exp(s), np.exp(L1), np.exp(L2)
+        w, dv, fI1, fI2 = nodes(r, v, I1, I2)
+        drds = v / dv
+        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
+
+    return radial, pole, nodes, radial_rhs, pole_rhs
+"""
+#: Compiled kernel factories by their source text: problems whose power sums
+#: have the same shape share one.
+_KERNEL_FACTORIES: dict[str, Callable] = {}
 
 
-def _rhs_arrays(spec: ProblemSpec, r, v, I1, I2):
-    """The right-hand side (w, dv, fI1, fI2) at arrays of nodes with r > 0."""
-    delta = spec.delta
-    rd = r**delta
-    rn = r ** float(spec.n - 1)
-    w = (delta / (spec.n - 1.0) * I1 / rd) ** spec.theta
-    dv = (I2 / rn) ** (1.0 / (spec.p - 1.0))
-    fI1 = rd * spec.f1(r) * spec.g1(v)
-    fI2 = rn * spec.f2(r) * spec.g2(v) * spec.h(w)
-    return w, dv, fI1, fI2
+def _power_sum(name: str, f, t: str, constants: dict) -> str | None:
+    """The power sum f at the variable t as an expression over constants
+    named <name>_c<i> and <name>_e<i>, which are added to ``constants``; None
+    for the constant 1.  The terms are summed in order, c * t**e each, c
+    alone for e = 0 and c * t for e = 1, with exact factors 1.0 left out:
+    the float operations of :meth:`FuncExpr.__call__`."""
+    if f.terms == ((1.0, 0.0),):
+        return None
+    terms = []
+    for i, (coeff, exponent) in enumerate(f.terms):
+        factors = []
+        if coeff != 1.0 or exponent == 0.0:
+            constants[f"{name}_c{i}"] = coeff
+            factors.append(f"{name}_c{i}")
+        if exponent == 1.0:
+            factors.append(t)
+        elif exponent != 0.0:
+            constants[f"{name}_e{i}"] = exponent
+            factors.append(f"{t} ** {name}_e{i}")
+        terms.append(" * ".join(factors))
+    total = " + ".join(terms)
+    return total if total.isidentifier() else f"({total})"
+
+
+def _kernels(spec: ProblemSpec) -> _Kernels:
+    """Compile the right-hand side of ``spec`` into straight-line kernels.
+
+    Its power sums are written out as Python source over named constants,
+    with the float operations of the closures they replace in the same
+    order, so every result keeps its bits.  The source depends only on the
+    shape of the sums, so it is compiled once for all problems that share
+    it; the constants are bound per problem."""
+    constants = {
+        "c1": spec.delta / (spec.n - 1.0),
+        "delta": spec.delta,
+        "nm1": float(spec.n - 1),
+        "theta": spec.theta,
+        "inv_pm1": 1.0 / (spec.p - 1.0),
+    }
+
+    def product(*factors):
+        return " * ".join(f for f in factors if f is not None)
+
+    sums = {
+        name: _power_sum(name, getattr(spec, name), t, constants)
+        for name, t in (("f1", "r"), ("g1", "v"), ("f2", "r"), ("g2", "v"), ("h", "w"))
+    }
+    sources = {
+        "fI1": product("rd", sums["f1"], sums["g1"]),
+        "fI2": product("rn", sums["f2"], sums["g2"], sums["h"]),
+    }
+    source = _KERNEL_SOURCE.format(
+        constants=", ".join(constants), body=_RADIAL_BODY.format(**sources), **sources
+    )
+    make = _KERNEL_FACTORIES.get(source)
+    if make is None:
+        namespace = {"exp": math.exp, "np": np}
+        exec(compile(source, "<radlab rhs kernels>", "exec"), namespace)
+        make = _KERNEL_FACTORIES[source] = namespace["make"]
+    return _Kernels(*make(**constants))
 
 
 #: The local error is held below this fraction of rel_tol: the emitted
@@ -482,10 +598,13 @@ def march(
     is accepted when its combined error estimate lies below 0.05 * rel_tol
     times max(|y|, |y_new|) in every component, or below 0.05 * rel_tol
     itself for the two logarithms; the next step size is the current one
-    times 0.9 * err**(-1/8), clamped to [0.2, 5].  Each accepted step keeps
-    its stages, and after the march :func:`_emit_nodes` emits it as 14 equal
-    sub-panels whose interior nodes come from the seventh-order continuous
-    extension.
+    times 0.9 * err**(-1/8), clamped to [0.2, 5].  The stages evaluate the
+    problem's compiled scalar kernels (:func:`_kernels`), straight-line code
+    with the float operations of its power sums and, in s, the exponentials
+    inlined.  Each accepted step keeps its stages, and after the march
+    :func:`_emit_nodes` emits it as 14 equal sub-panels whose interior nodes
+    come from the seventh-order continuous extension, one product with its
+    node matrix.
 
     The run ends as ReachedTarget once r is within 1e-14 * target_radius
     of the target; in s a step that would overshoot it by more than that is
@@ -507,16 +626,7 @@ def march(
             "solutions to exist"
         )
     boot = picard_bootstrap(spec, u0, v0, options)
-
-    rhs = _rhs_factory(spec)
-
-    def pole_rhs(s, r, u, L1, L2):
-        v = math.exp(s)
-        I1 = math.exp(L1)
-        I2 = math.exp(L2)
-        w, dv, fI1, fI2 = rhs(r, u, v, I1, I2)
-        drds = v / dv
-        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
+    kernels = _kernels(spec)
 
     tol = _ERR_SCALE * options.rel_tol
     target = options.target_radius
@@ -525,7 +635,7 @@ def march(
 
     # x is r and y is (u, v, I1, I2) until the pole dominates; from then on
     # x is s = ln v and y is (r, u, ln I1, ln I2).
-    f = rhs
+    f = kernels.radial
     absolute = (False, False, False, False)
     x = float(boot.r[-1])
     y = (float(boot.u[-1]), float(boot.v[-1]), float(boot.I1[-1]), float(boot.I2[-1]))
@@ -543,7 +653,7 @@ def march(
     terminated = None
 
     while True:
-        in_pole = f is pole_rhs
+        in_pole = f is kernels.pole
         r = y[0] if in_pole else x
         if target - r <= arrival:
             terminated = TerminationReason.REACHED_TARGET
@@ -590,7 +700,7 @@ def march(
         h *= factor
         if switch:
             # From here march in s = ln v; the next increment in r is kept.
-            f = pole_rhs
+            f = kernels.pole
             absolute = (False, False, True, True)
             pole_switch_r = x
             x, y = math.log(y[1]), (x, y[0], math.log(y[2]), math.log(y[3]))
@@ -598,7 +708,7 @@ def march(
             evals += 1
             h /= k1[0]
 
-    columns, kept, dense_evals = _emit_nodes(spec, boot, radial_steps, pole_steps)
+    columns, kept, dense_evals = _emit_nodes(kernels, boot, radial_steps, pole_steps)
     evals += dense_evals
     if kept < len(spans):
         start, end = spans[kept]
@@ -628,36 +738,31 @@ def march(
     )
 
 
-def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, radial_steps, pole_steps):
+def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_steps):
     """The trajectory columns, the number of steps kept, and the evaluations
     of the right-hand side this pass makes.
 
     The columns are the closed-form start, then every accepted step as the
     13 interior nodes of its continuous extension and its end node, the
     steps in s = ln v mapped back to (r, u, v = e**s, I1 = e**ln I1,
-    I2 = e**ln I2).  The three extra stages of the extension are evaluated
-    for all steps of a phase at once, and the first step whose nodes are not
-    finite or do not advance r strictly is dropped with every later one.
-    Roundoff-level dips of the dense output are clamped so every profile
-    stays nondecreasing, and the right-hand side is evaluated in one
+    I2 = e**ln I2).  The step rows of a phase are read into one array, its
+    three extra stages are evaluated for all of its steps at once by the
+    compiled array kernels, and its interior nodes are one product with the
+    node matrix of :func:`dop853.dense_output`.  The first step whose nodes
+    are not finite or do not advance r strictly is dropped with every later
+    one.  Roundoff-level dips of the dense output are clamped so every
+    profile stays nondecreasing, and the right-hand side is evaluated in one
     vectorised pass over the march's nodes."""
-
-    def radial_rhs(r, u, v, I1, I2):
-        return _rhs_arrays(spec, r, v, np.maximum(I1, 0.0), np.maximum(I2, 0.0))
-
-    def pole_rhs(s, r, u, L1, L2):
-        v, I1, I2 = np.exp(s), np.exp(L1), np.exp(L2)
-        w, dv, fI1, fI2 = _rhs_arrays(spec, r, v, I1, I2)
-        drds = v / dv
-        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
-
     parts = [(boot.r, boot.u, boot.v, boot.I1, boot.I2)]
     thetas = np.arange(1, _SUBPANELS) / _SUBPANELS
     kept = evals = 0
-    for steps, f in ((radial_steps, radial_rhs), (pole_steps, pole_rhs)):
+    for steps, f in ((radial_steps, kernels.radial_rhs), (pole_steps, kernels.pole_rhs)):
         if not steps:
             continue
-        steps = np.array(steps)
+        width = len(steps[0])
+        steps = np.fromiter(
+            chain.from_iterable(steps), float, len(steps) * width
+        ).reshape(-1, width)
         # Extra stages that leave the float range are caught below, as
         # nodes that are not finite.
         with np.errstate(all="ignore"):
@@ -665,7 +770,7 @@ def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, radial_steps, pole_st
         evals += 3 * len(steps)
         states = np.concatenate([sub, steps[:, None, 6:10]], axis=1)
         x = steps[:, :1] + steps[:, 1:2] * np.append(thetas, 1.0)
-        in_pole = f is pole_rhs
+        in_pole = f is kernels.pole_rhs
         start, r = (steps[:, 2], states[:, :, 0]) if in_pole else (steps[:, 0], x)
         advances = np.diff(np.concatenate([start[:, None], r], axis=1), axis=1) > 0.0
         bad = np.flatnonzero(~(advances.all(axis=1) & np.isfinite(states).all(axis=(1, 2))))
@@ -685,8 +790,8 @@ def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, radial_steps, pole_st
     for key, col in (("u", u), ("v", v), ("I1", I1), ("I2", I2)):
         columns[key] = np.maximum.accumulate(col)
     m = len(boot.r)
-    w, dv, fI1, fI2 = _rhs_arrays(
-        spec, r[m:], columns["v"][m:], columns["I1"][m:], columns["I2"][m:]
+    w, dv, fI1, fI2 = kernels.nodes(
+        r[m:], columns["v"][m:], columns["I1"][m:], columns["I2"][m:]
     )
     columns["w"] = np.maximum.accumulate(np.concatenate([boot.w, w]))
     columns["dv"] = np.maximum.accumulate(np.concatenate([boot.dv, dv]))
@@ -869,14 +974,9 @@ def blowup_envelope_check(
     )
 
 
-def fd_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of samples ``y`` on the strictly increasing grid ``x``: at
-    x_i, that of the Lagrange interpolant through five nodes (all, on
-    shorter grids), centred or shifted one-sided at the ends.  Its weights,
-    k and j in the window (Fornberg, Math. Comp. 51, 1988), are w_i =
-    sum_{k!=i} 1/(x_i-x_k), w_j = prod_{k!=i,j}(x_i-x_k) / prod_{k!=j}(x_j-x_k)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _fd_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and sample indices of :func:`fd_derivative` on the grid x:
+    the derivative of y is ``einsum("ij,ij->i", weights, y[idx])``."""
     n = len(x)
     if n < 2:
         raise ValueError("at least two samples are required")
@@ -893,7 +993,17 @@ def fd_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     weights = np.prod(ahead, axis=1, keepdims=True) / (ahead * np.prod(gaps, axis=2))
     ahead[rows, at] = np.inf
     weights[rows, at] = np.sum(1.0 / ahead, axis=1)
-    return np.einsum("ij,ij->i", weights, y[idx])
+    return weights, idx
+
+
+def fd_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Derivative of samples ``y`` on the strictly increasing grid ``x``: at
+    x_i, that of the Lagrange interpolant through five nodes (all, on
+    shorter grids), centred or shifted one-sided at the ends.  Its weights,
+    k and j in the window (Fornberg, Math. Comp. 51, 1988), are w_i =
+    sum_{k!=i} 1/(x_i-x_k), w_j = prod_{k!=i,j}(x_i-x_k) / prod_{k!=j}(x_j-x_k)."""
+    weights, idx = _fd_weights(np.asarray(x, dtype=float))
+    return np.einsum("ij,ij->i", weights, np.asarray(y, dtype=float)[idx])
 
 
 def relative_residuals(
@@ -910,16 +1020,18 @@ def relative_residuals(
         [dv**(p-1)]'   + ((n-1)/r) dv**(p-1) =          f2 g2(v) h(du)
 
     in W = du**(p-1-a) and Z = dv**(p-1), each normalized by the sum of its
-    term magnitudes.  W' and Z' come from :func:`fd_derivative` of the
-    sampled values, not from the integrator, so this is an independent
-    check.  At r = 0 the removable limits W/r -> W'(0) and Z/r -> Z'(0)
-    turn the left sides into (1+d) W'(0) and n Z'(0).
+    term magnitudes.  W' and Z' come from the weights of
+    :func:`fd_derivative`, built once for both, on the sampled values, not
+    from the integrator, so this is an independent check.  At r = 0 the
+    removable limits W/r -> W'(0) and Z/r -> Z'(0) turn the left sides into
+    (1+d) W'(0) and n Z'(0).
     """
     r, v, du, dv = (np.asarray(a, dtype=float) for a in (r, v, du, dv))
     n, delta = spec.n, spec.delta
     W = du ** (spec.p - 1.0 - spec.alpha)
     Z = dv ** (spec.p - 1.0)
-    dW, dZ = fd_derivative(r, W), fd_derivative(r, Z)
+    weights, idx = _fd_weights(r)
+    dW, dZ = (np.einsum("ij,ij->i", weights, y[idx]) for y in (W, Z))
     if r[0] == 0.0:
         dW[0] *= 1.0 + delta
         dZ[0] *= n

@@ -1,10 +1,15 @@
 """The radial integrator: closed-form start, marching, diagnostics."""
 
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radlab import dop853, solver
 from radlab.classify import (
@@ -15,7 +20,7 @@ from radlab.classify import (
     reconcile,
 )
 from radlab.config import load_config
-from radlab.expressions import parse_expr
+from radlab.expressions import FuncExpr, parse_expr
 from radlab.problem import InvalidProblem, ProblemSpec
 from radlab.solver import (
     SolverError,
@@ -586,6 +591,26 @@ def test_first_slope_of_a_phase_outside_the_float_range_is_a_solver_error():
             solver._first_slope(f, 2000.0, (10.0,) * 4, 3.0)
 
 
+def test_start_runs_past_the_cap_to_normal_profiles():
+    # alpha = 0.99 gives theta = 100, so h(u') = u'**4 and with it v' stay
+    # below the normal floats until r ~ 18, past the cap of half the target
+    # radius.  The start must end at the first radius where every profile is
+    # a normal float, not fail, and the march must return a trajectory.
+    spec = power_spec(2.0, 0.99, 1, 0, 4)
+    options = SolverOptions(target_radius=20.0)
+    boot = picard_bootstrap(spec, 1.0, 1.0, options)
+    assert 10.0 < boot.r0 < 20.0
+    tiny = np.finfo(float).tiny
+    for column in (boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2, boot.fI1, boot.fI2):
+        assert np.all(column[1:] >= tiny) and np.all(np.isfinite(column))
+    run = march(spec, 1.0, 1.0, options)
+    assert run.start_radius == boot.r0
+    assert run.r_end > boot.r0
+    # Where the profiles stay subnormal up to the target there is no start.
+    with pytest.raises(SolverError, match="not normal floats"):
+        picard_bootstrap(spec, 1.0, 1.0, SolverOptions(target_radius=15.0))
+
+
 def test_rejection_floor_does_not_depend_on_the_target():
     # The pole of this run lies at R0 ~ 1.6e-6, far inside either target, so
     # the target radius must not change a single step: the floor on a
@@ -599,3 +624,150 @@ def test_rejection_floor_does_not_depend_on_the_target():
         assert run.terminated is TerminationReason.BLOW_UP, run.notes
     assert near.R0 == far.R0
     assert near.rhs_evals == far.rhs_evals
+
+
+# The closures and FuncExpr formulas that the compiled kernels replace: the
+# reference for their bits.
+def _closure_rhs(spec):
+    theta, delta = spec.theta, spec.delta
+    c1 = delta / (spec.n - 1.0)
+    inv_pm1 = 1.0 / (spec.p - 1.0)
+    nm1 = float(spec.n - 1)
+    f1, g1, f2, g2, h = (getattr(spec, k).scalar_fn() for k in ("f1", "g1", "f2", "g2", "h"))
+
+    def radial(r, u, v, I1, I2):
+        rd = r**delta
+        rn = r**nm1
+        w = (c1 * I1 / rd) ** theta if I1 > 0.0 else 0.0
+        dv = (I2 / rn) ** inv_pm1 if I2 > 0.0 else 0.0
+        return w, dv, rd * f1(r) * g1(v), rn * f2(r) * g2(v) * h(w)
+
+    def pole(s, r, u, L1, L2):
+        v, I1, I2 = math.exp(s), math.exp(L1), math.exp(L2)
+        w, dv, fI1, fI2 = radial(r, u, v, I1, I2)
+        drds = v / dv
+        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
+
+    return radial, pole
+
+
+def _funcexpr_arrays(spec, r, v, I1, I2):
+    delta = spec.delta
+    rd = r**delta
+    rn = r ** float(spec.n - 1)
+    w = (delta / (spec.n - 1.0) * I1 / rd) ** spec.theta
+    dv = (I2 / rn) ** (1.0 / (spec.p - 1.0))
+    return w, dv, rd * spec.f1(r) * spec.g1(v), rn * spec.f2(r) * spec.g2(v) * spec.h(w)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Power sums of 1 to 3 terms whose coefficients are often exactly 1 and whose
+# exponents are often exactly 0 or 1, the cases the kernels write out apart.
+_power_sums = st.lists(
+    st.tuples(
+        st.one_of(st.just(1.0), st.floats(0.1, 10.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 4.0)),
+    ),
+    min_size=1, max_size=3, unique_by=lambda term: term[1],
+).map(FuncExpr.from_terms)
+
+
+@settings(derandomize=True, max_examples=120)
+@given(
+    p=st.floats(1.5, 3.5),
+    alpha_share=st.floats(0.0, 0.5),
+    n=st.sampled_from([2, 3, 5]),
+    sums=st.tuples(*[_power_sums] * 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_kernels_keep_the_bits_of_the_formulas(p, alpha_share, n, sums, seed):
+    f1, f2, g1, g2, h = sums
+    spec = ProblemSpec(
+        p=p, alpha=alpha_share * (p - 1.0), n=n, f1=f1, f2=f2, g1=g1, g2=g2, h=h
+    )
+    kernels = solver._kernels(spec)
+    radial, pole = _closure_rhs(spec)
+    rng = np.random.default_rng(seed)
+    r, u, v, I1, I2 = rng.uniform([0.5, 0.5, 0.5, 1e-3, 1e-3], [3.0, 3.0, 3.0, 5.0, 5.0], (8, 5)).T
+    I1[0] = I2[1] = 0.0  # the zero branches of the scalar kernels
+    s, L1, L2 = np.log(v), np.log(I1 + 0.5), np.log(I2 + 0.5)
+    for i in range(len(r)):
+        state = float(r[i]), float(u[i]), float(v[i]), float(I1[i]), float(I2[i])
+        assert _bits(kernels.radial(*state)) == _bits(radial(*state))
+        state = float(s[i]), float(r[i]), float(u[i]), float(L1[i]), float(L2[i])
+        assert _bits(kernels.pole(*state)) == _bits(pole(*state))
+    assert _bits(kernels.nodes(r, v, I1, I2)) == _bits(_funcexpr_arrays(spec, r, v, I1, I2))
+    assert _bits(kernels.radial_rhs(r, u, v, I1, I2)) == _bits(
+        _funcexpr_arrays(spec, r, v, I1, I2)
+    )
+    v, I1, I2 = np.exp(s), np.exp(L1), np.exp(L2)
+    w, dv, fI1, fI2 = _funcexpr_arrays(spec, r, v, I1, I2)
+    drds = v / dv
+    assert _bits(kernels.pole_rhs(s, r, u, L1, L2)) == _bits(
+        (drds, drds * w, drds * fI1 / I1, drds * fI2 / I2)
+    )
+
+
+def reference_dense_output(f, row, theta):
+    """One step's continuous extension at theta, as loops over the named
+    dense-output coefficients, in Horner form."""
+    x, h, y0, y1 = row[0], row[1], row[2:6], row[6:10]
+    K = [row[10 + 4 * j : 14 + 4 * j] for j in range(9)]  # stages 1, 6 to 13
+    for c, a in zip(dop853._DENSE_C, dop853._DENSE_A):
+        stage = [y0[i] + h * sum(a[j] * K[j][i] for j in range(len(K))) for i in range(4)]
+        K.append(f(x + c * h, *stage))
+    assert [1, 13] == [dop853._DENSE_STAGES[0], dop853._DENSE_STAGES[8]]
+    out = []
+    for i in range(4):
+        dy = y1[i] - y0[i]
+        F = [dy, h * K[0][i] - dy, 2.0 * dy - h * (K[8][i] + K[0][i])]
+        F += [h * sum(d[j] * K[j][i] for j in range(12)) for d in dop853._DENSE_D]
+        y = 0.0
+        for k, Fk in enumerate(reversed(F)):
+            y = (y + Fk) * (theta if k % 2 == 0 else 1.0 - theta)
+        out.append(y0[i] + y)
+    return out
+
+
+def test_dense_output_node_matrix_matches_horner_reference():
+    h = 0.25
+    x, y = 0.0, tuple(_rotation_exact(0.0))
+    k1 = _rotation_rhs(x, *y)
+    rows = []
+    for _ in range(8):
+        y, k1, row, _ = dop853.step(_rotation_rhs, x, h, y, k1, 1.0, (True,) * 4)
+        rows.append(row)
+        x += h
+    thetas = np.arange(1, 14) / 14.0
+    got = dop853.dense_output(_rotation_rhs, np.array(rows), thetas)
+    want = [[reference_dense_output(_rotation_rhs, row, t) for t in thetas] for row in rows]
+    assert got.shape == (8, 13, 4)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_sweep_rows_share_one_compiled_kernel():
+    # Nothing compiles at import; the sweep's rows differ only in the
+    # exponent of h, so they share one compiled source, bound to their own
+    # constants.
+    script = """
+import pathlib, sys
+from radlab import solver
+from radlab.config import load_config
+assert not solver._KERNEL_FACTORIES
+config = load_config(sys.argv[1])
+two, three = (solver._kernels(config.with_value("q", q).spec()) for q in (2.0, 3.0))
+assert len(solver._KERNEL_FACTORIES) == 1
+for a, b in zip(two, three):
+    assert a.__code__ is b.__code__ and a is not b
+assert two.radial(1.5, 1.0, 1.0, 1.0, 1.0) != three.radial(1.5, 1.0, 1.0, 1.0, 1.0)
+"""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root / "configs" / "sweep_q.cfg")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
