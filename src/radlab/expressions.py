@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -102,25 +102,6 @@ class FuncExpr:
             else:
                 total += coeff * x**exponent
         return total
-
-    def scalar_fn(self) -> Callable[[float], float]:
-        """A specialized scalar closure, for tight evaluation loops."""
-        if len(self.terms) == 1:
-            coeff, exponent = self.terms[0]
-            if exponent == 0.0:
-                return lambda t: coeff
-            if exponent == 1.0:
-                return lambda t: coeff * t
-            return lambda t: coeff * t**exponent
-        terms = self.terms
-
-        def call(t: float) -> float:
-            total = 0.0
-            for coeff, exponent in terms:
-                total += coeff * t**exponent if exponent != 0.0 else coeff
-            return total
-
-        return call
 
     # -- structure -------------------------------------------------------
 

@@ -9,9 +9,10 @@ a computed (or externally supplied) trajectory.  Each check returns an
 failure pinpoints both the inequality and its margin.
 
 The slacks encode discretization error only: finite differences for the
-convexity bounds, quadrature for the sandwich of a multi-term h (a
-single-term h has it in closed form).  A structural violation (wrong sign,
-wrong ordering) fails regardless of magnitude.
+convexity bounds, and rounding in the sandwich integrals (closed forms for a
+single-term h, the fixed Gauss–Legendre rule in ln t of
+:mod:`radlab.criteria` for other power sums).  A structural violation
+(wrong sign, wrong ordering) fails regardless of magnitude.
 """
 
 from __future__ import annotations
@@ -228,8 +229,8 @@ def check_uprime_estimate(solution) -> InequalityReport:
 
 def check_sandwich(h: FuncExpr, p: float, samples) -> InequalityReport:
     """Ordering of the three cumulative-transform quantities at every
-    sample point s > 0 (slack covers quadrature error only; single-term h
-    has closed forms)."""
+    sample point s > 0 (slack covers rounding in their integrals only:
+    closed forms for single-term h, the fixed rule in ln t otherwise)."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("at least one sample point is required")

@@ -22,7 +22,7 @@ from radlab.criteria import (
     tail_exponent_verdict,
 )
 from radlab.expressions import FuncExpr, parse_expr
-from radlab.quadrature import adaptive_quad, integral_to_infinity
+from radlab.quadrature import adaptive_quad
 from radlab.solver import (
     SolverOptions,
     TerminationReason,
@@ -33,6 +33,7 @@ from radlab.solver import (
 from radlab.verify import trajectory_reports
 
 from conftest import CASE_BY_NAME, REFERENCE_CASES, power_spec
+from quadrature_oracle import integral_to_infinity
 
 #: Runs shared between criteria 3 and 4 (criterion 3 populates while timing).
 _RUNS: dict = {}

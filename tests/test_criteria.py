@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from radlab import criteria
 from radlab.criteria import (
     CriterionDiverges,
     CriterionKind,
@@ -19,15 +20,13 @@ from radlab.criteria import (
     phi,
     phi_inverse,
     sandwich_check,
+    sandwich_quantities,
 )
-from radlab.expressions import parse_expr
-from radlab.quadrature import (
-    adaptive_quad,
-    integral_to_infinity,
-    integral_with_endpoint_power,
-)
+from radlab.expressions import FuncExpr, parse_expr
+from radlab.quadrature import adaptive_quad
 
 from conftest import power_spec
+from quadrature_oracle import integral_to_infinity, integral_with_endpoint_power
 
 
 def test_theta_and_outer_power_reference_values():
@@ -176,6 +175,100 @@ def test_phi_inverse_multi_term_round_trip_to_roundoff():
             assert phi_inverse(spec, phi(spec, t)) == pytest.approx(t, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "h, expected",
+    # Independent nested quadrature in ln t up to t = e**200, plus the
+    # closed-form tail of the leading term beyond.
+    [("t^0.5 + t^1.03", 131.0457308271428), ("1 + t^1.06", 65.74986311040584)],
+)
+def test_slow_tail_keeps_its_mass(h, expected):
+    # The tail decays like s**-1.01 and s**-1.02: a fifth of the mass lies
+    # beyond s = 1e300, where quadrature of a substituted tail cannot reach.
+    base = power_spec(2.0, 0.0, 1, 0, 1)
+    spec = type(base)(
+        p=base.p, alpha=base.alpha, n=base.n,
+        f1=base.f1, f2=base.f2, g1=base.g1, g2=base.g2,
+        h=parse_expr(h),
+    )
+    assert phi(spec, 1.0) == pytest.approx(expected, rel=1e-12)
+    value = criterion(spec, CriterionKind.UNWEIGHTED).value
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
+def _with_gauss_points(points, evaluate):
+    """``evaluate()`` with the fixed rule rebuilt on ``points`` per panel."""
+    saved = criteria._GAUSS_POINTS
+    criteria._GAUSS_POINTS = points
+    criteria._log_rule.cache_clear()
+    criteria._tail_rule.cache_clear()
+    try:
+        return evaluate()
+    finally:
+        criteria._GAUSS_POINTS = saved
+        criteria._log_rule.cache_clear()
+        criteria._tail_rule.cache_clear()
+
+
+@settings(derandomize=True, max_examples=25)
+@given(
+    p=st.floats(1.5, 3.0),
+    constant=st.floats(0.05, 20.0),
+    terms=st.lists(
+        st.tuples(st.floats(0.05, 20.0), st.floats(0.1, 6.0)),
+        min_size=1, max_size=2, unique_by=lambda term: round(term[1], 2),
+    ),
+    s=st.floats(0.01, 50.0),
+)
+def test_fixed_rule_matches_quadrature_and_is_converged(p, constant, terms, s):
+    h = FuncExpr.from_terms([(constant, 0.0), *terms])
+    base = power_spec(p, 0.0, 2, 0, 1)
+    spec = type(base)(
+        p=p, alpha=0.0, n=base.n,
+        f1=base.f1, f2=base.f2, g1=base.g1, g2=base.g2, h=h,
+    )
+    th, nu = spec.theta, outer_power(spec)
+    decay = nu * (h.leading_exponent * th / p + 1.0)
+    # A tail barely steeper than 1/s defeats the substituted oracle (see
+    # test_slow_tail_keeps_its_mass), not the rule under test.
+    assume(decay > 1.3)
+
+    def evaluate():
+        return (
+            inner_integral(h, th, p, s),
+            phi(spec, s),
+            *sandwich_quantities(h, p)(s),
+        )
+
+    got = evaluate()
+    h_th = h.compose_power(th)
+    inner = integral_with_endpoint_power(
+        lambda t: h_th(t) ** (1.0 / p), s, h_th.smallest_exponent / p, rel_tol=1e-12
+    )
+    tail = integral_to_infinity(
+        lambda x: inner_integral(h, th, p, x) ** -nu, s,
+        tail_exponent=decay, rel_tol=1e-12,
+    )
+    want = (inner, tail, *_sandwich_by_quadrature(h, p, s))
+    assert got == pytest.approx(want, rel=1e-10)
+    doubled = _with_gauss_points(2 * criteria._GAUSS_POINTS, evaluate)
+    assert doubled == pytest.approx(got, rel=1e-13, abs=0.0)
+
+
+def test_phi_inverse_rejects_values_above_phi_at_zero():
+    # With a constant term in h, inner(s) ~ s near 0 and nu < 1, so phi
+    # stays below a finite phi(0+); larger values have no inverse.
+    base = power_spec(2.0, 0.0, 1, 0, 1)
+    spec = type(base)(
+        p=base.p, alpha=base.alpha, n=base.n,
+        f1=base.f1, f2=base.f2, g1=base.g1, g2=base.g2,
+        h=parse_expr("1 + t^2"),
+    )
+    top = phi(spec, 1e-300)
+    assert phi_inverse(spec, 0.999 * top) < 1e-3
+    with pytest.raises(ValueError):
+        phi_inverse(spec, 1.001 * top)
+
+
 def test_phi_raises_on_divergent_unweighted():
     spec = power_spec(2.0, 0.0, 1, 0, 1)  # unweighted diverges
     with pytest.raises(CriterionDiverges):
@@ -213,16 +306,15 @@ def test_sandwich_ordering_property(p, s, exponent, coeff):
 def _sandwich_by_quadrature(h, p, s):
     """The sandwich quantities with every integral by adaptive quadrature."""
     H = h.antiderivative()
-    H_fn, h_fn = H.scalar_fn(), h.scalar_fn()
     root = 1.0 / (p - 1.0)
 
     def integral_H_root(upper):
         return integral_with_endpoint_power(
-            lambda t: H_fn(t) ** root, upper, H.smallest_exponent * root, rel_tol=1e-12
+            lambda t: H(t) ** root, upper, H.smallest_exponent * root, rel_tol=1e-12
         )
 
     h_integral = integral_with_endpoint_power(
-        lambda t: h_fn(t) ** (1.0 / p), p * s, h.smallest_exponent / p, rel_tol=1e-12
+        lambda t: h(t) ** (1.0 / p), p * s, h.smallest_exponent / p, rel_tol=1e-12
     )
     return (
         (p - 1.0) ** (2.0 * p - 1.0) * integral_H_root(s) ** (p - 1.0),

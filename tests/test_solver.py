@@ -286,6 +286,23 @@ def test_envelope_constants_ordered(solved_cases):
         assert report.points_checked > 50
 
 
+def test_envelope_checks_every_final_decade_node_of_a_multi_term_blowup():
+    # More than 257 nodes with w > 0 lie in the final decade before R0 here;
+    # every one of them is checked, none dropped for cost.
+    spec = ProblemSpec(
+        p=3.0, alpha=0.0, n=3, f1=parse_expr("1"), f2=parse_expr("1"),
+        g1=parse_expr("t^2"), g2=parse_expr("1"), h=parse_expr("1 + t^4"),
+    )
+    run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0, rel_tol=1e-12))
+    assert run.terminated is TerminationReason.BLOW_UP
+    d = run.R0 - run.r
+    final_decade = int(np.sum((d <= 10.0 * d[-1]) & (run.w > 0.0)))
+    assert final_decade > 257
+    report = blowup_envelope_check(run, spec)
+    assert report.points_checked == final_decade
+    assert report.passed
+
+
 def test_envelope_requires_blowup(solved_cases):
     run = solved_cases["A"]  # reached target, no R0
     with pytest.raises(SolverError):
@@ -628,12 +645,24 @@ def test_rejection_floor_does_not_depend_on_the_target():
 
 # The closures and FuncExpr formulas that the compiled kernels replace: the
 # reference for their bits.
+def _scalar(f):
+    terms = f.terms
+
+    def call(t):
+        total = 0.0
+        for coeff, exponent in terms:
+            total += coeff * t**exponent if exponent != 0.0 else coeff
+        return total
+
+    return call
+
+
 def _closure_rhs(spec):
     theta, delta = spec.theta, spec.delta
     c1 = delta / (spec.n - 1.0)
     inv_pm1 = 1.0 / (spec.p - 1.0)
     nm1 = float(spec.n - 1)
-    f1, g1, f2, g2, h = (getattr(spec, k).scalar_fn() for k in ("f1", "g1", "f2", "g2", "h"))
+    f1, g1, f2, g2, h = (_scalar(getattr(spec, k)) for k in ("f1", "g1", "f2", "g2", "h"))
 
     def radial(r, u, v, I1, I2):
         rd = r**delta
