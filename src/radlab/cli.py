@@ -18,7 +18,10 @@ file format (see :mod:`radlab.config`):
 
 Output is deterministic for a fixed config and seed: floats print in
 shortest round-trip form, JSON keys keep a fixed order, and CSV rows
-follow the sweep order given in the file.
+follow the sweep order given in the file.  JSON and ``atlas.csv`` spell
+floats as ``repr`` does; ``trajectory.csv`` has the same digits in
+``orjson``'s notation (``1e-9``, ``1e16``, ``0.0000729``) and writes a
+non-finite residual as ``nan``.
 
 Exit codes: 0 on success, 1 when validation or verification fails,
 2 on configuration errors.
@@ -34,8 +37,10 @@ import json
 import os
 import sys
 import warnings
+from typing import BinaryIO
 
 import numpy as np
+import orjson
 
 from .classify import numeric_classify, predict, reconcile
 from .config import ConfigError, RunConfig, load_config
@@ -56,6 +61,7 @@ __all__ = ["main"]
 SANDWICH_SAMPLES = 64
 
 _TRAJECTORY_COLUMNS = ("r", "u", "v", "du", "dv", "res_eq1", "res_eq2")
+_TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS).encode() + b"\n"
 
 
 def _fmt(value: float) -> str:
@@ -137,14 +143,23 @@ def cmd_classify(config: RunConfig) -> int:
 # solve
 
 
-def _trajectory_csv_text(spec: ProblemSpec, solution) -> str:
-    res1, res2 = relative_residuals(
-        spec, solution.r, solution.v, solution.w, solution.dv
-    )
-    table = (solution.r, solution.u, solution.v, solution.w, solution.dv, res1, res2)
-    lines = [",".join(_TRAJECTORY_COLUMNS)]
-    lines.extend(",".join(map(repr, row)) for row in np.column_stack(table).tolist())
-    return "\n".join(lines) + "\n"
+def _write_trajectory(fh: BinaryIO, table: np.ndarray) -> None:
+    """Write a C-contiguous (N, 7) float64 ``table`` as the trajectory CSV.
+
+    One ``orjson`` call formats every float with Ryu's shortest round-trip
+    digits (those of ``repr``, in JSON notation: ``1e-9``, not ``1e-09``);
+    the JSON array becomes CSV by turning ``],[`` into newlines and
+    dropping the outer brackets.  ``orjson`` writes nan and +-inf alike as
+    ``null``, so every ``null`` is written as ``nan``.  That is exact here:
+    the march keeps the five state columns finite, and a residual
+    |a+b-c| / (|a|+|b|+|c|+1e-300) is, by monotone rounding, either in
+    [0, 1] or nan (an overflowed term gives inf/inf), never +-inf.
+    """
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
+    rows = text.replace(b"],[", b"\n").replace(b"null", b"nan")
+    fh.write(_TRAJECTORY_HEADER)
+    fh.write(memoryview(rows)[2:-2])
+    fh.write(b"\n")
 
 
 def cmd_solve(config: RunConfig, out_dir: str) -> int:
@@ -177,14 +192,18 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
         solution = march(spec, config.u0, config.v0, config.solver_options())
     except (SolverError, InvalidProblem) as exc:
         payload["notes"] = [f"solver failed: {exc}"]
-        _write_report(out_dir, payload)
-        _print_json(payload)
+        _emit_report(out_dir, payload)
         return 0
 
     numeric = numeric_classify(solution, domain)
-    csv_text = _trajectory_csv_text(spec, solution)
-    with open(os.path.join(out_dir, "trajectory.csv"), "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
+    res1, res2 = relative_residuals(
+        spec, solution.r, solution.v, solution.w, solution.dv
+    )
+    table = np.column_stack(
+        (solution.r, solution.u, solution.v, solution.w, solution.dv, res1, res2)
+    )
+    with open(os.path.join(out_dir, "trajectory.csv"), "wb") as fh:
+        _write_trajectory(fh, table)
 
     checks = trajectory_reports(solution)
     checks.append(_sandwich_report(config, spec))
@@ -219,14 +238,16 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
         notes=payload["notes"] + list(solution.notes),
         trajectory_csv="trajectory.csv",
     )
-    _write_report(out_dir, payload)
-    _print_json(payload)
+    _emit_report(out_dir, payload)
     return 0
 
 
-def _write_report(out_dir: str, payload: dict) -> None:
+def _emit_report(out_dir: str, payload: dict) -> None:
+    """Write ``report.json`` and print the same text."""
+    text = json.dumps(payload, indent=2)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(text + "\n")
+    print(text)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Run-file parsing and the four CLI subcommands."""
 
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -8,10 +10,17 @@ import sys
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radlab.cli import main
-from radlab.config import ConfigError, RunConfig, parse_config_text
+import radlab.cli
+from radlab.cli import _write_trajectory, main
+from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
+from radlab.solver import march, relative_residuals
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = textwrap.dedent(
     """\
@@ -423,14 +432,22 @@ def test_verify_parse_errors_name_the_file(tmp_path, capsys):
             assert where in payload["error"]
 
 
-@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("name", ["a", "b", "c"])
 def test_verify_trajectory_round_trip(name, tmp_path, capsys):
-    # The CSV carries every float in shortest round-trip form, so checks
-    # re-run on the written file must reproduce the solve's reports exactly.
-    config = str(
-        pathlib.Path(__file__).resolve().parent.parent / "configs" / f"problem_{name}.cfg"
-    )
+    # The CSV carries every float in shortest round-trip form: it holds the
+    # bits of the solution and its residuals, and checks re-run on the
+    # written file must reproduce the solve's reports exactly.
+    config = str(CONFIGS / f"problem_{name}.cfg")
     assert run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)[0] == 0
+    written = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    cfg = load_config(config)
+    spec = cfg.spec()
+    run = march(spec, cfg.u0, cfg.v0, cfg.solver_options())
+    res1, res2 = relative_residuals(spec, run.r, run.v, run.w, run.dv)
+    expected = np.column_stack((run.r, run.u, run.v, run.w, run.dv, res1, res2))
+    assert written.shape == expected.shape
+    assert np.array_equal(written.view(np.int64), expected.view(np.int64))
+
     report = json.loads((tmp_path / "report.json").read_text())
     code, out, _ = run_cli(
         ["verify", "--config", config, "--trajectory",
@@ -439,6 +456,74 @@ def test_verify_trajectory_round_trip(name, tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["reports"] == report["verify"]
+
+
+# ------------------------------------------------------------------ trajectory CSV
+
+
+def _significant_digits(token: str) -> str:
+    mantissa = token.lstrip("-").lower().partition("e")[0]
+    return mantissa.replace(".", "").strip("0")
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+)
+_CELLS = st.one_of(
+    _EDGE_FLOATS,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 2.2250738585072014e-308, exclude_max=True),  # subnormals
+    st.floats(1e-5, 1e-4, exclude_max=True),  # positional in the CSV, not in repr
+    st.floats(min_value=1e16, allow_infinity=False),
+)
+_RESIDUAL_CELLS = st.one_of(_CELLS, st.just(math.nan))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(*[_CELLS] * 5, _RESIDUAL_CELLS, _RESIDUAL_CELLS),
+        min_size=1, max_size=12,
+    )
+)
+def test_trajectory_writer_round_trips_every_float(rows):
+    table = np.array(rows, dtype=np.float64)
+    buffer = io.BytesIO()
+    _write_trajectory(buffer, table)
+    lines = buffer.getvalue().decode("ascii").split("\n")
+    assert lines[0] == "r,u,v,du,dv,res_eq1,res_eq2"
+    assert lines[-1] == "" and len(lines) == len(rows) + 2
+    for line, row in zip(lines[1:-1], rows):
+        tokens = line.split(",")
+        assert len(tokens) == 7
+        for token, value in zip(tokens, row):
+            if math.isnan(value):
+                assert token == "nan"
+                continue
+            back = float(token)
+            assert np.float64(back).view(np.int64) == np.float64(value).view(np.int64)
+            assert _significant_digits(token) == _significant_digits(repr(value))
+
+
+def test_nan_residual_is_written_as_nan(tmp_path, capsys, monkeypatch):
+    def with_nan(*args):
+        res1, res2 = relative_residuals(*args)
+        res1[7] = res2[3] = math.nan
+        return res1, res2
+
+    monkeypatch.setattr(radlab.cli, "relative_residuals", with_nan)
+    config = str(CONFIGS / "problem_b.cfg")
+    assert run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)[0] == 0
+    text = (tmp_path / "trajectory.csv").read_text()
+    assert "null" not in text
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows[4][6] == "nan" and rows[8][5] == "nan"
+    assert sum(cell == "nan" for row in rows for cell in row) == 2
+    code, out, _ = run_cli(
+        ["verify", "--config", config, "--trajectory", str(tmp_path / "trajectory.csv")],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_seed_override_accepted(tmp_path, capsys):

@@ -263,6 +263,25 @@ def test_residuals_catch_wrong_trajectory(solved_cases):
     assert np.max(np.abs(res1[window])) > 1e-3
 
 
+def test_residuals_are_nan_or_in_unit_interval_under_overflow():
+    # p - 1 - alpha = 2, so W = du^2 and h(du) = du^6 overflow near du = 1e300;
+    # inf/inf then gives nan.  Rounding is monotone, so a finite defect never
+    # leaves [0, 1]: the trajectory writer relies on nan being the only
+    # non-finite residual.
+    spec = power_spec(p=3.0, alpha=0.0, m=1, beta=0, q=6)
+    r = np.linspace(0.0, 4.0, 25)
+    v, du, dv = 1.0 + r, r.copy(), r**2
+    du[10:13] = 1e150, 1e300, 1e308
+    dv[11], v[12] = 1e308, 1e300
+    du[2], dv[3], v[4], dv[20], du[21] = 5e-324, 0.0, 1e-300, 5e-324, 1e-160
+    with np.errstate(all="ignore"):
+        res1, res2 = relative_residuals(spec, r, v, du, dv)
+    for res in (res1, res2):
+        assert np.all(np.isnan(res) | ((res >= 0.0) & (res <= 1.0)))
+    assert np.isnan(res1).any() and np.isnan(res2).any()
+    assert not (np.isnan(res1).all() or np.isnan(res2).all())
+
+
 def test_scaling_identity_holds():
     spec = CASE_BY_NAME["A"].spec()
     for lam in (0.5, 2.0):
