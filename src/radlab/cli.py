@@ -32,9 +32,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
+import re
 import sys
 import warnings
 from typing import BinaryIO
@@ -62,6 +64,10 @@ SANDWICH_SAMPLES = 64
 
 _TRAJECTORY_COLUMNS = ("r", "u", "v", "du", "dv", "res_eq1", "res_eq2")
 _TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS).encode() + b"\n"
+#: A header line the one-call reader takes: r,u,v,du,dv and more plain names.
+_OWN_HEADER = re.compile(rb"r,u,v,du,dv(?:,\w*)*\n")
+#: Every byte a trajectory body in radlab's notation may hold.
+_OWN_BODY_BYTES = b"0123456789.eE+-,\n"
 
 
 def _fmt(value: float) -> str:
@@ -150,13 +156,16 @@ def _write_trajectory(fh: BinaryIO, table: np.ndarray) -> None:
     digits (those of ``repr``, in JSON notation: ``1e-9``, not ``1e-09``);
     the JSON array becomes CSV by turning ``],[`` into newlines and
     dropping the outer brackets.  ``orjson`` writes nan and +-inf alike as
-    ``null``, so every ``null`` is written as ``nan``.  That is exact here:
-    the march keeps the five state columns finite, and a residual
+    ``null``, so every ``null`` is written as ``nan``, in the rare table
+    that holds one; the rest skip that scan of the text.  That is exact
+    here: the march keeps the five state columns finite, and a residual
     |a+b-c| / (|a|+|b|+|c|+1e-300) is, by monotone rounding, either in
     [0, 1] or nan (an overflowed term gives inf/inf), never +-inf.
     """
     text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
-    rows = text.replace(b"],[", b"\n").replace(b"null", b"nan")
+    rows = text.replace(b"],[", b"\n")
+    if not np.isfinite(table).all():
+        rows = rows.replace(b"null", b"nan")
     fh.write(_TRAJECTORY_HEADER)
     fh.write(memoryview(rows)[2:-2])
     fh.write(b"\n")
@@ -333,7 +342,56 @@ def cmd_sweep(config: RunConfig, out_dir: str, solve: bool) -> int:
 
 
 def _load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryData:
-    """Read a trajectory CSV: the first five columns must be r,u,v,du,dv."""
+    """Read a trajectory CSV: the first five columns must be r,u,v,du,dv.
+
+    A file in the notation :func:`_write_trajectory` emits is read with one
+    ``orjson`` call; any other goes through :func:`_read_general`, which
+    gives the same values for the files both can read.
+    """
+    with open(path, "rb") as fh:
+        table = _read_own_notation(fh.read())
+    if table is None:
+        table = _read_general(path)
+    try:
+        return TrajectoryData(spec, *table.T)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_own_notation(data: bytes) -> np.ndarray | None:
+    """The (N, 5) r,u,v,du,dv columns of a trajectory CSV in radlab's
+    notation, or None for any other file.
+
+    That notation is a header of plain names and a body of JSON numbers
+    only (the bytes of ``_OWN_BODY_BYTES``), each row ending in a newline.
+    Such a body is a JSON array of rows once every newline is ``],[``.  A
+    JSON number spells a decimal that ``float`` reads alike, rounded
+    correctly by both, so the bits are those of ``np.loadtxt``; the one
+    exception is the integer ``-0``, which ``orjson`` reads as the int 0.
+    """
+    header = _OWN_HEADER.match(data)
+    if header is None:
+        return None
+    body = data[header.end():]
+    if not body.endswith(b"\n") or body.translate(None, _OWN_BODY_BYTES):
+        return None
+    try:
+        rows = orjson.loads(b"[[" + body[:-1].replace(b"\n", b"],[") + b"]]")
+        table = np.array(rows, dtype=float)
+    except ValueError:  # not JSON, or rows of different lengths
+        return None
+    if table.shape[1] < 5:
+        return None
+    table = table[:, :5]
+    for i, j in zip(*np.nonzero(table == 0.0)):
+        if type(rows[i][j]) is int:  # maybe -0, whose sign orjson drops
+            return None
+    return table
+
+
+def _read_general(path: str) -> np.ndarray:
+    """The (N, 5) r,u,v,du,dv columns of any trajectory CSV numpy can read,
+    with the line of the first bad row in the error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -345,15 +403,11 @@ def _load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryData:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # no rows: TrajectoryData says so
-                table = np.loadtxt(fh, delimiter=",", usecols=range(5), ndmin=2,
-                                   comments=None, quotechar='"')
+                return np.loadtxt(fh, delimiter=",", usecols=range(5), ndmin=2,
+                                  comments=None, quotechar='"')
         except ValueError as exc:
             fh.seek(0)
             raise ValueError(f"{path}: {_first_bad_row(fh) or exc}") from None
-    try:
-        return TrajectoryData(spec, *table.T)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _first_bad_row(fh) -> str | None:
@@ -400,7 +454,9 @@ def cmd_verify(config: RunConfig, trajectory_path: str | None) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="radlab",
         description="Positive radial solutions of a quasilinear elliptic "

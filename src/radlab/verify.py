@@ -100,6 +100,12 @@ class TrajectoryData:
             raise ValueError("all trajectory columns must share one length")
         if len(self.r) < 2:
             raise ValueError("a trajectory needs at least two points")
+        # Every comparison with nan is false, so the checks below and in
+        # each inequality would pass a nan; an inf breaks their differences.
+        if not all(
+            np.isfinite(arr).all() for arr in (self.r, self.u, self.v, self.w, self.dv)
+        ):
+            raise ValueError("trajectory values must be finite")
         if np.any(np.diff(self.r) <= 0.0):
             raise ValueError("the grid must be strictly increasing")
 

@@ -12,13 +12,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import radlab.cli
 from radlab.cli import _write_trajectory, main
 from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
 from radlab.solver import march, relative_residuals
+
+from conftest import power_spec
+from trajectory_oracle import load_trajectory
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -432,6 +435,32 @@ def test_verify_parse_errors_name_the_file(tmp_path, capsys):
             assert where in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "column, cell",
+    [("r", "nan"), ("v", "nan"), ("v", "inf"), ("du", "inf"), ("dv", "nan"), ("dv", "inf")],
+)
+def test_verify_rejects_non_finite_trajectory_cell(column, cell, tmp_path, capsys):
+    # A comparison with nan is false, so a non-finite cell used to slip
+    # through every check and the grid test: verify exited 0.
+    config = str(CONFIGS / "problem_b.cfg")
+    assert run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)[0] == 0
+    csv_path = tmp_path / "trajectory.csv"
+    lines = csv_path.read_text().split("\n")
+    cells = lines[1500].split(",")  # line 1501 of the file
+    cells[("r", "u", "v", "du", "dv").index(column)] = cell
+    lines[1500] = ",".join(cells)
+    csv_path.write_text("\n".join(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(
+            ["verify", "--config", config, "--trajectory", str(csv_path)], capsys
+        )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False and payload["reports"] == []
+    assert str(csv_path) in payload["error"]
+
+
 @pytest.mark.parametrize("name", ["a", "b", "c"])
 def test_verify_trajectory_round_trip(name, tmp_path, capsys):
     # The CSV carries every float in shortest round-trip form: it holds the
@@ -526,12 +555,161 @@ def test_nan_residual_is_written_as_nan(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+@st.composite
+def _trajectory_tables(draw):
+    """(N, 7) tables of ``_CELLS`` with a strictly increasing r column."""
+    r = sorted(draw(st.lists(_CELLS, min_size=2, max_size=12, unique=True)))
+    rest = draw(
+        st.lists(
+            st.tuples(*[_CELLS] * 4, _RESIDUAL_CELLS, _RESIDUAL_CELLS),
+            min_size=len(r), max_size=len(r),
+        )
+    )
+    return np.array([(x, *row) for x, row in zip(r, rest)], dtype=np.float64)
+
+
+_READER_SPEC = power_spec(2.0, 0.0, 1, 0, 6)
+
+
+def _read_with_both(path):
+    """What radlab's reader and the oracle make of one file: the bits of
+    the five columns, or the error text."""
+    outcomes = []
+    for load in (radlab.cli._load_trajectory, load_trajectory):
+        try:
+            # The r column may span +-1.8e308, whose differences overflow.
+            with np.errstate(over="ignore"):
+                data = load(str(path), _READER_SPEC)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            columns = np.stack((data.r, data.u, data.v, data.w, data.dv))
+            outcomes.append(columns.view(np.int64).tolist())
+    return outcomes
+
+
+def _written_csv(table):
+    buffer = io.BytesIO()
+    _write_trajectory(buffer, table)
+    return buffer.getvalue()
+
+
+@settings(derandomize=True, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_trajectory_tables())
+def test_trajectory_reader_reads_back_every_written_float(table, tmp_path):
+    path = tmp_path / "trajectory.csv"
+    data = _written_csv(table)
+    path.write_bytes(data)
+    ours, oracle = _read_with_both(path)
+    assert ours == oracle == table[:, :5].T.copy().view(np.int64).tolist()
+    # Only a nan residual, written "nan", sends a written file down the
+    # general path.
+    one_call = radlab.cli._read_own_notation(data) is not None
+    assert one_call == (not np.isnan(table).any())
+
+
+_MUTANT_CELLS = ["-0", "1e400", "+1", "1.", ".5", " 1", '"1.0"', "inf", "nan", "null", "true"]
+
+
+@pytest.mark.parametrize("columns", [range(5), range(5, 7)], ids=["used", "unused"])
+@pytest.mark.parametrize("cell", _MUTANT_CELLS)
+@settings(derandomize=True, max_examples=10,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_trajectory_tables(), data=st.data())
+def test_reader_matches_oracle_on_a_mutated_cell(cell, columns, table, data, tmp_path):
+    lines = _written_csv(table).decode("ascii").split("\n")
+    row = data.draw(st.integers(1, len(table)))
+    cells = lines[row].split(",")
+    cells[data.draw(st.sampled_from(columns))] = cell
+    lines[row] = ",".join(cells)
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join(lines))
+    ours, oracle = _read_with_both(path)
+    assert ours == oracle
+
+
+def _mutate_layout(text, how, row):
+    """``text`` with the changes of layout ``how`` names, joined by " + ",
+    at data line ``row`` (from 1).  A change of width applies from that
+    line on, so at line 1 the rows stay rectangular."""
+    for change in how.split(" + "):
+        lines = text.split("\n")
+        if change.endswith(" cells"):
+            width = int(change[0])
+            for k in range(row, len(lines) - 1):
+                lines[k] = ",".join((lines[k].split(",") + ["0.5"])[:width])
+        elif change == "blank line":
+            lines.insert(row, "")
+        elif change == "no final newline":
+            lines[-2:] = [lines[-2]]
+        elif change == "CRLF":
+            lines[:-1] = [line + "\r" for line in lines[:-1]]
+        elif change == "BOM":
+            lines[0] = "\ufeff" + lines[0]
+        elif change == "header only":
+            lines[1:] = [""]
+        elif change == "header dvx":
+            lines[0] = lines[0].replace(",dv,", ",dvx,")
+        elif change == "quoted header":
+            lines[0] = ",".join(f'"{name}"' for name in lines[0].split(","))
+        text = "\n".join(lines)
+    return text
+
+
+@pytest.mark.parametrize(
+    "how",
+    ["4 cells", "6 cells", "8 cells", "blank line", "no final newline",
+     "5 cells + no final newline", "CRLF", "BOM", "header only", "header dvx",
+     "quoted header"],
+)
+@settings(derandomize=True, max_examples=10,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_trajectory_tables(), data=st.data())
+def test_reader_matches_oracle_on_a_mutated_layout(how, table, data, tmp_path):
+    text = _written_csv(table).decode("ascii")
+    row = data.draw(st.integers(1, len(table)))
+    path = tmp_path / "trajectory.csv"
+    path.write_bytes(_mutate_layout(text, how, row).encode("utf-8"))
+    ours, oracle = _read_with_both(path)
+    assert ours == oracle
+
+
 def test_seed_override_accepted(tmp_path, capsys):
     path = write(tmp_path, GOOD)
     code, out, _ = run_cli(
         ["classify", "--config", path, "--seed", "99"], capsys
     )
     assert code == 0
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; no call may leak an option
+    # into the next.
+    sweep = str(CONFIGS / "sweep_q.cfg")
+    assert run_cli(["sweep", "--config", sweep, "--solve", "--out", str(tmp_path)], capsys)[0] == 0
+    assert run_cli(["sweep", "--config", sweep, "--out", str(tmp_path)], capsys)[0] == 0
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / "sweep_q_atlas.csv"
+    assert (tmp_path / "atlas.csv").read_text() == golden.read_text()
+
+    seeds = []
+    for name in ("cmd_solve", "cmd_verify"):
+        command = getattr(radlab.cli, name)
+        monkeypatch.setattr(
+            radlab.cli, name,
+            lambda config, *rest, command=command: seeds.append(config.seed) or command(config, *rest),
+        )
+    path = write(tmp_path, GOOD)  # seed = 11
+    assert run_cli(["solve", "--config", path, "--seed", "7", "--out", str(tmp_path)], capsys)[0] == 0
+    assert run_cli(["verify", "--config", path], capsys)[0] == 0
+    assert seeds == [7, 11]
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--config", path, "--no-such-option"])
+    assert exit_info.value.code == 2
+    assert "--no-such-option" in capsys.readouterr().err
+    code, out, _ = run_cli(["classify", "--config", path], capsys)
+    assert code == 0 and json.loads(out)["predicted_class"] == "B2"
 
 
 # A B2 problem whose march used to stall at the pole: steps fell below
