@@ -46,7 +46,7 @@ import orjson
 
 from .classify import numeric_classify, predict, reconcile
 from .config import ConfigError, RunConfig, load_config
-from .criteria import CriterionKind, criterion
+from .criteria import CriterionDiverges, CriterionKind, criterion
 from .problem import InvalidProblem, ProblemSpec, validate_assumptions
 from .solver import (
     SolverError,
@@ -68,6 +68,8 @@ _TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS).encode() + b"\n"
 _OWN_HEADER = re.compile(rb"r,u,v,du,dv(?:,\w*)*\n")
 #: Every byte a trajectory body in radlab's notation may hold.
 _OWN_BODY_BYTES = b"0123456789.eE+-,\n"
+#: The byte values of the two separators of a trajectory body.
+_COMMA, _NEWLINE = b",\n"
 
 
 def _fmt(value: float) -> str:
@@ -152,23 +154,27 @@ def cmd_classify(config: RunConfig) -> int:
 def _write_trajectory(fh: BinaryIO, table: np.ndarray) -> None:
     """Write a C-contiguous (N, 7) float64 ``table`` as the trajectory CSV.
 
-    One ``orjson`` call formats every float with Ryu's shortest round-trip
-    digits (those of ``repr``, in JSON notation: ``1e-9``, not ``1e-09``);
-    the JSON array becomes CSV by turning ``],[`` into newlines and
-    dropping the outer brackets.  ``orjson`` writes nan and +-inf alike as
+    One ``orjson`` call formats the flattened table with Ryu's shortest
+    round-trip digits (those of ``repr``, in JSON notation: ``1e-9``, not
+    ``1e-09``) as one flat JSON array.  That array becomes CSV in place:
+    every ``width``-th comma turns into a newline through a numpy view of
+    the text, the closing bracket into the last newline, and the opening
+    bracket is not written.  ``orjson`` writes nan and +-inf alike as
     ``null``, so every ``null`` is written as ``nan``, in the rare table
     that holds one; the rest skip that scan of the text.  That is exact
     here: the march keeps the five state columns finite, and a residual
     |a+b-c| / (|a|+|b|+|c|+1e-300) is, by monotone rounding, either in
     [0, 1] or nan (an overflowed term gives inf/inf), never +-inf.
     """
-    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
-    rows = text.replace(b"],[", b"\n")
+    text = bytearray(orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    codes = np.frombuffer(text, dtype=np.uint8)
+    width = table.shape[1]
+    codes[np.flatnonzero(codes == _COMMA)[width - 1::width]] = _NEWLINE
+    codes[-1] = _NEWLINE
     if not np.isfinite(table).all():
-        rows = rows.replace(b"null", b"nan")
+        text = text.replace(b"null", b"nan")
     fh.write(_TRAJECTORY_HEADER)
-    fh.write(memoryview(rows)[2:-2])
-    fh.write(b"\n")
+    fh.write(memoryview(text)[1:])
 
 
 def cmd_solve(config: RunConfig, out_dir: str) -> int:
@@ -221,7 +227,7 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
     if solution.terminated is TerminationReason.BLOW_UP:
         try:
             envelope = blowup_envelope_check(solution, spec).to_dict()
-        except SolverError as exc:
+        except (SolverError, CriterionDiverges) as exc:
             payload["notes"].append(f"envelope fit unavailable: {exc}")
 
     payload.update(
@@ -363,28 +369,42 @@ def _read_own_notation(data: bytes) -> np.ndarray | None:
     notation, or None for any other file.
 
     That notation is a header of plain names and a body of JSON numbers
-    only (the bytes of ``_OWN_BODY_BYTES``), each row ending in a newline.
-    Such a body is a JSON array of rows once every newline is ``],[``.  A
-    JSON number spells a decimal that ``float`` reads alike, rounded
-    correctly by both, so the bits are those of ``np.loadtxt``; the one
-    exception is the integer ``-0``, which ``orjson`` reads as the int 0.
+    only (the bytes of ``_OWN_BODY_BYTES``), each row ending in a newline
+    and holding as many cells as the first, at least five.  numpy checks
+    that framing on the body's bytes: in the sequence of its commas and
+    newlines, exactly every ``width``-th is a newline.  The body is then
+    one flat JSON array once those newlines are commas, which one
+    ``orjson`` call reads and numpy reshapes to ``width`` columns.  A JSON
+    number spells a decimal that ``float`` reads alike, rounded correctly
+    by both, so the bits are those of ``np.loadtxt``; the one exception is
+    the integer ``-0``, which ``orjson`` reads as the int 0.  Rows of
+    unequal width, like any other file, return None.
     """
     header = _OWN_HEADER.match(data)
-    if header is None:
+    if header is None or header.end() == len(data) or not data.endswith(b"\n"):
         return None
-    body = data[header.end():]
-    if not body.endswith(b"\n") or body.translate(None, _OWN_BODY_BYTES):
+    text = bytearray(b"[") + memoryview(data)[header.end():]
+    if text.translate(None, _OWN_BODY_BYTES) != b"[":
         return None
+    width = text.count(b",", 0, text.index(b"\n")) + 1
+    codes = np.frombuffer(text, dtype=np.uint8)
+    is_separator = codes == _COMMA
+    is_separator |= codes == _NEWLINE
+    separators = np.flatnonzero(is_separator)
+    if width < 5 or len(separators) % width:
+        return None
+    ends = codes[separators].reshape(-1, width) == _NEWLINE
+    if ends[:, :-1].any() or not ends[:, -1].all():
+        return None
+    codes[separators[width - 1::width]] = _COMMA
+    codes[-1] = ord("]")
     try:
-        rows = orjson.loads(b"[[" + body[:-1].replace(b"\n", b"],[") + b"]]")
-        table = np.array(rows, dtype=float)
-    except ValueError:  # not JSON, or rows of different lengths
+        cells = orjson.loads(text)
+    except orjson.JSONDecodeError:
         return None
-    if table.shape[1] < 5:
-        return None
-    table = table[:, :5]
+    table = np.fromiter(cells, dtype=float, count=len(cells)).reshape(-1, width)[:, :5]
     for i, j in zip(*np.nonzero(table == 0.0)):
-        if type(rows[i][j]) is int:  # maybe -0, whose sign orjson drops
+        if type(cells[i * width + j]) is int:  # maybe -0, whose sign orjson drops
             return None
     return table
 

@@ -50,7 +50,9 @@ unbounded-but-global solutions are not mislabelled.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -971,24 +973,35 @@ def blowup_envelope_check(
 
 def _fd_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weights and sample indices of :func:`fd_derivative` on the grid x:
-    the derivative of y is ``einsum("ij,ij->i", weights, y[idx])``."""
+    the derivative of y is ``einsum("ij,ij->i", weights, y[idx])``.
+
+    Every product and sum runs over 1-D columns of length n, one per node
+    k of the windows, in increasing k.  That is the order in which
+    ``np.prod`` and ``np.sum`` reduce the (n, m) array of x_i - x_k and
+    the (n, m, m) array of x_j - x_k, so each weight keeps the bits of
+    those reductions.  The factor 1 such arrays hold at k = j is left out,
+    which changes no bits; the one at k = i stays.
+    """
     n = len(x)
     if n < 2:
         raise ValueError("at least two samples are required")
-    if np.any(np.diff(x) <= 0.0):
+    if np.any(x[1:] <= x[:-1]):
         raise ValueError("the grid must be strictly increasing")
     m = min(5, n)
     rows = np.arange(n)
     at = rows - np.clip(rows - m // 2, 0, n - m)  # where x_i sits in its window
     idx = (rows - at)[:, None] + np.arange(m)
-    xw = x[idx]
-    ahead = x[:, None] - xw  # x_i - x_k
-    ahead[rows, at] = 1.0
-    gaps = xw[:, :, None] - xw[:, None, :] + np.eye(m)  # x_j - x_k, 1 at k = j
-    weights = np.prod(ahead, axis=1, keepdims=True) / (ahead * np.prod(gaps, axis=2))
-    ahead[rows, at] = np.inf
-    weights[rows, at] = np.sum(1.0 / ahead, axis=1)
-    return weights, idx
+    xw = x[idx.T]  # row k: node k of every window
+    ahead = x - xw  # x_i - x_k
+    ahead[at, rows] = 1.0
+    gaps = np.empty_like(xw)  # row j: prod_{k != j} (x_j - x_k)
+    for j in range(m):
+        others = [xw[j] - xw[k] for k in range(m) if k != j]
+        gaps[j] = functools.reduce(operator.mul, others)
+    weights = functools.reduce(operator.mul, ahead) / (ahead * gaps)
+    ahead[at, rows] = np.inf
+    weights[at, rows] = functools.reduce(operator.add, 1.0 / ahead)
+    return np.ascontiguousarray(weights.T), idx
 
 
 def fd_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:

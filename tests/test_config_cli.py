@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import radlab.cli
@@ -21,7 +22,7 @@ from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
 from radlab.solver import march, relative_residuals
 
 from conftest import power_spec
-from trajectory_oracle import load_trajectory
+from trajectory_oracle import load_trajectory, write_trajectory
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -302,6 +303,49 @@ def test_solve_with_unstartable_centre_value_fails_cleanly(tmp_path):
     assert report["notes"][0].startswith("solver failed: ")
 
 
+def _config_with(tmp_path, source, **values):
+    """A copy of the config file ``source`` with each ``key = value`` line
+    of ``values`` replaced."""
+    text = (CONFIGS / source).read_text()
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1, key
+    return write(tmp_path, text, name=source)
+
+
+def test_solve_reports_a_diverging_envelope_as_a_note(tmp_path, capsys):
+    # Problem A is global, yet at target 1000 the march ends BlowUp near
+    # r = 706 once v leaves the float range, and the envelope fit then
+    # needs a tail function that A's diverging criterion does not have.
+    # That used to end in a CriterionDiverges traceback.
+    config = _config_with(tmp_path, "problem_a.cfg", target_radius=1000)
+    code, out, _ = run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["envelope"] is None
+    assert any(
+        note.startswith("envelope fit unavailable: ") and "diverges" in note
+        for note in report["notes"]
+    )
+
+
+def test_large_centre_value_of_u_is_no_u_only_blowup(tmp_path, capsys):
+    # u enters the system only through u', so u0 = 1e9 shifts u and
+    # changes nothing else; the check used to read u > 1e8 as blow-up.
+    config = _config_with(tmp_path, "sweep_q.cfg", u0="1e9", target_radius=2)
+    code, out, _ = run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["termination"], report["numeric_class"]) == ("ReachedTarget", "B1")
+    assert report["reconcile"]["agree"] is True
+    assert all(check["pass"] for check in report["verify"])
+    code, out, _ = run_cli(
+        ["verify", "--config", config, "--trajectory", str(tmp_path / "trajectory.csv")],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_sweep_without_solve(tmp_path, capsys):
     path = write(tmp_path, GOOD)
     code, out, _ = run_cli(
@@ -515,10 +559,13 @@ _RESIDUAL_CELLS = st.one_of(_CELLS, st.just(math.nan))
         min_size=1, max_size=12,
     )
 )
+@example([(0.0, 1.0, 1.0, 0.0, 0.0, math.nan, 1.0)])  # one row, a nan residual
 def test_trajectory_writer_round_trips_every_float(rows):
     table = np.array(rows, dtype=np.float64)
-    buffer = io.BytesIO()
+    buffer, oracle = io.BytesIO(), io.BytesIO()
     _write_trajectory(buffer, table)
+    write_trajectory(oracle, table)
+    assert buffer.getvalue() == oracle.getvalue()
     lines = buffer.getvalue().decode("ascii").split("\n")
     assert lines[0] == "r,u,v,du,dv,res_eq1,res_eq2"
     assert lines[-1] == "" and len(lines) == len(rows) + 2
@@ -577,8 +624,9 @@ def _read_with_both(path):
     outcomes = []
     for load in (radlab.cli._load_trajectory, load_trajectory):
         try:
-            # The r column may span +-1.8e308, whose differences overflow.
-            with np.errstate(over="ignore"):
+            with warnings.catch_warnings():
+                # an r column spanning +-1.8e308 must not overflow in a check
+                warnings.simplefilter("error", RuntimeWarning)
                 data = load(str(path), _READER_SPEC)
         except ValueError as exc:
             outcomes.append(str(exc))
@@ -597,6 +645,7 @@ def _written_csv(table):
 @settings(derandomize=True, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_trajectory_tables())
+@example(table=np.array([[-1e308, *[1.0] * 6], [1e308, *[1.0] * 6]]))
 def test_trajectory_reader_reads_back_every_written_float(table, tmp_path):
     path = tmp_path / "trajectory.csv"
     data = _written_csv(table)
@@ -673,6 +722,35 @@ def test_reader_matches_oracle_on_a_mutated_layout(how, table, data, tmp_path):
     path.write_bytes(_mutate_layout(text, how, row).encode("utf-8"))
     ours, oracle = _read_with_both(path)
     assert ours == oracle
+
+
+@pytest.mark.parametrize(
+    "widths, error",
+    [
+        # 6 + 8 cells: the seven cells a row of the header would hold, on average
+        ((6, 8, 6, 8), None),
+        # 6 + 8 + 4 cells: as many as three rows as wide as the first
+        ((6, 8, 4), "line 4: fewer than 5 columns"),
+    ],
+)
+def test_reader_frames_every_row(widths, error, tmp_path):
+    # The one-call reader parses one flat array, so rows of unequal width
+    # whose cells add up to whole rows must not reach it: they go to the
+    # general reader, which reads the first five cells of each row or
+    # names the line at fault.
+    rows = [",".join(repr(float(10 * i + k)) for k in range(width))
+            for i, width in enumerate(widths)]
+    data = ("r,u,v,du,dv,res_eq1,res_eq2\n" + "\n".join(rows) + "\n").encode()
+    assert radlab.cli._read_own_notation(data) is None
+    path = tmp_path / "trajectory.csv"
+    path.write_bytes(data)
+    ours, oracle = _read_with_both(path)
+    assert ours == oracle
+    if error is None:
+        expected = np.array([[10.0 * i + k for i in range(len(widths))] for k in range(5)])
+        assert ours == expected.view(np.int64).tolist()
+    else:
+        assert ours == f"{path}: {error}"
 
 
 def test_seed_override_accepted(tmp_path, capsys):

@@ -234,6 +234,45 @@ def test_fd_derivative_exact_on_quartics():
             assert np.all(np.abs(error) <= 1e-9 * scale), (name, degree)
 
 
+def reference_fd_weights(x):
+    """The five-node derivative weights as one ``np.prod`` and one ``np.sum``
+    over the (n, m) and (n, m, m) window arrays: the oracle whose bits
+    ``solver._fd_weights`` must reproduce from its 1-D columns."""
+    n = len(x)
+    m = min(5, n)
+    rows = np.arange(n)
+    at = rows - np.clip(rows - m // 2, 0, n - m)
+    idx = (rows - at)[:, None] + np.arange(m)
+    xw = x[idx]
+    ahead = x[:, None] - xw
+    ahead[rows, at] = 1.0
+    gaps = xw[:, :, None] - xw[:, None, :] + np.eye(m)
+    weights = np.prod(ahead, axis=1, keepdims=True) / (ahead * np.prod(gaps, axis=2))
+    ahead[rows, at] = np.inf
+    weights[rows, at] = np.sum(1.0 / ahead, axis=1)
+    return weights, idx
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fd_weights_keep_the_bits_of_the_window_reductions(seed):
+    # Grids of 2 to 4,000 nodes (m = n < 5 on the shortest), graded over
+    # six decades and scaled by up to 1e+-80, so that the products of four
+    # gaps reach the ends of the float range on some grids.
+    rng = np.random.default_rng(seed)
+    sizes = [2, 3, 4, 5, 6, int(rng.integers(7, 4001))]
+    for n in sizes:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        x = np.unique(x * 10.0 ** rng.uniform(-80, 80))
+        if len(x) < 2:
+            continue
+        with np.errstate(all="ignore"):
+            want, want_idx = reference_fd_weights(x)
+            got, idx = solver._fd_weights(x)
+        assert np.array_equal(idx, want_idx)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), n
+
+
 def test_fd_derivative_rejects_bad_grids():
     with pytest.raises(ValueError):
         fd_derivative(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4))

@@ -1,5 +1,9 @@
-"""Reference trajectory reader for the tests, independent of radlab's
-one-call reader.
+"""Reference trajectory writer and reader for the tests, independent of
+radlab's own.
+
+:func:`write_trajectory` formats the (N, 7) table as one nested ``orjson``
+array and turns ``],[`` into newlines; ``radlab solve`` must write the
+same bytes for every table.
 
 :func:`load_trajectory` reads every file the general way: ``csv`` for the
 header, one ``np.loadtxt`` call for the body, and a row-by-row rescan to
@@ -11,13 +15,27 @@ from __future__ import annotations
 
 import csv
 import warnings
+from typing import BinaryIO
 
 import numpy as np
+import orjson
 
 from radlab.problem import ProblemSpec
 from radlab.verify import TrajectoryData
 
 _COLUMNS = ("r", "u", "v", "du", "dv")
+
+
+def write_trajectory(fh: BinaryIO, table: np.ndarray) -> None:
+    """Write a C-contiguous (N, 7) float64 ``table`` as the trajectory CSV,
+    every nan or +-inf (``orjson``'s ``null``) as ``nan``."""
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)
+    rows = text.replace(b"],[", b"\n")
+    if not np.isfinite(table).all():
+        rows = rows.replace(b"null", b"nan")
+    fh.write(b"r,u,v,du,dv,res_eq1,res_eq2\n")
+    fh.write(memoryview(rows)[2:-2])
+    fh.write(b"\n")
 
 
 def load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryData:
