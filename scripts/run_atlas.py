@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Build a classification atlas over the power-law parameter grid.
 
-For every combination of (p, alpha, m, beta, q) the script evaluates both
-convergence criteria, predicts the boundary class, and (optionally, with
---solve) integrates the system to confirm the label numerically.  The
+For every combination of (p, alpha, m, beta, q) the script runs the
+``radlab sweep`` row: both convergence criteria and the predicted boundary
+class, plus (with --solve) a numerical run that confirms the label.  The
 result lands in a CSV plus a compact per-(p, alpha) class map on stdout.
 
 Examples:
@@ -16,21 +16,13 @@ import csv
 import sys
 import time
 
-from radlab.classify import Domain, numeric_classify, predict, reconcile
-from radlab.criteria import CriterionKind, criterion
-from radlab.expressions import parse_expr
-from radlab.problem import ProblemSpec
-from radlab.solver import SolverError, SolverOptions, march
+from radlab.cli import sweep_row
+from radlab.config import RunConfig
 
-
-def power_spec(p: float, alpha: float, m: int, beta: int, q: int) -> ProblemSpec:
-    return ProblemSpec(
-        p=p, alpha=alpha, n=3,
-        f1=parse_expr("1"), f2=parse_expr("1"),
-        g1=parse_expr("t" if m == 1 else f"t^{m}"),
-        g2=parse_expr("1" if beta == 0 else f"t^{beta}"),
-        h=parse_expr("t" if q == 1 else f"t^{q}"),
-    )
+#: The sweep row's columns and their names in the atlas CSV.
+COLUMNS = {"unweighted": "unweighted", "weighted": "weighted",
+           "predicted_class": "predicted", "numeric_class": "numeric",
+           "agree": "agree", "error": "error"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="numerically confirm each prediction")
     parser.add_argument("--qmax", type=int, default=8, help="largest q")
     parser.add_argument("--target-radius", type=float, default=20.0)
-    parser.add_argument("--rel-tol", type=float, default=1e-8)
+    parser.add_argument("--rel-tol", type=float, default=RunConfig.rel_tol)
     args = parser.parse_args(argv)
 
     grid = [
@@ -55,26 +47,14 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     start = time.perf_counter()
     for p, alpha, m, beta, q in grid:
-        spec = power_spec(p, alpha, m, beta, q)
-        row = {
-            "p": p, "alpha": alpha, "m": m, "beta": beta, "q": q,
-            "unweighted": "", "weighted": "", "predicted": "",
-            "numeric": "", "agree": "", "error": "",
-        }
-        row["unweighted"] = criterion(spec, CriterionKind.UNWEIGHTED).verdict.value
-        row["weighted"] = criterion(spec, CriterionKind.WEIGHTED).verdict.value
-        predicted = predict(spec, Domain.BALL)
-        row["predicted"] = predicted.label.value
-        if args.solve:
-            try:
-                run = march(spec, 1.0, 1.0, SolverOptions(
-                    target_radius=args.target_radius, rel_tol=args.rel_tol))
-                numeric = numeric_classify(run, Domain.BALL)
-                row["numeric"] = numeric.label.value
-                row["agree"] = str(reconcile(predicted, numeric)["agree"]).lower()
-            except SolverError as exc:
-                row["error"] = str(exc)
-        rows.append(row)
+        config = RunConfig(
+            p=p, alpha=alpha, n=3, f1="1", f2="1",
+            g1=f"t^{m}", g2=f"t^{beta}", h=f"t^{q}", omega="ball",
+            u0=1.0, v0=1.0, target_radius=args.target_radius, rel_tol=args.rel_tol,
+        )
+        row = sweep_row(config, "", None, args.solve)
+        rows.append({"p": p, "alpha": alpha, "m": m, "beta": beta, "q": q,
+                     **{name: row[key] for key, name in COLUMNS.items()}})
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")

@@ -47,10 +47,6 @@ __all__ = [
 #: largest sub-critical sigma on the reference problems (5/7).
 _SIGMA_CUT = 0.9
 
-#: Growth of u beyond this multiple of u(0) short-circuits the slope fit:
-#: u has visibly blown up alongside v.
-_U_GROWTH_FACTOR = 1e6
-
 
 class Domain(str, enum.Enum):
     """Where the boundary-value problem is posed."""
@@ -119,18 +115,13 @@ def power_exponents(spec: ProblemSpec) -> tuple[float, float, float] | None:
     are non-constant.
     """
 
-    for weight in (spec.f1, spec.f2):
-        terms = weight.terms
-        if len(terms) != 1 or terms[0][1] != 0.0:
-            return None
-    exps = []
-    for piece in (spec.g1, spec.g2, spec.h):
-        terms = piece.terms
-        if len(terms) != 1:
-            return None
-        exps.append(terms[0][1])
-    m, beta, q = exps
-    return float(m), float(beta), float(q)
+    if any(len(w.terms) != 1 or w.terms[0][1] != 0.0 for w in (spec.f1, spec.f2)):
+        return None
+    pieces = (spec.g1, spec.g2, spec.h)
+    if any(len(piece.terms) != 1 for piece in pieces):
+        return None
+    m, beta, q = (float(piece.terms[0][1]) for piece in pieces)
+    return m, beta, q
 
 
 def blow_up_rates(spec: ProblemSpec) -> tuple[float, float] | None:
@@ -145,9 +136,12 @@ def blow_up_rates(spec: ProblemSpec) -> tuple[float, float] | None:
     """
 
     powers = power_exponents(spec)
-    if powers is None:
-        return None
-    m, beta, q = powers
+    return None if powers is None else _rates(spec, *powers)
+
+
+def _rates(spec: ProblemSpec, m: float, beta: float, q: float) -> tuple[float, float] | None:
+    """:func:`blow_up_rates` from the exponents ``(m, beta, q)``."""
+
     gap = spec.p - 1.0 - spec.alpha
     denom = q * m - gap * (spec.p - 1.0 - beta)
     if denom <= 0.0:
@@ -164,16 +158,14 @@ def _power_law_details(spec: ProblemSpec) -> list[str]:
     if powers is None:
         return []
     m, beta, q = powers
-    gap = spec.p - 1.0 - spec.alpha
-    bounded_at = gap * (spec.p - 1.0 - beta)
+    bounded_at = (spec.p - 1.0 - spec.alpha) * (spec.p - 1.0 - beta)
     details = [
         f"power-law exponents m = {m:g}, beta = {beta:g}, q = {q:g}: "
         f"q*m = {q * m:g} vs bounded-regime threshold {bounded_at:g}"
     ]
-    rates = blow_up_rates(spec)
+    rates = _rates(spec, m, beta, q)
     if rates is not None:
-        b, sigma = rates
-        details.append(f"blow-up rates b = {b:g}, sigma = {sigma:g}")
+        details.append(f"blow-up rates b = {rates[0]:g}, sigma = {rates[1]:g}")
     return details
 
 
@@ -204,52 +196,29 @@ def predict(spec: ProblemSpec, omega: Domain) -> Classification:
             f"alpha = {spec.alpha:g} >= p - 1 = {spec.p - 1.0:g}: "
             "no positive radial solution exists"
         )
-        return Classification(
-            label=BoundaryClass.NO_SOLUTION,
-            omega=omega,
-            basis=Basis.THEOREM,
-            details=tuple(details),
-        )
-
-    unweighted = criterion(spec, CriterionKind.UNWEIGHTED)
-    details.append(
-        f"unweighted criterion {unweighted.verdict.value} "
-        f"({unweighted.method.value})"
-    )
-    if omega is Domain.WHOLE_SPACE:
-        label = (
-            BoundaryClass.GLOBAL
-            if unweighted.verdict is Verdict.INFINITE
-            else BoundaryClass.NO_SOLUTION
-        )
-        return Classification(
-            label=label,
-            omega=omega,
-            basis=Basis.THEOREM,
-            details=tuple(details),
-        )
-    if unweighted.verdict is Verdict.INFINITE:
+        label = BoundaryClass.NO_SOLUTION
+    elif omega is Domain.WHOLE_SPACE:
+        bounded = _verdict(spec, CriterionKind.UNWEIGHTED, details) is Verdict.INFINITE
+        label = BoundaryClass.GLOBAL if bounded else BoundaryClass.NO_SOLUTION
+    elif _verdict(spec, CriterionKind.UNWEIGHTED, details) is Verdict.INFINITE:
+        label = BoundaryClass.B1
+    elif _verdict(spec, CriterionKind.WEIGHTED, details) is Verdict.FINITE:
+        label = BoundaryClass.B2
+    else:
+        label = BoundaryClass.B3
+    if label in (BoundaryClass.B1, BoundaryClass.B2, BoundaryClass.B3):
         details.extend(_power_law_details(spec))
-        return Classification(
-            label=BoundaryClass.B1,
-            omega=omega,
-            basis=Basis.THEOREM,
-            details=tuple(details),
-        )
-    weighted = criterion(spec, CriterionKind.WEIGHTED)
+    return Classification(label, omega, Basis.THEOREM, tuple(details))
+
+
+def _verdict(spec: ProblemSpec, kind: CriterionKind, details: list[str]) -> Verdict:
+    """Evaluate one convergence criterion and note its verdict in ``details``."""
+
+    result = criterion(spec, kind)
     details.append(
-        f"weighted criterion {weighted.verdict.value} "
-        f"({weighted.method.value})"
+        f"{kind.value.lower()} criterion {result.verdict.value} ({result.method.value})"
     )
-    details.extend(_power_law_details(spec))
-    label = (
-        BoundaryClass.B2
-        if weighted.verdict is Verdict.FINITE
-        else BoundaryClass.B3
-    )
-    return Classification(
-        label=label, omega=omega, basis=Basis.THEOREM, details=tuple(details)
-    )
+    return result.verdict
 
 
 def _tail_slope(solution: RadialSolution) -> tuple[float, int] | None:
@@ -288,82 +257,40 @@ def numeric_classify(
     the approach.  sigma < 1 makes u' integrable up to R0, so u stays
     bounded (``B2``); sigma >= 1 makes u itself diverge (``B3``).
 
-    A raw threshold on u alone cannot make this split: at the sigma = 1
-    boundary u diverges only logarithmically and sits at O(10) when v
-    crosses any practical blow-up threshold.  The fitted exponent resolves
-    that case; the numeric cut sits at 0.9 to absorb fit bias from the
-    finite tail, and outright divergence of u (growth beyond 1e6x its
-    centre value) short-circuits the fit.
+    A threshold on u itself cannot make this split.  u enters the system
+    only through u', so u(0) shifts u without changing the run, and at the
+    sigma = 1 boundary u diverges only logarithmically.  The fitted
+    exponent alone decides, so the label does not depend on u(0); the
+    numeric cut sits at 0.9 to absorb fit bias from the finite tail.
     """
 
     details: list[str] = []
     if solution.terminated is TerminationReason.REACHED_TARGET:
-        label = (
-            BoundaryClass.GLOBAL
-            if omega is Domain.WHOLE_SPACE
-            else BoundaryClass.B1
+        details.append(f"reached r = {solution.r_end:g} with v = {solution.v_final:g}")
+        label = BoundaryClass.GLOBAL if omega is Domain.WHOLE_SPACE else BoundaryClass.B1
+    elif solution.terminated is TerminationReason.STEP_UNDERFLOW:
+        details.append("step size underflowed before any verdict")
+        label = BoundaryClass.UNDECIDED
+    elif omega is Domain.WHOLE_SPACE:
+        details.append(f"v blows up at finite radius R0 = {solution.R0:g}")
+        label = BoundaryClass.NO_SOLUTION
+    elif (fit := _tail_slope(solution)) is None:
+        details.append("blow-up tail too short to fit a growth exponent")
+        label = BoundaryClass.UNDECIDED
+    else:
+        sigma, used = fit
+        bounded = sigma < _SIGMA_CUT
+        details.append(
+            f"fitted u' ~ (R0 - r)^(-sigma) with sigma = {sigma:.4g} "
+            f"over {used} tail nodes"
         )
         details.append(
-            f"reached r = {solution.r_end:g} with v = {solution.v_final:g}"
+            f"sigma < {_SIGMA_CUT:g}: u remains bounded"
+            if bounded
+            else f"sigma >= {_SIGMA_CUT:g}: u unbounded alongside v"
         )
-        return Classification(
-            label=label,
-            omega=omega,
-            basis=Basis.NUMERIC,
-            details=tuple(details),
-        )
-
-    if solution.terminated is TerminationReason.STEP_UNDERFLOW:
-        details.append("step size underflowed before any verdict")
-        return Classification(
-            label=BoundaryClass.UNDECIDED,
-            omega=omega,
-            basis=Basis.NUMERIC,
-            details=tuple(details),
-        )
-
-    if omega is Domain.WHOLE_SPACE:
-        details.append(f"v blows up at finite radius R0 = {solution.R0:g}")
-        return Classification(
-            label=BoundaryClass.NO_SOLUTION,
-            omega=omega,
-            basis=Basis.NUMERIC,
-            details=tuple(details),
-        )
-
-    u_growth = solution.u[-1] / solution.u[0]
-    if u_growth > _U_GROWTH_FACTOR:
-        details.append(f"u grew by {u_growth:.3g}x: both components blow up")
-        return Classification(
-            label=BoundaryClass.B3,
-            omega=omega,
-            basis=Basis.NUMERIC,
-            details=tuple(details),
-        )
-
-    fit = _tail_slope(solution)
-    if fit is None:
-        details.append("blow-up tail too short to fit a growth exponent")
-        return Classification(
-            label=BoundaryClass.UNDECIDED,
-            omega=omega,
-            basis=Basis.NUMERIC,
-            details=tuple(details),
-        )
-    sigma, used = fit
-    details.append(
-        f"fitted u' ~ (R0 - r)^(-sigma) with sigma = {sigma:.4g} "
-        f"over {used} tail nodes"
-    )
-    if sigma >= _SIGMA_CUT:
-        details.append(f"sigma >= {_SIGMA_CUT:g}: u unbounded alongside v")
-        label = BoundaryClass.B3
-    else:
-        details.append(f"sigma < {_SIGMA_CUT:g}: u remains bounded")
-        label = BoundaryClass.B2
-    return Classification(
-        label=label, omega=omega, basis=Basis.NUMERIC, details=tuple(details)
-    )
+        label = BoundaryClass.B2 if bounded else BoundaryClass.B3
+    return Classification(label, omega, Basis.NUMERIC, tuple(details))
 
 
 def reconcile(predicted: Classification, numeric: Classification) -> dict:

@@ -57,7 +57,7 @@ from .solver import (
 )
 from .verify import TrajectoryData, check_sandwich, trajectory_reports
 
-__all__ = ["main"]
+__all__ = ["main", "sweep_row"]
 
 #: Number of gradient samples drawn for the sandwich inequality check.
 SANDWICH_SAMPLES = 64
@@ -269,9 +269,15 @@ def _emit_report(out_dir: str, payload: dict) -> None:
 # sweep
 
 
-def _sweep_row(
+def sweep_row(
     config: RunConfig, parameter: str, value: float | None, solve: bool
 ) -> dict[str, str]:
+    """One row of ``atlas.csv``: criteria, predicted class and, with
+    ``solve``, the numeric class of a march and whether the two agree.
+
+    A problem that fails validation, or a run the solver refuses or cannot
+    finish, leaves its reason in the row's ``error`` cell.
+    """
     row = {
         "parameter": parameter,
         "value": "" if value is None else _fmt(value),
@@ -302,7 +308,7 @@ def _sweep_row(
     if solve:
         try:
             solution = march(spec, config.u0, config.v0, config.solver_options())
-        except (SolverError, InvalidProblem) as exc:
+        except (SolverError, ValueError) as exc:
             row["error"] = str(exc)
             return row
         numeric = numeric_classify(solution, config.domain())
@@ -313,10 +319,10 @@ def _sweep_row(
 
 def cmd_sweep(config: RunConfig, out_dir: str, solve: bool) -> int:
     if config.sweep_parameter is None:
-        rows = [_sweep_row(config, "", None, solve)]
+        rows = [sweep_row(config, "", None, solve)]
     else:
         rows = [
-            _sweep_row(
+            sweep_row(
                 config.with_value(config.sweep_parameter, value),
                 config.sweep_parameter, value, solve,
             )

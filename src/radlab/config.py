@@ -101,7 +101,7 @@ class RunConfig:
     u0: float
     v0: float
     target_radius: float
-    rel_tol: float = 1e-8
+    rel_tol: float = SolverOptions.rel_tol
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
     seed: int = 0
@@ -360,16 +360,20 @@ def parse_config_text(text: str) -> RunConfig:
         errors.append(f"line {problem['n'][1]}: the dimension n must be at least 2")
 
     # ---------------- [solver]
-    reals: dict[str, float] = {}
-    defaults = {"rel_tol": 1e-8}
+    # target_radius and rel_tol must pass SolverOptions' own checks.
+    reals = {"rel_tol": SolverOptions.rel_tol}
     for key in _SECTION_KEYS["solver"]:
         got = _take_number(solver, key, errors)
         if got is None:
-            if key in defaults and key not in solver:
-                reals[key] = defaults[key]
             continue
-        if got <= 0.0:
-            errors.append(f"line {solver[key][1]}: {key} must be positive")
+        try:
+            if key in ("u0", "v0"):
+                if got <= 0.0:
+                    raise ValueError(f"{key} must be positive")
+            else:
+                SolverOptions(**{"target_radius": 1.0, key: got})
+        except ValueError as exc:
+            errors.append(f"line {solver[key][1]}: {exc}")
         else:
             reals[key] = got
 

@@ -120,6 +120,21 @@ def test_errors_are_exhaustive_with_line_numbers():
     assert len(messages) >= 9
 
 
+@pytest.mark.parametrize("value", ["0.5", "0.1", "-1"])
+def test_rel_tol_outside_solver_range_is_a_config_error(value, tmp_path, capsys):
+    # The parser applies SolverOptions' own rule; rel_tol = 0.5 used to
+    # load and then end solve and sweep --solve in a ValueError traceback.
+    text = GOOD.replace("target_radius = 20", f"target_radius = 20\nrel_tol = {value}")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.errors == ["line 19: rel_tol must lie in (0, 0.1)"]
+    path = write(tmp_path, text)
+    for command in (["solve", "--out", str(tmp_path)], ["sweep", "--solve"]):
+        code, out, err_text = run_cli([command[0], "--config", path, *command[1:]], capsys)
+        assert (code, out) == (2, "")
+        assert "line 19: rel_tol must lie in (0, 0.1)" in err_text
+
+
 def test_duplicate_key_and_section_rejected():
     bad = GOOD + "\n[problem]\np = 3\n"
     with pytest.raises(ConfigError) as err:
@@ -391,6 +406,45 @@ def test_sweep_rows_survive_per_row_failures(tmp_path, capsys):
         assert cells[2] == "" and cells[3] == ""
         assert cells[4] == "NoSolution"
         assert cells[7] != ""
+
+
+@pytest.mark.parametrize(
+    "parameter, solved",
+    # at target 1 the march ends before the blow-up near r = 4.44
+    [("u0", "B2,true"), ("v0", "B2,true"), ("target_radius", "B1,false")],
+)
+def test_sweep_rows_record_bad_solver_values(parameter, solved, tmp_path, capsys):
+    # A swept value the solver refuses used to end the whole sweep in a
+    # ValueError traceback; the row records it and the sweep goes on.
+    text = GOOD.replace("parameter = q", f"parameter = {parameter}").replace(
+        "values = 1, 2, 3", "values = -1, 1"
+    )
+    path = write(tmp_path, text)
+    code, out, _ = run_cli(
+        ["sweep", "--config", path, "--out", str(tmp_path), "--solve"], capsys
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    failed = lines[1].split(",", 7)
+    assert failed[:5] == [parameter, "-1.0", "Finite", "Finite", "B2"]
+    assert failed[5:7] == ["", ""]
+    assert "must be positive" in failed[7]
+    assert lines[2] == f"{parameter},1.0,Finite,Finite,B2,{solved},"
+
+
+@pytest.mark.parametrize("u0", ["1e-9", "1", "1e9"])
+def test_sweep_q_labels_do_not_depend_on_u0(u0, tmp_path, capsys):
+    # u enters the system only through u', so u0 shifts u and changes no
+    # label; a cut on u[-1]/u[0] used to turn the B2 rows B3 at small u0.
+    config = _config_with(tmp_path, "sweep_q.cfg", u0=u0)
+    code, out, _ = run_cli(
+        ["sweep", "--config", config, "--out", str(tmp_path), "--solve"], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[5] for row in rows] == ["B1", "B3", "B3", "B3", "B2", "B2", "B2", "B2"]
+    assert all(row[6] == "true" for row in rows)
 
 
 def test_verify_solves_and_passes(tmp_path, capsys):
