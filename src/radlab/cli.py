@@ -249,6 +249,8 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
             "dt_min": solution.dt_min,
             "dt_max": solution.dt_max,
             "pole_switch_r": solution.pole_switch_r,
+            "b_hat": solution.b_hat,
+            "sigma_hat": solution.sigma_hat,
         },
         notes=payload["notes"] + list(solution.notes),
         trajectory_csv="trajectory.csv",

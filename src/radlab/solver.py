@@ -30,8 +30,8 @@ march, three more stages per step, evaluated for all steps at once on
 arrays, give the seventh-order continuous extension; it is linear in the
 step's increment and stages, so each step is emitted as 14 equal sub-panels
 by one product with a constant node matrix, and the trajectory is dense
-enough for finite-difference residuals, panel quotients and tail fits at
-any step size.
+enough for finite-difference residuals, panel quotients and the blow-up
+envelope at any step size.
 
 Near a pole the march changes its independent variable to s = ln v (Stuart
 & Floater, Eur. J. Appl. Math. 1, 1990) once the pole dominates, that is
@@ -43,7 +43,9 @@ in s, are held to an absolute error in their logarithms, as in the
 rescaling of Berger & Kohn (CPAM 41, 1988).  R0 is the limit of r(s),
 estimated at each step as r + b * dr/ds with b = -1 / (d ln(dr/ds)/ds);
 the estimate's error contracts geometrically in s, and the run ends once
-the sum of the remaining contractions bounds it.  Power growth keeps
+the sum of the remaining contractions bounds it.  The last step's
+log-slopes of dr/ds and du/ds also give the rates b and sigma of
+v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma).  Power growth keeps
 dr/ds from decaying geometrically, so the estimate keeps moving with r and
 unbounded-but-global solutions are not mislabelled.
 """
@@ -331,7 +333,10 @@ class RadialSolution:
     integrals, with node derivatives ``fI1``/``fI2`` retained so the
     trajectory supports cubic-Hermite resampling.  ``R0`` is the blow-up
     radius, the limit of r(s) as s = ln v grows, when ``terminated`` is
-    BlowUp and None otherwise; it lies beyond the last node.
+    BlowUp and None otherwise; it lies beyond the last node.  ``b_hat`` and
+    ``sigma_hat`` are the rates of v ~ (R0 - r)**(-b) and
+    u' ~ (R0 - r)**(-sigma) read off the march's last step, set and unset
+    with ``R0``.
     ``pole_switch_r`` is the radius at which the march changed to s, or
     None if it never did.  ``start_radius`` is r0, where the closed-form
     start hands over to the march, and ``bootstrap_nodes`` counts the nodes
@@ -359,6 +364,8 @@ class RadialSolution:
     fI2: np.ndarray
     terminated: TerminationReason
     R0: float | None
+    b_hat: float | None
+    sigma_hat: float | None
     bootstrap_nodes: int
     start_radius: float
     rhs_evals: int
@@ -380,8 +387,9 @@ class RadialSolution:
         for name, series in (("u", u), ("v", v), ("w", w), ("dv", dv)):
             if np.any(np.diff(series) < 0.0):
                 raise ValueError(f"{name} must be non-decreasing")
-        if (self.R0 is not None) != (self.terminated is TerminationReason.BLOW_UP):
-            raise ValueError("R0 is set exactly for a blow-up trajectory")
+        unset = (self.R0, self.b_hat, self.sigma_hat).count(None)
+        if unset != (0 if self.terminated is TerminationReason.BLOW_UP else 3):
+            raise ValueError("R0, b_hat and sigma_hat are set exactly for a blow-up run")
         if self.R0 is not None and not self.R0 > r[-1]:
             raise ValueError("a blow-up radius must lie beyond the last node")
 
@@ -614,10 +622,12 @@ def march(
     R0 = r + b * dr/ds, with b = -1 / (d ln(dr/ds)/ds) = -1 / slope taken
     across the last step of size h.  The estimate's error, like
     (R0 - r)**2, contracts by rho = exp(2 * h * slope) per step, so the run
-    stops once |change of R0| * rho / (1 - rho) <= 0.05 * rel_tol * R0.  It
-    ends as StepUnderflow, with a note, when a rejection shrinks the step's
-    increment in r below 1e-14 * r, or when the sub-nodes of a step no
-    longer advance r strictly; that step and every later one are dropped.
+    stops once |change of R0| * rho / (1 - rho) <= 0.05 * rel_tol * R0,
+    with that step's rates b_hat = -1 / slope and sigma_hat = 1 - (the
+    log-slope of du/ds over that of dr/ds).  It ends as StepUnderflow, with
+    a note, when a rejection shrinks the step's increment in r below
+    1e-14 * r, or when the sub-nodes of a step no longer advance r
+    strictly; that step and every later one are dropped.
     :class:`SolverError` is raised when the right-hand side is not finite
     where a phase starts.
     """
@@ -650,7 +660,7 @@ def march(
     radial_steps: list[tuple] = []
     pole_steps: list[tuple] = []
     spans: list[tuple[float, float]] = []
-    R0 = None
+    R0 = b_hat = sigma_hat = None
     pole_switch_r = None
     terminated = None
 
@@ -690,6 +700,10 @@ def march(
                 # |R0 - previous| * rho / (1 - rho).
                 rho = math.exp(2.0 * h * slope)
                 if abs(R0 - previous) * rho / (1.0 - rho) <= tol * R0:
+                    # dr/ds ~ (R0 - r)/b decays in s at the rate 1/b and
+                    # du/ds = u' dr/ds ~ (R0 - r)**(1 - sigma) at (1 - sigma)/b.
+                    b_hat = -1.0 / slope
+                    sigma_hat = 1.0 - math.log(k13[1] / k1[1]) / h / slope
                     terminated = TerminationReason.BLOW_UP
                     break
         # dr/ds = v/v' is r/k under power growth r**k and (R0 - r)/b near a
@@ -721,13 +735,17 @@ def march(
         terminated = TerminationReason.STEP_UNDERFLOW
         if kept < len(radial_steps):
             pole_switch_r = None
+    if terminated is not TerminationReason.BLOW_UP:
+        R0 = b_hat = sigma_hat = None
     sizes = [end - start for start, end in spans[:kept]]
     return RadialSolution(
         spec=spec,
         options=options,
         **columns,
         terminated=terminated,
-        R0=R0 if terminated is TerminationReason.BLOW_UP else None,
+        R0=R0,
+        b_hat=b_hat,
+        sigma_hat=sigma_hat,
         bootstrap_nodes=len(boot.r),
         start_radius=boot.r0,
         rhs_evals=evals,
@@ -855,7 +873,7 @@ def check_scaling_identity(
     v0: float,
     *,
     radius: float = 1.0,
-    rel_tol: float = 1e-8,
+    rel_tol: float = SolverOptions.rel_tol,
     points: int = 201,
 ) -> ScalingReport:
     """Solve the problem on [0, radius] and its rescaling on [0, radius/lam],
@@ -1050,6 +1068,10 @@ def relative_residuals(
     src2 = spec.f2(r) * spec.g2(v) * spec.h(du)
 
     def defect(d, sing, src):
-        return np.abs(d + sing - src) / (np.abs(d) + np.abs(sing) + np.abs(src) + 1e-300)
+        # Derivatives that overflow at the last nodes of a run give inf/inf,
+        # a nan residual, which the trajectory CSV writes as nan.
+        total = np.abs(d) + np.abs(sing) + np.abs(src) + 1e-300
+        with np.errstate(invalid="ignore"):
+            return np.abs(d + sing - src) / total
 
     return defect(dW, sing1, src1), defect(dZ, sing2, src2)

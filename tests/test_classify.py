@@ -1,5 +1,7 @@
 """Boundary-class prediction, numeric labelling, and their reconciliation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from radlab.classify import (
     reconcile,
 )
 
+from radlab.expressions import parse_expr
 from radlab.solver import SolverOptions, TerminationReason, march
 
 from conftest import CASE_BY_NAME, REFERENCE_CASES, power_spec
@@ -130,6 +133,35 @@ def test_blow_up_rates_reference_values():
     b6, sigma6 = blow_up_rates(CASE_BY_NAME["B"].spec())
     assert b6 == pytest.approx(1.6)
     assert sigma6 == pytest.approx(0.6)
+
+
+def test_blow_up_rates_from_leading_exponents_of_power_sums():
+    # Near R0 only the leading terms of g1, g2 and h matter.
+    b3_multi = replace(CASE_BY_NAME["C"].spec(), h=parse_expr("t^2 + t^4"))
+    pole_stall = replace(CASE_BY_NAME["B"].spec(), g1=parse_expr("t + t^2"))
+    for spec, (b, sigma) in ((b3_multi, (2.0, 1.0)), (pole_stall, (8 / 11, 5 / 11))):
+        assert blow_up_rates(spec) == pytest.approx((b, sigma), rel=1e-12)
+        run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+        assert run.terminated is TerminationReason.BLOW_UP
+        assert abs(run.sigma_hat - sigma) < 1e-4
+        assert abs(run.b_hat - b) < 1e-3 * b
+
+
+#: (p, alpha) of the q ladders q = 1..8: sweep_q and the four atlas configs.
+_LADDERS = ((2.0, 0.0), (1.5, 0.0), (2.0, 0.5), (3.0, 0.0), (3.0, 1.0))
+
+
+def test_march_measures_the_closed_form_sigma_on_the_q_ladders(solved_cases):
+    runs = [
+        march(power_spec(p, alpha, 1, 0, q), 1.0, 1.0, SolverOptions(20.0))
+        for p, alpha in _LADDERS
+        for q in range(1, 9)
+    ]
+    blow_ups = [run for run in runs if run.terminated is TerminationReason.BLOW_UP]
+    assert len(blow_ups) == 33
+    for run in blow_ups + [solved_cases["B"], solved_cases["C"]]:
+        sigma = blow_up_rates(run.spec)[1]
+        assert abs(run.sigma_hat - sigma) < 1e-4, (run.spec, run.sigma_hat, sigma)
 
 
 def test_sigma_below_one_exactly_for_v_only_blowup():
