@@ -1,14 +1,19 @@
 """Numerical laboratory for positive radial solutions of a quasilinear
 elliptic system with gradient-dependent sources.
 
-The package splits into six pieces:
+The package's modules:
 
 - :mod:`radlab.expressions` — the tiny power-sum expression language used
   for the coefficient and nonlinearity functions;
+- :mod:`radlab.problem` — the problem data and its structural checks;
 - :mod:`radlab.criteria` — the two improper-integral convergence criteria
   and the gradient-bound (sandwich) machinery;
+- :mod:`radlab.quadrature` — adaptive Gauss–Kronrod quadrature, the
+  reference the tests hold the criteria's integrals to;
 - :mod:`radlab.solver` — a closed-form start at the origin plus adaptive
   outward marching of the radial system, scaling and envelope diagnostics;
+- :mod:`radlab.dop853` — the Dormand–Prince 8(5,3) step of the march and
+  its seventh-order dense output;
 - :mod:`radlab.classify` — boundary-class prediction from the criteria and
   labelling of numerical runs, with reconciliation between the two;
 - :mod:`radlab.verify` — a posteriori inequality checks on trajectories;

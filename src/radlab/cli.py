@@ -482,6 +482,13 @@ def cmd_verify(config: RunConfig, trajectory_path: str | None) -> int:
 # argument parsing
 
 
+def _seed(text: str) -> int:
+    """The type of ``--seed``: a non-negative integer, as in the run file."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged."""
@@ -496,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a run file")
         cmd.add_argument(
-            "--seed", type=int, default=None,
+            "--seed", type=_seed, default=None,
             help="override the config's random seed",
         )
         return cmd

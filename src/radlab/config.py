@@ -69,7 +69,7 @@ class ConfigError(ValueError):
 
 #: Parameters accepted by ``[sweep] parameter``.  ``m``, ``beta`` and ``q``
 #: replace g1, g2 and h respectively with the pure power ``t^value`` and
-#: therefore require integer values, as do ``n`` sweeps.
+#: therefore require integer values >= 0; ``n`` sweeps require integers.
 SWEEPABLE_PARAMETERS = (
     "p",
     "alpha",
@@ -309,8 +309,9 @@ def parse_config_text(text: str) -> RunConfig:
             )
     if "seed" in top:
         got = _take_number(top, "seed", errors, convert=_int_literal, kind="an integer")
-        if got is not None:
-            seed = int(got)
+        if got is not None and got < 0:  # numpy rejects a negative seed
+            errors.append(f"line {top['seed'][1]}: seed must be non-negative, got {got}")
+        seed = got or 0
 
     for name in ("problem", "solver"):
         if name not in tables:
@@ -417,12 +418,14 @@ def parse_config_text(text: str) -> RunConfig:
                 f"finite numbers, got {raw!r}"
             )
         else:
+            # m, beta and q become the power t^value, so they must be >= 0.
             if sweep_parameter in _INTEGER_PARAMETERS:
+                power = sweep_parameter != "n"
                 for value in values:
-                    if value != int(value):
+                    if value != int(value) or (power and value < 0):
                         errors.append(
                             f"line {lineno}: sweeping {sweep_parameter!r} needs "
-                            f"integer values, got {value!r}"
+                            f"integer values{' >= 0' if power else ''}, got {value!r}"
                         )
             sweep_values = tuple(values)
     if sweep_parameter is None:

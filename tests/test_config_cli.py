@@ -174,6 +174,28 @@ def test_sweep_validation():
     assert cfg.sweep_parameter is None and cfg.sweep_values == ()
 
 
+@pytest.mark.parametrize("parameter", ["m", "beta", "q"])
+def test_negative_power_sweep_value_is_a_config_error(parameter, tmp_path, capsys):
+    # m, beta and q become the power t^value, which the expression language
+    # has only for value >= 0: a negative value used to reach config.spec()
+    # inside the sweep and end it in a traceback.
+    text = GOOD.replace("parameter = q", f"parameter = {parameter}")
+    bad = text.replace("values = 1, 2, 3", "values = -1, 1")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(bad)
+    message = f"line 22: sweeping {parameter!r} needs integer values >= 0, got -1.0"
+    assert err.value.errors == [message]
+    argv = ["sweep", "--config", write(tmp_path, bad), "--out", str(tmp_path)]
+    code, _, stderr = run_cli(argv, capsys)
+    assert code == 2 and message in stderr
+    assert not (tmp_path / "atlas.csv").exists()
+    # 0 is a power, t^0, and n keeps its own per-row check of the range
+    zero = parse_config_text(text.replace("values = 1, 2, 3", "values = 0, 1"))
+    assert zero.sweep_values == (0.0, 1.0)
+    n_sweep = GOOD.replace("parameter = q", "parameter = n").replace("1, 2, 3", "-1, 3")
+    assert parse_config_text(n_sweep).sweep_values == (-1.0, 3.0)
+
+
 def test_with_value_rewrites_power_expressions():
     cfg = parse_config_text(GOOD)
     assert cfg.with_value("q", 3).h == "t^3"
@@ -825,6 +847,33 @@ def test_seed_override_accepted(tmp_path, capsys):
         ["classify", "--config", path, "--seed", "99"], capsys
     )
     assert code == 0
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # numpy's generators take no negative seed: solve used to write
+    # trajectory.csv and then end in a traceback, with no report.json.
+    bad = GOOD.replace("seed = 11", "seed = -3")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(bad)
+    assert err.value.errors == ["line 2: seed must be non-negative, got -3"]
+    path, out = write(tmp_path, bad), tmp_path / "out"
+    for argv in (["solve", "--config", path, "--out", str(out)], ["verify", "--config", path]):
+        code, _, stderr = run_cli(argv, capsys)
+        assert code == 2 and "line 2: seed must be non-negative" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "sweep", "verify"])
+def test_negative_seed_option_is_a_usage_error(command, tmp_path, capsys):
+    argv = [command, "--config", write(tmp_path, GOOD), "--seed", "-1"]
+    if command in ("solve", "sweep"):
+        argv += ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got '-1'" in stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):

@@ -496,27 +496,34 @@ def test_picard_stage_does_not_stop_with_flat_v(p, alpha, q, u0, v0):
         )
 
 
-# The Dormand-Prince 8(5,3) tableau as the loop below reads it: the named
-# coefficients of radlab.dop853, with 0 for every pair a stage does not use.
+# The Dormand-Prince 8(5,3) tableau of radlab.dop853 as dense rows for the
+# loop below, with 0 for every pair a stage does not use.
 _STAGES = range(1, 13)
-_C = [0.0] + [getattr(dop853, f"_C{i}") for i in range(2, 13)]
-_A = [[getattr(dop853, f"_A{i}_{j}", 0.0) for j in range(1, i)] for i in _STAGES]
-_B = [getattr(dop853, f"_B{j}", 0.0) for j in _STAGES]
-_E5 = [getattr(dop853, f"_E{j}", 0.0) for j in _STAGES]
-_BHH = [getattr(dop853, f"_BHH{j}", 0.0) for j in _STAGES]
+_C = [0.0] + [c for c, _ in dop853._STAGES]
+_A = [[]] + [[row.get(j, 0.0) for j in range(1, i)] for i, (_, row) in enumerate(dop853._STAGES, 2)]
+_B, _E5, _BHH = ([w.get(j, 0.0) for j in _STAGES] for w in (dop853._B, dop853._E5, dop853._BHH))
+
+
+def _in_order(weights, k, c):
+    """The sum of weights[j] * k[j][c], one rounding per term in increasing
+    j (sum() compensates its rounding from Python 3.12 on)."""
+    total = 0.0
+    for w, kj in zip(weights, k):
+        total += w * kj[c]
+    return total
 
 
 def reference_dop853_step(f, x, h, y, tol, absolute):
     """One DOP853 step written as loops over the tableau above."""
     k = [f(x, *y)]
     for i in range(1, 12):
-        stage = [y[c] + h * sum(a * k[j][c] for j, a in enumerate(_A[i])) for c in range(4)]
+        stage = [y[c] + h * _in_order(_A[i], k, c) for c in range(4)]
         k.append(f(x + _C[i] * h, *stage))
-    d = [sum(b * kj[c] for b, kj in zip(_B, k)) for c in range(4)]
+    d = [_in_order(_B, k, c) for c in range(4)]
     y_new = [y[c] + h * d[c] for c in range(4)]
     scale = [tol * (1.0 if absolute[c] else max(abs(y[c]), abs(y_new[c]))) for c in range(4)]
-    e5 = [abs(sum(e * kj[c] for e, kj in zip(_E5, k))) / scale[c] for c in range(4)]
-    e3 = [abs(d[c] - sum(b * kj[c] for b, kj in zip(_BHH, k))) / scale[c] for c in range(4)]
+    e5 = [abs(_in_order(_E5, k, c)) / scale[c] for c in range(4)]
+    e3 = [abs(d[c] - _in_order(_BHH, k, c)) / scale[c] for c in range(4)]
     err = max(h * p**2 / math.sqrt(p**2 + 0.01 * q**2) for p, q in zip(e5, e3))
     k13 = f(x + h, *y_new)
     row = [x, h, *y, *y_new] + [kj[c] for kj in (k[0], *k[5:], k13) for c in range(4)]
@@ -542,8 +549,10 @@ def test_dp_step_matches_loop_reference(seed, absolute):
     tol = 1e-9
     got = dop853.step(_smooth_rhs, x, h, y, _smooth_rhs(x, *y), tol, absolute)
     want = reference_dop853_step(_smooth_rhs, x, h, y, tol, absolute)
+    # The stages, solution and row are the same float operations in the
+    # same order, so they agree to the bit; the error formula differs.
     for name, g, w in zip(("y_new", "k13", "row"), got[:3], want[:3]):
-        assert np.allclose(g, w, rtol=1e-13, atol=0.0), name
+        assert list(g) == list(w), name
     assert got[3] == pytest.approx(want[3], rel=1e-13)
     assert got[3] > 0.0
 
