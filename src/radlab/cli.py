@@ -47,6 +47,7 @@ import orjson
 from .classify import numeric_classify, predict, reconcile
 from .config import ConfigError, RunConfig, load_config
 from .criteria import CriterionDiverges, CriterionKind, criterion
+from .expressions import ExpressionError
 from .problem import InvalidProblem, ProblemSpec, validate_assumptions
 from .solver import (
     SolverError,
@@ -277,8 +278,8 @@ def sweep_row(
     """One row of ``atlas.csv``: criteria, predicted class and, with
     ``solve``, the numeric class of a march and whether the two agree.
 
-    A problem that fails validation, or a run the solver refuses or cannot
-    finish, leaves its reason in the row's ``error`` cell.
+    A problem that fails to parse or validate, or a run the solver refuses
+    or cannot finish, leaves its reason in the row's ``error`` cell.
     """
     row = {
         "parameter": parameter,
@@ -292,7 +293,7 @@ def sweep_row(
     }
     try:
         spec = config.spec()
-    except InvalidProblem as exc:
+    except (InvalidProblem, ExpressionError) as exc:
         row["error"] = str(exc)
         return row
     report = validate_assumptions(spec)

@@ -30,8 +30,18 @@ optional parameter sweep::
 Rules: ``key = value`` lines grouped under ``[section]`` headers, ``#``
 starts a comment (outside quotes), expression values must be quoted.
 The only key allowed before the first section header is ``seed``.
-Validation is exhaustive: every problem found is reported, each tagged
-with the line it came from, rather than stopping at the first.
+
+One table, ``_KEYS``, gives each section's keys, each with whether it is
+required and its rule: a function from the raw text to the value that
+raises ``ValueError`` with the reason.  p, alpha and n take their ranges
+from :func:`radlab.problem.check_range`, target_radius and rel_tol from
+:class:`SolverOptions`; a sweep value has one rule, ``_swept``, which
+:meth:`RunConfig.with_value` applies too.
+
+Validation is exhaustive and tags most faults with their line, in this
+order: syntax errors (malformed lines, unknown or duplicate sections,
+duplicate keys) by line; missing sections; each section in file order,
+its keys' errors by line and then its missing keys; last, the sweep values.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from typing import Callable
 
 from .classify import Domain
 from .expressions import ExpressionError, parse_expr
-from .problem import ProblemSpec
+from .problem import ProblemSpec, check_range
 from .solver import SolverOptions
 
 __all__ = [
@@ -68,21 +78,37 @@ class ConfigError(ValueError):
 
 
 #: Parameters accepted by ``[sweep] parameter``.  ``m``, ``beta`` and ``q``
-#: replace g1, g2 and h respectively with the pure power ``t^value`` and
-#: therefore require integer values >= 0; ``n`` sweeps require integers.
-SWEEPABLE_PARAMETERS = (
-    "p",
-    "alpha",
-    "n",
-    "u0",
-    "v0",
-    "target_radius",
-    "m",
-    "beta",
-    "q",
-)
+#: replace g1, g2 and h respectively with the pure power ``t^value``.
+SWEEPABLE_PARAMETERS = ("p", "alpha", "n", "u0", "v0", "target_radius", "m", "beta", "q")
 
-_INTEGER_PARAMETERS = frozenset({"n", "m", "beta", "q"})
+_POWER_FIELDS = {"m": "g1", "beta": "g2", "q": "h"}
+
+
+def _sweepable(parameter: str) -> str:
+    if parameter not in SWEEPABLE_PARAMETERS:
+        choices = ", ".join(SWEEPABLE_PARAMETERS)
+        raise ValueError(f"cannot sweep {parameter!r}; choose one of {choices}")
+    return parameter
+
+
+def _swept(parameter: str, value: float) -> dict[str, object]:
+    """The fields of a :class:`RunConfig` that one sweep value sets.
+
+    This is the one rule for a sweep value: ``n`` takes an integer, and
+    ``m``/``beta``/``q`` an integer >= 0, which becomes the pure power
+    ``t^value`` in g1/g2/h (the expression language has no negative
+    power); every other parameter takes any number.
+    """
+    value = float(value)
+    if _sweepable(parameter) not in ("n", *_POWER_FIELDS):
+        return {parameter: value}
+    power = parameter != "n"
+    if not value.is_integer() or (power and value < 0):
+        raise ValueError(
+            f"sweeping {parameter!r} needs integer values"
+            f"{' >= 0' if power else ''}, got {value!r}"
+        )
+    return {_POWER_FIELDS[parameter]: f"t^{int(value)}"} if power else {"n": int(value)}
 
 
 @dataclass(frozen=True)
@@ -128,26 +154,14 @@ class RunConfig:
     def with_value(self, parameter: str, value: float) -> "RunConfig":
         """Return a copy with one sweepable parameter replaced.
 
-        ``m``/``beta``/``q`` rewrite the g1/g2/h expression to the pure
-        power ``t^value``; the other parameters are plain field updates.
+        The value must pass the run file's rule for a sweep value (see
+        ``_swept``), or this raises ``ValueError`` with the parser's message;
+        ``m``/``beta``/``q`` rewrite g1/g2/h to the pure power ``t^value``.
         The copy is not re-validated: an out-of-range value (say a swept
-        ``alpha`` crossing ``p - 1``) surfaces when the problem is built
-        or classified, which lets a sweep record the failure per row.
+        ``alpha`` crossing ``p - 1``) surfaces when the problem is built or
+        classified, which lets a sweep record the failure per row.
         """
-        if parameter not in SWEEPABLE_PARAMETERS:
-            raise ValueError(
-                f"cannot sweep {parameter!r}; choose one of "
-                + ", ".join(SWEEPABLE_PARAMETERS)
-            )
-        if parameter in _INTEGER_PARAMETERS:
-            k = int(round(value))
-            if not math.isclose(value, k, rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError(f"{parameter} must be an integer, got {value!r}")
-            if parameter == "n":
-                return dataclasses.replace(self, n=k)
-            field = {"m": "g1", "beta": "g2", "q": "h"}[parameter]
-            return dataclasses.replace(self, **{field: f"t^{k}"})
-        return dataclasses.replace(self, **{parameter: float(value)})
+        return dataclasses.replace(self, **_swept(parameter, value))
 
 
 # --------------------------------------------------------------------------
@@ -165,25 +179,11 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-_SECTIONS = ("problem", "solver", "sweep")
-
-_SECTION_KEYS: dict[str, tuple[str, ...]] = {
-    "problem": ("p", "alpha", "n", "f1", "f2", "g1", "g2", "h", "omega"),
-    "solver": ("u0", "v0", "target_radius", "rel_tol"),
-    "sweep": ("parameter", "values"),
-}
-
-_REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
-    "problem": ("p", "alpha", "n", "f1", "f2", "g1", "g2", "h", "omega"),
-    "solver": ("u0", "v0", "target_radius"),
-    "sweep": (),
-}
-
-_EXPRESSION_KEYS = ("f1", "f2", "g1", "g2", "h")
-
-
 def _parse_lines(text: str, errors: list[str]) -> dict[str, dict[str, tuple[str, int]]]:
-    """First pass: split into sections of ``key -> (raw value, line no)``."""
+    """First pass: split into sections of ``key -> (raw value, line no)``.
+
+    The top level, before any header, is the section ``""``.
+    """
     tables: dict[str, dict[str, tuple[str, int]]] = {"": {}}
     section = ""
     seen_sections: dict[str, int] = {}
@@ -195,20 +195,18 @@ def _parse_lines(text: str, errors: list[str]) -> dict[str, dict[str, tuple[str,
             if not line.endswith("]"):
                 errors.append(f"line {lineno}: malformed section header {line!r}")
                 continue
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                errors.append(f"line {lineno}: unknown section [{name}]")
-                section = name  # swallow its keys; they are reported once
-                tables.setdefault(name, {})
-                continue
-            if name in seen_sections:
+            section = line[1:-1].strip()
+            tables.setdefault(section, {})
+            if not section or section not in _KEYS:
+                # its keys are swallowed: the section is reported once
+                errors.append(f"line {lineno}: unknown section [{section}]")
+            elif section in seen_sections:
                 errors.append(
-                    f"line {lineno}: duplicate section [{name}] "
-                    f"(first opened on line {seen_sections[name]})"
+                    f"line {lineno}: duplicate section [{section}] "
+                    f"(first opened on line {seen_sections[section]})"
                 )
-            seen_sections.setdefault(name, lineno)
-            section = name
-            tables.setdefault(name, {})
+            else:
+                seen_sections[section] = lineno
             continue
         if "=" not in line:
             errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -232,232 +230,163 @@ def _parse_lines(text: str, errors: list[str]) -> dict[str, dict[str, tuple[str,
 
 def _unquote(raw: str) -> str | None:
     """Return the contents of a double-quoted value, or None if unquoted."""
-    if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
-        inner = raw[1:-1]
-        if '"' not in inner:
-            return inner
+    if len(raw) >= 2 and raw[0] == raw[-1] == '"' and '"' not in raw[1:-1]:
+        return raw[1:-1]
     return None
 
 
-def _take_number(
-    table: dict[str, tuple[str, int]],
-    key: str,
-    errors: list[str],
-    *,
-    convert: Callable[[str], float] = float,
-    kind: str = "a number",
-) -> float | None:
-    if key not in table:
-        return None
-    raw, lineno = table[key]
-    if _unquote(raw) is not None:
-        errors.append(f"line {lineno}: {key} must be {kind}, not a quoted string")
-        return None
-    try:
-        value = convert(raw)
-    except ValueError:
-        errors.append(f"line {lineno}: {key} must be {kind}, got {raw!r}")
-        return None
-    if isinstance(value, float) and not math.isfinite(value):
-        errors.append(f"line {lineno}: {key} must be finite, got {raw!r}")
-        return None
-    return value
+#: A key's rule: (key, raw text) -> the value, or ValueError with the reason.
+Rule = Callable[[str, str], object]
 
 
-def _int_literal(raw: str) -> int:
-    value = float(raw)
-    k = int(round(value))
-    if value != k:
-        raise ValueError(raw)
-    return k
+def _number(check: Callable[[str, float], None], *, integer: bool = False) -> Rule:
+    """The rule for a finite number, or an integer, that passes ``check``."""
+    kind = "an integer" if integer else "a number"
+
+    def rule(key: str, raw: str) -> float:
+        if _unquote(raw) is not None:
+            raise ValueError(f"{key} must be {kind}, not a quoted string")
+        try:
+            value = float(raw)
+            if integer:
+                if not value.is_integer():  # false for inf and nan too
+                    raise ValueError(raw)
+                value = int(value)
+        except ValueError:
+            raise ValueError(f"{key} must be {kind}, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {raw!r}")
+        check(key, value)
+        return value
+
+    return rule
 
 
-def _take_string(
-    table: dict[str, tuple[str, int]],
-    key: str,
-    errors: list[str],
-    *,
-    require_quotes: bool,
-) -> str | None:
-    if key not in table:
-        return None
-    raw, lineno = table[key]
+def _positive(key: str, value: float) -> None:
+    if value <= 0.0:
+        raise ValueError(f"{key} must be positive")
+
+
+def _non_negative(key: str, value: int) -> None:
+    if value < 0:  # numpy rejects a negative seed
+        raise ValueError(f"{key} must be non-negative, got {value}")
+
+
+def _solver_option(key: str, value: float) -> None:
+    SolverOptions(**{"target_radius": 1.0, key: value})
+
+
+def _expression(key: str, raw: str) -> str:
     inner = _unquote(raw)
-    if inner is not None:
-        return inner
-    if require_quotes:
-        errors.append(
-            f"line {lineno}: {key} must be a quoted expression, e.g. {key} = \"t\""
+    if inner is None:
+        raise ValueError(f"{key} must be a quoted expression, e.g. {key} = \"t\"")
+    try:
+        parse_expr(inner)
+    except ExpressionError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return inner
+
+
+def _omega(key: str, raw: str) -> str:
+    inner = _unquote(raw)
+    omega = raw if inner is None else inner
+    if omega not in ("ball", "wholespace"):
+        raise ValueError(f"omega must be \"ball\" or \"wholespace\", got {omega!r}")
+    return omega
+
+
+def _sweep_values(key: str, raw: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in raw.split(","))
+    except ValueError:
+        values = ()
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(
+            f"values must be a comma-separated list of finite numbers, got {raw!r}"
         )
-        return None
-    return raw
+    return values
+
+
+#: section -> key -> (required, rule).  An optional section may be left out
+#: or left empty; a present, non-empty one needs its required keys.
+_KEYS: dict[str, dict[str, tuple[bool, Rule]]] = {
+    "": {"seed": (False, _number(_non_negative, integer=True))},
+    "problem": {
+        "p": (True, _number(check_range)),
+        "alpha": (True, _number(check_range)),
+        "n": (True, _number(check_range, integer=True)),
+        **{key: (True, _expression) for key in ("f1", "f2", "g1", "g2", "h")},
+        "omega": (True, _omega),
+    },
+    "solver": {
+        "u0": (True, _number(_positive)),
+        "v0": (True, _number(_positive)),
+        "target_radius": (True, _number(_solver_option)),
+        "rel_tol": (False, _number(_solver_option)),
+    },
+    "sweep": {
+        "parameter": (True, lambda key, raw: _sweepable(_unquote(raw) or raw)),
+        "values": (True, _sweep_values),
+    },
+}
+
+_OPTIONAL_SECTIONS = ("", "sweep")
 
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse and validate run-file text; raise ConfigError listing *all* faults."""
     errors: list[str] = []
     tables = _parse_lines(text, errors)
-
-    # ---------------- top level
-    top = tables[""]
-    seed = 0
-    for key, (raw, lineno) in top.items():
-        if key != "seed":
-            errors.append(
-                f"line {lineno}: key {key!r} appears before any section "
-                "(only 'seed' is allowed at top level)"
-            )
-    if "seed" in top:
-        got = _take_number(top, "seed", errors, convert=_int_literal, kind="an integer")
-        if got is not None and got < 0:  # numpy rejects a negative seed
-            errors.append(f"line {top['seed'][1]}: seed must be non-negative, got {got}")
-        seed = got or 0
-
-    for name in ("problem", "solver"):
-        if name not in tables:
-            errors.append(f"missing required section [{name}]")
-    for name in _SECTIONS:
-        table = tables.get(name)
-        if table is None:
+    errors += [
+        f"missing required section [{name}]"
+        for name in _KEYS
+        if name not in tables and name not in _OPTIONAL_SECTIONS
+    ]
+    values: dict[str, dict[str, object]] = {}
+    for name, table in tables.items():
+        keys = _KEYS.get(name)
+        if keys is None:  # an unknown section, reported at its header
             continue
-        for key, (_, lineno) in table.items():
-            if key not in _SECTION_KEYS[name]:
-                errors.append(f"line {lineno}: unknown key {key!r} in [{name}]")
-        for key in _REQUIRED_KEYS[name]:
-            if key not in table:
-                errors.append(f"missing required key {key!r} in [{name}]")
-
-    problem = tables.get("problem", {})
-    solver = tables.get("solver", {})
-    sweep = tables.get("sweep", {})
-
-    # ---------------- [problem]
-    p = _take_number(problem, "p", errors)
-    alpha = _take_number(problem, "alpha", errors)
-    n = _take_number(problem, "n", errors, convert=_int_literal, kind="an integer")
-    exprs: dict[str, str] = {}
-    for key in _EXPRESSION_KEYS:
-        got = _take_string(problem, key, errors, require_quotes=True)
-        if got is not None:
-            line = problem[key][1]
+        got = values[name] = {}
+        for key, (raw, lineno) in table.items():
             try:
-                parse_expr(got)
-            except ExpressionError as exc:
-                errors.append(f"line {line}: {key}: {exc}")
-            else:
-                exprs[key] = got
-    omega = _take_string(problem, "omega", errors, require_quotes=False)
-    if omega is not None and omega not in ("ball", "wholespace"):
-        errors.append(
-            f"line {problem['omega'][1]}: omega must be \"ball\" or \"wholespace\", "
-            f"got {omega!r}"
-        )
+                if key not in keys:
+                    raise ValueError(
+                        f"unknown key {key!r} in [{name}]"
+                        if name
+                        else f"key {key!r} appears before any section "
+                        "(only 'seed' is allowed at top level)"
+                    )
+                got[key] = keys[key][1](key, raw)
+            except ValueError as exc:
+                errors.append(f"line {lineno}: {exc}")
+        if table or name not in _OPTIONAL_SECTIONS:
+            errors += [
+                f"missing required key {key!r} in [{name}]"
+                for key, (required, _) in keys.items()
+                if required and key not in table
+            ]
 
-    if p is not None and p <= 1.0:
-        errors.append(f"line {problem['p'][1]}: p must exceed 1")
-    if alpha is not None and alpha < 0.0:
-        errors.append(f"line {problem['alpha'][1]}: alpha must be non-negative")
-    if n is not None and n < 2:
-        errors.append(f"line {problem['n'][1]}: the dimension n must be at least 2")
-
-    # ---------------- [solver]
-    # target_radius and rel_tol must pass SolverOptions' own checks.
-    reals = {"rel_tol": SolverOptions.rel_tol}
-    for key in _SECTION_KEYS["solver"]:
-        got = _take_number(solver, key, errors)
-        if got is None:
-            continue
+    sweep = values.get("sweep", {})
+    parameter = sweep.get("parameter")
+    for value in sweep.get("values", ()) if parameter else ():
         try:
-            if key in ("u0", "v0"):
-                if got <= 0.0:
-                    raise ValueError(f"{key} must be positive")
-            else:
-                SolverOptions(**{"target_radius": 1.0, key: got})
+            _swept(parameter, value)
         except ValueError as exc:
-            errors.append(f"line {solver[key][1]}: {exc}")
-        else:
-            reals[key] = got
-
-    # ---------------- [sweep]
-    sweep_parameter: str | None = None
-    sweep_values: tuple[float, ...] = ()
-    if sweep:
-        if "parameter" not in sweep:
-            errors.append("missing required key 'parameter' in [sweep]")
-        if "values" not in sweep:
-            errors.append("missing required key 'values' in [sweep]")
-    if "parameter" in sweep:
-        raw, lineno = sweep["parameter"]
-        name = _unquote(raw) or raw
-        if name not in SWEEPABLE_PARAMETERS:
-            errors.append(
-                f"line {lineno}: cannot sweep {name!r}; choose one of "
-                + ", ".join(SWEEPABLE_PARAMETERS)
-            )
-        else:
-            sweep_parameter = name
-    if "values" in sweep:
-        raw, lineno = sweep["values"]
-        parts = [part.strip() for part in raw.split(",")]
-        values: list[float] = []
-        ok = bool(parts) and all(parts)
-        if ok:
-            for part in parts:
-                try:
-                    value = float(part)
-                except ValueError:
-                    ok = False
-                    break
-                if not math.isfinite(value):
-                    ok = False
-                    break
-                values.append(value)
-        if not ok:
-            errors.append(
-                f"line {lineno}: values must be a comma-separated list of "
-                f"finite numbers, got {raw!r}"
-            )
-        else:
-            # m, beta and q become the power t^value, so they must be >= 0.
-            if sweep_parameter in _INTEGER_PARAMETERS:
-                power = sweep_parameter != "n"
-                for value in values:
-                    if value != int(value) or (power and value < 0):
-                        errors.append(
-                            f"line {lineno}: sweeping {sweep_parameter!r} needs "
-                            f"integer values{' >= 0' if power else ''}, got {value!r}"
-                        )
-            sweep_values = tuple(values)
-    if sweep_parameter is None:
-        sweep_values = ()
+            errors.append(f"line {tables['sweep']['values'][1]}: {exc}")
 
     if errors:
         raise ConfigError(errors)
-
-    assert p is not None and alpha is not None and n is not None
-    assert omega is not None
     return RunConfig(
-        p=float(p),
-        alpha=float(alpha),
-        n=int(n),
-        f1=exprs["f1"],
-        f2=exprs["f2"],
-        g1=exprs["g1"],
-        g2=exprs["g2"],
-        h=exprs["h"],
-        omega=omega,
-        u0=reals["u0"],
-        v0=reals["v0"],
-        target_radius=reals["target_radius"],
-        rel_tol=reals["rel_tol"],
-        sweep_parameter=sweep_parameter,
-        sweep_values=sweep_values,
-        seed=seed,
+        **values["problem"],
+        **values["solver"],
+        sweep_parameter=parameter,
+        sweep_values=sweep.get("values", ()),
+        seed=values[""].get("seed", 0),
     )
 
 
 def load_config(path: str) -> RunConfig:
     """Load and validate a run file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config_text(text)
+        return parse_config_text(fh.read())

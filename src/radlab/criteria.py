@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .expressions import FuncExpr
-from .problem import InvalidProblem, ProblemSpec
+from .problem import InvalidProblem, ProblemSpec, check_range
 
 # Unused here, but radbench/spans.py traces quadrature by wrapping this name.
 from .quadrature import adaptive_quad  # noqa: F401
@@ -445,8 +445,7 @@ def sandwich_quantities(
     power sums again, so their integrals are closed-form antiderivatives;
     other power sums use the fixed rule of :class:`_LogRule`.
     """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    check_range("p", p)
     integral_H_root = _root_integral(h.antiderivative(), 1.0 / (p - 1.0))
     integral_h_root = _root_integral(h, 1.0 / p)
 

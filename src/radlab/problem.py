@@ -27,6 +27,7 @@ __all__ = [
     "InvalidProblem",
     "ProblemSpec",
     "ValidationReport",
+    "check_range",
     "validate_assumptions",
     "ensure_valid",
 ]
@@ -37,6 +38,18 @@ class InvalidProblem(ValueError):
 
 
 _FUNCTION_FIELDS = ("f1", "f2", "g1", "g2", "h")
+
+
+def check_range(name: str, value: float) -> None:
+    """Raise :class:`InvalidProblem` if ``p``, ``alpha`` or ``n`` (named by
+    ``name``) lies outside its range: p > 1, alpha >= 0, n >= 2.  The run-file
+    parser applies the same rule with the same messages."""
+    if name == "p" and not value > 1.0:
+        raise InvalidProblem("p must exceed 1")
+    if name == "alpha" and value < 0.0:
+        raise InvalidProblem("alpha must be non-negative")
+    if name == "n" and value < 2.0:
+        raise InvalidProblem("the dimension n must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -61,12 +74,8 @@ class ProblemSpec:
         for name in _FUNCTION_FIELDS:
             if not isinstance(getattr(self, name), FuncExpr):
                 raise InvalidProblem(f"{name} must be a parsed power sum")
-        if not self.p > 1.0:
-            raise InvalidProblem("p must exceed 1")
-        if self.alpha < 0.0:
-            raise InvalidProblem("alpha must be non-negative")
-        if self.n < 2.0:
-            raise InvalidProblem("the dimension n must be at least 2")
+        for name in ("p", "alpha", "n"):
+            check_range(name, getattr(self, name))
 
     @property
     def gradient_balanced(self) -> bool:

@@ -1,5 +1,6 @@
 """Run-file parsing and the four CLI subcommands."""
 
+import dataclasses
 import io
 import json
 import math
@@ -120,6 +121,74 @@ def test_errors_are_exhaustive_with_line_numbers():
     assert len(messages) >= 9
 
 
+def test_errors_are_listed_in_section_then_line_order():
+    # Missing sections first; then each section in file order, its keys'
+    # errors by line and then its missing keys; the sweep values last.
+    bad = textwrap.dedent(
+        """\
+        [solver]
+        u0 = -1
+        v0 = 1
+        stray = 1
+        [problem]
+        p = 0.5
+        alpha = -2
+        n = 1
+        f1 = 1
+        f2 = "1"
+        g1 = "t"
+        g2 = "1"
+        omega = "donut"
+        [sweep]
+        parameter = q
+        values = -1, 2.5
+        """
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(bad)
+    assert err.value.errors == [
+        "line 2: u0 must be positive",
+        "line 4: unknown key 'stray' in [solver]",
+        "missing required key 'target_radius' in [solver]",
+        "line 6: p must exceed 1",
+        "line 7: alpha must be non-negative",
+        "line 8: the dimension n must be at least 2",
+        'line 9: f1 must be a quoted expression, e.g. f1 = "t"',
+        "line 13: omega must be \"ball\" or \"wholespace\", got 'donut'",
+        "missing required key 'h' in [problem]",
+        "line 16: sweeping 'q' needs integer values >= 0, got -1.0",
+        "line 16: sweeping 'q' needs integer values >= 0, got 2.5",
+    ]
+    with pytest.raises(ConfigError) as err2:
+        parse_config_text("stray = 1\n[problem]\np = 0.5\n")
+    assert err2.value.errors == [
+        "missing required section [solver]",
+        "line 1: key 'stray' appears before any section (only 'seed' is allowed at top level)",
+        "line 3: p must exceed 1",
+        *(
+            f"missing required key {key!r} in [problem]"
+            for key in ("alpha", "n", "f1", "f2", "g1", "g2", "h", "omega")
+        ),
+    ]
+
+
+@pytest.mark.parametrize("line", ["n = inf", "n = 1e999", "n = -inf", "seed = 1e999"])
+def test_infinite_integer_is_a_config_error(line, tmp_path, capsys):
+    # An infinite n or seed used to end the parser in an OverflowError
+    # traceback (exit 1); it is a config error on its line.
+    key, _, raw = line.partition(" = ")
+    bad = re.sub(rf"(?m)^{key} = .*$", line, GOOD)
+    lineno = bad.splitlines().index(line) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(bad)
+    message = f"line {lineno}: {key} must be an integer, got {raw!r}"
+    assert err.value.errors == [message]
+    argv = ["solve", "--config", write(tmp_path, bad), "--out", str(tmp_path / "out")]
+    code, out, stderr = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and message in stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["0.5", "0.1", "-1"])
 def test_rel_tol_outside_solver_range_is_a_config_error(value, tmp_path, capsys):
     # The parser applies SolverOptions' own rule; rel_tol = 0.5 used to
@@ -207,6 +276,12 @@ def test_with_value_rewrites_power_expressions():
         cfg.with_value("q", 2.5)
     with pytest.raises(ValueError):
         cfg.with_value("f1", 1.0)
+    # the parser's rule and message: q = -1 used to give h = "t^-1", and a
+    # value within 1e-12 of an integer used to be rounded to it
+    for value in (-1, 2.0000000000001):
+        with pytest.raises(ValueError) as err:
+            cfg.with_value("q", value)
+        assert str(err.value) == f"sweeping 'q' needs integer values >= 0, got {float(value)!r}"
 
 
 def test_run_config_is_frozen():
@@ -440,6 +515,16 @@ def test_sweep_rows_survive_per_row_failures(tmp_path, capsys):
         assert cells[2] == "" and cells[3] == ""
         assert cells[4] == "NoSolution"
         assert cells[7] != ""
+
+
+@pytest.mark.parametrize("solve", [False, True])
+def test_sweep_row_records_an_expression_error(solve):
+    # A RunConfig built in code is not parsed: an expression the language
+    # refuses used to escape sweep_row as an ExpressionError traceback.
+    config = dataclasses.replace(parse_config_text(GOOD), h="t^-1")
+    row = radlab.cli.sweep_row(config, "q", -1.0, solve)
+    assert row["value"] == "-1.0" and row["predicted_class"] == ""
+    assert row["error"] == "negative values are not allowed (column 3 in 't^-1')"
 
 
 @pytest.mark.parametrize(
