@@ -24,7 +24,8 @@ floats as ``repr`` does; ``trajectory.csv`` has the same digits in
 non-finite residual as ``nan``.
 
 Exit codes: 0 on success, 1 when validation or verification fails,
-2 on configuration errors.
+2 on configuration errors and on an ``--out`` that cannot be made or
+written, which is checked before any work is done.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ def _write_trajectory(fh: BinaryIO, table: np.ndarray) -> None:
 
 
 def cmd_solve(config: RunConfig, out_dir: str) -> int:
+    """Solve into the existing directory ``out_dir``; :func:`main` makes it."""
     spec = config.spec()
     report = validate_assumptions(spec)
     if not report.ok:
@@ -203,7 +205,6 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
         "trajectory_csv": None,
     }
 
-    os.makedirs(out_dir, exist_ok=True)
     try:
         solution = march(spec, config.u0, config.v0, config.solver_options())
     except (SolverError, InvalidProblem) as exc:
@@ -321,6 +322,7 @@ def sweep_row(
 
 
 def cmd_sweep(config: RunConfig, out_dir: str, solve: bool) -> int:
+    """Sweep into the existing directory ``out_dir``; :func:`main` makes it."""
     if config.sweep_parameter is None:
         rows = [sweep_row(config, "", None, solve)]
     else:
@@ -345,7 +347,6 @@ def cmd_sweep(config: RunConfig, out_dir: str, solve: bool) -> int:
     writer.writerows(rows)
     text = buffer.getvalue()
 
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "atlas.csv"), "w", encoding="utf-8") as fh:
         fh.write(text)
     sys.stdout.write(text)
@@ -545,6 +546,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    if args.command in ("solve", "sweep"):
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            if not os.access(args.out, os.W_OK | os.X_OK):
+                raise PermissionError(f"{args.out!r} is not writable")
+        except OSError as exc:
+            print(f"error: cannot write output directory: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "classify":
         return cmd_classify(config)

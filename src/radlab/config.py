@@ -179,13 +179,17 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def _parse_lines(text: str, errors: list[str]) -> dict[str, dict[str, tuple[str, int]]]:
+def _parse_lines(
+    text: str, errors: list[str]
+) -> dict[str | None, dict[str, tuple[str, int]]]:
     """First pass: split into sections of ``key -> (raw value, line no)``.
 
-    The top level, before any header, is the section ``""``.
+    The top level, before any header, is the section ``""``; the keys of an
+    unknown section, ``[]`` included, are filed under None, which no rule
+    reads.
     """
-    tables: dict[str, dict[str, tuple[str, int]]] = {"": {}}
-    section = ""
+    tables: dict[str | None, dict[str, tuple[str, int]]] = {"": {}}
+    section: str | None = ""
     seen_sections: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -196,10 +200,10 @@ def _parse_lines(text: str, errors: list[str]) -> dict[str, dict[str, tuple[str,
                 errors.append(f"line {lineno}: malformed section header {line!r}")
                 continue
             section = line[1:-1].strip()
-            tables.setdefault(section, {})
             if not section or section not in _KEYS:
                 # its keys are swallowed: the section is reported once
                 errors.append(f"line {lineno}: unknown section [{section}]")
+                section = None
             elif section in seen_sections:
                 errors.append(
                     f"line {lineno}: duplicate section [{section}] "
@@ -207,6 +211,7 @@ def _parse_lines(text: str, errors: list[str]) -> dict[str, dict[str, tuple[str,
                 )
             else:
                 seen_sections[section] = lineno
+            tables.setdefault(section, {})
             continue
         if "=" not in line:
             errors.append(f"line {lineno}: expected 'key = value', got {line!r}")

@@ -16,7 +16,9 @@ turns every integrand into a power sum: I1 = g1(v0) * integral t**d f1 is
 exact, w follows algebraically, and the powers of a multi-term W that enter
 u and I2 = g2(v0) * integral t**(n-1) f2 h(w) are binomial series.  r0 is
 the largest radius at which neither the growth of v nor the remainder of a
-cut series exceeds that hundredth of rel_tol.
+cut series exceeds that hundredth of rel_tol, or the target radius if that
+is smaller; no blow-up can come before it, since v is still v0 there.  A
+start that holds up to the target leaves the march nothing to do.
 
 From r0 each step is a Dormand-Prince 8(5,3) pair, the code DOP853
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10): twelve stages
@@ -84,10 +86,8 @@ __all__ = [
 ]
 
 #: The closed-form start ends where the growth of v, or the remainder of a
-#: cut binomial series, reaches this fraction of rel_tol.
+#: cut binomial series, reaches this fraction of rel_tol, or at the target.
 _START_TOL = 0.01
-#: ... and at most at this fraction of the target radius.
-_START_CAP = 0.5
 #: Binomial series of multi-term powers are cut after this power.
 _SERIES_ORDER = 8
 #: The start segment is emitted at the origin and on a geometric grid of
@@ -232,14 +232,12 @@ def picard_bootstrap(
     most the integral of a power-sum bound on v' = (I2 / r**(n-1))**(1/(p-1)),
     and is emitted as v0 plus that bound.  r0 is the largest radius where
     the bound stays within 0.01 * rel_tol of v0 and every cut series within
-    0.01 * rel_tol of its sum, capped at half the target radius.  The
-    segment is the origin and 1024 geometrically spaced nodes over
-    [1e-3 * r0, r0], less the lowest of them where a profile is not yet a
-    positive normal float.  When the cap sets r0 and the profiles are not
-    normal floats there, as when h(w) underflows for large theta, r0 moves
-    out to the first of 1024 geometrically spaced radii up to the smaller
-    of the uncapped radius and the target where they are;
-    :class:`SolverError` is raised when there is no such radius.
+    0.01 * rel_tol of its sum, or the target radius itself if that is
+    smaller.  The segment is the origin and 1024 geometrically spaced nodes
+    over [1e-3 * r0, r0], less the lowest of them where a profile is not
+    yet a positive normal float, as when h(w) underflows for large theta;
+    :class:`SolverError` is raised when the profiles are not normal floats
+    at r0 itself.
     """
     if not (u0 > 0.0 and v0 > 0.0):
         raise ValueError("u0 and v0 must be positive")
@@ -284,39 +282,26 @@ def picard_bootstrap(
     ])
     log_share = math.log(budget) + math.log(v0) - math.log(J)
     radii += [(log_share - lc) / e for _, lc, e in growth]
-    r0 = math.exp(min(math.log(_START_CAP * options.target_radius), *radii))
-    rhs = _kernels(spec).nodes
+    log_target = math.log(options.target_radius)
+    log_r0 = min(log_target, *radii)
+    r0 = options.target_radius if log_r0 == log_target else math.exp(log_r0)
 
-    def profiles(r):
-        """The columns at radii r, and where they, W and Z are all normal."""
-        # Profiles that leave the float range are not kept, so their
-        # overflows are no error.
-        with np.errstate(all="ignore"):
-            I1 = _evaluate(I1_terms, r)
-            I2 = _evaluate(I2_terms, r)
-            v = v0 + _evaluate(growth, r)
-            w, dv, fI1, fI2 = rhs(r, v, I1, I2)
-            W = w ** (spec.p - 1.0 - spec.alpha)
-            Z = dv ** (spec.p - 1.0)
-            u = u0 + _evaluate(_integrated(w_terms), r)
-        columns = (r, u, v, w, dv, I1, I2, fI1, fI2)
-        every = [*columns[1:], W, Z]
-        keep = (np.minimum.reduce(every) >= np.finfo(float).tiny) & (
-            np.maximum.reduce(every) < np.inf
-        )
-        return columns, keep
-
-    columns, keep = profiles(np.geomspace(_START_SPAN * r0, r0, _START_NODES))
-    if not keep[-1]:
-        # Capped before the profiles are normal floats, as when h(u')
-        # underflows for large theta, the start runs on to the first radius
-        # where they are, within its tolerance and the target.
-        limit = min(math.exp(min(radii)), options.target_radius)
-        if limit > r0:
-            (beyond, *_), normal = profiles(np.geomspace(r0, limit, _START_NODES))
-            if normal.any():
-                r0 = float(beyond[normal.argmax()])
-                columns, keep = profiles(np.geomspace(_START_SPAN * r0, r0, _START_NODES))
+    r = np.geomspace(_START_SPAN * r0, r0, _START_NODES)
+    # Profiles that leave the float range are not kept, so their overflows
+    # are no error.
+    with np.errstate(all="ignore"):
+        I1 = _evaluate(I1_terms, r)
+        I2 = _evaluate(I2_terms, r)
+        v = v0 + _evaluate(growth, r)
+        w, dv, fI1, fI2 = _kernels(spec).nodes(r, v, I1, I2)
+        W = w ** (spec.p - 1.0 - spec.alpha)
+        Z = dv ** (spec.p - 1.0)
+        u = u0 + _evaluate(_integrated(w_terms), r)
+    columns = (r, u, v, w, dv, I1, I2, fI1, fI2)
+    every = [*columns[1:], W, Z]
+    keep = (np.minimum.reduce(every) >= np.finfo(float).tiny) & (
+        np.maximum.reduce(every) < np.inf
+    )
     if not keep[-1]:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
     origin = (0.0, u0, v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

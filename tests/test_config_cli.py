@@ -225,6 +225,17 @@ def test_unknown_key_and_section_rejected():
     assert any("unknown section [extras]" in m for m in err2.value.errors)
 
 
+def test_keys_under_an_empty_section_header_are_swallowed():
+    # "[]" is an unknown section like "[bogus]": its keys are reported with
+    # its header, not filed at the top level, where 'x' would be a second
+    # fault and 'seed' would be read.
+    text = (CONFIGS / "problem_a.cfg").read_text().replace("seed = 0\n", "")
+    for header in ("[]", "[bogus]"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text + f"\n{header}\nseed = 5\nx = 1\n")
+        assert err.value.errors == [f"line 20: unknown section {header}"]
+
+
 def test_expression_parse_failure_reported_with_line():
     with pytest.raises(ConfigError) as err:
         parse_config_text(GOOD.replace('g1 = "t"', 'g1 = "sin(t)"'))
@@ -356,6 +367,30 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot read config" in err
+
+
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # An --out that is a file, lies under one or cannot be written is
+    # reported like an unreadable config: exit 2, one error line, and no row
+    # solved first.
+    config = str(CONFIGS / "sweep_q.cfg")
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    marched = []
+    monkeypatch.setattr(radlab.cli, "march", lambda *args: marched.append(args))
+    for command in (["solve"], ["sweep", "--solve"]):
+        for out in (taken, taken / "below"):
+            code, stdout, err = run_cli(
+                [command[0], "--config", config, "--out", str(out), *command[1:]], capsys
+            )
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error: cannot write output directory: ")
+            assert err.count("\n") == 1 and str(taken) in err
+    assert marched == [] and taken.read_text() == "keep"
+    # A directory that exists but cannot be written is refused the same way.
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    code, _, err = run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 2 and err.endswith("is not writable\n") and marched == []
 
 
 def test_solve_writes_deterministic_outputs(tmp_path, capsys):

@@ -675,24 +675,28 @@ def test_first_slope_of_a_phase_outside_the_float_range_is_a_solver_error():
             solver._first_slope(f, 2000.0, (10.0,) * 4, 3.0)
 
 
-def test_start_runs_past_the_cap_to_normal_profiles():
+def test_start_reaches_the_target_where_it_holds():
     # alpha = 0.99 gives theta = 100, so h(u') = u'**4 and with it v' stay
-    # below the normal floats until r ~ 18, past the cap of half the target
-    # radius.  The start must end at the first radius where every profile is
-    # a normal float, not fail, and the march must return a trajectory.
-    spec = power_spec(2.0, 0.99, 1, 0, 4)
-    options = SolverOptions(target_radius=20.0)
-    boot = picard_bootstrap(spec, 1.0, 1.0, options)
-    assert 10.0 < boot.r0 < 20.0
+    # below the normal floats until r ~ 18, and v is v0 to within the start's
+    # tolerance up to the target; so is v from u0 = 1e6, v0 = 1e-6 with
+    # h = t^6 (the stress_extreme_start problem).  The start must end at the
+    # target itself, exactly, and leave the march no step to take.
     tiny = np.finfo(float).tiny
-    for column in (boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2, boot.fI1, boot.fI2):
-        assert np.all(column[1:] >= tiny) and np.all(np.isfinite(column))
-    run = march(spec, 1.0, 1.0, options)
-    assert run.start_radius == boot.r0
-    assert run.r_end > boot.r0
+    options = SolverOptions(target_radius=20.0)
+    alpha099 = power_spec(2.0, 0.99, 1, 0, 4)
+    for spec, u0, v0 in ((alpha099, 1.0, 1.0), (power_spec(2.0, 0.0, 1, 0, 6), 1e6, 1e-6)):
+        boot = picard_bootstrap(spec, u0, v0, options)
+        assert boot.r0 == 20.0
+        for column in (boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2, boot.fI1, boot.fI2):
+            assert np.all(column[1:] >= tiny) and np.all(np.isfinite(column))
+        run = march(spec, u0, v0, options)
+        assert run.terminated is TerminationReason.REACHED_TARGET
+        assert run.accepted_steps == 0 and run.dt_min is None and run.dt_max is None
+        assert run.start_radius == run.r_end == 20.0
+        assert all(report.passed for report in trajectory_reports(run))
     # Where the profiles stay subnormal up to the target there is no start.
     with pytest.raises(SolverError, match="not normal floats"):
-        picard_bootstrap(spec, 1.0, 1.0, SolverOptions(target_radius=15.0))
+        picard_bootstrap(alpha099, 1.0, 1.0, SolverOptions(target_radius=15.0))
 
 
 def test_rejection_floor_does_not_depend_on_the_target():
