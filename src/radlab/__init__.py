@@ -34,7 +34,6 @@ from .config import ConfigError, RunConfig, load_config
 from .criteria import (
     ConvergenceVerdict,
     CriterionKind,
-    Method,
     Verdict,
     criterion,
     phi,
@@ -70,7 +69,6 @@ __all__ = [
     "FuncExpr",
     "InequalityReport",
     "InvalidProblem",
-    "Method",
     "ProblemSpec",
     "RadialSolution",
     "RunConfig",

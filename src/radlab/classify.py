@@ -115,7 +115,7 @@ def power_exponents(spec: ProblemSpec) -> tuple[float, float, float] | None:
     are non-constant.
     """
 
-    if any(len(w.terms) != 1 or w.terms[0][1] != 0.0 for w in (spec.f1, spec.f2)):
+    if not (spec.f1.is_constant and spec.f2.is_constant):
         return None
     pieces = (spec.g1, spec.g2, spec.h)
     if any(len(piece.terms) != 1 for piece in pieces):
@@ -210,9 +210,7 @@ def _verdict(spec: ProblemSpec, kind: CriterionKind, details: list[str]) -> Verd
     """Evaluate one convergence criterion and note its verdict in ``details``."""
 
     result = criterion(spec, kind)
-    details.append(
-        f"{kind.value.lower()} criterion {result.verdict.value} ({result.method.value})"
-    )
+    details.append(f"{kind.value.lower()} criterion {result.verdict.value} (Symbolic)")
     return result.verdict
 
 

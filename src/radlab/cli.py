@@ -97,16 +97,21 @@ def _problem_echo(config: RunConfig) -> dict:
     }
 
 
-def _validation_payload(config: RunConfig, report) -> dict:
-    return {
-        "problem": _problem_echo(config),
-        "validation": {
-            "ok": report.ok,
-            "errors": list(report.errors),
-            "k1": report.k1,
-            "k2": report.k2,
-        },
-    }
+def _rejected(config: RunConfig, spec: ProblemSpec) -> bool:
+    """Whether ``spec`` fails validation, printing the problem and the
+    validation report when it does: a command's whole output then."""
+    report = validate_assumptions(spec)
+    if not report.ok:
+        _print_json({
+            "problem": _problem_echo(config),
+            "validation": {
+                "ok": report.ok,
+                "errors": list(report.errors),
+                "k1": report.k1,
+                "k2": report.k2,
+            },
+        })
+    return not report.ok
 
 
 def _sandwich_report(config: RunConfig, spec: ProblemSpec):
@@ -122,9 +127,7 @@ def _sandwich_report(config: RunConfig, spec: ProblemSpec):
 
 def cmd_classify(config: RunConfig) -> int:
     spec = config.spec()
-    report = validate_assumptions(spec)
-    if not report.ok:
-        _print_json(_validation_payload(config, report))
+    if _rejected(config, spec):
         return 1
 
     balanced = spec.gradient_balanced
@@ -182,9 +185,7 @@ def _write_trajectory(fh: BinaryIO, table: np.ndarray) -> None:
 def cmd_solve(config: RunConfig, out_dir: str) -> int:
     """Solve into the existing directory ``out_dir``; :func:`main` makes it."""
     spec = config.spec()
-    report = validate_assumptions(spec)
-    if not report.ok:
-        _print_json(_validation_payload(config, report))
+    if _rejected(config, spec):
         return 1
 
     domain = config.domain()
@@ -456,9 +457,7 @@ def _first_bad_row(fh) -> str | None:
 
 def cmd_verify(config: RunConfig, trajectory_path: str | None) -> int:
     spec = config.spec()
-    report = validate_assumptions(spec)
-    if not report.ok:
-        _print_json(_validation_payload(config, report))
+    if _rejected(config, spec):
         return 1
 
     try:

@@ -37,7 +37,6 @@ from .quadrature import adaptive_quad  # noqa: F401
 
 __all__ = [
     "Verdict",
-    "Method",
     "CriterionKind",
     "ConvergenceVerdict",
     "CriterionDiverges",
@@ -75,10 +74,6 @@ class Verdict(str, Enum):
     INFINITE = "Infinite"
 
 
-class Method(str, Enum):
-    SYMBOLIC = "Symbolic"
-
-
 class CriterionKind(str, Enum):
     UNWEIGHTED = "Unweighted"
     WEIGHTED = "Weighted"
@@ -98,7 +93,6 @@ class ConvergenceVerdict:
     """
 
     verdict: Verdict
-    method: Method
     value: float | None = None
     divergence_exponent: float | None = None
 
@@ -120,7 +114,7 @@ class ConvergenceVerdict:
             out["value"] = self.value
         else:
             out["slope"] = self.divergence_exponent
-        out["method"] = self.method.value
+        out["method"] = "Symbolic"
         return out
 
 
@@ -377,11 +371,9 @@ def criterion(spec: ProblemSpec, kind: CriterionKind) -> ConvergenceVerdict:
     growth = spec.h.leading_exponent * theta_value / spec.p
     verdict, exponent = tail_exponent_verdict(growth, power, weight)
     if verdict is Verdict.INFINITE:
-        return ConvergenceVerdict(
-            verdict, Method.SYMBOLIC, divergence_exponent=exponent
-        )
+        return ConvergenceVerdict(verdict, divergence_exponent=exponent)
     value = _tail_integral(spec, power, weight, -exponent, 1.0)
-    return ConvergenceVerdict(verdict, Method.SYMBOLIC, value=value)
+    return ConvergenceVerdict(verdict, value=value)
 
 
 def _tail_decay(spec: ProblemSpec, power: float) -> float:

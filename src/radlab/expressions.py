@@ -114,10 +114,6 @@ class FuncExpr:
         return self.terms[-1][1]
 
     @property
-    def leading_coeff(self) -> float:
-        return self.terms[-1][0]
-
-    @property
     def smallest_exponent(self) -> float:
         """Exponent of the dominant term as t -> 0+."""
         return self.terms[0][1]

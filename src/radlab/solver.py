@@ -147,8 +147,6 @@ class BootstrapSegment:
     dv: np.ndarray
     I1: np.ndarray
     I2: np.ndarray
-    fI1: np.ndarray
-    fI2: np.ndarray
 
     @property
     def r0(self) -> float:
@@ -234,8 +232,9 @@ def picard_bootstrap(
     the bound stays within 0.01 * rel_tol of v0 and every cut series within
     0.01 * rel_tol of its sum, or the target radius itself if that is
     smaller.  The segment is the origin and 1024 geometrically spaced nodes
-    over [1e-3 * r0, r0], less the lowest of them where a profile is not
-    yet a positive normal float, as when h(w) underflows for large theta;
+    over [1e-3 * r0, r0], less the lowest of them where a profile, or the
+    slope of I1 or I2, is not yet a positive normal float, as when h(w)
+    underflows for large theta;
     :class:`SolverError` is raised when the profiles are not normal floats
     at r0 itself.
     """
@@ -297,14 +296,14 @@ def picard_bootstrap(
         W = w ** (spec.p - 1.0 - spec.alpha)
         Z = dv ** (spec.p - 1.0)
         u = u0 + _evaluate(_integrated(w_terms), r)
-    columns = (r, u, v, w, dv, I1, I2, fI1, fI2)
-    every = [*columns[1:], W, Z]
+    columns = (r, u, v, w, dv, I1, I2)
+    every = [*columns[1:], fI1, fI2, W, Z]
     keep = (np.minimum.reduce(every) >= np.finfo(float).tiny) & (
         np.maximum.reduce(every) < np.inf
     )
     if not keep[-1]:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
-    origin = (0.0, u0, v0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    origin = (0.0, u0, v0, 0.0, 0.0, 0.0, 0.0)
     return BootstrapSegment(*(
         np.concatenate(([at0], col[keep])) for at0, col in zip(origin, columns)
     ))
@@ -315,8 +314,8 @@ class RadialSolution:
     """Discrete trajectory of the radial system.
 
     ``w`` is u' and ``dv`` is v'.  ``I1``/``I2`` are the accumulated source
-    integrals, with node derivatives ``fI1``/``fI2`` retained so the
-    trajectory supports cubic-Hermite resampling.  ``R0`` is the blow-up
+    integrals.  The nodes are those of :func:`_emit_nodes`: their radii
+    increase strictly from 0.  ``R0`` is the blow-up
     radius, the limit of r(s) as s = ln v grows, when ``terminated`` is
     BlowUp and None otherwise; it lies beyond the last node.  ``b_hat`` and
     ``sigma_hat`` are the rates of v ~ (R0 - r)**(-b) and
@@ -333,7 +332,7 @@ class RadialSolution:
     nodes.
     ``accepted_steps`` and ``rejected_steps`` count the march's steps, and
     ``dt_min``/``dt_max`` bound the increments in r of its accepted steps
-    (None when no step was accepted).
+    (None when no step was accepted), whatever nodes those steps emit.
     """
 
     spec: ProblemSpec
@@ -345,8 +344,6 @@ class RadialSolution:
     dv: np.ndarray
     I1: np.ndarray
     I2: np.ndarray
-    fI1: np.ndarray
-    fI2: np.ndarray
     terminated: TerminationReason
     R0: float | None
     b_hat: float | None
@@ -388,11 +385,23 @@ class RadialSolution:
 
     def sample(self, rs) -> dict[str, np.ndarray]:
         """Cubic-Hermite resample of the trajectory at radii ``rs``
-        (clipped to the computed range).  u' and v' are recovered from the
-        interpolated accumulators, so the sampled points satisfy the same
-        algebraic relations as the nodes."""
+        (clipped to the computed range).  The slopes of I1 and I2 at the
+        bracketing nodes, and u' and v' from the interpolated accumulators,
+        come from the compiled node kernel, so the sampled points satisfy
+        the same algebraic relations as the nodes."""
+        nodes = _kernels(self.spec).nodes
+
+        def at(r, v, I1, I2):
+            # The kernel's quotients by powers of r are 0/0 at the origin,
+            # where every derivative vanishes.
+            with np.errstate(all="ignore"):
+                values = nodes(r, v, I1, I2)
+            return [np.where(r > 0.0, value, 0.0) for value in values]
+
         rs = np.clip(np.asarray(rs, dtype=float), 0.0, self.r_end)
         i = np.clip(np.searchsorted(self.r, rs, side="right") - 1, 0, len(self.r) - 2)
+        ends = np.stack([i, i + 1])
+        _, _, fI1, fI2 = at(self.r[ends], self.v[ends], self.I1[ends], self.I2[ends])
         x0 = self.r[i]
         hseg = self.r[i + 1] - x0
         t = (rs - x0) / hseg
@@ -404,30 +413,14 @@ class RadialSolution:
         b11 = t3 - t2
 
         def hermite(y, d):
-            return (
-                b00 * y[i] + b10 * hseg * d[i] + b01 * y[i + 1] + b11 * hseg * d[i + 1]
-            )
+            return b00 * y[i] + b10 * hseg * d[0] + b01 * y[i + 1] + b11 * hseg * d[1]
 
-        u = hermite(self.u, self.w)
-        v = hermite(self.v, self.dv)
-        I1 = np.maximum(hermite(self.I1, self.fI1), 0.0)
-        I2 = np.maximum(hermite(self.I2, self.fI2), 0.0)
-        n = self.spec.n
-        delta = self.spec.delta
-        c1 = delta / (n - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            W = c1 * I1 / rs**delta
-            Z = I2 / rs ** float(n - 1)
-        W = np.where(rs > 0.0, W, 0.0)
-        Z = np.where(rs > 0.0, Z, 0.0)
-        return {
-            "u": u,
-            "v": v,
-            "du": W**self.spec.theta,
-            "dv": Z ** (1.0 / (self.spec.p - 1.0)),
-            "W": W,
-            "Z": Z,
-        }
+        u = hermite(self.u, self.w[ends])
+        v = hermite(self.v, self.dv[ends])
+        I1 = np.maximum(hermite(self.I1, fI1), 0.0)
+        I2 = np.maximum(hermite(self.I2, fI2), 0.0)
+        du, dv, _, _ = at(rs, v, I1, I2)
+        return {"u": u, "v": v, "du": du, "dv": dv}
 
 
 class _Kernels(NamedTuple):
@@ -599,7 +592,8 @@ def march(
     inlined.  Each accepted step keeps its stages, and after the march
     :func:`_emit_nodes` emits it as 14 equal sub-panels whose interior nodes
     come from the seventh-order continuous extension, one product with its
-    node matrix.
+    node matrix; emission drops the nodes that are not finite or do not
+    advance r, and changes nothing else.
 
     The run ends as ReachedTarget once r is within 1e-14 * target_radius
     of the target; in s a step that would overshoot it by more than that is
@@ -611,10 +605,8 @@ def march(
     with that step's rates b_hat = -1 / slope and sigma_hat = 1 - (the
     log-slope of du/ds over that of dr/ds).  It ends as StepUnderflow, with
     a note, when a rejection shrinks the step's increment in r below
-    1e-14 * r, or when the sub-nodes of a step no longer advance r
-    strictly; that step and every later one are dropped.
-    :class:`SolverError` is raised when the right-hand side is not finite
-    where a phase starts.
+    1e-14 * r; no other place ends a run.  :class:`SolverError` is raised
+    when the right-hand side is not finite where a phase starts.
     """
     ensure_valid(spec)
     if not spec.gradient_balanced:
@@ -641,11 +633,11 @@ def march(
     rejected = 0
     h = _FIRST_STEP * x
     # Per accepted step: its row for the dense output, in r and then in s,
-    # and the radii where it starts and ends.
+    # and its increment in r.
     radial_steps: list[tuple] = []
     pole_steps: list[tuple] = []
-    spans: list[tuple[float, float]] = []
-    R0 = b_hat = sigma_hat = None
+    increments: list[float] = []
+    estimate = R0 = b_hat = sigma_hat = None
     pole_switch_r = None
     terminated = None
 
@@ -655,7 +647,7 @@ def march(
         if target - r <= arrival:
             terminated = TerminationReason.REACHED_TARGET
             break
-        if len(spans) >= _MAX_STEPS:
+        if len(increments) >= _MAX_STEPS:
             raise SolverError(f"step budget of {_MAX_STEPS} exhausted at r={r!r}")
         h = min(h, (target - r) / k1[0] if in_pole else target - r)
         y_new, k13, row, err = dop853.step(f, x, h, y, k1, tol, absolute)
@@ -675,18 +667,19 @@ def march(
             continue
 
         (pole_steps if in_pole else radial_steps).append(row)
-        spans.append((r, y_new[0] if in_pole else x + h))
+        increments.append(y_new[0] - r if in_pole else (x + h) - x)
         if in_pole:
             slope = math.log(k13[0] / k1[0]) / h
-            previous, R0 = R0, (y_new[0] - k13[0] / slope if slope < 0.0 else None)
-            if R0 is not None and previous is not None:
+            previous, estimate = estimate, (y_new[0] - k13[0] / slope if slope < 0.0 else None)
+            if estimate is not None and previous is not None:
                 # The estimate's error, like (R0 - r)**2, contracts by rho per
                 # step, so what remains after this step is about
-                # |R0 - previous| * rho / (1 - rho).
+                # |estimate - previous| * rho / (1 - rho).
                 rho = math.exp(2.0 * h * slope)
-                if abs(R0 - previous) * rho / (1.0 - rho) <= tol * R0:
+                if abs(estimate - previous) * rho / (1.0 - rho) <= tol * estimate:
                     # dr/ds ~ (R0 - r)/b decays in s at the rate 1/b and
                     # du/ds = u' dr/ds ~ (R0 - r)**(1 - sigma) at (1 - sigma)/b.
+                    R0 = estimate
                     b_hat = -1.0 / slope
                     sigma_hat = 1.0 - math.log(k13[1] / k1[1]) / h / slope
                     terminated = TerminationReason.BLOW_UP
@@ -709,20 +702,7 @@ def march(
             evals += 1
             h /= k1[0]
 
-    columns, kept, dense_evals = _emit_nodes(kernels, boot, radial_steps, pole_steps)
-    evals += dense_evals
-    if kept < len(spans):
-        start, end = spans[kept]
-        notes.append(
-            f"step underflow at r={start:.12g}: dt={end - start:.3g} no longer "
-            f"advances r through its {_SUBPANELS} sub-panels"
-        )
-        terminated = TerminationReason.STEP_UNDERFLOW
-        if kept < len(radial_steps):
-            pole_switch_r = None
-    if terminated is not TerminationReason.BLOW_UP:
-        R0 = b_hat = sigma_hat = None
-    sizes = [end - start for start, end in spans[:kept]]
+    columns, dense_evals = _emit_nodes(kernels, boot, radial_steps, pole_steps)
     return RadialSolution(
         spec=spec,
         options=options,
@@ -733,19 +713,19 @@ def march(
         sigma_hat=sigma_hat,
         bootstrap_nodes=len(boot.r),
         start_radius=boot.r0,
-        rhs_evals=evals,
-        accepted_steps=len(sizes),
+        rhs_evals=evals + dense_evals,
+        accepted_steps=len(increments),
         rejected_steps=rejected,
-        dt_min=min(sizes) if sizes else None,
-        dt_max=max(sizes) if sizes else None,
+        dt_min=min(increments) if increments else None,
+        dt_max=max(increments) if increments else None,
         pole_switch_r=pole_switch_r,
         notes=tuple(notes),
     )
 
 
 def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_steps):
-    """The trajectory columns, the number of steps kept, and the evaluations
-    of the right-hand side this pass makes.
+    """The trajectory columns and the evaluations of the right-hand side this
+    pass makes.
 
     The columns are the closed-form start, then every accepted step as the
     13 interior nodes of its continuous extension and its end node, the
@@ -753,14 +733,15 @@ def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_st
     I2 = e**ln I2).  The step rows of a phase are read into one array, its
     three extra stages are evaluated for all of its steps at once by the
     compiled array kernels, and its interior nodes are one product with the
-    node matrix of :func:`dop853.dense_output`.  The first step whose nodes
-    are not finite or do not advance r strictly is dropped with every later
-    one.  Roundoff-level dips of the dense output are clamped so every
-    profile stays nondecreasing, and the right-hand side is evaluated in one
-    vectorised pass over the march's nodes."""
+    node matrix of :func:`dop853.dense_output`.  A node that is not finite,
+    or whose radius does not exceed every earlier one, is dropped; when
+    every node is kept nothing is copied.  Roundoff-level dips of the
+    dense output are clamped so every profile stays nondecreasing, and the
+    right-hand side is evaluated in one vectorised pass over the march's
+    nodes."""
     parts = [(boot.r, boot.u, boot.v, boot.I1, boot.I2)]
     thetas = np.arange(1, _SUBPANELS) / _SUBPANELS
-    kept = evals = 0
+    evals = 0
     for steps, f in ((radial_steps, kernels.radial_rhs), (pole_steps, kernels.pole_rhs)):
         if not steps:
             continue
@@ -768,41 +749,31 @@ def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_st
         steps = np.fromiter(
             chain.from_iterable(steps), float, len(steps) * width
         ).reshape(-1, width)
-        # Extra stages that leave the float range are caught below, as
-        # nodes that are not finite.
+        # Extra stages that leave the float range give nodes that are not
+        # finite, which are dropped below.
         with np.errstate(all="ignore"):
             sub = dop853.dense_output(f, steps, thetas)
         evals += 3 * len(steps)
-        states = np.concatenate([sub, steps[:, None, 6:10]], axis=1)
-        x = steps[:, :1] + steps[:, 1:2] * np.append(thetas, 1.0)
-        in_pole = f is kernels.pole_rhs
-        start, r = (steps[:, 2], states[:, :, 0]) if in_pole else (steps[:, 0], x)
-        advances = np.diff(np.concatenate([start[:, None], r], axis=1), axis=1) > 0.0
-        bad = np.flatnonzero(~(advances.all(axis=1) & np.isfinite(states).all(axis=(1, 2))))
-        end = bad[0] if len(bad) else len(steps)
-        kept += end
-        states = states[:end].reshape(-1, 4).T
-        x = x[:end].ravel()
-        if in_pole:
+        states = np.concatenate([sub, steps[:, None, 6:10]], axis=1).reshape(-1, 4).T
+        x = (steps[:, :1] + steps[:, 1:2] * np.append(thetas, 1.0)).ravel()
+        if f is kernels.pole_rhs:
             r, u, L1, L2 = states
             parts.append((r, u, np.exp(x), np.exp(L1), np.exp(L2)))
         else:
             parts.append((x, *states))
-        if len(bad):
-            break
-    r, u, v, I1, I2 = (np.concatenate(col) for col in zip(*parts))
-    columns = {"r": r}
-    for key, col in (("u", u), ("v", v), ("I1", I1), ("I2", I2)):
-        columns[key] = np.maximum.accumulate(col)
+    r, u, v, I1, I2 = nodes = [np.concatenate(col) for col in zip(*parts)]
+    # A finite node is kept when its radius exceeds every earlier finite one.
+    finite = np.isfinite(nodes).all(axis=0)
+    highest = np.maximum.accumulate(np.where(finite, r, -np.inf))
+    keep = finite & np.append(True, r[1:] > highest[:-1])
+    if not keep.all():
+        r, u, v, I1, I2 = (col[keep] for col in nodes)
+    u, v, I1, I2 = (np.maximum.accumulate(col) for col in (u, v, I1, I2))
     m = len(boot.r)
-    w, dv, fI1, fI2 = kernels.nodes(
-        r[m:], columns["v"][m:], columns["I1"][m:], columns["I2"][m:]
-    )
-    columns["w"] = np.maximum.accumulate(np.concatenate([boot.w, w]))
-    columns["dv"] = np.maximum.accumulate(np.concatenate([boot.dv, dv]))
-    columns["fI1"] = np.concatenate([boot.fI1, fI1])
-    columns["fI2"] = np.concatenate([boot.fI2, fI2])
-    return columns, kept, evals + len(r) - m
+    w, dv, _, _ = kernels.nodes(r[m:], v[m:], I1[m:], I2[m:])
+    w = np.maximum.accumulate(np.concatenate([boot.w, w]))
+    dv = np.maximum.accumulate(np.concatenate([boot.dv, dv]))
+    return dict(r=r, u=u, v=v, w=w, dv=dv, I1=I1, I2=I2), evals + len(r) - m
 
 
 def scale_problem(spec: ProblemSpec, lam: float) -> ProblemSpec:

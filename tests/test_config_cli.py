@@ -1035,12 +1035,12 @@ def test_pole_stall_ends_with_labelled_verdict(tmp_path, capsys):
     code, _, _ = run_cli(["solve", "--config", path, "--out", str(tmp_path)], capsys)
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["termination"] in ("BlowUp", "StepUnderflow")
-    assert report["numeric_class"] in ("B2", "Undecided")
-    assert report["reconcile"]["status"] in ("agree", "indeterminate")
+    assert report["termination"] == "BlowUp"
+    assert report["numeric_class"] == "B2"
+    assert report["reconcile"]["status"] == "agree"
 
     code, out, _ = run_cli(["verify", "--config", path], capsys)
-    assert code in (0, 1)
+    assert code == 0
     assert len(json.loads(out)["reports"]) == 5
 
     sweep = path.replace("run.cfg", "sweep.cfg")
@@ -1049,4 +1049,4 @@ def test_pole_stall_ends_with_labelled_verdict(tmp_path, capsys):
         ["sweep", "--config", sweep, "--out", str(tmp_path), "--solve"], capsys
     )
     assert code == 0
-    assert out.splitlines()[1].split(",")[5] in ("B2", "Undecided")
+    assert out.splitlines()[1].split(",")[5] == "B2"

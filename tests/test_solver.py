@@ -147,33 +147,63 @@ def test_march_step_diagnostics(solved_cases):
         assert march_nodes == solver._SUBPANELS * run.accepted_steps
 
 
-def test_stalled_sub_panels_end_the_run(monkeypatch, solved_cases):
-    # The dense output is built after the march, so the guard that every
-    # step's sub-nodes advance r runs there: the first step that fails it
-    # ends the run StepUnderflow, and it and every later step are dropped.
-    # Stall the eleventh step in s = ln v of problem B.
+def test_stalled_sub_nodes_are_dropped(monkeypatch, solved_cases):
+    # Only the march ends a run.  Emission drops the sub-nodes of a step that
+    # do not advance r, and the verdict, the step counts and the pole switch
+    # stay those of the march.  Stall the eleventh step in s = ln v of
+    # problem B: its 13 interior nodes sit at the radius where it starts.
     dense_output = dop853.dense_output
+    stalled_span = []
 
     def stalled(f, steps, thetas):
         sub = dense_output(f, steps, thetas)
         if f.__name__ == "pole_rhs":
             sub[10, :, 0] = steps[10, 2]
+            stalled_span.extend((steps[10, 2], steps[10, 6]))
         return sub
 
     monkeypatch.setattr(dop853, "dense_output", stalled)
     case = CASE_BY_NAME["B"]
     run = march(case.spec(), 1.0, 1.0, case.options())
     full = solved_cases["B"]
-    pole_steps = np.count_nonzero(full.r > full.pole_switch_r) // solver._SUBPANELS
-    assert run.terminated is TerminationReason.STEP_UNDERFLOW and run.R0 is None
-    assert run.notes[-1].endswith(
-        f"no longer advances r through its {solver._SUBPANELS} sub-panels"
-    )
-    assert run.accepted_steps == full.accepted_steps - pole_steps + 10
-    assert len(run.r) == run.bootstrap_nodes + solver._SUBPANELS * run.accepted_steps
-    assert np.array_equal(run.r, full.r[: len(run.r)])
-    assert np.array_equal(run.v, full.v[: len(run.r)])
-    assert run.pole_switch_r == full.pole_switch_r
+    start, end = stalled_span
+    kept = ~((full.r > start) & (full.r < end))
+    assert np.count_nonzero(~kept) == solver._SUBPANELS - 1
+    for name in (
+        "terminated", "R0", "b_hat", "sigma_hat", "accepted_steps",
+        "rejected_steps", "dt_min", "dt_max", "pole_switch_r", "notes",
+    ):
+        assert getattr(run, name) == getattr(full, name), name
+    assert run.rhs_evals == full.rhs_evals - (solver._SUBPANELS - 1)
+    assert np.array_equal(run.r, full.r[kept])
+    assert np.array_equal(run.v, full.v[kept])
+
+
+def test_a_sub_node_that_is_not_finite_is_dropped(monkeypatch, solved_cases):
+    # A nan in one dense sub-node, here v at the seventh interior node of
+    # problem C's sixth step in r, drops that node alone; the verdict and
+    # every other node stay.
+    dense_output = dop853.dense_output
+
+    def poisoned(f, steps, thetas):
+        sub = dense_output(f, steps, thetas)
+        if f.__name__ == "radial_rhs":
+            sub[5, 6, 1] = math.nan
+        return sub
+
+    monkeypatch.setattr(dop853, "dense_output", poisoned)
+    case = CASE_BY_NAME["C"]
+    run = march(case.spec(), 1.0, 1.0, case.options())
+    full = solved_cases["C"]
+    dropped = run.bootstrap_nodes + 5 * solver._SUBPANELS + 6
+    kept = np.arange(len(full.r)) != dropped
+    for name in ("terminated", "R0", "b_hat", "sigma_hat", "accepted_steps", "pole_switch_r"):
+        assert getattr(run, name) == getattr(full, name), name
+    for name in ("r", "u", "v", "w", "dv", "I1", "I2"):
+        column = getattr(run, name)
+        assert np.all(np.isfinite(column)), name
+        assert np.array_equal(column, getattr(full, name)[kept]), name
+    assert numeric_classify(run).label is numeric_classify(full).label
 
 
 def test_march_profiles_monotone(solved_cases):
@@ -687,8 +717,12 @@ def test_start_reaches_the_target_where_it_holds():
     for spec, u0, v0 in ((alpha099, 1.0, 1.0), (power_spec(2.0, 0.0, 1, 0, 6), 1e6, 1e-6)):
         boot = picard_bootstrap(spec, u0, v0, options)
         assert boot.r0 == 20.0
-        for column in (boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2, boot.fI1, boot.fI2):
+        nodes = solver._kernels(spec).nodes
+        _, _, fI1, fI2 = nodes(boot.r[1:], boot.v[1:], boot.I1[1:], boot.I2[1:])
+        for column in (boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2):
             assert np.all(column[1:] >= tiny) and np.all(np.isfinite(column))
+        for column in (fI1, fI2):
+            assert np.all(column >= tiny) and np.all(np.isfinite(column))
         run = march(spec, u0, v0, options)
         assert run.terminated is TerminationReason.REACHED_TARGET
         assert run.accepted_steps == 0 and run.dt_min is None and run.dt_max is None
