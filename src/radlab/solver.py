@@ -27,8 +27,10 @@ per component, Hairer's combination h * e5**2 / sqrt(e5**2 + 0.01 * e3**2)
 of the embedded fifth- and third-order error estimates, held below
 0.05 * rel_tol; and the step-size factor 0.9 * err**(-1/8) clamped to
 [0.2, 5].  The stages call straight-line kernels compiled from the
-problem's power sums.  Every accepted step keeps its stages.  After the
-march, three more stages per step, evaluated for all steps at once on
+problem's power sums.  Every accepted step keeps its stages, and the
+verdict of a run needs nothing more: its end, R0 and rates come from the
+last step.  The trajectory is built from the kept steps when it is first
+read: three more stages per step, evaluated for all steps at once on
 arrays, give the seventh-order continuous extension; it is linear in the
 step's increment and stages, so each step is emitted as 14 equal sub-panels
 by one product with a constant node matrix, and the trajectory is dense
@@ -57,7 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -309,27 +311,51 @@ def picard_bootstrap(
     ))
 
 
+class _MarchSteps(NamedTuple):
+    """What the columns of a :class:`RadialSolution` are emitted from: the
+    problem's kernels, the closed-form start and the rows of the march's
+    accepted steps, in r and then in s."""
+
+    kernels: _Kernels
+    boot: BootstrapSegment
+    radial: list
+    pole: list
+
+
+def _column(name: str) -> property:
+    return property(
+        lambda self: self._columns[name],
+        doc=f"The trajectory's ``{name}`` column, built on first read.",
+    )
+
+
 @dataclass(frozen=True)
 class RadialSolution:
-    """Discrete trajectory of the radial system.
+    """The verdict of a march and, built when first read, its discrete
+    trajectory.
 
-    ``w`` is u' and ``dv`` is v'.  ``I1``/``I2`` are the accumulated source
-    integrals.  The nodes are those of :func:`_emit_nodes`: their radii
-    increase strictly from 0.  ``R0`` is the blow-up
-    radius, the limit of r(s) as s = ln v grows, when ``terminated`` is
-    BlowUp and None otherwise; it lies beyond the last node.  ``b_hat`` and
-    ``sigma_hat`` are the rates of v ~ (R0 - r)**(-b) and
-    u' ~ (R0 - r)**(-sigma) read off the march's last step, set and unset
-    with ``R0``.
+    The verdict is read without the trajectory.  ``r_end`` and
+    ``v_final`` are r and v at the end of the march's last accepted step (at
+    r0 when it took none).  ``R0`` is the blow-up radius, the limit of r(s)
+    as s = ln v grows, when ``terminated`` is BlowUp and None otherwise; it
+    lies beyond ``r_end``.  ``b_hat`` and ``sigma_hat`` are the rates of
+    v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma) read off the march's last
+    step, set and unset with ``R0``.
     ``pole_switch_r`` is the radius at which the march changed to s, or
     None if it never did.  ``start_radius`` is r0, where the closed-form
     start hands over to the march, and ``bootstrap_nodes`` counts the nodes
     of that start, the origin included.
 
-    ``rhs_evals`` counts every evaluation of the right-hand side: the
-    march's stages, the three dense-output stages of every step, evaluated
-    on arrays after the march, and the vectorised pass over its emitted
-    nodes.
+    The columns ``r``, ``u``, ``v``, ``w`` (u'), ``dv`` (v'), ``I1`` and
+    ``I2`` (the accumulated source integrals) are emitted by
+    :func:`_emit_nodes` from ``steps`` when one of them is first read, once:
+    their radii increase strictly from 0 and end at ``r_end``, where v is
+    ``v_final``.
+
+    ``rhs_evals`` counts the evaluations of the right-hand side made so
+    far: the march's stages and, once the columns are built, the three
+    dense-output stages of every step, evaluated on arrays, and the
+    vectorised pass over the emitted nodes.
     ``accepted_steps`` and ``rejected_steps`` count the march's steps, and
     ``dt_min``/``dt_max`` bound the increments in r of its accepted steps
     (None when no step was accepted), whatever nodes those steps emit.
@@ -337,17 +363,12 @@ class RadialSolution:
 
     spec: ProblemSpec
     options: SolverOptions
-    r: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    dv: np.ndarray
-    I1: np.ndarray
-    I2: np.ndarray
     terminated: TerminationReason
     R0: float | None
     b_hat: float | None
     sigma_hat: float | None
+    r_end: float
+    v_final: float
     bootstrap_nodes: int
     start_radius: float
     rhs_evals: int
@@ -356,10 +377,20 @@ class RadialSolution:
     dt_min: float | None
     dt_max: float | None
     pole_switch_r: float | None
+    steps: _MarchSteps = field(repr=False, compare=False)
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        r, u, v, w, dv = self.r, self.u, self.v, self.w, self.dv
+        unset = (self.R0, self.b_hat, self.sigma_hat).count(None)
+        if unset != (0 if self.terminated is TerminationReason.BLOW_UP else 3):
+            raise ValueError("R0, b_hat and sigma_hat are set exactly for a blow-up run")
+        if self.R0 is not None and not self.R0 > self.r_end:
+            raise ValueError("a blow-up radius must lie beyond the last node")
+
+    @functools.cached_property
+    def _columns(self) -> dict[str, np.ndarray]:
+        columns, evals = _emit_nodes(*self.steps)
+        r, u, v, w, dv = (columns[name] for name in ("r", "u", "v", "w", "dv"))
         if not (r[0] == 0.0 and np.all(np.diff(r) > 0.0)):
             raise ValueError("the grid must increase strictly from 0")
         if not (u[0] > 0.0 and v[0] > 0.0):
@@ -369,19 +400,16 @@ class RadialSolution:
         for name, series in (("u", u), ("v", v), ("w", w), ("dv", dv)):
             if np.any(np.diff(series) < 0.0):
                 raise ValueError(f"{name} must be non-decreasing")
-        unset = (self.R0, self.b_hat, self.sigma_hat).count(None)
-        if unset != (0 if self.terminated is TerminationReason.BLOW_UP else 3):
-            raise ValueError("R0, b_hat and sigma_hat are set exactly for a blow-up run")
-        if self.R0 is not None and not self.R0 > r[-1]:
-            raise ValueError("a blow-up radius must lie beyond the last node")
+        object.__setattr__(self, "rhs_evals", self.rhs_evals + evals)
+        return columns
 
-    @property
-    def r_end(self) -> float:
-        return float(self.r[-1])
-
-    @property
-    def v_final(self) -> float:
-        return float(self.v[-1])
+    r = _column("r")
+    u = _column("u")
+    v = _column("v")
+    w = _column("w")
+    dv = _column("dv")
+    I1 = _column("I1")
+    I2 = _column("I2")
 
     def sample(self, rs) -> dict[str, np.ndarray]:
         """Cubic-Hermite resample of the trajectory at radii ``rs``
@@ -589,11 +617,13 @@ def march(
     times 0.9 * err**(-1/8), clamped to [0.2, 5].  The stages evaluate the
     problem's compiled scalar kernels (:func:`_kernels`), straight-line code
     with the float operations of its power sums and, in s, the exponentials
-    inlined.  Each accepted step keeps its stages, and after the march
-    :func:`_emit_nodes` emits it as 14 equal sub-panels whose interior nodes
-    come from the seventh-order continuous extension, one product with its
-    node matrix; emission drops the nodes that are not finite or do not
-    advance r, and changes nothing else.
+    inlined.  Each accepted step keeps its stages.  The run's columns are
+    not built here: on their first read :func:`_emit_nodes` emits each step
+    as 14 equal sub-panels whose interior nodes come from the seventh-order
+    continuous extension, one product with its node matrix; emission drops
+    the nodes that are not finite or do not advance r, and changes nothing
+    else.  ``r_end`` and ``v_final`` are taken from the last step with the
+    float operations that give its end node.
 
     The run ends as ReachedTarget once r is within 1e-14 * target_radius
     of the target; in s a step that would overshoot it by more than that is
@@ -702,23 +732,34 @@ def march(
             evals += 1
             h /= k1[0]
 
-    columns, dense_evals = _emit_nodes(kernels, boot, radial_steps, pole_steps)
+    # The end of the last step, (x, h, y, y_new, ...), with the float
+    # operations that give the last node of _emit_nodes.
+    if pole_steps:
+        last = pole_steps[-1]
+        r_end, v_final = last[6], np.exp(np.array([last[0] + last[1] * 1.0]))[0]
+    elif radial_steps:
+        last = radial_steps[-1]
+        r_end, v_final = last[0] + last[1] * 1.0, last[7]
+    else:
+        r_end, v_final = boot.r[-1], boot.v[-1]
     return RadialSolution(
         spec=spec,
         options=options,
-        **columns,
         terminated=terminated,
         R0=R0,
         b_hat=b_hat,
         sigma_hat=sigma_hat,
+        r_end=float(r_end),
+        v_final=float(v_final),
         bootstrap_nodes=len(boot.r),
         start_radius=boot.r0,
-        rhs_evals=evals + dense_evals,
+        rhs_evals=evals,
         accepted_steps=len(increments),
         rejected_steps=rejected,
         dt_min=min(increments) if increments else None,
         dt_max=max(increments) if increments else None,
         pole_switch_r=pole_switch_r,
+        steps=_MarchSteps(kernels, boot, radial_steps, pole_steps),
         notes=tuple(notes),
     )
 

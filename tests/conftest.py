@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
+from radlab import dop853
 from radlab.classify import Domain
 from radlab.expressions import parse_expr
 from radlab.problem import ProblemSpec
@@ -88,3 +89,18 @@ def solved_cases():
 @pytest.fixture(scope="session")
 def ball():
     return Domain.BALL
+
+
+@pytest.fixture
+def dense_output_calls(monkeypatch):
+    """The right-hand sides that ``dop853.dense_output`` is called with, one
+    per call: building a trajectory's columns calls it once per phase."""
+    calls = []
+    dense_output = dop853.dense_output
+
+    def counted(f, steps, thetas):
+        calls.append(f.__name__)
+        return dense_output(f, steps, thetas)
+
+    monkeypatch.setattr(dop853, "dense_output", counted)
+    return calls

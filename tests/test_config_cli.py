@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import radlab.cli
 from radlab.cli import _write_trajectory, main
 from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
-from radlab.solver import march, relative_residuals
+from radlab.solver import blowup_envelope_check, march, relative_residuals
+from radlab.verify import trajectory_reports
 
 from conftest import power_spec
 from trajectory_oracle import load_trajectory, write_trajectory
@@ -550,6 +551,41 @@ def test_sweep_rows_survive_per_row_failures(tmp_path, capsys):
         assert cells[2] == "" and cells[3] == ""
         assert cells[4] == "NoSolution"
         assert cells[7] != ""
+
+
+def test_a_solved_sweep_builds_no_trajectory(dense_output_calls):
+    # A sweep row reads the march's verdict alone, so no row emits nodes.
+    config = load_config(str(CONFIGS / "sweep_q.cfg"))
+    for value in config.sweep_values:
+        row = radlab.cli.sweep_row(config.with_value("q", value), "q", value, True)
+        assert row["numeric_class"] and row["error"] == "", row
+    assert dense_output_calls == []
+
+
+def test_solve_builds_the_trajectory_once(dense_output_calls, tmp_path, capsys, monkeypatch):
+    # Problem B marches in r and then in s: solve emits each phase once, and
+    # no later reader of the columns emits them again.
+    solutions = []
+
+    def kept(*args):
+        solutions.append(march(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(radlab.cli, "march", kept)
+    config = load_config(str(CONFIGS / "problem_b.cfg"))
+    assert radlab.cli.cmd_solve(config, str(tmp_path)) == 0
+    capsys.readouterr()
+    assert dense_output_calls == ["radial_rhs", "pole_rhs"]
+    (solution,) = solutions
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["stats"]["rhs_evals"] == solution.rhs_evals
+    assert report["stats"]["nodes"] == len(solution.r)
+    assert all(check.passed for check in trajectory_reports(solution))
+    assert blowup_envelope_check(solution, solution.spec).passed
+    solution.sample(np.linspace(0.0, solution.r_end, 5))
+    assert solution.r is solution.r and solution.w is solution.w
+    assert dense_output_calls == ["radial_rhs", "pole_rhs"]
+    assert report["stats"]["rhs_evals"] == solution.rhs_evals
 
 
 @pytest.mark.parametrize("solve", [False, True])

@@ -1,5 +1,6 @@
 """The radial integrator: closed-form start, marching, diagnostics."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -152,6 +153,11 @@ def test_stalled_sub_nodes_are_dropped(monkeypatch, solved_cases):
     # do not advance r, and the verdict, the step counts and the pole switch
     # stay those of the march.  Stall the eleventh step in s = ln v of
     # problem B: its 13 interior nodes sit at the radius where it starts.
+    # The columns are built on first read, so both runs are read while
+    # dense_output is as the test wants it: the full run before the patch,
+    # the stalled one under it.
+    full = solved_cases["B"]
+    full.r
     dense_output = dop853.dense_output
     stalled_span = []
 
@@ -165,7 +171,7 @@ def test_stalled_sub_nodes_are_dropped(monkeypatch, solved_cases):
     monkeypatch.setattr(dop853, "dense_output", stalled)
     case = CASE_BY_NAME["B"]
     run = march(case.spec(), 1.0, 1.0, case.options())
-    full = solved_cases["B"]
+    run.r
     start, end = stalled_span
     kept = ~((full.r > start) & (full.r < end))
     assert np.count_nonzero(~kept) == solver._SUBPANELS - 1
@@ -182,7 +188,10 @@ def test_stalled_sub_nodes_are_dropped(monkeypatch, solved_cases):
 def test_a_sub_node_that_is_not_finite_is_dropped(monkeypatch, solved_cases):
     # A nan in one dense sub-node, here v at the seventh interior node of
     # problem C's sixth step in r, drops that node alone; the verdict and
-    # every other node stay.
+    # every other node stay.  The full run's columns are built before the
+    # patch.
+    full = solved_cases["C"]
+    full.r
     dense_output = dop853.dense_output
 
     def poisoned(f, steps, thetas):
@@ -194,7 +203,6 @@ def test_a_sub_node_that_is_not_finite_is_dropped(monkeypatch, solved_cases):
     monkeypatch.setattr(dop853, "dense_output", poisoned)
     case = CASE_BY_NAME["C"]
     run = march(case.spec(), 1.0, 1.0, case.options())
-    full = solved_cases["C"]
     dropped = run.bootstrap_nodes + 5 * solver._SUBPANELS + 6
     kept = np.arange(len(full.r)) != dropped
     for name in ("terminated", "R0", "b_hat", "sigma_hat", "accepted_steps", "pole_switch_r"):
@@ -204,6 +212,102 @@ def test_a_sub_node_that_is_not_finite_is_dropped(monkeypatch, solved_cases):
         assert np.all(np.isfinite(column)), name
         assert np.array_equal(column, getattr(full, name)[kept]), name
     assert numeric_classify(run).label is numeric_classify(full).label
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _committed_runs():
+    """(label, run config): every committed run file and each value of its
+    sweep, then problem A at targets 706.5 and 1000 and the sweep_q ladder
+    at 1e4, whose marches run into the float ceiling."""
+    runs = []
+    for path in sorted(
+        [*ROOT.glob("configs/*.cfg"), *ROOT.glob("radbench/configs/*.cfg"),
+         ROOT / "tests" / "data" / "extreme_v0.cfg"]
+    ):
+        config = load_config(str(path))
+        runs.append((path.stem, config))
+        runs += [
+            (f"{path.stem}-{config.sweep_parameter}{value:g}",
+             config.with_value(config.sweep_parameter, value))
+            for value in config.sweep_values
+        ]
+    problem_a = load_config(str(ROOT / "configs" / "problem_a.cfg"))
+    runs += [
+        (f"problem_a-target{target:g}", dataclasses.replace(problem_a, target_radius=target))
+        for target in (706.5, 1000.0)
+    ]
+    sweep_q = load_config(str(ROOT / "configs" / "sweep_q.cfg"))
+    runs += [
+        (f"sweep_q-q{value:g}-target1e4",
+         dataclasses.replace(sweep_q.with_value("q", value), target_radius=1e4))
+        for value in sweep_q.sweep_values
+    ]
+    return runs
+
+
+#: What a run reports without its columns.
+VERDICT = (
+    "terminated", "R0", "b_hat", "sigma_hat", "r_end", "v_final",
+    "bootstrap_nodes", "start_radius", "accepted_steps", "rejected_steps",
+    "dt_min", "dt_max", "pole_switch_r", "notes",
+)
+
+
+COMMITTED_RUNS = _committed_runs()
+
+
+@pytest.mark.parametrize(
+    "config", [config for _, config in COMMITTED_RUNS],
+    ids=[label for label, _ in COMMITTED_RUNS],
+)
+def test_verdict_is_that_of_the_built_columns(config, dense_output_calls):
+    # The verdict is read before any column is built, and keeps its bits
+    # once they are: r_end and v_final are the last node's r and v, and a
+    # run whose columns were built first reports the same.
+    args = (config.spec(), config.u0, config.v0, config.solver_options())
+    try:
+        lazy = march(*args)
+    except SolverError as exc:
+        assert "not normal floats" in str(exc)  # extreme_v0 has no start
+        return
+    verdict = {name: getattr(lazy, name) for name in VERDICT}
+    march_evals = lazy.rhs_evals
+    assert dense_output_calls == []
+    built = march(*args)
+    built.r
+    assert {name: getattr(built, name) for name in VERDICT} == verdict
+    assert type(lazy.r_end) is float and type(lazy.v_final) is float
+    assert lazy.r[-1].hex() == verdict["r_end"].hex()
+    assert lazy.v[-1].hex() == verdict["v_final"].hex()
+    assert {name: getattr(lazy, name) for name in VERDICT} == verdict
+    # The build adds the three dense stages of each step and one pass over
+    # the march's nodes.
+    assert lazy.rhs_evals == built.rhs_evals == (
+        march_evals + 3 * lazy.accepted_steps + len(lazy.r) - lazy.bootstrap_nodes
+    )
+
+
+def test_reference_evaluation_count_includes_the_build():
+    # Problems A, B and C take 10,308 evaluations with their columns built,
+    # as when every run built them in the march.
+    total = 0
+    for name in "abc":
+        config = load_config(str(ROOT / "configs" / f"problem_{name}.cfg"))
+        run = march(config.spec(), config.u0, config.v0, config.solver_options())
+        run.r
+        total += run.rhs_evals
+    assert total == 10_308
+
+
+def test_blow_up_radius_is_checked_at_construction(solved_cases):
+    run = solved_cases["B"]
+    for R0 in (run.r_end, 0.5 * run.r_end):
+        with pytest.raises(ValueError, match="beyond the last node"):
+            dataclasses.replace(run, R0=R0)
+    with pytest.raises(ValueError, match="exactly for a blow-up run"):
+        dataclasses.replace(run, R0=None)
 
 
 def test_march_profiles_monotone(solved_cases):
