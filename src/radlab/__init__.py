@@ -12,7 +12,8 @@ The package's modules:
   reference the tests hold the criteria's integrals to;
 - :mod:`radlab.solver` — a closed-form start at the origin plus adaptive
   outward marching of the radial system, scaling and envelope diagnostics;
-- :mod:`radlab.dop853` — the Dormand–Prince 8(5,3) step of the march and
+- :mod:`radlab.dop853` — the Dormand–Prince 8(5,3) step generated from its
+  tableau, with a hook for how a stage evaluates the right-hand side, and
   its seventh-order dense output;
 - :mod:`radlab.classify` — boundary-class prediction from the criteria and
   labelling of numerical runs, with reconciliation between the two;

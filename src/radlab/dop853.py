@@ -5,10 +5,15 @@ accepted steps.
 
 The tableau is data: the node and nonzero coefficients of each stage, the
 weights of the solution and of the two error estimates, and the rows of
-the dense output.  :func:`step` is generated from it once, at import, as
-straight-line Python source with the four components written out, and
-compiled; the march calls it for every trial step, where loops over the
-tableau would cost more than the arithmetic.
+the dense output.  :func:`_step_source` generates a step from it as
+straight-line Python source with the four components written out, where
+loops over the tableau would cost more than the arithmetic.  It takes a
+stage writer, the hook that writes how each stage evaluates the
+right-hand side.  :func:`step`, compiled once at import, is the instance
+whose stages call a function f, with the absolute components an argument.
+The march runs the steps that :mod:`radlab.solver` generates per problem
+shape, with the right-hand side written into every stage; ``step`` is
+their reference.
 """
 
 from __future__ import annotations
@@ -97,11 +102,110 @@ _DENSE_D = np.array([
 ])
 
 
-# The step as source: stage j of component i is the name k<j>_<i>; the
-# fields are filled in from the tableau by _step_source.
+# The step as source: stage j of component i is the name k<j>_<i>.  The
+# stage writer given to _step_source sets them; the other fields are filled
+# in from the tableau.
 _STEP_SOURCE = '''\
-def step(f, x, h, y, k1, tol, absolute):
-    """One Dormand-Prince 8(5,3) step of size h for y' = f(x, *y) from
+def {signature}:
+    y0, y1, y2, y3 = y
+    k1_0, k1_1, k1_2, k1_3 = k1
+    try:
+{stages}\
+{weights}
+        n0, n1, n2, n3 = y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3
+{last}\
+    except (OverflowError, ZeroDivisionError):
+        return None, None, None, inf
+    if not ({finite}):
+        return None, None, None, inf
+{scales}
+    err = 0.0
+{estimates}
+    err *= h
+    return (n0, n1, n2, n3), (k13_0, k13_1, k13_2, k13_3), ({row}), err
+'''
+#: The names a generated step reads besides its arguments and its stages.
+_STEP_GLOBALS = {"inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt}
+
+
+def _step_source(signature: str, stage, absolute) -> str:
+    """The source of a step function ``def <signature>:`` that takes
+    (x, h, y, k1, tol) among its arguments and returns what :func:`step`
+    returns.
+
+    ``stage(s=s, x=x, y=y)`` writes stage s: the lines, indented by eight
+    spaces, that set k<s>_0 to k<s>_3 to the right-hand side at the source
+    expressions x and y (four of them).  It is called for stages 2 to 12
+    and for stage 13 at (x + h, n0, ..., n3), the solution.  ``absolute``
+    flags the components whose error is in units of tol alone, four bools
+    fixed in the source, or None to read them from the step's argument
+    ``absolute``.
+
+    A stage's argument is y + h * (the sum of its a_ij * k_j in increasing
+    j), the solution y + h * d with d the same sum over the b_j, and the
+    third-order estimate d minus each bhh_j * k_j in turn; floats are
+    written by repr, which round-trips.  max(a, b) is written out as
+    ``b if b > a else a``, the float it returns; a component fixed as
+    absolute is scaled by tol alone, which tol * 1.0 is; and the
+    third-order estimate of a component is made only when its fifth-order
+    one is positive, the only case that reads it."""
+    comps = range(4)
+
+    def dot(weights, i, sep=" + "):
+        return sep.join(f"{w!r} * k{j}_{i}" for j, w in weights.items())
+
+    def scale(i):
+        if absolute is not None and absolute[i]:
+            return f"    s{i} = 1.0 / (tol + 1e-300)"
+        size = "b if b > a else a"
+        if absolute is None:
+            size = f"1.0 if absolute[{i}] else {size}"
+        return f"    a = abs(y{i})\n    b = abs(n{i})\n    s{i} = 1.0 / (tol * ({size}) + 1e-300)"
+
+    def estimate(i):
+        return (
+            f"    e5 = abs({dot(_E5, i)}) * s{i}\n"
+            "    if e5 > 0.0:\n"
+            f"        e3 = abs(d{i} - {dot(_BHH, i, ' - ')}) * s{i}\n"
+            "        ratio = e3 / e5\n"
+            "        e = e5 / sqrt(1.0 + 0.01 * ratio * ratio)\n"
+            "        if e > err:\n"
+            "            err = e"
+        )
+
+    return _STEP_SOURCE.format(
+        signature=signature,
+        stages="".join(
+            stage(s=s, x=f"x + {c!r} * h", y=[f"y{i} + h * ({dot(a, i)})" for i in comps])
+            for s, (c, a) in enumerate(_STAGES, start=2)
+        ),
+        weights="\n".join(f"        d{i} = {dot(_B, i)}" for i in comps),
+        last=stage(s=13, x="x + h", y=[f"n{i}" for i in comps]),
+        finite=" and ".join(f"isfinite({v}{i})" for v in ("n", "k13_") for i in comps),
+        scales="\n".join(map(scale, comps)),
+        estimates="\n".join(map(estimate, comps)),
+        row="x, h, y0, y1, y2, y3, n0, n1, n2, n3, "
+        + ", ".join(f"k{j}_{i}" for j in _DENSE_STAGES[:9] for i in comps),
+    )
+
+
+def _call_stage(s, x, y):
+    """A stage of :func:`step`: one call of its argument f."""
+    return f"        k{s}_0, k{s}_1, k{s}_2, k{s}_3 = f({x}, {', '.join(y)})\n"
+
+
+_namespace = {"__name__": __name__, **_STEP_GLOBALS}
+exec(
+    compile(
+        _step_source("step(f, x, h, y, k1, tol, absolute)", _call_stage, None),
+        "<radlab dop853 step>",
+        "exec",
+    ),
+    _namespace,
+)
+step = _namespace.pop("step")
+del _namespace
+step.__doc__ = """One Dormand-Prince 8(5,3) step of size h for y' = f(x, *y) from
     (x, y), where k1 = f(x, *y).  Returns the eighth-order solution, its
     slope k13, the step as one flat row for :func:`dense_output` (x, h, y,
     y_new and the stages 1, 6 to 13, four components each), and the error
@@ -112,69 +216,10 @@ def step(f, x, h, y, k1, tol, absolute):
     with no solution, when a stage overflows or the solution leaves the
     finite range.
 
-    Generated from the tableau with the four state components written out
-    (:func:`_step_source`): this is the march's inner loop, and
-    per-component loops cost more than the arithmetic."""
-    y0, y1, y2, y3 = y
-    k1_0, k1_1, k1_2, k1_3 = k1
-    try:
-{stages}
-{weights}
-        n0, n1, n2, n3 = y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3
-        k13 = k13_0, k13_1, k13_2, k13_3 = f(x + h, n0, n1, n2, n3)
-    except (OverflowError, ZeroDivisionError):
-        return None, None, None, inf
-    if not ({finite}):
-        return None, None, None, inf
-    a0, a1, a2, a3 = absolute
-{scales}
-    err = 0.0
-    for e5, e3 in ({estimates}):
-        if e5 > 0.0:
-            ratio = e3 / e5
-            err = max(err, e5 / sqrt(1.0 + 0.01 * ratio * ratio))
-    err *= h
-    return (n0, n1, n2, n3), k13, ({row}), err
-'''
-
-
-def _step_source() -> str:
-    """The source of :func:`step`.  A stage's argument is y + h * (the sum
-    of its a_ij * k_j in increasing j), the solution y + h * d with d the
-    same sum over the b_j, and the third-order estimate d minus each
-    bhh_j * k_j in turn; floats are written by repr, which round-trips."""
-    comps = range(4)
-
-    def dot(weights, i, sep=" + "):
-        return sep.join(f"{w!r} * k{j}_{i}" for j, w in weights.items())
-
-    stages = [
-        f"        k{s}_0, k{s}_1, k{s}_2, k{s}_3 = f(x + {c!r} * h, "
-        + ", ".join(f"y{i} + h * ({dot(a, i)})" for i in comps) + ")"
-        for s, (c, a) in enumerate(_STAGES, start=2)
-    ]
-    return _STEP_SOURCE.format(
-        stages="\n".join(stages),
-        weights="\n".join(f"        d{i} = {dot(_B, i)}" for i in comps),
-        finite=" and ".join(f"isfinite({v}{i})" for v in ("n", "k13_") for i in comps),
-        scales="\n".join(
-            f"    s{i} = 1.0 / (tol * (1.0 if a{i} else max(abs(y{i}), abs(n{i})))"
-            " + 1e-300)" for i in comps
-        ),
-        estimates=", ".join(
-            f"(abs({dot(_E5, i)}) * s{i}, abs(d{i} - {dot(_BHH, i, ' - ')}) * s{i})"
-            for i in comps
-        ),
-        row="x, h, y0, y1, y2, y3, n0, n1, n2, n3, "
-        + ", ".join(f"k{j}_{i}" for j in _DENSE_STAGES[:9] for i in comps),
-    )
-
-
-_namespace = {"__name__": __name__, "inf": math.inf, "isfinite": math.isfinite,
-              "sqrt": math.sqrt}
-exec(compile(_step_source(), "<radlab dop853 step>", "exec"), _namespace)
-step = _namespace.pop("step")
-del _namespace
+    Generated from the tableau by :func:`_step_source`, with the four state
+    components written out and a stage that calls f.  The march runs the
+    steps that :mod:`radlab.solver` generates from the same tableau with the
+    right-hand side written into each stage; this one is their reference."""
 
 
 @functools.lru_cache(maxsize=None)

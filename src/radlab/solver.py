@@ -26,16 +26,18 @@ and a thirteenth at the new point, reused as the first of the next step;
 per component, Hairer's combination h * e5**2 / sqrt(e5**2 + 0.01 * e3**2)
 of the embedded fifth- and third-order error estimates, held below
 0.05 * rel_tol; and the step-size factor 0.9 * err**(-1/8) clamped to
-[0.2, 5].  The stages call straight-line kernels compiled from the
-problem's power sums.  Every accepted step keeps its stages, and the
-verdict of a run needs nothing more: its end, R0 and rates come from the
-last step.  The trajectory is built from the kept steps when it is first
-read: three more stages per step, evaluated for all steps at once on
-arrays, give the seventh-order continuous extension; it is linear in the
-step's increment and stages, so each step is emitted as 14 equal sub-panels
-by one product with a constant node matrix, and the trajectory is dense
-enough for finite-difference residuals, panel quotients and the blow-up
-envelope at any step size.
+[0.2, 5].  Each phase's step is straight-line code generated from the
+tableau for the shape of the problem's power sums, with the right-hand
+side written into every stage; u enters the system only through u', so
+no stage computes u's argument.  Every accepted step keeps its stages,
+and the verdict of a run needs nothing more: its end, R0 and rates come
+from the last step.  The trajectory is built from the kept steps when it
+is first read: three more stages per step, evaluated for all steps at once
+on arrays, give the seventh-order continuous extension; it is linear in
+the step's increment and stages, so each step is emitted as 14 equal
+sub-panels by one product with a constant node matrix, and the trajectory
+is dense enough for finite-difference residuals, panel quotients and the
+blow-up envelope at any step size.
 
 Near a pole the march changes its independent variable to s = ln v (Stuart
 & Floater, Eur. J. Appl. Math. 1, 1990) once the pole dominates, that is
@@ -59,6 +61,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import textwrap
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -455,12 +458,19 @@ class _Kernels(NamedTuple):
     """The right-hand side of one problem, compiled.  On floats, for the
     march: ``radial(r, u, v, I1, I2)`` gives (w, dv, fI1, fI2) and
     ``pole(s, r, u, L1, L2)`` the derivatives in s = ln v of (r, u, ln I1,
-    ln I2).  On arrays: ``nodes(r, v, I1, I2)`` gives (w, dv, fI1, fI2) at
-    nodes with r > 0, and ``radial_rhs`` and ``pole_rhs`` are the two
-    phases' right-hand sides for the dense stages."""
+    ln I2); ``radial_step(x, h, y, k1, tol)`` and ``pole_step`` are the
+    Dormand-Prince 8(5,3) steps of the two phases, with each stage's
+    right-hand side written into the step and the phase's absolute
+    components, none in r and ln I1, ln I2 in s, fixed: each returns what
+    :func:`dop853.step` returns for ``radial`` or ``pole``, to the bit.  On
+    arrays: ``nodes(r, v, I1, I2)`` gives (w, dv, fI1, fI2) at nodes with
+    r > 0, and ``radial_rhs`` and ``pole_rhs`` are the two phases'
+    right-hand sides for the dense stages."""
 
     radial: Callable
     pole: Callable
+    radial_step: Callable
+    pole_step: Callable
     nodes: Callable
     radial_rhs: Callable
     pole_rhs: Callable
@@ -479,6 +489,32 @@ _RADIAL_BODY = """\
         fI1 = {fI1}
         fI2 = {fI2}
 """
+# The stages of the two fused steps: the kernels' inputs bound to the stage's
+# arguments and their bodies written out.  u enters no right-hand side, so
+# its argument, y[0] in r and y[1] in s, is never computed.
+_RADIAL_STAGE = """\
+        r = {x}
+        v = {y[1]}
+        I1 = {y[2]}
+        I2 = {y[3]}
+{body}\
+        k{s}_0 = w
+        k{s}_1 = dv
+        k{s}_2 = fI1
+        k{s}_3 = fI2
+"""
+_POLE_STAGE = """\
+        r = {y[0]}
+        v = exp({x})
+        I1 = exp({y[2]})
+        I2 = exp({y[3]})
+{body}\
+        drds = v / dv
+        k{s}_0 = drds
+        k{s}_1 = drds * w
+        k{s}_2 = drds * fI1 / I1
+        k{s}_3 = drds * fI2 / I2
+"""
 _KERNEL_SOURCE = """\
 def make({constants}):
     def radial(r, u, v, I1, I2):
@@ -493,6 +529,8 @@ def make({constants}):
         drds = v / dv
         return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
 
+{radial_step}
+{pole_step}
     def nodes(r, v, I1, I2):
         rd = r ** delta
         rn = r ** nm1
@@ -509,11 +547,11 @@ def make({constants}):
         drds = v / dv
         return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
 
-    return radial, pole, nodes, radial_rhs, pole_rhs
+    return radial, pole, radial_step, pole_step, nodes, radial_rhs, pole_rhs
 """
-#: Compiled kernel factories by their source text: problems whose power sums
-#: have the same shape share one.
-_KERNEL_FACTORIES: dict[str, Callable] = {}
+#: Compiled kernel factories by the shape of the power sums, that is by the
+#: source expressions of fI1 and fI2: problems of one shape share one.
+_KERNEL_FACTORIES: dict[tuple[str, str], Callable] = {}
 
 
 def _power_sum(name: str, f, t: str, constants: dict) -> str | None:
@@ -540,14 +578,39 @@ def _power_sum(name: str, f, t: str, constants: dict) -> str | None:
     return total if total.isidentifier() else f"({total})"
 
 
+def _kernel_factory(constants: dict, fI1: str, fI2: str) -> Callable:
+    """Compile the kernels of one shape: ``make(**constants)`` binds them to
+    a problem's constants.  The two steps are about 27 KB of source, so
+    they are generated and compiled once per shape (about 6 ms)."""
+    body = _RADIAL_BODY.format(fI1=fI1, fI2=fI2)
+
+    def step(name, template, absolute):
+        stage = functools.partial(template.format, body=body)
+        return textwrap.indent(
+            dop853._step_source(f"{name}(x, h, y, k1, tol)", stage, absolute), "    "
+        )
+
+    source = _KERNEL_SOURCE.format(
+        constants=", ".join(constants),
+        body=body,
+        radial_step=step("radial_step", _RADIAL_STAGE, (False, False, False, False)),
+        pole_step=step("pole_step", _POLE_STAGE, (False, False, True, True)),
+        fI1=fI1,
+        fI2=fI2,
+    )
+    namespace = {"exp": math.exp, "np": np, **dop853._STEP_GLOBALS}
+    exec(compile(source, "<radlab rhs kernels>", "exec"), namespace)
+    return namespace["make"]
+
+
 def _kernels(spec: ProblemSpec) -> _Kernels:
     """Compile the right-hand side of ``spec`` into straight-line kernels.
 
     Its power sums are written out as Python source over named constants,
     with the float operations of the closures they replace in the same
     order, so every result keeps its bits.  The source depends only on the
-    shape of the sums, so it is compiled once for all problems that share
-    it; the constants are bound per problem."""
+    shape of the sums, so it is generated and compiled once for all
+    problems that share it; the constants are bound per problem."""
     constants = {
         "c1": spec.delta / (spec.n - 1.0),
         "delta": spec.delta,
@@ -563,18 +626,13 @@ def _kernels(spec: ProblemSpec) -> _Kernels:
         name: _power_sum(name, getattr(spec, name), t, constants)
         for name, t in (("f1", "r"), ("g1", "v"), ("f2", "r"), ("g2", "v"), ("h", "w"))
     }
-    sources = {
-        "fI1": product("rd", sums["f1"], sums["g1"]),
-        "fI2": product("rn", sums["f2"], sums["g2"], sums["h"]),
-    }
-    source = _KERNEL_SOURCE.format(
-        constants=", ".join(constants), body=_RADIAL_BODY.format(**sources), **sources
+    shape = (
+        product("rd", sums["f1"], sums["g1"]),
+        product("rn", sums["f2"], sums["g2"], sums["h"]),
     )
-    make = _KERNEL_FACTORIES.get(source)
+    make = _KERNEL_FACTORIES.get(shape)
     if make is None:
-        namespace = {"exp": math.exp, "np": np}
-        exec(compile(source, "<radlab rhs kernels>", "exec"), namespace)
-        make = _KERNEL_FACTORIES[source] = namespace["make"]
+        make = _KERNEL_FACTORIES[shape] = _kernel_factory(constants, *shape)
     return _Kernels(*make(**constants))
 
 
@@ -614,10 +672,13 @@ def march(
     is accepted when its combined error estimate lies below 0.05 * rel_tol
     times max(|y|, |y_new|) in every component, or below 0.05 * rel_tol
     itself for the two logarithms; the next step size is the current one
-    times 0.9 * err**(-1/8), clamped to [0.2, 5].  The stages evaluate the
-    problem's compiled scalar kernels (:func:`_kernels`), straight-line code
-    with the float operations of its power sums and, in s, the exponentials
-    inlined.  Each accepted step keeps its stages.  The run's columns are
+    times 0.9 * err**(-1/8), clamped to [0.2, 5].  Each phase takes its
+    fused step of :func:`_kernels`, ``radial_step`` and then
+    ``pole_step``: straight-line code with the right-hand side written into
+    every stage, the float operations of the power sums and, in s, the
+    exponentials and dr/ds products, so it returns the bits of
+    :func:`dop853.step` on the scalar kernels, which give each phase's
+    first slope.  Each accepted step keeps its stages.  The run's columns are
     not built here: on their first read :func:`_emit_nodes` emits each step
     as 14 equal sub-panels whose interior nodes come from the seventh-order
     continuous extension, one product with its node matrix; emission drops
@@ -654,11 +715,10 @@ def march(
 
     # x is r and y is (u, v, I1, I2) until the pole dominates; from then on
     # x is s = ln v and y is (r, u, ln I1, ln I2).
-    f = kernels.radial
-    absolute = (False, False, False, False)
+    step = kernels.radial_step
     x = float(boot.r[-1])
     y = (float(boot.u[-1]), float(boot.v[-1]), float(boot.I1[-1]), float(boot.I2[-1]))
-    k1 = _first_slope(f, x, y, x)
+    k1 = _first_slope(kernels.radial, x, y, x)
     evals = 1
     rejected = 0
     h = _FIRST_STEP * x
@@ -672,7 +732,7 @@ def march(
     terminated = None
 
     while True:
-        in_pole = f is kernels.pole
+        in_pole = step is kernels.pole_step
         r = y[0] if in_pole else x
         if target - r <= arrival:
             terminated = TerminationReason.REACHED_TARGET
@@ -680,7 +740,7 @@ def march(
         if len(increments) >= _MAX_STEPS:
             raise SolverError(f"step budget of {_MAX_STEPS} exhausted at r={r!r}")
         h = min(h, (target - r) / k1[0] if in_pole else target - r)
-        y_new, k13, row, err = dop853.step(f, x, h, y, k1, tol, absolute)
+        y_new, k13, row, err = step(x, h, y, k1, tol)
         evals += 12
         factor = min(5.0, max(0.2, 0.9 * err ** -0.125)) if err > 0.0 else 5.0
         if not err <= 1.0 or (in_pole and y_new[0] - target > arrival):
@@ -724,11 +784,10 @@ def march(
         h *= factor
         if switch:
             # From here march in s = ln v; the next increment in r is kept.
-            f = kernels.pole
-            absolute = (False, False, True, True)
+            step = kernels.pole_step
             pole_switch_r = x
             x, y = math.log(y[1]), (x, y[0], math.log(y[2]), math.log(y[3]))
-            k1 = _first_slope(f, x, y, pole_switch_r)
+            k1 = _first_slope(kernels.pole, x, y, pole_switch_r)
             evals += 1
             h /= k1[0]
 

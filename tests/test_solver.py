@@ -301,6 +301,76 @@ def test_reference_evaluation_count_includes_the_build():
     assert total == 10_308
 
 
+#: The march's work on problems A, B and C: the reprs of its verdict floats
+#: and its step counts.  A change to the step that moves one bit of one float
+#: shows here.
+REFERENCE_MARCHES = {
+    "a": dict(
+        R0="None", b_hat="None", sigma_hat="None", r_end="49.999999999999865",
+        v_final="1.0037959003012844e+19", dt_min="2.2164553158177114e-05",
+        dt_max="0.3764682713462051", pole_switch_r="2.644647236187433",
+        accepted_steps="178", rejected_steps="1", rhs_evals="2150",
+    ),
+    "b": dict(
+        R0="4.440015364490835", b_hat="1.599906041928492",
+        sigma_hat="0.5999786737916217", r_end="4.439960997362929",
+        v_final="4797940.031847182", dt_min="2.4523587971891914e-05",
+        dt_max="0.17267854206963573", pole_switch_r="3.115207065937806",
+        accepted_steps="87", rejected_steps="1", rhs_evals="1058",
+    ),
+    "c": dict(
+        R0="4.9453613803760845", b_hat="1.9999230070421958",
+        sigma_hat="0.9999743354729163", r_end="4.945281696990763",
+        v_final="286182287.1273973", dt_min="3.289901993586142e-05",
+        dt_max="0.22091556921946576", pole_switch_r="3.007200972093701",
+        accepted_steps="89", rejected_steps="1", rhs_evals="1082",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MARCHES))
+def test_reference_march_keeps_its_bits(name):
+    config = load_config(str(ROOT / "configs" / f"problem_{name}.cfg"))
+    run = march(config.spec(), config.u0, config.v0, config.solver_options())
+    want = REFERENCE_MARCHES[name]
+    assert {field: repr(getattr(run, field)) for field in want} == want
+
+
+def test_atlas_march_work_is_pinned():
+    # The 40 rows of the atlas workload: sweep_q and the four atlas ladders.
+    accepted = rejected = evals = rows = 0
+    ladders = [ROOT / "configs" / "sweep_q.cfg", *sorted(ROOT.glob("radbench/configs/atlas_*.cfg"))]
+    for path in ladders:
+        config = load_config(str(path))
+        for value in config.sweep_values:
+            row = config.with_value(config.sweep_parameter, value)
+            run = march(row.spec(), row.u0, row.v0, row.solver_options())
+            accepted += run.accepted_steps
+            rejected += run.rejected_steps
+            evals += run.rhs_evals
+            rows += 1
+    assert (rows, accepted, rejected, evals) == (40, 4_182, 86, 51_295)
+
+
+def test_march_takes_only_the_fused_steps(monkeypatch):
+    # dop853.step is the fused steps' reference, never the march's step.
+    sweep_q = load_config(str(ROOT / "configs" / "sweep_q.cfg")).with_value("q", 5.0)
+    problem_b = load_config(str(ROOT / "configs" / "problem_b.cfg"))
+    runs = [
+        (config.spec(), config.u0, config.v0, config.solver_options())
+        for config in (problem_b, sweep_q)
+    ]
+    want = [{name: getattr(march(*args), name) for name in VERDICT} for args in runs]
+
+    def refused(*args):
+        raise AssertionError("the march called dop853.step")
+
+    monkeypatch.setattr(dop853, "step", refused)
+    got = [{name: getattr(march(*args), name) for name in VERDICT} for args in runs]
+    assert got == want
+    assert [verdict["terminated"] for verdict in got] == [TerminationReason.BLOW_UP] * 2
+
+
 def test_blow_up_radius_is_checked_at_construction(solved_cases):
     run = solved_cases["B"]
     for R0 in (run.r_end, 0.5 * run.r_end):
@@ -947,6 +1017,64 @@ def test_compiled_kernels_keep_the_bits_of_the_formulas(p, alpha_share, n, sums,
     assert _bits(kernels.pole_rhs(s, r, u, L1, L2)) == _bits(
         (drds, drds * w, drds * fI1 / I1, drds * fI2 / I2)
     )
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    p=st.floats(1.5, 3.5),
+    alpha_share=st.floats(0.0, 0.5),
+    n=st.sampled_from([2, 3, 5]),
+    sums=st.tuples(*[_power_sums] * 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_steps_keep_the_bits_of_the_reference_step(p, alpha_share, n, sums, seed):
+    # Each phase's fused step returns what dop853.step returns for that
+    # phase's kernel and absolute components: y_new, k13, row and err, to
+    # the bit.
+    f1, f2, g1, g2, h = sums
+    spec = ProblemSpec(
+        p=p, alpha=alpha_share * (p - 1.0), n=n, f1=f1, f2=f2, g1=g1, g2=g2, h=h
+    )
+    kernels = solver._kernels(spec)
+    phases = {
+        "r": (kernels.radial_step, kernels.radial, (False,) * 4),
+        "s": (kernels.pole_step, kernels.pole, (False, False, True, True)),
+    }
+    tol = 5e-10
+
+    def step(phase, x, size, y, k1):
+        fused, f, absolute = phases[phase]
+        got = fused(x, size, y, k1, tol)
+        assert repr(got) == repr(dop853.step(f, x, size, y, k1, tol, absolute)), phase
+        return got
+
+    def moderate_step(phase, x, dx, y, k1=None):
+        # a step that moves no component by much more than dx
+        k1 = phases[phase][1](x, *y) if k1 is None else k1
+        return step(phase, x, dx / (1.0 + max(map(abs, k1))), y, k1)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        r, u, v, I1, I2 = map(
+            float, rng.uniform([0.5, 0.5, 0.5, 1e-3, 1e-3], [3.0, 3.0, 3.0, 5.0, 5.0])
+        )
+        dx = float(rng.uniform(1e-3, 0.3))
+        assert moderate_step("r", r, dx, (u, v, I1, I2))[3] < math.inf
+        y = (r, u, math.log(I1), math.log(I2))
+        assert moderate_step("s", math.log(v), dx, y)[3] < math.inf
+    # An accumulator at zero whose slope is turned negative leaves the
+    # second stage's value below zero, where the kernels' zero branches
+    # give w = 0 or dv = 0 (a negative float to a fractional power would be
+    # complex, and the step would raise).
+    for i in (2, 3):
+        y = tuple(0.0 if j == i else value for j, value in enumerate((u, v, I1, I2)))
+        slope = tuple(-k if j == i else k for j, k in enumerate(kernels.radial(r, *y)))
+        assert moderate_step("r", r, dx, y, slope)[3] < math.inf
+    # A stage past the float range: exp of a logarithm beyond ~709.8 raises,
+    # and a slope of v near the largest float makes the solution infinite.
+    none = (None, None, None, math.inf)
+    assert step("s", math.log(v), 1.0, (r, u, 700.0, 0.0), (1.0, 1.0, 1e3, 1.0)) == none
+    assert step("r", r, 1e3, (u, v, I1, I2), (1.0, 1e308, 1.0, 1.0)) == none
 
 
 def reference_dense_output(f, row, theta):
