@@ -226,17 +226,18 @@ step.__doc__ = """One Dormand-Prince 8(5,3) step of size h for y' = f(x, *y) fro
 def _node_matrix(thetas):
     """The continuous extension at the fractions ``thetas`` of a step, as a
     (thetas, 13) matrix N with y(theta) = y0 + N @ (y1 - y0, h K_1, ...,
-    h K_12), the K_j the stages of _DENSE_STAGES.
+    h K_12), the K_j the stages of _DENSE_STAGES.  Cached for a tuple of
+    fractions; ``_node_matrix.__wrapped__`` takes an array.
 
     The extension is y0 + t (F0 + (1-t) (F1 + t (F2 + (1-t) (F3 + t (F4 +
     (1-t) (F5 + t F6)))))) with F0 = y1 - y0, F1 = h K_1 - F0, F2 = 2 F0 -
     h (K_1 + K_13) and F3 to F6 the rows of _DENSE_D applied to h K; the
     nested products are the polynomials P_i below, and the F_i are linear
     in (y1 - y0, h K)."""
-    t = np.array(thetas)[:, None]
+    t = np.reshape(thetas, (-1, 1))
     s = 1.0 - t
     P = np.hstack([t, t * s, t * t * s, (t * s) ** 2, t**3 * s**2, (t * s) ** 3, t**4 * s**3])
-    N = np.empty((len(thetas), 1 + len(_DENSE_STAGES)))
+    N = np.empty((len(t), 1 + len(_DENSE_STAGES)))
     N[:, 0] = P[:, 0] - P[:, 1] + 2.0 * P[:, 2]
     N[:, 1:] = P[:, 3:] @ _DENSE_D
     N[:, 1] += P[:, 1] - P[:, 2]
@@ -247,12 +248,13 @@ def _node_matrix(thetas):
 
 def dense_output(f, steps, thetas):
     """The continuous extensions of accepted steps at the fractions
-    ``thetas`` of each: an array of shape (steps, thetas, 4).  ``steps``
-    stacks the rows that :func:`step` returns.  f is the right-hand side on
-    arrays; one call of it evaluates an extra stage for every step.  The
-    extension is linear in y1 - y0 and the stages, so with them stacked as
-    the rows of one (13, 4 * steps) array it is one product with the node
-    matrix of :func:`_node_matrix`, built once for the fractions."""
+    ``thetas`` of each, or at one fraction per step given as a (steps, 1)
+    array: an array of shape (steps, thetas, 4).  ``steps`` stacks the rows
+    that :func:`step` returns.  f is the right-hand side on arrays; one call
+    of it evaluates an extra stage for every step.  The extension is linear
+    in y1 - y0 and the stages, so with them stacked as the rows of one (13,
+    4 * steps) array it is one product with the node matrix of
+    :func:`_node_matrix`, built once for shared fractions."""
     x, h = steps[:, 0], steps[:, 1]
     y0 = steps[:, 2:6]
     m = len(steps)
@@ -264,5 +266,8 @@ def dense_output(f, steps, thetas):
         at = y0 + h[:, None] * (row @ K.reshape(len(row), -1)).reshape(m, 4)
         K[9 + i] = np.stack(f(x + c * h, *at.T), axis=1)
     K *= h[:, None]
+    if np.ndim(thetas) == 2:
+        N = _node_matrix.__wrapped__(thetas)
+        return y0[:, None] + np.einsum("ij,jik->ik", N, V)[:, None]
     nodes = _node_matrix(tuple(thetas)) @ V.reshape(len(V), -1)
     return y0[:, None] + nodes.reshape(-1, m, 4).transpose(1, 0, 2)

@@ -18,7 +18,8 @@ u and I2 = g2(v0) * integral t**(n-1) f2 h(w) are binomial series.  r0 is
 the largest radius at which neither the growth of v nor the remainder of a
 cut series exceeds that hundredth of rel_tol, or the target radius if that
 is smaller; no blow-up can come before it, since v is still v0 there.  A
-start that holds up to the target leaves the march nothing to do.
+start that holds up to the target leaves the march nothing to do.  The
+march reads the start at r0 alone; its grid is evaluated with the columns.
 
 From r0 each step is a Dormand-Prince 8(5,3) pair, the code DOP853
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10): twelve stages
@@ -37,7 +38,8 @@ on arrays, give the seventh-order continuous extension; it is linear in
 the step's increment and stages, so each step is emitted as 14 equal
 sub-panels by one product with a constant node matrix, and the trajectory
 is dense enough for finite-difference residuals, panel quotients and the
-blow-up envelope at any step size.
+blow-up envelope at any step size.  Between nodes a run is read from the
+same closed form and extensions.
 
 Near a pole the march changes its independent variable to s = ln v (Stuart
 & Floater, Eur. J. Appl. Math. 1, 1990) once the pole dominates, that is
@@ -141,26 +143,56 @@ class SolverOptions:
             raise ValueError("rel_tol must lie in (0, 0.1)")
 
 
+def _column(name: str) -> property:
+    return property(
+        lambda self: self._columns[name],
+        doc=f"The ``{name}`` column, built on first read.",
+    )
+
+
+class _Columns:
+    """The columns r, u, v, w (u'), dv (v'), I1 and I2 of a trajectory, each
+    read from the dict ``_columns`` that a subclass builds on first read."""
+
+    r = _column("r")
+    u = _column("u")
+    v = _column("v")
+    w = _column("w")
+    dv = _column("dv")
+    I1 = _column("I1")
+    I2 = _column("I2")
+
+
 @dataclass(frozen=True)
-class BootstrapSegment:
-    """The closed-form start: the origin and its geometric grid up to r0."""
+class BootstrapSegment(_Columns):
+    """The closed-form start on [0, r0]: ``profiles(r)`` gives (u, v, w, dv,
+    I1, I2, fI1, fI2, W, Z) at radii 0 <= r <= r0, and ``state`` is (u, v,
+    I1, I2) at r0, where the march takes over.  The columns, built on first
+    read, are the profiles on the grid of :func:`picard_bootstrap`."""
 
-    r: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    dv: np.ndarray
-    I1: np.ndarray
-    I2: np.ndarray
-
-    @property
-    def r0(self) -> float:
-        return float(self.r[-1])
+    r0: float
+    state: tuple[float, float, float, float]
+    profiles: Callable = field(repr=False, compare=False)
 
     @property
     def sweeps(self) -> int:
         """Applications of the integral maps: the closed form is one."""
         return 1
+
+    @functools.cached_property
+    def _columns(self) -> dict[str, np.ndarray]:
+        r = np.append(0.0, np.geomspace(_START_SPAN * self.r0, self.r0, _START_NODES))
+        values = self.profiles(r)
+        keep = _normal(values) | (r == 0.0)
+        names = ("r", "u", "v", "w", "dv", "I1", "I2")
+        return {name: column[keep] for name, column in zip(names, (r, *values[:6]))}
+
+
+def _normal(values) -> np.ndarray:
+    """Where every one of ``values`` is a positive normal float."""
+    return (np.minimum.reduce(values) >= np.finfo(float).tiny) & (
+        np.maximum.reduce(values) < np.inf
+    )
 
 
 # Power sums near the origin are lists of (multiplier, log scale, exponent)
@@ -224,8 +256,8 @@ def _binomial(eps, y, budget):
 def picard_bootstrap(
     spec: ProblemSpec, u0: float, v0: float, options: SolverOptions
 ) -> BootstrapSegment:
-    """The trajectory on [0, r0]: one application of both integral maps to
-    the constant pair (u0, v0), in closed form.
+    """The start on [0, r0]: one application of both integral maps to the
+    constant pair (u0, v0), in closed form, as a function of r.
 
     With v frozen at v0, I1 = g1(v0) * integral_0^r t**d f1 is a power sum
     and gives W = (d/(n-1)) I1 / r**d and w = W**theta exactly.  Written as
@@ -236,12 +268,13 @@ def picard_bootstrap(
     and is emitted as v0 plus that bound.  r0 is the largest radius where
     the bound stays within 0.01 * rel_tol of v0 and every cut series within
     0.01 * rel_tol of its sum, or the target radius itself if that is
-    smaller.  The segment is the origin and 1024 geometrically spaced nodes
-    over [1e-3 * r0, r0], less the lowest of them where a profile, or the
-    slope of I1 or I2, is not yet a positive normal float, as when h(w)
-    underflows for large theta;
-    :class:`SolverError` is raised when the profiles are not normal floats
-    at r0 itself.
+    smaller.  The profiles are evaluated here at r0 alone, for the state
+    the march starts from; :class:`SolverError` is raised when they, or the
+    slopes of I1 and I2, are not positive normal floats there.  The
+    segment's columns, built on first read, are the origin and 1024
+    geometrically spaced nodes over [1e-3 * r0, r0], less the lowest of
+    them where a profile or slope is not yet a positive normal float, as
+    when h(w) underflows for large theta.
     """
     if not (u0 > 0.0 and v0 > 0.0):
         raise ValueError("u0 and v0 must be positive")
@@ -290,28 +323,30 @@ def picard_bootstrap(
     log_r0 = min(log_target, *radii)
     r0 = options.target_radius if log_r0 == log_target else math.exp(log_r0)
 
-    r = np.geomspace(_START_SPAN * r0, r0, _START_NODES)
-    # Profiles that leave the float range are not kept, so their overflows
-    # are no error.
-    with np.errstate(all="ignore"):
-        I1 = _evaluate(I1_terms, r)
-        I2 = _evaluate(I2_terms, r)
-        v = v0 + _evaluate(growth, r)
-        w, dv, fI1, fI2 = _kernels(spec).nodes(r, v, I1, I2)
-        W = w ** (spec.p - 1.0 - spec.alpha)
-        Z = dv ** (spec.p - 1.0)
-        u = u0 + _evaluate(_integrated(w_terms), r)
-    columns = (r, u, v, w, dv, I1, I2)
-    every = [*columns[1:], fI1, fI2, W, Z]
-    keep = (np.minimum.reduce(every) >= np.finfo(float).tiny) & (
-        np.maximum.reduce(every) < np.inf
-    )
-    if not keep[-1]:
+    nodes = _kernels(spec).nodes
+
+    def profiles(r):
+        # Profiles that leave the float range are not kept, so their
+        # overflows are no error.
+        with np.errstate(all="ignore"):
+            I1 = _evaluate(I1_terms, r)
+            I2 = _evaluate(I2_terms, r)
+            v = v0 + _evaluate(growth, r)
+            w, dv, fI1, fI2 = nodes(r, v, I1, I2)
+            # At the origin, where every power of r vanishes, w and dv are 0/0.
+            w, dv = (np.where(r > 0.0, value, 0.0) for value in (w, dv))
+            W = w ** (spec.p - 1.0 - spec.alpha)
+            Z = dv ** (spec.p - 1.0)
+            u = u0 + _evaluate(_integrated(w_terms), r)
+        return u, v, w, dv, I1, I2, fI1, fI2, W, Z
+
+    # numpy's elementwise results do not depend on the length of the array,
+    # so the state at r0 has the bits of the grid's last node.
+    at_r0 = profiles(np.array([r0]))
+    if not _normal(at_r0)[0]:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
-    origin = (0.0, u0, v0, 0.0, 0.0, 0.0, 0.0)
-    return BootstrapSegment(*(
-        np.concatenate(([at0], col[keep])) for at0, col in zip(origin, columns)
-    ))
+    state = tuple(float(at_r0[i][0]) for i in (0, 1, 4, 5))  # u, v, I1, I2
+    return BootstrapSegment(r0, state, profiles)
 
 
 class _MarchSteps(NamedTuple):
@@ -325,15 +360,8 @@ class _MarchSteps(NamedTuple):
     pole: list
 
 
-def _column(name: str) -> property:
-    return property(
-        lambda self: self._columns[name],
-        doc=f"The trajectory's ``{name}`` column, built on first read.",
-    )
-
-
 @dataclass(frozen=True)
-class RadialSolution:
+class RadialSolution(_Columns):
     """The verdict of a march and, built when first read, its discrete
     trajectory.
 
@@ -346,14 +374,13 @@ class RadialSolution:
     step, set and unset with ``R0``.
     ``pole_switch_r`` is the radius at which the march changed to s, or
     None if it never did.  ``start_radius`` is r0, where the closed-form
-    start hands over to the march, and ``bootstrap_nodes`` counts the nodes
-    of that start, the origin included.
+    start hands over to the march.
 
     The columns ``r``, ``u``, ``v``, ``w`` (u'), ``dv`` (v'), ``I1`` and
     ``I2`` (the accumulated source integrals) are emitted by
     :func:`_emit_nodes` from ``steps`` when one of them is first read, once:
     their radii increase strictly from 0 and end at ``r_end``, where v is
-    ``v_final``.
+    ``v_final``.  :meth:`sample` reads the run between them.
 
     ``rhs_evals`` counts the evaluations of the right-hand side made so
     far: the march's stages and, once the columns are built, the three
@@ -372,7 +399,6 @@ class RadialSolution:
     sigma_hat: float | None
     r_end: float
     v_final: float
-    bootstrap_nodes: int
     start_radius: float
     rhs_evals: int
     accepted_steps: int
@@ -406,52 +432,50 @@ class RadialSolution:
         object.__setattr__(self, "rhs_evals", self.rhs_evals + evals)
         return columns
 
-    r = _column("r")
-    u = _column("u")
-    v = _column("v")
-    w = _column("w")
-    dv = _column("dv")
-    I1 = _column("I1")
-    I2 = _column("I2")
+    @property
+    def bootstrap_nodes(self) -> int:
+        """The start's nodes, the origin included: reading it builds its grid."""
+        return len(self.steps.boot.r)
 
     def sample(self, rs) -> dict[str, np.ndarray]:
-        """Cubic-Hermite resample of the trajectory at radii ``rs``
-        (clipped to the computed range).  The slopes of I1 and I2 at the
-        bracketing nodes, and u' and v' from the interpolated accumulators,
-        come from the compiled node kernel, so the sampled points satisfy
-        the same algebraic relations as the nodes."""
-        nodes = _kernels(self.spec).nodes
-
-        def at(r, v, I1, I2):
-            # The kernel's quotients by powers of r are 0/0 at the origin,
-            # where every derivative vanishes.
-            with np.errstate(all="ignore"):
-                values = nodes(r, v, I1, I2)
-            return [np.where(r > 0.0, value, 0.0) for value in values]
-
+        """u, v, u' (``du``) and v' at the radii ``rs``, clipped to [0,
+        r_end], as the nodes are made: the start's profiles up to r0, and
+        beyond it the extension of the step that holds the radius, at the
+        fraction (r - x) / h in r and, since r rises along a step in s (dr/ds
+        = v/v' > 0), at the fraction bisection finds there.  Its evaluations
+        of the right-hand side are not counted in ``rhs_evals``."""
+        kernels, boot, radial, pole = self.steps
         rs = np.clip(np.asarray(rs, dtype=float), 0.0, self.r_end)
-        i = np.clip(np.searchsorted(self.r, rs, side="right") - 1, 0, len(self.r) - 2)
-        ends = np.stack([i, i + 1])
-        _, _, fI1, fI2 = at(self.r[ends], self.v[ends], self.I1[ends], self.I2[ends])
-        x0 = self.r[i]
-        hseg = self.r[i + 1] - x0
-        t = (rs - x0) / hseg
-        t2 = t * t
-        t3 = t2 * t
-        b00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        b10 = t3 - 2.0 * t2 + t
-        b01 = 1.0 - b00
-        b11 = t3 - t2
-
-        def hermite(y, d):
-            return b00 * y[i] + b10 * hseg * d[0] + b01 * y[i + 1] + b11 * hseg * d[1]
-
-        u = hermite(self.u, self.w[ends])
-        v = hermite(self.v, self.dv[ends])
-        I1 = np.maximum(hermite(self.I1, fI1), 0.0)
-        I2 = np.maximum(hermite(self.I2, fI2), 0.0)
-        du, dv, _, _ = at(rs, v, I1, I2)
-        return {"u": u, "v": v, "du": du, "dv": dv}
+        out = np.empty((4, len(rs)))
+        todo = rs > boot.r0
+        # Steps that leave the float range give values that are not finite.
+        with np.errstate(all="ignore"):
+            out[:, ~todo] = boot.profiles(rs[~todo])[:4]
+            # The phase in s first.  A step's row holds its first radius at
+            # ``at``: r in s, x itself in r.
+            for rows, f, at in ((pole, kernels.pole_rhs, 2), (radial, kernels.radial_rhs, 0)):
+                mine = todo & (rs > rows[0][at]) if rows else False
+                if not np.any(mine):
+                    continue
+                todo &= ~mine
+                r = rs[mine]
+                steps = _stacked(rows)
+                steps = steps[np.searchsorted(steps[:, at], r, side="right") - 1]
+                in_pole = f is kernels.pole_rhs
+                if in_pole:
+                    # 53 halvings take the fraction to the float spacing below 1.
+                    lo, hi = np.zeros_like(r), np.ones_like(r)
+                    for _ in range(53):
+                        theta = 0.5 * (lo + hi)
+                        below = dop853.dense_output(f, steps, theta[:, None])[:, 0, 0] < r
+                        lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
+                else:
+                    theta = (r - steps[:, 0]) / steps[:, 1]
+                y = dop853.dense_output(f, steps, theta[:, None])[:, 0].T
+                x = steps[:, 0] + steps[:, 1] * theta
+                r, u, v, I1, I2 = (y[0], y[1], np.exp(x), *np.exp(y[2:])) if in_pole else (x, *y)
+                out[:, mine] = [u, v, *kernels.nodes(r, v, I1, I2)[:2]]
+        return dict(zip(("u", "v", "du", "dv"), out))
 
 
 class _Kernels(NamedTuple):
@@ -716,8 +740,8 @@ def march(
     # x is r and y is (u, v, I1, I2) until the pole dominates; from then on
     # x is s = ln v and y is (r, u, ln I1, ln I2).
     step = kernels.radial_step
-    x = float(boot.r[-1])
-    y = (float(boot.u[-1]), float(boot.v[-1]), float(boot.I1[-1]), float(boot.I2[-1]))
+    x = boot.r0
+    y = boot.state
     k1 = _first_slope(kernels.radial, x, y, x)
     evals = 1
     rejected = 0
@@ -800,7 +824,7 @@ def march(
         last = radial_steps[-1]
         r_end, v_final = last[0] + last[1] * 1.0, last[7]
     else:
-        r_end, v_final = boot.r[-1], boot.v[-1]
+        r_end, v_final = boot.r0, boot.state[1]
     return RadialSolution(
         spec=spec,
         options=options,
@@ -810,7 +834,6 @@ def march(
         sigma_hat=sigma_hat,
         r_end=float(r_end),
         v_final=float(v_final),
-        bootstrap_nodes=len(boot.r),
         start_radius=boot.r0,
         rhs_evals=evals,
         accepted_steps=len(increments),
@@ -821,6 +844,12 @@ def march(
         steps=_MarchSteps(kernels, boot, radial_steps, pole_steps),
         notes=tuple(notes),
     )
+
+
+def _stacked(rows) -> np.ndarray:
+    """The step rows of one phase as an array, a row per step."""
+    width = len(rows[0])
+    return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
 
 
 def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_steps):
@@ -845,10 +874,7 @@ def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_st
     for steps, f in ((radial_steps, kernels.radial_rhs), (pole_steps, kernels.pole_rhs)):
         if not steps:
             continue
-        width = len(steps[0])
-        steps = np.fromiter(
-            chain.from_iterable(steps), float, len(steps) * width
-        ).reshape(-1, width)
+        steps = _stacked(steps)
         # Extra stages that leave the float range give nodes that are not
         # finite, which are dropped below.
         with np.errstate(all="ignore"):

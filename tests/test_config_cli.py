@@ -553,18 +553,11 @@ def test_sweep_rows_survive_per_row_failures(tmp_path, capsys):
         assert cells[7] != ""
 
 
-def test_a_solved_sweep_builds_no_trajectory(dense_output_calls):
-    # A sweep row reads the march's verdict alone, so no row emits nodes.
-    config = load_config(str(CONFIGS / "sweep_q.cfg"))
-    for value in config.sweep_values:
-        row = radlab.cli.sweep_row(config.with_value("q", value), "q", value, True)
-        assert row["numeric_class"] and row["error"] == "", row
-    assert dense_output_calls == []
-
-
-def test_solve_builds_the_trajectory_once(dense_output_calls, tmp_path, capsys, monkeypatch):
-    # Problem B marches in r and then in s: solve emits each phase once, and
-    # no later reader of the columns emits them again.
+def test_a_solved_sweep_builds_no_trajectory(dense_output_calls, monkeypatch):
+    # A sweep row reads the march's verdict alone, so no row emits nodes,
+    # and the start's grid is not built either: the march reads the start's
+    # profiles at r0 alone.  Its node count, read afterwards, builds the
+    # grid and keeps its value.
     solutions = []
 
     def kept(*args):
@@ -572,10 +565,42 @@ def test_solve_builds_the_trajectory_once(dense_output_calls, tmp_path, capsys, 
         return solutions[-1]
 
     monkeypatch.setattr(radlab.cli, "march", kept)
+    config = load_config(str(CONFIGS / "sweep_q.cfg"))
+    for value in config.sweep_values:
+        row = radlab.cli.sweep_row(config.with_value("q", value), "q", value, True)
+        assert row["numeric_class"] and row["error"] == "", row
+    assert dense_output_calls == []
+    assert len(solutions) == len(config.sweep_values)
+    for solution in solutions:
+        assert "_columns" not in vars(solution)
+        assert "_columns" not in vars(solution.steps.boot)
+        assert solution.bootstrap_nodes == 1025
+        assert "_columns" not in vars(solution)
+
+
+def test_solve_builds_the_trajectory_once(dense_output_calls, tmp_path, capsys, monkeypatch):
+    # Problem B marches in r and then in s: solve emits each phase once, and
+    # no later reader of the columns emits them again.  sample evaluates the
+    # extensions of its own steps, and builds no column.
+    solutions = []
+    builds = []
+    emit_nodes = radlab.solver._emit_nodes
+
+    def kept(*args):
+        solutions.append(march(*args))
+        return solutions[-1]
+
+    def counted(*args):
+        builds.append(args)
+        return emit_nodes(*args)
+
+    monkeypatch.setattr(radlab.cli, "march", kept)
+    monkeypatch.setattr(radlab.solver, "_emit_nodes", counted)
     config = load_config(str(CONFIGS / "problem_b.cfg"))
     assert radlab.cli.cmd_solve(config, str(tmp_path)) == 0
     capsys.readouterr()
     assert dense_output_calls == ["radial_rhs", "pole_rhs"]
+    assert len(builds) == 1
     (solution,) = solutions
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["stats"]["rhs_evals"] == solution.rhs_evals
@@ -584,7 +609,7 @@ def test_solve_builds_the_trajectory_once(dense_output_calls, tmp_path, capsys, 
     assert blowup_envelope_check(solution, solution.spec).passed
     solution.sample(np.linspace(0.0, solution.r_end, 5))
     assert solution.r is solution.r and solution.w is solution.w
-    assert dense_output_calls == ["radial_rhs", "pole_rhs"]
+    assert len(builds) == 1
     assert report["stats"]["rhs_evals"] == solution.rhs_evals
 
 

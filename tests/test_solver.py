@@ -289,6 +289,29 @@ def test_verdict_is_that_of_the_built_columns(config, dense_output_calls):
     )
 
 
+@pytest.mark.parametrize(
+    "label, config", COMMITTED_RUNS, ids=[label for label, _ in COMMITTED_RUNS]
+)
+def test_start_grid_is_built_on_read_and_ends_on_the_handover_state(label, config):
+    # The march reads the start's profiles at r0 alone; the grid, built when
+    # its columns are first read, starts on the origin and ends on the same
+    # state to the bit, and keeps its 1,025 nodes (21 on stress_alpha099,
+    # whose lower nodes are subnormal).
+    try:
+        boot = picard_bootstrap(config.spec(), config.u0, config.v0, config.solver_options())
+    except SolverError as exc:
+        assert "not normal floats" in str(exc)  # extreme_v0 has no start
+        return
+    assert "_columns" not in vars(boot)
+    columns = (boot.r, boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2)
+    origin = (0.0, config.u0, config.v0, 0.0, 0.0, 0.0, 0.0)
+    assert [float(column[0]).hex() for column in columns] == [value.hex() for value in origin]
+    assert boot.r[-1] == boot.r0
+    last = tuple(float(column[-1]) for column in (boot.u, boot.v, boot.I1, boot.I2))
+    assert [value.hex() for value in last] == [value.hex() for value in boot.state]
+    assert len(boot.r) == (21 if label == "stress_alpha099" else 1025)
+
+
 def test_reference_evaluation_count_includes_the_build():
     # Problems A, B and C take 10,308 evaluations with their columns built,
     # as when every run built them in the march.
@@ -411,13 +434,43 @@ def test_march_tolerance_convergence():
 
 
 def test_sample_reproduces_nodes(solved_cases):
-    run = solved_cases["B"]
-    idx = np.arange(0, len(run.r), 97)
-    out = run.sample(run.r[idx])
-    assert np.allclose(out["u"], run.u[idx], rtol=1e-13, atol=0.0)
-    assert np.allclose(out["v"], run.v[idx], rtol=1e-13, atol=0.0)
-    assert np.allclose(out["du"], run.w[idx], rtol=1e-13, atol=0.0)
-    assert np.allclose(out["dv"], run.dv[idx], rtol=1e-13, atol=0.0)
+    # sample reads the start's profiles and the steps' extensions, the
+    # mechanisms that give the nodes, so at a node's radius it gives the
+    # node to roundoff.  In s = ln v a radius off by one ulp moves s by
+    # ulp / (dr/ds), which near a pole is far more than one ulp of s: each
+    # value is bounded by 1e-13 |x| + 8 ulp(r) |x'|, x' from the columns.
+    for name in ("A", "B", "C", "vblow-p15", "bothblow-m2"):
+        run = solved_cases[name]
+        idx = np.append(np.arange(0, len(run.r), 97), len(run.r) - 1)
+        r = run.r[idx]
+        out = run.sample(r)
+        for key, column, slope in (
+            ("u", run.u, run.w),
+            ("v", run.v, run.dv),
+            ("du", run.w, fd_derivative(run.r, run.w)),
+            ("dv", run.dv, fd_derivative(run.r, run.dv)),
+        ):
+            bound = 1e-13 * np.abs(column[idx]) + 8.0 * np.spacing(r) * np.abs(slope[idx])
+            assert np.all(np.abs(out[key] - column[idx]) <= bound), (name, key)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_sample_between_nodes_is_held_to_rel_tol(name, solved_cases):
+    # Between the nodes beyond r0, sample is the seventh-order extension of
+    # the march's own steps, so its error is set by rel_tol and not by the
+    # node spacing: at the middle of every panel up to 0.95 R0 (or the
+    # target), u and v lie within rel_tol / 10 of a rel_tol 1e-12 run.  A
+    # cubic Hermite fit of the nodes missed this by 1.2 to 2.9 times in v.
+    run = solved_cases[name]
+    options = run.options
+    tight = march(run.spec, 1.0, 1.0, dataclasses.replace(options, rel_tol=1e-12))
+    end = 0.95 * run.R0 if run.R0 is not None else run.r_end
+    middle = 0.5 * (run.r[1:] + run.r[:-1])
+    middle = middle[(middle > run.start_radius) & (middle < end)]
+    assert len(middle) > 500
+    got, want = run.sample(middle), tight.sample(middle)
+    for key in ("u", "v"):
+        assert np.allclose(got[key], want[key], rtol=options.rel_tol / 10.0, atol=0.0), key
 
 
 def test_fd_derivative_exact_on_quartics():
@@ -1111,6 +1164,13 @@ def test_dense_output_node_matrix_matches_horner_reference():
     got = dop853.dense_output(_rotation_rhs, np.array(rows), thetas)
     want = [[reference_dense_output(_rotation_rhs, row, t) for t in thetas] for row in rows]
     assert got.shape == (8, 13, 4)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    # One fraction per step, as sample asks for them, takes each step's own
+    # row of the node matrix.
+    each = np.linspace(0.0, 1.0, 8)[:, None]
+    got = dop853.dense_output(_rotation_rhs, np.array(rows), each)
+    want = [[reference_dense_output(_rotation_rhs, row, t)] for row, (t,) in zip(rows, each)]
+    assert got.shape == (8, 1, 4)
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
