@@ -114,9 +114,9 @@ def {signature}:
 {weights}
         n0, n1, n2, n3 = y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3
 {last}\
-    except (OverflowError, ZeroDivisionError):
-        return None, None, None, inf
-    if not ({finite}):
+        if not ({finite}):
+            return None, None, None, inf
+    except (OverflowError, TypeError, ZeroDivisionError):
         return None, None, None, inf
 {scales}
     err = 0.0
@@ -213,8 +213,9 @@ step.__doc__ = """One Dormand-Prince 8(5,3) step of size h for y' = f(x, *y) fro
     0.01 * e3**2), Hairer's combination of the fifth- and third-order
     estimates e5 and e3 of a component, in units of tol * max(|y|, |y_new|),
     or of tol alone for the components flagged in ``absolute``.  err is inf,
-    with no solution, when a stage overflows or the solution leaves the
-    finite range.
+    with no solution, when a stage overflows or leaves the real line (a
+    negative float to a fractional power is complex), or the solution
+    leaves the finite range.
 
     Generated from the tableau by :func:`_step_source`, with the four state
     components written out and a stage that calls f.  The march runs the

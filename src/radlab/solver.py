@@ -27,19 +27,21 @@ and a thirteenth at the new point, reused as the first of the next step;
 per component, Hairer's combination h * e5**2 / sqrt(e5**2 + 0.01 * e3**2)
 of the embedded fifth- and third-order error estimates, held below
 0.05 * rel_tol; and the step-size factor 0.9 * err**(-1/8) clamped to
-[0.2, 5].  Each phase's step is straight-line code generated from the
-tableau for the shape of the problem's power sums, with the right-hand
-side written into every stage; u enters the system only through u', so
-no stage computes u's argument.  Every accepted step keeps its stages,
-and the verdict of a run needs nothing more: its end, R0 and rates come
-from the last step.  The trajectory is built from the kept steps when it
-is first read: three more stages per step, evaluated for all steps at once
-on arrays, give the seventh-order continuous extension; it is linear in
-the step's increment and stages, so each step is emitted as 14 equal
-sub-panels by one product with a constant node matrix, and the trajectory
-is dense enough for finite-difference residuals, panel quotients and the
-blow-up envelope at any step size.  Between nodes a run is read from the
-same closed form and extensions.
+[0.2, 5].  The right-hand side is one body for the shape of the
+problem's power sums, and two phase maps bind it to the state in r and
+in s below; every kernel is rendered from them, each phase's step as
+straight-line code from the tableau with the body in every stage.  u
+enters the system only through u', so no kernel reads u's argument.
+Every accepted step keeps its stages, and the verdict of a run needs
+nothing more: its end, R0 and rates come from the last step.  The
+trajectory is built from the kept steps when it is first read: three
+more stages per step, evaluated for all steps at once on arrays, give
+the seventh-order continuous extension; it is linear in the step's
+increment and stages, so each step is emitted as 14 equal sub-panels by
+one product with a constant node matrix, and the trajectory is dense
+enough for finite-difference residuals, panel quotients and the blow-up
+envelope at any step size.  Between nodes a run is read from the same
+closed form and extensions.
 
 Near a pole the march changes its independent variable to s = ln v (Stuart
 & Floater, Eur. J. Appl. Math. 1, 1990) once the pole dominates, that is
@@ -323,7 +325,7 @@ def picard_bootstrap(
     log_r0 = min(log_target, *radii)
     r0 = options.target_radius if log_r0 == log_target else math.exp(log_r0)
 
-    nodes = _kernels(spec).nodes
+    rhs = _kernels(spec).radial_rhs
 
     def profiles(r):
         # Profiles that leave the float range are not kept, so their
@@ -332,12 +334,12 @@ def picard_bootstrap(
             I1 = _evaluate(I1_terms, r)
             I2 = _evaluate(I2_terms, r)
             v = v0 + _evaluate(growth, r)
-            w, dv, fI1, fI2 = nodes(r, v, I1, I2)
+            u = u0 + _evaluate(_integrated(w_terms), r)
+            w, dv, fI1, fI2 = rhs(r, u, v, I1, I2)
             # At the origin, where every power of r vanishes, w and dv are 0/0.
             w, dv = (np.where(r > 0.0, value, 0.0) for value in (w, dv))
             W = w ** (spec.p - 1.0 - spec.alpha)
             Z = dv ** (spec.p - 1.0)
-            u = u0 + _evaluate(_integrated(w_terms), r)
         return u, v, w, dv, I1, I2, fI1, fI2, W, Z
 
     # numpy's elementwise results do not depend on the length of the array,
@@ -474,48 +476,49 @@ class RadialSolution(_Columns):
                 y = dop853.dense_output(f, steps, theta[:, None])[:, 0].T
                 x = steps[:, 0] + steps[:, 1] * theta
                 r, u, v, I1, I2 = (y[0], y[1], np.exp(x), *np.exp(y[2:])) if in_pole else (x, *y)
-                out[:, mine] = [u, v, *kernels.nodes(r, v, I1, I2)[:2]]
+                out[:, mine] = [u, v, *kernels.radial_rhs(r, u, v, I1, I2)[:2]]
         return dict(zip(("u", "v", "du", "dv"), out))
 
 
 class _Kernels(NamedTuple):
-    """The right-hand side of one problem, compiled.  On floats, for the
-    march: ``radial(r, u, v, I1, I2)`` gives (w, dv, fI1, fI2) and
-    ``pole(s, r, u, L1, L2)`` the derivatives in s = ln v of (r, u, ln I1,
-    ln I2); ``radial_step(x, h, y, k1, tol)`` and ``pole_step`` are the
-    Dormand-Prince 8(5,3) steps of the two phases, with each stage's
-    right-hand side written into the step and the phase's absolute
-    components, none in r and ln I1, ln I2 in s, fixed: each returns what
-    :func:`dop853.step` returns for ``radial`` or ``pole``, to the bit.  On
-    arrays: ``nodes(r, v, I1, I2)`` gives (w, dv, fI1, fI2) at nodes with
-    r > 0, and ``radial_rhs`` and ``pole_rhs`` are the two phases'
-    right-hand sides for the dense stages."""
+    """The right-hand side of one problem, compiled: each kernel is the one
+    body written into the map of its phase, in r for (u, v, I1, I2) or in
+    s = ln v for (r, u, ln I1, ln I2), and takes (x, *y).  On floats, for
+    the march: ``radial`` and ``pole`` give a phase's first slope, and
+    ``radial_step(x, h, y, k1, tol)`` and ``pole_step`` are the phases'
+    Dormand-Prince 8(5,3) steps, with the body written into every stage and
+    the absolute components, none in r and ln I1, ln I2 in s, fixed: each
+    returns what :func:`dop853.step` returns for ``radial`` or ``pole``, to
+    the bit.  On arrays: ``radial_rhs`` and ``pole_rhs``, for the dense
+    stages and the nodes.  No kernel reads u."""
 
     radial: Callable
     pole: Callable
     radial_step: Callable
     pole_step: Callable
-    nodes: Callable
     radial_rhs: Callable
     pole_rhs: Callable
 
 
-# With W = c1 * I1 / r**delta and Z = I2 / r**(n-1), the right-hand side is
-# w = W**theta, dv = Z**(1/(p-1)), fI1 = r**delta f1(r) g1(v) and
-# fI2 = r**(n-1) f2(r) g2(v) h(w).  On floats an accumulator that a stage
-# leaves at or below zero gives a zero derivative: a negative float to a
-# fractional power is complex in Python.
+# The body: with W = c1 * I1 / r**delta and Z = I2 / r**(n-1), the
+# right-hand side is w = W**theta, dv = Z**(1/(p-1)), fI1 = r**delta f1(r)
+# g1(v) and fI2 = r**(n-1) f2(r) g2(v) h(w).  An accumulator at or below
+# zero is clamped to zero (a negative float to a fractional power is complex
+# in Python, nan in numpy); the forms on floats and on arrays differ only in
+# that clamp and in the name of exp.
 _RADIAL_BODY = """\
         rd = r ** delta
         rn = r ** nm1
-        w = (c1 * I1 / rd) ** theta if I1 > 0.0 else 0.0
-        dv = (I2 / rn) ** inv_pm1 if I2 > 0.0 else 0.0
+        w = (c1 * {I1} / rd) ** theta
+        dv = ({I2} / rn) ** inv_pm1
         fI1 = {fI1}
         fI2 = {fI2}
 """
-# The stages of the two fused steps: the kernels' inputs bound to the stage's
-# arguments and their bodies written out.  u enters no right-hand side, so
-# its argument, y[0] in r and y[1] in s, is never computed.
+_FLOATS = ("(I1 if I1 > 0.0 else 0.0)", "(I2 if I2 > 0.0 else 0.0)", "exp")
+_ARRAYS = ("np.maximum(I1, 0.0)", "np.maximum(I2, 0.0)", "np.exp")
+# The phase maps: the body's inputs bound to a stage's arguments, and the
+# stage's slopes k<s>_0..3 from its results.  u's argument, y[0] in r and
+# y[1] in s, is never read.
 _RADIAL_STAGE = """\
         r = {x}
         v = {y[1]}
@@ -529,9 +532,9 @@ _RADIAL_STAGE = """\
 """
 _POLE_STAGE = """\
         r = {y[0]}
-        v = exp({x})
-        I1 = exp({y[2]})
-        I2 = exp({y[3]})
+        v = {exp}({x})
+        I1 = {exp}({y[2]})
+        I2 = {exp}({y[3]})
 {body}\
         drds = v / dv
         k{s}_0 = drds
@@ -539,39 +542,11 @@ _POLE_STAGE = """\
         k{s}_2 = drds * fI1 / I1
         k{s}_3 = drds * fI2 / I2
 """
-_KERNEL_SOURCE = """\
-def make({constants}):
-    def radial(r, u, v, I1, I2):
-{body}\
-        return w, dv, fI1, fI2
-
-    def pole(s, r, u, L1, L2):
-        v = exp(s)
-        I1 = exp(L1)
-        I2 = exp(L2)
-{body}\
-        drds = v / dv
-        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
-
-{radial_step}
-{pole_step}
-    def nodes(r, v, I1, I2):
-        rd = r ** delta
-        rn = r ** nm1
-        w = (c1 * I1 / rd) ** theta
-        dv = (I2 / rn) ** inv_pm1
-        return w, dv, {fI1}, {fI2}
-
-    def radial_rhs(r, u, v, I1, I2):
-        return nodes(r, v, np.maximum(I1, 0.0), np.maximum(I2, 0.0))
-
-    def pole_rhs(s, r, u, L1, L2):
-        v, I1, I2 = np.exp(s), np.exp(L1), np.exp(L2)
-        w, dv, fI1, fI2 = nodes(r, v, I1, I2)
-        drds = v / dv
-        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
-
-    return radial, pole, radial_step, pole_step, nodes, radial_rhs, pole_rhs
+# A kernel that is not a step is stage 1 of its phase map at its arguments.
+_STAGE_KERNEL = """\
+def {name}(x, y0, y1, y2, y3):
+{stage}\
+        return k1_0, k1_1, k1_2, k1_3
 """
 #: Compiled kernel factories by the shape of the power sums, that is by the
 #: source expressions of fI1 and fI2: problems of one shape share one.
@@ -604,24 +579,28 @@ def _power_sum(name: str, f, t: str, constants: dict) -> str | None:
 
 def _kernel_factory(constants: dict, fI1: str, fI2: str) -> Callable:
     """Compile the kernels of one shape: ``make(**constants)`` binds them to
-    a problem's constants.  The two steps are about 27 KB of source, so
-    they are generated and compiled once per shape (about 6 ms)."""
-    body = _RADIAL_BODY.format(fI1=fI1, fI2=fI2)
-
-    def step(name, template, absolute):
-        stage = functools.partial(template.format, body=body)
-        return textwrap.indent(
-            dop853._step_source(f"{name}(x, h, y, k1, tol)", stage, absolute), "    "
-        )
-
-    source = _KERNEL_SOURCE.format(
-        constants=", ".join(constants),
-        body=body,
-        radial_step=step("radial_step", _RADIAL_STAGE, (False, False, False, False)),
-        pole_step=step("pole_step", _POLE_STAGE, (False, False, True, True)),
-        fI1=fI1,
-        fI2=fI2,
-    )
+    a problem's constants, in the order of :class:`_Kernels`.  The body, in
+    a kernel's form, is written into its phase map as every stage of a step
+    and as stage 1 of the other kernels.  The two steps are about 27 KB of
+    source, so they are generated and compiled once per shape (about 6 ms)."""
+    phases = {
+        "radial": (_RADIAL_STAGE, (False, False, False, False)),
+        "pole": (_POLE_STAGE, (False, False, True, True)),
+    }
+    source = f"def make({', '.join(constants)}):\n"
+    for name in _Kernels._fields:
+        phase, _, kind = name.partition("_")
+        template, absolute = phases[phase]
+        I1, I2, exp = _ARRAYS if kind == "rhs" else _FLOATS
+        body = _RADIAL_BODY.format(I1=I1, I2=I2, fI1=fI1, fI2=fI2)
+        stage = functools.partial(template.format, body=body, exp=exp)
+        if kind == "step":
+            kernel = dop853._step_source(f"{name}(x, h, y, k1, tol)", stage, absolute)
+        else:
+            y = ["y0", "y1", "y2", "y3"]
+            kernel = _STAGE_KERNEL.format(name=name, stage=stage(s=1, x="x", y=y))
+        source += textwrap.indent(kernel, "    ")
+    source += f"    return {', '.join(_Kernels._fields)}\n"
     namespace = {"exp": math.exp, "np": np, **dop853._STEP_GLOBALS}
     exec(compile(source, "<radlab rhs kernels>", "exec"), namespace)
     return namespace["make"]
@@ -746,11 +725,9 @@ def march(
     evals = 1
     rejected = 0
     h = _FIRST_STEP * x
-    # Per accepted step: its row for the dense output, in r and then in s,
-    # and its increment in r.
+    # Per accepted step, its row for the dense output, in r and then in s.
     radial_steps: list[tuple] = []
     pole_steps: list[tuple] = []
-    increments: list[float] = []
     estimate = R0 = b_hat = sigma_hat = None
     pole_switch_r = None
     terminated = None
@@ -761,7 +738,7 @@ def march(
         if target - r <= arrival:
             terminated = TerminationReason.REACHED_TARGET
             break
-        if len(increments) >= _MAX_STEPS:
+        if len(radial_steps) + len(pole_steps) >= _MAX_STEPS:
             raise SolverError(f"step budget of {_MAX_STEPS} exhausted at r={r!r}")
         h = min(h, (target - r) / k1[0] if in_pole else target - r)
         y_new, k13, row, err = step(x, h, y, k1, tol)
@@ -781,7 +758,6 @@ def march(
             continue
 
         (pole_steps if in_pole else radial_steps).append(row)
-        increments.append(y_new[0] - r if in_pole else (x + h) - x)
         if in_pole:
             slope = math.log(k13[0] / k1[0]) / h
             previous, estimate = estimate, (y_new[0] - k13[0] / slope if slope < 0.0 else None)
@@ -825,6 +801,9 @@ def march(
         r_end, v_final = last[0] + last[1] * 1.0, last[7]
     else:
         r_end, v_final = boot.r0, boot.state[1]
+    # The accepted steps' increments in r, read off their rows.
+    increments = [(row[0] + row[1]) - row[0] for row in radial_steps]
+    increments += [row[6] - row[2] for row in pole_steps]
     return RadialSolution(
         spec=spec,
         options=options,
@@ -896,7 +875,7 @@ def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_st
         r, u, v, I1, I2 = (col[keep] for col in nodes)
     u, v, I1, I2 = (np.maximum.accumulate(col) for col in (u, v, I1, I2))
     m = len(boot.r)
-    w, dv, _, _ = kernels.nodes(r[m:], v[m:], I1[m:], I2[m:])
+    w, dv, _, _ = kernels.radial_rhs(r[m:], u[m:], v[m:], I1[m:], I2[m:])
     w = np.maximum.accumulate(np.concatenate([boot.w, w]))
     dv = np.maximum.accumulate(np.concatenate([boot.dv, dv]))
     return dict(r=r, u=u, v=v, w=w, dv=dv, I1=I1, I2=I2), evals + len(r) - m

@@ -944,8 +944,8 @@ def test_start_reaches_the_target_where_it_holds():
     for spec, u0, v0 in ((alpha099, 1.0, 1.0), (power_spec(2.0, 0.0, 1, 0, 6), 1e6, 1e-6)):
         boot = picard_bootstrap(spec, u0, v0, options)
         assert boot.r0 == 20.0
-        nodes = solver._kernels(spec).nodes
-        _, _, fI1, fI2 = nodes(boot.r[1:], boot.v[1:], boot.I1[1:], boot.I2[1:])
+        rhs = solver._kernels(spec).radial_rhs
+        _, _, fI1, fI2 = rhs(boot.r[1:], boot.u[1:], boot.v[1:], boot.I1[1:], boot.I2[1:])
         for column in (boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2):
             assert np.all(column[1:] >= tiny) and np.all(np.isfinite(column))
         for column in (fI1, fI2):
@@ -1053,14 +1053,13 @@ def test_compiled_kernels_keep_the_bits_of_the_formulas(p, alpha_share, n, sums,
     radial, pole = _closure_rhs(spec)
     rng = np.random.default_rng(seed)
     r, u, v, I1, I2 = rng.uniform([0.5, 0.5, 0.5, 1e-3, 1e-3], [3.0, 3.0, 3.0, 5.0, 5.0], (8, 5)).T
-    I1[0] = I2[1] = 0.0  # the zero branches of the scalar kernels
+    I1[0] = I2[1] = 0.0  # the clamps of the accumulators
     s, L1, L2 = np.log(v), np.log(I1 + 0.5), np.log(I2 + 0.5)
     for i in range(len(r)):
         state = float(r[i]), float(u[i]), float(v[i]), float(I1[i]), float(I2[i])
         assert _bits(kernels.radial(*state)) == _bits(radial(*state))
         state = float(s[i]), float(r[i]), float(u[i]), float(L1[i]), float(L2[i])
         assert _bits(kernels.pole(*state)) == _bits(pole(*state))
-    assert _bits(kernels.nodes(r, v, I1, I2)) == _bits(_funcexpr_arrays(spec, r, v, I1, I2))
     assert _bits(kernels.radial_rhs(r, u, v, I1, I2)) == _bits(
         _funcexpr_arrays(spec, r, v, I1, I2)
     )
@@ -1070,6 +1069,40 @@ def test_compiled_kernels_keep_the_bits_of_the_formulas(p, alpha_share, n, sums,
     assert _bits(kernels.pole_rhs(s, r, u, L1, L2)) == _bits(
         (drds, drds * w, drds * fI1 / I1, drds * fI2 / I2)
     )
+
+
+@settings(derandomize=True, max_examples=120)
+@given(
+    p=st.floats(1.5, 3.5),
+    alpha_share=st.floats(0.0, 0.5),
+    n=st.sampled_from([2, 3, 5]),
+    sums=st.tuples(*[_power_sums] * 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_kernels_agree_with_the_scalar_kernels(p, alpha_share, n, sums, seed):
+    # Each phase's kernel on arrays is its kernel on floats, elementwise.
+    # numpy's pow and exp may round an ulp away from the C library's, and
+    # the body's powers (theta and h's exponents, up to 4 each here)
+    # amplify that, so they agree to within 64 ulps.  Accumulators at or
+    # below zero are clamped to zero in both forms alike.
+    f1, f2, g1, g2, h = sums
+    spec = ProblemSpec(
+        p=p, alpha=alpha_share * (p - 1.0), n=n, f1=f1, f2=f2, g1=g1, g2=g2, h=h
+    )
+    kernels = solver._kernels(spec)
+    rng = np.random.default_rng(seed)
+    r, u, v, I1, I2 = rng.uniform([0.5, 0.5, 0.5, 1e-3, 1e-3], [3.0, 3.0, 3.0, 5.0, 5.0], (8, 5)).T
+    I1[0] = I2[1] = 0.0
+    I1[2] = I2[3] = -1.0
+    s, L1, L2 = np.log(v), np.log(I1 + 1.5), np.log(I2 + 1.5)
+    for on_arrays, on_floats, args in (
+        (kernels.radial_rhs, kernels.radial, (r, u, v, I1, I2)),
+        (kernels.pole_rhs, kernels.pole, (s, r, u, L1, L2)),
+    ):
+        want = np.transpose([on_floats(*map(float, state)) for state in zip(*args)])
+        np.testing.assert_allclose(
+            on_arrays(*args), want, rtol=64 * np.finfo(float).eps, atol=0.0
+        )
 
 
 @settings(derandomize=True, max_examples=60)
@@ -1116,9 +1149,9 @@ def test_fused_steps_keep_the_bits_of_the_reference_step(p, alpha_share, n, sums
         y = (r, u, math.log(I1), math.log(I2))
         assert moderate_step("s", math.log(v), dx, y)[3] < math.inf
     # An accumulator at zero whose slope is turned negative leaves the
-    # second stage's value below zero, where the kernels' zero branches
-    # give w = 0 or dv = 0 (a negative float to a fractional power would be
-    # complex, and the step would raise).
+    # second stage's value below zero, where the kernels' clamps give
+    # w = 0 or dv = 0 (a negative float to a fractional power would be
+    # complex, and the step rejected).
     for i in (2, 3):
         y = tuple(0.0 if j == i else value for j, value in enumerate((u, v, I1, I2)))
         slope = tuple(-k if j == i else k for j, k in enumerate(kernels.radial(r, *y)))
@@ -1128,6 +1161,28 @@ def test_fused_steps_keep_the_bits_of_the_reference_step(p, alpha_share, n, sums
     none = (None, None, None, math.inf)
     assert step("s", math.log(v), 1.0, (r, u, 700.0, 0.0), (1.0, 1.0, 1e3, 1.0)) == none
     assert step("r", r, 1e3, (u, v, I1, I2), (1.0, 1e308, 1.0, 1.0)) == none
+
+
+def test_a_step_whose_stage_leaves_the_real_line_is_rejected():
+    # A thousand times the first radial step of this problem takes v's
+    # argument at the tenth stage below zero, where v**1.5 is complex, and
+    # the next stage's clamp compares a complex I1 with 0.0.  The step is
+    # rejected: no solution and err = inf, as for a stage that overflows.
+    spec = power_spec(2.0, 0.0, 1.5, 0.5, 6)
+    run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
+    kernels = solver._kernels(spec)
+    x, h, *y = run.steps.radial[0][:6]
+    k1 = kernels.radial(x, *y)
+    none = (None, None, None, math.inf)
+    assert kernels.radial_step(x, 1000.0 * h, y, k1, 5e-10) == none
+    assert dop853.step(kernels.radial, x, 1000.0 * h, y, k1, 5e-10, (False,) * 4) == none
+
+    # A slope that turns complex only at the step's end (stages 12 and 13,
+    # both at x + h) leaves the solution complex, which isfinite rejects.
+    def late(x, *y):
+        return (1j if x >= 1.0 else 1.0), 1.0, 1.0, 1.0
+
+    assert dop853.step(late, 0.0, 1.0, (1.0,) * 4, late(0.0), 1e-8, (False,) * 4) == none
 
 
 def reference_dense_output(f, row, theta):
