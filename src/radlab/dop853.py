@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-__all__ = ["step", "dense_output"]
+__all__ = ["step", "dense_stages", "dense_nodes", "dense_output"]
 
 # The tableau, to the digits of Hairer's Fortran source.  _STAGES holds, for
 # stages 2 to 12, the node c_i and the nonzero a_ij by j.  _B holds the
@@ -247,15 +247,12 @@ def _node_matrix(thetas):
     return N
 
 
-def dense_output(f, steps, thetas):
-    """The continuous extensions of accepted steps at the fractions
-    ``thetas`` of each, or at one fraction per step given as a (steps, 1)
-    array: an array of shape (steps, thetas, 4).  ``steps`` stacks the rows
-    that :func:`step` returns.  f is the right-hand side on arrays; one call
-    of it evaluates an extra stage for every step.  The extension is linear
-    in y1 - y0 and the stages, so with them stacked as the rows of one (13,
-    4 * steps) array it is one product with the node matrix of
-    :func:`_node_matrix`, built once for shared fractions."""
+def dense_stages(f, steps):
+    """What the continuous extensions of accepted steps are linear in: y1 -
+    y0 and h times the 12 stages of _DENSE_STAGES of each step, as a (13,
+    steps, 4) array.  ``steps`` stacks the rows that :func:`step` returns.
+    f is the right-hand side on arrays; one call of it evaluates an extra
+    stage for every step."""
     x, h = steps[:, 0], steps[:, 1]
     y0 = steps[:, 2:6]
     m = len(steps)
@@ -267,8 +264,26 @@ def dense_output(f, steps, thetas):
         at = y0 + h[:, None] * (row @ K.reshape(len(row), -1)).reshape(m, 4)
         K[9 + i] = np.stack(f(x + c * h, *at.T), axis=1)
     K *= h[:, None]
+    return V
+
+
+def dense_nodes(steps, V, thetas):
+    """The continuous extensions of the accepted steps ``steps``, whose
+    :func:`dense_stages` are V, at the fractions ``thetas`` of each, or at
+    one fraction per step given as a (steps, 1) array: an array of shape
+    (steps, thetas, 4).  With the rows of V stacked as one (13, 4 * steps)
+    array it is one product with the node matrix of :func:`_node_matrix`,
+    built once for shared fractions."""
+    y0 = steps[:, 2:6]
     if np.ndim(thetas) == 2:
         N = _node_matrix.__wrapped__(thetas)
         return y0[:, None] + np.einsum("ij,jik->ik", N, V)[:, None]
     nodes = _node_matrix(tuple(thetas)) @ V.reshape(len(V), -1)
-    return y0[:, None] + nodes.reshape(-1, m, 4).transpose(1, 0, 2)
+    return y0[:, None] + nodes.reshape(-1, len(steps), 4).transpose(1, 0, 2)
+
+
+def dense_output(f, steps, thetas):
+    """The continuous extensions of accepted steps at the fractions
+    ``thetas``: :func:`dense_nodes` of their :func:`dense_stages`, which f,
+    the right-hand side on arrays, evaluates."""
+    return dense_nodes(steps, dense_stages(f, steps), thetas)

@@ -11,6 +11,7 @@ properties, and gives growth orders and antiderivatives closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -189,10 +190,17 @@ def parse_expr(text: str) -> FuncExpr:
     notation allowed).  Duplicate exponents are merged; the result is canonical.
 
     Raises :class:`ExpressionError` with the offending column for syntax
-    errors, negative literals, and identically-zero expressions.
+    errors, negative literals, and identically-zero expressions.  A text is
+    parsed once: a FuncExpr is immutable, so later calls share it.
     """
     if not isinstance(text, str):
         raise ExpressionError("expression must be a string")
+    return _parse(text)
+
+
+# Bounded: a sweep's rows share a few texts.
+@functools.lru_cache(maxsize=256)
+def _parse(text: str) -> FuncExpr:
     n = len(text)
 
     def skip_ws(i: int) -> int:

@@ -17,6 +17,7 @@ govern the integrated first-order form used by the solver and the criteria.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,21 @@ class ProblemSpec:
         """Growth order of g2."""
         return self.g2.leading_exponent
 
+    @functools.cached_property
+    def _validation(self) -> ValidationReport:
+        """The report of :func:`validate_assumptions`, made on first read:
+        the spec is frozen, so it never changes."""
+        errors: list[str] = []
+        k1, k2 = self.k1, self.k2
+        if not k1 > 0.0:
+            errors.append("the growth order k1 of g1 must be positive")
+        if k2 > k1:
+            errors.append("the growth order k2 of g2 must not exceed k1")
+        for name in _FUNCTION_FIELDS:
+            if not _finite_on_grid(getattr(self, name)):
+                errors.append(f"{name} produced non-finite values on the sampled grid")
+        return ValidationReport(ok=not errors, errors=tuple(errors), k1=k1, k2=k2)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -120,26 +136,25 @@ class ValidationReport:
 _SAMPLE_GRID = np.logspace(-3.0, 6.0, 40)
 
 
+@functools.lru_cache(maxsize=256)
+def _finite_on_grid(f: FuncExpr) -> bool:
+    """Whether the power sum f stays finite on the sample grid.  A power sum
+    is immutable, and the rows of a sweep share most of theirs, so each is
+    checked once."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(f(_SAMPLE_GRID))))
+
+
 def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
     """Check the standing structural requirements on the five scalar functions.
 
     Power sums are continuous, non-decreasing and positive by construction,
     but a large exponent can still overflow: each function must stay finite
     on a log grid over [1e-3, 1e6].  The growth orders must satisfy k1 > 0
-    and 0 <= k2 <= k1.
+    and 0 <= k2 <= k1.  A spec is validated once; later calls return the
+    same report.
     """
-    errors: list[str] = []
-    k1, k2 = spec.k1, spec.k2
-    if not k1 > 0.0:
-        errors.append("the growth order k1 of g1 must be positive")
-    if k2 > k1:
-        errors.append("the growth order k2 of g2 must not exceed k1")
-    for name in _FUNCTION_FIELDS:
-        with np.errstate(over="ignore"):
-            values = getattr(spec, name)(_SAMPLE_GRID)
-        if not np.all(np.isfinite(values)):
-            errors.append(f"{name} produced non-finite values on the sampled grid")
-    return ValidationReport(ok=not errors, errors=tuple(errors), k1=k1, k2=k2)
+    return spec._validation
 
 
 def ensure_valid(spec: ProblemSpec) -> ValidationReport:

@@ -28,9 +28,10 @@ per component, Hairer's combination h * e5**2 / sqrt(e5**2 + 0.01 * e3**2)
 of the embedded fifth- and third-order error estimates, held below
 0.05 * rel_tol; and the step-size factor 0.9 * err**(-1/8) clamped to
 [0.2, 5].  The right-hand side is one body for the shape of the
-problem's power sums, and two phase maps bind it to the state in r and
-in s below; every kernel is rendered from them, each phase's step as
-straight-line code from the tableau with the body in every stage.  u
+problem's power sums and of its constants that are exactly 1, which it
+leaves out, and two phase maps bind it to the state in r and in s below;
+every kernel is rendered from them, each phase's step as straight-line
+code from the tableau with the body in every stage.  u
 enters the system only through u', so no kernel reads u's argument.
 Every accepted step keeps its stages, and the verdict of a run needs
 nothing more: its end, R0 and rates come from the last step.  The
@@ -169,12 +170,15 @@ class _Columns:
 class BootstrapSegment(_Columns):
     """The closed-form start on [0, r0]: ``profiles(r)`` gives (u, v, w, dv,
     I1, I2, fI1, fI2, W, Z) at radii 0 <= r <= r0, and ``state`` is (u, v,
-    I1, I2) at r0, where the march takes over.  The columns, built on first
-    read, are the profiles on the grid of :func:`picard_bootstrap`."""
+    I1, I2) at r0, where the march takes over.  ``kernels`` is the problem's
+    compiled right-hand side, which the profiles evaluate and the march
+    goes on with.  The columns, built on first read, are the profiles on the
+    grid of :func:`picard_bootstrap`."""
 
     r0: float
     state: tuple[float, float, float, float]
     profiles: Callable = field(repr=False, compare=False)
+    kernels: _Kernels = field(repr=False, compare=False)
 
     @property
     def sweeps(self) -> int:
@@ -276,7 +280,9 @@ def picard_bootstrap(
     segment's columns, built on first read, are the origin and 1024
     geometrically spaced nodes over [1e-3 * r0, r0], less the lowest of
     them where a profile or slope is not yet a positive normal float, as
-    when h(w) underflows for large theta.
+    when h(w) underflows for large theta.  The segment carries the
+    problem's kernels (:func:`_kernels`), which its profiles evaluate and
+    the march steps with, so a problem compiles them once.
     """
     if not (u0 > 0.0 and v0 > 0.0):
         raise ValueError("u0 and v0 must be positive")
@@ -325,7 +331,8 @@ def picard_bootstrap(
     log_r0 = min(log_target, *radii)
     r0 = options.target_radius if log_r0 == log_target else math.exp(log_r0)
 
-    rhs = _kernels(spec).radial_rhs
+    kernels = _kernels(spec)
+    rhs = kernels.radial_rhs
 
     def profiles(r):
         # Profiles that leave the float range are not kept, so their
@@ -348,15 +355,14 @@ def picard_bootstrap(
     if not _normal(at_r0)[0]:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
     state = tuple(float(at_r0[i][0]) for i in (0, 1, 4, 5))  # u, v, I1, I2
-    return BootstrapSegment(r0, state, profiles)
+    return BootstrapSegment(r0, state, profiles, kernels)
 
 
 class _MarchSteps(NamedTuple):
     """What the columns of a :class:`RadialSolution` are emitted from: the
-    problem's kernels, the closed-form start and the rows of the march's
-    accepted steps, in r and then in s."""
+    closed-form start, with the problem's kernels, and the rows of the
+    march's accepted steps, in r and then in s."""
 
-    kernels: _Kernels
     boot: BootstrapSegment
     radial: list
     pole: list
@@ -444,9 +450,12 @@ class RadialSolution(_Columns):
         r_end], as the nodes are made: the start's profiles up to r0, and
         beyond it the extension of the step that holds the radius, at the
         fraction (r - x) / h in r and, since r rises along a step in s (dr/ds
-        = v/v' > 0), at the fraction bisection finds there.  Its evaluations
-        of the right-hand side are not counted in ``rhs_evals``."""
-        kernels, boot, radial, pole = self.steps
+        = v/v' > 0), at the fraction bisection finds there.  Each phase's
+        three extra stages are evaluated once, for every step that holds a
+        radius, and its evaluations of the right-hand side are not counted
+        in ``rhs_evals``."""
+        boot, radial, pole = self.steps
+        kernels = boot.kernels
         rs = np.clip(np.asarray(rs, dtype=float), 0.0, self.r_end)
         out = np.empty((4, len(rs)))
         todo = rs > boot.r0
@@ -463,17 +472,18 @@ class RadialSolution(_Columns):
                 r = rs[mine]
                 steps = _stacked(rows)
                 steps = steps[np.searchsorted(steps[:, at], r, side="right") - 1]
+                V = dop853.dense_stages(f, steps)
                 in_pole = f is kernels.pole_rhs
                 if in_pole:
                     # 53 halvings take the fraction to the float spacing below 1.
                     lo, hi = np.zeros_like(r), np.ones_like(r)
                     for _ in range(53):
                         theta = 0.5 * (lo + hi)
-                        below = dop853.dense_output(f, steps, theta[:, None])[:, 0, 0] < r
+                        below = dop853.dense_nodes(steps, V, theta[:, None])[:, 0, 0] < r
                         lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
                 else:
                     theta = (r - steps[:, 0]) / steps[:, 1]
-                y = dop853.dense_output(f, steps, theta[:, None])[:, 0].T
+                y = dop853.dense_nodes(steps, V, theta[:, None])[:, 0].T
                 x = steps[:, 0] + steps[:, 1] * theta
                 r, u, v, I1, I2 = (y[0], y[1], np.exp(x), *np.exp(y[2:])) if in_pole else (x, *y)
                 out[:, mine] = [u, v, *kernels.radial_rhs(r, u, v, I1, I2)[:2]]
@@ -505,15 +515,12 @@ class _Kernels(NamedTuple):
 # g1(v) and fI2 = r**(n-1) f2(r) g2(v) h(w).  An accumulator at or below
 # zero is clamped to zero (a negative float to a fractional power is complex
 # in Python, nan in numpy); the forms on floats and on arrays differ only in
-# that clamp and in the name of exp.
-_RADIAL_BODY = """\
-        rd = r ** delta
-        rn = r ** nm1
-        w = (c1 * {I1} / rd) ** theta
-        dv = ({I2} / rn) ** inv_pm1
-        fI1 = {fI1}
-        fI2 = {fI2}
-"""
+# that clamp and in the name of exp.  A constant that is exactly 1.0 is left
+# out with its operation, which returns its other operand unchanged: x * 1.0
+# is x, and so is x ** 1.0, from the C library's pow (within 0.52 ulp of the
+# exact power) and numpy's fast path alike.  Where delta is n - 1, rn is rd.
+# Other exponents keep their pow: x ** 2.0 and x ** 0.5 may round apart
+# from x * x and sqrt(x).
 _FLOATS = ("(I1 if I1 > 0.0 else 0.0)", "(I2 if I2 > 0.0 else 0.0)", "exp")
 _ARRAYS = ("np.maximum(I1, 0.0)", "np.maximum(I2, 0.0)", "np.exp")
 # The phase maps: the body's inputs bound to a stage's arguments, and the
@@ -548,9 +555,34 @@ def {name}(x, y0, y1, y2, y3):
 {stage}\
         return k1_0, k1_1, k1_2, k1_3
 """
-#: Compiled kernel factories by the shape of the power sums, that is by the
-#: source expressions of fI1 and fI2: problems of one shape share one.
-_KERNEL_FACTORIES: dict[tuple[str, str], Callable] = {}
+#: The constants of the body that are left out where they are exactly 1.0.
+_UNIT_CONSTANTS = ("c1", "delta", "nm1", "theta", "inv_pm1")
+#: Compiled kernel factories by shape: the source expressions of fI1 and
+#: fI2, the constants that are 1.0 and whether delta is n - 1.  Problems of
+#: one shape share one.
+_KERNEL_FACTORIES: dict[tuple, Callable] = {}
+
+
+def _body(shape: tuple, I1: str, I2: str) -> str:
+    """The body of ``shape``, in the form whose clamped accumulators are the
+    expressions I1 and I2."""
+    fI1, fI2, ones, rn_is_rd = shape
+
+    def power(base, exponent):
+        if exponent in ones:
+            return base
+        return f"{base if base.isidentifier() else f'({base})'} ** {exponent}"
+
+    W = f"{I1} / rd" if "c1" in ones else f"c1 * {I1} / rd"
+    lines = (
+        ("rd", power("r", "delta")),
+        ("rn", "rd" if rn_is_rd else power("r", "nm1")),
+        ("w", power(W, "theta")),
+        ("dv", power(f"{I2} / rn", "inv_pm1")),
+        ("fI1", fI1),
+        ("fI2", fI2),
+    )
+    return "".join(f"        {name} = {value}\n" for name, value in lines)
 
 
 def _power_sum(name: str, f, t: str, constants: dict) -> str | None:
@@ -577,12 +609,13 @@ def _power_sum(name: str, f, t: str, constants: dict) -> str | None:
     return total if total.isidentifier() else f"({total})"
 
 
-def _kernel_factory(constants: dict, fI1: str, fI2: str) -> Callable:
+def _kernel_factory(constants: dict, shape: tuple) -> Callable:
     """Compile the kernels of one shape: ``make(**constants)`` binds them to
-    a problem's constants, in the order of :class:`_Kernels`.  The body, in
-    a kernel's form, is written into its phase map as every stage of a step
-    and as stage 1 of the other kernels.  The two steps are about 27 KB of
-    source, so they are generated and compiled once per shape (about 6 ms)."""
+    a problem's constants, in the order of :class:`_Kernels`.  The body of
+    the shape, in a kernel's form and with its constants that are 1.0 left
+    out, is written into its phase map as every stage of a step and as
+    stage 1 of the other kernels.  The two steps are about 27 KB of source,
+    so they are generated and compiled once per shape (about 6 ms)."""
     phases = {
         "radial": (_RADIAL_STAGE, (False, False, False, False)),
         "pole": (_POLE_STAGE, (False, False, True, True)),
@@ -592,8 +625,7 @@ def _kernel_factory(constants: dict, fI1: str, fI2: str) -> Callable:
         phase, _, kind = name.partition("_")
         template, absolute = phases[phase]
         I1, I2, exp = _ARRAYS if kind == "rhs" else _FLOATS
-        body = _RADIAL_BODY.format(I1=I1, I2=I2, fI1=fI1, fI2=fI2)
-        stage = functools.partial(template.format, body=body, exp=exp)
+        stage = functools.partial(template.format, body=_body(shape, I1, I2), exp=exp)
         if kind == "step":
             kernel = dop853._step_source(f"{name}(x, h, y, k1, tol)", stage, absolute)
         else:
@@ -611,9 +643,13 @@ def _kernels(spec: ProblemSpec) -> _Kernels:
 
     Its power sums are written out as Python source over named constants,
     with the float operations of the closures they replace in the same
-    order, so every result keeps its bits.  The source depends only on the
-    shape of the sums, so it is generated and compiled once for all
-    problems that share it; the constants are bound per problem."""
+    order, so every result keeps its bits.  The constants c1, delta, n - 1,
+    theta and 1/(p-1) that are exactly 1.0 are left out with their product
+    or power, which would return the other operand unchanged, and where
+    delta is n - 1 one power of r serves both.  The source depends only on
+    the shape, that is on the shape of the sums and on which constants are
+    exactly 1.0, so it is generated and compiled once for all problems that
+    share it; the constants are bound per problem."""
     constants = {
         "c1": spec.delta / (spec.n - 1.0),
         "delta": spec.delta,
@@ -632,10 +668,12 @@ def _kernels(spec: ProblemSpec) -> _Kernels:
     shape = (
         product("rd", sums["f1"], sums["g1"]),
         product("rn", sums["f2"], sums["g2"], sums["h"]),
+        tuple(name for name in _UNIT_CONSTANTS if constants[name] == 1.0),
+        constants["delta"] == constants["nm1"],
     )
     make = _KERNEL_FACTORIES.get(shape)
     if make is None:
-        make = _KERNEL_FACTORIES[shape] = _kernel_factory(constants, *shape)
+        make = _KERNEL_FACTORIES[shape] = _kernel_factory(constants, shape)
     return _Kernels(*make(**constants))
 
 
@@ -709,7 +747,7 @@ def march(
             "solutions to exist"
         )
     boot = picard_bootstrap(spec, u0, v0, options)
-    kernels = _kernels(spec)
+    kernels = boot.kernels
 
     tol = _ERR_SCALE * options.rel_tol
     target = options.target_radius
@@ -717,33 +755,36 @@ def march(
     notes: list[str] = []
 
     # x is r and y is (u, v, I1, I2) until the pole dominates; from then on
-    # x is s = ln v and y is (r, u, ln I1, ln I2).
-    step = kernels.radial_step
+    # x is s = ln v and y is (r, u, ln I1, ln I2).  Each phase has its step
+    # and keeps the rows of its accepted steps for the dense output.
+    in_pole = False
+    radial_steps: list[tuple] = []
+    pole_steps: list[tuple] = []
+    step, keep = kernels.radial_step, radial_steps.append
     x = boot.r0
     y = boot.state
     k1 = _first_slope(kernels.radial, x, y, x)
-    evals = 1
-    rejected = 0
+    accepted = rejected = 0
     h = _FIRST_STEP * x
-    # Per accepted step, its row for the dense output, in r and then in s.
-    radial_steps: list[tuple] = []
-    pole_steps: list[tuple] = []
     estimate = R0 = b_hat = sigma_hat = None
     pole_switch_r = None
     terminated = None
 
     while True:
-        in_pole = step is kernels.pole_step
         r = y[0] if in_pole else x
         if target - r <= arrival:
             terminated = TerminationReason.REACHED_TARGET
             break
-        if len(radial_steps) + len(pole_steps) >= _MAX_STEPS:
+        if accepted >= _MAX_STEPS:
             raise SolverError(f"step budget of {_MAX_STEPS} exhausted at r={r!r}")
-        h = min(h, (target - r) / k1[0] if in_pole else target - r)
+        # h = min(h, room) and factor = min(5, max(0.2, ...)) as the
+        # comparisons that min and max make, which give the same floats.
+        room = (target - r) / k1[0] if in_pole else target - r
+        if room < h:
+            h = room
         y_new, k13, row, err = step(x, h, y, k1, tol)
-        evals += 12
-        factor = min(5.0, max(0.2, 0.9 * err ** -0.125)) if err > 0.0 else 5.0
+        factor = 0.9 * err ** -0.125 if err > 0.0 else 5.0
+        factor = (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2
         if not err <= 1.0 or (in_pole and y_new[0] - target > arrival):
             rejected += 1
             h *= (target - r) / (y_new[0] - r) if err <= 1.0 else factor
@@ -757,8 +798,10 @@ def march(
                 break
             continue
 
-        (pole_steps if in_pole else radial_steps).append(row)
+        keep(row)
+        accepted += 1
         if in_pole:
+            switch = False
             slope = math.log(k13[0] / k1[0]) / h
             previous, estimate = estimate, (y_new[0] - k13[0] / slope if slope < 0.0 else None)
             if estimate is not None and previous is not None:
@@ -774,21 +817,22 @@ def march(
                     sigma_hat = 1.0 - math.log(k13[1] / k1[1]) / h / slope
                     terminated = TerminationReason.BLOW_UP
                     break
-        # dr/ds = v/v' is r/k under power growth r**k and (R0 - r)/b near a
-        # pole: the pole dominates once it is below r and falling.
-        switch = not in_pole and (
-            y_new[2] > 0.0 and y_new[3] > 0.0 and k1[1] > 0.0 and k13[1] > 0.0
-            and y_new[1] / k13[1] < min(x + h, y[1] / k1[1])
-        )
+        else:
+            # dr/ds = v/v' is r/k under power growth r**k and (R0 - r)/b near
+            # a pole: the pole dominates once it is below r and falling.
+            switch = (
+                y_new[2] > 0.0 and y_new[3] > 0.0 and k1[1] > 0.0 and k13[1] > 0.0
+                and y_new[1] / k13[1] < min(x + h, y[1] / k1[1])
+            )
         x, y, k1 = x + h, y_new, k13
         h *= factor
         if switch:
             # From here march in s = ln v; the next increment in r is kept.
-            step = kernels.pole_step
+            in_pole = True
+            step, keep = kernels.pole_step, pole_steps.append
             pole_switch_r = x
             x, y = math.log(y[1]), (x, y[0], math.log(y[2]), math.log(y[3]))
             k1 = _first_slope(kernels.pole, x, y, pole_switch_r)
-            evals += 1
             h /= k1[0]
 
     # The end of the last step, (x, h, y, y_new, ...), with the float
@@ -804,6 +848,8 @@ def march(
     # The accepted steps' increments in r, read off their rows.
     increments = [(row[0] + row[1]) - row[0] for row in radial_steps]
     increments += [row[6] - row[2] for row in pole_steps]
+    # Twelve evaluations per step tried, and the first slope of each phase.
+    evals = 12 * (accepted + rejected) + 1 + (pole_switch_r is not None)
     return RadialSolution(
         spec=spec,
         options=options,
@@ -815,12 +861,12 @@ def march(
         v_final=float(v_final),
         start_radius=boot.r0,
         rhs_evals=evals,
-        accepted_steps=len(increments),
+        accepted_steps=accepted,
         rejected_steps=rejected,
         dt_min=min(increments) if increments else None,
         dt_max=max(increments) if increments else None,
         pole_switch_r=pole_switch_r,
-        steps=_MarchSteps(kernels, boot, radial_steps, pole_steps),
+        steps=_MarchSteps(boot, radial_steps, pole_steps),
         notes=tuple(notes),
     )
 
@@ -831,7 +877,7 @@ def _stacked(rows) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
 
 
-def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_steps):
+def _emit_nodes(boot: BootstrapSegment, radial_steps, pole_steps):
     """The trajectory columns and the evaluations of the right-hand side this
     pass makes.
 
@@ -841,12 +887,13 @@ def _emit_nodes(kernels: _Kernels, boot: BootstrapSegment, radial_steps, pole_st
     I2 = e**ln I2).  The step rows of a phase are read into one array, its
     three extra stages are evaluated for all of its steps at once by the
     compiled array kernels, and its interior nodes are one product with the
-    node matrix of :func:`dop853.dense_output`.  A node that is not finite,
+    node matrix of :func:`dop853.dense_nodes`.  A node that is not finite,
     or whose radius does not exceed every earlier one, is dropped; when
     every node is kept nothing is copied.  Roundoff-level dips of the
     dense output are clamped so every profile stays nondecreasing, and the
     right-hand side is evaluated in one vectorised pass over the march's
     nodes."""
+    kernels = boot.kernels
     parts = [(boot.r, boot.u, boot.v, boot.I1, boot.I2)]
     thetas = np.arange(1, _SUBPANELS) / _SUBPANELS
     evals = 0

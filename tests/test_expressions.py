@@ -142,3 +142,17 @@ def test_parse_expr_is_exported():
     import radlab
 
     assert "parse_expr" in radlab.__all__ and radlab.parse_expr is parse_expr
+
+
+def test_a_text_is_parsed_once():
+    # Rows of a sweep rebuild their specs from the same texts; each text is
+    # parsed once and its immutable power sum shared.  A malformed text
+    # raises every time, and a value that is not a string is refused before
+    # the cache, which could not hash a list.
+    assert parse_expr("1 + 2*t^3") is parse_expr("1 + 2*t^3")
+    for _ in range(2):
+        with pytest.raises(ExpressionError, match="column"):
+            parse_expr("s^2")
+    for value in (["t"], 1.0, None):
+        with pytest.raises(ExpressionError, match="must be a string"):
+            parse_expr(value)

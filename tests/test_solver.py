@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radlab import dop853, solver
@@ -1036,6 +1036,20 @@ _power_sums = st.lists(
 ).map(FuncExpr.from_terms)
 
 
+def _at_the_folds(test):
+    """Examples at the constants the kernels leave out where they are 1.0:
+    (p, alpha, n) = (2, 0, 3) has c1 = theta = 1/(p-1) = 1 and delta = n - 1,
+    (3, 1, 3) theta = delta = 1, (2, 0.5, 3) 1/(p-1) = delta = 1, and
+    (2, 0, 2) every one of them, on the sums of the q ladders and on
+    multi-term sums."""
+    ladder = tuple(map(parse_expr, ("1", "1", "t", "1", "t^5")))
+    multi = tuple(map(parse_expr, ("1 + t", "2*t^0.5", "t + t^2", "1", "t^2 + 3*t^4")))
+    for p, alpha_share, n in ((2.0, 0.0, 3), (3.0, 0.5, 3), (2.0, 0.5, 3), (2.0, 0.0, 2)):
+        for sums in (ladder, multi):
+            test = example(p=p, alpha_share=alpha_share, n=n, sums=sums, seed=7)(test)
+    return test
+
+
 @settings(derandomize=True, max_examples=120)
 @given(
     p=st.floats(1.5, 3.5),
@@ -1044,6 +1058,7 @@ _power_sums = st.lists(
     sums=st.tuples(*[_power_sums] * 5),
     seed=st.integers(0, 2**32 - 1),
 )
+@_at_the_folds
 def test_compiled_kernels_keep_the_bits_of_the_formulas(p, alpha_share, n, sums, seed):
     f1, f2, g1, g2, h = sums
     spec = ProblemSpec(
@@ -1113,6 +1128,7 @@ def test_array_kernels_agree_with_the_scalar_kernels(p, alpha_share, n, sums, se
     sums=st.tuples(*[_power_sums] * 5),
     seed=st.integers(0, 2**32 - 1),
 )
+@_at_the_folds
 def test_fused_steps_keep_the_bits_of_the_reference_step(p, alpha_share, n, sums, seed):
     # Each phase's fused step returns what dop853.step returns for that
     # phase's kernel and absolute components: y_new, k13, row and err, to
@@ -1252,3 +1268,69 @@ assert two.radial(1.5, 1.0, 1.0, 1.0, 1.0) != three.radial(1.5, 1.0, 1.0, 1.0, 1
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_specs_that_differ_in_a_fold_compile_apart():
+    # The same sums at (p, alpha, n) whose constants c1, delta, n - 1, theta
+    # and 1/(p-1) are 1.0 in different sets, or where delta is n - 1 or not,
+    # each compile their own source; a spec of the same folds shares it.
+    sums = dict(zip(("f1", "f2", "g1", "g2", "h"), map(parse_expr, ("1", "1", "t", "1", "t^5"))))
+    folds = [(2.0, 0.0, 3), (3.0, 1.0, 3), (2.0, 0.5, 3), (2.0, 0.0, 2), (2.5, 0.0, 3),
+             (2.5, 0.5, 3), (2.5, 0.25, 3)]
+    steps = [
+        solver._kernels(ProblemSpec(p=p, alpha=alpha, n=n, **sums)).pole_step
+        for p, alpha, n in folds
+    ]
+    assert len({step.__code__ for step in steps}) == len(folds)
+    same = solver._kernels(ProblemSpec(p=4.0, alpha=0.0, n=3, **sums)).pole_step
+    assert same.__code__ is steps[folds.index((2.5, 0.0, 3))].__code__
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+def test_march_stops_at_its_step_budget(spare, monkeypatch):
+    # The budget counts accepted steps: problem B blows up on its 87th,
+    # after one rejection, so a budget of 87 lets it finish and one of 86
+    # does not.
+    config = load_config(str(ROOT / "configs" / "problem_b.cfg"))
+    args = (config.spec(), config.u0, config.v0, config.solver_options())
+    accepted = march(*args).accepted_steps
+    assert accepted == 87
+    monkeypatch.setattr(solver, "_MAX_STEPS", accepted - 1 + spare)
+    if spare:
+        assert march(*args).terminated is TerminationReason.BLOW_UP
+    else:
+        with pytest.raises(SolverError, match=r"^step budget of 86 exhausted at r=\d"):
+            march(*args)
+
+
+def test_sample_evaluates_the_pole_stages_once():
+    # sample's bisection in s reads every halving off the same three extra
+    # stages, evaluated in one call each, and keeps the bits of a
+    # dense_output per halving.
+    config = load_config(str(ROOT / "configs" / "problem_b.cfg"))
+    run = march(config.spec(), config.u0, config.v0, config.solver_options())
+    kernels = run.steps.boot.kernels
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernels.pole_rhs(*args)
+
+    boot = dataclasses.replace(run.steps.boot, kernels=kernels._replace(pole_rhs=counted))
+    counting = dataclasses.replace(run, steps=run.steps._replace(boot=boot))
+    rs = np.linspace(run.pole_switch_r, run.r_end, 9)[1:]
+    got = counting.sample(rs)
+    assert len(calls) == 3
+
+    steps = solver._stacked(run.steps.pole)
+    steps = steps[np.searchsorted(steps[:, 2], rs, side="right") - 1]
+    lo, hi = np.zeros_like(rs), np.ones_like(rs)
+    for _ in range(53):
+        theta = 0.5 * (lo + hi)
+        below = dop853.dense_output(kernels.pole_rhs, steps, theta[:, None])[:, 0, 0] < rs
+        lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
+    r, u, L1, L2 = dop853.dense_output(kernels.pole_rhs, steps, theta[:, None])[:, 0].T
+    v = np.exp(steps[:, 0] + steps[:, 1] * theta)
+    du, dv = kernels.radial_rhs(r, u, v, np.exp(L1), np.exp(L2))[:2]
+    for key, want in (("u", u), ("v", v), ("du", du), ("dv", dv)):
+        assert _bits(got[key]) == _bits(want), key
