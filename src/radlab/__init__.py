@@ -11,13 +11,14 @@ The package's modules:
 - :mod:`radlab.quadrature` — adaptive Gauss–Kronrod quadrature, the
   reference the tests hold the criteria's integrals to;
 - :mod:`radlab.solver` — a closed-form start at the origin plus adaptive
-  outward marching of the radial system, scaling and envelope diagnostics;
+  outward marching of the radial system, and the blow-up envelope fit;
 - :mod:`radlab.dop853` — the Dormand–Prince 8(5,3) step generated from its
   tableau, with a hook for how a stage evaluates the right-hand side, and
   its seventh-order dense output;
 - :mod:`radlab.classify` — boundary-class prediction from the criteria and
   labelling of numerical runs, with reconciliation between the two;
-- :mod:`radlab.verify` — a posteriori inequality checks on trajectories;
+- :mod:`radlab.verify` — a posteriori checks of trajectories: the
+  inequalities, the system's residuals and the radial-scaling identity;
 - :mod:`radlab.cli` / :mod:`radlab.config` — the ``radlab`` command and
   its run-file format.
 """
@@ -49,12 +50,16 @@ from .solver import (
     SolverOptions,
     TerminationReason,
     blowup_envelope_check,
-    check_scaling_identity,
     march,
     picard_bootstrap,
-    relative_residuals,
 )
-from .verify import InequalityReport, TrajectoryData, trajectory_reports
+from .verify import (
+    InequalityReport,
+    TrajectoryData,
+    check_scaling_identity,
+    relative_residuals,
+    trajectory_reports,
+)
 
 __version__ = "0.1.0"
 

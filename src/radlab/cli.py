@@ -50,14 +50,8 @@ from .config import ConfigError, RunConfig, load_config
 from .criteria import CriterionDiverges, CriterionKind, criterion
 from .expressions import ExpressionError
 from .problem import InvalidProblem, ProblemSpec, validate_assumptions
-from .solver import (
-    SolverError,
-    TerminationReason,
-    blowup_envelope_check,
-    march,
-    relative_residuals,
-)
-from .verify import TrajectoryData, check_sandwich, trajectory_reports
+from .solver import SolverError, TerminationReason, blowup_envelope_check, march
+from .verify import TrajectoryData, check_sandwich, relative_residuals, trajectory_reports
 
 __all__ = ["main", "sweep_row"]
 

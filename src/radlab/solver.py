@@ -1,4 +1,4 @@
-"""Outward integrator for the radial system.
+"""Outward integrator for the radial system and the envelope fit of its blow-ups.
 
 The march advances the state (u, v, I1, I2), where
 
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import textwrap
 from dataclasses import dataclass, field
 from enum import Enum
@@ -86,13 +85,8 @@ __all__ = [
     "RadialSolution",
     "picard_bootstrap",
     "march",
-    "scale_problem",
-    "ScalingReport",
-    "check_scaling_identity",
     "EnvelopeReport",
     "blowup_envelope_check",
-    "fd_derivative",
-    "relative_residuals",
 ]
 
 #: The closed-form start ends where the growth of v, or the remainder of a
@@ -484,8 +478,7 @@ class RadialSolution(_Columns):
                 else:
                     theta = (r - steps[:, 0]) / steps[:, 1]
                 y = dop853.dense_nodes(steps, V, theta[:, None])[:, 0].T
-                x = steps[:, 0] + steps[:, 1] * theta
-                r, u, v, I1, I2 = (y[0], y[1], np.exp(x), *np.exp(y[2:])) if in_pole else (x, *y)
+                r, u, v, I1, I2 = _radial_state(in_pole, steps, theta[:, None], y)
                 out[:, mine] = [u, v, *kernels.radial_rhs(r, u, v, I1, I2)[:2]]
         return dict(zip(("u", "v", "du", "dv"), out))
 
@@ -738,7 +731,9 @@ def march(
     log-slope of du/ds over that of dr/ds).  It ends as StepUnderflow, with
     a note, when a rejection shrinks the step's increment in r below
     1e-14 * r; no other place ends a run.  :class:`SolverError` is raised
-    when the right-hand side is not finite where a phase starts.
+    when the start's profiles are not normal floats at r0, when the
+    right-hand side is not finite where a phase starts, and when 2,000,000
+    steps (``_MAX_STEPS``) have been accepted without an end.
     """
     ensure_valid(spec)
     if not spec.gradient_balanced:
@@ -835,14 +830,13 @@ def march(
             k1 = _first_slope(kernels.pole, x, y, pole_switch_r)
             h /= k1[0]
 
-    # The end of the last step, (x, h, y, y_new, ...), with the float
-    # operations that give the last node of _emit_nodes.
-    if pole_steps:
-        last = pole_steps[-1]
-        r_end, v_final = last[6], np.exp(np.array([last[0] + last[1] * 1.0]))[0]
-    elif radial_steps:
-        last = radial_steps[-1]
-        r_end, v_final = last[0] + last[1] * 1.0, last[7]
+    # The end of the last step, (x, h, y, y_new, ...), as _emit_nodes makes
+    # its last node; its exponentials are finite, since its last stage took them.
+    rows = pole_steps or radial_steps
+    if rows:
+        last = _stacked(rows[-1:])
+        end = _radial_state(rows is pole_steps, last, 1.0, last[:, 6:10].T)
+        r_end, v_final = end[0][0], end[2][0]
     else:
         r_end, v_final = boot.r0, boot.state[1]
     # The accepted steps' increments in r, read off their rows.
@@ -871,6 +865,17 @@ def march(
     )
 
 
+def _radial_state(in_pole: bool, steps: np.ndarray, theta, y) -> tuple:
+    """(r, u, v, I1, I2) where a phase's step rows ``steps`` reach the
+    state y, four arrays, at the fractions theta of their steps, flattened:
+    with x = x0 + h * theta, (x, *y) in r and (y0, y1, e**x, e**y2, e**y3)
+    in s = ln v."""
+    x = (steps[:, :1] + steps[:, 1:2] * theta).ravel()
+    if in_pole:
+        return y[0], y[1], np.exp(x), np.exp(y[2]), np.exp(y[3])
+    return (x, *y)
+
+
 def _stacked(rows) -> np.ndarray:
     """The step rows of one phase as an array, a row per step."""
     width = len(rows[0])
@@ -882,9 +887,8 @@ def _emit_nodes(boot: BootstrapSegment, radial_steps, pole_steps):
     pass makes.
 
     The columns are the closed-form start, then every accepted step as the
-    13 interior nodes of its continuous extension and its end node, the
-    steps in s = ln v mapped back to (r, u, v = e**s, I1 = e**ln I1,
-    I2 = e**ln I2).  The step rows of a phase are read into one array, its
+    13 interior nodes of its continuous extension and its end node, each
+    phase's mapped to (r, u, v, I1, I2) by :func:`_radial_state`.  The step rows of a phase are read into one array, its
     three extra stages are evaluated for all of its steps at once by the
     compiled array kernels, and its interior nodes are one product with the
     node matrix of :func:`dop853.dense_nodes`.  A node that is not finite,
@@ -907,12 +911,8 @@ def _emit_nodes(boot: BootstrapSegment, radial_steps, pole_steps):
             sub = dop853.dense_output(f, steps, thetas)
         evals += 3 * len(steps)
         states = np.concatenate([sub, steps[:, None, 6:10]], axis=1).reshape(-1, 4).T
-        x = (steps[:, :1] + steps[:, 1:2] * np.append(thetas, 1.0)).ravel()
-        if f is kernels.pole_rhs:
-            r, u, L1, L2 = states
-            parts.append((r, u, np.exp(x), np.exp(L1), np.exp(L2)))
-        else:
-            parts.append((x, *states))
+        in_pole = f is kernels.pole_rhs
+        parts.append(_radial_state(in_pole, steps, np.append(thetas, 1.0), states))
     r, u, v, I1, I2 = nodes = [np.concatenate(col) for col in zip(*parts)]
     # A finite node is kept when its radius exceeds every earlier finite one.
     finite = np.isfinite(nodes).all(axis=0)
@@ -926,99 +926,6 @@ def _emit_nodes(boot: BootstrapSegment, radial_steps, pole_steps):
     w = np.maximum.accumulate(np.concatenate([boot.w, w]))
     dv = np.maximum.accumulate(np.concatenate([boot.dv, dv]))
     return dict(r=r, u=u, v=v, w=w, dv=dv, I1=I1, I2=I2), evals + len(r) - m
-
-
-def scale_problem(spec: ProblemSpec, lam: float) -> ProblemSpec:
-    """The rescaled problem whose solution (u~, v~) satisfies
-    u(r) = u~(r/lam), v(r) = v~(r/lam) against the original problem:
-
-        f1~(r) = lam**(p-alpha) f1(lam r),   f2~(r) = lam**p f2(lam r),
-        g~j = gj,                            h~(t) = h(t/lam).
-
-    Closed under the power-sum family.
-    """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    return ProblemSpec(
-        p=spec.p,
-        alpha=spec.alpha,
-        n=spec.n,
-        f1=spec.f1.scale_argument(lam).scale_value(lam ** (spec.p - spec.alpha)),
-        f2=spec.f2.scale_argument(lam).scale_value(lam**spec.p),
-        g1=spec.g1,
-        g2=spec.g2,
-        h=spec.h.scale_argument(1.0 / lam),
-    )
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Sup-norm comparison of a solution against its rescaled counterpart."""
-
-    lam: float
-    radius: float
-    sup_diff_u: float
-    sup_diff_v: float
-    bound: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "scaling_identity",
-            "lambda": self.lam,
-            "radius": self.radius,
-            "sup_diff_u": self.sup_diff_u,
-            "sup_diff_v": self.sup_diff_v,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
-
-
-def check_scaling_identity(
-    spec: ProblemSpec,
-    lam: float,
-    u0: float,
-    v0: float,
-    *,
-    radius: float = 1.0,
-    rel_tol: float = SolverOptions.rel_tol,
-    points: int = 201,
-) -> ScalingReport:
-    """Solve the problem on [0, radius] and its rescaling on [0, radius/lam],
-    then compare u(r) with u~(r/lam) (and v likewise) on a shared grid.
-
-    Both runs use a tolerance 30x tighter than ``rel_tol`` so the reported
-    gap reflects the identity rather than integrator drift; the pass bound
-    stays at 10 * rel_tol * (1 + sup|u|).  The window must end before any
-    blow-up; otherwise the solver failure propagates.
-    """
-    tilde = scale_problem(spec, lam)
-    tight = rel_tol / 30.0
-    orig = march(spec, u0, v0, SolverOptions(target_radius=radius, rel_tol=tight))
-    scaled = march(
-        tilde, u0, v0, SolverOptions(target_radius=radius / lam, rel_tol=tight)
-    )
-    for run, label in ((orig, "original"), (scaled, "rescaled")):
-        if run.terminated is not TerminationReason.REACHED_TARGET:
-            raise SolverError(
-                f"the {label} run terminated {run.terminated.value} inside the "
-                "comparison window; pick a radius below the blow-up radius"
-            )
-    grid = np.linspace(0.0, radius, points)
-    so = orig.sample(grid)
-    st = scaled.sample(grid / lam)
-    sup_u = float(np.max(so["u"]))
-    diff_u = float(np.max(np.abs(so["u"] - st["u"])))
-    diff_v = float(np.max(np.abs(so["v"] - st["v"])))
-    bound = 10.0 * rel_tol * (1.0 + sup_u)
-    return ScalingReport(
-        lam=lam,
-        radius=radius,
-        sup_diff_u=diff_u,
-        sup_diff_v=diff_v,
-        bound=bound,
-        passed=max(diff_u, diff_v) <= bound,
-    )
 
 
 @dataclass(frozen=True)
@@ -1095,91 +1002,3 @@ def blowup_envelope_check(
         max_violation=max_violation,
         passed=passed,
     )
-
-
-def _fd_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights and sample indices of :func:`fd_derivative` on the grid x:
-    the derivative of y is ``einsum("ij,ij->i", weights, y[idx])``.
-
-    Every product and sum runs over 1-D columns of length n, one per node
-    k of the windows, in increasing k.  That is the order in which
-    ``np.prod`` and ``np.sum`` reduce the (n, m) array of x_i - x_k and
-    the (n, m, m) array of x_j - x_k, so each weight keeps the bits of
-    those reductions.  The factor 1 such arrays hold at k = j is left out,
-    which changes no bits; the one at k = i stays.
-    """
-    n = len(x)
-    if n < 2:
-        raise ValueError("at least two samples are required")
-    if np.any(x[1:] <= x[:-1]):
-        raise ValueError("the grid must be strictly increasing")
-    m = min(5, n)
-    rows = np.arange(n)
-    at = rows - np.clip(rows - m // 2, 0, n - m)  # where x_i sits in its window
-    idx = (rows - at)[:, None] + np.arange(m)
-    xw = x[idx.T]  # row k: node k of every window
-    ahead = x - xw  # x_i - x_k
-    ahead[at, rows] = 1.0
-    gaps = np.empty_like(xw)  # row j: prod_{k != j} (x_j - x_k)
-    for j in range(m):
-        others = [xw[j] - xw[k] for k in range(m) if k != j]
-        gaps[j] = functools.reduce(operator.mul, others)
-    weights = functools.reduce(operator.mul, ahead) / (ahead * gaps)
-    ahead[at, rows] = np.inf
-    weights[at, rows] = functools.reduce(operator.add, 1.0 / ahead)
-    return np.ascontiguousarray(weights.T), idx
-
-
-def fd_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of samples ``y`` on the strictly increasing grid ``x``: at
-    x_i, that of the Lagrange interpolant through five nodes (all, on
-    shorter grids), centred or shifted one-sided at the ends.  Its weights,
-    k and j in the window (Fornberg, Math. Comp. 51, 1988), are w_i =
-    sum_{k!=i} 1/(x_i-x_k), w_j = prod_{k!=i,j}(x_i-x_k) / prod_{k!=j}(x_j-x_k)."""
-    weights, idx = _fd_weights(np.asarray(x, dtype=float))
-    return np.einsum("ij,ij->i", weights, np.asarray(y, dtype=float)[idx])
-
-
-def relative_residuals(
-    spec: ProblemSpec,
-    r: np.ndarray,
-    v: np.ndarray,
-    du: np.ndarray,
-    dv: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise relative defects of a trajectory in the two differential
-    relations
-
-        [du**(p-1-a)]' + (d/r)  du**(p-1-a) = (d/(n-1)) f1 g1(v)
-        [dv**(p-1)]'   + ((n-1)/r) dv**(p-1) =          f2 g2(v) h(du)
-
-    in W = du**(p-1-a) and Z = dv**(p-1), each normalized by the sum of its
-    term magnitudes.  W' and Z' come from the weights of
-    :func:`fd_derivative`, built once for both, on the sampled values, not
-    from the integrator, so this is an independent check.  At r = 0 the
-    removable limits W/r -> W'(0) and Z/r -> Z'(0) turn the left sides into
-    (1+d) W'(0) and n Z'(0).
-    """
-    r, v, du, dv = (np.asarray(a, dtype=float) for a in (r, v, du, dv))
-    n, delta = spec.n, spec.delta
-    W = du ** (spec.p - 1.0 - spec.alpha)
-    Z = dv ** (spec.p - 1.0)
-    weights, idx = _fd_weights(r)
-    dW, dZ = (np.einsum("ij,ij->i", weights, y[idx]) for y in (W, Z))
-    if r[0] == 0.0:
-        dW[0] *= 1.0 + delta
-        dZ[0] *= n
-    inner = r > 0.0
-    sing1 = np.divide(delta * W, r, out=np.zeros_like(r), where=inner)
-    sing2 = np.divide((n - 1.0) * Z, r, out=np.zeros_like(r), where=inner)
-    src1 = delta / (n - 1.0) * spec.f1(r) * spec.g1(v)
-    src2 = spec.f2(r) * spec.g2(v) * spec.h(du)
-
-    def defect(d, sing, src):
-        # Derivatives that overflow at the last nodes of a run give inf/inf,
-        # a nan residual, which the trajectory CSV writes as nan.
-        total = np.abs(d) + np.abs(sing) + np.abs(src) + 1e-300
-        with np.errstate(invalid="ignore"):
-            return np.abs(d + sing - src) / total
-
-    return defect(dW, sing1, src1), defect(dZ, sing2, src2)

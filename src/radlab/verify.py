@@ -1,4 +1,4 @@
-"""Trajectory-level inequality checks.
+"""Checks of a trajectory against the radial system.
 
 Every structural fact the theory guarantees about a positive radial
 solution — strict interior monotonicity, two-sided convexity bounds on the
@@ -13,10 +13,16 @@ convexity bounds, and rounding in the sandwich integrals (closed forms for a
 single-term h, the fixed Gauss–Legendre rule in ln t of
 :mod:`radlab.criteria` for other power sums).  A structural violation
 (wrong sign, wrong ordering) fails regardless of magnitude.
+
+Beside them sit the residuals of the system's two relations, whose terms
+:func:`_relations` writes once for them and the convexity bounds, and the
+radial-scaling identity, checked by solving a problem and its rescaling.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,7 @@ import numpy as np
 from .criteria import sandwich_quantities
 from .expressions import FuncExpr
 from .problem import ProblemSpec
+from .solver import SolverError, SolverOptions, TerminationReason, march
 
 __all__ = [
     "MONOTONE_SLACK",
@@ -38,6 +45,11 @@ __all__ = [
     "check_sandwich",
     "check_no_u_only_blowup",
     "trajectory_reports",
+    "fd_derivative",
+    "relative_residuals",
+    "scale_problem",
+    "ScalingReport",
+    "check_scaling_identity",
 ]
 
 MONOTONE_SLACK = 0.0
@@ -141,6 +153,16 @@ def check_monotone(solution) -> InequalityReport:
     )
 
 
+def _relations(spec: ProblemSpec, r, v, du, dv):
+    """W = du**(p-1-alpha), Z = dv**(p-1) and their sources c1 f1 g1(v) and
+    f2 g2(v) h(du), c1 = delta/(n-1), in the system's two relations
+    W' + (delta/r) W = c1 f1 g1(v) and Z' + ((n-1)/r) Z = f2 g2(v) h(du)."""
+    c1 = spec.delta / (spec.n - 1.0)
+    W = du ** (spec.p - 1.0 - spec.alpha)
+    Z = dv ** (spec.p - 1.0)
+    return W, Z, c1 * spec.f1(r) * spec.g1(v), spec.f2(r) * spec.g2(v) * spec.h(du)
+
+
 def check_convexity_bounds(solution) -> InequalityReport:
     """Two-sided bounds on the flux derivatives.
 
@@ -166,25 +188,18 @@ def check_convexity_bounds(solution) -> InequalityReport:
     if len(r) < 10:
         raise ValueError("the convexity check needs at least 10 grid points")
     spec = solution.spec
-    n = spec.n
-    delta = spec.delta
-    c1 = delta / (n - 1.0)
-
-    W = solution.w ** (spec.p - 1.0 - spec.alpha)
-    Z = solution.dv ** (spec.p - 1.0)
+    W, Z, src1, src2 = _relations(spec, r, solution.v, solution.w, solution.dv)
     dr = np.diff(r)
 
     # Panels [r_i, r_{i+1}] whose closure lies in the window (0, 0.9*r_end];
     # the first panel touches r = 0 but tests the derivative on its interior.
     panels = r[1:] <= _CONVEXITY_WINDOW * r[-1]
-    src1 = c1 * spec.f1(r) * spec.g1(solution.v)
-    src2 = spec.f2(r) * spec.g2(solution.v) * spec.h(solution.w)
 
     eps = float(np.finfo(float).eps)
     worst = 0.0
     for Y, upper, lower_factor in (
-        (W, src1, 1.0 / (1.0 + delta)),
-        (Z, src2, 1.0 / n),
+        (W, src1, 1.0 / (1.0 + spec.delta)),
+        (Z, src2, 1.0 / spec.n),
     ):
         dY = np.diff(Y) / dr
         fd_err = eps * (np.abs(Y[:-1]) + np.abs(Y[1:])) / dr
@@ -285,3 +300,167 @@ def trajectory_reports(solution) -> list[InequalityReport]:
         check_uprime_estimate(solution),
         check_no_u_only_blowup(solution),
     ]
+
+
+def _fd_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and sample indices of :func:`fd_derivative` on the grid x:
+    the derivative of y is ``einsum("ij,ij->i", weights, y[idx])``.
+
+    Every product and sum runs over 1-D columns of length n, one per node
+    k of the windows, in increasing k.  That is the order in which
+    ``np.prod`` and ``np.sum`` reduce the (n, m) array of x_i - x_k and
+    the (n, m, m) array of x_j - x_k, so each weight keeps the bits of
+    those reductions.  The factor 1 such arrays hold at k = j is left out,
+    which changes no bits; the one at k = i stays.
+    """
+    n = len(x)
+    if n < 2:
+        raise ValueError("at least two samples are required")
+    if np.any(x[1:] <= x[:-1]):
+        raise ValueError("the grid must be strictly increasing")
+    m = min(5, n)
+    rows = np.arange(n)
+    at = rows - np.clip(rows - m // 2, 0, n - m)  # where x_i sits in its window
+    idx = (rows - at)[:, None] + np.arange(m)
+    xw = x[idx.T]  # row k: node k of every window
+    ahead = x - xw  # x_i - x_k
+    ahead[at, rows] = 1.0
+    gaps = np.empty_like(xw)  # row j: prod_{k != j} (x_j - x_k)
+    for j in range(m):
+        others = [xw[j] - xw[k] for k in range(m) if k != j]
+        gaps[j] = functools.reduce(operator.mul, others)
+    weights = functools.reduce(operator.mul, ahead) / (ahead * gaps)
+    ahead[at, rows] = np.inf
+    weights[at, rows] = functools.reduce(operator.add, 1.0 / ahead)
+    return np.ascontiguousarray(weights.T), idx
+
+
+def fd_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Derivative of samples ``y`` on the strictly increasing grid ``x``: at
+    x_i, that of the Lagrange interpolant through five nodes (all, on
+    shorter grids), centred or shifted one-sided at the ends.  Its weights,
+    k and j in the window (Fornberg, Math. Comp. 51, 1988), are w_i =
+    sum_{k!=i} 1/(x_i-x_k), w_j = prod_{k!=i,j}(x_i-x_k) / prod_{k!=j}(x_j-x_k)."""
+    weights, idx = _fd_weights(np.asarray(x, dtype=float))
+    return np.einsum("ij,ij->i", weights, np.asarray(y, dtype=float)[idx])
+
+
+def relative_residuals(
+    spec: ProblemSpec,
+    r: np.ndarray,
+    v: np.ndarray,
+    du: np.ndarray,
+    dv: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise relative defects of a trajectory in the two differential
+    relations
+
+        [du**(p-1-a)]' + (d/r)  du**(p-1-a) = (d/(n-1)) f1 g1(v)
+        [dv**(p-1)]'   + ((n-1)/r) dv**(p-1) =          f2 g2(v) h(du)
+
+    in W = du**(p-1-a) and Z = dv**(p-1), formed with their sources by
+    :func:`_relations` as for the convexity bounds, each normalized by the
+    sum of its term magnitudes.  W' and Z' come from the weights of
+    :func:`fd_derivative`, built once for both, on the sampled values, not
+    from the integrator, so this is an independent check.  At r = 0 the
+    removable limits W/r -> W'(0) and Z/r -> Z'(0) turn the left sides into
+    (1+d) W'(0) and n Z'(0).
+    """
+    r, v, du, dv = (np.asarray(a, dtype=float) for a in (r, v, du, dv))
+    n, delta = spec.n, spec.delta
+    W, Z, src1, src2 = _relations(spec, r, v, du, dv)
+    weights, idx = _fd_weights(r)
+    dW, dZ = (np.einsum("ij,ij->i", weights, y[idx]) for y in (W, Z))
+    if r[0] == 0.0:
+        dW[0] *= 1.0 + delta
+        dZ[0] *= n
+    inner = r > 0.0
+    sing1 = np.divide(delta * W, r, out=np.zeros_like(r), where=inner)
+    sing2 = np.divide((n - 1.0) * Z, r, out=np.zeros_like(r), where=inner)
+
+    def defect(d, sing, src):
+        # Derivatives that overflow at the last nodes of a run give inf/inf,
+        # a nan residual, which the trajectory CSV writes as nan.
+        total = np.abs(d) + np.abs(sing) + np.abs(src) + 1e-300
+        with np.errstate(invalid="ignore"):
+            return np.abs(d + sing - src) / total
+
+    return defect(dW, sing1, src1), defect(dZ, sing2, src2)
+
+
+def scale_problem(spec: ProblemSpec, lam: float) -> ProblemSpec:
+    """The rescaled problem whose solution (u~, v~) satisfies
+    u(r) = u~(r/lam), v(r) = v~(r/lam) against the original problem:
+
+        f1~(r) = lam**(p-alpha) f1(lam r),   f2~(r) = lam**p f2(lam r),
+        g~j = gj,                            h~(t) = h(t/lam).
+
+    Closed under the power-sum family.
+    """
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    return ProblemSpec(
+        p=spec.p,
+        alpha=spec.alpha,
+        n=spec.n,
+        f1=spec.f1.scale_argument(lam).scale_value(lam ** (spec.p - spec.alpha)),
+        f2=spec.f2.scale_argument(lam).scale_value(lam**spec.p),
+        g1=spec.g1,
+        g2=spec.g2,
+        h=spec.h.scale_argument(1.0 / lam),
+    )
+
+
+@dataclass(frozen=True)
+class ScalingReport:
+    """Sup-norm comparison of a solution against its rescaled counterpart."""
+
+    sup_diff_u: float
+    sup_diff_v: float
+    bound: float
+    passed: bool
+
+
+def check_scaling_identity(
+    spec: ProblemSpec,
+    lam: float,
+    u0: float,
+    v0: float,
+    *,
+    radius: float = 1.0,
+    rel_tol: float = SolverOptions.rel_tol,
+    points: int = 201,
+) -> ScalingReport:
+    """Solve the problem on [0, radius] and its rescaling on [0, radius/lam],
+    then compare u(r) with u~(r/lam) (and v likewise) on a shared grid.
+
+    Both runs use a tolerance 30x tighter than ``rel_tol`` so the reported
+    gap reflects the identity rather than integrator drift; the pass bound
+    stays at 10 * rel_tol * (1 + sup|u|).  The window must end before any
+    blow-up; otherwise the solver failure propagates.
+    """
+    tilde = scale_problem(spec, lam)
+    tight = rel_tol / 30.0
+    orig = march(spec, u0, v0, SolverOptions(target_radius=radius, rel_tol=tight))
+    scaled = march(
+        tilde, u0, v0, SolverOptions(target_radius=radius / lam, rel_tol=tight)
+    )
+    for run, label in ((orig, "original"), (scaled, "rescaled")):
+        if run.terminated is not TerminationReason.REACHED_TARGET:
+            raise SolverError(
+                f"the {label} run terminated {run.terminated.value} inside the "
+                "comparison window; pick a radius below the blow-up radius"
+            )
+    grid = np.linspace(0.0, radius, points)
+    so = orig.sample(grid)
+    st = scaled.sample(grid / lam)
+    sup_u = float(np.max(so["u"]))
+    diff_u = float(np.max(np.abs(so["u"] - st["u"])))
+    diff_v = float(np.max(np.abs(so["v"] - st["v"])))
+    bound = 10.0 * rel_tol * (1.0 + sup_u)
+    return ScalingReport(
+        sup_diff_u=diff_u,
+        sup_diff_v=diff_v,
+        bound=bound,
+        passed=max(diff_u, diff_v) <= bound,
+    )

@@ -27,10 +27,9 @@ from radlab.solver import (
     SolverOptions,
     TerminationReason,
     blowup_envelope_check,
-    check_scaling_identity,
     march,
 )
-from radlab.verify import trajectory_reports
+from radlab.verify import check_scaling_identity, trajectory_reports
 
 from conftest import CASE_BY_NAME, REFERENCE_CASES, power_spec
 from quadrature_oracle import integral_to_infinity

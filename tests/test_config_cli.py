@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import radlab.cli
 from radlab.cli import _write_trajectory, main
 from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
-from radlab.solver import blowup_envelope_check, march, relative_residuals
-from radlab.verify import trajectory_reports
+from radlab.solver import blowup_envelope_check, march
+from radlab.verify import relative_residuals, trajectory_reports
 
 from conftest import power_spec
 from trajectory_oracle import load_trajectory, write_trajectory

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radlab import dop853, solver
+from radlab import dop853, solver, verify
 from radlab.classify import (
     BoundaryClass,
     Domain,
@@ -28,17 +28,17 @@ from radlab.solver import (
     SolverOptions,
     TerminationReason,
     blowup_envelope_check,
-    check_scaling_identity,
-    fd_derivative,
     march,
     picard_bootstrap,
-    relative_residuals,
 )
 
 from radlab.verify import (
     check_convexity_bounds,
     check_monotone,
     check_sandwich,
+    check_scaling_identity,
+    fd_derivative,
+    relative_residuals,
     trajectory_reports,
 )
 
@@ -494,7 +494,7 @@ def test_fd_derivative_exact_on_quartics():
 def reference_fd_weights(x):
     """The five-node derivative weights as one ``np.prod`` and one ``np.sum``
     over the (n, m) and (n, m, m) window arrays: the oracle whose bits
-    ``solver._fd_weights`` must reproduce from its 1-D columns."""
+    ``verify._fd_weights`` must reproduce from its 1-D columns."""
     n = len(x)
     m = min(5, n)
     rows = np.arange(n)
@@ -524,7 +524,7 @@ def test_fd_weights_keep_the_bits_of_the_window_reductions(seed):
             continue
         with np.errstate(all="ignore"):
             want, want_idx = reference_fd_weights(x)
-            got, idx = solver._fd_weights(x)
+            got, idx = verify._fd_weights(x)
         assert np.array_equal(idx, want_idx)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), n

@@ -18,10 +18,11 @@ from radlab.verify import (
     check_no_u_only_blowup,
     check_sandwich,
     check_uprime_estimate,
+    relative_residuals,
     trajectory_reports,
 )
 
-from conftest import REFERENCE_CASES
+from conftest import REFERENCE_CASES, power_spec
 
 
 def as_data(run, **overrides) -> TrajectoryData:
@@ -168,3 +169,58 @@ def test_sandwich_rejects_empty_or_nonpositive_samples(solved_cases):
         check_sandwich(spec.h, spec.p, np.array([]))
     with pytest.raises(ValueError):
         check_sandwich(spec.h, spec.p, np.array([1.0, 0.0]))
+
+
+# ---------------------------------------------------------- exact solutions
+
+
+@pytest.mark.parametrize(
+    "p, alpha, n, m, beta, q, closed_form_A",
+    [
+        (2.0, 0.0, 3, 1.0, 0.0, 0.5, 1.0 / 7200.0),
+        (3.0, 0.5, 5, 1.2, 0.3, 1.0, 5.37992e-4),
+        (3.57, 1.77, 3, 1.46, 0.54, 0.5, 1.15317e-3),
+    ],
+)
+def test_exact_power_solutions_pass_the_residuals_and_checks(
+    p, alpha, n, m, beta, q, closed_form_A
+):
+    # Below the B1 threshold, with f1 = f2 = 1, v = A r**k and u' = B r**j
+    # solve the radial system exactly for r > 0, where, with gap = p-1-alpha
+    # and c1 = delta/(n-1), k = (p gap + q) / (gap (p-1-beta) - q m),
+    # j = (1 + k m)/gap, B**gap = c1 A**m / (1 + k m + delta) and
+    # A**(p-1-beta-q m/gap) = k**(1-p) ((k-1)(p-1) + n-1)**-1
+    # (c1 / (1 + k m + delta))**(q/gap).
+    spec = power_spec(p, alpha, m, beta, q, n=n)
+    gap, delta = p - 1.0 - alpha, spec.delta
+    c1 = delta / (n - 1.0)
+    k = (p * gap + q) / (gap * (p - 1.0 - beta) - q * m)
+    j = (1.0 + k * m) / gap
+    A = (
+        k ** (1.0 - p) / ((k - 1.0) * (p - 1.0) + n - 1.0)
+        * (c1 / (1.0 + k * m + delta)) ** (q / gap)
+    ) ** (1.0 / (p - 1.0 - beta - q * m / gap))
+    B = (c1 * A**m / (1.0 + k * m + delta)) ** (1.0 / gap)
+    assert A == pytest.approx(closed_form_A, rel=1e-5)
+    r = np.geomspace(1.0, 10.0, 2000)
+
+    def trajectory(a):
+        return TrajectoryData(
+            spec=spec,
+            r=r,
+            u=1.0 + B * r ** (j + 1.0) / (j + 1.0),
+            v=a * r**k,
+            w=B * r**j,
+            dv=a * k * r ** (k - 1.0),
+        )
+
+    exact = trajectory(A)
+    for residual in relative_residuals(spec, r, exact.v, exact.w, exact.dv):
+        assert np.max(residual) < 1e-9
+    for report in trajectory_reports(exact):
+        assert report.passed, report.name
+    # v one percent off the exact prefactor, with u' kept, breaks both
+    # relations at every node.
+    off = trajectory(1.01 * A)
+    for residual in relative_residuals(spec, r, off.v, off.w, off.dv):
+        assert np.min(residual) > 1e-3
