@@ -16,12 +16,15 @@ file format (see :mod:`radlab.config`):
     Run every inequality check against a solved (or supplied) trajectory
     and exit nonzero when any check fails.
 
-Output is deterministic for a fixed config and seed: floats print in
+Output is deterministic for a fixed config: floats print in
 shortest round-trip form, JSON keys keep a fixed order, and CSV rows
 follow the sweep order given in the file.  JSON and ``atlas.csv`` spell
 floats as ``repr`` does; ``trajectory.csv`` has the same digits in
 ``orjson``'s notation (``1e-9``, ``1e16``, ``0.0000729``) and writes a
 non-finite residual as ``nan``.
+
+``--seed``, like the run file's top-level ``seed``, is validated as a
+non-negative integer and then ignored: no output depends on a random draw.
 
 Exit codes: 0 on success, 1 when validation or verification fails,
 2 on configuration errors and on an ``--out`` that cannot be made or
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -51,12 +53,15 @@ from .criteria import CriterionDiverges, CriterionKind, criterion
 from .expressions import ExpressionError
 from .problem import InvalidProblem, ProblemSpec, validate_assumptions
 from .solver import SolverError, TerminationReason, blowup_envelope_check, march
-from .verify import TrajectoryData, check_sandwich, relative_residuals, trajectory_reports
+from .verify import (
+    SANDWICH_GRID,
+    TrajectoryData,
+    check_sandwich,
+    relative_residuals,
+    trajectory_reports,
+)
 
 __all__ = ["main", "sweep_row"]
-
-#: Number of gradient samples drawn for the sandwich inequality check.
-SANDWICH_SAMPLES = 64
 
 _TRAJECTORY_COLUMNS = ("r", "u", "v", "du", "dv", "res_eq1", "res_eq2")
 _TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS).encode() + b"\n"
@@ -106,13 +111,6 @@ def _rejected(config: RunConfig, spec: ProblemSpec) -> bool:
             },
         })
     return not report.ok
-
-
-def _sandwich_report(config: RunConfig, spec: ProblemSpec):
-    """The gradient-bound ordering check on reproducible random samples."""
-    rng = np.random.default_rng(config.seed)
-    samples = 10.0 ** rng.uniform(-2.0, 2.0, SANDWICH_SAMPLES)
-    return check_sandwich(spec.h, spec.p, samples)
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
         _write_trajectory(fh, table)
 
     checks = trajectory_reports(solution)
-    checks.append(_sandwich_report(config, spec))
+    checks.append(check_sandwich(spec.h, spec.p, SANDWICH_GRID))
 
     envelope = None
     if solution.terminated is TerminationReason.BLOW_UP:
@@ -464,7 +462,7 @@ def cmd_verify(config: RunConfig, trajectory_path: str | None) -> int:
         _print_json({"reports": [], "pass": False, "error": str(exc)})
         return 1
 
-    checks.append(_sandwich_report(config, spec))
+    checks.append(check_sandwich(spec.h, spec.p, SANDWICH_GRID))
     payload = {
         "reports": [check.to_dict() for check in checks],
         "pass": all(check.passed for check in checks),
@@ -478,7 +476,8 @@ def cmd_verify(config: RunConfig, trajectory_path: str | None) -> int:
 
 
 def _seed(text: str) -> int:
-    """The type of ``--seed``: a non-negative integer, as in the run file."""
+    """The type of ``--seed``: a non-negative integer, as in the run file,
+    accepted and ignored."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
@@ -499,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a run file")
         cmd.add_argument(
             "--seed", type=_seed, default=None,
-            help="override the config's random seed",
+            help="accepted and ignored (no output depends on a seed)",
         )
         return cmd
 
@@ -537,8 +536,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     if args.command in ("solve", "sweep"):
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -4,7 +4,6 @@ A run file describes one problem together with solver settings and an
 optional parameter sweep::
 
     # spec A
-    seed = 7
 
     [problem]
     p = 2
@@ -29,7 +28,9 @@ optional parameter sweep::
 
 Rules: ``key = value`` lines grouped under ``[section]`` headers, ``#``
 starts a comment (outside quotes), expression values must be quoted.
-The only key allowed before the first section header is ``seed``.
+The only key allowed before the first section header is ``seed``: a
+non-negative integer, validated and then ignored, as the CLI's ``--seed``
+is (no output depends on a random draw).
 
 One table, ``_KEYS``, gives each section's keys, each with whether it is
 required and its rule: a function from the raw text to the value that
@@ -130,7 +131,6 @@ class RunConfig:
     rel_tol: float = SolverOptions.rel_tol
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
-    seed: int = 0
 
     def spec(self) -> ProblemSpec:
         """Build the problem description (parses the expression strings)."""
@@ -273,7 +273,7 @@ def _positive(key: str, value: float) -> None:
 
 
 def _non_negative(key: str, value: int) -> None:
-    if value < 0:  # numpy rejects a negative seed
+    if value < 0:  # the seed is ignored, yet keeps its rule: the same files load
         raise ValueError(f"{key} must be non-negative, got {value}")
 
 
@@ -387,7 +387,6 @@ def parse_config_text(text: str) -> RunConfig:
         **values["solver"],
         sweep_parameter=parameter,
         sweep_values=sweep.get("values", ()),
-        seed=values[""].get("seed", 0),
     )
 
 

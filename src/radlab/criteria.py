@@ -306,8 +306,8 @@ def _tail_rule(spec: ProblemSpec, nu: float, weight: float) -> _TailRule:
     return _TailRule(_log_rule(spec.h.compose_power(spec.theta), 1.0 / spec.p), nu, weight)
 
 
-def _root_integral(f: FuncExpr, power: float) -> Callable[[float], float]:
-    """The map s -> integral_0^s f(t)**power dt for s > 0.
+def _root_integral(f: FuncExpr, power: float) -> Callable:
+    """The map s -> integral_0^s f(t)**power dt for s > 0, elementwise.
 
     When f**power is a power sum again (single-term ``f``) this is its
     closed-form antiderivative; otherwise the fixed rule of :class:`_LogRule`.
@@ -316,7 +316,7 @@ def _root_integral(f: FuncExpr, power: float) -> Callable[[float], float]:
     if root is not None:
         return root.antiderivative()
     rule = _log_rule(f, power)
-    return lambda s: float(rule(math.log(s)))
+    return lambda s: rule(np.log(s))
 
 
 def inner_integral(h: FuncExpr, theta_value: float, p: float, s: float) -> float:
@@ -329,7 +329,7 @@ def inner_integral(h: FuncExpr, theta_value: float, p: float, s: float) -> float
         raise ValueError("the upper limit must be non-negative")
     if s == 0.0:
         return 0.0
-    return _root_integral(h.compose_power(theta_value), 1.0 / p)(float(s))
+    return float(_root_integral(h.compose_power(theta_value), 1.0 / p)(float(s)))
 
 
 def _single_term_coeff(spec: ProblemSpec) -> float | None:
@@ -427,11 +427,9 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
     return math.exp(x)
 
 
-def sandwich_quantities(
-    h: FuncExpr, p: float
-) -> Callable[[float], tuple[float, float, float]]:
+def sandwich_quantities(h: FuncExpr, p: float) -> Callable:
     """The map s -> (lhs, mid, rhs) of :func:`sandwich_check` for one (h, p),
-    with its integrals set up once for any number of sample points.
+    elementwise over an array of sample points.
 
     For single-term ``h`` both integrands, H**(1/(p-1)) and h**(1/p), are
     power sums again, so their integrals are closed-form antiderivatives;
@@ -441,7 +439,7 @@ def sandwich_quantities(
     integral_H_root = _root_integral(h.antiderivative(), 1.0 / (p - 1.0))
     integral_h_root = _root_integral(h, 1.0 / p)
 
-    def quantities(s: float) -> tuple[float, float, float]:
+    def quantities(s):
         lhs = (p - 1.0) ** (2.0 * p - 1.0) * integral_H_root(s) ** (p - 1.0)
         mid = (p - 1.0) ** (p - 1.0) * integral_h_root(p * s) ** p
         rhs = integral_H_root(p * p * s) ** (p - 1.0)
@@ -461,4 +459,4 @@ def sandwich_check(h: FuncExpr, p: float, s: float) -> tuple[float, float, float
     """
     if not s > 0.0:
         raise ValueError("the sample point must be positive")
-    return sandwich_quantities(h, p)(s)
+    return tuple(map(float, sandwich_quantities(h, p)(s)))

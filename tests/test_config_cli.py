@@ -21,7 +21,7 @@ import radlab.cli
 from radlab.cli import _write_trajectory, main
 from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
 from radlab.solver import blowup_envelope_check, march
-from radlab.verify import relative_residuals, trajectory_reports
+from radlab.verify import SANDWICH_GRID, relative_residuals, trajectory_reports
 
 from conftest import power_spec
 from trajectory_oracle import load_trajectory, write_trajectory
@@ -71,7 +71,6 @@ def test_parse_full_round_trip():
     assert (cfg.f1, cfg.g1, cfg.h, cfg.omega) == ("1", "t", "t^6", "ball")
     assert (cfg.u0, cfg.v0, cfg.target_radius) == (1.0, 1.0, 20.0)
     assert cfg.rel_tol == 1e-8  # default
-    assert cfg.seed == 11
     assert cfg.sweep_parameter == "q" and cfg.sweep_values == (1.0, 2.0, 3.0)
 
 
@@ -229,8 +228,8 @@ def test_unknown_key_and_section_rejected():
 def test_keys_under_an_empty_section_header_are_swallowed():
     # "[]" is an unknown section like "[bogus]": its keys are reported with
     # its header, not filed at the top level, where 'x' would be a second
-    # fault and 'seed' would be read.
-    text = (CONFIGS / "problem_a.cfg").read_text().replace("seed = 0\n", "")
+    # fault.
+    text = (CONFIGS / "problem_a.cfg").read_text()
     for header in ("[]", "[bogus]"):
         with pytest.raises(ConfigError) as err:
             parse_config_text(text + f"\n{header}\nseed = 5\nx = 1\n")
@@ -1023,11 +1022,43 @@ def test_reader_frames_every_row(widths, error, tmp_path):
 
 
 def test_seed_override_accepted(tmp_path, capsys):
+    # --seed is accepted and ignored: it changes no output.
     path = write(tmp_path, GOOD)
-    code, out, _ = run_cli(
-        ["classify", "--config", path, "--seed", "99"], capsys
+    plain = run_cli(["verify", "--config", path], capsys)
+    assert plain[0] == 0
+    assert run_cli(["verify", "--config", path, "--seed", "99"], capsys) == plain
+
+
+@pytest.mark.parametrize("config", ["configs/problem_b.cfg", "radbench/configs/stress_b3_multi.cfg"])
+def test_no_output_depends_on_a_seed(config, tmp_path, capsys, monkeypatch):
+    # The sandwich check reads one fixed grid, so neither --seed nor the run
+    # file's seed changes a byte of solve or of verify --trajectory.
+    path = str(CONFIGS.parent / config)
+    text = re.sub(r"(?m)^seed = .*\n", "", pathlib.Path(path).read_text())
+    seeded = write(tmp_path, "seed = 5\n" + text, "seeded.cfg")
+    grids = []
+    check = radlab.cli.check_sandwich
+    monkeypatch.setattr(
+        radlab.cli, "check_sandwich",
+        lambda h, p, samples: grids.append(samples) or check(h, p, samples),
     )
-    assert code == 0
+    outputs = []
+    for name, argv in (
+        ("plain", [path]), ("zero", [path, "--seed", "0"]),
+        ("seeded", [seeded, "--seed", "987654"]),
+    ):
+        out = tmp_path / name
+        solved = run_cli(["solve", "--config", *argv, "--out", str(out)], capsys)
+        assert solved[0] == 0
+        trajectory = ["--trajectory", str(out / "trajectory.csv")]
+        outputs.append((
+            solved,
+            (out / "report.json").read_bytes(),
+            (out / "trajectory.csv").read_bytes(),
+            run_cli(["verify", "--config", *argv, *trajectory], capsys),
+        ))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(grids) == 6 and all(grid is SANDWICH_GRID for grid in grids)
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
@@ -1066,17 +1097,18 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     golden = pathlib.Path(__file__).resolve().parent / "golden" / "sweep_q_atlas.csv"
     assert (tmp_path / "atlas.csv").read_text() == golden.read_text()
 
-    seeds = []
-    for name in ("cmd_solve", "cmd_verify"):
-        command = getattr(radlab.cli, name)
-        monkeypatch.setattr(
-            radlab.cli, name,
-            lambda config, *rest, command=command: seeds.append(config.seed) or command(config, *rest),
-        )
-    path = write(tmp_path, GOOD)  # seed = 11
-    assert run_cli(["solve", "--config", path, "--seed", "7", "--out", str(tmp_path)], capsys)[0] == 0
+    trajectories = []
+    command = radlab.cli.cmd_verify
+    monkeypatch.setattr(
+        radlab.cli, "cmd_verify",
+        lambda config, trajectory: trajectories.append(trajectory) or command(config, trajectory),
+    )
+    path = write(tmp_path, GOOD)
+    assert run_cli(["solve", "--config", path, "--out", str(tmp_path)], capsys)[0] == 0
+    solved = str(tmp_path / "trajectory.csv")
+    assert run_cli(["verify", "--config", path, "--trajectory", solved], capsys)[0] == 0
     assert run_cli(["verify", "--config", path], capsys)[0] == 0
-    assert seeds == [7, 11]
+    assert trajectories == [solved, None]
 
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--config", path, "--no-such-option"])

@@ -5,9 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from radlab.criteria import sandwich_check, sandwich_quantities
+from radlab.expressions import parse_expr
 from radlab.verify import (
     CONVEXITY_SLACK,
     MONOTONE_SLACK,
+    SANDWICH_GRID,
     SANDWICH_SLACK,
     UPRIME_SLACK,
     _U_BLOWUP_LEVEL,
@@ -70,6 +73,19 @@ def test_sandwich_on_random_samples(solved_cases):
         report = check_sandwich(spec.h, spec.p, samples)
         assert report.passed
         assert report.points_checked == 128
+
+
+@pytest.mark.parametrize("h, p", [("t^6", 2.0), ("t^2 + t^4", 2.0), ("t^2 + t^4", 3.0)])
+def test_sandwich_array_pass_matches_the_pointwise_quantities(h, p):
+    # One single-term h (closed forms) and one multi-term h, whose integrals
+    # take the fixed rule in ln t: for h at p = 3, for H too.  The two
+    # differ in rounding only, which the powers p and p - 1 multiply.
+    h = parse_expr(h)
+    whole = np.column_stack(sandwich_quantities(h, p)(SANDWICH_GRID))
+    pointwise = np.array([sandwich_check(h, p, s) for s in SANDWICH_GRID])
+    np.testing.assert_array_max_ulp(whole, pointwise, maxulp=8)
+    report = check_sandwich(h, p, SANDWICH_GRID)
+    assert report.passed and report.points_checked == 128
 
 
 def test_report_to_dict_uses_pass_key(solved_cases):
@@ -169,6 +185,10 @@ def test_sandwich_rejects_empty_or_nonpositive_samples(solved_cases):
         check_sandwich(spec.h, spec.p, np.array([]))
     with pytest.raises(ValueError):
         check_sandwich(spec.h, spec.p, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        check_sandwich(spec.h, spec.p, [np.nan])
+    with pytest.raises(ValueError):
+        check_sandwich(spec.h, spec.p, [1.0, np.inf])
 
 
 # ---------------------------------------------------------- exact solutions
