@@ -59,6 +59,11 @@ log-slopes of dr/ds and du/ds also give the rates b and sigma of
 v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma).  Power growth keeps
 dr/ds from decaying geometrically, so the estimate keeps moving with r and
 unbounded-but-global solutions are not mislabelled.
+
+The envelope fit of a blow-up takes C1 and C2 as the extremes of
+C(r) = phi(w**(p-1-alpha)) / (R0 - r) over the last decade before R0, so
+the pinch they define holds by construction: its ``max_violation`` is 0
+whenever C is finite and positive.
 """
 
 from __future__ import annotations
@@ -74,7 +79,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dop853
-from .criteria import phi, phi_inverse
+# phi_inverse is unused here, but radbench/spans.py wraps this name.
+from .criteria import phi, phi_inverse  # noqa: F401
 from .problem import InvalidProblem, ProblemSpec, ensure_valid
 
 __all__ = [
@@ -421,16 +427,6 @@ class RadialSolution(_Columns):
     @functools.cached_property
     def _columns(self) -> dict[str, np.ndarray]:
         columns, evals = _emit_nodes(*self.steps)
-        r, u, v, w, dv = (columns[name] for name in ("r", "u", "v", "w", "dv"))
-        if not (r[0] == 0.0 and np.all(np.diff(r) > 0.0)):
-            raise ValueError("the grid must increase strictly from 0")
-        if not (u[0] > 0.0 and v[0] > 0.0):
-            raise ValueError("u(0) and v(0) must be positive")
-        if not (w[0] == 0.0 and dv[0] == 0.0):
-            raise ValueError("u'(0) and v'(0) must vanish")
-        for name, series in (("u", u), ("v", v), ("w", w), ("dv", dv)):
-            if np.any(np.diff(series) < 0.0):
-                raise ValueError(f"{name} must be non-decreasing")
         object.__setattr__(self, "rhs_evals", self.rhs_evals + evals)
         return columns
 
@@ -896,7 +892,8 @@ def _emit_nodes(boot: BootstrapSegment, radial_steps, pole_steps):
     every node is kept nothing is copied.  Roundoff-level dips of the
     dense output are clamped so every profile stays nondecreasing, and the
     right-hand side is evaluated in one vectorised pass over the march's
-    nodes."""
+    nodes.  So r starts at 0, on the start's origin row (u0, v0 > 0 and w =
+    dv = 0), and increases strictly, and u, v, w and dv never decrease."""
     kernels = boot.kernels
     parts = [(boot.r, boot.u, boot.v, boot.I1, boot.I2)]
     thetas = np.arange(1, _SUBPANELS) / _SUBPANELS
@@ -958,9 +955,11 @@ def blowup_envelope_check(
         phi_inverse(C2 (R0-r)) ** theta  <=  w(r)  <=  phi_inverse(C1 (R0-r)) ** theta
 
     on the approach.  The check computes C(r) = phi(w ** (p-1-alpha)) / (R0-r)
-    over the last decade of grid before R0, takes C1 and C2 as its extremes
-    (widened by a factor 1e-12 so re-inversion roundoff cannot manufacture
-    spurious violations), and re-checks the pinch pointwise.
+    over the last decade of grid before R0 and takes C1 and C2 as its
+    extremes, widened by a factor 1e-12.  phi is decreasing, so the pinch
+    then holds at every node by construction: ``max_violation`` is 0 and
+    the check passes whenever C is finite and positive, and otherwise
+    reports nan constants, an infinite violation and a failure.
 
     Raises :class:`SolverError` unless the trajectory blew up, and
     :class:`radlab.criteria.CriterionDiverges` when the tail integral does
@@ -973,10 +972,8 @@ def blowup_envelope_check(
     count = int(mask.sum())
     if count < 4:
         raise SolverError("too few grid points in the final decade before R0")
-    dm = d[mask]
-    wm = solution.w[mask]
     gap = spec.p - 1.0 - spec.alpha
-    C = np.array([phi(spec, wi**gap) for wi in wm]) / dm
+    C = np.array([phi(spec, wi**gap) for wi in solution.w[mask]]) / d[mask]
     if not (np.all(np.isfinite(C)) and np.all(C > 0.0)):
         return EnvelopeReport(
             C1=float("nan"),
@@ -987,18 +984,10 @@ def blowup_envelope_check(
         )
     C1 = float(np.min(C)) * (1.0 - 1e-12)
     C2 = float(np.max(C)) * (1.0 + 1e-12)
-    theta = spec.theta
-    lower = np.array([phi_inverse(spec, C2 * di) for di in dm]) ** theta
-    upper = np.array([phi_inverse(spec, C1 * di) for di in dm]) ** theta
-    worst = float(np.max(np.maximum((lower - wm) / wm, (wm - upper) / wm)))
-    max_violation = max(0.0, worst)
-    passed = bool(
-        0.0 < C1 < C2 and math.isfinite(C2) and max_violation <= 0.0
-    )
     return EnvelopeReport(
         C1=C1,
         C2=C2,
         points_checked=count,
-        max_violation=max_violation,
-        passed=passed,
+        max_violation=0.0,
+        passed=bool(0.0 < C1 < C2 and math.isfinite(C2)),
     )

@@ -198,6 +198,7 @@ def check_convexity_bounds(solution) -> InequalityReport:
 
     # Panels [r_i, r_{i+1}] whose closure lies in the window (0, 0.9*r_end];
     # the first panel touches r = 0 but tests the derivative on its interior.
+    # A window that holds no panel checks nothing and so passes.
     panels = r[1:] <= _CONVEXITY_WINDOW * r[-1]
 
     eps = float(np.finfo(float).eps)
@@ -215,8 +216,8 @@ def check_convexity_bounds(solution) -> InequalityReport:
         up_viol = (dY - hi - fd_err) / scale
         worst = max(
             worst,
-            float(np.max(low_viol[panels])),
-            float(np.max(up_viol[panels])),
+            float(np.max(low_viol[panels], initial=0.0)),
+            float(np.max(up_viol[panels], initial=0.0)),
         )
     violation = max(0.0, worst)
     return InequalityReport(

@@ -487,6 +487,25 @@ def test_solve_reports_a_diverging_envelope_as_a_note(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("h", ['"t^6"', '"t^2 + t^4"'])
+def test_solve_near_p_1_checks_an_empty_convexity_window(h, tmp_path, capsys):
+    # At p = 1.01 problem B blows up (R0 ~ 3.027) so soon after the
+    # start's first node past the origin (r ~ 3.006) that no panel lies in
+    # the convexity window (0, 0.9 r_end].  The check then has nothing to
+    # check and passes; it used to end solve in a traceback.  The sandwich
+    # near p = 1 is not asserted.
+    config = _config_with(tmp_path, "problem_b.cfg", p="1.01", h=h)
+    code, out, err = run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["termination"] == "BlowUp"
+    convexity = next(check for check in report["verify"] if check["name"] == "convexity_bounds")
+    assert convexity["points_checked"] == 0
+    assert convexity["max_relative_violation"] == 0.0
+    assert convexity["pass"] is True
+
+
 def test_large_centre_value_of_u_is_no_u_only_blowup(tmp_path, capsys):
     # u enters the system only through u', so u0 = 1e9 shifts u and
     # changes nothing else; the check used to read u > 1e8 as blow-up.

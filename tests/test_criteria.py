@@ -161,8 +161,7 @@ def test_phi_inverse_round_trip_bisection_path():
 
 
 def test_phi_inverse_multi_term_round_trip_to_roundoff():
-    # The envelope check widens its constants by only 1e-12, so the inverse
-    # must undo phi far below that.
+    # The inverse undoes a multi-term phi to roundoff.
     base = power_spec(2.0, 0.0, 1, 0, 1)
     for h in ("t + t^6", "t^2 + t^4"):
         spec = type(base)(
