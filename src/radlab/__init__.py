@@ -49,6 +49,7 @@ from .solver import (
     SolverError,
     SolverOptions,
     TerminationReason,
+    advance,
     blowup_envelope_check,
     march,
     picard_bootstrap,
@@ -84,6 +85,7 @@ __all__ = [
     "TrajectoryData",
     "ValidationReport",
     "Verdict",
+    "advance",
     "blowup_envelope_check",
     "check_scaling_identity",
     "criterion",

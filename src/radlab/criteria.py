@@ -189,6 +189,9 @@ class _LogRule:
     distance from the real axis to the nearest zero of f(e**z): closer in,
     the phases of its terms span less than a half-turn.  The cumulative
     values on the edges are summed once; a query adds one partial panel.
+    The values, for ``__call__``, stay within the float range, and are
+    tabulated on first use; their logarithms, for :meth:`log`, are
+    tabulated per query and leave no range.
     """
 
     def __init__(self, f: FuncExpr, k: float):
@@ -201,23 +204,35 @@ class _LogRule:
         self.log_low = k * math.log(c0) - math.log(self.low_power)
         self.log_lead = k * math.log(cm) - math.log(self.lead_power)
         tiny = math.log(_NEGLIGIBLE)
-        lo = min((tiny - math.log(c / c0)) / (a - a0) for c, a in f.terms[1:])
-        hi = max((math.log(c / cm) - tiny) / (am - a) for c, a in f.terms[:-1])
+        self._lo = min((tiny - math.log(c / c0)) / (a - a0) for c, a in f.terms[1:])
+        self._hi = max((math.log(c / cm) - tiny) / (am - a) for c, a in f.terms[:-1])
         self.width = min(1.0, math.pi / (am - a0), _MAX_PANEL_GROWTH / self.lead_power)
-        self.edges = _panel_edges(
-            max(lo, (-_LOG_RANGE - self.log_low) / self.low_power),
-            min(hi, (_LOG_RANGE - self.log_lead) / self.lead_power),
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """The panel edges of the value table, within the float range."""
+        return _panel_edges(
+            max(self._lo, (-_LOG_RANGE - self.log_low) / self.low_power),
+            min(self._hi, (_LOG_RANGE - self.log_lead) / self.lead_power),
             self.width,
         )
+
+    @functools.cached_property
+    def cum(self) -> np.ndarray:
+        """The value table: the integral up to each edge."""
         panels = _gauss(self.integrand, self.edges[:-1], self.edges[1:])
         start = math.exp(self.log_low + self.low_power * self.edges[0])
-        self.cum = start + np.concatenate(([0.0], np.cumsum(panels)))
+        return start + np.concatenate(([0.0], np.cumsum(panels)))
 
-    def integrand(self, x: np.ndarray) -> np.ndarray:
-        """f(e**x)**k * e**x, with f summed relative to its dominant term."""
+    def log_integrand(self, x: np.ndarray) -> np.ndarray:
+        """ln(f(e**x)**k * e**x), with f summed relative to its dominant term."""
         top = np.where(x > 0.0, self._exponents[-1], self._exponents[0]) * x
         terms = np.exp(x[..., None] * self._exponents + self._log_coeffs - top[..., None])
-        return np.exp(self._k * (top + np.log(terms.sum(axis=-1))) + x)
+        return self._k * (top + np.log(terms.sum(axis=-1))) + x
+
+    def integrand(self, x: np.ndarray) -> np.ndarray:
+        """f(e**x)**k * e**x."""
+        return np.exp(self.log_integrand(x))
 
     def __call__(self, x) -> np.ndarray:
         """The integral up to s = e**x, elementwise."""
@@ -228,6 +243,46 @@ class _LogRule:
         below = np.exp(self.log_low + self.low_power * x)
         lead_at_top = math.exp(self.log_lead + self.lead_power * edges[-1])
         above = self.cum[-1] - lead_at_top + np.exp(self.log_lead + self.lead_power * x)
+        return np.where(x < edges[0], below, np.where(x > edges[-1], above, inside))
+
+    def log(self, x) -> np.ndarray:
+        """The logarithm of the integral up to s = e**x, elementwise, held
+        in logs throughout, so that no value leaves the float range.
+
+        The value table stops where the integral nears the float range;
+        these panels run on into [lo, hi], beyond which the closed forms
+        hold, but only over the part the queries need.  They start where
+        what lies below the smallest query (or lo) is negligible, since the
+        integrand's log-slope in x is at least ``low_power``, and end past
+        the largest (or hi).  Each panel is summed relative to the
+        integrand at its top, where it is largest, and the panels in logs.
+        """
+        x = np.asarray(x, dtype=float)
+        lo, width = self._lo, self.width
+        floor = min(x.min(), self._hi) + math.log(_NEGLIGIBLE) / self.low_power
+        first = max(0, math.floor((floor - lo) / width))
+        last = max(first + 1, math.ceil((min(x.max(), self._hi) - lo) / width))
+        edges = lo + width * np.arange(first, last + 1)
+
+        def relative(peak):
+            return lambda y: np.exp(self.log_integrand(y) - peak[..., None])
+
+        tops = self.log_integrand(edges[1:])
+        panels = tops + np.log(_gauss(relative(tops), edges[:-1], edges[1:]))
+        start = self.log_low + self.low_power * edges[0]
+        cum = np.logaddexp.accumulate(np.concatenate(([start], panels)))
+        at = np.clip(x, edges[0], edges[-1])
+        j = np.minimum(((at - edges[0]) // width).astype(int), len(edges) - 2)
+        peak = self.log_integrand(at)
+        part = _gauss(relative(peak), edges[j], at)
+        inside = cum[j] + np.log1p(part * np.exp(peak - cum[j]))
+        below = self.log_low + self.low_power * x
+        above = self.log_lead + self.lead_power * x
+        # what the other terms add to the leading one's integral
+        lead_at_top = self.log_lead + self.lead_power * edges[-1]
+        if lead_at_top < cum[-1]:
+            offset = cum[-1] + math.log1p(-math.exp(lead_at_top - cum[-1]))
+            above = np.logaddexp(above, offset)
         return np.where(x < edges[0], below, np.where(x > edges[-1], above, inside))
 
 
@@ -317,6 +372,20 @@ def _root_integral(f: FuncExpr, power: float) -> Callable:
         return root.antiderivative()
     rule = _log_rule(f, power)
     return lambda s: rule(np.log(s))
+
+
+def _log_root_integral(f: FuncExpr, power: float) -> Callable:
+    """The map x -> ln integral_0^(e**x) f(t)**power dt, elementwise.
+
+    For single-term ``f`` = c t**a it is the closed form power ln c - ln b
+    + b x with b = a power + 1; otherwise :meth:`_LogRule.log`.
+    """
+    if len(f.terms) == 1:
+        ((c, a),) = f.terms
+        b = a * power + 1.0
+        log_c = power * math.log(c) - math.log(b)
+        return lambda x: log_c + b * x
+    return _log_rule(f, power).log
 
 
 def inner_integral(h: FuncExpr, theta_value: float, p: float, s: float) -> float:
@@ -428,21 +497,26 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
 
 
 def sandwich_quantities(h: FuncExpr, p: float) -> Callable:
-    """The map s -> (lhs, mid, rhs) of :func:`sandwich_check` for one (h, p),
-    elementwise over an array of sample points.
+    """The map s -> (ln lhs, ln mid, ln rhs) of the quantities of
+    :func:`sandwich_check` for one (h, p), elementwise over an array of
+    sample points.
 
-    For single-term ``h`` both integrands, H**(1/(p-1)) and h**(1/p), are
-    power sums again, so their integrals are closed-form antiderivatives;
-    other power sums use the fixed rule of :class:`_LogRule`.
+    They are taken in logarithms because near p = 1 the power 1/(p-1)
+    carries the quantities far beyond the float range, while their
+    ordering holds with margin.  For single-term ``h`` both integrands,
+    H**(1/(p-1)) and h**(1/p), are single powers, so the logs of their
+    integrals are closed forms; other power sums use the fixed rule of
+    :class:`_LogRule`, its closed forms beyond the panels taken in logs.
     """
     check_range("p", p)
-    integral_H_root = _root_integral(h.antiderivative(), 1.0 / (p - 1.0))
-    integral_h_root = _root_integral(h, 1.0 / p)
+    log_H_root = _log_root_integral(h.antiderivative(), 1.0 / (p - 1.0))
+    log_h_root = _log_root_integral(h, 1.0 / p)
+    log_pm1 = math.log(p - 1.0)
 
     def quantities(s):
-        lhs = (p - 1.0) ** (2.0 * p - 1.0) * integral_H_root(s) ** (p - 1.0)
-        mid = (p - 1.0) ** (p - 1.0) * integral_h_root(p * s) ** p
-        rhs = integral_H_root(p * p * s) ** (p - 1.0)
+        lhs = (2.0 * p - 1.0) * log_pm1 + (p - 1.0) * log_H_root(np.log(s))
+        mid = (p - 1.0) * log_pm1 + p * log_h_root(np.log(p * s))
+        rhs = (p - 1.0) * log_H_root(np.log(p * p * s))
         return lhs, mid, rhs
 
     return quantities
@@ -455,8 +529,9 @@ def sandwich_check(h: FuncExpr, p: float, s: float) -> tuple[float, float, float
         mid = (p-1)**(p-1)  * ( integral_0^(p*s) h**(1/p)     )**p
         rhs =                 ( integral_0^(p^2*s) H**(1/(p-1)) )**(p-1)
 
-    with H(t) = integral_0^t h; the contract is lhs <= mid <= rhs.
+    with H(t) = integral_0^t h; the contract is lhs <= mid <= rhs.  They
+    are the exponentials of :func:`sandwich_quantities`.
     """
     if not s > 0.0:
         raise ValueError("the sample point must be positive")
-    return tuple(map(float, sandwich_quantities(h, p)(s)))
+    return tuple(float(np.exp(q)) for q in sandwich_quantities(h, p)(s))

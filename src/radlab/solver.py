@@ -18,8 +18,10 @@ u and I2 = g2(v0) * integral t**(n-1) f2 h(w) are binomial series.  r0 is
 the largest radius at which neither the growth of v nor the remainder of a
 cut series exceeds that hundredth of rel_tol, or the target radius if that
 is smaller; no blow-up can come before it, since v is still v0 there.  A
-start that holds up to the target leaves the march nothing to do.  The
-march reads the start at r0 alone; its grid is evaluated with the columns.
+start that holds up to the target leaves the march nothing to do.
+``march`` is that start followed by ``advance``, the one stepping loop,
+which enters from any start, such as an exact solution's at any r0, and
+reads it at r0 alone; the start's grid is evaluated with the columns.
 
 From r0 each step is a Dormand-Prince 8(5,3) pair, the code DOP853
 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10): twelve stages
@@ -91,6 +93,7 @@ __all__ = [
     "RadialSolution",
     "picard_bootstrap",
     "march",
+    "advance",
     "EnvelopeReport",
     "blowup_envelope_check",
 ]
@@ -127,7 +130,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Numeric knobs for :func:`march`.
+    """Numeric knobs for :func:`march` and :func:`advance`.
 
     ``rel_tol`` bounds the local error of each Dormand-Prince 8(5,3) step,
     per component, at 0.05 * rel_tol relative to the state (absolute on the
@@ -170,10 +173,10 @@ class _Columns:
 class BootstrapSegment(_Columns):
     """The closed-form start on [0, r0]: ``profiles(r)`` gives (u, v, w, dv,
     I1, I2, fI1, fI2, W, Z) at radii 0 <= r <= r0, and ``state`` is (u, v,
-    I1, I2) at r0, where the march takes over.  ``kernels`` is the problem's
-    compiled right-hand side, which the profiles evaluate and the march
-    goes on with.  The columns, built on first read, are the profiles on the
-    grid of :func:`picard_bootstrap`."""
+    I1, I2) at r0, where :func:`advance` takes over.  ``kernels`` is the
+    problem's compiled right-hand side, which the profiles evaluate and the
+    march goes on with.  The columns, built on first read, are the profiles
+    on the grid of :func:`picard_bootstrap`."""
 
     r0: float
     state: tuple[float, float, float, float]
@@ -360,8 +363,8 @@ def picard_bootstrap(
 
 class _MarchSteps(NamedTuple):
     """What the columns of a :class:`RadialSolution` are emitted from: the
-    closed-form start, with the problem's kernels, and the rows of the
-    march's accepted steps, in r and then in s."""
+    start, with the problem's kernels, and the rows of the march's
+    accepted steps, in r and then in s."""
 
     boot: BootstrapSegment
     radial: list
@@ -381,8 +384,8 @@ class RadialSolution(_Columns):
     v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma) read off the march's last
     step, set and unset with ``R0``.
     ``pole_switch_r`` is the radius at which the march changed to s, or
-    None if it never did.  ``start_radius`` is r0, where the closed-form
-    start hands over to the march.
+    None if it never did.  ``start_radius`` is r0, where the start hands
+    over to the steps of :func:`advance`.
 
     The columns ``r``, ``u``, ``v``, ``w`` (u'), ``dv`` (v'), ``I1`` and
     ``I2`` (the accumulated source integrals) are emitted by
@@ -689,16 +692,34 @@ def _first_slope(f, x, y, r):
 def march(
     spec: ProblemSpec, u0: float, v0: float, options: SolverOptions
 ) -> RadialSolution:
-    """Integrate outward from the origin until the target radius, a resolved
+    """Integrate outward from the origin: validate ``spec`` (raising
+    :class:`InvalidProblem`, also for alpha >= p - 1), take the closed-form
+    start on [0, r0] of :func:`picard_bootstrap` and :func:`advance` from it."""
+    ensure_valid(spec)
+    if not spec.gradient_balanced:
+        raise InvalidProblem(
+            "the gradient exponent must satisfy alpha < p - 1 for radial "
+            "solutions to exist"
+        )
+    return advance(spec, picard_bootstrap(spec, u0, v0, options), options)
+
+
+def advance(
+    spec: ProblemSpec, start: BootstrapSegment, options: SolverOptions
+) -> RadialSolution:
+    """Step outward in r from ``start`` until the target radius, a resolved
     blow-up, or step underflow.
 
-    The closed-form start (:func:`picard_bootstrap`) covers [0, r0]; from
-    there, with a first trial step of 0.1 * r0, Dormand-Prince 8(5,3) steps
-    advance the state (u, v, I1, I2) in r.  An accepted step that ends with
-    I1, I2 > 0 and dr/ds = v/v' below r and below its value at the step's
-    start switches the march to the state
-    (r, u, ln I1, ln I2) in s = ln v; both values of v/v' come from the
-    step's first and last stages, so the test costs no evaluation.  A step
+    ``start`` is the closed-form start of :func:`march` or any other
+    segment with ``state`` (u, v, I1, I2) at ``r0`` and the ``kernels`` of
+    ``spec``, such as an exact solution's; its ``profiles`` are read only
+    for the columns and samples below r0.  From r0, with a first trial
+    step of 0.1 * r0, Dormand-Prince 8(5,3) steps advance the state
+    (u, v, I1, I2) in r.  An accepted step that ends with I1, I2 > 0 and
+    dr/ds = v/v' below r and below its value at the step's start switches
+    the march to the state (r, u, ln I1, ln I2) in s = ln v; both values
+    of v/v' come from the step's first and last stages, so the test costs
+    no evaluation.  A step
     is accepted when its combined error estimate lies below 0.05 * rel_tol
     times max(|y|, |y_new|) in every component, or below 0.05 * rel_tol
     itself for the two logarithms; the next step size is the current one
@@ -727,18 +748,10 @@ def march(
     log-slope of du/ds over that of dr/ds).  It ends as StepUnderflow, with
     a note, when a rejection shrinks the step's increment in r below
     1e-14 * r; no other place ends a run.  :class:`SolverError` is raised
-    when the start's profiles are not normal floats at r0, when the
-    right-hand side is not finite where a phase starts, and when 2,000,000
-    steps (``_MAX_STEPS``) have been accepted without an end.
+    when the right-hand side is not finite where a phase starts, and when
+    2,000,000 steps (``_MAX_STEPS``) have been accepted without an end.
     """
-    ensure_valid(spec)
-    if not spec.gradient_balanced:
-        raise InvalidProblem(
-            "the gradient exponent must satisfy alpha < p - 1 for radial "
-            "solutions to exist"
-        )
-    boot = picard_bootstrap(spec, u0, v0, options)
-    kernels = boot.kernels
+    kernels = start.kernels
 
     tol = _ERR_SCALE * options.rel_tol
     target = options.target_radius
@@ -752,8 +765,8 @@ def march(
     radial_steps: list[tuple] = []
     pole_steps: list[tuple] = []
     step, keep = kernels.radial_step, radial_steps.append
-    x = boot.r0
-    y = boot.state
+    x = start.r0
+    y = start.state
     k1 = _first_slope(kernels.radial, x, y, x)
     accepted = rejected = 0
     h = _FIRST_STEP * x
@@ -834,7 +847,7 @@ def march(
         end = _radial_state(rows is pole_steps, last, 1.0, last[:, 6:10].T)
         r_end, v_final = end[0][0], end[2][0]
     else:
-        r_end, v_final = boot.r0, boot.state[1]
+        r_end, v_final = start.r0, start.state[1]
     # The accepted steps' increments in r, read off their rows.
     increments = [(row[0] + row[1]) - row[0] for row in radial_steps]
     increments += [row[6] - row[2] for row in pole_steps]
@@ -849,14 +862,14 @@ def march(
         sigma_hat=sigma_hat,
         r_end=float(r_end),
         v_final=float(v_final),
-        start_radius=boot.r0,
+        start_radius=start.r0,
         rhs_evals=evals,
         accepted_steps=accepted,
         rejected_steps=rejected,
         dt_min=min(increments) if increments else None,
         dt_max=max(increments) if increments else None,
         pole_switch_r=pole_switch_r,
-        steps=_MarchSteps(boot, radial_steps, pole_steps),
+        steps=_MarchSteps(start, radial_steps, pole_steps),
         notes=tuple(notes),
     )
 

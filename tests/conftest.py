@@ -37,6 +37,29 @@ def power_spec(
     )
 
 
+def exact_power_solution(p, alpha, n, m, beta, q):
+    """(spec, k, j, A, B) of the exact solution v = A r**k, u' = B r**j
+    that the pure power problem of :func:`power_spec` has for r > 0 below
+    the B1 threshold q m < gap (p-1-beta), gap = p-1-alpha.
+
+    With c1 = delta/(n-1): k = (p gap + q) / (gap (p-1-beta) - q m),
+    j = (1 + k m)/gap, B**gap = c1 A**m / (1 + k m + delta) and
+    A**(p-1-beta-q m/gap) = k**(1-p) ((k-1)(p-1) + n-1)**-1
+    (c1 / (1 + k m + delta))**(q/gap).
+    """
+    spec = power_spec(p, alpha, m, beta, q, n=n)
+    gap, delta = p - 1.0 - alpha, spec.delta
+    c1 = delta / (n - 1.0)
+    k = (p * gap + q) / (gap * (p - 1.0 - beta) - q * m)
+    j = (1.0 + k * m) / gap
+    A = (
+        k ** (1.0 - p) / ((k - 1.0) * (p - 1.0) + n - 1.0)
+        * (c1 / (1.0 + k * m + delta)) ** (q / gap)
+    ) ** (1.0 / (p - 1.0 - beta - q * m / gap))
+    B = (c1 * A**m / (1.0 + k * m + delta)) ** (1.0 / gap)
+    return spec, k, j, A, B
+
+
 @dataclass(frozen=True)
 class ReferenceCase:
     """One row of the reconciliation table: a problem with a known class."""

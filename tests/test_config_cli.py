@@ -487,23 +487,53 @@ def test_solve_reports_a_diverging_envelope_as_a_note(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("h", ['"t^6"', '"t^2 + t^4"'])
-def test_solve_near_p_1_checks_an_empty_convexity_window(h, tmp_path, capsys):
-    # At p = 1.01 problem B blows up (R0 ~ 3.027) so soon after the
-    # start's first node past the origin (r ~ 3.006) that no panel lies in
-    # the convexity window (0, 0.9 r_end].  The check then has nothing to
-    # check and passes; it used to end solve in a traceback.  The sandwich
-    # near p = 1 is not asserted.
-    config = _config_with(tmp_path, "problem_b.cfg", p="1.01", h=h)
-    code, out, err = run_cli(["solve", "--config", config, "--out", str(tmp_path)], capsys)
+@pytest.mark.parametrize(
+    "source, values, convexity_points",
+    [
+        # stress_alpha099 with h = t^4.2: the start holds to the target and
+        # keeps 9 nodes.
+        ("problem_c.cfg", dict(alpha="0.99", h='"t^4.2"'), 0),
+        # A pure power whose start holds to the target with 6 nodes.
+        (
+            "problem_b.cfg",
+            dict(p="1.064", alpha="0.06", n="5", g1='"t^1.63"', g2='"t^0.23"', h='"t^5.82"'),
+            0,
+        ),
+        # Problem B at p = 1.01 blows up (R0 ~ 3.027) so soon after the
+        # start's first node past the origin (r ~ 3.006) that no panel lies
+        # in the convexity window (0, 0.9 r_end].
+        ("problem_b.cfg", dict(p="1.01"), 0),
+        ("problem_b.cfg", dict(p="1.01", h='"t^2 + t^4"'), 0),
+        # Pure powers near p = 1, whose sandwich quantities leave the float
+        # range.
+        ("problem_b.cfg", dict(p="1.022", h='"t^2.47"'), None),
+        ("problem_b.cfg", dict(p="1.025", h='"t^3.71"'), None),
+        ("problem_b.cfg", dict(p="1.031", h='"t^5.89"'), None),
+        ("problem_b.cfg", dict(p="1.046", h='"t^6.52"'), None),
+    ],
+)
+def test_solve_passes_every_check_on_short_and_low_p_runs(
+    source, values, convexity_points, tmp_path, capsys
+):
+    # Each used to end solve in a traceback (a trajectory under 10 nodes, or
+    # an empty convexity window) or fail the sandwich check on a correct
+    # problem.  A check takes the panels it is given, an empty window
+    # passes, and the sandwich is compared in logarithms.
+    config = _config_with(tmp_path, source, **values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            ["solve", "--config", config, "--out", str(tmp_path)], capsys
+        )
     assert code == 0
-    assert "Traceback" not in err
-    report = json.loads(out)
-    assert report["termination"] == "BlowUp"
+    assert err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report == json.loads(out)
+    assert report["verify"] and all(check["pass"] for check in report["verify"])
     convexity = next(check for check in report["verify"] if check["name"] == "convexity_bounds")
-    assert convexity["points_checked"] == 0
-    assert convexity["max_relative_violation"] == 0.0
-    assert convexity["pass"] is True
+    if convexity_points is not None:
+        assert convexity["points_checked"] == convexity_points
+        assert convexity["max_relative_violation"] == 0.0
 
 
 def test_large_centre_value_of_u_is_no_u_only_blowup(tmp_path, capsys):
@@ -727,19 +757,27 @@ def test_verify_rejects_unparseable_trajectory(tmp_path, capsys):
     path = write(tmp_path, GOOD)
     garbage = tmp_path / "garbage.csv"
     garbage.write_text("r,u,v,du,dv\n0.0,1.0,1.0,0.0,zero\n")
-    # Five well-formed rows: too few for the convexity check.
+    code, out, _ = run_cli(
+        ["verify", "--config", path, "--trajectory", str(garbage)], capsys
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["reports"] == [] and payload["error"]
+    # Five well-formed rows are a trajectory like any other: every check
+    # passes, the convexity check on a window (0, 0.9 r_end] that holds
+    # none of their panels.
     run_cli(["solve", "--config", path, "--out", str(tmp_path)], capsys)
     short = tmp_path / "short.csv"
     rows = (tmp_path / "trajectory.csv").read_text().splitlines()[:6]
     short.write_text("\n".join(rows) + "\n")
-    for bad in (garbage, short):
-        code, out, _ = run_cli(
-            ["verify", "--config", path, "--trajectory", str(bad)], capsys
-        )
-        assert code == 1
-        payload = json.loads(out)
-        assert payload["pass"] is False
-        assert payload["reports"] == [] and payload["error"]
+    code, out, _ = run_cli(
+        ["verify", "--config", path, "--trajectory", str(short)], capsys
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] is True
+    convexity = next(r for r in payload["reports"] if r["name"] == "convexity_bounds")
+    assert convexity["points_checked"] == 0
 
 
 def test_verify_parse_errors_name_the_file(tmp_path, capsys):

@@ -234,7 +234,7 @@ def test_fixed_rule_matches_quadrature_and_is_converged(p, constant, terms, s):
         return (
             inner_integral(h, th, p, s),
             phi(spec, s),
-            *sandwich_quantities(h, p)(s),
+            *sandwich_check(h, p, s),
         )
 
     got = evaluate()
@@ -340,6 +340,35 @@ def test_sandwich_multi_term():
         lhs, mid, rhs = sandwich_check(h, 2.0, s)
         assert lhs <= mid * (1.0 + 1e-9)
         assert mid <= rhs * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "f, k",
+    [
+        ("t + t^2", 100),
+        ("0.5*t^2 + 0.25*t^3", 100),
+        ("t + 0.05*t^21", 20),
+        ("0.3*t^0.3 + 2*t^0.31", 3),
+    ],
+)
+def test_log_rule_matches_the_binomial_expansion(f, k):
+    # For an integer power k the k-th power of two terms is their binomial
+    # expansion, so ln integral_0^s f**k is a log-sum-exp of closed forms:
+    # an oracle for the logs of the fixed rule, also where the integral is
+    # far outside the float range (about e**-1000 to e**3700 here).
+    f = parse_expr(f)
+    (c0, a0), (c1, a1) = f.terms
+    i = np.arange(k + 1)
+    power = a0 * (k - i) + a1 * i + 1.0
+    log_coeff = np.array(
+        [math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1) for j in i]
+    ) + (k - i) * math.log(c0) + i * math.log(c1) - np.log(power)
+    x = np.log(np.geomspace(1e-3, 1e4, 15))
+    want = np.logaddexp.reduce(log_coeff + power * x[:, None], axis=1)
+    got = criteria._log_root_integral(f, float(k))(x)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
+    pointwise = [float(criteria._log_root_integral(f, float(k))(xi)) for xi in x]
+    np.testing.assert_allclose(pointwise, want, rtol=1e-14, atol=1e-13)
 
 
 def test_sandwich_rejects_bad_arguments():

@@ -42,7 +42,7 @@ from radlab.verify import (
     trajectory_reports,
 )
 
-from conftest import CASE_BY_NAME, power_spec
+from conftest import CASE_BY_NAME, exact_power_solution, power_spec
 
 
 def test_bootstrap_matches_series_expansion():
@@ -723,6 +723,51 @@ def test_power_growth_stays_in_r():
     run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
     assert run.terminated is TerminationReason.REACHED_TARGET
     assert run.pole_switch_r is None
+
+
+def _unread_profiles(r):
+    raise AssertionError("the exact start's profiles are never read")
+
+
+@pytest.mark.parametrize(
+    "p, alpha, n, m, beta, q",
+    [
+        # The ten B1 rows of the 120-problem pure-power sample, k from 2.28
+        # to 36.3, and two rows with k = 5 and k = 29.
+        (2.75, 0.55, 3, 1.05, 0.48, 1.33),
+        (3.4, 1.4, 5, 0.31, 0.16, 3.84),
+        (2.31, 0.39, 2, 0.7, 0.28, 0.34),
+        (3.16, 1.03, 5, 0.42, 0.21, 1.94),
+        (2.05, 0.13, 2, 0.33, 0.06, 1.78),
+        (3.15, 0.32, 2, 0.26, 0.02, 1.97),
+        (3.77, 0.41, 2, 1.08, 0.39, 4.56),
+        (3.8, 0.01, 5, 0.65, 0.47, 3.34),
+        (2.26, 0.26, 2, 0.69, 0.05, 0.87),
+        (3.52, 0.81, 2, 0.81, 0.28, 3.26),
+        (2.0, 0.0, 3, 1.0, 0.0, 0.5),
+        (2.0, 0.0, 3, 1.0, 0.0, 0.9),
+    ],
+)
+def test_advance_follows_exact_power_solutions(p, alpha, n, m, beta, q):
+    # Enter the stepping loop at r = 1 on the exact state of v = A r**k,
+    # u' = B r**j, u(0) = 1: u = 1 + B/(j+1), I1 = A**m/(1+delta+k m) and
+    # I2 = A**beta B**q/(n+k beta+j q), and step to r = 1e4.
+    spec, k, j, A, B = exact_power_solution(p, alpha, n, m, beta, q)
+    state = (
+        1.0 + B / (j + 1.0),
+        A,
+        A**m / (1.0 + spec.delta + k * m),
+        A**beta * B**q / (n + k * beta + j * q),
+    )
+    start = solver.BootstrapSegment(1.0, state, _unread_profiles, solver._kernels(spec))
+    options = SolverOptions(target_radius=1e4, rel_tol=1e-8)
+    run = solver.advance(spec, start, options)
+    assert run.terminated is TerminationReason.REACHED_TARGET
+    assert run.pole_switch_r is None
+    assert run.start_radius == 1.0 and run.accepted_steps > 0
+    assert run.r_end == pytest.approx(1e4, rel=1e-13)
+    error = abs(math.log(run.v_final) - math.log(A) - k * math.log(run.r_end))
+    assert error <= 10.0 * options.rel_tol
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from radlab.verify import (
     trajectory_reports,
 )
 
-from conftest import REFERENCE_CASES, power_spec
+from conftest import REFERENCE_CASES, exact_power_solution
 
 
 def as_data(run, **overrides) -> TrajectoryData:
@@ -78,12 +78,15 @@ def test_sandwich_on_random_samples(solved_cases):
 @pytest.mark.parametrize("h, p", [("t^6", 2.0), ("t^2 + t^4", 2.0), ("t^2 + t^4", 3.0)])
 def test_sandwich_array_pass_matches_the_pointwise_quantities(h, p):
     # One single-term h (closed forms) and one multi-term h, whose integrals
-    # take the fixed rule in ln t: for h at p = 3, for H too.  The two
-    # differ in rounding only, which the powers p and p - 1 multiply.
+    # take the fixed rule in ln t: for h at p = 3, for H too.  The logs of
+    # the quantities differ in rounding only, a relative 1e-14 at most in
+    # the quantities, and sandwich_check returns their exponentials.
     h = parse_expr(h)
-    whole = np.column_stack(sandwich_quantities(h, p)(SANDWICH_GRID))
-    pointwise = np.array([sandwich_check(h, p, s) for s in SANDWICH_GRID])
-    np.testing.assert_array_max_ulp(whole, pointwise, maxulp=8)
+    quantities = sandwich_quantities(h, p)
+    whole = np.column_stack(quantities(SANDWICH_GRID))
+    pointwise = np.array([quantities(s) for s in SANDWICH_GRID])
+    np.testing.assert_allclose(whole, pointwise, rtol=0.0, atol=1e-14)
+    assert sandwich_check(h, p, SANDWICH_GRID[7]) == tuple(np.exp(pointwise[7]))
     report = check_sandwich(h, p, SANDWICH_GRID)
     assert report.passed and report.points_checked == 128
 
@@ -168,15 +171,18 @@ def test_trajectory_data_requires_increasing_grid(solved_cases):
         as_data(run, r=r)
 
 
-def test_convexity_needs_enough_points(solved_cases):
+def test_convexity_takes_the_panels_it_is_given(solved_cases):
+    # No floor on the number of nodes: a short trajectory is checked on the
+    # panels its window (0, 0.9 r_end] holds, and one that holds none passes.
     run = solved_cases["A"]
-    k = 6
-    small = TrajectoryData(
-        spec=run.spec,
-        r=run.r[:k], u=run.u[:k], v=run.v[:k], w=run.w[:k], dv=run.dv[:k],
-    )
-    with pytest.raises(ValueError):
-        check_convexity_bounds(small)
+    for k in (2, 6, 10, 1100):
+        short = TrajectoryData(
+            spec=run.spec,
+            r=run.r[:k], u=run.u[:k], v=run.v[:k], w=run.w[:k], dv=run.dv[:k],
+        )
+        report = check_convexity_bounds(short)
+        assert report.passed
+        assert report.points_checked == 2 * int(np.sum(short.r[1:] <= 0.9 * short.r[-1]))
 
 
 def test_sandwich_rejects_empty_or_nonpositive_samples(solved_cases):
@@ -206,21 +212,8 @@ def test_exact_power_solutions_pass_the_residuals_and_checks(
     p, alpha, n, m, beta, q, closed_form_A
 ):
     # Below the B1 threshold, with f1 = f2 = 1, v = A r**k and u' = B r**j
-    # solve the radial system exactly for r > 0, where, with gap = p-1-alpha
-    # and c1 = delta/(n-1), k = (p gap + q) / (gap (p-1-beta) - q m),
-    # j = (1 + k m)/gap, B**gap = c1 A**m / (1 + k m + delta) and
-    # A**(p-1-beta-q m/gap) = k**(1-p) ((k-1)(p-1) + n-1)**-1
-    # (c1 / (1 + k m + delta))**(q/gap).
-    spec = power_spec(p, alpha, m, beta, q, n=n)
-    gap, delta = p - 1.0 - alpha, spec.delta
-    c1 = delta / (n - 1.0)
-    k = (p * gap + q) / (gap * (p - 1.0 - beta) - q * m)
-    j = (1.0 + k * m) / gap
-    A = (
-        k ** (1.0 - p) / ((k - 1.0) * (p - 1.0) + n - 1.0)
-        * (c1 / (1.0 + k * m + delta)) ** (q / gap)
-    ) ** (1.0 / (p - 1.0 - beta - q * m / gap))
-    B = (c1 * A**m / (1.0 + k * m + delta)) ** (1.0 / gap)
+    # solve the radial system exactly for r > 0.
+    spec, k, j, A, B = exact_power_solution(p, alpha, n, m, beta, q)
     assert A == pytest.approx(closed_form_A, rel=1e-5)
     r = np.geomspace(1.0, 10.0, 2000)
 
