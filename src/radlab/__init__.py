@@ -49,7 +49,6 @@ from .solver import (
     SolverError,
     SolverOptions,
     TerminationReason,
-    advance,
     blowup_envelope_check,
     march,
     picard_bootstrap,
@@ -85,7 +84,6 @@ __all__ = [
     "TrajectoryData",
     "ValidationReport",
     "Verdict",
-    "advance",
     "blowup_envelope_check",
     "check_scaling_identity",
     "criterion",

@@ -47,7 +47,7 @@ __all__ = [
     "criterion",
     "phi",
     "phi_inverse",
-    "sandwich_quantities",
+    "log_sandwich_quantities",
     "sandwich_check",
 ]
 
@@ -189,9 +189,9 @@ class _LogRule:
     distance from the real axis to the nearest zero of f(e**z): closer in,
     the phases of its terms span less than a half-turn.  The cumulative
     values on the edges are summed once; a query adds one partial panel.
-    The values, for ``__call__``, stay within the float range, and are
-    tabulated on first use; their logarithms, for :meth:`log`, are
-    tabulated per query and leave no range.
+    The values, for ``__call__``, are tabulated on first use, within the
+    float range; their logarithms, for :meth:`log`, are tabulated per query
+    and leave no range.
     """
 
     def __init__(self, f: FuncExpr, k: float):
@@ -207,11 +207,7 @@ class _LogRule:
         self._lo = min((tiny - math.log(c / c0)) / (a - a0) for c, a in f.terms[1:])
         self._hi = max((math.log(c / cm) - tiny) / (am - a) for c, a in f.terms[:-1])
         self.width = min(1.0, math.pi / (am - a0), _MAX_PANEL_GROWTH / self.lead_power)
-
-    @functools.cached_property
-    def edges(self) -> np.ndarray:
-        """The panel edges of the value table, within the float range."""
-        return _panel_edges(
+        self.edges = _panel_edges(
             max(self._lo, (-_LOG_RANGE - self.log_low) / self.low_power),
             min(self._hi, (_LOG_RANGE - self.log_lead) / self.lead_power),
             self.width,
@@ -219,7 +215,12 @@ class _LogRule:
 
     @functools.cached_property
     def cum(self) -> np.ndarray:
-        """The value table: the integral up to each edge."""
+        """The value table: the integral up to each edge.
+
+        It is built on first use, so that :meth:`log` never builds it: its
+        edges keep the leading term within the float range, not the sum,
+        and at large k the other terms carry its top panel beyond it (for
+        0.5 t**2 + 0.25 t**3 at k = 100 by e**12, an overflow)."""
         panels = _gauss(self.integrand, self.edges[:-1], self.edges[1:])
         start = math.exp(self.log_low + self.low_power * self.edges[0])
         return start + np.concatenate(([0.0], np.cumsum(panels)))
@@ -496,7 +497,7 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
     return math.exp(x)
 
 
-def sandwich_quantities(h: FuncExpr, p: float) -> Callable:
+def log_sandwich_quantities(h: FuncExpr, p: float) -> Callable:
     """The map s -> (ln lhs, ln mid, ln rhs) of the quantities of
     :func:`sandwich_check` for one (h, p), elementwise over an array of
     sample points.
@@ -530,8 +531,8 @@ def sandwich_check(h: FuncExpr, p: float, s: float) -> tuple[float, float, float
         rhs =                 ( integral_0^(p^2*s) H**(1/(p-1)) )**(p-1)
 
     with H(t) = integral_0^t h; the contract is lhs <= mid <= rhs.  They
-    are the exponentials of :func:`sandwich_quantities`.
+    are the exponentials of :func:`log_sandwich_quantities`.
     """
     if not s > 0.0:
         raise ValueError("the sample point must be positive")
-    return tuple(float(np.exp(q)) for q in sandwich_quantities(h, p)(s))
+    return tuple(float(np.exp(q)) for q in log_sandwich_quantities(h, p)(s))

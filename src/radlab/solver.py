@@ -390,8 +390,8 @@ class RadialSolution(_Columns):
     The columns ``r``, ``u``, ``v``, ``w`` (u'), ``dv`` (v'), ``I1`` and
     ``I2`` (the accumulated source integrals) are emitted by
     :func:`_emit_nodes` from ``steps`` when one of them is first read, once:
-    their radii increase strictly from 0 and end at ``r_end``, where v is
-    ``v_final``.  :meth:`sample` reads the run between them.
+    for a march, their radii increase strictly from 0 and end at ``r_end``,
+    where v is ``v_final``.  :meth:`sample` reads the run between them.
 
     ``rhs_evals`` counts the evaluations of the right-hand side made so
     far: the march's stages and, once the columns are built, the three
@@ -713,16 +713,18 @@ def advance(
     ``start`` is the closed-form start of :func:`march` or any other
     segment with ``state`` (u, v, I1, I2) at ``r0`` and the ``kernels`` of
     ``spec``, such as an exact solution's; its ``profiles`` are read only
-    for the columns and samples below r0.  From r0, with a first trial
-    step of 0.1 * r0, Dormand-Prince 8(5,3) steps advance the state
-    (u, v, I1, I2) in r.  An accepted step that ends with I1, I2 > 0 and
-    dr/ds = v/v' below r and below its value at the step's start switches
-    the march to the state (r, u, ln I1, ln I2) in s = ln v; both values
-    of v/v' come from the step's first and last stages, so the test costs
-    no evaluation.  A step
-    is accepted when its combined error estimate lies below 0.05 * rel_tol
-    times max(|y|, |y_new|) in every component, or below 0.05 * rel_tol
-    itself for the two logarithms; the next step size is the current one
+    for the columns and samples below r0.  ``spec`` is taken as valid, with
+    alpha < p - 1, as :func:`march` checks; the columns keep the invariants
+    :func:`_emit_nodes` states for the closed-form start only when the
+    start's own columns keep them.  From r0, with a first trial step of
+    0.1 * r0, Dormand-Prince 8(5,3) steps advance the state (u, v, I1, I2)
+    in r.  An accepted step that ends with I1, I2 > 0 and dr/ds = v/v'
+    below r and below its value at the step's start switches the march to
+    the state (r, u, ln I1, ln I2) in s = ln v; both values of v/v' come
+    from the step's first and last stages, so the test costs no evaluation.
+    A step is accepted when its combined error estimate lies below 0.05 *
+    rel_tol times max(|y|, |y_new|) in every component, or below 0.05 *
+    rel_tol itself for the two logarithms; the next step size is the current one
     times 0.9 * err**(-1/8), clamped to [0.2, 5].  Each phase takes its
     fused step of :func:`_kernels`, ``radial_step`` and then
     ``pole_step``: straight-line code with the right-hand side written into
@@ -748,9 +750,15 @@ def advance(
     log-slope of du/ds over that of dr/ds).  It ends as StepUnderflow, with
     a note, when a rejection shrinks the step's increment in r below
     1e-14 * r; no other place ends a run.  :class:`SolverError` is raised
-    when the right-hand side is not finite where a phase starts, and when
-    2,000,000 steps (``_MAX_STEPS``) have been accepted without an end.
+    when r0 or the state at r0 is not a positive normal float, when the
+    right-hand side is not finite where a phase starts, and when 2,000,000
+    steps (``_MAX_STEPS``) have been accepted without an end.
     """
+    if not _normal((start.r0, *start.state)):
+        raise SolverError(
+            f"the start is not positive normal floats: r0={start.r0!r}, "
+            f"state={start.state!r}"
+        )
     kernels = start.kernels
 
     tol = _ERR_SCALE * options.rel_tol
@@ -895,18 +903,21 @@ def _emit_nodes(boot: BootstrapSegment, radial_steps, pole_steps):
     """The trajectory columns and the evaluations of the right-hand side this
     pass makes.
 
-    The columns are the closed-form start, then every accepted step as the
-    13 interior nodes of its continuous extension and its end node, each
-    phase's mapped to (r, u, v, I1, I2) by :func:`_radial_state`.  The step rows of a phase are read into one array, its
-    three extra stages are evaluated for all of its steps at once by the
-    compiled array kernels, and its interior nodes are one product with the
-    node matrix of :func:`dop853.dense_nodes`.  A node that is not finite,
-    or whose radius does not exceed every earlier one, is dropped; when
-    every node is kept nothing is copied.  Roundoff-level dips of the
-    dense output are clamped so every profile stays nondecreasing, and the
-    right-hand side is evaluated in one vectorised pass over the march's
-    nodes.  So r starts at 0, on the start's origin row (u0, v0 > 0 and w =
-    dv = 0), and increases strictly, and u, v, w and dv never decrease."""
+    The columns are the start's, then every accepted step as the 13
+    interior nodes of its continuous extension and its end node, each
+    phase's mapped to (r, u, v, I1, I2) by :func:`_radial_state`.  The step
+    rows of a phase are read into one array, its three extra stages are
+    evaluated for all of its steps at once by the compiled array kernels,
+    and its interior nodes are one product with the node matrix of
+    :func:`dop853.dense_nodes`.  A node that is not finite, or whose radius
+    does not exceed every earlier one, is dropped; when every node is kept
+    nothing is copied.  Roundoff-level dips of the dense output are clamped
+    so every profile stays nondecreasing, and the right-hand side is
+    evaluated in one vectorised pass over the march's nodes.  So, from the
+    closed-form start of :func:`picard_bootstrap`, r starts at 0, on its
+    origin row (u0, v0 > 0 and w = dv = 0), and increases strictly, and u,
+    v, w and dv never decrease; another start's columns must hold its own
+    part of that, which nothing here re-checks."""
     kernels = boot.kernels
     parts = [(boot.r, boot.u, boot.v, boot.I1, boot.I2)]
     thetas = np.arange(1, _SUBPANELS) / _SUBPANELS

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import sandwich_quantities
+from .criteria import log_sandwich_quantities
 from .expressions import FuncExpr
 from .problem import ProblemSpec
 from .solver import SolverError, SolverOptions, TerminationReason, march
@@ -269,7 +269,7 @@ def check_sandwich(h: FuncExpr, p: float, samples) -> InequalityReport:
         raise ValueError("at least one sample point is required")
     if not np.all((samples > 0.0) & (samples < np.inf)):  # false for nan too
         raise ValueError("sample points must be positive and finite")
-    lhs, mid, rhs = sandwich_quantities(h, p)(samples)
+    lhs, mid, rhs = log_sandwich_quantities(h, p)(samples)
     excess = np.max(np.maximum(lhs - mid, mid - rhs), initial=0.0)
     violation = float(-np.expm1(-excess))
     return InequalityReport(

@@ -488,32 +488,33 @@ def test_solve_reports_a_diverging_envelope_as_a_note(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "source, values, convexity_points",
+    "source, values, termination, convexity_points",
     [
         # stress_alpha099 with h = t^4.2: the start holds to the target and
         # keeps 9 nodes.
-        ("problem_c.cfg", dict(alpha="0.99", h='"t^4.2"'), 0),
+        ("problem_c.cfg", dict(alpha="0.99", h='"t^4.2"'), "ReachedTarget", 0),
         # A pure power whose start holds to the target with 6 nodes.
         (
             "problem_b.cfg",
             dict(p="1.064", alpha="0.06", n="5", g1='"t^1.63"', g2='"t^0.23"', h='"t^5.82"'),
+            "ReachedTarget",
             0,
         ),
         # Problem B at p = 1.01 blows up (R0 ~ 3.027) so soon after the
         # start's first node past the origin (r ~ 3.006) that no panel lies
         # in the convexity window (0, 0.9 r_end].
-        ("problem_b.cfg", dict(p="1.01"), 0),
-        ("problem_b.cfg", dict(p="1.01", h='"t^2 + t^4"'), 0),
+        ("problem_b.cfg", dict(p="1.01"), "BlowUp", 0),
+        ("problem_b.cfg", dict(p="1.01", h='"t^2 + t^4"'), "BlowUp", 0),
         # Pure powers near p = 1, whose sandwich quantities leave the float
-        # range.
-        ("problem_b.cfg", dict(p="1.022", h='"t^2.47"'), None),
-        ("problem_b.cfg", dict(p="1.025", h='"t^3.71"'), None),
-        ("problem_b.cfg", dict(p="1.031", h='"t^5.89"'), None),
-        ("problem_b.cfg", dict(p="1.046", h='"t^6.52"'), None),
+        # range; each blows up.
+        ("problem_b.cfg", dict(p="1.022", h='"t^2.47"'), "BlowUp", None),
+        ("problem_b.cfg", dict(p="1.025", h='"t^3.71"'), "BlowUp", None),
+        ("problem_b.cfg", dict(p="1.031", h='"t^5.89"'), "BlowUp", None),
+        ("problem_b.cfg", dict(p="1.046", h='"t^6.52"'), "BlowUp", None),
     ],
 )
 def test_solve_passes_every_check_on_short_and_low_p_runs(
-    source, values, convexity_points, tmp_path, capsys
+    source, values, termination, convexity_points, tmp_path, capsys
 ):
     # Each used to end solve in a traceback (a trajectory under 10 nodes, or
     # an empty convexity window) or fail the sandwich check on a correct
@@ -529,6 +530,7 @@ def test_solve_passes_every_check_on_short_and_low_p_runs(
     assert err == ""
     report = json.loads((tmp_path / "report.json").read_text())
     assert report == json.loads(out)
+    assert report["termination"] == termination
     assert report["verify"] and all(check["pass"] for check in report["verify"])
     convexity = next(check for check in report["verify"] if check["name"] == "convexity_bounds")
     if convexity_points is not None:

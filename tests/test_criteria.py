@@ -15,11 +15,11 @@ from radlab.criteria import (
     criterion,
     h_theta,
     inner_integral,
+    log_sandwich_quantities,
     outer_power,
     phi,
     phi_inverse,
     sandwich_check,
-    sandwich_quantities,
 )
 from radlab.expressions import FuncExpr, parse_expr
 from radlab.quadrature import adaptive_quad

@@ -771,6 +771,23 @@ def test_advance_follows_exact_power_solutions(p, alpha, n, m, beta, q):
 
 
 @pytest.mark.parametrize(
+    "r0, state",
+    [
+        (0.0, (1.0, 1.0, 1.0, 1.0)),
+        (1.0, (1.0, 0.0, 1.0, 1.0)),
+        (1.0, (1.0, 1.0, 5e-324, 1.0)),
+        (1.0, (1.0, 1.0, 1.0, math.inf)),
+        (1.0, (math.nan, 1.0, 1.0, 1.0)),
+    ],
+)
+def test_advance_rejects_a_start_off_the_positive_normal_floats(r0, state):
+    spec = power_spec(2.0, 0.0, 1, 0, 1)
+    start = solver.BootstrapSegment(r0, state, _unread_profiles, solver._kernels(spec))
+    with pytest.raises(SolverError, match="not positive normal floats"):
+        solver.advance(spec, start, SolverOptions(target_radius=10.0))
+
+
+@pytest.mark.parametrize(
     "p, alpha, n, m, beta, q",
     [
         (1.55, 0.33, 3, 1.93, 0.06, 6.52),

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from radlab.criteria import sandwich_check, sandwich_quantities
+from radlab.criteria import log_sandwich_quantities, sandwich_check
 from radlab.expressions import parse_expr
 from radlab.verify import (
     CONVEXITY_SLACK,
@@ -82,7 +82,7 @@ def test_sandwich_array_pass_matches_the_pointwise_quantities(h, p):
     # the quantities differ in rounding only, a relative 1e-14 at most in
     # the quantities, and sandwich_check returns their exponentials.
     h = parse_expr(h)
-    quantities = sandwich_quantities(h, p)
+    quantities = log_sandwich_quantities(h, p)
     whole = np.column_stack(quantities(SANDWICH_GRID))
     pointwise = np.array([quantities(s) for s in SANDWICH_GRID])
     np.testing.assert_allclose(whole, pointwise, rtol=0.0, atol=1e-14)
