@@ -12,10 +12,13 @@ sandwich inequalities tie the h-form integrals to their cumulative H-form
 equivalents.
 
 Every ``h`` is a power sum, so the verdicts are exact exponent arithmetic
-("Symbolic").  The values are closed forms for single-term ``h``; for other
-power sums every integral goes through one fixed rule: Gauss–Legendre
-panels in x = ln t, tabulated once per integrand, with the closed forms of
-the smallest and the leading term beyond the panels.
+("Symbolic").  The values are closed forms for single-term ``h``.  For
+other power sums each integral is one table held in logarithms: the logs
+of Gauss–Legendre panels of exp(g(x)) in x = ln t, built once per
+integrand and accumulated with ``logaddexp``, with the closed forms of
+the smallest and the leading term beyond the panels.  Read forward, it
+gives the inner integrals and the sandwich; read backward, the tail Phi,
+the criterion values and the inverse of Phi.
 """
 
 from __future__ import annotations
@@ -56,17 +59,14 @@ __all__ = [
 # Exponents within this band of -1 are treated as the (divergent) borderline.
 _EXPONENT_SNAP = 1e-9
 
-# The fixed rule for multi-term power sums (:class:`_LogRule`): Gauss–Legendre
+# The tables of multi-term power sums (:class:`_LogTable`): Gauss–Legendre
 # points per panel; the relative size below which the other terms of a sum
-# are dropped beyond the panels; a bound on panel width times the steepest
-# log-slope of the integrand (16 points integrate exp(g*x) over a panel to
-# 2e-15 at g * width = 16, to 1e-11 at 32); and ln of the largest magnitude a
-# table end may hold, far enough below ln(float max) = 709.8 that growth over
-# one more panel cannot overflow.
+# are dropped beyond the panels; and a bound on panel width times the
+# steepest log-slope of the integrand (16 points integrate exp(g*x) over a
+# panel to 2e-15 at g * width = 16, to 1e-11 at 32).
 _GAUSS_POINTS = 16
 _NEGLIGIBLE = 1e-17
 _MAX_PANEL_GROWTH = 16.0
-_LOG_RANGE = 680.0
 
 
 class Verdict(str, Enum):
@@ -155,13 +155,14 @@ def h_theta(h: FuncExpr, theta_value: float, t: float) -> float:
     return h.compose_power(theta_value).antiderivative()(t)
 
 
-def _gauss(integrand: Callable[[np.ndarray], np.ndarray], a, b) -> np.ndarray:
-    """integral_a^b integrand(x) dx by one Gauss–Legendre panel, elementwise
-    over arrays of limits."""
+def _gauss(g: Callable[[np.ndarray], np.ndarray], a, b, peak: np.ndarray) -> np.ndarray:
+    """integral_a^b exp(g(x) - peak) dx by one Gauss–Legendre panel,
+    elementwise over arrays of limits and peaks."""
     nodes, weights = _gauss_rule(_GAUSS_POINTS)
     a = np.asarray(a, dtype=float)
     span = np.asarray(b, dtype=float) - a
-    return span * (integrand(a[..., None] + span[..., None] * nodes) @ weights)
+    points = a[..., None] + span[..., None] * nodes
+    return span * (np.exp(g(points) - peak[..., None]) @ weights)
 
 
 @functools.cache
@@ -173,233 +174,165 @@ def _gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _panel_edges(lo: float, hi: float, width: float) -> np.ndarray:
-    return lo + width * np.arange(max(1, math.ceil((hi - lo) / width)) + 1)
+def _log_ramp(log_start: np.ndarray, rate: float, span: np.ndarray) -> np.ndarray:
+    """ln integral_0^span exp(log_start + rate * u) du for span > 0,
+    elementwise, with no value leaving the logs."""
+    if not rate:
+        return log_start + np.log(span)
+    z = rate * span
+    return log_start + np.maximum(z, 0.0) + np.log(-np.expm1(-np.abs(z))) - math.log(abs(rate))
 
 
-class _LogRule:
-    """s -> integral_0^s f(t)**k dt for a multi-term power sum f and k > 0,
-    as a function of x = ln s.
+class _LogTable:
+    """x -> the logarithm of integral exp(g(y)) dy from -oo to x (forward)
+    or from x to +oo (backward), elementwise, for a smooth log-integrand g
+    that is affine beyond [lo, hi]: g(y) = A + r y below lo with
+    (A, r) = ``below``, and above hi with ``above``.
 
-    In x the integrand f(e**x)**k * e**x is smooth, with no endpoint
-    singularity.  Below the first panel edge the smallest term of f, and
-    above the last its leading term, is f to within ``_NEGLIGIBLE``, so the
-    integral continues in closed form there.  In between, Gauss–Legendre
-    panels carry it.  Their width is at most 1 and pi/(a_max - a_min), the
-    distance from the real axis to the nearest zero of f(e**z): closer in,
-    the phases of its terms span less than a half-turn.  The cumulative
-    values on the edges are summed once; a query adds one partial panel.
-    The values, for ``__call__``, are tabulated on first use, within the
-    float range; their logarithms, for :meth:`log`, are tabulated per query
-    and leave no range.
+    Gauss–Legendre panels of ``width`` from lo on past hi carry the
+    integral.  Each is summed relative to exp(g) at the larger of its ends
+    and held as its logarithm, and the panels are accumulated once, with
+    ``logaddexp``, from the open end on, starting from the closed form of
+    the affine g beyond the edges.  A query adds one partial panel, in
+    logs, to the sum at its edge; beyond the edges it takes the closed
+    forms.  The partial panel is summed relative to exp(g) at that edge:
+    g changes by at most ``_MAX_PANEL_GROWTH`` over a panel.  Nothing
+    leaves the logs, so there is no float range to keep.
     """
 
-    def __init__(self, f: FuncExpr, k: float):
-        (c0, a0), (cm, am) = f.terms[0], f.terms[-1]
-        self._log_coeffs = np.log([c for c, _ in f.terms])
-        self._exponents = np.array([a for _, a in f.terms])
-        self._k = k
-        self.low_power, self.lead_power = a0 * k + 1.0, am * k + 1.0
-        # ln A of the closed forms A * s**b of the smallest and leading terms
-        self.log_low = k * math.log(c0) - math.log(self.low_power)
-        self.log_lead = k * math.log(cm) - math.log(self.lead_power)
-        tiny = math.log(_NEGLIGIBLE)
-        self._lo = min((tiny - math.log(c / c0)) / (a - a0) for c, a in f.terms[1:])
-        self._hi = max((math.log(c / cm) - tiny) / (am - a) for c, a in f.terms[:-1])
-        self.width = min(1.0, math.pi / (am - a0), _MAX_PANEL_GROWTH / self.lead_power)
-        self.edges = _panel_edges(
-            max(self._lo, (-_LOG_RANGE - self.log_low) / self.low_power),
-            min(self._hi, (_LOG_RANGE - self.log_lead) / self.lead_power),
-            self.width,
-        )
-
-    @functools.cached_property
-    def cum(self) -> np.ndarray:
-        """The value table: the integral up to each edge.
-
-        It is built on first use, so that :meth:`log` never builds it: its
-        edges keep the leading term within the float range, not the sum,
-        and at large k the other terms carry its top panel beyond it (for
-        0.5 t**2 + 0.25 t**3 at k = 100 by e**12, an overflow)."""
-        panels = _gauss(self.integrand, self.edges[:-1], self.edges[1:])
-        start = math.exp(self.log_low + self.low_power * self.edges[0])
-        return start + np.concatenate(([0.0], np.cumsum(panels)))
-
-    def log_integrand(self, x: np.ndarray) -> np.ndarray:
-        """ln(f(e**x)**k * e**x), with f summed relative to its dominant term."""
-        top = np.where(x > 0.0, self._exponents[-1], self._exponents[0]) * x
-        terms = np.exp(x[..., None] * self._exponents + self._log_coeffs - top[..., None])
-        return self._k * (top + np.log(terms.sum(axis=-1))) + x
-
-    def integrand(self, x: np.ndarray) -> np.ndarray:
-        """f(e**x)**k * e**x."""
-        return np.exp(self.log_integrand(x))
+    def __init__(self, g, lo, hi, width, below, above, forward):
+        self.g, self.width, self.below, self.above = g, width, below, above
+        self._forward = forward
+        self.edges = lo + width * np.arange(max(1, math.ceil((hi - lo) / width)) + 1)
+        self._g_edges = g(self.edges)
+        peaks = np.maximum(self._g_edges[:-1], self._g_edges[1:])
+        panels = peaks + np.log(_gauss(g, self.edges[:-1], self.edges[1:], peaks))
+        if forward:
+            log_start, rate = below
+            head = log_start + rate * self.edges[0] - math.log(rate)
+            self.cum = np.logaddexp.accumulate(np.concatenate(([head], panels)))
+        else:
+            log_start, rate = above
+            head = log_start + rate * self.edges[-1] - math.log(-rate)
+            self.cum = np.logaddexp.accumulate(np.concatenate(([head], panels[::-1])))[::-1]
 
     def __call__(self, x) -> np.ndarray:
-        """The integral up to s = e**x, elementwise."""
         x = np.asarray(x, dtype=float)
-        edges = self.edges
-        j = np.clip(((x - edges[0]) // self.width).astype(int), 0, len(edges) - 2)
-        inside = self.cum[j] + _gauss(self.integrand, edges[j], np.clip(x, edges[0], edges[-1]))
-        below = np.exp(self.log_low + self.low_power * x)
-        lead_at_top = math.exp(self.log_lead + self.lead_power * edges[-1])
-        above = self.cum[-1] - lead_at_top + np.exp(self.log_lead + self.lead_power * x)
-        return np.where(x < edges[0], below, np.where(x > edges[-1], above, inside))
+        flat = x.reshape(-1)
+        edges, g_edges, cum = self.edges, self._g_edges, self.cum
+        at = flat.clip(edges[0], edges[-1])
+        j = np.minimum(((at - edges[0]) // self.width).astype(int), len(edges) - 2)
+        if self._forward:
+            near, part = j, _gauss(self.g, edges[j], at, g_edges[j])
+        else:
+            near, part = j + 1, _gauss(self.g, at, edges[j + 1], g_edges[j + 1])
+        value = cum[near] + np.log1p(part * np.exp(g_edges[near] - cum[near]))
+        if (at != flat).any():
+            for end, beyond in ((0, flat < edges[0]), (-1, flat > edges[-1])):
+                value[beyond] = self._outside(end, flat[beyond])
+        return value.reshape(x.shape)
 
-    def log(self, x) -> np.ndarray:
-        """The logarithm of the integral up to s = e**x, elementwise, held
-        in logs throughout, so that no value leaves the float range.
-
-        The value table stops where the integral nears the float range;
-        these panels run on into [lo, hi], beyond which the closed forms
-        hold, but only over the part the queries need.  They start where
-        what lies below the smallest query (or lo) is negligible, since the
-        integrand's log-slope in x is at least ``low_power``, and end past
-        the largest (or hi).  Each panel is summed relative to the
-        integrand at its top, where it is largest, and the panels in logs.
-        """
-        x = np.asarray(x, dtype=float)
-        lo, width = self._lo, self.width
-        floor = min(x.min(), self._hi) + math.log(_NEGLIGIBLE) / self.low_power
-        first = max(0, math.floor((floor - lo) / width))
-        last = max(first + 1, math.ceil((min(x.max(), self._hi) - lo) / width))
-        edges = lo + width * np.arange(first, last + 1)
-
-        def relative(peak):
-            return lambda y: np.exp(self.log_integrand(y) - peak[..., None])
-
-        tops = self.log_integrand(edges[1:])
-        panels = tops + np.log(_gauss(relative(tops), edges[:-1], edges[1:]))
-        start = self.log_low + self.low_power * edges[0]
-        cum = np.logaddexp.accumulate(np.concatenate(([start], panels)))
-        at = np.clip(x, edges[0], edges[-1])
-        j = np.minimum(((at - edges[0]) // width).astype(int), len(edges) - 2)
-        peak = self.log_integrand(at)
-        part = _gauss(relative(peak), edges[j], at)
-        inside = cum[j] + np.log1p(part * np.exp(peak - cum[j]))
-        below = self.log_low + self.low_power * x
-        above = self.log_lead + self.lead_power * x
-        # what the other terms add to the leading one's integral
-        lead_at_top = self.log_lead + self.lead_power * edges[-1]
-        if lead_at_top < cum[-1]:
-            offset = cum[-1] + math.log1p(-math.exp(lead_at_top - cum[-1]))
-            above = np.logaddexp(above, offset)
-        return np.where(x < edges[0], below, np.where(x > edges[-1], above, inside))
+    def _outside(self, end: int, y: np.ndarray) -> np.ndarray:
+        """The logs at points ``y`` beyond the first (end 0) or the last
+        (end -1) edge."""
+        log_start, rate = self.below if end == 0 else self.above
+        if (end == 0) == self._forward:  # the open end: its closed form
+            return log_start + rate * y - math.log(abs(rate))
+        # the whole table, and the closed form from its edge to y
+        edge = self.edges[end]
+        ramp = _log_ramp(log_start + rate * np.minimum(y, edge), rate, np.abs(y - edge))
+        return np.logaddexp(self.cum[end], ramp)
 
 
-class _TailRule:
-    """x -> integral_{e**x}^oo s**w / inner(s)**nu ds for a multi-term
-    inner integral and a finite tail (w + 1 < nu * inner.lead_power).
+def _log_power_sum(f: FuncExpr, k: float) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> ln(f(e**x)**k * e**x), with f summed relative to its dominant term."""
+    log_coeffs = np.log([c for c, _ in f.terms])
+    exponents = np.array([a for _, a in f.terms])
 
-    The panels of :class:`_LogRule` carry it as a reverse cumulative sum,
-    the closed forms of the smallest and leading terms of the inner
-    integral beyond them.  The panels run on until the inner integral's
-    offset from its leading term, and not only the other terms of its
-    integrand, is negligible.
-    """
+    def g(x: np.ndarray) -> np.ndarray:
+        top = np.where(x > 0.0, exponents[-1], exponents[0]) * x
+        terms = np.exp(x[..., None] * exponents + log_coeffs - top[..., None])
+        return k * (top + np.log(terms.sum(axis=-1))) + x
 
-    def __init__(self, inner: _LogRule, nu: float, weight: float):
-        self._inner, self._nu, self._weight = inner, nu, weight
-        self.low_rate = weight + 1.0 - nu * inner.low_power
-        self.lead_rate = weight + 1.0 - nu * inner.lead_power
-        # ln of the coefficients of the integrand beyond the panels, in x
-        self.log_low, self.log_lead = -nu * inner.log_low, -nu * inner.log_lead
-        start, top = inner.edges[0], inner.edges[-1]
-        offset = inner.cum[-1] - math.exp(inner.log_lead + inner.lead_power * top)
-        if offset > 0.0:
-            need = math.log(offset) - inner.log_lead - math.log(_NEGLIGIBLE)
-            top = min(
-                max(top, need / inner.lead_power),
-                (_LOG_RANGE - inner.log_lead) / inner.lead_power,
-            )
-        if self.low_rate < 0.0:  # phi grows without bound as x -> -oo
-            start = max(start, (_LOG_RANGE - self.log_low) / self.low_rate)
-        steepest = max(abs(self.low_rate), abs(self.lead_rate))
-        self.width = min(inner.width, _MAX_PANEL_GROWTH / steepest)
-        self.edges = _panel_edges(start, top, self.width)
-        panels = _gauss(self.integrand, self.edges[:-1], self.edges[1:])
-        from_edges = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
-        self.rev = self._beyond(self.edges[-1]) + from_edges
-        self.at_zero = math.inf
-        if self.low_rate > 0.0:
-            below = math.exp(self.log_low + self.low_rate * self.edges[0]) / self.low_rate
-            self.at_zero = self.rev[0] + below
-
-    def _beyond(self, x: float) -> float:
-        return math.exp(self.log_lead + self.lead_rate * x) / -self.lead_rate
-
-    def integrand(self, x: np.ndarray) -> np.ndarray:
-        return np.exp((self._weight + 1.0) * x - self._nu * np.log(self._inner(x)))
-
-    def density(self, x: float) -> float:
-        """-d/dx of the tail integral, from the same pieces as its value."""
-        if x >= self.edges[-1]:
-            return math.exp(self.log_lead + self.lead_rate * x)
-        if x < self.edges[0]:
-            return math.exp(self.log_low + self.low_rate * x)
-        return float(self.integrand(np.array(x)))
-
-    def __call__(self, x: float) -> float:
-        edges = self.edges
-        if x >= edges[-1]:
-            return self._beyond(x)
-        if x < edges[0]:  # integral_x^edge exp(log_low + low_rate * u) du
-            span, z = edges[0] - x, self.low_rate * (edges[0] - x)
-            below = math.exp(self.log_low + self.low_rate * x) * span
-            return float(self.rev[0] + below * (math.expm1(z) / z if z else 1.0))
-        j = min(int((x - edges[0]) // self.width), len(edges) - 2)
-        return float(self.rev[j + 1] + _gauss(self.integrand, x, edges[j + 1]))
+    return g
 
 
 @functools.lru_cache(maxsize=32)
-def _log_rule(f: FuncExpr, k: float) -> _LogRule:
-    return _LogRule(f, k)
+def _integral_table(f: FuncExpr, k: float) -> _LogTable:
+    """x -> ln integral_0^(e**x) f(t)**k dt for a multi-term power sum f and
+    k > 0: the forward table of g = k ln f(e**x) + x.
+
+    In x the integrand has no endpoint singularity.  Below lo the smallest
+    term of f, and above hi its leading term, is f to within
+    ``_NEGLIGIBLE``, so g is affine there.  The panels are at most 1 wide,
+    and pi/(a_max - a_min), the distance from the real axis to the nearest
+    zero of f(e**z): closer in, the phases of its terms span less than a
+    half-turn.
+    """
+    (c0, a0), (cm, am) = f.terms[0], f.terms[-1]
+    tiny = math.log(_NEGLIGIBLE)
+    lo = min((tiny - math.log(c / c0)) / (a - a0) for c, a in f.terms[1:])
+    hi = max((math.log(c / cm) - tiny) / (am - a) for c, a in f.terms[:-1])
+    lead_power = am * k + 1.0
+    width = min(1.0, math.pi / (am - a0), _MAX_PANEL_GROWTH / lead_power)
+    below, above = (k * math.log(c0), a0 * k + 1.0), (k * math.log(cm), lead_power)
+    return _LogTable(_log_power_sum(f, k), lo, hi, width, below, above, forward=True)
 
 
 @functools.lru_cache(maxsize=32)
-def _tail_rule(spec: ProblemSpec, nu: float, weight: float) -> _TailRule:
-    """The tail integral of a multi-term ``h``."""
-    return _TailRule(_log_rule(spec.h.compose_power(spec.theta), 1.0 / spec.p), nu, weight)
+def _tail_table(spec: ProblemSpec, nu: float, weight: float) -> _LogTable:
+    """x -> ln integral_{e**x}^oo s**w / inner(s)**nu ds for a multi-term
+    ``h`` and a finite tail: the backward table of
+    g = (w + 1) x - nu ln inner(e**x), read from the forward table of inner.
 
-
-def _root_integral(f: FuncExpr, power: float) -> Callable:
-    """The map s -> integral_0^s f(t)**power dt for s > 0, elementwise.
-
-    When f**power is a power sum again (single-term ``f``) this is its
-    closed-form antiderivative; otherwise the fixed rule of :class:`_LogRule`.
+    Beyond inner's panels the closed forms of its smallest and leading
+    terms make g affine, but above them only once inner's offset from its
+    leading term, and not only the other terms of its integrand, is
+    negligible; the panels run on to there.
     """
-    root = f.pointwise_power(power)
-    if root is not None:
-        return root.antiderivative()
-    rule = _log_rule(f, power)
-    return lambda s: rule(np.log(s))
+    inner = _integral_table(spec.h.compose_power(spec.theta), 1.0 / spec.p)
+    (low_coeff, low_power), (lead_coeff, lead_power) = inner.below, inner.above
+    log_low, log_lead = low_coeff - math.log(low_power), lead_coeff - math.log(lead_power)
+    below = (-nu * log_low, weight + 1.0 - nu * low_power)
+    above = (-nu * log_lead, weight + 1.0 - nu * lead_power)
+    top = inner.edges[-1]
+    lead_at_top = log_lead + lead_power * top
+    if lead_at_top < inner.cum[-1]:
+        offset = inner.cum[-1] + math.log1p(-math.exp(lead_at_top - inner.cum[-1]))
+        top = max(top, (offset - log_lead - math.log(_NEGLIGIBLE)) / lead_power)
+    steepest = max(abs(below[1]), abs(above[1]))
+    width = min(inner.width, _MAX_PANEL_GROWTH / steepest)
+
+    def g(x: np.ndarray) -> np.ndarray:
+        return (weight + 1.0) * x - nu * inner(x)
+
+    return _LogTable(g, inner.edges[0], top, width, below, above, forward=False)
 
 
 def _log_root_integral(f: FuncExpr, power: float) -> Callable:
     """The map x -> ln integral_0^(e**x) f(t)**power dt, elementwise.
 
     For single-term ``f`` = c t**a it is the closed form power ln c - ln b
-    + b x with b = a power + 1; otherwise :meth:`_LogRule.log`.
+    + b x with b = a power + 1; otherwise the forward table of
+    :func:`_integral_table`.
     """
     if len(f.terms) == 1:
         ((c, a),) = f.terms
         b = a * power + 1.0
         log_c = power * math.log(c) - math.log(b)
         return lambda x: log_c + b * x
-    return _log_rule(f, power).log
+    return _integral_table(f, power)
 
 
 def inner_integral(h: FuncExpr, theta_value: float, p: float, s: float) -> float:
-    """The criterion's inner integral  integral_0^s h(t**theta)**(1/p) dt.
-
-    Single-term ``h`` uses the closed form; other power sums the fixed rule
-    of :class:`_LogRule`.
-    """
+    """The criterion's inner integral  integral_0^s h(t**theta)**(1/p) dt,
+    the exponential of its logarithm (:func:`_log_root_integral`)."""
     if s < 0.0:
         raise ValueError("the upper limit must be non-negative")
     if s == 0.0:
         return 0.0
-    return float(_root_integral(h.compose_power(theta_value), 1.0 / p)(float(s)))
+    log_root = _log_root_integral(h.compose_power(theta_value), 1.0 / p)
+    return float(np.exp(log_root(math.log(s))))
 
 
 def _single_term_coeff(spec: ProblemSpec) -> float | None:
@@ -418,12 +351,13 @@ def _tail_integral(
 
     For single-term ``h`` the integrand is exactly ``A**-power * s**-gamma``,
     so the value has a closed form (exact, and immune to the slow-convergence
-    regime gamma -> 1); otherwise the fixed rule of :class:`_TailRule`.
+    regime gamma -> 1); otherwise the exponential of the backward table of
+    :func:`_tail_table`.
     """
     inner_coeff = _single_term_coeff(spec)
     if inner_coeff is not None:
         return inner_coeff**-power * t ** (1.0 - decay) / (decay - 1.0)
-    return _tail_rule(spec, power, weight)(math.log(t))
+    return float(np.exp(_tail_table(spec, power, weight)(math.log(t))))
 
 
 def criterion(spec: ProblemSpec, kind: CriterionKind) -> ConvergenceVerdict:
@@ -431,7 +365,7 @@ def criterion(spec: ProblemSpec, kind: CriterionKind) -> ConvergenceVerdict:
     criterion integral of ``spec``.
 
     The verdict is exact exponent arithmetic and, when Finite, the value is
-    computed in closed form or by the fixed rule of :class:`_TailRule`.
+    computed in closed form or from the backward table of :func:`_tail_table`.
     """
     kind = CriterionKind(kind)
     theta_value = spec.theta
@@ -472,9 +406,10 @@ def phi(spec: ProblemSpec, t: float) -> float:
 
 def phi_inverse(spec: ProblemSpec, y: float) -> float:
     """Inverse of :func:`phi`: closed form for single-term h, otherwise
-    Newton's method on ln phi in x = ln t with phi'(t) = -inner(t)**-nu,
-    from the closed-form inverse of the leading term's tail, run until x
-    moves by no more than a few ulps."""
+    Newton's method on ln phi in x = ln t, whose slope is -exp(g - ln phi)
+    with g the log-integrand of the backward table, from the closed-form
+    inverse of the leading term's tail, run until x moves by no more than
+    a few ulps."""
     if not y > 0.0:
         raise ValueError("the argument must be positive")
     power = outer_power(spec)
@@ -482,15 +417,21 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
     inner_coeff = _single_term_coeff(spec)
     if inner_coeff is not None:
         return (y * (decay - 1.0) * inner_coeff**power) ** (1.0 / (1.0 - decay))
-    tail = _tail_rule(spec, power, 0.0)
-    if not y < tail.at_zero:
+    tail = _tail_table(spec, power, 0.0)
+    log_y = math.log(y)
+    (low_coeff, low_rate), (lead_coeff, lead_rate) = tail.below, tail.above
+    limit = math.inf  # ln phi(0+)
+    if low_rate > 0.0:
+        below = low_coeff + low_rate * tail.edges[0] - math.log(low_rate)
+        limit = np.logaddexp(tail.cum[0], below)
+    if not log_y < limit:
         raise ValueError("no inverse: phi stays below this value")
     # ln phi is concave in ln t and lies below the leading term's tail, so
     # the iterates fall monotonically onto the root.
-    x = (math.log(y * -tail.lead_rate) - tail.log_lead) / tail.lead_rate
+    x = (log_y + math.log(-lead_rate) - lead_coeff) / lead_rate
     for _ in range(100):
-        value = tail(x)
-        step = math.log(value / y) * value / tail.density(x)
+        log_phi = float(tail(x))
+        step = (log_phi - log_y) * math.exp(log_phi - float(tail.g(x)))
         x += step
         if abs(step) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(x)):
             break
@@ -506,8 +447,8 @@ def log_sandwich_quantities(h: FuncExpr, p: float) -> Callable:
     carries the quantities far beyond the float range, while their
     ordering holds with margin.  For single-term ``h`` both integrands,
     H**(1/(p-1)) and h**(1/p), are single powers, so the logs of their
-    integrals are closed forms; other power sums use the fixed rule of
-    :class:`_LogRule`, its closed forms beyond the panels taken in logs.
+    integrals are closed forms; other power sums read the forward tables
+    of :func:`_integral_table`.
     """
     check_range("p", p)
     log_H_root = _log_root_integral(h.antiderivative(), 1.0 / (p - 1.0))

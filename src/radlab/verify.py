@@ -10,9 +10,10 @@ failure pinpoints both the inequality and its margin.
 
 The slacks encode discretization error only: finite differences for the
 convexity bounds, and rounding in the sandwich integrals (closed forms for a
-single-term h, the fixed Gauss–Legendre rule in ln t of
-:mod:`radlab.criteria` for other power sums).  A structural violation
-(wrong sign, wrong ordering) fails regardless of magnitude.
+single-term h; for other power sums the tables of :mod:`radlab.criteria`,
+held in logarithms: Gauss–Legendre panels in ln t, built once per
+integrand).  A structural violation (wrong sign, wrong ordering) fails
+regardless of magnitude.
 
 Beside them sit the residuals of the system's two relations, whose terms
 :func:`_relations` writes once for them and the convexity bounds, and the
@@ -259,7 +260,7 @@ def check_uprime_estimate(solution) -> InequalityReport:
 def check_sandwich(h: FuncExpr, p: float, samples) -> InequalityReport:
     """Ordering of the three cumulative-transform quantities at every
     sample point 0 < s < inf (slack covers rounding in their integrals
-    only: closed forms for single-term h, the fixed rule in ln t otherwise).
+    only: closed forms for single-term h, a table in logs otherwise).
     The quantities are compared in logarithms, on the whole sample array at
     once, so none overflows near p = 1; the violation is the relative
     excess 1 - smaller/larger of the worse of the two orderings, and a nan

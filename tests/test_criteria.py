@@ -23,6 +23,7 @@ from radlab.criteria import (
 )
 from radlab.expressions import FuncExpr, parse_expr
 from radlab.quadrature import adaptive_quad
+from radlab.verify import SANDWICH_GRID
 
 from conftest import power_spec
 from quadrature_oracle import integral_to_infinity, integral_with_endpoint_power
@@ -148,29 +149,79 @@ def test_phi_inverse_round_trip_closed_form(t):
     assert phi_inverse(spec, phi(spec, t)) == pytest.approx(t, rel=1e-10)
 
 
-def test_phi_inverse_round_trip_bisection_path():
-    spec = power_spec(2.0, 0.0, 1, 0, 1)
-    spec = type(spec)(
-        p=spec.p, alpha=spec.alpha, n=spec.n,
-        f1=spec.f1, f2=spec.f2, g1=spec.g1, g2=spec.g2,
-        h=parse_expr("t^4 + t^6"),
+def _spec_with_h(h):
+    """The p = 2 power problem of the multi-term tests with ``h`` in place."""
+    base = power_spec(2.0, 0.0, 1, 0, 1)
+    return type(base)(
+        p=base.p, alpha=base.alpha, n=base.n,
+        f1=base.f1, f2=base.f2, g1=base.g1, g2=base.g2,
+        h=parse_expr(h),
     )
-    for t in (0.5, 2.0, 20.0):
-        y = phi(spec, t)
-        assert phi_inverse(spec, y) == pytest.approx(t, rel=1e-6)
 
 
 def test_phi_inverse_multi_term_round_trip_to_roundoff():
     # The inverse undoes a multi-term phi to roundoff.
-    base = power_spec(2.0, 0.0, 1, 0, 1)
-    for h in ("t + t^6", "t^2 + t^4"):
-        spec = type(base)(
-            p=base.p, alpha=base.alpha, n=base.n,
-            f1=base.f1, f2=base.f2, g1=base.g1, g2=base.g2,
-            h=parse_expr(h),
-        )
+    for h in ("t + t^6", "t^2 + t^4", "t^4 + t^6"):
+        spec = _spec_with_h(h)
         for t in (0.01, 0.5, 2.0, 20.0):
             assert phi_inverse(spec, phi(spec, t)) == pytest.approx(t, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", ["t^2 + t^4", "t + t^6"])
+def test_phi_is_continuous_where_the_closed_forms_meet_the_tables(h):
+    # Beyond the first and last edge of inner's table and of phi's own,
+    # closed forms take over.  Across each edge, one ulp either side, phi
+    # changes by no more than its slope allows, and the inverse still
+    # returns t to roundoff there.
+    spec = _spec_with_h(h)
+    inner = criteria._integral_table(spec.h.compose_power(spec.theta), 1.0 / spec.p)
+    tail = criteria._tail_table(spec, outer_power(spec), 0.0)
+    for edge in (inner.edges[0], inner.edges[-1], tail.edges[0], tail.edges[-1]):
+        below, above = np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)
+        jump = math.expm1(float(tail(above) - tail(below)))
+        assert abs(jump) <= 1e-13, (edge, jump)
+        t = math.exp(edge)
+        assert phi_inverse(spec, phi(spec, t)) == pytest.approx(t, rel=1e-12)
+
+
+def _count_points(monkeypatch, table):
+    """Record the number of points each call of ``table``'s log-integrand
+    is given, for the rest of the test."""
+    counts = []
+    g = table.g
+
+    def counted(x):
+        counts.append(np.size(x))
+        return g(x)
+
+    monkeypatch.setattr(table, "g", counted)
+    return counts
+
+
+def test_repeat_queries_evaluate_only_their_partial_panels(monkeypatch):
+    # The tables are built once per integrand; a later query evaluates the
+    # log-integrand on one partial panel per point and nowhere else.
+    points = criteria._GAUSS_POINTS
+    h, p = parse_expr("t^2 + t^4"), 2.0
+    first = log_sandwich_quantities(h, p)(SANDWICH_GRID)
+    H_counts = _count_points(monkeypatch, criteria._integral_table(h.antiderivative(), 1.0 / (p - 1.0)))
+    h_counts = _count_points(monkeypatch, criteria._integral_table(h, 1.0 / p))
+    again = log_sandwich_quantities(h, p)(SANDWICH_GRID)
+    np.testing.assert_array_equal(again, first)
+    # H's table is read at s and p*p*s, h's at p*s.
+    assert sum(H_counts) == 2 * SANDWICH_GRID.size * points
+    assert sum(h_counts) == SANDWICH_GRID.size * points
+
+    spec = _spec_with_h("t^2 + t^4")
+    first = phi(spec, 2.0)
+    inner_counts = _count_points(
+        monkeypatch, criteria._integral_table(spec.h.compose_power(spec.theta), 1.0 / spec.p)
+    )
+    tail_counts = _count_points(monkeypatch, criteria._tail_table(spec, outer_power(spec), 0.0))
+    assert phi(spec, 2.0) == first
+    # One partial panel of phi's table, whose points each read one of inner's.
+    assert tail_counts == [points]
+    assert inner_counts == [points * points]
 
 
 @pytest.mark.parametrize(
@@ -194,17 +245,17 @@ def test_slow_tail_keeps_its_mass(h, expected):
 
 
 def _with_gauss_points(points, evaluate):
-    """``evaluate()`` with the fixed rule rebuilt on ``points`` per panel."""
+    """``evaluate()`` with the tables rebuilt on ``points`` per panel."""
     saved = criteria._GAUSS_POINTS
     criteria._GAUSS_POINTS = points
-    criteria._log_rule.cache_clear()
-    criteria._tail_rule.cache_clear()
+    criteria._integral_table.cache_clear()
+    criteria._tail_table.cache_clear()
     try:
         return evaluate()
     finally:
         criteria._GAUSS_POINTS = saved
-        criteria._log_rule.cache_clear()
-        criteria._tail_rule.cache_clear()
+        criteria._integral_table.cache_clear()
+        criteria._tail_table.cache_clear()
 
 
 @settings(derandomize=True, max_examples=25)
@@ -354,7 +405,7 @@ def test_sandwich_multi_term():
 def test_log_rule_matches_the_binomial_expansion(f, k):
     # For an integer power k the k-th power of two terms is their binomial
     # expansion, so ln integral_0^s f**k is a log-sum-exp of closed forms:
-    # an oracle for the logs of the fixed rule, also where the integral is
+    # an oracle for the forward table in logs, also where the integral is
     # far outside the float range (about e**-1000 to e**3700 here).
     f = parse_expr(f)
     (c0, a0), (c1, a1) = f.terms

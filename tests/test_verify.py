@@ -78,7 +78,7 @@ def test_sandwich_on_random_samples(solved_cases):
 @pytest.mark.parametrize("h, p", [("t^6", 2.0), ("t^2 + t^4", 2.0), ("t^2 + t^4", 3.0)])
 def test_sandwich_array_pass_matches_the_pointwise_quantities(h, p):
     # One single-term h (closed forms) and one multi-term h, whose integrals
-    # take the fixed rule in ln t: for h at p = 3, for H too.  The logs of
+    # read a table in ln t: for h at p = 3, for H too.  The logs of
     # the quantities differ in rounding only, a relative 1e-14 at most in
     # the quantities, and sandwich_check returns their exponentials.
     h = parse_expr(h)
