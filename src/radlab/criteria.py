@@ -14,11 +14,12 @@ equivalents.
 Every ``h`` is a power sum, so the verdicts are exact exponent arithmetic
 ("Symbolic").  The values are closed forms for single-term ``h``.  For
 other power sums each integral is one table held in logarithms: the logs
-of Gauss–Legendre panels of exp(g(x)) in x = ln t, built once per
-integrand and accumulated with ``logaddexp``, with the closed forms of
-the smallest and the leading term beyond the panels.  Read forward, it
-gives the inner integrals and the sandwich; read backward, the tail Phi,
-the criterion values and the inverse of Phi.
+of Gauss–Legendre panels of exp(g) in x = ln t, made once each when a
+query first needs them and accumulated from -oo with ``logaddexp``, with
+the closed forms of the smallest and the leading term beyond the panels.
+It gives the inner integrals and the sandwich; in u = -ln t, where the
+tail Phi is an integral from -oo, Phi, the criterion values and the
+inverse of Phi.
 """
 
 from __future__ import annotations
@@ -184,64 +185,63 @@ def _log_ramp(log_start: np.ndarray, rate: float, span: np.ndarray) -> np.ndarra
 
 
 class _LogTable:
-    """x -> the logarithm of integral exp(g(y)) dy from -oo to x (forward)
-    or from x to +oo (backward), elementwise, for a smooth log-integrand g
-    that is affine beyond [lo, hi]: g(y) = A + r y below lo with
-    (A, r) = ``below``, and above hi with ``above``.
+    """x -> the logarithm of integral_-oo^x exp(g(y)) dy, elementwise, for
+    a smooth log-integrand g that is affine beyond [lo, hi]: g(y) = A + r y
+    with (A, r) = ``below`` (r > 0) below lo, and ``above`` above hi.
 
-    Gauss–Legendre panels of ``width`` from lo on past hi carry the
-    integral.  Each is summed relative to exp(g) at the larger of its ends
-    and held as its logarithm, and the panels are accumulated once, with
-    ``logaddexp``, from the open end on, starting from the closed form of
-    the affine g beyond the edges.  A query adds one partial panel, in
-    logs, to the sum at its edge; beyond the edges it takes the closed
-    forms.  The partial panel is summed relative to exp(g) at that edge:
-    g changes by at most ``_MAX_PANEL_GROWTH`` over a panel.  Nothing
-    leaves the logs, so there is no float range to keep.
+    Gauss–Legendre panels between the edges lo + j * ``width`` carry the
+    integral, each summed relative to exp(g) at the larger of its ends and
+    held as its logarithm.  They span what the queries so far need: from
+    ``margin`` below the smallest (or lo), beneath which the integral is
+    negligible, up to the largest (or hi), and are accumulated with
+    ``logaddexp`` from the closed form of the affine g below the first.  A
+    query adds one partial panel, relative to exp(g) at its lower edge (g
+    changes by at most ``_MAX_PANEL_GROWTH`` over a panel).  Below lo it
+    takes the closed form, above hi the whole table and the closed form
+    from hi on.  No value leaves the logs.
     """
 
-    def __init__(self, g, lo, hi, width, below, above, forward):
+    def __init__(self, g, lo, hi, width, below, above, margin):
         self.g, self.width, self.below, self.above = g, width, below, above
-        self._forward = forward
-        self.edges = lo + width * np.arange(max(1, math.ceil((hi - lo) / width)) + 1)
-        self._g_edges = g(self.edges)
-        peaks = np.maximum(self._g_edges[:-1], self._g_edges[1:])
-        panels = peaks + np.log(_gauss(g, self.edges[:-1], self.edges[1:], peaks))
-        if forward:
-            log_start, rate = below
-            head = log_start + rate * self.edges[0] - math.log(rate)
-            self.cum = np.logaddexp.accumulate(np.concatenate(([head], panels)))
-        else:
-            log_start, rate = above
-            head = log_start + rate * self.edges[-1] - math.log(-rate)
-            self.cum = np.logaddexp.accumulate(np.concatenate(([head], panels[::-1])))[::-1]
+        self.lo, self._margin = lo, margin
+        self._count = max(1, math.ceil((hi - lo) / width))
+        self.hi = lo + width * self._count
+        self._span = None
+
+    def _cover(self, x: np.ndarray) -> None:
+        """Make the panels that queries at ``x`` need, if the table lacks any."""
+        lo, width = self.lo, self.width
+        at = x.clip(lo, self.hi)
+        first = math.floor((max(lo, at.min() - self._margin) - lo) / width)
+        last = min(self._count, max(first + 1, math.ceil((at.max() - lo) / width)))
+        if self._span is not None:
+            first, last = min(first, self._span[0]), max(last, self._span[1])
+            if (first, last) == self._span:
+                return
+        self._span, self.edges = (first, last), lo + width * np.arange(first, last + 1)
+        self._g_edges = g_edges = self.g(self.edges)
+        peaks = np.maximum(g_edges[:-1], g_edges[1:])
+        panels = peaks + np.log(_gauss(self.g, self.edges[:-1], self.edges[1:], peaks))
+        log_start, rate = self.below
+        head = log_start + rate * self.edges[0] - math.log(rate)
+        self.cum = np.logaddexp.accumulate(np.concatenate(([head], panels)))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
+        self._cover(flat)
         edges, g_edges, cum = self.edges, self._g_edges, self.cum
         at = flat.clip(edges[0], edges[-1])
         j = np.minimum(((at - edges[0]) // self.width).astype(int), len(edges) - 2)
-        if self._forward:
-            near, part = j, _gauss(self.g, edges[j], at, g_edges[j])
-        else:
-            near, part = j + 1, _gauss(self.g, at, edges[j + 1], g_edges[j + 1])
-        value = cum[near] + np.log1p(part * np.exp(g_edges[near] - cum[near]))
-        if (at != flat).any():
-            for end, beyond in ((0, flat < edges[0]), (-1, flat > edges[-1])):
-                value[beyond] = self._outside(end, flat[beyond])
+        part = _gauss(self.g, edges[j], at, g_edges[j])
+        value = cum[j] + np.log1p(part * np.exp(g_edges[j] - cum[j]))
+        below, above = flat < self.lo, flat > self.hi
+        log_start, rate = self.below
+        value[below] = log_start + rate * flat[below] - math.log(rate)
+        log_start, rate = self.above
+        ramp = _log_ramp(log_start + rate * self.hi, rate, flat[above] - self.hi)
+        value[above] = np.logaddexp(cum[-1], ramp)
         return value.reshape(x.shape)
-
-    def _outside(self, end: int, y: np.ndarray) -> np.ndarray:
-        """The logs at points ``y`` beyond the first (end 0) or the last
-        (end -1) edge."""
-        log_start, rate = self.below if end == 0 else self.above
-        if (end == 0) == self._forward:  # the open end: its closed form
-            return log_start + rate * y - math.log(abs(rate))
-        # the whole table, and the closed form from its edge to y
-        edge = self.edges[end]
-        ramp = _log_ramp(log_start + rate * np.minimum(y, edge), rate, np.abs(y - edge))
-        return np.logaddexp(self.cum[end], ramp)
 
 
 def _log_power_sum(f: FuncExpr, k: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -260,60 +260,71 @@ def _log_power_sum(f: FuncExpr, k: float) -> Callable[[np.ndarray], np.ndarray]:
 @functools.lru_cache(maxsize=32)
 def _integral_table(f: FuncExpr, k: float) -> _LogTable:
     """x -> ln integral_0^(e**x) f(t)**k dt for a multi-term power sum f and
-    k > 0: the forward table of g = k ln f(e**x) + x.
+    k > 0: the table of g = k ln f(e**x) + x.
 
     In x the integrand has no endpoint singularity.  Below lo the smallest
     term of f, and above hi its leading term, is f to within
-    ``_NEGLIGIBLE``, so g is affine there.  The panels are at most 1 wide,
-    and pi/(a_max - a_min), the distance from the real axis to the nearest
-    zero of f(e**z): closer in, the phases of its terms span less than a
-    half-turn.
+    ``_NEGLIGIBLE``, so g is affine there.  Everywhere g rises at least as
+    fast as below lo, so the panels need start only ln(1/_NEGLIGIBLE) over
+    that rate below a query, and never lower than that below the smallest
+    float s, however far out close exponents put lo.  They are at most 1
+    wide, and pi/(a_max - a_min), the distance from the real axis to the
+    nearest zero of f(e**z): closer in, the phases of its terms span less
+    than a half-turn.
     """
     (c0, a0), (cm, am) = f.terms[0], f.terms[-1]
     tiny = math.log(_NEGLIGIBLE)
+    low_power, lead_power = a0 * k + 1.0, am * k + 1.0
+    margin = -tiny / low_power
     lo = min((tiny - math.log(c / c0)) / (a - a0) for c, a in f.terms[1:])
+    lo = max(lo, math.log(math.ulp(0.0)) - margin)
     hi = max((math.log(c / cm) - tiny) / (am - a) for c, a in f.terms[:-1])
-    lead_power = am * k + 1.0
     width = min(1.0, math.pi / (am - a0), _MAX_PANEL_GROWTH / lead_power)
-    below, above = (k * math.log(c0), a0 * k + 1.0), (k * math.log(cm), lead_power)
-    return _LogTable(_log_power_sum(f, k), lo, hi, width, below, above, forward=True)
+    below, above = (k * math.log(c0), low_power), (k * math.log(cm), lead_power)
+    return _LogTable(_log_power_sum(f, k), lo, hi, width, below, above, margin)
 
 
 @functools.lru_cache(maxsize=32)
 def _tail_table(spec: ProblemSpec, nu: float, weight: float) -> _LogTable:
-    """x -> ln integral_{e**x}^oo s**w / inner(s)**nu ds for a multi-term
-    ``h`` and a finite tail: the backward table of
-    g = (w + 1) x - nu ln inner(e**x), read from the forward table of inner.
+    """u -> ln integral_(e**-u)^oo s**w / inner(s)**nu ds for a multi-term
+    ``h`` and a finite tail.  In u = -ln s the tail is an integral from
+    -oo: the table of g(u) = -(w + 1) u - nu ln inner(e**-u), read from
+    inner's table.
 
-    Beyond inner's panels the closed forms of its smallest and leading
-    terms make g affine, but above them only once inner's offset from its
-    leading term, and not only the other terms of its integrand, is
-    negligible; the panels run on to there.
+    Beyond inner's edges the closed forms of its smallest and leading
+    terms make g affine, but at large s only once inner's offset from its
+    leading term is negligible too; that offset is at most inner's
+    integrand at hi over its least log-slope.  The panels start there,
+    since elsewhere the leading term's closed form only bounds the tail
+    above, but not beyond the largest float s, nor where that bound has
+    fallen below the smallest float by ``_NEGLIGIBLE``.
     """
     inner = _integral_table(spec.h.compose_power(spec.theta), 1.0 / spec.p)
     (low_coeff, low_power), (lead_coeff, lead_power) = inner.below, inner.above
     log_low, log_lead = low_coeff - math.log(low_power), lead_coeff - math.log(lead_power)
-    below = (-nu * log_low, weight + 1.0 - nu * low_power)
-    above = (-nu * log_lead, weight + 1.0 - nu * lead_power)
-    top = inner.edges[-1]
-    lead_at_top = log_lead + lead_power * top
-    if lead_at_top < inner.cum[-1]:
-        offset = inner.cum[-1] + math.log1p(-math.exp(lead_at_top - inner.cum[-1]))
-        top = max(top, (offset - log_lead - math.log(_NEGLIGIBLE)) / lead_power)
-    steepest = max(abs(below[1]), abs(above[1]))
+    low = (-nu * log_low, nu * low_power - weight - 1.0)
+    lead = (-nu * log_lead, nu * lead_power - weight - 1.0)
+    tiny = math.log(_NEGLIGIBLE)
+    offset = float(inner.g(np.array(inner.hi))) - math.log(low_power)
+    top = min(
+        max(inner.hi, (offset - log_lead - tiny) / lead_power),
+        math.log(sys.float_info.max),
+        (lead[0] - math.log(lead[1]) - math.log(math.ulp(0.0)) - tiny) / lead[1],
+    )
+    steepest = max(abs(low[1]), abs(lead[1]))
     width = min(inner.width, _MAX_PANEL_GROWTH / steepest)
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return (weight + 1.0) * x - nu * inner(x)
+    def g(u: np.ndarray) -> np.ndarray:
+        return -(weight + 1.0) * u - nu * inner(-u)
 
-    return _LogTable(g, inner.edges[0], top, width, below, above, forward=False)
+    return _LogTable(g, -top, -inner.lo, width, lead, low, math.inf)
 
 
 def _log_root_integral(f: FuncExpr, power: float) -> Callable:
     """The map x -> ln integral_0^(e**x) f(t)**power dt, elementwise.
 
     For single-term ``f`` = c t**a it is the closed form power ln c - ln b
-    + b x with b = a power + 1; otherwise the forward table of
+    + b x with b = a power + 1; otherwise the table of
     :func:`_integral_table`.
     """
     if len(f.terms) == 1:
@@ -351,13 +362,13 @@ def _tail_integral(
 
     For single-term ``h`` the integrand is exactly ``A**-power * s**-gamma``,
     so the value has a closed form (exact, and immune to the slow-convergence
-    regime gamma -> 1); otherwise the exponential of the backward table of
-    :func:`_tail_table`.
+    regime gamma -> 1); otherwise the exponential of the table of
+    :func:`_tail_table` at -ln t.
     """
     inner_coeff = _single_term_coeff(spec)
     if inner_coeff is not None:
         return inner_coeff**-power * t ** (1.0 - decay) / (decay - 1.0)
-    return float(np.exp(_tail_table(spec, power, weight)(math.log(t))))
+    return float(np.exp(_tail_table(spec, power, weight)(-math.log(t))))
 
 
 def criterion(spec: ProblemSpec, kind: CriterionKind) -> ConvergenceVerdict:
@@ -365,7 +376,7 @@ def criterion(spec: ProblemSpec, kind: CriterionKind) -> ConvergenceVerdict:
     criterion integral of ``spec``.
 
     The verdict is exact exponent arithmetic and, when Finite, the value is
-    computed in closed form or from the backward table of :func:`_tail_table`.
+    computed in closed form or from the table of :func:`_tail_table`.
     """
     kind = CriterionKind(kind)
     theta_value = spec.theta
@@ -405,11 +416,10 @@ def phi(spec: ProblemSpec, t: float) -> float:
 
 
 def phi_inverse(spec: ProblemSpec, y: float) -> float:
-    """Inverse of :func:`phi`: closed form for single-term h, otherwise
-    Newton's method on ln phi in x = ln t, whose slope is -exp(g - ln phi)
-    with g the log-integrand of the backward table, from the closed-form
-    inverse of the leading term's tail, run until x moves by no more than
-    a few ulps."""
+    """Inverse of :func:`phi` on the positive floats: closed form for
+    single-term h, otherwise Newton's method on ln phi in u = -ln t, whose
+    slope is exp(g - ln phi) with g the log-integrand of :func:`_tail_table`,
+    from the leading term's inverse until u moves by a few ulps at most."""
     if not y > 0.0:
         raise ValueError("the argument must be positive")
     power = outer_power(spec)
@@ -419,23 +429,22 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
         return (y * (decay - 1.0) * inner_coeff**power) ** (1.0 / (1.0 - decay))
     tail = _tail_table(spec, power, 0.0)
     log_y = math.log(y)
-    (low_coeff, low_rate), (lead_coeff, lead_rate) = tail.below, tail.above
-    limit = math.inf  # ln phi(0+)
-    if low_rate > 0.0:
-        below = low_coeff + low_rate * tail.edges[0] - math.log(low_rate)
-        limit = np.logaddexp(tail.cum[0], below)
-    if not log_y < limit:
-        raise ValueError("no inverse: phi stays below this value")
-    # ln phi is concave in ln t and lies below the leading term's tail, so
-    # the iterates fall monotonically onto the root.
-    x = (log_y + math.log(-lead_rate) - lead_coeff) / lead_rate
+    lead_coeff, lead_rate = tail.below
+    # ln phi is concave and increasing in u and lies below the leading
+    # term's tail, so the iterates rise monotonically onto the root.
+    u = (log_y - lead_coeff + math.log(lead_rate)) / lead_rate
     for _ in range(100):
-        log_phi = float(tail(x))
-        step = (log_phi - log_y) * math.exp(log_phi - float(tail.g(x)))
-        x += step
-        if abs(step) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(x)):
+        log_phi = float(tail(u))
+        try:
+            step = (log_y - log_phi) * math.exp(log_phi - float(tail.g(u)))
+        except OverflowError:  # phi is flat: it stays below y
+            step = math.inf
+        u += step
+        if u > -math.log(math.ulp(0.0)):
+            raise ValueError("no inverse: phi stays below this value")
+        if abs(step) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(u)):
             break
-    return math.exp(x)
+    return math.exp(-u)
 
 
 def log_sandwich_quantities(h: FuncExpr, p: float) -> Callable:
@@ -447,8 +456,8 @@ def log_sandwich_quantities(h: FuncExpr, p: float) -> Callable:
     carries the quantities far beyond the float range, while their
     ordering holds with margin.  For single-term ``h`` both integrands,
     H**(1/(p-1)) and h**(1/p), are single powers, so the logs of their
-    integrals are closed forms; other power sums read the forward tables
-    of :func:`_integral_table`.
+    integrals are closed forms; other power sums read the tables of
+    :func:`_integral_table`.
     """
     check_range("p", p)
     log_H_root = _log_root_integral(h.antiderivative(), 1.0 / (p - 1.0))

@@ -11,8 +11,8 @@ failure pinpoints both the inequality and its margin.
 The slacks encode discretization error only: finite differences for the
 convexity bounds, and rounding in the sandwich integrals (closed forms for a
 single-term h; for other power sums the tables of :mod:`radlab.criteria`,
-held in logarithms: Gauss–Legendre panels in ln t, built once per
-integrand).  A structural violation (wrong sign, wrong ordering) fails
+held in logarithms: Gauss–Legendre panels in ln t, each made once, when
+a query first needs it).  A structural violation (wrong sign, wrong ordering) fails
 regardless of magnitude.
 
 Beside them sit the residuals of the system's two relations, whose terms

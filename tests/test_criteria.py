@@ -23,7 +23,8 @@ from radlab.criteria import (
 )
 from radlab.expressions import FuncExpr, parse_expr
 from radlab.quadrature import adaptive_quad
-from radlab.verify import SANDWICH_GRID
+from radlab.classify import BoundaryClass, Domain, predict
+from radlab.verify import SANDWICH_GRID, check_sandwich
 
 from conftest import power_spec
 from quadrature_oracle import integral_to_infinity, integral_with_endpoint_power
@@ -172,13 +173,13 @@ def test_phi_is_continuous_where_the_closed_forms_meet_the_tables(h):
     # Beyond the first and last edge of inner's table and of phi's own,
     # closed forms take over.  Across each edge, one ulp either side, phi
     # changes by no more than its slope allows, and the inverse still
-    # returns t to roundoff there.
+    # returns t to roundoff there.  Phi's table runs in u = -ln t.
     spec = _spec_with_h(h)
     inner = criteria._integral_table(spec.h.compose_power(spec.theta), 1.0 / spec.p)
     tail = criteria._tail_table(spec, outer_power(spec), 0.0)
-    for edge in (inner.edges[0], inner.edges[-1], tail.edges[0], tail.edges[-1]):
+    for edge in (inner.lo, inner.hi, -tail.hi, -tail.lo):
         below, above = np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)
-        jump = math.expm1(float(tail(above) - tail(below)))
+        jump = math.expm1(float(tail(-above) - tail(-below)))
         assert abs(jump) <= 1e-13, (edge, jump)
         t = math.exp(edge)
         assert phi_inverse(spec, phi(spec, t)) == pytest.approx(t, rel=1e-12)
@@ -242,6 +243,32 @@ def test_slow_tail_keeps_its_mass(h, expected):
     assert phi(spec, 1.0) == pytest.approx(expected, rel=1e-12)
     value = criterion(spec, CriterionKind.UNWEIGHTED).value
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_close_exponents_keep_the_tables_small():
+    # In h = t^2 + t^2.00001 neither term is within 1e-17 of h before
+    # |ln t| ~ 4e6, far beyond any float t.  Classifying and the sandwich
+    # still make only the panels their queries need, under a thousand per
+    # table, and the criterion value matches quadrature of its outer
+    # integral.
+    spec = _spec_with_h("t^2 + t^2.00001")
+    assert predict(spec, Domain.BALL).label is BoundaryClass.B3
+    nu, th, p = outer_power(spec), spec.theta, spec.p
+    decay = nu * (spec.h.leading_exponent * th / p + 1.0)
+    oracle = integral_to_infinity(
+        lambda s: inner_integral(spec.h, th, p, s) ** -nu, 1.0,
+        tail_exponent=decay, rel_tol=1e-12,
+    )
+    value = criterion(spec, CriterionKind.UNWEIGHTED).value
+    assert value == pytest.approx(oracle, rel=1e-10)
+    assert check_sandwich(spec.h, p, SANDWICH_GRID).passed
+    tables = [
+        criteria._integral_table(spec.h.compose_power(th), 1.0 / p),
+        criteria._tail_table(spec, nu, 0.0),
+        criteria._integral_table(spec.h.antiderivative(), 1.0 / (p - 1.0)),
+        criteria._integral_table(spec.h, 1.0 / p),
+    ]
+    assert all(table.edges.size < 1000 for table in tables)
 
 
 def _with_gauss_points(points, evaluate):
