@@ -16,6 +16,7 @@ from radlab import dop853, solver, verify
 from radlab.classify import (
     BoundaryClass,
     Domain,
+    blow_up_rates,
     numeric_classify,
     predict,
     reconcile,
@@ -1422,3 +1423,83 @@ def test_sample_evaluates_the_pole_stages_once():
     du, dv = kernels.radial_rhs(r, u, v, np.exp(L1), np.exp(L2))[:2]
     for key, want in (("u", u), ("v", v), ("du", du), ("dv", dv)):
         assert _bits(got[key]) == _bits(want), key
+
+
+# No float ceiling: v, I1, I2 and u past the largest float are no blow-up.
+# Each of these ended BlowUp or StepUnderflow near ln v = 709.78 while the
+# march formed exp(ln v) and the accumulators in its stages.
+
+
+def _verdict(config):
+    """The march of a run config, its predicted and numeric classes, and
+    their reconciliation."""
+    run = march(config.spec(), config.u0, config.v0, config.solver_options())
+    predicted = predict(run.spec, config.domain())
+    numeric = numeric_classify(run, config.domain())
+    return run, numeric, reconcile(predicted, numeric)
+
+
+@pytest.mark.parametrize("target", [706.5, 1000.0])
+def test_problem_a_is_global_past_the_float_range(target):
+    # A is Global with v ~ e**r, so v leaves the float range at r ~ 709.8.
+    config = dataclasses.replace(load_config(str(ROOT / "configs" / "problem_a.cfg")), target_radius=target)
+    with np.errstate(all="raise"):
+        run, numeric, status = _verdict(config)
+    assert run.terminated is TerminationReason.REACHED_TARGET, run.notes
+    assert run.r_end == pytest.approx(target, rel=1e-13)
+    assert numeric.label is BoundaryClass.GLOBAL
+    assert status["status"] == "agree"
+    if target < 709.0:
+        assert math.isfinite(run.v_final)
+        for report in trajectory_reports(run):
+            assert report.passed, (report.name, report.max_relative_violation)
+    else:
+        assert run.v_final == math.inf
+        assert run.r[-1] < 709.79 and np.all(np.isfinite(run.v))
+
+
+@pytest.mark.parametrize(
+    "path, q", [("configs/sweep_q.cfg", 1.0), ("radbench/configs/atlas_p3_alpha0.cfg", 4.0),
+                ("radbench/configs/atlas_p3_alpha1.cfg", 2.0)],
+)
+def test_threshold_rows_grow_exponentially_to_the_target(path, q):
+    # q m = (p - 1 - alpha)(p - 1 - beta): v grows like an exponential of r,
+    # and these rows read B3 against a predicted B1 at target 1e4.
+    config = dataclasses.replace(load_config(str(ROOT / path)).with_value("q", q), target_radius=1e4)
+    run, numeric, status = _verdict(config)
+    assert run.terminated is TerminationReason.REACHED_TARGET, run.notes
+    assert numeric.label is BoundaryClass.B1
+    assert status["status"] == "agree"
+
+
+def _scaled_blow_up_radii(config, v0s):
+    """R0(v0) * v0**(1/b) for each v0: a constant for pure powers."""
+    b, _ = blow_up_rates(config.spec())
+    radii = []
+    for v0 in v0s:
+        run = march(config.spec(), config.u0, v0, config.solver_options())
+        assert run.terminated is TerminationReason.BLOW_UP, (v0, run.notes)
+        radii.append(run.R0 * v0 ** (1.0 / b))
+    return radii
+
+
+def test_blow_up_radius_scales_with_v0_on_a_slow_pole():
+    # h = t^1.01 on sweep_q has b = 301: the pole is so slow that ln v
+    # passes 709.78 long before R0 is resolved.
+    sweep_q = load_config(str(ROOT / "configs" / "sweep_q.cfg"))
+    config = dataclasses.replace(sweep_q, h="t^1.01", target_radius=1e6, rel_tol=1e-8)
+    radii = _scaled_blow_up_radii(config, (1e-6, 1.0, 1e6))
+    assert max(radii) - min(radii) <= 10.0 * config.rel_tol * min(radii)
+
+
+def test_sampled_row_22_blows_up():
+    # (p, alpha, n, m, beta, q) = (3.57, 1.77, 3, 1.46, 0.54, 1.14), b = 98.9:
+    # it ended StepUnderflow at r = 176.72.  An independent DOP853 march of
+    # the same system in logarithms gave R0 = 188.97406 at v0 = 1.
+    sweep_q = load_config(str(ROOT / "configs" / "sweep_q.cfg"))
+    config = dataclasses.replace(
+        sweep_q, p=3.57, alpha=1.77, g1="t^1.46", g2="t^0.54", h="t^1.14", target_radius=1e4,
+    )
+    radii = _scaled_blow_up_radii(config, (1.0, 1e3))
+    assert max(radii) - min(radii) <= 10.0 * config.rel_tol * min(radii)
+    assert radii[0] == pytest.approx(188.97406, rel=1e-7)
