@@ -155,15 +155,6 @@ class FuncExpr:
             (coeff * c, exponent) for coeff, exponent in self.terms
         )
 
-    def pointwise_power(self, x: float) -> "FuncExpr | None":
-        """f**x as a power sum, or None when it leaves the family (multi-term)."""
-        if len(self.terms) != 1:
-            return None
-        coeff, exponent = self.terms[0]
-        if exponent * x < 0.0:
-            return None
-        return FuncExpr.from_terms([(coeff**x, exponent * x)])
-
     # -- printing ---------------------------------------------------------
 
     def to_text(self) -> str:

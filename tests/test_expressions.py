@@ -74,14 +74,6 @@ def test_scale_argument_and_value():
     assert f.scale_value(5.0)(3.0) == pytest.approx(45.0)
 
 
-def test_pointwise_power_single_term():
-    f = parse_expr("4*t^2")
-    g = f.pointwise_power(0.5)  # (4*t^2)^0.5 = 2*t
-    assert g is not None
-    assert g(9.0) == pytest.approx(18.0)
-    assert parse_expr("1 + t").pointwise_power(0.5) is None
-
-
 def test_derive_k_growth_order():
     g = parse_expr("2 + 7*t^3")
     assert g.leading_exponent == 3.0
