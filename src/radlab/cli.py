@@ -243,7 +243,6 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
             "rejected_steps": int(solution.rejected_steps),
             "dt_min": solution.dt_min,
             "dt_max": solution.dt_max,
-            "pole_switch_r": solution.pole_switch_r,
             "b_hat": solution.b_hat,
             "sigma_hat": solution.sigma_hat,
         },

@@ -1,13 +1,13 @@
 """Outward integrator for the radial system and the envelope fit of its blow-ups.
 
-The march advances the state (u, v, I1, I2), where
+The system is carried by its accumulated source integrals
 
     I1(r) = integral_0^r t**d     f1(t) g1(v) dt,
     I2(r) = integral_0^r t**(n-1) f2(t) g2(v) h(w) dt,
 
-recovering w = u' = ((d/(n-1)) I1 / r**d)**theta and v' = (I2 /
-r**(n-1))**(1/(p-1)) algebraically, so positivity and monotonicity are
-structural.
+from which w = u' = ((d/(n-1)) I1 / r**d)**theta and v' = (I2 /
+r**(n-1))**(1/(p-1)) follow algebraically, so positivity and monotonicity
+are structural.
 
 The origin is a singularity of the first kind (de Hoog & Weiss, SIAM J.
 Numer. Anal. 13, 1976), so the trajectory starts from a closed form on
@@ -21,20 +21,48 @@ is smaller; no blow-up can come before it, since v is still v0 there.  A
 start that holds up to the target leaves the march nothing to do.
 ``march`` is that start followed by ``advance``, the one stepping loop,
 which enters from any start, such as an exact solution's at any r0, and
-reads it at r0 alone; the start's grid is evaluated with the columns.
+reads its logarithms at r0 alone; the start's grid is evaluated with the
+columns.
 
-From r0 each step is a Dormand-Prince 8(5,3) pair, the code DOP853
-(Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10): twelve stages
-and a thirteenth at the new point, reused as the first of the next step;
-per component, Hairer's combination h * e5**2 / sqrt(e5**2 + 0.01 * e3**2)
-of the embedded fifth- and third-order error estimates, held below
-0.05 * rel_tol; and the step-size factor 0.9 * err**(-1/8) clamped to
-[0.2, 5].  The right-hand side is one body for the shape of the
-problem's power sums and of its constants that are exactly 1, which it
-leaves out, and two phase maps bind it to the state in r and in s below;
-every kernel is rendered from them, each phase's step as straight-line
-code from the tableau with the body in every stage.  u
-enters the system only through u', so no kernel reads u's argument.
+The march has one independent variable, tau = ln r + ln v, which rises
+along every solution, since dtau/dr = D = 1/r + v'/v > 0: near the origin
+it is ln r, near a pole ln v (Stuart & Floater, Eur. J. Appl. Math. 1,
+1990), and under power or exponential growth its slopes stay bounded.  The
+state is (ln r, ln I1, ln I2, ln(u - u0)), and ln v = tau - ln r.  Each
+slope is a rate over r D = 1 + r v'/v:
+
+    d ln r / dtau = 1 / (r D),    d ln Ii / dtau = r fIi / Ii / (r D),
+    d ln(u - u0) / dtau = r w / (u - u0) / (r D),
+
+where fI1 = r**d f1 g1(v) and fI2 = r**(n-1) f2 g2(v) h(w) are the
+integrands.  ln w, ln v', ln fI1 and ln fI2 are sums of logarithms, with
+log-sum-exp over the terms of a multi-term power sum, so no stage forms v,
+u or an accumulator, which may lie far beyond the float range, and the
+error of each component is absolute in its logarithm, as in the rescaling
+of Berger & Kohn (CPAM 41, 1988): relative in r, I1, I2 and u - u0.
+
+Each step is a Dormand-Prince 8(5,3) pair, the code DOP853 (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5 and II.10): twelve stages and a
+thirteenth at the new point, reused as the first of the next step; per
+component, Hairer's combination h * e5**2 / sqrt(e5**2 + 0.01 * e3**2) of
+the embedded fifth- and third-order error estimates, held below 0.05 *
+rel_tol; and the step-size factor 0.9 * err**(-1/8) clamped to [0.2, 5].
+The right-hand side is one body for the shape of the problem's power sums
+and of its constants that are neutral (a factor 1, a logarithm 0), which
+it leaves out, written into one phase map; every kernel is rendered from
+it, the step as straight-line code from the tableau with the body in
+every stage.  u enters the system only through u', so no kernel reads u.
+
+R0 is the limit of r(tau), estimated at each step as r + b * dr/dtau with
+b = -1 / (d ln(dr/dtau)/dtau): near a pole dr/dtau ~ (R0 - r)/b, and the
+estimate's error, like (R0 - r)**2, contracts geometrically in tau, so the
+run ends once the sum of the remaining contractions bounds it.  The last
+step's log-slopes of dr/dtau and of d(u - u0)/dtau also give the rates b
+and sigma of v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma).  Power and
+exponential growth keep dr/dtau from decaying, as r/(1 + k) and 1/c do
+not, so the estimate keeps moving with r and global solutions are not
+mislabelled.
+
 Every accepted step keeps its stages, and the verdict of a run needs
 nothing more: its end, R0 and rates come from the last step.  The
 trajectory is built from the kept steps when it is first read: three
@@ -43,24 +71,9 @@ the seventh-order continuous extension; it is linear in the step's
 increment and stages, so each step is emitted as 14 equal sub-panels by
 one product with a constant node matrix, and the trajectory is dense
 enough for finite-difference residuals, panel quotients and the blow-up
-envelope at any step size.  Between nodes a run is read from the same
-closed form and extensions.
-
-Near a pole the march changes its independent variable to s = ln v (Stuart
-& Floater, Eur. J. Appl. Math. 1, 1990) once the pole dominates, that is
-once dr/ds = v/v' is below r and falling: power growth v ~ r**k has
-v/v' = r/k, which rises, while a pole has v/v' ~ (R0 - r)/b, which falls
-to 0 whatever the rate b.  The same stepper then advances
-(r, u, ln I1, ln I2) in s, so the accumulators, which grow exponentially
-in s, are held to an absolute error in their logarithms, as in the
-rescaling of Berger & Kohn (CPAM 41, 1988).  R0 is the limit of r(s),
-estimated at each step as r + b * dr/ds with b = -1 / (d ln(dr/ds)/ds);
-the estimate's error contracts geometrically in s, and the run ends once
-the sum of the remaining contractions bounds it.  The last step's
-log-slopes of dr/ds and du/ds also give the rates b and sigma of
-v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma).  Power growth keeps
-dr/ds from decaying geometrically, so the estimate keeps moving with r and
-unbounded-but-global solutions are not mislabelled.
+envelope at any step size.  The nodes are the exponentials of the logs,
+and a node beyond the float range is dropped.  Between nodes a run is
+read from the same closed form and extensions.
 
 The envelope fit of a blow-up takes C1 and C2 as the extremes of
 C(r) = phi(w**(p-1-alpha)) / (R0 - r) over the last decade before R0, so
@@ -108,11 +121,10 @@ _SERIES_ORDER = 8
 #: lose accuracy with the relative spacing, which this keeps at 0.7%.
 _START_NODES = 1024
 _START_SPAN = 1e-3
-#: The first trial step of the march, as a fraction of r0.
+#: The first trial step of the march moves ln r by this much.
 _FIRST_STEP = 0.1
-#: A rejected step may shrink its increment in r to no less than this
-#: fraction of r, and a march within this fraction of the target radius has
-#: arrived.
+#: A rejected step may shrink its increment in ln r to no less than this,
+#: and a march within this of the target's ln r has arrived.
 _MIN_STEP = 1e-14
 #: Accepted steps allowed in one march.
 _MAX_STEPS = 2_000_000
@@ -133,10 +145,10 @@ class SolverOptions:
     """Numeric knobs for :func:`march` and :func:`advance`.
 
     ``rel_tol`` bounds the local error of each Dormand-Prince 8(5,3) step,
-    per component, at 0.05 * rel_tol relative to the state (absolute on the
-    logarithms of the accumulators near a pole); the closed-form start holds
-    its truncations to 0.01 * rel_tol, and a blow-up radius is resolved to
-    about 0.05 * rel_tol.  The march stops at ``target_radius``.
+    per component, at 0.05 * rel_tol absolute in the logarithms of r, I1, I2
+    and u - u0, so relative in those quantities; the closed-form start
+    holds its truncations to 0.01 * rel_tol, and a blow-up radius is
+    resolved to about 0.05 * rel_tol.  The march stops at ``target_radius``.
     """
 
     target_radius: float
@@ -172,13 +184,14 @@ class _Columns:
 @dataclass(frozen=True)
 class BootstrapSegment(_Columns):
     """The closed-form start on [0, r0]: ``profiles(r)`` gives (u, v, w, dv,
-    I1, I2, fI1, fI2, W, Z) at radii 0 <= r <= r0, and ``state`` is (u, v,
-    I1, I2) at r0, where :func:`advance` takes over.  ``kernels`` is the
-    problem's compiled right-hand side, which the profiles evaluate and the
-    march goes on with.  The columns, built on first read, are the profiles
-    on the grid of :func:`picard_bootstrap`."""
+    I1, I2, fI1, fI2, W, Z) at radii 0 <= r <= r0, and ``state`` is (ln v,
+    ln I1, ln I2, ln(u - u0)) at r0, where :func:`advance` takes over.
+    ``kernels`` is the problem's compiled right-hand side, which the march
+    goes on with.  The columns, built on first read, are the profiles on
+    the grid of :func:`picard_bootstrap`."""
 
     r0: float
+    u0: float
     state: tuple[float, float, float, float]
     profiles: Callable = field(repr=False, compare=False)
     kernels: _Kernels = field(repr=False, compare=False)
@@ -231,6 +244,15 @@ def _evaluate(terms, r):
     return sum(c * np.exp(lc + e * log_r) for c, lc, e in terms)
 
 
+def _log_evaluate(terms, log_r):
+    """The log of a power sum at the radius e**log_r: its leading term's,
+    the one of least exponent, whose multiplier is positive, plus log1p of
+    the others over it."""
+    (c0, lc0, e0), *others = sorted(terms, key=lambda term: term[2])
+    rest = sum(c / c0 * math.exp(lc - lc0 + (e - e0) * log_r) for c, lc, e in others)
+    return math.log(c0) + lc0 + e0 * log_r + math.log1p(rest)
+
+
 def _binomial(eps, y, budget):
     """(1 + eps)**y for eps a sum of (coefficient, exponent > 0) pairs, cut
     after eps**_SERIES_ORDER, as (coefficient, exponent) pairs; and the log
@@ -277,15 +299,17 @@ def picard_bootstrap(
     and is emitted as v0 plus that bound.  r0 is the largest radius where
     the bound stays within 0.01 * rel_tol of v0 and every cut series within
     0.01 * rel_tol of its sum, or the target radius itself if that is
-    smaller.  The profiles are evaluated here at r0 alone, for the state
-    the march starts from; :class:`SolverError` is raised when they, or the
-    slopes of I1 and I2, are not positive normal floats there.  The
-    segment's columns, built on first read, are the origin and 1024
-    geometrically spaced nodes over [1e-3 * r0, r0], less the lowest of
-    them where a profile or slope is not yet a positive normal float, as
-    when h(w) underflows for large theta.  The segment carries the
-    problem's kernels (:func:`_kernels`), which its profiles evaluate and
-    the march steps with, so a problem compiles them once.
+    smaller.  The profiles are evaluated here at r0 alone, and
+    :class:`SolverError` is raised when they, or the slopes of I1 and I2,
+    are not positive normal floats there.  The state the march starts
+    from, (ln v, ln I1, ln I2, ln(u - u0)) at r0, is taken in logarithms
+    from the same power sums (:func:`_log_evaluate`), not from differences
+    of floats.  The segment's columns, built on first read, are the origin
+    and 1024 geometrically spaced nodes over [1e-3 * r0, r0], less the
+    lowest of them where a profile or slope is not yet a positive normal
+    float, as when h(w) underflows for large theta.  The segment carries
+    the problem's kernels (:func:`_kernels`), which the march steps with,
+    so a problem compiles them once.
     """
     if not (u0 > 0.0 and v0 > 0.0):
         raise ValueError("u0 and v0 must be positive")
@@ -309,7 +333,7 @@ def picard_bootstrap(
         radii.append(log_radius)
         return [(c, log_scale + y * lW, y * eW + e) for c, e in series]
 
-    w_terms = power_of_W(theta)
+    u_terms = _integrated(power_of_W(theta))
     h_of_w = [
         term
         for c, q in spec.h.terms
@@ -334,9 +358,6 @@ def picard_bootstrap(
     log_r0 = min(log_target, *radii)
     r0 = options.target_radius if log_r0 == log_target else math.exp(log_r0)
 
-    kernels = _kernels(spec)
-    rhs = kernels.radial_rhs
-
     def profiles(r):
         # Profiles that leave the float range are not kept, so their
         # overflows are no error.
@@ -344,31 +365,37 @@ def picard_bootstrap(
             I1 = _evaluate(I1_terms, r)
             I2 = _evaluate(I2_terms, r)
             v = v0 + _evaluate(growth, r)
-            u = u0 + _evaluate(_integrated(w_terms), r)
-            w, dv, fI1, fI2 = rhs(r, u, v, I1, I2)
+            u = u0 + _evaluate(u_terms, r)
+            rd, rn = r**delta, r ** (n - 1.0)
             # At the origin, where every power of r vanishes, w and dv are 0/0.
-            w, dv = (np.where(r > 0.0, value, 0.0) for value in (w, dv))
+            w = np.where(r > 0.0, (c1 * I1 / rd) ** theta, 0.0)
+            dv = np.where(r > 0.0, (I2 / rn) ** inv_pm1, 0.0)
+            fI1 = rd * spec.f1(r) * spec.g1(v)
+            fI2 = rn * spec.f2(r) * spec.g2(v) * spec.h(w)
             W = w ** (spec.p - 1.0 - spec.alpha)
             Z = dv ** (spec.p - 1.0)
         return u, v, w, dv, I1, I2, fI1, fI2, W, Z
 
-    # numpy's elementwise results do not depend on the length of the array,
-    # so the state at r0 has the bits of the grid's last node.
-    at_r0 = profiles(np.array([r0]))
-    if not _normal(at_r0)[0]:
+    if not _normal(profiles(np.array([r0])))[0]:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
-    state = tuple(float(at_r0[i][0]) for i in (0, 1, 4, 5))  # u, v, I1, I2
-    return BootstrapSegment(r0, state, profiles, kernels)
+    lr0 = math.log(r0)
+    lv0 = math.log(v0)
+    state = (
+        lv0 + math.log1p(math.exp(_log_evaluate(growth, lr0) - lv0)),
+        _log_evaluate(I1_terms, lr0),
+        _log_evaluate(I2_terms, lr0),
+        _log_evaluate(u_terms, lr0),
+    )
+    return BootstrapSegment(r0, u0, state, profiles, _kernels(spec))
 
 
 class _MarchSteps(NamedTuple):
     """What the columns of a :class:`RadialSolution` are emitted from: the
     start, with the problem's kernels, and the rows of the march's
-    accepted steps, in r and then in s."""
+    accepted steps."""
 
     boot: BootstrapSegment
-    radial: list
-    pole: list
+    rows: list
 
 
 @dataclass(frozen=True)
@@ -378,25 +405,23 @@ class RadialSolution(_Columns):
 
     The verdict is read without the trajectory.  ``r_end`` and
     ``v_final`` are r and v at the end of the march's last accepted step (at
-    r0 when it took none).  ``R0`` is the blow-up radius, the limit of r(s)
-    as s = ln v grows, when ``terminated`` is BlowUp and None otherwise; it
-    lies beyond ``r_end``.  ``b_hat`` and ``sigma_hat`` are the rates of
+    r0 when it took none); ``v_final`` is inf where v lies beyond the float
+    range.  ``R0`` is the blow-up radius, the limit of r(tau) as tau = ln r
+    + ln v grows, when ``terminated`` is BlowUp and None otherwise; it lies
+    beyond ``r_end``.  ``b_hat`` and ``sigma_hat`` are the rates of
     v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma) read off the march's last
-    step, set and unset with ``R0``.
-    ``pole_switch_r`` is the radius at which the march changed to s, or
-    None if it never did.  ``start_radius`` is r0, where the start hands
-    over to the steps of :func:`advance`.
+    step, set and unset with ``R0``.  ``start_radius`` is r0, where the
+    start hands over to the steps of :func:`advance`.
 
     The columns ``r``, ``u``, ``v``, ``w`` (u'), ``dv`` (v'), ``I1`` and
     ``I2`` (the accumulated source integrals) are emitted by
     :func:`_emit_nodes` from ``steps`` when one of them is first read, once:
-    for a march, their radii increase strictly from 0 and end at ``r_end``,
-    where v is ``v_final``.  :meth:`sample` reads the run between them.
+    for a march, their radii increase strictly from 0 and end at ``r_end``
+    where v is finite there.  :meth:`sample` reads the run between them.
 
     ``rhs_evals`` counts the evaluations of the right-hand side made so
     far: the march's stages and, once the columns are built, the three
-    dense-output stages of every step, evaluated on arrays, and the
-    vectorised pass over the emitted nodes.
+    dense-output stages of every step, evaluated on arrays.
     ``accepted_steps`` and ``rejected_steps`` count the march's steps, and
     ``dt_min``/``dt_max`` bound the increments in r of its accepted steps
     (None when no step was accepted), whatever nodes those steps emit.
@@ -416,7 +441,6 @@ class RadialSolution(_Columns):
     rejected_steps: int
     dt_min: float | None
     dt_max: float | None
-    pole_switch_r: float | None
     steps: _MarchSteps = field(repr=False, compare=False)
     notes: tuple[str, ...] = ()
 
@@ -429,7 +453,7 @@ class RadialSolution(_Columns):
 
     @functools.cached_property
     def _columns(self) -> dict[str, np.ndarray]:
-        columns, evals = _emit_nodes(*self.steps)
+        columns, evals = _emit_nodes(self.spec, *self.steps)
         object.__setattr__(self, "rhs_evals", self.rhs_evals + evals)
         return columns
 
@@ -442,190 +466,169 @@ class RadialSolution(_Columns):
         """u, v, u' (``du``) and v' at the radii ``rs``, clipped to [0,
         r_end], as the nodes are made: the start's profiles up to r0, and
         beyond it the extension of the step that holds the radius, at the
-        fraction (r - x) / h in r and, since r rises along a step in s (dr/ds
-        = v/v' > 0), at the fraction bisection finds there.  Each phase's
-        three extra stages are evaluated once, for every step that holds a
-        radius, and its evaluations of the right-hand side are not counted
-        in ``rhs_evals``."""
-        boot, radial, pole = self.steps
-        kernels = boot.kernels
+        fraction where its ln r is ln(rs), which bisection finds, since ln r
+        rises along every step.  The three extra stages are evaluated once,
+        for every step that holds a radius, and these evaluations of the
+        right-hand side are not counted in ``rhs_evals``."""
+        boot, rows = self.steps
         rs = np.clip(np.asarray(rs, dtype=float), 0.0, self.r_end)
         out = np.empty((4, len(rs)))
-        todo = rs > boot.r0
-        # Steps that leave the float range give values that are not finite.
+        mine = rs > boot.r0
+        # Values beyond the float range are not finite.
         with np.errstate(all="ignore"):
-            out[:, ~todo] = boot.profiles(rs[~todo])[:4]
-            # The phase in s first.  A step's row holds its first radius at
-            # ``at``: r in s, x itself in r.
-            for rows, f, at in ((pole, kernels.pole_rhs, 2), (radial, kernels.radial_rhs, 0)):
-                mine = todo & (rs > rows[0][at]) if rows else False
-                if not np.any(mine):
-                    continue
-                todo &= ~mine
-                r = rs[mine]
+            out[:, ~mine] = boot.profiles(rs[~mine])[:4]
+            if np.any(mine):
+                log_r = np.log(rs[mine])
                 steps = _stacked(rows)
-                steps = steps[np.searchsorted(steps[:, at], r, side="right") - 1]
-                V = dop853.dense_stages(f, steps)
-                in_pole = f is kernels.pole_rhs
-                if in_pole:
-                    # 53 halvings take the fraction to the float spacing below 1.
-                    lo, hi = np.zeros_like(r), np.ones_like(r)
-                    for _ in range(53):
-                        theta = 0.5 * (lo + hi)
-                        below = dop853.dense_nodes(steps, V, theta[:, None])[:, 0, 0] < r
-                        lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
-                else:
-                    theta = (r - steps[:, 0]) / steps[:, 1]
+                at = np.searchsorted(steps[:, 2], log_r, side="right") - 1
+                steps = steps[np.maximum(at, 0)]
+                V = dop853.dense_stages(boot.kernels.rhs_arrays, steps)
+                # 53 halvings take the fraction to the float spacing below 1.
+                lo, hi = np.zeros_like(log_r), np.ones_like(log_r)
+                for _ in range(53):
+                    theta = 0.5 * (lo + hi)
+                    below = dop853.dense_nodes(steps, V, theta[:, None])[:, 0, 0] < log_r
+                    lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
                 y = dop853.dense_nodes(steps, V, theta[:, None])[:, 0].T
-                r, u, v, I1, I2 = _radial_state(in_pole, steps, theta[:, None], y)
-                out[:, mine] = [u, v, *kernels.radial_rhs(r, u, v, I1, I2)[:2]]
+                _, u, v, w, dv, _, _ = _nodes(self.spec, boot.u0, steps, theta[:, None], y)
+                out[:, mine] = [u, v, w, dv]
         return dict(zip(("u", "v", "du", "dv"), out))
 
 
 class _Kernels(NamedTuple):
     """The right-hand side of one problem, compiled: each kernel is the one
-    body written into the map of its phase, in r for (u, v, I1, I2) or in
-    s = ln v for (r, u, ln I1, ln I2), and takes (x, *y).  On floats, for
-    the march: ``radial`` and ``pole`` give a phase's first slope, and
-    ``radial_step(x, h, y, k1, tol)`` and ``pole_step`` are the phases'
-    Dormand-Prince 8(5,3) steps, with the body written into every stage and
-    the absolute components, none in r and ln I1, ln I2 in s, fixed: each
-    returns what :func:`dop853.step` returns for ``radial`` or ``pole``, to
-    the bit.  On arrays: ``radial_rhs`` and ``pole_rhs``, for the dense
-    stages and the nodes.  No kernel reads u."""
+    body written into the phase map in tau for (ln r, ln I1, ln I2,
+    ln(u - u0)), and takes (x, *y).  On floats, for the march: ``rhs`` gives
+    the first slope, and ``step(x, h, y, k1, tol)`` is the Dormand-Prince
+    8(5,3) step with the body written into every stage and every component
+    absolute: it returns what :func:`dop853.step` returns for ``rhs``, to
+    the bit.  On arrays: ``rhs_arrays``, for the dense stages.  No kernel
+    reads u."""
 
-    radial: Callable
-    pole: Callable
-    radial_step: Callable
-    pole_step: Callable
-    radial_rhs: Callable
-    pole_rhs: Callable
+    rhs: Callable
+    step: Callable
+    rhs_arrays: Callable
 
 
-# The body: with W = c1 * I1 / r**delta and Z = I2 / r**(n-1), the
-# right-hand side is w = W**theta, dv = Z**(1/(p-1)), fI1 = r**delta f1(r)
-# g1(v) and fI2 = r**(n-1) f2(r) g2(v) h(w).  An accumulator at or below
-# zero is clamped to zero (a negative float to a fractional power is complex
-# in Python, nan in numpy); the forms on floats and on arrays differ only in
-# that clamp and in the name of exp.  A constant that is exactly 1.0 is left
-# out with its operation, which returns its other operand unchanged: x * 1.0
-# is x, and so is x ** 1.0, from the C library's pow (within 0.52 ulp of the
-# exact power) and numpy's fast path alike.  Where delta is n - 1, rn is rd.
-# Other exponents keep their pow: x ** 2.0 and x ** 0.5 may round apart
-# from x * x and sqrt(x).
-_FLOATS = ("(I1 if I1 > 0.0 else 0.0)", "(I2 if I2 > 0.0 else 0.0)", "exp")
-_ARRAYS = ("np.maximum(I1, 0.0)", "np.maximum(I2, 0.0)", "np.exp")
-# The phase maps: the body's inputs bound to a stage's arguments, and the
-# stage's slopes k<s>_0..3 from its results.  u's argument, y[0] in r and
-# y[1] in s, is never read.
-_RADIAL_STAGE = """\
-        r = {x}
-        v = {y[1]}
-        I1 = {y[2]}
-        I2 = {y[3]}
+# The body, in logarithms: with ln W = ln c1 + ln I1 - delta ln r and
+# ln Z = ln I2 - (n-1) ln r, ln w = theta ln W, ln dv = ln Z / (p-1),
+# ln fI1 = delta ln r + ln f1(r) + ln g1(v) and ln fI2 = (n-1) ln r +
+# ln f2(r) + ln g2(v) + ln h(w).  A power sum's logarithm is lc + e * x for
+# a single term c * t**e, with x the logarithm of its variable, and the
+# log-sum-exp of its terms otherwise; the constant 1 is left out.  The
+# forms on floats and on arrays differ in the name of exp and in how they
+# add two logarithms a and b: log1p of the exponential of the smaller less
+# the larger, or numpy's logaddexp.  A constant that is neutral, a factor
+# 1.0 or ln c1 = 0.0, is left out with its operation, and where delta is
+# n - 1 one product serves both.
+_FLOATS = ("exp", "({a} if {a} > {b} else {b}) + log1p(exp(-abs({a} - {b})))")
+_ARRAYS = ("np.exp", "np.logaddexp({a}, {b})")
+# The phase map: the body's inputs bound to a stage's arguments, and the
+# stage's slopes k<s>_0..3 from its results, with ln(r D) = log1p(r v'/v).
+_STAGE = """\
+        lr = {y[0]}
+        lv = {x} - lr
+        lI1 = {y[1]}
+        lI2 = {y[2]}
 {body}\
-        k{s}_0 = w
-        k{s}_1 = dv
-        k{s}_2 = fI1
-        k{s}_3 = fI2
+        k{s}_0 = 1.0 / (1.0 + {exp}(lr + ldv - lv))
+        k{s}_1 = {exp}(lr + lfI1 - lI1) * k{s}_0
+        k{s}_2 = {exp}(lr + lfI2 - lI2) * k{s}_0
+        k{s}_3 = {exp}(lr + lw - ({y[3]})) * k{s}_0
 """
-_POLE_STAGE = """\
-        r = {y[0]}
-        v = {exp}({x})
-        I1 = {exp}({y[2]})
-        I2 = {exp}({y[3]})
-{body}\
-        drds = v / dv
-        k{s}_0 = drds
-        k{s}_1 = drds * w
-        k{s}_2 = drds * fI1 / I1
-        k{s}_3 = drds * fI2 / I2
-"""
-# A kernel that is not a step is stage 1 of its phase map at its arguments.
+# A kernel that is not a step is stage 1 of the phase map at its arguments.
 _STAGE_KERNEL = """\
 def {name}(x, y0, y1, y2, y3):
 {stage}\
         return k1_0, k1_1, k1_2, k1_3
 """
-#: The constants of the body that are left out where they are exactly 1.0.
-_UNIT_CONSTANTS = ("c1", "delta", "nm1", "theta", "inv_pm1")
-#: Compiled kernel factories by shape: the source expressions of fI1 and
-#: fI2, the constants that are 1.0 and whether delta is n - 1.  Problems of
-#: one shape share one.
+#: The constants of the body and the value at which each is left out.
+_NEUTRAL = {"lc1": 0.0, "delta": 1.0, "nm1": 1.0, "theta": 1.0, "inv_pm1": 1.0}
+#: The power sums of the body and the logarithms of their variables.
+_SUMS = (("f1", "lr"), ("g1", "lv"), ("f2", "lr"), ("g2", "lv"), ("h", "lw"))
+#: Compiled kernel factories by shape: the terms of each power sum, the
+#: neutral constants and whether delta is n - 1.  Problems of one shape
+#: share one.
 _KERNEL_FACTORIES: dict[tuple, Callable] = {}
 
 
-def _body(shape: tuple, I1: str, I2: str) -> str:
-    """The body of ``shape``, in the form whose clamped accumulators are the
-    expressions I1 and I2."""
-    fI1, fI2, ones, rn_is_rd = shape
+def _body(shape: tuple, add: str) -> str:
+    """The body of ``shape``, in the form whose sum of two logarithms is the
+    template ``add``."""
+    sums, neutral, rn_is_rd = shape
 
-    def power(base, exponent):
-        if exponent in ones:
-            return base
-        return f"{base if base.isidentifier() else f'({base})'} ** {exponent}"
+    def times(constant, value):
+        if constant in neutral:
+            return value
+        return f"{constant} * {value if value.isidentifier() else f'({value})'}"
 
-    W = f"{I1} / rd" if "c1" in ones else f"c1 * {I1} / rd"
-    lines = (
-        ("rd", power("r", "delta")),
-        ("rn", "rd" if rn_is_rd else power("r", "nm1")),
-        ("w", power(W, "theta")),
-        ("dv", power(f"{I2} / rn", "inv_pm1")),
-        ("fI1", fI1),
-        ("fI2", fI2),
-    )
+    lines = [
+        ("lrd", times("delta", "lr")),
+        ("lrn", "lrd" if rn_is_rd else times("nm1", "lr")),
+        ("lw", times("theta", "lI1 - lrd" if "lc1" in neutral else "lc1 + lI1 - lrd")),
+        ("ldv", times("inv_pm1", "lI2 - lrn")),
+    ]
+    logs = {}
+    for (name, _), terms in zip(_SUMS, sums):
+        if len(terms) == 1:
+            logs[name] = terms[0]
+        elif terms:
+            names = [f"{name}_{i}" for i in range(len(terms))]
+            lines += zip(names, terms)
+            total = names[0]
+            for other in names[1:]:
+                lines.append((f"l{name}", add.format(a=total, b=other)))
+                total = f"l{name}"
+            logs[name] = total
+    lines += [
+        ("lfI1", " + ".join(["lrd", *(logs[s] for s in ("f1", "g1") if s in logs)])),
+        ("lfI2", " + ".join(["lrn", *(logs[s] for s in ("f2", "g2", "h") if s in logs)])),
+    ]
     return "".join(f"        {name} = {value}\n" for name, value in lines)
 
 
-def _power_sum(name: str, f, t: str, constants: dict) -> str | None:
-    """The power sum f at the variable t as an expression over constants
-    named <name>_c<i> and <name>_e<i>, which are added to ``constants``; None
-    for the constant 1.  The terms are summed in order, c * t**e each, c
-    alone for e = 0 and c * t for e = 1, with exact factors 1.0 left out:
-    the float operations of :meth:`FuncExpr.__call__`."""
+def _log_power_sum(name: str, f, t: str, constants: dict) -> tuple[str, ...]:
+    """The logarithms of the terms of the power sum f, at the logarithm t of
+    its variable, as expressions over constants named <name>_l<i> (ln c)
+    and <name>_e<i>, which are added to ``constants``: lc + e * t, with
+    lc left out for c = 1 and e * t for e = 0, and t alone for e = 1; no
+    term for the constant 1."""
     if f.terms == ((1.0, 0.0),):
-        return None
+        return ()
     terms = []
     for i, (coeff, exponent) in enumerate(f.terms):
-        factors = []
-        if coeff != 1.0 or exponent == 0.0:
-            constants[f"{name}_c{i}"] = coeff
-            factors.append(f"{name}_c{i}")
+        parts = []
+        if coeff != 1.0:
+            constants[f"{name}_l{i}"] = math.log(coeff)
+            parts.append(f"{name}_l{i}")
         if exponent == 1.0:
-            factors.append(t)
+            parts.append(t)
         elif exponent != 0.0:
             constants[f"{name}_e{i}"] = exponent
-            factors.append(f"{t} ** {name}_e{i}")
-        terms.append(" * ".join(factors))
-    total = " + ".join(terms)
-    return total if total.isidentifier() else f"({total})"
+            parts.append(f"{name}_e{i} * {t}")
+        terms.append(" + ".join(parts) or "0.0")
+    return tuple(terms)
 
 
 def _kernel_factory(constants: dict, shape: tuple) -> Callable:
     """Compile the kernels of one shape: ``make(**constants)`` binds them to
     a problem's constants, in the order of :class:`_Kernels`.  The body of
-    the shape, in a kernel's form and with its constants that are 1.0 left
-    out, is written into its phase map as every stage of a step and as
-    stage 1 of the other kernels.  The two steps are about 27 KB of source,
-    so they are generated and compiled once per shape (about 6 ms)."""
-    phases = {
-        "radial": (_RADIAL_STAGE, (False, False, False, False)),
-        "pole": (_POLE_STAGE, (False, False, True, True)),
-    }
+    the shape, in a kernel's form and with its neutral constants left out,
+    is written into the phase map as every stage of the step and as stage 1
+    of the other kernels.  The step is about 14 KB of source, so the
+    kernels are generated and compiled once per shape."""
     source = f"def make({', '.join(constants)}):\n"
     for name in _Kernels._fields:
-        phase, _, kind = name.partition("_")
-        template, absolute = phases[phase]
-        I1, I2, exp = _ARRAYS if kind == "rhs" else _FLOATS
-        stage = functools.partial(template.format, body=_body(shape, I1, I2), exp=exp)
-        if kind == "step":
-            kernel = dop853._step_source(f"{name}(x, h, y, k1, tol)", stage, absolute)
+        exp, add = _ARRAYS if name == "rhs_arrays" else _FLOATS
+        stage = functools.partial(_STAGE.format, body=_body(shape, add), exp=exp)
+        if name == "step":
+            kernel = dop853._step_source("step(x, h, y, k1, tol)", stage, (True,) * 4)
         else:
             y = ["y0", "y1", "y2", "y3"]
             kernel = _STAGE_KERNEL.format(name=name, stage=stage(s=1, x="x", y=y))
         source += textwrap.indent(kernel, "    ")
     source += f"    return {', '.join(_Kernels._fields)}\n"
-    namespace = {"exp": math.exp, "np": np, **dop853._STEP_GLOBALS}
+    namespace = {"exp": math.exp, "log1p": math.log1p, "np": np, **dop853._STEP_GLOBALS}
     exec(compile(source, "<radlab rhs kernels>", "exec"), namespace)
     return namespace["make"]
 
@@ -633,34 +636,24 @@ def _kernel_factory(constants: dict, shape: tuple) -> Callable:
 def _kernels(spec: ProblemSpec) -> _Kernels:
     """Compile the right-hand side of ``spec`` into straight-line kernels.
 
-    Its power sums are written out as Python source over named constants,
-    with the float operations of the closures they replace in the same
-    order, so every result keeps its bits.  The constants c1, delta, n - 1,
-    theta and 1/(p-1) that are exactly 1.0 are left out with their product
-    or power, which would return the other operand unchanged, and where
-    delta is n - 1 one power of r serves both.  The source depends only on
-    the shape, that is on the shape of the sums and on which constants are
-    exactly 1.0, so it is generated and compiled once for all problems that
-    share it; the constants are bound per problem."""
+    Its power sums are written out in logarithms as Python source over
+    named constants.  The constants ln c1, delta, n - 1, theta and 1/(p-1)
+    that are neutral (0.0 for ln c1, 1.0 for the factors) are left out with
+    their sum or product, and where delta is n - 1 one product serves both.
+    The source depends only on the shape, that is on the terms of the sums
+    and on which constants are neutral, so it is generated and compiled
+    once for all problems that share it; the constants are bound per
+    problem."""
     constants = {
-        "c1": spec.delta / (spec.n - 1.0),
+        "lc1": math.log(spec.delta / (spec.n - 1.0)),
         "delta": spec.delta,
         "nm1": float(spec.n - 1),
         "theta": spec.theta,
         "inv_pm1": 1.0 / (spec.p - 1.0),
     }
-
-    def product(*factors):
-        return " * ".join(f for f in factors if f is not None)
-
-    sums = {
-        name: _power_sum(name, getattr(spec, name), t, constants)
-        for name, t in (("f1", "r"), ("g1", "v"), ("f2", "r"), ("g2", "v"), ("h", "w"))
-    }
     shape = (
-        product("rd", sums["f1"], sums["g1"]),
-        product("rn", sums["f2"], sums["g2"], sums["h"]),
-        tuple(name for name in _UNIT_CONSTANTS if constants[name] == 1.0),
+        tuple(_log_power_sum(name, getattr(spec, name), t, constants) for name, t in _SUMS),
+        tuple(name for name, value in _NEUTRAL.items() if constants[name] == value),
         constants["delta"] == constants["nm1"],
     )
     make = _KERNEL_FACTORIES.get(shape)
@@ -672,13 +665,16 @@ def _kernels(spec: ProblemSpec) -> _Kernels:
 #: The local error is held below this fraction of rel_tol: the emitted
 #: nodes feed finite-difference checks that amplify interpolation error.
 _ERR_SCALE = 0.05
-#: Each accepted step is emitted as this many equal sub-panels, the interior
-#: nodes taken from the continuous extension.
+#: Each accepted step is emitted as at least this many equal sub-panels in
+#: tau, the interior nodes taken from the continuous extension, and as more
+#: where they would be wider in ln r than the start grid's spacing, which
+#: finite differences of powers of r need.
 _SUBPANELS = 14
+_SPACING = math.log(1.0 / _START_SPAN) / (_START_NODES - 1)
 
 
 def _first_slope(f, x, y, r):
-    """f(x, *y) at the start of a phase, or :class:`SolverError` when the
+    """f(x, *y) where the march starts, or :class:`SolverError` when the
     right-hand side leaves the float range there."""
     try:
         k = f(x, *y)
@@ -707,104 +703,91 @@ def march(
 def advance(
     spec: ProblemSpec, start: BootstrapSegment, options: SolverOptions
 ) -> RadialSolution:
-    """Step outward in r from ``start`` until the target radius, a resolved
-    blow-up, or step underflow.
+    """Step outward in tau = ln r + ln v from ``start`` until the target
+    radius, a resolved blow-up, or step underflow.
 
     ``start`` is the closed-form start of :func:`march` or any other
-    segment with ``state`` (u, v, I1, I2) at ``r0`` and the ``kernels`` of
-    ``spec``, such as an exact solution's; its ``profiles`` are read only
-    for the columns and samples below r0.  ``spec`` is taken as valid, with
-    alpha < p - 1, as :func:`march` checks; the columns keep the invariants
-    :func:`_emit_nodes` states for the closed-form start only when the
-    start's own columns keep them.  From r0, with a first trial step of
-    0.1 * r0, Dormand-Prince 8(5,3) steps advance the state (u, v, I1, I2)
-    in r.  An accepted step that ends with I1, I2 > 0 and dr/ds = v/v'
-    below r and below its value at the step's start switches the march to
-    the state (r, u, ln I1, ln I2) in s = ln v; both values of v/v' come
-    from the step's first and last stages, so the test costs no evaluation.
+    segment with ``state`` (ln v, ln I1, ln I2, ln(u - u0)) at ``r0`` and
+    the ``kernels`` of ``spec``, such as an exact solution's; its ``u0``
+    and ``profiles`` are read only for the columns and samples.  ``spec``
+    is taken as valid, with alpha < p - 1, as :func:`march` checks; the
+    columns keep the invariants :func:`_emit_nodes` states for the
+    closed-form start only when the start's own columns keep them.  From
+    tau = ln r0 + ln v, with a first trial step that moves ln r by 0.1,
+    Dormand-Prince 8(5,3) steps advance (ln r, ln I1, ln I2, ln(u - u0)).
     A step is accepted when its combined error estimate lies below 0.05 *
-    rel_tol times max(|y|, |y_new|) in every component, or below 0.05 *
-    rel_tol itself for the two logarithms; the next step size is the current one
-    times 0.9 * err**(-1/8), clamped to [0.2, 5].  Each phase takes its
-    fused step of :func:`_kernels`, ``radial_step`` and then
-    ``pole_step``: straight-line code with the right-hand side written into
-    every stage, the float operations of the power sums and, in s, the
-    exponentials and dr/ds products, so it returns the bits of
-    :func:`dop853.step` on the scalar kernels, which give each phase's
-    first slope.  Each accepted step keeps its stages.  The run's columns are
-    not built here: on their first read :func:`_emit_nodes` emits each step
-    as 14 equal sub-panels whose interior nodes come from the seventh-order
+    rel_tol in every component; the next step size is the current one
+    times 0.9 * err**(-1/8), clamped to [0.2, 5].  The march takes the
+    fused step of :func:`_kernels`, straight-line code with the right-hand
+    side written into every stage, so it returns the bits of
+    :func:`dop853.step` on the scalar kernel, which gives the first slope.
+    Each accepted step keeps its stages.  The run's columns are not built
+    here: on their first read :func:`_emit_nodes` emits each step as 14
+    equal sub-panels whose interior nodes come from the seventh-order
     continuous extension, one product with its node matrix; emission drops
     the nodes that are not finite or do not advance r, and changes nothing
     else.  ``r_end`` and ``v_final`` are taken from the last step with the
     float operations that give its end node.
 
-    The run ends as ReachedTarget once r is within 1e-14 * target_radius
-    of the target; in s a step that would overshoot it by more than that is
-    shrunk onto it.  It ends as BlowUp on the pole estimate
-    R0 = r + b * dr/ds, with b = -1 / (d ln(dr/ds)/ds) = -1 / slope taken
-    across the last step of size h.  The estimate's error, like
+    The run ends as ReachedTarget once ln r is within 1e-14 of the target's;
+    a step that would overshoot it by more than that is shrunk onto it.  It
+    ends as BlowUp on the pole estimate R0 = r + b * dr/dtau, with
+    dr/dtau = r * dln r/dtau and b = -1 / (d ln(dr/dtau)/dtau) = -1 / slope
+    taken across the last step of size h.  The estimate's error, like
     (R0 - r)**2, contracts by rho = exp(2 * h * slope) per step, so the run
     stops once |change of R0| * rho / (1 - rho) <= 0.05 * rel_tol * R0,
     with that step's rates b_hat = -1 / slope and sigma_hat = 1 - (the
-    log-slope of du/ds over that of dr/ds).  It ends as StepUnderflow, with
-    a note, when a rejection shrinks the step's increment in r below
-    1e-14 * r; no other place ends a run.  :class:`SolverError` is raised
-    when r0 or the state at r0 is not a positive normal float, when the
-    right-hand side is not finite where a phase starts, and when 2,000,000
-    steps (``_MAX_STEPS``) have been accepted without an end.
+    log-slope of d(u - u0)/dtau over that of dr/dtau).  It ends as
+    StepUnderflow, with a note, when a rejection shrinks the step's
+    increment in ln r below 1e-14; no other place ends a run.
+    :class:`SolverError` is raised when r0 is not a positive normal float
+    or the state is not finite, when the right-hand side is not finite at
+    the start, and when 2,000,000 steps (``_MAX_STEPS``) have been
+    accepted without an end.
     """
-    if not _normal((start.r0, *start.state)):
+    if not (_normal((start.r0,)) and all(map(math.isfinite, start.state))):
         raise SolverError(
-            f"the start is not positive normal floats: r0={start.r0!r}, "
-            f"state={start.state!r}"
+            f"the start is not a positive normal r0 with finite logarithms: "
+            f"r0={start.r0!r}, state={start.state!r}"
         )
-    kernels = start.kernels
-
+    step = start.kernels.step
     tol = _ERR_SCALE * options.rel_tol
-    target = options.target_radius
-    arrival = _MIN_STEP * target
+    log_target = math.log(options.target_radius)
     notes: list[str] = []
+    rows: list[tuple] = []
+    keep = rows.append
 
-    # x is r and y is (u, v, I1, I2) until the pole dominates; from then on
-    # x is s = ln v and y is (r, u, ln I1, ln I2).  Each phase has its step
-    # and keeps the rows of its accepted steps for the dense output.
-    in_pole = False
-    radial_steps: list[tuple] = []
-    pole_steps: list[tuple] = []
-    step, keep = kernels.radial_step, radial_steps.append
-    x = start.r0
-    y = start.state
-    k1 = _first_slope(kernels.radial, x, y, x)
+    # x is tau and y is (ln r, ln I1, ln I2, ln(u - u0)).
+    lr = math.log(start.r0)
+    x = lr + start.state[0]
+    y = (lr, *start.state[1:])
+    k1 = _first_slope(start.kernels.rhs, x, y, start.r0)
     accepted = rejected = 0
-    h = _FIRST_STEP * x
+    h = _FIRST_STEP / k1[0]
     estimate = R0 = b_hat = sigma_hat = None
-    pole_switch_r = None
-    terminated = None
 
     while True:
-        r = y[0] if in_pole else x
-        if target - r <= arrival:
+        room = log_target - y[0]
+        if room <= _MIN_STEP:
             terminated = TerminationReason.REACHED_TARGET
             break
         if accepted >= _MAX_STEPS:
-            raise SolverError(f"step budget of {_MAX_STEPS} exhausted at r={r!r}")
-        # h = min(h, room) and factor = min(5, max(0.2, ...)) as the
+            raise SolverError(f"step budget of {_MAX_STEPS} exhausted at r={math.exp(y[0])!r}")
+        # h = min(h, room / k1[0]) and factor = min(5, max(0.2, ...)) as the
         # comparisons that min and max make, which give the same floats.
-        room = (target - r) / k1[0] if in_pole else target - r
-        if room < h:
-            h = room
+        if room < h * k1[0]:
+            h = room / k1[0]
         y_new, k13, row, err = step(x, h, y, k1, tol)
         factor = 0.9 * err ** -0.125 if err > 0.0 else 5.0
         factor = (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2
-        if not err <= 1.0 or (in_pole and y_new[0] - target > arrival):
+        if not err <= 1.0 or y_new[0] - log_target > _MIN_STEP:
             rejected += 1
-            h *= (target - r) / (y_new[0] - r) if err <= 1.0 else factor
-            dr = h * k1[0] if in_pole else h
-            if dr < _MIN_STEP * r:
+            h *= room / (y_new[0] - y[0]) if err <= 1.0 else factor
+            if h * k1[0] < _MIN_STEP:
+                r = math.exp(y[0])
                 notes.append(
-                    f"step underflow at r={r:.12g} (increment in r {dr:.3g} "
-                    f"< {_MIN_STEP * r:.3g})"
+                    f"step underflow at r={r:.12g} (increment in r "
+                    f"{h * k1[0] * r:.3g} < {_MIN_STEP * r:.3g})"
                 )
                 terminated = TerminationReason.STEP_UNDERFLOW
                 break
@@ -812,55 +795,36 @@ def advance(
 
         keep(row)
         accepted += 1
-        if in_pole:
-            switch = False
-            slope = math.log(k13[0] / k1[0]) / h
-            previous, estimate = estimate, (y_new[0] - k13[0] / slope if slope < 0.0 else None)
-            if estimate is not None and previous is not None:
-                # The estimate's error, like (R0 - r)**2, contracts by rho per
-                # step, so what remains after this step is about
-                # |estimate - previous| * rho / (1 - rho).
-                rho = math.exp(2.0 * h * slope)
-                if abs(estimate - previous) * rho / (1.0 - rho) <= tol * estimate:
-                    # dr/ds ~ (R0 - r)/b decays in s at the rate 1/b and
-                    # du/ds = u' dr/ds ~ (R0 - r)**(1 - sigma) at (1 - sigma)/b.
-                    R0 = estimate
-                    b_hat = -1.0 / slope
-                    sigma_hat = 1.0 - math.log(k13[1] / k1[1]) / h / slope
-                    terminated = TerminationReason.BLOW_UP
-                    break
-        else:
-            # dr/ds = v/v' is r/k under power growth r**k and (R0 - r)/b near
-            # a pole: the pole dominates once it is below r and falling.
-            switch = (
-                y_new[2] > 0.0 and y_new[3] > 0.0 and k1[1] > 0.0 and k13[1] > 0.0
-                and y_new[1] / k13[1] < min(x + h, y[1] / k1[1])
-            )
+        # ln(dr/dtau) = ln r + ln(dln r/dtau): its slope across the step.
+        slope = (y_new[0] - y[0] + math.log(k13[0] / k1[0])) / h
+        previous = estimate
+        estimate = math.exp(y_new[0]) * (1.0 - k13[0] / slope) if slope < 0.0 else None
+        if estimate is not None and previous is not None:
+            # The estimate's error, like (R0 - r)**2, contracts by rho per
+            # step, so what remains after this step is about
+            # |estimate - previous| * rho / (1 - rho).
+            rho = math.exp(2.0 * h * slope)
+            if abs(estimate - previous) * rho / (1.0 - rho) <= tol * estimate:
+                # dr/dtau ~ (R0 - r)/b decays in tau at the rate 1/b and
+                # d(u - u0)/dtau = u' dr/dtau ~ (R0 - r)**(1 - sigma) at
+                # (1 - sigma)/b.
+                R0 = estimate
+                b_hat, sigma_hat = _rates(spec, R0, ((math.exp(y[0]), k1), (math.exp(y_new[0]), k13)))
+                terminated = TerminationReason.BLOW_UP
+                break
         x, y, k1 = x + h, y_new, k13
         h *= factor
-        if switch:
-            # From here march in s = ln v; the next increment in r is kept.
-            in_pole = True
-            step, keep = kernels.pole_step, pole_steps.append
-            pole_switch_r = x
-            x, y = math.log(y[1]), (x, y[0], math.log(y[2]), math.log(y[3]))
-            k1 = _first_slope(kernels.pole, x, y, pole_switch_r)
-            h /= k1[0]
 
-    # The end of the last step, (x, h, y, y_new, ...), as _emit_nodes makes
-    # its last node; its exponentials are finite, since its last stage took them.
-    rows = pole_steps or radial_steps
     if rows:
+        # The end of the last step, as _emit_nodes makes its last node.
         last = _stacked(rows[-1:])
-        end = _radial_state(rows is pole_steps, last, 1.0, last[:, 6:10].T)
+        with np.errstate(over="ignore"):
+            end = _nodes(spec, start.u0, last, 1.0, last[:, 6:10].T)
         r_end, v_final = end[0][0], end[2][0]
     else:
-        r_end, v_final = start.r0, start.state[1]
+        r_end, v_final = start.r0, start.profiles(np.array([start.r0]))[1][0]
     # The accepted steps' increments in r, read off their rows.
-    increments = [(row[0] + row[1]) - row[0] for row in radial_steps]
-    increments += [row[6] - row[2] for row in pole_steps]
-    # Twelve evaluations per step tried, and the first slope of each phase.
-    evals = 12 * (accepted + rejected) + 1 + (pole_switch_r is not None)
+    increments = [math.exp(row[6]) - math.exp(row[2]) for row in rows]
     return RadialSolution(
         spec=spec,
         options=options,
@@ -871,82 +835,101 @@ def advance(
         r_end=float(r_end),
         v_final=float(v_final),
         start_radius=start.r0,
-        rhs_evals=evals,
+        # Twelve evaluations per step tried, and the first slope.
+        rhs_evals=12 * (accepted + rejected) + 1,
         accepted_steps=accepted,
         rejected_steps=rejected,
         dt_min=min(increments) if increments else None,
         dt_max=max(increments) if increments else None,
-        pole_switch_r=pole_switch_r,
-        steps=_MarchSteps(start, radial_steps, pole_steps),
+        steps=_MarchSteps(start, rows),
         notes=tuple(notes),
     )
 
 
-def _radial_state(in_pole: bool, steps: np.ndarray, theta, y) -> tuple:
-    """(r, u, v, I1, I2) where a phase's step rows ``steps`` reach the
+def _rates(spec: ProblemSpec, R0: float, ends) -> tuple[float, float]:
+    """The rates b and sigma of v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma).
+
+    At a radius they are b = (ln v)' / ((ln v')' - (ln v)') and sigma =
+    (ln w)' / ((ln v')' - (ln v)'), exact for a pure pole and with a
+    deviation of first order in R0 - r otherwise.  They are read off the
+    slopes k in tau at the two ends of the last step, given as (r, k)
+    pairs in ``ends``, and extrapolated linearly in R0 - r to 0."""
+    points = []
+    for r, k in ends:
+        lv = 1.0 - k[0]
+        ldv = (k[2] - (spec.n - 1.0) * k[0]) / (spec.p - 1.0)
+        lw = spec.theta * (k[1] - spec.delta * k[0])
+        points.append((R0 - r, lv / (ldv - lv), lw / (ldv - lv)))
+    (e0, b0, s0), (e1, b1, s1) = points
+    return (b1 * e0 - b0 * e1) / (e0 - e1), (s1 * e0 - s0 * e1) / (e0 - e1)
+
+
+def _nodes(spec: ProblemSpec, u0: float, steps: np.ndarray, theta, y) -> tuple:
+    """(r, u, v, w, dv, I1, I2) where the step rows ``steps`` reach the log
     state y, four arrays, at the fractions theta of their steps, flattened:
-    with x = x0 + h * theta, (x, *y) in r and (y0, y1, e**x, e**y2, e**y3)
-    in s = ln v."""
+    with tau = x0 + h * theta, the exponentials of ln r, tau - ln r, ln w,
+    ln dv and the logarithms of the accumulators, and u = u0 + e**y3."""
+    lr, lI1, lI2, lU = y
     x = (steps[:, :1] + steps[:, 1:2] * theta).ravel()
-    if in_pole:
-        return y[0], y[1], np.exp(x), np.exp(y[2]), np.exp(y[3])
-    return (x, *y)
+    lw = spec.theta * (math.log(spec.delta / (spec.n - 1.0)) + lI1 - spec.delta * lr)
+    ldv = (lI2 - (spec.n - 1.0) * lr) / (spec.p - 1.0)
+    logs = (lr, x - lr, lw, ldv, lI1, lI2)
+    r, v, w, dv, I1, I2 = (np.exp(value) for value in logs)
+    return r, u0 + np.exp(lU), v, w, dv, I1, I2
 
 
 def _stacked(rows) -> np.ndarray:
-    """The step rows of one phase as an array, a row per step."""
+    """The step rows as an array, a row per step."""
     width = len(rows[0])
     return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
 
 
-def _emit_nodes(boot: BootstrapSegment, radial_steps, pole_steps):
+def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, rows):
     """The trajectory columns and the evaluations of the right-hand side this
     pass makes.
 
     The columns are the start's, then every accepted step as the 13
-    interior nodes of its continuous extension and its end node, each
-    phase's mapped to (r, u, v, I1, I2) by :func:`_radial_state`.  The step
-    rows of a phase are read into one array, its three extra stages are
-    evaluated for all of its steps at once by the compiled array kernels,
-    and its interior nodes are one product with the node matrix of
-    :func:`dop853.dense_nodes`.  A node that is not finite, or whose radius
-    does not exceed every earlier one, is dropped; when every node is kept
-    nothing is copied.  Roundoff-level dips of the dense output are clamped
-    so every profile stays nondecreasing, and the right-hand side is
-    evaluated in one vectorised pass over the march's nodes.  So, from the
-    closed-form start of :func:`picard_bootstrap`, r starts at 0, on its
-    origin row (u0, v0 > 0 and w = dv = 0), and increases strictly, and u,
-    v, w and dv never decrease; another start's columns must hold its own
-    part of that, which nothing here re-checks."""
-    kernels = boot.kernels
-    parts = [(boot.r, boot.u, boot.v, boot.I1, boot.I2)]
-    thetas = np.arange(1, _SUBPANELS) / _SUBPANELS
+    interior nodes of its continuous extension and its end node, mapped to
+    (r, u, v, w, dv, I1, I2) by :func:`_nodes`.  The step rows are read into
+    one array, their three extra stages are evaluated for all steps at once
+    by the compiled array kernel, and the interior nodes are one product
+    with the node matrix of :func:`dop853.dense_nodes`.  A node that is not
+    finite, as past the float range, or whose radius does not exceed every
+    earlier one, is dropped; when every node is kept nothing is copied.
+    Roundoff-level dips of the dense output are clamped so every profile
+    stays nondecreasing.  So, from the closed-form start of
+    :func:`picard_bootstrap`, r starts at 0, on its origin row (u0, v0 > 0
+    and w = dv = 0), and increases strictly, and u, v, w and dv never
+    decrease; another start's columns must hold its own part of that,
+    which nothing here re-checks."""
+    parts = [(boot.r, boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2)]
     evals = 0
-    for steps, f in ((radial_steps, kernels.radial_rhs), (pole_steps, kernels.pole_rhs)):
-        if not steps:
-            continue
-        steps = _stacked(steps)
-        # Extra stages that leave the float range give nodes that are not
-        # finite, which are dropped below.
+    if rows:
+        steps = _stacked(rows)
+        counts = np.maximum(_SUBPANELS, np.ceil((steps[:, 6] - steps[:, 2]) / _SPACING))
+        counts = counts.astype(int)
+        # Node j of a step of K sub-panels lies at the fraction j / K, j = 1..K.
+        at = np.repeat(np.arange(len(steps)), counts)
+        theta = (np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts) + 1.0)
+        theta = (theta / counts[at])[:, None]
+        # Extra stages and nodes that leave the float range are not finite,
+        # and are dropped below.
         with np.errstate(all="ignore"):
-            sub = dop853.dense_output(f, steps, thetas)
-        evals += 3 * len(steps)
-        states = np.concatenate([sub, steps[:, None, 6:10]], axis=1).reshape(-1, 4).T
-        in_pole = f is kernels.pole_rhs
-        parts.append(_radial_state(in_pole, steps, np.append(thetas, 1.0), states))
-    r, u, v, I1, I2 = nodes = [np.concatenate(col) for col in zip(*parts)]
+            V = dop853.dense_stages(boot.kernels.rhs_arrays, steps)
+            states = dop853.dense_nodes(steps[at], V[:, at], theta)[:, 0].T
+            # A step's end node is its end state.
+            states[:, theta[:, 0] == 1.0] = steps[:, 6:10].T
+            parts.append(_nodes(spec, boot.u0, steps[at], theta, states))
+        evals = 3 * len(steps)
+    r, u, v, w, dv, I1, I2 = nodes = [np.concatenate(col) for col in zip(*parts)]
     # A finite node is kept when its radius exceeds every earlier finite one.
     finite = np.isfinite(nodes).all(axis=0)
     highest = np.maximum.accumulate(np.where(finite, r, -np.inf))
     keep = finite & np.append(True, r[1:] > highest[:-1])
     if not keep.all():
-        r, u, v, I1, I2 = (col[keep] for col in nodes)
-    u, v, I1, I2 = (np.maximum.accumulate(col) for col in (u, v, I1, I2))
-    m = len(boot.r)
-    w, dv, _, _ = kernels.radial_rhs(r[m:], u[m:], v[m:], I1[m:], I2[m:])
-    w = np.maximum.accumulate(np.concatenate([boot.w, w]))
-    dv = np.maximum.accumulate(np.concatenate([boot.dv, dv]))
-    return dict(r=r, u=u, v=v, w=w, dv=dv, I1=I1, I2=I2), evals + len(r) - m
+        r, u, v, w, dv, I1, I2 = (col[keep] for col in nodes)
+    u, v, w, dv, I1, I2 = (np.maximum.accumulate(col) for col in (u, v, w, dv, I1, I2))
+    return dict(r=r, u=u, v=v, w=w, dv=dv, I1=I1, I2=I2), evals
 
 
 @dataclass(frozen=True)

@@ -115,15 +115,16 @@ def ball():
 
 
 @pytest.fixture
-def dense_output_calls(monkeypatch):
-    """The right-hand sides that ``dop853.dense_output`` is called with, one
-    per call: building a trajectory's columns calls it once per phase."""
+def dense_stage_calls(monkeypatch):
+    """The right-hand sides that ``dop853.dense_stages`` is called with, one
+    per call: building a trajectory's columns calls it once, for every
+    step of the march at once."""
     calls = []
-    dense_output = dop853.dense_output
+    dense_stages = dop853.dense_stages
 
-    def counted(f, steps, thetas):
+    def counted(f, steps):
         calls.append(f.__name__)
-        return dense_output(f, steps, thetas)
+        return dense_stages(f, steps)
 
-    monkeypatch.setattr(dop853, "dense_output", counted)
+    monkeypatch.setattr(dop853, "dense_stages", counted)
     return calls

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import radlab.cli
 from radlab.cli import _write_trajectory, main
 from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
+from radlab.criteria import CriterionDiverges
 from radlab.solver import blowup_envelope_check, march
 from radlab.verify import SANDWICH_GRID, relative_residuals, trajectory_reports
 
@@ -418,7 +419,7 @@ def test_solve_writes_deterministic_outputs(tmp_path, capsys):
     stats = report["stats"]
     assert list(stats) == [
         "nodes", "bootstrap_nodes", "start_radius", "rhs_evals",
-        "accepted_steps", "rejected_steps", "dt_min", "dt_max", "pole_switch_r",
+        "accepted_steps", "rejected_steps", "dt_min", "dt_max",
         "b_hat", "sigma_hat",
     ]
     assert stats["accepted_steps"] > 0
@@ -464,13 +465,13 @@ def _config_with(tmp_path, source, **values):
     return write(tmp_path, text, name=source)
 
 
-def test_solve_reports_a_diverging_envelope_as_a_note(tmp_path, capsys):
-    # Problem A is global, yet at target 1000 the march ends BlowUp near
-    # r = 706 once v leaves the float range, and the envelope fit then
-    # needs a tail function that A's diverging criterion does not have.
-    # That used to end in a CriterionDiverges traceback.  The five-point
-    # derivatives overflow at the last nodes, whose residuals are nan; the
-    # run prints no numpy warning on the way.
+def test_solve_carries_problem_a_past_the_float_range(tmp_path, capsys):
+    # Problem A is global with v ~ e**r, which leaves the float range at
+    # r ~ 709.8.  At target 1000 the march used to end BlowUp near r = 706
+    # there, and its envelope fit to need the tail function that A's
+    # diverging criterion does not have.  Now it reaches the target and
+    # agrees, with no envelope and no numpy warning; the nodes beyond the
+    # float range are dropped and v_final is inf.
     config = _config_with(tmp_path, "problem_a.cfg", target_radius=1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -480,11 +481,17 @@ def test_solve_reports_a_diverging_envelope_as_a_note(tmp_path, capsys):
     assert code == 0
     assert err == ""
     report = json.loads(out)
-    assert report["envelope"] is None
-    assert any(
-        note.startswith("envelope fit unavailable: ") and "diverges" in note
-        for note in report["notes"]
-    )
+    assert report["termination"] == "ReachedTarget"
+    assert report["reconcile"]["status"] == "agree"
+    assert report["envelope"] is None and report["notes"] == []
+    assert report["v_final"] == math.inf
+    assert all(check["pass"] for check in report["verify"])
+    # The envelope fit of a blow-up under a criterion that diverges raises
+    # CriterionDiverges, which solve reports as a note.
+    b = load_config(str(CONFIGS / "problem_b.cfg"))
+    run_of_b = march(b.spec(), b.u0, b.v0, b.solver_options())
+    with pytest.raises(CriterionDiverges):
+        blowup_envelope_check(run_of_b, load_config(config).spec())
 
 
 @pytest.mark.parametrize(
@@ -603,7 +610,7 @@ def test_sweep_rows_survive_per_row_failures(tmp_path, capsys):
         assert cells[7] != ""
 
 
-def test_a_solved_sweep_builds_no_trajectory(dense_output_calls, monkeypatch):
+def test_a_solved_sweep_builds_no_trajectory(dense_stage_calls, monkeypatch):
     # A sweep row reads the march's verdict alone, so no row emits nodes,
     # and the start's grid is not built either: the march reads the start's
     # profiles at r0 alone.  Its node count, read afterwards, builds the
@@ -619,7 +626,7 @@ def test_a_solved_sweep_builds_no_trajectory(dense_output_calls, monkeypatch):
     for value in config.sweep_values:
         row = radlab.cli.sweep_row(config.with_value("q", value), "q", value, True)
         assert row["numeric_class"] and row["error"] == "", row
-    assert dense_output_calls == []
+    assert dense_stage_calls == []
     assert len(solutions) == len(config.sweep_values)
     for solution in solutions:
         assert "_columns" not in vars(solution)
@@ -628,9 +635,9 @@ def test_a_solved_sweep_builds_no_trajectory(dense_output_calls, monkeypatch):
         assert "_columns" not in vars(solution)
 
 
-def test_solve_builds_the_trajectory_once(dense_output_calls, tmp_path, capsys, monkeypatch):
-    # Problem B marches in r and then in s: solve emits each phase once, and
-    # no later reader of the columns emits them again.  sample evaluates the
+def test_solve_builds_the_trajectory_once(dense_stage_calls, tmp_path, capsys, monkeypatch):
+    # solve evaluates the dense stages of problem B's steps once, and no
+    # later reader of the columns emits them again.  sample evaluates the
     # extensions of its own steps, and builds no column.
     solutions = []
     builds = []
@@ -649,7 +656,7 @@ def test_solve_builds_the_trajectory_once(dense_output_calls, tmp_path, capsys, 
     config = load_config(str(CONFIGS / "problem_b.cfg"))
     assert radlab.cli.cmd_solve(config, str(tmp_path)) == 0
     capsys.readouterr()
-    assert dense_output_calls == ["radial_rhs", "pole_rhs"]
+    assert dense_stage_calls == ["rhs_arrays"]
     assert len(builds) == 1
     (solution,) = solutions
     report = json.loads((tmp_path / "report.json").read_text())

@@ -114,7 +114,6 @@ def test_march_detects_blowup(solved_cases):
     run = solved_cases["B"]
     assert run.terminated is TerminationReason.BLOW_UP
     assert run.R0 == pytest.approx(4.440015366348077, rel=1e-9)
-    assert run.pole_switch_r is not None
     assert run.r_end < run.R0 < 1.02 * run.r_end
 
 
@@ -142,71 +141,72 @@ def test_sweep_ladder_step_count():
 
 
 def test_march_step_diagnostics(solved_cases):
+    # Each step emits 14 sub-panels, or more where 14 would be wider in
+    # ln r than the start grid's spacing.
     for run in solved_cases.values():
         assert run.accepted_steps > 0 and run.rejected_steps >= 0
         assert 0.0 < run.dt_min <= run.dt_max < run.options.target_radius
         march_nodes = len(run.r) - run.bootstrap_nodes
-        assert march_nodes == solver._SUBPANELS * run.accepted_steps
+        widths = [row[6] - row[2] for row in run.steps.rows]
+        assert march_nodes == sum(max(14, math.ceil(w / solver._SPACING)) for w in widths)
+        assert march_nodes > solver._SUBPANELS * run.accepted_steps
 
 
 def test_stalled_sub_nodes_are_dropped(monkeypatch, solved_cases):
     # Only the march ends a run.  Emission drops the sub-nodes of a step that
-    # do not advance r, and the verdict, the step counts and the pole switch
-    # stay those of the march.  Stall the eleventh step in s = ln v of
-    # problem B: its 13 interior nodes sit at the radius where it starts.
-    # The columns are built on first read, so both runs are read while
-    # dense_output is as the test wants it: the full run before the patch,
-    # the stalled one under it.
+    # do not advance r, and the verdict and the step counts stay those of
+    # the march.  Stall the tenth step from the end of problem B: its
+    # interior nodes sit at the radius where it starts.  The columns are
+    # built on first read, so both runs are read while dense_nodes is as
+    # the test wants it: the full run before the patch, the stalled one
+    # under it.
     full = solved_cases["B"]
     full.r
-    dense_output = dop853.dense_output
-    stalled_span = []
+    row = full.steps.rows[-10]
+    dense_nodes = dop853.dense_nodes
 
-    def stalled(f, steps, thetas):
-        sub = dense_output(f, steps, thetas)
-        if f.__name__ == "pole_rhs":
-            sub[10, :, 0] = steps[10, 2]
-            stalled_span.extend((steps[10, 2], steps[10, 6]))
-        return sub
+    def stalled(steps, V, thetas):
+        nodes = dense_nodes(steps, V, thetas)
+        mine = steps[:, 0] == row[0]
+        nodes[mine, 0, 0] = row[2]
+        return nodes
 
-    monkeypatch.setattr(dop853, "dense_output", stalled)
+    monkeypatch.setattr(dop853, "dense_nodes", stalled)
     case = CASE_BY_NAME["B"]
     run = march(case.spec(), 1.0, 1.0, case.options())
     run.r
-    start, end = stalled_span
-    kept = ~((full.r > start) & (full.r < end))
+    kept = ~((full.r > math.exp(row[2])) & (full.r < math.exp(row[6])))
     assert np.count_nonzero(~kept) == solver._SUBPANELS - 1
     for name in (
         "terminated", "R0", "b_hat", "sigma_hat", "accepted_steps",
-        "rejected_steps", "dt_min", "dt_max", "pole_switch_r", "notes",
+        "rejected_steps", "dt_min", "dt_max", "notes", "rhs_evals",
     ):
         assert getattr(run, name) == getattr(full, name), name
-    assert run.rhs_evals == full.rhs_evals - (solver._SUBPANELS - 1)
     assert np.array_equal(run.r, full.r[kept])
     assert np.array_equal(run.v, full.v[kept])
 
 
 def test_a_sub_node_that_is_not_finite_is_dropped(monkeypatch, solved_cases):
-    # A nan in one dense sub-node, here v at the seventh interior node of
-    # problem C's sixth step in r, drops that node alone; the verdict and
-    # every other node stay.  The full run's columns are built before the
-    # patch.
+    # A nan in one dense sub-node, here ln I1 at the seventh interior node of
+    # problem C's sixth step, drops that node alone; the verdict and every
+    # other node stay.  The full run's columns are built before the patch.
     full = solved_cases["C"]
     full.r
-    dense_output = dop853.dense_output
+    row = full.steps.rows[5]
+    dense_nodes = dop853.dense_nodes
 
-    def poisoned(f, steps, thetas):
-        sub = dense_output(f, steps, thetas)
-        if f.__name__ == "radial_rhs":
-            sub[5, 6, 1] = math.nan
-        return sub
+    def poisoned(steps, V, thetas):
+        nodes = dense_nodes(steps, V, thetas)
+        nodes[np.flatnonzero(steps[:, 0] == row[0])[6], 0, 1] = math.nan
+        return nodes
 
-    monkeypatch.setattr(dop853, "dense_output", poisoned)
+    monkeypatch.setattr(dop853, "dense_nodes", poisoned)
     case = CASE_BY_NAME["C"]
     run = march(case.spec(), 1.0, 1.0, case.options())
-    dropped = run.bootstrap_nodes + 5 * solver._SUBPANELS + 6
-    kept = np.arange(len(full.r)) != dropped
-    for name in ("terminated", "R0", "b_hat", "sigma_hat", "accepted_steps", "pole_switch_r"):
+    kept = np.isin(full.r, run.r)
+    (dropped,) = np.flatnonzero(~kept)
+    assert math.exp(row[2]) < full.r[dropped] < math.exp(row[6])
+    for name in ("terminated", "R0", "b_hat", "sigma_hat", "accepted_steps"):
         assert getattr(run, name) == getattr(full, name), name
     for name in ("r", "u", "v", "w", "dv", "I1", "I2"):
         column = getattr(run, name)
@@ -221,7 +221,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def _committed_runs():
     """(label, run config): every committed run file and each value of its
     sweep, then problem A at targets 706.5 and 1000 and the sweep_q ladder
-    at 1e4, whose marches run into the float ceiling."""
+    at 1e4, whose v passes the largest float on some rows."""
     runs = []
     for path in sorted(
         [*ROOT.glob("configs/*.cfg"), *ROOT.glob("radbench/configs/*.cfg"),
@@ -252,7 +252,7 @@ def _committed_runs():
 VERDICT = (
     "terminated", "R0", "b_hat", "sigma_hat", "r_end", "v_final",
     "bootstrap_nodes", "start_radius", "accepted_steps", "rejected_steps",
-    "dt_min", "dt_max", "pole_switch_r", "notes",
+    "dt_min", "dt_max", "notes",
 )
 
 
@@ -263,10 +263,12 @@ COMMITTED_RUNS = _committed_runs()
     "config", [config for _, config in COMMITTED_RUNS],
     ids=[label for label, _ in COMMITTED_RUNS],
 )
-def test_verdict_is_that_of_the_built_columns(config, dense_output_calls):
+def test_verdict_is_that_of_the_built_columns(config, dense_stage_calls):
     # The verdict is read before any column is built, and keeps its bits
-    # once they are: r_end and v_final are the last node's r and v, and a
-    # run whose columns were built first reports the same.
+    # once they are: r_end and v_final are the last node's r and v, unless
+    # a column is past the float range there, where the node is dropped
+    # (and v_final is inf if v is); and a run whose columns were built
+    # first reports the same.
     args = (config.spec(), config.u0, config.v0, config.solver_options())
     try:
         lazy = march(*args)
@@ -275,29 +277,32 @@ def test_verdict_is_that_of_the_built_columns(config, dense_output_calls):
         return
     verdict = {name: getattr(lazy, name) for name in VERDICT}
     march_evals = lazy.rhs_evals
-    assert dense_output_calls == []
+    assert dense_stage_calls == []
     built = march(*args)
     built.r
     assert {name: getattr(built, name) for name in VERDICT} == verdict
     assert type(lazy.r_end) is float and type(lazy.v_final) is float
-    assert lazy.r[-1].hex() == verdict["r_end"].hex()
-    assert lazy.v[-1].hex() == verdict["v_final"].hex()
+    last = solver._stacked(lazy.steps.rows[-1:]) if lazy.steps.rows else None
+    with np.errstate(over="ignore"):
+        end = solver._nodes(lazy.spec, config.u0, last, 1.0, last[:, 6:10].T) if lazy.steps.rows else ()
+    if np.isfinite(end).all():
+        assert lazy.r[-1].hex() == verdict["r_end"].hex()
+        assert lazy.v[-1].hex() == verdict["v_final"].hex()
+    else:
+        assert lazy.r[-1] < verdict["r_end"] and np.isfinite(lazy.v[-1])
     assert {name: getattr(lazy, name) for name in VERDICT} == verdict
-    # The build adds the three dense stages of each step and one pass over
-    # the march's nodes.
-    assert lazy.rhs_evals == built.rhs_evals == (
-        march_evals + 3 * lazy.accepted_steps + len(lazy.r) - lazy.bootstrap_nodes
-    )
+    # The build adds the three dense stages of each step.
+    assert lazy.rhs_evals == built.rhs_evals == march_evals + 3 * lazy.accepted_steps
 
 
 @pytest.mark.parametrize(
     "label, config", COMMITTED_RUNS, ids=[label for label, _ in COMMITTED_RUNS]
 )
 def test_start_grid_is_built_on_read_and_ends_on_the_handover_state(label, config):
-    # The march reads the start's profiles at r0 alone; the grid, built when
-    # its columns are first read, starts on the origin and ends on the same
-    # state to the bit, and keeps its 1,025 nodes (21 on stress_alpha099,
-    # whose lower nodes are subnormal).
+    # The march reads the start's logarithms at r0 alone; the grid, built
+    # when its columns are first read, starts on the origin and ends on the
+    # same state, taken in floats from the same power sums, and keeps its
+    # 1,025 nodes (21 on stress_alpha099, whose lower nodes are subnormal).
     try:
         boot = picard_bootstrap(config.spec(), config.u0, config.v0, config.solver_options())
     except SolverError as exc:
@@ -308,13 +313,15 @@ def test_start_grid_is_built_on_read_and_ends_on_the_handover_state(label, confi
     origin = (0.0, config.u0, config.v0, 0.0, 0.0, 0.0, 0.0)
     assert [float(column[0]).hex() for column in columns] == [value.hex() for value in origin]
     assert boot.r[-1] == boot.r0
-    last = tuple(float(column[-1]) for column in (boot.u, boot.v, boot.I1, boot.I2))
-    assert [value.hex() for value in last] == [value.hex() for value in boot.state]
+    lv, lI1, lI2, lU = boot.state
+    last = [column[-1] for column in (boot.u, boot.v, boot.I1, boot.I2)]
+    want = [config.u0 + math.exp(lU), *np.exp([lv, lI1, lI2])]
+    np.testing.assert_allclose(last, want, rtol=1e-13, atol=0.0)
     assert len(boot.r) == (21 if label == "stress_alpha099" else 1025)
 
 
 def test_reference_evaluation_count_includes_the_build():
-    # Problems A, B and C take 10,308 evaluations with their columns built,
+    # Problems A, B and C take 4,056 evaluations with their columns built,
     # as when every run built them in the march.
     total = 0
     for name in "abc":
@@ -322,7 +329,7 @@ def test_reference_evaluation_count_includes_the_build():
         run = march(config.spec(), config.u0, config.v0, config.solver_options())
         run.r
         total += run.rhs_evals
-    assert total == 10_308
+    assert total == 4_056
 
 
 #: The march's work on problems A, B and C: the reprs of its verdict floats
@@ -330,24 +337,24 @@ def test_reference_evaluation_count_includes_the_build():
 #: shows here.
 REFERENCE_MARCHES = {
     "a": dict(
-        R0="None", b_hat="None", sigma_hat="None", r_end="49.999999999999865",
-        v_final="1.0037959003012844e+19", dt_min="2.2164553158177114e-05",
-        dt_max="0.3764682713462051", pole_switch_r="2.644647236187433",
-        accepted_steps="178", rejected_steps="1", rhs_evals="2150",
+        R0="None", b_hat="None", sigma_hat="None", r_end="49.99999999999999",
+        v_final="1.003795900311605e+19", dt_min="1.2924594727792282e-08",
+        dt_max="0.8889766234039129", accepted_steps="97", rejected_steps="13",
+        rhs_evals="1321",
     ),
     "b": dict(
-        R0="4.440015364490835", b_hat="1.599906041928492",
-        sigma_hat="0.5999786737916217", r_end="4.439960997362929",
-        v_final="4797940.031847182", dt_min="2.4523587971891914e-05",
-        dt_max="0.17267854206963573", pole_switch_r="3.115207065937806",
-        accepted_steps="87", rejected_steps="1", rhs_evals="1058",
+        R0="4.44001536421933", b_hat="1.599999992443372",
+        sigma_hat="0.5999999986044168", r_end="4.439944631503735",
+        v_final="3149261.0178720723", dt_min="2.9542668515070147e-05",
+        dt_max="0.23474517953715202", accepted_steps="70", rejected_steps="11",
+        rhs_evals="973",
     ),
     "c": dict(
-        R0="4.9453613803760845", b_hat="1.9999230070421958",
-        sigma_hat="0.9999743354729163", r_end="4.945281696990763",
-        v_final="286182287.1273973", dt_min="3.289901993586142e-05",
-        dt_max="0.22091556921946576", pole_switch_r="3.007200972093701",
-        accepted_steps="89", rejected_steps="1", rhs_evals="1082",
+        R0="4.945361380011528", b_hat="1.9999999991546158",
+        sigma_hat="1.0000000001935745", r_end="4.94523732885292",
+        v_final="118083496.06709312", dt_min="4.554965666248023e-05",
+        dt_max="0.2505114218725837", accepted_steps="76", rejected_steps="10",
+        rhs_evals="1033",
     ),
 }
 
@@ -373,11 +380,11 @@ def test_atlas_march_work_is_pinned():
             rejected += run.rejected_steps
             evals += run.rhs_evals
             rows += 1
-    assert (rows, accepted, rejected, evals) == (40, 4_182, 86, 51_295)
+    assert (rows, accepted, rejected, evals) == (40, 3_282, 460, 44_944)
 
 
-def test_march_takes_only_the_fused_steps(monkeypatch):
-    # dop853.step is the fused steps' reference, never the march's step.
+def test_march_takes_only_the_fused_step(monkeypatch):
+    # dop853.step is the fused step's reference, never the march's step.
     sweep_q = load_config(str(ROOT / "configs" / "sweep_q.cfg")).with_value("q", 5.0)
     problem_b = load_config(str(ROOT / "configs" / "problem_b.cfg"))
     runs = [
@@ -450,9 +457,9 @@ def test_march_tolerance_convergence():
 def test_sample_reproduces_nodes(solved_cases):
     # sample reads the start's profiles and the steps' extensions, the
     # mechanisms that give the nodes, so at a node's radius it gives the
-    # node to roundoff.  In s = ln v a radius off by one ulp moves s by
-    # ulp / (dr/ds), which near a pole is far more than one ulp of s: each
-    # value is bounded by 1e-13 |x| + 8 ulp(r) |x'|, x' from the columns.
+    # node to roundoff.  A radius off by one ulp moves tau by ulp / (dr/dtau),
+    # which near a pole is far more than one ulp of tau: each value is
+    # bounded by 1e-13 |x| + 8 ulp(r) |x'|, x' from the columns.
     for name in ("A", "B", "C", "vblow-p15", "bothblow-m2"):
         run = solved_cases[name]
         idx = np.append(np.arange(0, len(run.r), 97), len(run.r) - 1)
@@ -658,9 +665,9 @@ def test_solver_options_validation():
         SolverOptions(target_radius=1.0, rel_tol=0.0)
 
 
-def test_pole_phase_resolves_steep_blowup():
+def test_march_resolves_steep_blowup():
     # With g1 = t + t^2 the pole is so steep that r is within 1e-11 of R0
-    # when v reaches 1e8, where steps in r approach ulp(r); in s = ln v
+    # when v reaches 1e8, where steps in r would approach ulp(r); in tau
     # the march still resolves R0.
     base = power_spec(2.0, 0.0, 1, 0, 6)
     spec = ProblemSpec(
@@ -684,7 +691,7 @@ def test_pole_phase_resolves_steep_blowup():
     "g1, q", [("t", 6), ("t", 4), ("t + t^2", 6)], ids=["B", "C", "pole-stall"]
 )
 def test_blowup_radius_matches_tight_run(g1, q):
-    # The pole phase stops once its remaining R0 correction is a tenth of
+    # The march stops once its remaining R0 correction is a twentieth of
     # rel_tol; the R0 it returns must then hold to rel_tol against a run
     # a hundredfold tighter.
     base = power_spec(2.0, 0.0, 1, 0, q)
@@ -699,13 +706,12 @@ def test_blowup_radius_matches_tight_run(g1, q):
     assert abs(run.R0 - tight.R0) <= options.rel_tol * tight.R0
 
 
-def test_pole_phase_lands_on_target():
-    # v/v' falls below r and keeps falling for a while here, so the march
-    # enters s = ln v; r(s) is then convex and steps in s overshoot the
-    # target radius until they are shrunk onto it.
+def test_march_lands_on_target_while_dr_dtau_falls():
+    # dr/dtau = r / (1 + r v'/v) falls for a while here, as it does near a
+    # pole, yet no pole follows: the estimates of R0 keep moving, and steps
+    # that would overshoot the target radius are shrunk onto it.
     spec = power_spec(3.0, 0.0, 1, 0, 2)
     run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
-    assert run.pole_switch_r is not None
     assert run.terminated is TerminationReason.REACHED_TARGET
     assert run.r_end == pytest.approx(20.0, abs=1e-12)
     reference = march(
@@ -717,17 +723,32 @@ def test_pole_phase_lands_on_target():
     )
 
 
-def test_power_growth_stays_in_r():
-    # v grows like a power of r, so v/v' ~ r/k rises and the march never
-    # changes its independent variable.
+def test_power_growth_is_no_blow_up():
+    # v grows like a power of r, so dr/dtau ~ r/(1 + k) rises and no estimate
+    # of R0 is formed.
     spec = power_spec(3.0, 0.0, 1, 0, 1)
     run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
     assert run.terminated is TerminationReason.REACHED_TARGET
-    assert run.pole_switch_r is None
+    assert run.R0 is None
 
 
 def _unread_profiles(r):
     raise AssertionError("the exact start's profiles are never read")
+
+
+def _exact_start(p, alpha, n, m, beta, q):
+    """The spec, k, A and start at r = 1 of the exact solution v = A r**k,
+    u' = B r**j, u(0) = 1: ln v = ln A, ln I1 = ln(A**m/(1+delta+k m)),
+    ln I2 = ln(A**beta B**q/(n+k beta+j q)) and ln(u - 1) = ln(B/(j+1))."""
+    spec, k, j, A, B = exact_power_solution(p, alpha, n, m, beta, q)
+    state = (
+        math.log(A),
+        m * math.log(A) - math.log(1.0 + spec.delta + k * m),
+        beta * math.log(A) + q * math.log(B) - math.log(n + k * beta + j * q),
+        math.log(B) - math.log(j + 1.0),
+    )
+    kernels = solver._kernels(spec)
+    return spec, k, A, solver.BootstrapSegment(1.0, 1.0, state, _unread_profiles, kernels)
 
 
 @pytest.mark.parametrize(
@@ -750,21 +771,11 @@ def _unread_profiles(r):
     ],
 )
 def test_advance_follows_exact_power_solutions(p, alpha, n, m, beta, q):
-    # Enter the stepping loop at r = 1 on the exact state of v = A r**k,
-    # u' = B r**j, u(0) = 1: u = 1 + B/(j+1), I1 = A**m/(1+delta+k m) and
-    # I2 = A**beta B**q/(n+k beta+j q), and step to r = 1e4.
-    spec, k, j, A, B = exact_power_solution(p, alpha, n, m, beta, q)
-    state = (
-        1.0 + B / (j + 1.0),
-        A,
-        A**m / (1.0 + spec.delta + k * m),
-        A**beta * B**q / (n + k * beta + j * q),
-    )
-    start = solver.BootstrapSegment(1.0, state, _unread_profiles, solver._kernels(spec))
+    # Enter the stepping loop at r = 1 on the exact state and step to 1e4.
+    spec, k, A, start = _exact_start(p, alpha, n, m, beta, q)
     options = SolverOptions(target_radius=1e4, rel_tol=1e-8)
     run = solver.advance(spec, start, options)
     assert run.terminated is TerminationReason.REACHED_TARGET
-    assert run.pole_switch_r is None
     assert run.start_radius == 1.0 and run.accepted_steps > 0
     assert run.r_end == pytest.approx(1e4, rel=1e-13)
     error = abs(math.log(run.v_final) - math.log(A) - k * math.log(run.r_end))
@@ -772,19 +783,37 @@ def test_advance_follows_exact_power_solutions(p, alpha, n, m, beta, q):
 
 
 @pytest.mark.parametrize(
+    "q, target", [(0.9, 1e40), (0.5, 1e140)], ids=["k29", "k5"],
+)
+def test_advance_follows_exact_power_solutions_past_the_float_range(q, target):
+    # k = 29 and k = 5 take ln v past 2,600 and 1,600: v is inf at the end,
+    # and ln v, which the last step holds as tau - ln r, stays on the law.
+    spec, k, A, start = _exact_start(2.0, 0.0, 3, 1.0, 0.0, q)
+    options = SolverOptions(target_radius=target, rel_tol=1e-8)
+    run = solver.advance(spec, start, options)
+    assert run.terminated is TerminationReason.REACHED_TARGET
+    assert run.v_final == math.inf
+    x, h, *_ = row = run.steps.rows[-1]
+    lr, log_v = row[6], x + h - row[6]
+    assert math.exp(lr) == run.r_end == pytest.approx(target, rel=1e-13)
+    assert log_v > 1500.0
+    assert abs(log_v - math.log(A) - k * lr) <= 10.0 * options.rel_tol
+
+
+@pytest.mark.parametrize(
     "r0, state",
     [
-        (0.0, (1.0, 1.0, 1.0, 1.0)),
-        (1.0, (1.0, 0.0, 1.0, 1.0)),
-        (1.0, (1.0, 1.0, 5e-324, 1.0)),
-        (1.0, (1.0, 1.0, 1.0, math.inf)),
-        (1.0, (math.nan, 1.0, 1.0, 1.0)),
+        (0.0, (0.0, 0.0, 0.0, 0.0)),
+        (5e-324, (0.0, 0.0, 0.0, 0.0)),
+        (math.inf, (0.0, 0.0, 0.0, 0.0)),
+        (1.0, (0.0, math.nan, 0.0, 0.0)),
+        (1.0, (0.0, 0.0, 0.0, -math.inf)),
     ],
 )
-def test_advance_rejects_a_start_off_the_positive_normal_floats(r0, state):
+def test_advance_rejects_a_start_off_the_float_range(r0, state):
     spec = power_spec(2.0, 0.0, 1, 0, 1)
-    start = solver.BootstrapSegment(r0, state, _unread_profiles, solver._kernels(spec))
-    with pytest.raises(SolverError, match="not positive normal floats"):
+    start = solver.BootstrapSegment(r0, 1.0, state, _unread_profiles, solver._kernels(spec))
+    with pytest.raises(SolverError, match="not a positive normal r0 with finite logarithms"):
         solver.advance(spec, start, SolverOptions(target_radius=10.0))
 
 
@@ -801,7 +830,7 @@ def test_advance_rejects_a_start_off_the_positive_normal_floats(r0, state):
 def test_slow_pole_ends_in_blowup(p, alpha, n, m, beta, q):
     # The blow-up rate b of v ~ (R0 - r)**-b is below 1 here, so v would
     # reach a fixed threshold like 1e8 only within a few ulps of R0; the
-    # switch to s = ln v must not wait for it.  Near the origin v' grows
+    # estimate of R0 must not wait for it.  Near the origin v' grows
     # like r**k with k from 30 to 160, so the trajectory must hold no node
     # where v' has underflowed, and its first panels no quadrature error.
     spec = power_spec(p, alpha, m, beta, q, n=n)
@@ -1004,8 +1033,8 @@ def test_dop853_tableau_matches_scipy():
     assert np.allclose(dop853._DENSE_D, dop.D[:, columns], rtol=1e-15, atol=0.0)
 
 
-def test_first_slope_of_a_phase_outside_the_float_range_is_a_solver_error():
-    # The first evaluation of each phase sits outside the step's overflow
+def test_first_slope_outside_the_float_range_is_a_solver_error():
+    # The first evaluation of the march sits outside the step's overflow
     # guard; where it raises or returns a non-finite slope, the run fails
     # with a SolverError, which the CLI reports as a "solver failed" note.
     def raising(x, a, b, c, d):
@@ -1033,8 +1062,7 @@ def test_start_reaches_the_target_where_it_holds():
     for spec, u0, v0 in ((alpha099, 1.0, 1.0), (power_spec(2.0, 0.0, 1, 0, 6), 1e6, 1e-6)):
         boot = picard_bootstrap(spec, u0, v0, options)
         assert boot.r0 == 20.0
-        rhs = solver._kernels(spec).radial_rhs
-        _, _, fI1, fI2 = rhs(boot.r[1:], boot.u[1:], boot.v[1:], boot.I1[1:], boot.I2[1:])
+        fI1, fI2 = boot.profiles(boot.r[1:])[6:8]
         for column in (boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2):
             assert np.all(column[1:] >= tiny) and np.all(np.isfinite(column))
         for column in (fI1, fI2):
@@ -1052,7 +1080,7 @@ def test_start_reaches_the_target_where_it_holds():
 def test_rejection_floor_does_not_depend_on_the_target():
     # The pole of this run lies at R0 ~ 1.6e-6, far inside either target, so
     # the target radius must not change a single step: the floor on a
-    # rejected step is relative to r, in both phases.
+    # rejected step is relative to r.
     spec = power_spec(2.03, 0.97, 1.29, 0.64, 1.69, n=5)
     near, far = (
         march(spec, 1.0, 1e6, SolverOptions(target_radius=target))
@@ -1064,50 +1092,17 @@ def test_rejection_floor_does_not_depend_on_the_target():
     assert near.rhs_evals == far.rhs_evals
 
 
-# The closures and FuncExpr formulas that the compiled kernels replace: the
-# reference for their bits.
-def _scalar(f):
-    terms = f.terms
-
-    def call(t):
-        total = 0.0
-        for coeff, exponent in terms:
-            total += coeff * t**exponent if exponent != 0.0 else coeff
-        return total
-
-    return call
-
-
-def _closure_rhs(spec):
-    theta, delta = spec.theta, spec.delta
-    c1 = delta / (spec.n - 1.0)
-    inv_pm1 = 1.0 / (spec.p - 1.0)
-    nm1 = float(spec.n - 1)
-    f1, g1, f2, g2, h = (_scalar(getattr(spec, k)) for k in ("f1", "g1", "f2", "g2", "h"))
-
-    def radial(r, u, v, I1, I2):
-        rd = r**delta
-        rn = r**nm1
-        w = (c1 * I1 / rd) ** theta if I1 > 0.0 else 0.0
-        dv = (I2 / rn) ** inv_pm1 if I2 > 0.0 else 0.0
-        return w, dv, rd * f1(r) * g1(v), rn * f2(r) * g2(v) * h(w)
-
-    def pole(s, r, u, L1, L2):
-        v, I1, I2 = math.exp(s), math.exp(L1), math.exp(L2)
-        w, dv, fI1, fI2 = radial(r, u, v, I1, I2)
-        drds = v / dv
-        return drds, drds * w, drds * fI1 / I1, drds * fI2 / I2
-
-    return radial, pole
-
-
-def _funcexpr_arrays(spec, r, v, I1, I2):
+def _linear_slopes(spec, x, lr, lI1, lI2, lU):
+    """The slopes in tau from the system's formulas in floats, on arrays:
+    the reference that the kernels in logarithms must agree with."""
+    r, v, I1, I2, U = np.exp(lr), np.exp(x - lr), np.exp(lI1), np.exp(lI2), np.exp(lU)
     delta = spec.delta
-    rd = r**delta
-    rn = r ** float(spec.n - 1)
-    w = (delta / (spec.n - 1.0) * I1 / rd) ** spec.theta
-    dv = (I2 / rn) ** (1.0 / (spec.p - 1.0))
-    return w, dv, rd * spec.f1(r) * spec.g1(v), rn * spec.f2(r) * spec.g2(v) * spec.h(w)
+    w = (delta / (spec.n - 1.0) * I1 / r**delta) ** spec.theta
+    dv = (I2 / r ** float(spec.n - 1)) ** (1.0 / (spec.p - 1.0))
+    fI1 = r**delta * spec.f1(r) * spec.g1(v)
+    fI2 = r ** float(spec.n - 1) * spec.f2(r) * spec.g2(v) * spec.h(w)
+    D = 1.0 / r + dv / v
+    return 1.0 / (r * D), fI1 / (I1 * D), fI2 / (I2 * D), w / (U * D)
 
 
 def _bits(values):
@@ -1139,6 +1134,13 @@ def _at_the_folds(test):
     return test
 
 
+def _log_states(rng):
+    """Eight states (tau, ln r, ln I1, ln I2, ln(u - u0)) with r, v, I1, I2
+    and u - u0 in [0.2, 5]."""
+    x, lr, lI1, lI2, lU = np.log(rng.uniform(0.2, 5.0, (5, 8)))
+    return x + lr, lr, lI1, lI2, lU
+
+
 @settings(derandomize=True, max_examples=120)
 @given(
     p=st.floats(1.5, 3.5),
@@ -1148,65 +1150,20 @@ def _at_the_folds(test):
     seed=st.integers(0, 2**32 - 1),
 )
 @_at_the_folds
-def test_compiled_kernels_keep_the_bits_of_the_formulas(p, alpha_share, n, sums, seed):
+def test_compiled_kernels_agree_with_the_linear_formulas(p, alpha_share, n, sums, seed):
+    # The kernels on floats and on arrays give the slopes of the system's
+    # formulas in floats, to roundoff: exp of a sum of logarithms, against
+    # a product of powers, agrees to within 1e-13 at these magnitudes.
     f1, f2, g1, g2, h = sums
     spec = ProblemSpec(
         p=p, alpha=alpha_share * (p - 1.0), n=n, f1=f1, f2=f2, g1=g1, g2=g2, h=h
     )
     kernels = solver._kernels(spec)
-    radial, pole = _closure_rhs(spec)
-    rng = np.random.default_rng(seed)
-    r, u, v, I1, I2 = rng.uniform([0.5, 0.5, 0.5, 1e-3, 1e-3], [3.0, 3.0, 3.0, 5.0, 5.0], (8, 5)).T
-    I1[0] = I2[1] = 0.0  # the clamps of the accumulators
-    s, L1, L2 = np.log(v), np.log(I1 + 0.5), np.log(I2 + 0.5)
-    for i in range(len(r)):
-        state = float(r[i]), float(u[i]), float(v[i]), float(I1[i]), float(I2[i])
-        assert _bits(kernels.radial(*state)) == _bits(radial(*state))
-        state = float(s[i]), float(r[i]), float(u[i]), float(L1[i]), float(L2[i])
-        assert _bits(kernels.pole(*state)) == _bits(pole(*state))
-    assert _bits(kernels.radial_rhs(r, u, v, I1, I2)) == _bits(
-        _funcexpr_arrays(spec, r, v, I1, I2)
-    )
-    v, I1, I2 = np.exp(s), np.exp(L1), np.exp(L2)
-    w, dv, fI1, fI2 = _funcexpr_arrays(spec, r, v, I1, I2)
-    drds = v / dv
-    assert _bits(kernels.pole_rhs(s, r, u, L1, L2)) == _bits(
-        (drds, drds * w, drds * fI1 / I1, drds * fI2 / I2)
-    )
-
-
-@settings(derandomize=True, max_examples=120)
-@given(
-    p=st.floats(1.5, 3.5),
-    alpha_share=st.floats(0.0, 0.5),
-    n=st.sampled_from([2, 3, 5]),
-    sums=st.tuples(*[_power_sums] * 5),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_array_kernels_agree_with_the_scalar_kernels(p, alpha_share, n, sums, seed):
-    # Each phase's kernel on arrays is its kernel on floats, elementwise.
-    # numpy's pow and exp may round an ulp away from the C library's, and
-    # the body's powers (theta and h's exponents, up to 4 each here)
-    # amplify that, so they agree to within 64 ulps.  Accumulators at or
-    # below zero are clamped to zero in both forms alike.
-    f1, f2, g1, g2, h = sums
-    spec = ProblemSpec(
-        p=p, alpha=alpha_share * (p - 1.0), n=n, f1=f1, f2=f2, g1=g1, g2=g2, h=h
-    )
-    kernels = solver._kernels(spec)
-    rng = np.random.default_rng(seed)
-    r, u, v, I1, I2 = rng.uniform([0.5, 0.5, 0.5, 1e-3, 1e-3], [3.0, 3.0, 3.0, 5.0, 5.0], (8, 5)).T
-    I1[0] = I2[1] = 0.0
-    I1[2] = I2[3] = -1.0
-    s, L1, L2 = np.log(v), np.log(I1 + 1.5), np.log(I2 + 1.5)
-    for on_arrays, on_floats, args in (
-        (kernels.radial_rhs, kernels.radial, (r, u, v, I1, I2)),
-        (kernels.pole_rhs, kernels.pole, (s, r, u, L1, L2)),
-    ):
-        want = np.transpose([on_floats(*map(float, state)) for state in zip(*args)])
-        np.testing.assert_allclose(
-            on_arrays(*args), want, rtol=64 * np.finfo(float).eps, atol=0.0
-        )
+    states = _log_states(np.random.default_rng(seed))
+    want = np.array(_linear_slopes(spec, *states))
+    on_floats = np.transpose([kernels.rhs(*map(float, state)) for state in zip(*states)])
+    for got in (on_floats, np.array(kernels.rhs_arrays(*states))):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @settings(derandomize=True, max_examples=60)
@@ -1218,75 +1175,41 @@ def test_array_kernels_agree_with_the_scalar_kernels(p, alpha_share, n, sums, se
     seed=st.integers(0, 2**32 - 1),
 )
 @_at_the_folds
-def test_fused_steps_keep_the_bits_of_the_reference_step(p, alpha_share, n, sums, seed):
-    # Each phase's fused step returns what dop853.step returns for that
-    # phase's kernel and absolute components: y_new, k13, row and err, to
-    # the bit.
+def test_fused_step_keeps_the_bits_of_the_reference_step(p, alpha_share, n, sums, seed):
+    # The fused step returns what dop853.step returns for the scalar kernel
+    # with every component absolute: y_new, k13, row and err, to the bit.
     f1, f2, g1, g2, h = sums
     spec = ProblemSpec(
         p=p, alpha=alpha_share * (p - 1.0), n=n, f1=f1, f2=f2, g1=g1, g2=g2, h=h
     )
     kernels = solver._kernels(spec)
-    phases = {
-        "r": (kernels.radial_step, kernels.radial, (False,) * 4),
-        "s": (kernels.pole_step, kernels.pole, (False, False, True, True)),
-    }
     tol = 5e-10
 
-    def step(phase, x, size, y, k1):
-        fused, f, absolute = phases[phase]
-        got = fused(x, size, y, k1, tol)
-        assert repr(got) == repr(dop853.step(f, x, size, y, k1, tol, absolute)), phase
+    def step(x, size, y, k1):
+        got = kernels.step(x, size, y, k1, tol)
+        assert repr(got) == repr(dop853.step(kernels.rhs, x, size, y, k1, tol, (True,) * 4))
         return got
 
-    def moderate_step(phase, x, dx, y, k1=None):
+    for x, *y in zip(*_log_states(np.random.default_rng(seed))[:4]):
+        y = (*y, float(np.log(0.5 + x % 1.0)))
+        k1 = kernels.rhs(x, *y)
         # a step that moves no component by much more than dx
-        k1 = phases[phase][1](x, *y) if k1 is None else k1
-        return step(phase, x, dx / (1.0 + max(map(abs, k1))), y, k1)
-
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        r, u, v, I1, I2 = map(
-            float, rng.uniform([0.5, 0.5, 0.5, 1e-3, 1e-3], [3.0, 3.0, 3.0, 5.0, 5.0])
-        )
-        dx = float(rng.uniform(1e-3, 0.3))
-        assert moderate_step("r", r, dx, (u, v, I1, I2))[3] < math.inf
-        y = (r, u, math.log(I1), math.log(I2))
-        assert moderate_step("s", math.log(v), dx, y)[3] < math.inf
-    # An accumulator at zero whose slope is turned negative leaves the
-    # second stage's value below zero, where the kernels' clamps give
-    # w = 0 or dv = 0 (a negative float to a fractional power would be
-    # complex, and the step rejected).
-    for i in (2, 3):
-        y = tuple(0.0 if j == i else value for j, value in enumerate((u, v, I1, I2)))
-        slope = tuple(-k if j == i else k for j, k in enumerate(kernels.radial(r, *y)))
-        assert moderate_step("r", r, dx, y, slope)[3] < math.inf
-    # A stage past the float range: exp of a logarithm beyond ~709.8 raises,
-    # and a slope of v near the largest float makes the solution infinite.
-    none = (None, None, None, math.inf)
-    assert step("s", math.log(v), 1.0, (r, u, 700.0, 0.0), (1.0, 1.0, 1e3, 1.0)) == none
-    assert step("r", r, 1e3, (u, v, I1, I2), (1.0, 1e308, 1.0, 1.0)) == none
+        dx = 0.05 + 0.25 * (x % 1.0)
+        assert step(x, dx / (1.0 + max(map(abs, k1))), y, k1)[3] < math.inf
+    # A stage past the float range: a slope of ln I2 of 1e3 takes
+    # r v'/v = e**z past the largest float, where exp raises.
+    y = (0.0, 0.0, 0.0, 0.0)
+    assert step(0.0, 1.0, y, (1.0, 1.0, 1e3, 1.0)) == (None, None, None, math.inf)
 
 
 def test_a_step_whose_stage_leaves_the_real_line_is_rejected():
-    # A thousand times the first radial step of this problem takes v's
-    # argument at the tenth stage below zero, where v**1.5 is complex, and
-    # the next stage's clamp compares a complex I1 with 0.0.  The step is
-    # rejected: no solution and err = inf, as for a stage that overflows.
-    spec = power_spec(2.0, 0.0, 1.5, 0.5, 6)
-    run = march(spec, 1.0, 1.0, SolverOptions(target_radius=20.0))
-    kernels = solver._kernels(spec)
-    x, h, *y = run.steps.radial[0][:6]
-    k1 = kernels.radial(x, *y)
-    none = (None, None, None, math.inf)
-    assert kernels.radial_step(x, 1000.0 * h, y, k1, 5e-10) == none
-    assert dop853.step(kernels.radial, x, 1000.0 * h, y, k1, 5e-10, (False,) * 4) == none
-
     # A slope that turns complex only at the step's end (stages 12 and 13,
-    # both at x + h) leaves the solution complex, which isfinite rejects.
+    # both at x + h) leaves the solution complex, which isfinite rejects:
+    # no solution and err = inf, as for a stage that overflows.
     def late(x, *y):
         return (1j if x >= 1.0 else 1.0), 1.0, 1.0, 1.0
 
+    none = (None, None, None, math.inf)
     assert dop853.step(late, 0.0, 1.0, (1.0,) * 4, late(0.0), 1e-8, (False,) * 4) == none
 
 
@@ -1348,7 +1271,7 @@ two, three = (solver._kernels(config.with_value("q", q).spec()) for q in (2.0, 3
 assert len(solver._KERNEL_FACTORIES) == 1
 for a, b in zip(two, three):
     assert a.__code__ is b.__code__ and a is not b
-assert two.radial(1.5, 1.0, 1.0, 1.0, 1.0) != three.radial(1.5, 1.0, 1.0, 1.0, 1.0)
+assert two.rhs(0.5, 0.1, 0.4, 0.3, 0.2) != three.rhs(0.5, 0.1, 0.4, 0.3, 0.2)
 """
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -1360,42 +1283,43 @@ assert two.radial(1.5, 1.0, 1.0, 1.0, 1.0) != three.radial(1.5, 1.0, 1.0, 1.0, 1
 
 
 def test_specs_that_differ_in_a_fold_compile_apart():
-    # The same sums at (p, alpha, n) whose constants c1, delta, n - 1, theta
-    # and 1/(p-1) are 1.0 in different sets, or where delta is n - 1 or not,
-    # each compile their own source; a spec of the same folds shares it.
+    # The same sums at (p, alpha, n) whose constants ln c1 (0.0), delta,
+    # n - 1, theta and 1/(p-1) (1.0) are neutral in different sets, or where
+    # delta is n - 1 or not, each compile their own source; a spec of the
+    # same folds shares it.
     sums = dict(zip(("f1", "f2", "g1", "g2", "h"), map(parse_expr, ("1", "1", "t", "1", "t^5"))))
     folds = [(2.0, 0.0, 3), (3.0, 1.0, 3), (2.0, 0.5, 3), (2.0, 0.0, 2), (2.5, 0.0, 3),
              (2.5, 0.5, 3), (2.5, 0.25, 3)]
     steps = [
-        solver._kernels(ProblemSpec(p=p, alpha=alpha, n=n, **sums)).pole_step
+        solver._kernels(ProblemSpec(p=p, alpha=alpha, n=n, **sums)).step
         for p, alpha, n in folds
     ]
     assert len({step.__code__ for step in steps}) == len(folds)
-    same = solver._kernels(ProblemSpec(p=4.0, alpha=0.0, n=3, **sums)).pole_step
+    same = solver._kernels(ProblemSpec(p=4.0, alpha=0.0, n=3, **sums)).step
     assert same.__code__ is steps[folds.index((2.5, 0.0, 3))].__code__
 
 
 @pytest.mark.parametrize("spare", [0, 1])
 def test_march_stops_at_its_step_budget(spare, monkeypatch):
-    # The budget counts accepted steps: problem B blows up on its 87th,
-    # after one rejection, so a budget of 87 lets it finish and one of 86
-    # does not.
+    # The budget counts accepted steps: problem B blows up on its 70th,
+    # after eleven rejections, so a budget of 70 lets it finish and one of
+    # 69 does not.
     config = load_config(str(ROOT / "configs" / "problem_b.cfg"))
     args = (config.spec(), config.u0, config.v0, config.solver_options())
     accepted = march(*args).accepted_steps
-    assert accepted == 87
+    assert accepted == 70
     monkeypatch.setattr(solver, "_MAX_STEPS", accepted - 1 + spare)
     if spare:
         assert march(*args).terminated is TerminationReason.BLOW_UP
     else:
-        with pytest.raises(SolverError, match=r"^step budget of 86 exhausted at r=\d"):
+        with pytest.raises(SolverError, match=r"^step budget of 69 exhausted at r=\d"):
             march(*args)
 
 
-def test_sample_evaluates_the_pole_stages_once():
-    # sample's bisection in s reads every halving off the same three extra
-    # stages, evaluated in one call each, and keeps the bits of a
-    # dense_output per halving.
+def test_sample_evaluates_the_dense_stages_once():
+    # sample's bisection for the fraction where ln r reaches ln(rs) reads
+    # every halving off the same three extra stages, evaluated in one call,
+    # and keeps the bits of a dense_output per halving.
     config = load_config(str(ROOT / "configs" / "problem_b.cfg"))
     run = march(config.spec(), config.u0, config.v0, config.solver_options())
     kernels = run.steps.boot.kernels
@@ -1403,25 +1327,27 @@ def test_sample_evaluates_the_pole_stages_once():
 
     def counted(*args):
         calls.append(args)
-        return kernels.pole_rhs(*args)
+        return kernels.rhs_arrays(*args)
 
-    boot = dataclasses.replace(run.steps.boot, kernels=kernels._replace(pole_rhs=counted))
+    boot = dataclasses.replace(run.steps.boot, kernels=kernels._replace(rhs_arrays=counted))
     counting = dataclasses.replace(run, steps=run.steps._replace(boot=boot))
-    rs = np.linspace(run.pole_switch_r, run.r_end, 9)[1:]
+    rs = np.linspace(run.start_radius, run.r_end, 9)[1:]
     got = counting.sample(rs)
     assert len(calls) == 3
 
-    steps = solver._stacked(run.steps.pole)
-    steps = steps[np.searchsorted(steps[:, 2], rs, side="right") - 1]
+    steps = solver._stacked(run.steps.rows)
+    steps = steps[np.searchsorted(steps[:, 2], np.log(rs), side="right") - 1]
     lo, hi = np.zeros_like(rs), np.ones_like(rs)
     for _ in range(53):
         theta = 0.5 * (lo + hi)
-        below = dop853.dense_output(kernels.pole_rhs, steps, theta[:, None])[:, 0, 0] < rs
+        below = dop853.dense_output(kernels.rhs_arrays, steps, theta[:, None])[:, 0, 0] < np.log(rs)
         lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
-    r, u, L1, L2 = dop853.dense_output(kernels.pole_rhs, steps, theta[:, None])[:, 0].T
-    v = np.exp(steps[:, 0] + steps[:, 1] * theta)
-    du, dv = kernels.radial_rhs(r, u, v, np.exp(L1), np.exp(L2))[:2]
-    for key, want in (("u", u), ("v", v), ("du", du), ("dv", dv)):
+    lr, lI1, lI2, lU = dop853.dense_output(kernels.rhs_arrays, steps, theta[:, None])[:, 0].T
+    spec = run.spec
+    v = np.exp(steps[:, 0] + steps[:, 1] * theta - lr)
+    du = np.exp(spec.theta * (math.log(spec.delta / (spec.n - 1)) + lI1 - spec.delta * lr))
+    dv = np.exp((lI2 - (spec.n - 1) * lr) / (spec.p - 1))
+    for key, want in (("u", 1.0 + np.exp(lU)), ("v", v), ("du", du), ("dv", dv)):
         assert _bits(got[key]) == _bits(want), key
 
 
