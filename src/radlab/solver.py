@@ -56,23 +56,24 @@ every stage.  u enters the system only through u', so no kernel reads u.
 R0 is the limit of r(tau), estimated at each step as r + b * dr/dtau with
 b = -1 / (d ln(dr/dtau)/dtau): near a pole dr/dtau ~ (R0 - r)/b, and the
 estimate's error, like (R0 - r)**2, contracts geometrically in tau, so the
-run ends once the sum of the remaining contractions bounds it.  The last
-step's log-slopes of dr/dtau and of d(u - u0)/dtau also give the rates b
-and sigma of v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma).  Power and
-exponential growth keep dr/dtau from decaying, as r/(1 + k) and 1/c do
-not, so the estimate keeps moving with r and global solutions are not
-mislabelled.
+run ends once the sum of the remaining contractions bounds it.  The rates
+b and sigma of v ~ (R0 - r)**(-b) and u' ~ (R0 - r)**(-sigma) are the
+ratios of the log-slopes of v, v' and w at the ends of the last step,
+extrapolated to R0.  Power and exponential growth keep dr/dtau from
+decaying, as r/(1 + k) and 1/c do not, so the estimate keeps moving with r
+and global solutions are not mislabelled.
 
 Every accepted step keeps its stages, and the verdict of a run needs
 nothing more: its end, R0 and rates come from the last step.  The
 trajectory is built from the kept steps when it is first read: three
 more stages per step, evaluated for all steps at once on arrays, give
 the seventh-order continuous extension; it is linear in the step's
-increment and stages, so each step is emitted as 14 equal sub-panels by
-one product with a constant node matrix, and the trajectory is dense
-enough for finite-difference residuals, panel quotients and the blow-up
-envelope at any step size.  The nodes are the exponentials of the logs,
-and a node beyond the float range is dropped.  Between nodes a run is
+increment and stages, so each step is emitted as 14 equal sub-panels, or
+more where they would be wider in ln r than the start grid's, by products
+with rows of a node matrix, and the trajectory is dense enough for
+finite-difference residuals, panel quotients and the blow-up envelope at
+any step size.  The nodes are the exponentials of the logs, and a node
+beyond the float range is dropped.  Between nodes a run is
 read from the same closed form and extensions.
 
 The envelope fit of a blow-up takes C1 and C2 as the extremes of
@@ -416,8 +417,9 @@ class RadialSolution(_Columns):
     The columns ``r``, ``u``, ``v``, ``w`` (u'), ``dv`` (v'), ``I1`` and
     ``I2`` (the accumulated source integrals) are emitted by
     :func:`_emit_nodes` from ``steps`` when one of them is first read, once:
-    for a march, their radii increase strictly from 0 and end at ``r_end``
-    where v is finite there.  :meth:`sample` reads the run between them.
+    for a march, their radii increase strictly from 0 and end at ``r_end``,
+    unless a column is past the float range there, where the node is
+    dropped.  :meth:`sample` reads the run between them.
 
     ``rhs_evals`` counts the evaluations of the right-hand side made so
     far: the march's stages and, once the columns are built, the three
@@ -524,7 +526,8 @@ class _Kernels(NamedTuple):
 _FLOATS = ("exp", "({a} if {a} > {b} else {b}) + log1p(exp(-abs({a} - {b})))")
 _ARRAYS = ("np.exp", "np.logaddexp({a}, {b})")
 # The phase map: the body's inputs bound to a stage's arguments, and the
-# stage's slopes k<s>_0..3 from its results, with ln(r D) = log1p(r v'/v).
+# stage's slopes k<s>_0..3 from its results, each a rate over r D, where
+# r D = r dtau/dr = 1 + r v'/v.
 _STAGE = """\
         lr = {y[0]}
         lv = {x} - lr
@@ -615,7 +618,7 @@ def _kernel_factory(constants: dict, shape: tuple) -> Callable:
     a problem's constants, in the order of :class:`_Kernels`.  The body of
     the shape, in a kernel's form and with its neutral constants left out,
     is written into the phase map as every stage of the step and as stage 1
-    of the other kernels.  The step is about 14 KB of source, so the
+    of the other kernels.  The step is about 16 KB of source, so the
     kernels are generated and compiled once per shape."""
     source = f"def make({', '.join(constants)}):\n"
     for name in _Kernels._fields:
@@ -722,12 +725,12 @@ def advance(
     side written into every stage, so it returns the bits of
     :func:`dop853.step` on the scalar kernel, which gives the first slope.
     Each accepted step keeps its stages.  The run's columns are not built
-    here: on their first read :func:`_emit_nodes` emits each step as 14
-    equal sub-panels whose interior nodes come from the seventh-order
-    continuous extension, one product with its node matrix; emission drops
-    the nodes that are not finite or do not advance r, and changes nothing
-    else.  ``r_end`` and ``v_final`` are taken from the last step with the
-    float operations that give its end node.
+    here: on their first read :func:`_emit_nodes` emits each step as equal
+    sub-panels whose interior nodes come from the seventh-order continuous
+    extension; emission drops the nodes that are not finite or do not
+    advance r, and changes nothing else.  ``r_end`` and ``v_final`` are
+    taken from the last step with the float operations that give its end
+    node.
 
     The run ends as ReachedTarget once ln r is within 1e-14 of the target's;
     a step that would overshoot it by more than that is shrunk onto it.  It
@@ -736,9 +739,8 @@ def advance(
     taken across the last step of size h.  The estimate's error, like
     (R0 - r)**2, contracts by rho = exp(2 * h * slope) per step, so the run
     stops once |change of R0| * rho / (1 - rho) <= 0.05 * rel_tol * R0,
-    with that step's rates b_hat = -1 / slope and sigma_hat = 1 - (the
-    log-slope of d(u - u0)/dtau over that of dr/dtau).  It ends as
-    StepUnderflow, with a note, when a rejection shrinks the step's
+    with the rates b_hat and sigma_hat of :func:`_rates` at that step.  It
+    ends as StepUnderflow, with a note, when a rejection shrinks the step's
     increment in ln r below 1e-14; no other place ends a run.
     :class:`SolverError` is raised when r0 is not a positive normal float
     or the state is not finite, when the right-hand side is not finite at
@@ -805,11 +807,9 @@ def advance(
             # |estimate - previous| * rho / (1 - rho).
             rho = math.exp(2.0 * h * slope)
             if abs(estimate - previous) * rho / (1.0 - rho) <= tol * estimate:
-                # dr/dtau ~ (R0 - r)/b decays in tau at the rate 1/b and
-                # d(u - u0)/dtau = u' dr/dtau ~ (R0 - r)**(1 - sigma) at
-                # (1 - sigma)/b.
                 R0 = estimate
-                b_hat, sigma_hat = _rates(spec, R0, ((math.exp(y[0]), k1), (math.exp(y_new[0]), k13)))
+                ends = ((math.exp(y[0]), k1), (math.exp(y_new[0]), k13))
+                b_hat, sigma_hat = _rates(spec, R0, ends)
                 terminated = TerminationReason.BLOW_UP
                 break
         x, y, k1 = x + h, y_new, k13
@@ -888,14 +888,17 @@ def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, rows):
     """The trajectory columns and the evaluations of the right-hand side this
     pass makes.
 
-    The columns are the start's, then every accepted step as the 13
-    interior nodes of its continuous extension and its end node, mapped to
-    (r, u, v, w, dv, I1, I2) by :func:`_nodes`.  The step rows are read into
-    one array, their three extra stages are evaluated for all steps at once
-    by the compiled array kernel, and the interior nodes are one product
-    with the node matrix of :func:`dop853.dense_nodes`.  A node that is not
-    finite, as past the float range, or whose radius does not exceed every
-    earlier one, is dropped; when every node is kept nothing is copied.
+    The columns are the start's, then every accepted step as the interior
+    nodes of its continuous extension at the ends of K equal sub-panels in
+    tau, K the larger of 14 and the number that keeps them no wider in ln r
+    than the start grid's spacing, and its end node, mapped to (r, u, v, w,
+    dv, I1, I2) by :func:`_nodes`.  The step rows are read into one array,
+    their three extra stages are evaluated for all steps at once by the
+    compiled array kernel, and each interior node is the product of its row
+    of the node matrix of :func:`dop853.dense_nodes` with its step's stages.
+    A node that is not finite, as past the float range, or whose radius
+    does not exceed every earlier one, is dropped; when every node is kept
+    nothing is copied.
     Roundoff-level dips of the dense output are clamped so every profile
     stays nondecreasing.  So, from the closed-form start of
     :func:`picard_bootstrap`, r starts at 0, on its origin row (u0, v0 > 0
@@ -906,12 +909,12 @@ def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, rows):
     evals = 0
     if rows:
         steps = _stacked(rows)
-        counts = np.maximum(_SUBPANELS, np.ceil((steps[:, 6] - steps[:, 2]) / _SPACING))
-        counts = counts.astype(int)
+        counts = np.ceil((steps[:, 6] - steps[:, 2]) / _SPACING).astype(int)
+        counts = np.maximum(counts, _SUBPANELS)
         # Node j of a step of K sub-panels lies at the fraction j / K, j = 1..K.
         at = np.repeat(np.arange(len(steps)), counts)
-        theta = (np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts) + 1.0)
-        theta = (theta / counts[at])[:, None]
+        j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        theta = (j / counts[at])[:, None]
         # Extra stages and nodes that leave the float range are not finite,
         # and are dropped below.
         with np.errstate(all="ignore"):
