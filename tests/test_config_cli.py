@@ -467,11 +467,9 @@ def _config_with(tmp_path, source, **values):
 
 def test_solve_carries_problem_a_past_the_float_range(tmp_path, capsys):
     # Problem A is global with v ~ e**r, which leaves the float range at
-    # r ~ 709.8.  At target 1000 the march used to end BlowUp near r = 706
-    # there, and its envelope fit to need the tail function that A's
-    # diverging criterion does not have.  Now it reaches the target and
-    # agrees, with no envelope and no numpy warning; the nodes beyond the
-    # float range are dropped and v_final is inf.
+    # r ~ 709.8.  The run reaches the target and agrees, with no envelope
+    # and no numpy warning; the nodes beyond the float range are dropped
+    # and v_final is inf.
     config = _config_with(tmp_path, "problem_a.cfg", target_radius=1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

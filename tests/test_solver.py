@@ -1351,9 +1351,8 @@ def test_sample_evaluates_the_dense_stages_once():
         assert _bits(got[key]) == _bits(want), key
 
 
-# No float ceiling: v, I1, I2 and u past the largest float are no blow-up.
-# Each of these ended BlowUp or StepUnderflow near ln v = 709.78 while the
-# march formed exp(ln v) and the accumulators in its stages.
+# No float ceiling: these runs take v, I1, I2 or u past the largest float,
+# near ln v = 709.78, which must not end them as a blow-up or underflow.
 
 
 def _verdict(config):
@@ -1389,8 +1388,8 @@ def test_problem_a_is_global_past_the_float_range(target):
                 ("radbench/configs/atlas_p3_alpha1.cfg", 2.0)],
 )
 def test_threshold_rows_grow_exponentially_to_the_target(path, q):
-    # q m = (p - 1 - alpha)(p - 1 - beta): v grows like an exponential of r,
-    # and these rows read B3 against a predicted B1 at target 1e4.
+    # q m = (p - 1 - alpha)(p - 1 - beta): v grows like an exponential of r
+    # and passes the largest float long before r = 1e4.
     config = dataclasses.replace(load_config(str(ROOT / path)).with_value("q", q), target_radius=1e4)
     run, numeric, status = _verdict(config)
     assert run.terminated is TerminationReason.REACHED_TARGET, run.notes
@@ -1420,8 +1419,8 @@ def test_blow_up_radius_scales_with_v0_on_a_slow_pole():
 
 def test_sampled_row_22_blows_up():
     # (p, alpha, n, m, beta, q) = (3.57, 1.77, 3, 1.46, 0.54, 1.14), b = 98.9:
-    # it ended StepUnderflow at r = 176.72.  An independent DOP853 march of
-    # the same system in logarithms gave R0 = 188.97406 at v0 = 1.
+    # ln v passes 709.78 near r = 176.7.  An independent DOP853 march of the
+    # same system in logarithms gave R0 = 188.97406 at v0 = 1.
     sweep_q = load_config(str(ROOT / "configs" / "sweep_q.cfg"))
     config = dataclasses.replace(
         sweep_q, p=3.57, alpha=1.77, g1="t^1.46", g2="t^0.54", h="t^1.14", target_radius=1e4,
