@@ -73,8 +73,8 @@ more where they would be wider in ln r than the start grid's, by products
 with rows of a node matrix, and the trajectory is dense enough for
 finite-difference residuals, panel quotients and the blow-up envelope at
 any step size.  The nodes are the exponentials of the logs, and a node
-beyond the float range is dropped.  Between nodes a run is
-read from the same closed form and extensions.
+beyond the float range is dropped.  Between nodes a run is read from the
+same closed form and extensions.
 
 The envelope fit of a blow-up takes C1 and C2 as the extremes of
 C(r) = phi(w**(p-1-alpha)) / (R0 - r) over the last decade before R0, so
@@ -229,11 +229,6 @@ def _terms(f, shift=0.0, log_scale=0.0):
     return [(1.0, math.log(c) + log_scale, e + shift) for c, e in f.terms]
 
 
-def _log_at(f, x):
-    """log f(x) for a FuncExpr f and x > 0."""
-    return float(np.logaddexp.reduce([lc + e * math.log(x) for _, lc, e in _terms(f)]))
-
-
 def _integrated(terms):
     """The antiderivative vanishing at 0."""
     return [(c, lc - math.log(e + 1.0), e + 1.0) for c, lc, e in terms]
@@ -320,8 +315,9 @@ def picard_bootstrap(
     theta = spec.theta
     inv_pm1 = 1.0 / (spec.p - 1.0)
     c1 = delta / (n - 1.0)
+    lv0 = math.log(v0)
 
-    I1_terms = _integrated(_terms(spec.f1, delta, _log_at(spec.g1, v0)))
+    I1_terms = _integrated(_terms(spec.f1, delta, _log_evaluate(_terms(spec.g1), lv0)))
     (lW, eW), *rest = sorted(
         ((math.log(c * c1) + lc, e - delta) for c, lc, e in I1_terms),
         key=lambda term: term[1],
@@ -342,7 +338,7 @@ def picard_bootstrap(
     ]
     I2_terms = _integrated([
         (cf * ch, lf + lh, ef + eh)
-        for cf, lf, ef in _terms(spec.f2, n - 1.0, _log_at(spec.g2, v0))
+        for cf, lf, ef in _terms(spec.f2, n - 1.0, _log_evaluate(_terms(spec.g2), lv0))
         for ch, lh, eh in h_of_w
     ])
     # v' = Z**x with Z = I2 / r**(n-1) and x = 1/(p-1); over J terms,
@@ -367,12 +363,13 @@ def picard_bootstrap(
             I2 = _evaluate(I2_terms, r)
             v = v0 + _evaluate(growth, r)
             u = u0 + _evaluate(u_terms, r)
-            rd, rn = r**delta, r ** (n - 1.0)
             # At the origin, where every power of r vanishes, w and dv are 0/0.
-            w = np.where(r > 0.0, (c1 * I1 / rd) ** theta, 0.0)
-            dv = np.where(r > 0.0, (I2 / rn) ** inv_pm1, 0.0)
-            fI1 = rd * spec.f1(r) * spec.g1(v)
-            fI2 = rn * spec.f2(r) * spec.g2(v) * spec.h(w)
+            w, dv = (
+                np.where(r > 0.0, np.exp(log), 0.0)
+                for log in _log_gradients(spec, np.log(r), np.log(I1), np.log(I2))
+            )
+            fI1 = r**delta * spec.f1(r) * spec.g1(v)
+            fI2 = r ** (n - 1.0) * spec.f2(r) * spec.g2(v) * spec.h(w)
             W = w ** (spec.p - 1.0 - spec.alpha)
             Z = dv ** (spec.p - 1.0)
         return u, v, w, dv, I1, I2, fI1, fI2, W, Z
@@ -380,7 +377,6 @@ def picard_bootstrap(
     if not _normal(profiles(np.array([r0])))[0]:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
     lr0 = math.log(r0)
-    lv0 = math.log(v0)
     state = (
         lv0 + math.log1p(math.exp(_log_evaluate(growth, lr0) - lv0)),
         _log_evaluate(I1_terms, lr0),
@@ -822,6 +818,8 @@ def advance(
             end = _nodes(spec, start.u0, last, 1.0, last[:, 6:10].T)
         r_end, v_final = end[0][0], end[2][0]
     else:
+        # numpy's elementwise results do not depend on the length of the
+        # array, so v at r0 alone has the bits of the grid's last node.
         r_end, v_final = start.r0, start.profiles(np.array([start.r0]))[1][0]
     # The accepted steps' increments in r, read off their rows.
     increments = [math.exp(row[6]) - math.exp(row[2]) for row in rows]
@@ -864,6 +862,13 @@ def _rates(spec: ProblemSpec, R0: float, ends) -> tuple[float, float]:
     return (b1 * e0 - b0 * e1) / (e0 - e1), (s1 * e0 - s0 * e1) / (e0 - e1)
 
 
+def _log_gradients(spec: ProblemSpec, lr, lI1, lI2) -> tuple:
+    """ln w and ln v' from ln r, ln I1 and ln I2: w = (c1 I1 / r**delta)**theta
+    and v' = (I2 / r**(n-1))**(1/(p-1))."""
+    lw = spec.theta * (math.log(spec.delta / (spec.n - 1.0)) + lI1 - spec.delta * lr)
+    return lw, (lI2 - (spec.n - 1.0) * lr) / (spec.p - 1.0)
+
+
 def _nodes(spec: ProblemSpec, u0: float, steps: np.ndarray, theta, y) -> tuple:
     """(r, u, v, w, dv, I1, I2) where the step rows ``steps`` reach the log
     state y, four arrays, at the fractions theta of their steps, flattened:
@@ -871,9 +876,7 @@ def _nodes(spec: ProblemSpec, u0: float, steps: np.ndarray, theta, y) -> tuple:
     ln dv and the logarithms of the accumulators, and u = u0 + e**y3."""
     lr, lI1, lI2, lU = y
     x = (steps[:, :1] + steps[:, 1:2] * theta).ravel()
-    lw = spec.theta * (math.log(spec.delta / (spec.n - 1.0)) + lI1 - spec.delta * lr)
-    ldv = (lI2 - (spec.n - 1.0) * lr) / (spec.p - 1.0)
-    logs = (lr, x - lr, lw, ldv, lI1, lI2)
+    logs = (lr, x - lr, *_log_gradients(spec, lr, lI1, lI2), lI1, lI2)
     r, v, w, dv, I1, I2 = (np.exp(value) for value in logs)
     return r, u0 + np.exp(lU), v, w, dv, I1, I2
 
