@@ -282,9 +282,11 @@ def test_verdict_is_that_of_the_built_columns(config, dense_stage_calls):
     built.r
     assert {name: getattr(built, name) for name in VERDICT} == verdict
     assert type(lazy.r_end) is float and type(lazy.v_final) is float
-    last = solver._stacked(lazy.steps.rows[-1:]) if lazy.steps.rows else None
-    with np.errstate(over="ignore"):
-        end = solver._nodes(lazy.spec, config.u0, last, 1.0, last[:, 6:10].T) if lazy.steps.rows else ()
+    end = ()
+    if lazy.steps.rows:
+        last = solver._stacked(lazy.steps.rows[-1:])
+        with np.errstate(over="ignore"):
+            end = solver._nodes(lazy.spec, config.u0, last, 1.0, last[:, 6:10].T)
     if np.isfinite(end).all():
         assert lazy.r[-1].hex() == verdict["r_end"].hex()
         assert lazy.v[-1].hex() == verdict["v_final"].hex()
