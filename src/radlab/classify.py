@@ -42,9 +42,9 @@ __all__ = [
 #: Minimum rate sigma of ``u' ~ (R0 - r)**(-sigma)``, as the march measures
 #: it, for a blow-up run to be labelled B3 (u unbounded) rather than B2 (u
 #: bounded).  The theoretical threshold is sigma >= 1; the measured rate
-#: carries integration error (1 - 2.6e-5 on problem C), so the cut sits
-#: below 1 but well above the largest sub-critical sigma on the reference
-#: problems (5/7).
+#: carries integration error (1 + 1.9e-10 on problem C at rel_tol 1e-8),
+#: which may fall on either side of 1, so the cut sits below 1 but well
+#: above the largest sub-critical sigma on the reference problems (5/7).
 _SIGMA_CUT = 0.9
 
 

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import textwrap
 from dataclasses import dataclass, field
 from enum import Enum
@@ -211,11 +212,13 @@ class BootstrapSegment(_Columns):
         return {name: column[keep] for name, column in zip(names, (r, *values[:6]))}
 
 
+#: The least positive normal float.
+_TINY = sys.float_info.min
+
+
 def _normal(values) -> np.ndarray:
     """Where every one of ``values`` is a positive normal float."""
-    return (np.minimum.reduce(values) >= np.finfo(float).tiny) & (
-        np.maximum.reduce(values) < np.inf
-    )
+    return (np.minimum.reduce(values) >= _TINY) & (np.maximum.reduce(values) < np.inf)
 
 
 # Power sums near the origin are lists of (multiplier, log scale, exponent)
@@ -240,6 +243,12 @@ def _evaluate(terms, r):
     return sum(c * np.exp(lc + e * log_r) for c, lc, e in terms)
 
 
+def _evaluate_float(terms, log_r):
+    """A power sum at the radius e**log_r, in floats: OverflowError where a
+    term leaves the float range."""
+    return sum(c * math.exp(lc + e * log_r) for c, lc, e in terms)
+
+
 def _log_evaluate(terms, log_r):
     """The log of a power sum at the radius e**log_r: its leading term's,
     the one of least exponent, whose multiplier is positive, plus log1p of
@@ -255,6 +264,8 @@ def _binomial(eps, y, budget):
     of the largest radius at which the Lagrange remainder, at most
     |binom(y, K+1)| * eps**(K+1) * e, stays within ``budget`` (inf when the
     series ends before the cut)."""
+    if not eps:
+        return [(1.0, 0.0)], math.inf
     series = {0.0: 1.0}
     power = {0.0: 1.0}
     binom = 1.0
@@ -268,7 +279,7 @@ def _binomial(eps, y, budget):
         for e, c in power.items():
             series[e] = series.get(e, 0.0) + binom * c
     binom *= (y - _SERIES_ORDER) / (_SERIES_ORDER + 1.0)
-    if not eps or binom == 0.0:
+    if binom == 0.0:
         return [(c, e) for e, c in series.items() if c != 0.0], math.inf
     # (1 + xi)**(y - K - 1) <= e once eps <= 1/y
     log_eps = math.log(budget / (math.e * abs(binom))) / (_SERIES_ORDER + 1.0)
@@ -295,7 +306,7 @@ def picard_bootstrap(
     and is emitted as v0 plus that bound.  r0 is the largest radius where
     the bound stays within 0.01 * rel_tol of v0 and every cut series within
     0.01 * rel_tol of its sum, or the target radius itself if that is
-    smaller.  The profiles are evaluated here at r0 alone, and
+    smaller.  The profiles are evaluated here at r0 alone, in floats, and
     :class:`SolverError` is raised when they, or the slopes of I1 and I2,
     are not positive normal floats there.  The state the march starts
     from, (ln v, ln I1, ln I2, ln(u - u0)) at r0, is taken in logarithms
@@ -374,9 +385,25 @@ def picard_bootstrap(
             Z = dv ** (spec.p - 1.0)
         return u, v, w, dv, I1, I2, fI1, fI2, W, Z
 
-    if not _normal(profiles(np.array([r0])))[0]:
-        raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
     lr0 = math.log(r0)
+    # The same profiles at r0 in floats.  Where numpy's leave the float
+    # range or take the log of 0, these may raise instead; either way some
+    # profile is not a positive normal float.
+    try:
+        I1 = _evaluate_float(I1_terms, lr0)
+        I2 = _evaluate_float(I2_terms, lr0)
+        v = v0 + _evaluate_float(growth, lr0)
+        u = u0 + _evaluate_float(u_terms, lr0)
+        w, dv = map(math.exp, _log_gradients(spec, lr0, math.log(I1), math.log(I2)))
+        fI1 = r0**delta * spec.f1(r0) * spec.g1(v)
+        fI2 = r0 ** (n - 1.0) * spec.f2(r0) * spec.g2(v) * spec.h(w)
+        W = w ** (spec.p - 1.0 - spec.alpha)
+        Z = dv ** (spec.p - 1.0)
+        normal = all(_TINY <= value < math.inf for value in (u, v, w, dv, I1, I2, fI1, fI2, W, Z))
+    except (ArithmeticError, ValueError):
+        normal = False
+    if not normal:
+        raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
     state = (
         lv0 + math.log1p(math.exp(_log_evaluate(growth, lr0) - lv0)),
         _log_evaluate(I1_terms, lr0),
@@ -743,7 +770,7 @@ def advance(
     the start, and when 2,000,000 steps (``_MAX_STEPS``) have been
     accepted without an end.
     """
-    if not (_normal((start.r0,)) and all(map(math.isfinite, start.state))):
+    if not (_TINY <= start.r0 < math.inf and all(map(math.isfinite, start.state))):
         raise SolverError(
             f"the start is not a positive normal r0 with finite logarithms: "
             f"r0={start.r0!r}, state={start.state!r}"
@@ -811,18 +838,23 @@ def advance(
         x, y, k1 = x + h, y_new, k13
         h *= factor
 
+    # numpy's elementwise results do not depend on the length of the array,
+    # so r and v at the end alone have the bits of the trajectory's last node.
+    dt_min = dt_max = None
     if rows:
-        # The end of the last step, as _emit_nodes makes its last node.
-        last = _stacked(rows[-1:])
+        # The end of the last step as _nodes makes it, from the row's x, h
+        # and end state: ln r, and ln v = x + h * 1.0 - ln r.
+        last = rows[-1]
         with np.errstate(over="ignore"):
-            end = _nodes(spec, start.u0, last, 1.0, last[:, 6:10].T)
-        r_end, v_final = end[0][0], end[2][0]
+            r_end, v_final = np.exp((last[6], last[0] + last[1] - last[6]))
+        # The accepted steps' increments in r, read off their rows: each
+        # step starts at the ln r where the one before it ended.
+        radii = [math.exp(row[2]) for row in rows]
+        radii.append(math.exp(last[6]))
+        increments = [b - a for a, b in zip(radii, radii[1:])]
+        dt_min, dt_max = min(increments), max(increments)
     else:
-        # numpy's elementwise results do not depend on the length of the
-        # array, so v at r0 alone has the bits of the grid's last node.
         r_end, v_final = start.r0, start.profiles(np.array([start.r0]))[1][0]
-    # The accepted steps' increments in r, read off their rows.
-    increments = [math.exp(row[6]) - math.exp(row[2]) for row in rows]
     return RadialSolution(
         spec=spec,
         options=options,
@@ -837,8 +869,8 @@ def advance(
         rhs_evals=12 * (accepted + rejected) + 1,
         accepted_steps=accepted,
         rejected_steps=rejected,
-        dt_min=min(increments) if increments else None,
-        dt_max=max(increments) if increments else None,
+        dt_min=dt_min,
+        dt_max=dt_max,
         steps=_MarchSteps(start, rows),
         notes=tuple(notes),
     )

@@ -34,12 +34,24 @@ def test_sweep_atlas_matches_golden(tmp_path, capsys):
     assert atlas == expected
 
 
-def test_solved_sweep_atlas_matches_golden(tmp_path, capsys):
+#: The solved q ladders of the benchmark's atlas workload and their golden
+#: atlases.
+SOLVED_LADDERS = {
+    "sweep_q": ("configs/sweep_q.cfg", "sweep_q_solved.csv"),
+    **{
+        name: (f"radbench/configs/{name}.cfg", f"{name}_solved.csv")
+        for name in ("atlas_p1.5_alpha0", "atlas_p2_alpha0.5", "atlas_p3_alpha0", "atlas_p3_alpha1")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_LADDERS))
+def test_solved_sweep_atlas_matches_golden(name, tmp_path, capsys):
     # The solved ladder pins every row's numeric class and its agreement
     # with the predicted one.
-    config = ROOT / "configs" / "sweep_q.cfg"
-    assert main(["sweep", "--config", str(config), "--solve", "--out", str(tmp_path)]) == 0
+    config, golden = SOLVED_LADDERS[name]
+    assert main(["sweep", "--config", str(ROOT / config), "--solve", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     atlas = (tmp_path / "atlas.csv").read_text()
-    expected = (GOLDEN / "sweep_q_solved.csv").read_text()
+    expected = (GOLDEN / golden).read_text()
     assert atlas == expected

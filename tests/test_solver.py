@@ -1,6 +1,7 @@
 """The radial integrator: closed-form start, marching, diagnostics."""
 
 import dataclasses
+import inspect
 import math
 import os
 import pathlib
@@ -320,6 +321,84 @@ def test_start_grid_is_built_on_read_and_ends_on_the_handover_state(label, confi
     want = [config.u0 + math.exp(lU), *np.exp([lv, lI1, lI2])]
     np.testing.assert_allclose(last, want, rtol=1e-13, atol=0.0)
     assert len(boot.r) == (21 if label == "stress_alpha099" else 1025)
+
+
+def _power_sum_spec(p, alpha, n, **texts):
+    """The problem whose f1, f2, g1, g2 and h are the power sums ``texts``."""
+    exprs = {name: parse_expr(text) for name, text in texts.items()}
+    return ProblemSpec(p=p, alpha=alpha, n=n, **exprs)
+
+
+#: Rows 10 and 57 of the 150-problem corpus (ROADMAP item 16's recipe) and
+#: their v0: their start profiles fall below the normal floats at r0.
+UNDERFLOWING_STARTS = {
+    "corpus_10": (
+        _power_sum_spec(1.65, 0.47, 5, f1="2.51*t^1.26 + 2.45*t^1.32", f2="2.22*t^0.65",
+                        g1="1.99*t^0.75 + 1.91*t^1.81", g2="0.65*t^1.62",
+                        h="0.8*t^0.51 + 1.78*t^5.31"),
+        466.0,
+    ),
+    "corpus_57": (
+        _power_sum_spec(1.73, 0.33, 5, f1="0.93*t^0.8 + 1.76*t^1.83",
+                        f2="0.44*t^0.64 + 0.78*t^1.85", g1="0.44*t^2.97",
+                        g2="2.72*t^0.87 + 2.7*t^2.11", h="0.92*t^7.51"),
+        0.00101,
+    ),
+}
+START_CHECKS = [
+    *((label, (config.spec(), config.u0, config.v0, config.solver_options()))
+      for label, config in COMMITTED_RUNS),
+    *((label, (spec, 1.0, v0, SolverOptions(target_radius=20.0)))
+      for label, (spec, v0) in UNDERFLOWING_STARTS.items()),
+]
+
+
+@pytest.mark.parametrize("args", [args for _, args in START_CHECKS],
+                         ids=[label for label, _ in START_CHECKS])
+def test_start_check_in_floats_gives_the_verdict_on_arrays(args):
+    # The start checks its ten profiles at r0 in floats; numpy's profiles on
+    # the one-element array [r0] must give the same verdict: normal on every
+    # committed run, past the float range on extreme_v0 (g1(v0) = 1e400),
+    # and subnormal on the two corpus rows.
+    try:
+        boot = picard_bootstrap(*args)
+    except SolverError as exc:
+        assert "not normal floats" in str(exc)
+        # The r0 and profiles of the start that refused them.
+        start = inspect.trace()[-1].frame.f_locals
+        r0, profiles, accepted = start["r0"], start["profiles"], False
+    else:
+        r0, profiles, accepted = boot.r0, boot.profiles, True
+    assert bool(solver._normal(profiles(np.array([r0])))[0]) is accepted
+
+
+@pytest.mark.parametrize(
+    "config", [config for _, config in COMMITTED_RUNS],
+    ids=[label for label, _ in COMMITTED_RUNS],
+)
+def test_march_reads_no_power_sum_on_arrays_until_its_columns_are(config, monkeypatch):
+    # A run that takes steps finds its verdict, its end and its increments
+    # in r in floats and in its step rows: the start's profiles on arrays
+    # are evaluated only for the columns, which are not read here.  A run
+    # with no step reads v at r0 from them.
+    args = (config.spec(), config.u0, config.v0, config.solver_options())
+    try:
+        want = march(*args)
+    except SolverError:
+        return  # extreme_v0 has no start
+    if not want.accepted_steps:
+        return
+
+    def refused(terms, r):
+        raise AssertionError("the march evaluated a power sum on arrays")
+
+    monkeypatch.setattr(solver, "_evaluate", refused)
+    got = march(*args)
+    # bootstrap_nodes counts the start's grid, so it builds it.
+    names = [name for name in VERDICT if name != "bootstrap_nodes"]
+    assert [getattr(got, name) for name in names] == [getattr(want, name) for name in names]
+    increments = [math.exp(row[6]) - math.exp(row[2]) for row in got.steps.rows]
+    assert (got.dt_min, got.dt_max) == (min(increments), max(increments))
 
 
 def test_reference_evaluation_count_includes_the_build():
