@@ -414,22 +414,25 @@ def _read_own_notation(data: bytes) -> np.ndarray | None:
 def _read_general(path: str) -> np.ndarray:
     """The (N, 5) r,u,v,du,dv columns of any trajectory CSV numpy can read,
     with the line of the first bad row in the error."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise ValueError(f"{path}: empty trajectory file")
-        if tuple(header[:5]) != _TRAJECTORY_COLUMNS[:5]:
-            raise ValueError(
-                f"{path}: expected columns r,u,v,du,dv, got {','.join(header[:5])}"
-            )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # no rows: TrajectoryData says so
-                return np.loadtxt(fh, delimiter=",", usecols=range(5), ndmin=2,
-                                  comments=None, quotechar='"')
-        except ValueError as exc:
-            fh.seek(0)
-            raise ValueError(f"{path}: {_first_bad_row(fh) or exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValueError(f"{path}: empty trajectory file")
+            if tuple(header[:5]) != _TRAJECTORY_COLUMNS[:5]:
+                raise ValueError(
+                    f"{path}: expected columns r,u,v,du,dv, got {','.join(header[:5])}"
+                )
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # no rows: TrajectoryData says so
+                    return np.loadtxt(fh, delimiter=",", usecols=range(5), ndmin=2,
+                                      comments=None, quotechar='"')
+            except ValueError as exc:
+                fh.seek(0)
+                raise ValueError(f"{path}: {_first_bad_row(fh) or exc}") from None
+    except UnicodeDecodeError as exc:  # not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _first_bad_row(fh) -> str | None:

@@ -9,21 +9,20 @@ the dense output.  :func:`_step_source` generates a step from it as
 straight-line Python source with the four components written out, where
 loops over the tableau would cost more than the arithmetic.  It takes a
 stage writer, the hook that writes how each stage evaluates the
-right-hand side.  :func:`step`, compiled once at import, is the instance
-whose stages call a function f, with the absolute components an argument.
-The march runs the steps that :mod:`radlab.solver` generates per problem
-shape, with the right-hand side written into every stage; ``step`` is
-their reference.
+right-hand side.  Every component's error is in units of tol alone, as
+for a state held in logarithms.  :func:`step`, compiled once at import, is
+the instance whose stages call a function f.  The march runs the steps
+that :mod:`radlab.solver` generates per problem shape, with the
+right-hand side written into every stage; ``step`` is their reference.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-__all__ = ["step", "dense_stages", "dense_nodes", "dense_output"]
+__all__ = ["step", "dense_stages", "dense_nodes"]
 
 # The tableau, to the digits of Hairer's Fortran source.  _STAGES holds, for
 # stages 2 to 12, the node c_i and the nonzero a_ij by j.  _B holds the
@@ -118,7 +117,7 @@ def {signature}:
             return None, None, None, inf
     except (OverflowError, TypeError, ZeroDivisionError):
         return None, None, None, inf
-{scales}
+    s = 1.0 / (tol + 1e-300)
     err = 0.0
 {estimates}
     err *= h
@@ -128,7 +127,7 @@ def {signature}:
 _STEP_GLOBALS = {"inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt}
 
 
-def _step_source(signature: str, stage, absolute) -> str:
+def _step_source(signature: str, stage) -> str:
     """The source of a step function ``def <signature>:`` that takes
     (x, h, y, k1, tol) among its arguments and returns what :func:`step`
     returns.
@@ -136,37 +135,24 @@ def _step_source(signature: str, stage, absolute) -> str:
     ``stage(s=s, x=x, y=y)`` writes stage s: the lines, indented by eight
     spaces, that set k<s>_0 to k<s>_3 to the right-hand side at the source
     expressions x and y (four of them).  It is called for stages 2 to 12
-    and for stage 13 at (x + h, n0, ..., n3), the solution.  ``absolute``
-    flags the components whose error is in units of tol alone, four bools
-    fixed in the source, or None to read them from the step's argument
-    ``absolute``.
+    and for stage 13 at (x + h, n0, ..., n3), the solution.
 
     A stage's argument is y + h * (the sum of its a_ij * k_j in increasing
     j), the solution y + h * d with d the same sum over the b_j, and the
     third-order estimate d minus each bhh_j * k_j in turn; floats are
-    written by repr, which round-trips.  max(a, b) is written out as
-    ``b if b > a else a``, the float it returns; a component fixed as
-    absolute is scaled by tol alone, which tol * 1.0 is; and the
-    third-order estimate of a component is made only when its fifth-order
-    one is positive, the only case that reads it."""
+    written by repr, which round-trips; and the third-order estimate of a
+    component is made only when its fifth-order one is positive, the only
+    case that reads it."""
     comps = range(4)
 
     def dot(weights, i, sep=" + "):
         return sep.join(f"{w!r} * k{j}_{i}" for j, w in weights.items())
 
-    def scale(i):
-        if absolute is not None and absolute[i]:
-            return f"    s{i} = 1.0 / (tol + 1e-300)"
-        size = "b if b > a else a"
-        if absolute is None:
-            size = f"1.0 if absolute[{i}] else {size}"
-        return f"    a = abs(y{i})\n    b = abs(n{i})\n    s{i} = 1.0 / (tol * ({size}) + 1e-300)"
-
     def estimate(i):
         return (
-            f"    e5 = abs({dot(_E5, i)}) * s{i}\n"
+            f"    e5 = abs({dot(_E5, i)}) * s\n"
             "    if e5 > 0.0:\n"
-            f"        e3 = abs(d{i} - {dot(_BHH, i, ' - ')}) * s{i}\n"
+            f"        e3 = abs(d{i} - {dot(_BHH, i, ' - ')}) * s\n"
             "        ratio = e3 / e5\n"
             "        e = e5 / sqrt(1.0 + 0.01 * ratio * ratio)\n"
             "        if e > err:\n"
@@ -182,7 +168,6 @@ def _step_source(signature: str, stage, absolute) -> str:
         weights="\n".join(f"        d{i} = {dot(_B, i)}" for i in comps),
         last=stage(s=13, x="x + h", y=[f"n{i}" for i in comps]),
         finite=" and ".join(f"isfinite({v}{i})" for v in ("n", "k13_") for i in comps),
-        scales="\n".join(map(scale, comps)),
         estimates="\n".join(map(estimate, comps)),
         row="x, h, y0, y1, y2, y3, n0, n1, n2, n3, "
         + ", ".join(f"k{j}_{i}" for j in _DENSE_STAGES[:9] for i in comps),
@@ -197,7 +182,7 @@ def _call_stage(s, x, y):
 _namespace = {"__name__": __name__, **_STEP_GLOBALS}
 exec(
     compile(
-        _step_source("step(f, x, h, y, k1, tol, absolute)", _call_stage, None),
+        _step_source("step(f, x, h, y, k1, tol)", _call_stage),
         "<radlab dop853 step>",
         "exec",
     ),
@@ -207,44 +192,19 @@ step = _namespace.pop("step")
 del _namespace
 step.__doc__ = """One Dormand-Prince 8(5,3) step of size h for y' = f(x, *y) from
     (x, y), where k1 = f(x, *y).  Returns the eighth-order solution, its
-    slope k13, the step as one flat row for :func:`dense_output` (x, h, y,
+    slope k13, the step as one flat row for :func:`dense_stages` (x, h, y,
     y_new and the stages 1, 6 to 13, four components each), and the error
     estimate: the largest over the components of h * e5**2 / sqrt(e5**2 +
     0.01 * e3**2), Hairer's combination of the fifth- and third-order
-    estimates e5 and e3 of a component, in units of tol * max(|y|, |y_new|),
-    or of tol alone for the components flagged in ``absolute``.  err is inf,
-    with no solution, when a stage overflows or leaves the real line (a
-    negative float to a fractional power is complex), or the solution
-    leaves the finite range.
+    estimates e5 and e3 of a component, in units of tol.  err is inf, with
+    no solution, when a stage overflows or leaves the real line (a negative
+    float to a fractional power is complex), or the solution leaves the
+    finite range.
 
     Generated from the tableau by :func:`_step_source`, with the four state
     components written out and a stage that calls f.  The march runs the
     steps that :mod:`radlab.solver` generates from the same tableau with the
     right-hand side written into each stage; this one is their reference."""
-
-
-@functools.lru_cache(maxsize=None)
-def _node_matrix(thetas):
-    """The continuous extension at the fractions ``thetas`` of a step, as a
-    (thetas, 13) matrix N with y(theta) = y0 + N @ (y1 - y0, h K_1, ...,
-    h K_12), the K_j the stages of _DENSE_STAGES.  Cached for a tuple of
-    fractions; ``_node_matrix.__wrapped__`` takes an array.
-
-    The extension is y0 + t (F0 + (1-t) (F1 + t (F2 + (1-t) (F3 + t (F4 +
-    (1-t) (F5 + t F6)))))) with F0 = y1 - y0, F1 = h K_1 - F0, F2 = 2 F0 -
-    h (K_1 + K_13) and F3 to F6 the rows of _DENSE_D applied to h K; the
-    nested products are the polynomials P_i below, and the F_i are linear
-    in (y1 - y0, h K)."""
-    t = np.reshape(thetas, (-1, 1))
-    s = 1.0 - t
-    P = np.hstack([t, t * s, t * t * s, (t * s) ** 2, t**3 * s**2, (t * s) ** 3, t**4 * s**3])
-    N = np.empty((len(t), 1 + len(_DENSE_STAGES)))
-    N[:, 0] = P[:, 0] - P[:, 1] + 2.0 * P[:, 2]
-    N[:, 1:] = P[:, 3:] @ _DENSE_D
-    N[:, 1] += P[:, 1] - P[:, 2]
-    N[:, 1 + _DENSE_STAGES.index(13)] -= P[:, 2]
-    N.flags.writeable = False
-    return N
 
 
 def dense_stages(f, steps):
@@ -269,21 +229,21 @@ def dense_stages(f, steps):
 
 def dense_nodes(steps, V, thetas):
     """The continuous extensions of the accepted steps ``steps``, whose
-    :func:`dense_stages` are V, at the fractions ``thetas`` of each, or at
-    one fraction per step given as a (steps, 1) array: an array of shape
-    (steps, thetas, 4).  With the rows of V stacked as one (13, 4 * steps)
-    array it is one product with the node matrix of :func:`_node_matrix`,
-    built once for shared fractions."""
-    y0 = steps[:, 2:6]
-    if np.ndim(thetas) == 2:
-        N = _node_matrix.__wrapped__(thetas)
-        return y0[:, None] + np.einsum("ij,jik->ik", N, V)[:, None]
-    nodes = _node_matrix(tuple(thetas)) @ V.reshape(len(V), -1)
-    return y0[:, None] + nodes.reshape(-1, len(steps), 4).transpose(1, 0, 2)
+    :func:`dense_stages` are V, at one fraction of each, ``thetas``: a
+    (steps, 4) array.
 
-
-def dense_output(f, steps, thetas):
-    """The continuous extensions of accepted steps at the fractions
-    ``thetas``: :func:`dense_nodes` of their :func:`dense_stages`, which f,
-    the right-hand side on arrays, evaluates."""
-    return dense_nodes(steps, dense_stages(f, steps), thetas)
+    The extension is y0 + t (F0 + (1-t) (F1 + t (F2 + (1-t) (F3 + t (F4 +
+    (1-t) (F5 + t F6)))))) with F0 = y1 - y0, F1 = h K_1 - F0, F2 = 2 F0 -
+    h (K_1 + K_13) and F3 to F6 the rows of _DENSE_D applied to h K, the
+    K_j the stages of _DENSE_STAGES.  The nested products are the
+    polynomials P_i below, and the F_i are linear in V = (y1 - y0, h K), so
+    a step's node is its row of the (steps, 13) node matrix N times V."""
+    t = np.reshape(thetas, (-1, 1))
+    s = 1.0 - t
+    P = np.hstack([t, t * s, t * t * s, (t * s) ** 2, t**3 * s**2, (t * s) ** 3, t**4 * s**3])
+    N = np.empty((len(t), 1 + len(_DENSE_STAGES)))
+    N[:, 0] = P[:, 0] - P[:, 1] + 2.0 * P[:, 2]
+    N[:, 1:] = P[:, 3:] @ _DENSE_D
+    N[:, 1] += P[:, 1] - P[:, 2]
+    N[:, 1 + _DENSE_STAGES.index(13)] -= P[:, 2]
+    return steps[:, 2:6] + np.einsum("ij,jik->ik", N, V)

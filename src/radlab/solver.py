@@ -512,10 +512,10 @@ class RadialSolution(_Columns):
                 lo, hi = np.zeros_like(log_r), np.ones_like(log_r)
                 for _ in range(53):
                     theta = 0.5 * (lo + hi)
-                    below = dop853.dense_nodes(steps, V, theta[:, None])[:, 0, 0] < log_r
+                    below = dop853.dense_nodes(steps, V, theta)[:, 0] < log_r
                     lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
-                y = dop853.dense_nodes(steps, V, theta[:, None])[:, 0].T
-                _, u, v, w, dv, _, _ = _nodes(self.spec, boot.u0, steps, theta[:, None], y)
+                y = dop853.dense_nodes(steps, V, theta).T
+                _, u, v, w, dv, _, _ = _nodes(self.spec, boot.u0, steps, theta, y)
                 out[:, mine] = [u, v, w, dv]
         return dict(zip(("u", "v", "du", "dv"), out))
 
@@ -525,10 +525,10 @@ class _Kernels(NamedTuple):
     body written into the phase map in tau for (ln r, ln I1, ln I2,
     ln(u - u0)), and takes (x, *y).  On floats, for the march: ``rhs`` gives
     the first slope, and ``step(x, h, y, k1, tol)`` is the Dormand-Prince
-    8(5,3) step with the body written into every stage and every component
-    absolute: it returns what :func:`dop853.step` returns for ``rhs``, to
-    the bit.  On arrays: ``rhs_arrays``, for the dense stages.  No kernel
-    reads u."""
+    8(5,3) step with the body written into every stage: it returns what
+    :func:`dop853.step` returns for ``rhs``, to the bit, with every
+    component's error in units of tol, absolute in its logarithm.  On
+    arrays: ``rhs_arrays``, for the dense stages.  No kernel reads u."""
 
     rhs: Callable
     step: Callable
@@ -648,7 +648,7 @@ def _kernel_factory(constants: dict, shape: tuple) -> Callable:
         exp, add = _ARRAYS if name == "rhs_arrays" else _FLOATS
         stage = functools.partial(_STAGE.format, body=_body(shape, add), exp=exp)
         if name == "step":
-            kernel = dop853._step_source("step(x, h, y, k1, tol)", stage, (True,) * 4)
+            kernel = dop853._step_source("step(x, h, y, k1, tol)", stage)
         else:
             y = ["y0", "y1", "y2", "y3"]
             kernel = _STAGE_KERNEL.format(name=name, stage=stage(s=1, x="x", y=y))
@@ -741,12 +741,13 @@ def advance(
     closed-form start only when the start's own columns keep them.  From
     tau = ln r0 + ln v, with a first trial step that moves ln r by 0.1,
     Dormand-Prince 8(5,3) steps advance (ln r, ln I1, ln I2, ln(u - u0)).
-    A step is accepted when its combined error estimate lies below 0.05 *
-    rel_tol in every component; the next step size is the current one
-    times 0.9 * err**(-1/8), clamped to [0.2, 5].  The march takes the
-    fused step of :func:`_kernels`, straight-line code with the right-hand
-    side written into every stage, so it returns the bits of
-    :func:`dop853.step` on the scalar kernel, which gives the first slope.
+    A step is accepted when its combined error estimate, absolute in each
+    logarithm, lies below 0.05 * rel_tol in every component; the next step
+    size is the current one times 0.9 * err**(-1/8), clamped to [0.2, 5].
+    The march takes the fused step of :func:`_kernels`, straight-line code
+    with the right-hand side written into every stage, so it returns the
+    bits of :func:`dop853.step` on the scalar kernel, which gives the first
+    slope.
     Each accepted step keeps its stages.  The run's columns are not built
     here: on their first read :func:`_emit_nodes` emits each step as equal
     sub-panels whose interior nodes come from the seventh-order continuous
@@ -903,11 +904,11 @@ def _log_gradients(spec: ProblemSpec, lr, lI1, lI2) -> tuple:
 
 def _nodes(spec: ProblemSpec, u0: float, steps: np.ndarray, theta, y) -> tuple:
     """(r, u, v, w, dv, I1, I2) where the step rows ``steps`` reach the log
-    state y, four arrays, at the fractions theta of their steps, flattened:
+    state y, four arrays, at the fractions theta of their steps, one each:
     with tau = x0 + h * theta, the exponentials of ln r, tau - ln r, ln w,
     ln dv and the logarithms of the accumulators, and u = u0 + e**y3."""
     lr, lI1, lI2, lU = y
-    x = (steps[:, :1] + steps[:, 1:2] * theta).ravel()
+    x = steps[:, 0] + steps[:, 1] * theta
     logs = (lr, x - lr, *_log_gradients(spec, lr, lI1, lI2), lI1, lI2)
     r, v, w, dv, I1, I2 = (np.exp(value) for value in logs)
     return r, u0 + np.exp(lU), v, w, dv, I1, I2
@@ -929,8 +930,8 @@ def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, rows):
     than the start grid's spacing, and its end node, mapped to (r, u, v, w,
     dv, I1, I2) by :func:`_nodes`.  The step rows are read into one array,
     their three extra stages are evaluated for all steps at once by the
-    compiled array kernel, and each interior node is the product of its row
-    of the node matrix of :func:`dop853.dense_nodes` with its step's stages.
+    compiled array kernel, and each interior node is the extension of its
+    step at its own fraction, by :func:`dop853.dense_nodes`.
     A node that is not finite, as past the float range, or whose radius
     does not exceed every earlier one, is dropped; when every node is kept
     nothing is copied.
@@ -949,14 +950,14 @@ def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, rows):
         # Node j of a step of K sub-panels lies at the fraction j / K, j = 1..K.
         at = np.repeat(np.arange(len(steps)), counts)
         j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        theta = (j / counts[at])[:, None]
+        theta = j / counts[at]
         # Extra stages and nodes that leave the float range are not finite,
         # and are dropped below.
         with np.errstate(all="ignore"):
             V = dop853.dense_stages(boot.kernels.rhs_arrays, steps)
-            states = dop853.dense_nodes(steps[at], V[:, at], theta)[:, 0].T
+            states = dop853.dense_nodes(steps[at], V[:, at], theta).T
             # A step's end node is its end state.
-            states[:, theta[:, 0] == 1.0] = steps[:, 6:10].T
+            states[:, theta == 1.0] = steps[:, 6:10].T
             parts.append(_nodes(spec, boot.u0, steps[at], theta, states))
         evals = 3 * len(steps)
     r, u, v, w, dv, I1, I2 = nodes = [np.concatenate(col) for col in zip(*parts)]

@@ -952,7 +952,7 @@ _READER_SPEC = power_spec(2.0, 0.0, 1, 0, 6)
 
 def _read_with_both(path):
     """What radlab's reader and the oracle make of one file: the bits of
-    the five columns, or the error text."""
+    the five columns, or the error text, which starts with the path."""
     outcomes = []
     for load in (radlab.cli._load_trajectory, load_trajectory):
         try:
@@ -961,6 +961,7 @@ def _read_with_both(path):
                 warnings.simplefilter("error", RuntimeWarning)
                 data = load(str(path), _READER_SPEC)
         except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
             outcomes.append(str(exc))
         else:
             columns = np.stack((data.r, data.u, data.v, data.w, data.dv))
@@ -1028,6 +1029,10 @@ def _mutate_layout(text, how, row):
             lines[:-1] = [line + "\r" for line in lines[:-1]]
         elif change == "BOM":
             lines[0] = "\ufeff" + lines[0]
+        elif change == "byte 0xff":  # never in UTF-8; written by surrogateescape
+            lines[row] = "\udcff" + lines[row]
+        elif change == "first byte 0xff":
+            lines[0] = "\udcff" + lines[0]
         elif change == "header only":
             lines[1:] = [""]
         elif change == "header dvx":
@@ -1042,7 +1047,7 @@ def _mutate_layout(text, how, row):
     "how",
     ["4 cells", "6 cells", "8 cells", "blank line", "no final newline",
      "5 cells + no final newline", "CRLF", "BOM", "header only", "header dvx",
-     "quoted header"],
+     "quoted header", "byte 0xff", "first byte 0xff"],
 )
 @settings(derandomize=True, max_examples=10,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1051,7 +1056,7 @@ def test_reader_matches_oracle_on_a_mutated_layout(how, table, data, tmp_path):
     text = _written_csv(table).decode("ascii")
     row = data.draw(st.integers(1, len(table)))
     path = tmp_path / "trajectory.csv"
-    path.write_bytes(_mutate_layout(text, how, row).encode("utf-8"))
+    path.write_bytes(_mutate_layout(text, how, row).encode("utf-8", "surrogateescape"))
     ours, oracle = _read_with_both(path)
     assert ours == oracle
 

@@ -169,7 +169,7 @@ def test_stalled_sub_nodes_are_dropped(monkeypatch, solved_cases):
     def stalled(steps, V, thetas):
         nodes = dense_nodes(steps, V, thetas)
         mine = steps[:, 0] == row[0]
-        nodes[mine, 0, 0] = row[2]
+        nodes[mine, 0] = row[2]
         return nodes
 
     monkeypatch.setattr(dop853, "dense_nodes", stalled)
@@ -198,7 +198,7 @@ def test_a_sub_node_that_is_not_finite_is_dropped(monkeypatch, solved_cases):
 
     def poisoned(steps, V, thetas):
         nodes = dense_nodes(steps, V, thetas)
-        nodes[np.flatnonzero(steps[:, 0] == row[0])[6], 0, 1] = math.nan
+        nodes[np.flatnonzero(steps[:, 0] == row[0])[6], 1] = math.nan
         return nodes
 
     monkeypatch.setattr(dop853, "dense_nodes", poisoned)
@@ -969,7 +969,7 @@ def _in_order(weights, k, c):
     return total
 
 
-def reference_dop853_step(f, x, h, y, tol, absolute):
+def reference_dop853_step(f, x, h, y, tol):
     """One DOP853 step written as loops over the tableau above."""
     k = [f(x, *y)]
     for i in range(1, 12):
@@ -977,9 +977,8 @@ def reference_dop853_step(f, x, h, y, tol, absolute):
         k.append(f(x + _C[i] * h, *stage))
     d = [_in_order(_B, k, c) for c in range(4)]
     y_new = [y[c] + h * d[c] for c in range(4)]
-    scale = [tol * (1.0 if absolute[c] else max(abs(y[c]), abs(y_new[c]))) for c in range(4)]
-    e5 = [abs(_in_order(_E5, k, c)) / scale[c] for c in range(4)]
-    e3 = [abs(d[c] - _in_order(_BHH, k, c)) / scale[c] for c in range(4)]
+    e5 = [abs(_in_order(_E5, k, c)) / tol for c in range(4)]
+    e3 = [abs(d[c] - _in_order(_BHH, k, c)) / tol for c in range(4)]
     err = max(h * p**2 / math.sqrt(p**2 + 0.01 * q**2) for p, q in zip(e5, e3))
     k13 = f(x + h, *y_new)
     row = [x, h, *y, *y_new] + [kj[c] for kj in (k[0], *k[5:], k13) for c in range(4)]
@@ -990,21 +989,17 @@ def _smooth_rhs(x, a, b, c, d):
     return (b + math.sin(x), -a * c, 0.5 * d + math.cos(a), a * b / (1.0 + c * c))
 
 
-@pytest.mark.parametrize(
-    # the march's two patterns, and one that tells every component apart
-    "absolute", [(False,) * 4, (False, False, True, True), (True, False, True, False)]
-)
 @pytest.mark.parametrize("seed", range(8))
-def test_dp_step_matches_loop_reference(seed, absolute):
+def test_dp_step_matches_loop_reference(seed):
     # Component sizes spread over six decades, so that which component sets
-    # the error estimate, and whether it is scaled, varies with the seed.
+    # the error estimate varies with the seed.
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(0.0, 2.0))
     h = float(rng.uniform(0.05, 0.5))
     y = tuple(float(v) for v in rng.uniform(0.5, 2.0, 4) * 10.0 ** rng.uniform(-3, 3, 4))
     tol = 1e-9
-    got = dop853.step(_smooth_rhs, x, h, y, _smooth_rhs(x, *y), tol, absolute)
-    want = reference_dop853_step(_smooth_rhs, x, h, y, tol, absolute)
+    got = dop853.step(_smooth_rhs, x, h, y, _smooth_rhs(x, *y), tol)
+    want = reference_dop853_step(_smooth_rhs, x, h, y, tol)
     # The stages, solution and row are the same float operations in the
     # same order, so they agree to the bit; the error formula differs.
     for name, g, w in zip(("y_new", "k13", "row"), got[:3], want[:3]):
@@ -1026,7 +1021,7 @@ def test_dp_step_overflow_gives_no_solution():
     for f, y in ((raising, (700.0, 1.0, 1.0, 1.0)), (overflowing, (1.0, 1.0, 1.0, 1.0))):
         k1 = f(0.0, *y)
         assert all(map(math.isfinite, k1))
-        result = dop853.step(f, 0.0, 1.0, y, k1, 1e-9, (False,) * 4)
+        result = dop853.step(f, 0.0, 1.0, y, k1, 1e-9)
         assert result == (None, None, None, math.inf)
 
 
@@ -1056,6 +1051,13 @@ def _rotation_exact(x):
     return np.stack([np.cos(angle), np.sin(angle), 1.0 / (1.0 + x), np.exp(np.sin(angle))], -1)
 
 
+def _dense_at(f, steps, thetas):
+    """The continuous extension of every step at each of the fractions
+    ``thetas``, a (steps, thetas, 4) array."""
+    V = dop853.dense_stages(f, steps)
+    return np.stack([dop853.dense_nodes(steps, V, np.full(len(steps), t)) for t in thetas], 1)
+
+
 def _fixed_step_errors(steps, end=2.0):
     """Fixed-step DOP853 over [0, end]: the error at the end, that of the
     dense output at 13 interior fractions of every step, and the error
@@ -1065,13 +1067,13 @@ def _fixed_step_errors(steps, end=2.0):
     k1 = _rotation_rhs(x, *y)
     rows, first_err = [], None
     for _ in range(steps):
-        y_new, k13, row, err = dop853.step(_rotation_rhs, x, h, y, k1, 1.0, (True,) * 4)
+        y_new, k13, row, err = dop853.step(_rotation_rhs, x, h, y, k1, 1.0)
         first_err = err if first_err is None else first_err
         rows.append(row)
         x, y, k1 = x + h, y_new, k13
     thetas = np.arange(1, 14) / 14.0
     rows = np.array(rows)
-    sub = dop853.dense_output(_rotation_rhs, rows, thetas)
+    sub = _dense_at(_rotation_rhs, rows, thetas)
     xs = rows[:, :1] + rows[:, 1:2] * thetas
     return (
         float(np.max(np.abs(np.array(y) - _rotation_exact(end)))),
@@ -1257,8 +1259,8 @@ def test_compiled_kernels_agree_with_the_linear_formulas(p, alpha_share, n, sums
 )
 @_at_the_folds
 def test_fused_step_keeps_the_bits_of_the_reference_step(p, alpha_share, n, sums, seed):
-    # The fused step returns what dop853.step returns for the scalar kernel
-    # with every component absolute: y_new, k13, row and err, to the bit.
+    # The fused step returns what dop853.step returns for the scalar kernel:
+    # y_new, k13, row and err, to the bit.
     f1, f2, g1, g2, h = sums
     spec = ProblemSpec(
         p=p, alpha=alpha_share * (p - 1.0), n=n, f1=f1, f2=f2, g1=g1, g2=g2, h=h
@@ -1268,7 +1270,7 @@ def test_fused_step_keeps_the_bits_of_the_reference_step(p, alpha_share, n, sums
 
     def step(x, size, y, k1):
         got = kernels.step(x, size, y, k1, tol)
-        assert repr(got) == repr(dop853.step(kernels.rhs, x, size, y, k1, tol, (True,) * 4))
+        assert repr(got) == repr(dop853.step(kernels.rhs, x, size, y, k1, tol))
         return got
 
     for x, *y in zip(*_log_states(np.random.default_rng(seed))[:4]):
@@ -1291,7 +1293,7 @@ def test_a_step_whose_stage_leaves_the_real_line_is_rejected():
         return (1j if x >= 1.0 else 1.0), 1.0, 1.0, 1.0
 
     none = (None, None, None, math.inf)
-    assert dop853.step(late, 0.0, 1.0, (1.0,) * 4, late(0.0), 1e-8, (False,) * 4) == none
+    assert dop853.step(late, 0.0, 1.0, (1.0,) * 4, late(0.0), 1e-8) == none
 
 
 def reference_dense_output(f, row, theta):
@@ -1321,20 +1323,20 @@ def test_dense_output_node_matrix_matches_horner_reference():
     k1 = _rotation_rhs(x, *y)
     rows = []
     for _ in range(8):
-        y, k1, row, _ = dop853.step(_rotation_rhs, x, h, y, k1, 1.0, (True,) * 4)
+        y, k1, row, _ = dop853.step(_rotation_rhs, x, h, y, k1, 1.0)
         rows.append(row)
         x += h
     thetas = np.arange(1, 14) / 14.0
-    got = dop853.dense_output(_rotation_rhs, np.array(rows), thetas)
+    got = _dense_at(_rotation_rhs, np.array(rows), thetas)
     want = [[reference_dense_output(_rotation_rhs, row, t) for t in thetas] for row in rows]
     assert got.shape == (8, 13, 4)
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-    # One fraction per step, as sample asks for them, takes each step's own
-    # row of the node matrix.
-    each = np.linspace(0.0, 1.0, 8)[:, None]
-    got = dop853.dense_output(_rotation_rhs, np.array(rows), each)
-    want = [[reference_dense_output(_rotation_rhs, row, t)] for row, (t,) in zip(rows, each)]
-    assert got.shape == (8, 1, 4)
+    # A fraction of its own for each step, as the march's readers ask.
+    each = np.linspace(0.0, 1.0, 8)
+    steps = np.array(rows)
+    got = dop853.dense_nodes(steps, dop853.dense_stages(_rotation_rhs, steps), each)
+    want = [reference_dense_output(_rotation_rhs, row, t) for row, t in zip(rows, each)]
+    assert got.shape == (8, 4)
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
@@ -1400,7 +1402,7 @@ def test_march_stops_at_its_step_budget(spare, monkeypatch):
 def test_sample_evaluates_the_dense_stages_once():
     # sample's bisection for the fraction where ln r reaches ln(rs) reads
     # every halving off the same three extra stages, evaluated in one call,
-    # and keeps the bits of a dense_output per halving.
+    # and keeps the bits of stages evaluated afresh for each halving.
     config = load_config(str(ROOT / "configs" / "problem_b.cfg"))
     run = march(config.spec(), config.u0, config.v0, config.solver_options())
     kernels = run.steps.boot.kernels
@@ -1418,12 +1420,16 @@ def test_sample_evaluates_the_dense_stages_once():
 
     steps = solver._stacked(run.steps.rows)
     steps = steps[np.searchsorted(steps[:, 2], np.log(rs), side="right") - 1]
+
+    def extension(theta):
+        return dop853.dense_nodes(steps, dop853.dense_stages(kernels.rhs_arrays, steps), theta)
+
     lo, hi = np.zeros_like(rs), np.ones_like(rs)
     for _ in range(53):
         theta = 0.5 * (lo + hi)
-        below = dop853.dense_output(kernels.rhs_arrays, steps, theta[:, None])[:, 0, 0] < np.log(rs)
+        below = extension(theta)[:, 0] < np.log(rs)
         lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
-    lr, lI1, lI2, lU = dop853.dense_output(kernels.rhs_arrays, steps, theta[:, None])[:, 0].T
+    lr, lI1, lI2, lU = extension(theta).T
     spec = run.spec
     v = np.exp(steps[:, 0] + steps[:, 1] * theta - lr)
     du = np.exp(spec.theta * (math.log(spec.delta / (spec.n - 1)) + lI1 - spec.delta * lr))

@@ -40,22 +40,25 @@ def write_trajectory(fh: BinaryIO, table: np.ndarray) -> None:
 
 def load_trajectory(path: str, spec: ProblemSpec) -> TrajectoryData:
     """Read a trajectory CSV: the first five columns must be r,u,v,du,dv."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise ValueError(f"{path}: empty trajectory file")
-        if tuple(header[:5]) != _COLUMNS:
-            raise ValueError(
-                f"{path}: expected columns r,u,v,du,dv, got {','.join(header[:5])}"
-            )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # no rows: TrajectoryData says so
-                table = np.loadtxt(fh, delimiter=",", usecols=range(5), ndmin=2,
-                                   comments=None, quotechar='"')
-        except ValueError as exc:
-            fh.seek(0)
-            raise ValueError(f"{path}: {_first_bad_row(fh) or exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValueError(f"{path}: empty trajectory file")
+            if tuple(header[:5]) != _COLUMNS:
+                raise ValueError(
+                    f"{path}: expected columns r,u,v,du,dv, got {','.join(header[:5])}"
+                )
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # no rows: TrajectoryData says so
+                    table = np.loadtxt(fh, delimiter=",", usecols=range(5), ndmin=2,
+                                       comments=None, quotechar='"')
+            except ValueError as exc:
+                fh.seek(0)
+                raise ValueError(f"{path}: {_first_bad_row(fh) or exc}") from None
+    except UnicodeDecodeError as exc:  # not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
     try:
         return TrajectoryData(spec, *table.T)
     except ValueError as exc:
