@@ -989,23 +989,47 @@ def _smooth_rhs(x, a, b, c, d):
     return (b + math.sin(x), -a * c, 0.5 * d + math.cos(a), a * b / (1.0 + c * c))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_dp_step_matches_loop_reference(seed):
+def _smooth_case(rng):
     # Component sizes spread over six decades, so that which component sets
     # the error estimate varies with the seed.
-    rng = np.random.default_rng(seed)
     x = float(rng.uniform(0.0, 2.0))
     h = float(rng.uniform(0.05, 0.5))
     y = tuple(float(v) for v in rng.uniform(0.5, 2.0, 4) * 10.0 ** rng.uniform(-3, 3, 4))
-    tol = 1e-9
-    got = dop853.step(_smooth_rhs, x, h, y, _smooth_rhs(x, *y), tol)
-    want = reference_dop853_step(_smooth_rhs, x, h, y, tol)
+    return _smooth_rhs, x, h, y, 1e-9
+
+
+def _march_case(name):
+    """A step of the march's own scalar kernel for configs/<name>.cfg, from
+    a log state of _log_states, at the tolerance of the fused-step test."""
+
+    def case(rng):
+        f = solver._kernels(load_config(str(ROOT / "configs" / f"{name}.cfg")).spec()).rhs
+        x, *y = (float(c[0]) for c in _log_states(rng)[:4])
+        y = (*y, math.log(0.5 + x % 1.0))
+        # a step that moves no component by much more than dx
+        dx = 0.05 + 0.25 * (x % 1.0)
+        return f, x, dx / (1.0 + max(map(abs, f(x, *y)))), y, 5e-10
+
+    return case
+
+
+@pytest.mark.parametrize(
+    # a generic system, and the march's slopes on two problems of the paper
+    "case",
+    [_smooth_case, _march_case("problem_a"), _march_case("problem_b")],
+    ids=["smooth", "problem_a", "problem_b"],
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_dp_step_matches_loop_reference(seed, case):
+    f, x, h, y, tol = case(np.random.default_rng(seed))
+    got = dop853.step(f, x, h, y, f(x, *y), tol)
+    want = reference_dop853_step(f, x, h, y, tol)
     # The stages, solution and row are the same float operations in the
     # same order, so they agree to the bit; the error formula differs.
     for name, g, w in zip(("y_new", "k13", "row"), got[:3], want[:3]):
         assert list(g) == list(w), name
     assert got[3] == pytest.approx(want[3], rel=1e-13)
-    assert got[3] > 0.0
+    assert 0.0 < got[3] < math.inf
 
 
 def test_dp_step_overflow_gives_no_solution():
