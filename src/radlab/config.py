@@ -391,6 +391,10 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Load and validate a run file from disk."""
+    """Load and validate a run file from disk: UTF-8 text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"{path}: not UTF-8 text ({exc})"]) from None
+    return parse_config_text(text)

@@ -68,6 +68,8 @@ _EXPONENT_SNAP = 1e-9
 _GAUSS_POINTS = 16
 _NEGLIGIBLE = 1e-17
 _MAX_PANEL_GROWTH = 16.0
+#: The log of the largest float.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Verdict(str, Enum):
@@ -228,6 +230,8 @@ class _LogTable:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if not x.size:
+            return x.copy()
         flat = x.reshape(-1)
         self._cover(flat)
         edges, g_edges, cum = self.edges, self._g_edges, self.cum
@@ -276,9 +280,10 @@ def _integral_table(f: FuncExpr, k: float) -> _LogTable:
     tiny = math.log(_NEGLIGIBLE)
     low_power, lead_power = a0 * k + 1.0, am * k + 1.0
     margin = -tiny / low_power
-    lo = min((tiny - math.log(c / c0)) / (a - a0) for c, a in f.terms[1:])
+    # Logs of the ratios of terms, which may lie beyond the floats.
+    lo = min((tiny - (math.log(c) - math.log(c0))) / (a - a0) for c, a in f.terms[1:])
     lo = max(lo, math.log(math.ulp(0.0)) - margin)
-    hi = max((math.log(c / cm) - tiny) / (am - a) for c, a in f.terms[:-1])
+    hi = max((math.log(c) - math.log(cm) - tiny) / (am - a) for c, a in f.terms[:-1])
     width = min(1.0, math.pi / (am - a0), _MAX_PANEL_GROWTH / lead_power)
     below, above = (k * math.log(c0), low_power), (k * math.log(cm), lead_power)
     return _LogTable(_log_power_sum(f, k), lo, hi, width, below, above, margin)
@@ -362,13 +367,20 @@ def _tail_integral(
 
     For single-term ``h`` the integrand is exactly ``A**-power * s**-gamma``,
     so the value has a closed form (exact, and immune to the slow-convergence
-    regime gamma -> 1); otherwise the exponential of the table of
-    :func:`_tail_table` at -ln t.
+    regime gamma -> 1), taken in logarithms where a factor of it overflows;
+    otherwise the exponential of the table of :func:`_tail_table` at -ln t.
+    A value beyond the largest float is inf.
     """
     inner_coeff = _single_term_coeff(spec)
-    if inner_coeff is not None:
-        return inner_coeff**-power * t ** (1.0 - decay) / (decay - 1.0)
-    return float(np.exp(_tail_table(spec, power, weight)(-math.log(t))))
+    if inner_coeff is None:
+        log_value = float(_tail_table(spec, power, weight)(-math.log(t)))
+    else:
+        try:
+            return inner_coeff**-power * t ** (1.0 - decay) / (decay - 1.0)
+        except OverflowError:
+            log_value = (1.0 - decay) * math.log(t) - power * math.log(inner_coeff)
+            log_value -= math.log(decay - 1.0)
+    return float(np.exp(log_value)) if log_value < _LOG_MAX else math.inf
 
 
 def criterion(spec: ProblemSpec, kind: CriterionKind) -> ConvergenceVerdict:

@@ -14,10 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 __all__ = [
     "ExpressionError",
@@ -59,7 +57,6 @@ class FuncExpr:
     """
 
     terms: tuple[tuple[float, float], ...]
-    source_text: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -79,30 +76,15 @@ class FuncExpr:
             previous = exponent
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[float, float]], source_text: str = "") -> "FuncExpr":
+    def from_terms(pairs: Iterable[tuple[float, float]]) -> "FuncExpr":
         """Build a canonical FuncExpr from arbitrary (coeff, exponent) pairs."""
-        return FuncExpr(_merged(pairs), source_text)
+        return FuncExpr(_merged(pairs))
 
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, t):
-        """Evaluate at a scalar or ndarray argument ``t >= 0`` (``0**0 == 1``)."""
-        if isinstance(t, np.ndarray):
-            total = np.zeros(t.shape, dtype=float)
-            for coeff, exponent in self.terms:
-                if exponent == 0.0:
-                    total += coeff
-                else:
-                    total += coeff * t**exponent
-            return total
-        x = float(t)
-        total = 0.0
-        for coeff, exponent in self.terms:
-            if exponent == 0.0:
-                total += coeff
-            else:
-                total += coeff * x**exponent
-        return total
+        """Evaluate at a float or an ndarray ``t >= 0`` (``0**0 == 1``)."""
+        return sum(coeff * t**exponent for coeff, exponent in self.terms)
 
     # -- structure -------------------------------------------------------
 
@@ -251,4 +233,4 @@ def _parse(text: str) -> FuncExpr:
     terms = _merged(pairs)
     if not terms:
         raise ExpressionError("expression is identically zero", text, 0)
-    return FuncExpr(terms, text)
+    return FuncExpr(terms)

@@ -185,12 +185,14 @@ class _Columns:
 
 @dataclass(frozen=True)
 class BootstrapSegment(_Columns):
-    """The closed-form start on [0, r0]: ``profiles(r)`` gives (u, v, w, dv,
-    I1, I2, fI1, fI2, W, Z) at radii 0 <= r <= r0, and ``state`` is (ln v,
-    ln I1, ln I2, ln(u - u0)) at r0, where :func:`advance` takes over.
-    ``kernels`` is the problem's compiled right-hand side, which the march
-    goes on with.  The columns, built on first read, are the profiles on
-    the grid of :func:`picard_bootstrap`."""
+    """The closed-form start on [0, r0]: ``profiles(r, exp, log)`` gives (u,
+    v, w, dv, I1, I2, fI1, fI2, W, Z) at radii 0 <= r <= r0, by numpy's exp
+    and log, the defaults, on arrays under the caller's error state, or by
+    math's at a float, which raise where a profile leaves the floats.
+    ``state`` is (ln v, ln I1, ln I2, ln(u - u0)) at r0, where :func:`advance`
+    takes over, and ``kernels`` the problem's compiled right-hand side, which
+    the march goes on with.  The columns, built on first read, are the
+    profiles on the grid of :func:`picard_bootstrap`."""
 
     r0: float
     u0: float
@@ -206,7 +208,10 @@ class BootstrapSegment(_Columns):
     @functools.cached_property
     def _columns(self) -> dict[str, np.ndarray]:
         r = np.append(0.0, np.geomspace(_START_SPAN * self.r0, self.r0, _START_NODES))
-        values = self.profiles(r)
+        # Profiles that leave the float range are not kept, so their
+        # overflows are no error.
+        with np.errstate(all="ignore"):
+            values = self.profiles(r)
         keep = _normal(values) | (r == 0.0)
         names = ("r", "u", "v", "w", "dv", "I1", "I2")
         return {name: column[keep] for name, column in zip(names, (r, *values[:6]))}
@@ -237,25 +242,29 @@ def _integrated(terms):
     return [(c, lc - math.log(e + 1.0), e + 1.0) for c, lc, e in terms]
 
 
-def _evaluate(terms, r):
-    """A power sum at radii r > 0."""
-    log_r = np.log(r)
-    return sum(c * np.exp(lc + e * log_r) for c, lc, e in terms)
-
-
-def _evaluate_float(terms, log_r):
-    """A power sum at the radius e**log_r, in floats: OverflowError where a
-    term leaves the float range."""
-    return sum(c * math.exp(lc + e * log_r) for c, lc, e in terms)
+def _evaluate(terms, log_r, exp):
+    """A power sum at the radii e**log_r, by ``exp``: numpy's on arrays, or
+    math's on floats, which raises OverflowError where a term leaves the
+    float range."""
+    return sum(c * exp(lc + e * log_r) for c, lc, e in terms)
 
 
 def _log_evaluate(terms, log_r):
-    """The log of a power sum at the radius e**log_r: its leading term's,
-    the one of least exponent, whose multiplier is positive, plus log1p of
-    the others over it."""
-    (c0, lc0, e0), *others = sorted(terms, key=lambda term: term[2])
-    rest = sum(c / c0 * math.exp(lc - lc0 + (e - e0) * log_r) for c, lc, e in others)
-    return math.log(c0) + lc0 + e0 * log_r + math.log1p(rest)
+    """The log of a power sum at the radius e**log_r: a reference term's,
+    plus log1p of the others over it.  The reference is the term of least
+    exponent, whose multiplier is positive, or the largest term where
+    another one exceeds that by more than the float range."""
+    terms = sorted(terms, key=lambda term: term[2])
+
+    def relative_to(k):
+        (c0, lc0, e0), others = terms[k], terms[:k] + terms[k + 1:]
+        rest = sum(c / c0 * math.exp(lc - lc0 + (e - e0) * log_r) for c, lc, e in others)
+        return math.log(c0) + lc0 + e0 * log_r + math.log1p(rest)
+
+    try:
+        return relative_to(0)
+    except OverflowError:
+        return relative_to(max(range(len(terms)), key=lambda k: terms[k][1] + terms[k][2] * log_r))
 
 
 def _binomial(eps, y, budget):
@@ -308,7 +317,9 @@ def picard_bootstrap(
     0.01 * rel_tol of its sum, or the target radius itself if that is
     smaller.  The profiles are evaluated here at r0 alone, in floats, and
     :class:`SolverError` is raised when they, or the slopes of I1 and I2,
-    are not positive normal floats there.  The state the march starts
+    are not positive normal floats there, when r0 itself is below the
+    smallest float, or when a coefficient of a binomial series is beyond
+    the float range or below it.  The state the march starts
     from, (ln v, ln I1, ln I2, ln(u - u0)) at r0, is taken in logarithms
     from the same power sums (:func:`_log_evaluate`), not from differences
     of floats.  The segment's columns, built on first read, are the origin
@@ -333,7 +344,6 @@ def picard_bootstrap(
         ((math.log(c * c1) + lc, e - delta) for c, lc, e in I1_terms),
         key=lambda term: term[1],
     )
-    eps = [(math.exp(lc - lW), e - eW) for lc, e in rest]
     radii = []  # log radii to which each cut series and the growth of v keep budget
 
     def power_of_W(y, log_scale=0.0):
@@ -341,12 +351,16 @@ def picard_bootstrap(
         radii.append(log_radius)
         return [(c, log_scale + y * lW, y * eW + e) for c, e in series]
 
-    u_terms = _integrated(power_of_W(theta))
-    h_of_w = [
-        term
-        for c, q in spec.h.terms
-        for term in power_of_W(theta * q, math.log(c))
-    ]
+    try:
+        eps = [(math.exp(lc - lW), e - eW) for lc, e in rest]
+        u_terms = _integrated(power_of_W(theta))
+        h_of_w = [
+            term
+            for c, q in spec.h.terms
+            for term in power_of_W(theta * q, math.log(c))
+        ]
+    except (ArithmeticError, ValueError):
+        raise SolverError("the start's series in W have coefficients beyond the floats") from None
     I2_terms = _integrated([
         (cf * ch, lf + lh, ef + eh)
         for cf, lf, ef in _terms(spec.f2, n - 1.0, _log_evaluate(_terms(spec.g2), lv0))
@@ -365,45 +379,37 @@ def picard_bootstrap(
     log_target = math.log(options.target_radius)
     log_r0 = min(log_target, *radii)
     r0 = options.target_radius if log_r0 == log_target else math.exp(log_r0)
+    if r0 == 0.0:
+        raise SolverError(f"the start radius r0 = e**{log_r0!r} is below the smallest float")
 
-    def profiles(r):
-        # Profiles that leave the float range are not kept, so their
-        # overflows are no error.
-        with np.errstate(all="ignore"):
-            I1 = _evaluate(I1_terms, r)
-            I2 = _evaluate(I2_terms, r)
-            v = v0 + _evaluate(growth, r)
-            u = u0 + _evaluate(u_terms, r)
-            # At the origin, where every power of r vanishes, w and dv are 0/0.
-            w, dv = (
-                np.where(r > 0.0, np.exp(log), 0.0)
-                for log in _log_gradients(spec, np.log(r), np.log(I1), np.log(I2))
-            )
-            fI1 = r**delta * spec.f1(r) * spec.g1(v)
-            fI2 = r ** (n - 1.0) * spec.f2(r) * spec.g2(v) * spec.h(w)
-            W = w ** (spec.p - 1.0 - spec.alpha)
-            Z = dv ** (spec.p - 1.0)
-        return u, v, w, dv, I1, I2, fI1, fI2, W, Z
-
-    lr0 = math.log(r0)
-    # The same profiles at r0 in floats.  Where numpy's leave the float
-    # range or take the log of 0, these may raise instead; either way some
-    # profile is not a positive normal float.
-    try:
-        I1 = _evaluate_float(I1_terms, lr0)
-        I2 = _evaluate_float(I2_terms, lr0)
-        v = v0 + _evaluate_float(growth, lr0)
-        u = u0 + _evaluate_float(u_terms, lr0)
-        w, dv = map(math.exp, _log_gradients(spec, lr0, math.log(I1), math.log(I2)))
-        fI1 = r0**delta * spec.f1(r0) * spec.g1(v)
-        fI2 = r0 ** (n - 1.0) * spec.f2(r0) * spec.g2(v) * spec.h(w)
+    def profiles(r, exp=np.exp, log=np.log):
+        lr = log(r)
+        I1 = _evaluate(I1_terms, lr, exp)
+        I2 = _evaluate(I2_terms, lr, exp)
+        v = v0 + _evaluate(growth, lr, exp)
+        u = u0 + _evaluate(u_terms, lr, exp)
+        # At the origin, where every power of r vanishes, w and dv are 0/0:
+        # their logarithms are -inf there.
+        w, dv = (
+            exp(np.where(r > 0.0, value, -math.inf))
+            for value in _log_gradients(spec, lr, log(I1), log(I2))
+        )
+        fI1 = r**delta * spec.f1(r) * spec.g1(v)
+        fI2 = r ** (n - 1.0) * spec.f2(r) * spec.g2(v) * spec.h(w)
         W = w ** (spec.p - 1.0 - spec.alpha)
         Z = dv ** (spec.p - 1.0)
-        normal = all(_TINY <= value < math.inf for value in (u, v, w, dv, I1, I2, fI1, fI2, W, Z))
+        return u, v, w, dv, I1, I2, fI1, fI2, W, Z
+
+    # At r0 in floats: where numpy's profiles leave the float range or take
+    # the log of 0, math's raise; either way some profile is not a positive
+    # normal float.
+    try:
+        normal = all(_TINY <= value < math.inf for value in profiles(r0, math.exp, math.log))
     except (ArithmeticError, ValueError):
         normal = False
     if not normal:
         raise SolverError(f"the start profiles are not normal floats at r0={r0!r}")
+    lr0 = math.log(r0)
     state = (
         lv0 + math.log1p(math.exp(_log_evaluate(growth, lr0) - lv0)),
         _log_evaluate(I1_terms, lr0),
@@ -1004,10 +1010,10 @@ def blowup_envelope_check(
     over the last decade of grid before R0 and takes C1 and C2 as its
     extremes, widened by a factor 1e-12.  phi is decreasing, so the pinch
     then holds at every node by construction: ``max_violation`` is 0 and
-    the check passes whenever C is finite and positive, and otherwise
-    reports nan constants, an infinite violation and a failure.
+    the check passes.
 
-    Raises :class:`SolverError` unless the trajectory blew up, and
+    Raises :class:`SolverError` unless the trajectory blew up, or where C
+    is not a positive float, as where phi leaves the float range, and
     :class:`radlab.criteria.CriterionDiverges` when the tail integral does
     not exist (unweighted criterion infinite).
     """
@@ -1019,15 +1025,10 @@ def blowup_envelope_check(
     if count < 4:
         raise SolverError("too few grid points in the final decade before R0")
     gap = spec.p - 1.0 - spec.alpha
-    C = np.array([phi(spec, wi**gap) for wi in solution.w[mask]]) / d[mask]
+    with np.errstate(over="ignore"):  # C past the floats is refused below
+        C = np.array([phi(spec, wi**gap) for wi in solution.w[mask]]) / d[mask]
     if not (np.all(np.isfinite(C)) and np.all(C > 0.0)):
-        return EnvelopeReport(
-            C1=float("nan"),
-            C2=float("nan"),
-            points_checked=count,
-            max_violation=float("inf"),
-            passed=False,
-        )
+        raise SolverError("phi(w**(p-1-alpha)) / (R0 - r) is not a positive float near R0")
     C1 = float(np.min(C)) * (1.0 - 1e-12)
     C2 = float(np.max(C)) * (1.0 + 1e-12)
     return EnvelopeReport(

@@ -1,5 +1,6 @@
 """Run-file parsing and the four CLI subcommands."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -21,7 +22,7 @@ import radlab.cli
 from radlab.cli import _write_trajectory, main
 from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
 from radlab.criteria import CriterionDiverges
-from radlab.solver import blowup_envelope_check, march
+from radlab.solver import SolverError, blowup_envelope_check, march
 from radlab.verify import SANDWICH_GRID, relative_residuals, trajectory_reports
 
 from conftest import power_spec
@@ -370,6 +371,15 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe[problem]\n")
+    code, out, err = run_cli(["classify", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid run configuration\n")
+    assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
     # An --out that is a file, lies under one or cannot be written is
     # reported like an unreadable config: exit 2, one error line, and no row
@@ -463,6 +473,131 @@ def _config_with(tmp_path, source, **values):
         text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
         assert count == 1, key
     return write(tmp_path, text, name=source)
+
+
+def _run_warning_free(argv, capsys):
+    """run_cli with numpy's warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run_cli(argv, capsys)
+
+
+def _commands(config, tmp_path, capsys):
+    """The exit codes of solve, verify and sweep --solve on ``config``, run
+    with numpy's warnings as errors and each with an empty stderr, then the
+    report, verify's payload and the sweep's one row."""
+    codes, outs = [], []
+    for argv in (
+        ["solve", "--config", config, "--out", str(tmp_path)],
+        ["verify", "--config", config],
+        ["sweep", "--solve", "--config", config, "--out", str(tmp_path)],
+    ):
+        code, out, err = _run_warning_free(argv, capsys)
+        assert err == ""
+        codes.append(code)
+        outs.append(out)
+    (row,) = csv.DictReader(io.StringIO(outs[2]))
+    return codes, json.loads(outs[0]), json.loads(outs[1]), row
+
+
+#: Problem B with these fields changed: starts whose float arithmetic ended
+#: solve in a traceback, and the reason each now gives for failing.
+UNSTARTABLE = {
+    # ln r0 = -1099.17, so r0 is 0.0 in floats.
+    "r0_below_the_floats": (
+        dict(f1='"0.0015 + 16.6*t^0.01"', h='"0.012*t^3.911"'),
+        "the start radius r0 = e**-1099.",
+    ),
+    # The coefficient of eps in W = W0 * (1 + eps) is 1e600.
+    "eps_beyond_the_floats": (
+        dict(f1='"1e-300 + 1e300*t"'),
+        "the start's series in W have coefficients beyond the floats",
+    ),
+    # ... and here 1e-446, which is 0.0 in floats.
+    "eps_below_the_floats": (
+        dict(f1='"7.5e259 + 8.7e-187*t^0.497"', h='"1.2e-28*t^4.889"'),
+        "the start's series in W have coefficients beyond the floats",
+    ),
+}
+
+
+@pytest.mark.parametrize("values, reason", UNSTARTABLE.values(), ids=UNSTARTABLE)
+def test_start_beyond_the_floats_is_a_solver_failure(values, reason, tmp_path, capsys):
+    # Each used to end solve in a traceback.  Now solve gives a "solver
+    # failed" note and verify and the sweep row the same reason.
+    config = _config_with(tmp_path, "problem_b.cfg", **values)
+    codes, report, payload, row = _commands(config, tmp_path, capsys)
+    assert codes == [0, 1, 0]
+    assert report["termination"] is None and report["verify"] is None
+    (note,) = report["notes"]
+    assert note.startswith(f"solver failed: {reason}")
+    assert payload == {"reports": [], "pass": False, "error": note.removeprefix("solver failed: ")}
+    assert row["predicted_class"] != "" and row["numeric_class"] == row["agree"] == ""
+    assert row["error"] == payload["error"]
+
+
+def test_start_takes_the_largest_term_where_the_least_one_is_too_small(tmp_path, capsys):
+    # At p = 1.017 the bound on v's growth raises the terms of I2 to the
+    # power 1/(p-1) = 58.8, so at ln r0 one of its terms exceeds the one of
+    # least exponent by more than the float range, and the log of the sum
+    # is taken relative to the largest term.  This run used to end solve,
+    # verify and sweep --solve in an OverflowError.
+    config = _config_with(
+        tmp_path, "problem_b.cfg", p="1.017", f1='"76*t^2.71"',
+        f2='"0.0035 + 23*t^1.553"', g1='"0.012*t^2.532"', v0="0.0587",
+    )
+    codes, report, payload, row = _commands(config, tmp_path, capsys)
+    assert codes == [0, 0, 0]
+    assert report["termination"] == "BlowUp" and report["notes"] == []
+    assert report["R0"] == pytest.approx(11.3354, rel=1e-5)
+    assert report["numeric_class"] == "B2" and report["reconcile"]["status"] == "agree"
+    assert len(report["verify"]) == 5 and all(check["pass"] for check in report["verify"])
+    assert report["envelope"]["pass"] is True
+    assert payload["pass"] is True and len(payload["reports"]) == 5
+    assert (row["predicted_class"], row["numeric_class"], row["agree"], row["error"]) == (
+        "B2", "B2", "true", "")
+
+
+def test_sandwich_table_of_terms_beyond_the_floats_of_each_other(tmp_path, capsys):
+    # The terms of H = 1e42 t + 5e-291 t^2 differ by a ratio below the
+    # smallest float, whose log the sandwich's table used to take.
+    config = _config_with(tmp_path, "problem_b.cfg", h='"1e42 + 1e-290*t"')
+    codes, report, payload, row = _commands(config, tmp_path, capsys)
+    assert codes == [0, 0, 0]
+    assert report["termination"] == "ReachedTarget" and report["reconcile"]["status"] == "agree"
+    assert all(check["pass"] for check in report["verify"])
+    assert payload["pass"] is True
+    assert [report["verify"][-1]["name"], payload["reports"][-1]["name"]] == ["sandwich"] * 2
+    assert (row["predicted_class"], row["numeric_class"], row["agree"], row["error"]) == (
+        "B1", "B1", "true", "")
+
+
+def test_criterion_value_beyond_the_floats_is_reported(tmp_path, capsys):
+    # With h = 8.5e-152 t^0.664 the closed form of the criterion values
+    # overflowed in A**-nu; the values themselves lie beyond the float range
+    # and are reported as inf.  The start fails: h(w) is not normal at r0.
+    config = _config_with(
+        tmp_path, "problem_b.cfg", p="1.179", g1='"7.5e-13*t^2.618"',
+        g2='"1.7e-11*t^1.997"', h='"8.5e-152*t^0.664"',
+    )
+    code, out, err = _run_warning_free(["classify", "--config", config], capsys)
+    assert (code, err) == (0, "")
+    classified = json.loads(out)
+    for kind in ("criterion_unweighted", "criterion_weighted"):
+        assert classified[kind] == {"verdict": "Finite", "value": math.inf, "method": "Symbolic"}
+    codes, report, payload, row = _commands(config, tmp_path, capsys)
+    assert codes == [0, 1, 0]
+    reason = "the start profiles are not normal floats at r0=20.0"
+    assert report["notes"] == [f"solver failed: {reason}"]
+    assert payload == {"reports": [], "pass": False, "error": reason}
+    assert (row["unweighted"], row["weighted"], row["predicted_class"], row["error"]) == (
+        "Finite", "Finite", classified["predicted_class"], reason)
+    # An envelope fit needs phi, which lies beyond the floats near w = 1:
+    # it is no fit, which solve reports as a note, not a failed check.
+    b = load_config(str(CONFIGS / "problem_b.cfg"))
+    run_of_b = march(b.spec(), b.u0, b.v0, b.solver_options())
+    with pytest.raises(SolverError, match="is not a positive float near R0"):
+        blowup_envelope_check(run_of_b, load_config(config).spec())
 
 
 def test_solve_carries_problem_a_past_the_float_range(tmp_path, capsys):

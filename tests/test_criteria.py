@@ -485,3 +485,10 @@ def test_finite_single_term_value_is_closed_form_exact():
         expected = coeff**-nu / (nu * b - weight - 1.0)
         value = criterion(spec, kind).value
         assert math.isclose(value, expected, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("h", ["t^2", "t^2 + t^4"])
+def test_sandwich_quantities_of_no_points_are_empty(h):
+    # The table of a multi-term h took the least of no queries.
+    quantities = log_sandwich_quantities(parse_expr(h), 2.0)(np.array([]))
+    assert [q.shape for q in quantities] == [(0,)] * 3
