@@ -39,14 +39,6 @@ __all__ = [
     "reconcile",
 ]
 
-#: Minimum rate sigma of ``u' ~ (R0 - r)**(-sigma)``, as the march measures
-#: it, for a blow-up run to be labelled B3 (u unbounded) rather than B2 (u
-#: bounded).  The theoretical threshold is sigma >= 1; the measured rate
-#: carries integration error (1 + 1.9e-10 on problem C at rel_tol 1e-8),
-#: which may fall on either side of 1, so the cut sits below 1 but well
-#: above the largest sub-critical sigma on the reference problems (5/7).
-_SIGMA_CUT = 0.9
-
 
 class Domain(str, enum.Enum):
     """Where the boundary-value problem is posed."""
@@ -231,8 +223,11 @@ def numeric_classify(
     A threshold on u itself cannot make this split.  u enters the system
     only through u', so u(0) shifts u without changing the run, and at the
     sigma = 1 boundary u diverges only logarithmically.  The measured rate
-    alone decides, so the label does not depend on u(0); the numeric cut
-    sits at 0.9 to absorb the rate's integration error.
+    alone decides, so the label does not depend on u(0).  The theoretical
+    threshold is 1; the measured rate carries integration error that
+    shrinks with rel_tol and may fall on either side of 1 (+1.9e-10 on
+    problem C at rel_tol 1e-8), so the cut is 1 - min(0.1, 1e4 * rel_tol):
+    0.9999 at the default rel_tol, 0.9 from rel_tol 1e-5 on.
     """
 
     details: list[str] = []
@@ -246,15 +241,16 @@ def numeric_classify(
         details.append(f"v blows up at finite radius R0 = {solution.R0:g}")
         label = BoundaryClass.NO_SOLUTION
     else:
-        bounded = solution.sigma_hat < _SIGMA_CUT
+        cut = 1.0 - min(0.1, 1e4 * solution.options.rel_tol)
+        bounded = solution.sigma_hat < cut
         details.append(
             f"measured blow-up rates b = {solution.b_hat:.4g}, "
             f"sigma = {solution.sigma_hat:.4g} (the march's last step)"
         )
         details.append(
-            f"sigma < {_SIGMA_CUT:g}: u remains bounded"
+            f"sigma < {cut:.15g}: u remains bounded"
             if bounded
-            else f"sigma >= {_SIGMA_CUT:g}: u unbounded alongside v"
+            else f"sigma >= {cut:.15g}: u unbounded alongside v"
         )
         label = BoundaryClass.B2 if bounded else BoundaryClass.B3
     return Classification(label, omega, Basis.NUMERIC, tuple(details))

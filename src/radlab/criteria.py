@@ -20,6 +20,12 @@ the closed forms of the smallest and the leading term beyond the panels.
 It gives the inner integrals and the sandwich; in u = -ln t, where the
 tail Phi is an integral from -oo, Phi, the criterion values and the
 inverse of Phi.
+
+The commands read :func:`criterion` (through the prediction of
+:mod:`radlab.classify`), :func:`phi` (the blow-up envelope) and
+:func:`log_sandwich_quantities` (the sandwich check).  Nothing in the
+package calls :func:`phi_inverse`; it stays because the benchmark's span
+tracer wraps it, as it wraps ``adaptive_quad`` by the import below.
 """
 
 from __future__ import annotations
@@ -46,13 +52,10 @@ __all__ = [
     "CriterionDiverges",
     "outer_power",
     "tail_exponent_verdict",
-    "h_theta",
-    "inner_integral",
     "criterion",
     "phi",
     "phi_inverse",
     "log_sandwich_quantities",
-    "sandwich_check",
 ]
 
 # Exponent arithmetic runs in floating point, so a tail exponent that equals
@@ -147,15 +150,6 @@ def tail_exponent_verdict(
         Verdict.INFINITE if exponent >= -1.0 - _EXPONENT_SNAP else Verdict.FINITE
     )
     return verdict, exponent
-
-
-def h_theta(h: FuncExpr, theta_value: float, t: float) -> float:
-    """The cumulative transform  H_theta(t) = integral_0^t h(s**theta) ds."""
-    if t < 0.0:
-        raise ValueError("the argument must be non-negative")
-    if t == 0.0:
-        return 0.0
-    return h.compose_power(theta_value).antiderivative()(t)
 
 
 def _gauss(g: Callable[[np.ndarray], np.ndarray], a, b, peak: np.ndarray) -> np.ndarray:
@@ -340,17 +334,6 @@ def _log_root_integral(f: FuncExpr, power: float) -> Callable:
     return _integral_table(f, power)
 
 
-def inner_integral(h: FuncExpr, theta_value: float, p: float, s: float) -> float:
-    """The criterion's inner integral  integral_0^s h(t**theta)**(1/p) dt,
-    the exponential of its logarithm (:func:`_log_root_integral`)."""
-    if s < 0.0:
-        raise ValueError("the upper limit must be non-negative")
-    if s == 0.0:
-        return 0.0
-    log_root = _log_root_integral(h.compose_power(theta_value), 1.0 / p)
-    return float(np.exp(log_root(math.log(s))))
-
-
 def _single_term_coeff(spec: ProblemSpec) -> float | None:
     """For single-term h the A with inner(s) = A * s**b, else None."""
     if len(spec.h.terms) != 1:
@@ -429,16 +412,19 @@ def phi(spec: ProblemSpec, t: float) -> float:
 
 def phi_inverse(spec: ProblemSpec, y: float) -> float:
     """Inverse of :func:`phi` on the positive floats: closed form for
-    single-term h, otherwise Newton's method on ln phi in u = -ln t, whose
-    slope is exp(g - ln phi) with g the log-integrand of :func:`_tail_table`,
-    from the leading term's inverse until u moves by a few ulps at most."""
+    single-term h, taken in logarithms, since inner_coeff**power may lie
+    below the floats; otherwise Newton's method on ln phi in u = -ln t,
+    whose slope is exp(g - ln phi) with g the log-integrand of
+    :func:`_tail_table`, from the leading term's inverse until u moves by a
+    few ulps at most."""
     if not y > 0.0:
         raise ValueError("the argument must be positive")
     power = outer_power(spec)
     decay = _tail_decay(spec, power)
     inner_coeff = _single_term_coeff(spec)
     if inner_coeff is not None:
-        return (y * (decay - 1.0) * inner_coeff**power) ** (1.0 / (1.0 - decay))
+        log_base = math.log(y) + math.log(decay - 1.0) + power * math.log(inner_coeff)
+        return math.exp(log_base / (1.0 - decay))
     tail = _tail_table(spec, power, 0.0)
     log_y = math.log(y)
     lead_coeff, lead_rate = tail.below
@@ -460,9 +446,15 @@ def phi_inverse(spec: ProblemSpec, y: float) -> float:
 
 
 def log_sandwich_quantities(h: FuncExpr, p: float) -> Callable:
-    """The map s -> (ln lhs, ln mid, ln rhs) of the quantities of
-    :func:`sandwich_check` for one (h, p), elementwise over an array of
-    sample points.
+    """The map s -> (ln lhs, ln mid, ln rhs) of the three quantities of the
+    cumulative-transform sandwich for one (h, p), elementwise over an array
+    of sample points s > 0:
+
+        lhs = (p-1)**(2p-1) * ( integral_0^s     H**(1/(p-1)) )**(p-1)
+        mid = (p-1)**(p-1)  * ( integral_0^(p*s) h**(1/p)     )**p
+        rhs =                 ( integral_0^(p^2*s) H**(1/(p-1)) )**(p-1)
+
+    with H(t) = integral_0^t h; the contract is lhs <= mid <= rhs.
 
     They are taken in logarithms because near p = 1 the power 1/(p-1)
     carries the quantities far beyond the float range, while their
@@ -483,18 +475,3 @@ def log_sandwich_quantities(h: FuncExpr, p: float) -> Callable:
         return lhs, mid, rhs
 
     return quantities
-
-
-def sandwich_check(h: FuncExpr, p: float, s: float) -> tuple[float, float, float]:
-    """The three quantities of the cumulative-transform sandwich at ``s > 0``:
-
-        lhs = (p-1)**(2p-1) * ( integral_0^s     H**(1/(p-1)) )**(p-1)
-        mid = (p-1)**(p-1)  * ( integral_0^(p*s) h**(1/p)     )**p
-        rhs =                 ( integral_0^(p^2*s) H**(1/(p-1)) )**(p-1)
-
-    with H(t) = integral_0^t h; the contract is lhs <= mid <= rhs.  They
-    are the exponentials of :func:`log_sandwich_quantities`.
-    """
-    if not s > 0.0:
-        raise ValueError("the sample point must be positive")
-    return tuple(float(np.exp(q)) for q in log_sandwich_quantities(h, p)(s))

@@ -10,10 +10,9 @@ straight-line Python source with the four components written out, where
 loops over the tableau would cost more than the arithmetic.  It takes a
 stage writer, the hook that writes how each stage evaluates the
 right-hand side.  Every component's error is in units of tol alone, as
-for a state held in logarithms.  :func:`step`, compiled once at import, is
-the instance whose stages call a function f.  The march runs the steps
-that :mod:`radlab.solver` generates per problem shape, with the
-right-hand side written into every stage; ``step`` is their reference.
+for a state held in logarithms.  The march runs the steps that
+:mod:`radlab.solver` generates from it per problem shape, with the
+right-hand side written into every stage.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 
 import numpy as np
 
-__all__ = ["step", "dense_stages", "dense_nodes"]
+__all__ = ["dense_stages", "dense_nodes"]
 
 # The tableau, to the digits of Hairer's Fortran source.  _STAGES holds, for
 # stages 2 to 12, the node c_i and the nonzero a_ij by j.  _B holds the
@@ -129,8 +128,16 @@ _STEP_GLOBALS = {"inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt}
 
 def _step_source(signature: str, stage) -> str:
     """The source of a step function ``def <signature>:`` that takes
-    (x, h, y, k1, tol) among its arguments and returns what :func:`step`
-    returns.
+    (x, h, y, k1, tol) among its arguments: one Dormand-Prince 8(5,3) step
+    of size h from (x, y), where k1 is the slope at (x, y).  It returns the
+    eighth-order solution, its slope k13, the step as one flat row for
+    :func:`dense_stages` (x, h, y, y_new and the stages 1, 6 to 13, four
+    components each), and the error estimate: the largest over the
+    components of h * e5**2 / sqrt(e5**2 + 0.01 * e3**2), Hairer's
+    combination of the fifth- and third-order estimates e5 and e3 of a
+    component, in units of tol.  err is inf, with no solution, when a stage
+    overflows or leaves the real line (a negative float to a fractional
+    power is complex), or the solution leaves the finite range.
 
     ``stage(s=s, x=x, y=y)`` writes stage s: the lines, indented by eight
     spaces, that set k<s>_0 to k<s>_3 to the right-hand side at the source
@@ -174,43 +181,10 @@ def _step_source(signature: str, stage) -> str:
     )
 
 
-def _call_stage(s, x, y):
-    """A stage of :func:`step`: one call of its argument f."""
-    return f"        k{s}_0, k{s}_1, k{s}_2, k{s}_3 = f({x}, {', '.join(y)})\n"
-
-
-_namespace = {"__name__": __name__, **_STEP_GLOBALS}
-exec(
-    compile(
-        _step_source("step(f, x, h, y, k1, tol)", _call_stage),
-        "<radlab dop853 step>",
-        "exec",
-    ),
-    _namespace,
-)
-step = _namespace.pop("step")
-del _namespace
-step.__doc__ = """One Dormand-Prince 8(5,3) step of size h for y' = f(x, *y) from
-    (x, y), where k1 = f(x, *y).  Returns the eighth-order solution, its
-    slope k13, the step as one flat row for :func:`dense_stages` (x, h, y,
-    y_new and the stages 1, 6 to 13, four components each), and the error
-    estimate: the largest over the components of h * e5**2 / sqrt(e5**2 +
-    0.01 * e3**2), Hairer's combination of the fifth- and third-order
-    estimates e5 and e3 of a component, in units of tol.  err is inf, with
-    no solution, when a stage overflows or leaves the real line (a negative
-    float to a fractional power is complex), or the solution leaves the
-    finite range.
-
-    Generated from the tableau by :func:`_step_source`, with the four state
-    components written out and a stage that calls f.  The march runs the
-    steps that :mod:`radlab.solver` generates from the same tableau with the
-    right-hand side written into each stage; this one is their reference."""
-
-
 def dense_stages(f, steps):
     """What the continuous extensions of accepted steps are linear in: y1 -
     y0 and h times the 12 stages of _DENSE_STAGES of each step, as a (13,
-    steps, 4) array.  ``steps`` stacks the rows that :func:`step` returns.
+    steps, 4) array.  ``steps`` stacks the rows that a step returns.
     f is the right-hand side on arrays; one call of it evaluates an extra
     stage for every step."""
     x, h = steps[:, 0], steps[:, 1]

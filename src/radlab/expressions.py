@@ -97,11 +97,6 @@ class FuncExpr:
         return self.terms[-1][1]
 
     @property
-    def smallest_exponent(self) -> float:
-        """Exponent of the dominant term as t -> 0+."""
-        return self.terms[0][1]
-
-    @property
     def is_constant(self) -> bool:
         return len(self.terms) == 1 and self.terms[0][1] == 0.0
 
@@ -120,38 +115,6 @@ class FuncExpr:
         return FuncExpr.from_terms(
             (coeff, exponent * a) for coeff, exponent in self.terms
         )
-
-    def scale_argument(self, c: float) -> "FuncExpr":
-        """The map t -> f(c*t) for c > 0."""
-        if not c > 0.0:
-            raise ValueError("argument scaling needs a positive factor")
-        return FuncExpr.from_terms(
-            (coeff * c**exponent, exponent) for coeff, exponent in self.terms
-        )
-
-    def scale_value(self, c: float) -> "FuncExpr":
-        """The map t -> c*f(t) for c > 0."""
-        if not c > 0.0:
-            raise ValueError("value scaling needs a positive factor")
-        return FuncExpr.from_terms(
-            (coeff * c, exponent) for coeff, exponent in self.terms
-        )
-
-    # -- printing ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Canonical text form; ``parse_expr(f.to_text())`` reproduces ``f``."""
-        parts = []
-        for coeff, exponent in self.terms:
-            if exponent == 0.0:
-                parts.append(repr(coeff))
-                continue
-            factor = "t" if exponent == 1.0 else f"t^{exponent!r}"
-            parts.append(factor if coeff == 1.0 else f"{coeff!r}*{factor}")
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")

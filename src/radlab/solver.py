@@ -531,9 +531,10 @@ class _Kernels(NamedTuple):
     body written into the phase map in tau for (ln r, ln I1, ln I2,
     ln(u - u0)), and takes (x, *y).  On floats, for the march: ``rhs`` gives
     the first slope, and ``step(x, h, y, k1, tol)`` is the Dormand-Prince
-    8(5,3) step with the body written into every stage: it returns what
-    :func:`dop853.step` returns for ``rhs``, to the bit, with every
-    component's error in units of tol, absolute in its logarithm.  On
+    8(5,3) step of :func:`dop853._step_source` with the body written into
+    every stage: it returns, to the bit, what the same step returns with
+    stages that call ``rhs``, with every component's error in units of
+    tol, absolute in its logarithm.  On
     arrays: ``rhs_arrays``, for the dense stages.  No kernel reads u."""
 
     rhs: Callable
@@ -752,8 +753,8 @@ def advance(
     size is the current one times 0.9 * err**(-1/8), clamped to [0.2, 5].
     The march takes the fused step of :func:`_kernels`, straight-line code
     with the right-hand side written into every stage, so it returns the
-    bits of :func:`dop853.step` on the scalar kernel, which gives the first
-    slope.
+    bits of the same step with stages that call the scalar kernel, which
+    gives the first slope.
     Each accepted step keeps its stages.  The run's columns are not built
     here: on their first read :func:`_emit_nodes` emits each step as equal
     sub-panels whose interior nodes come from the seventh-order continuous

@@ -16,8 +16,9 @@ a query first needs it).  A structural violation (wrong sign, wrong ordering) fa
 regardless of magnitude.
 
 Beside them sit the residuals of the system's two relations, whose terms
-:func:`_relations` writes once for them and the convexity bounds, and the
-radial-scaling identity, checked by solving a problem and its rescaling.
+:func:`_relations` writes once for them and the convexity bounds.  The
+checks read a trajectory and never run a march: this module imports nothing
+from :mod:`radlab.solver`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from .criteria import log_sandwich_quantities
 from .expressions import FuncExpr
 from .problem import ProblemSpec
-from .solver import SolverError, SolverOptions, TerminationReason, march
 
 __all__ = [
     "MONOTONE_SLACK",
@@ -47,11 +47,7 @@ __all__ = [
     "check_sandwich",
     "check_no_u_only_blowup",
     "trajectory_reports",
-    "fd_derivative",
     "relative_residuals",
-    "scale_problem",
-    "ScalingReport",
-    "check_scaling_identity",
 ]
 
 MONOTONE_SLACK = 0.0
@@ -311,8 +307,13 @@ def trajectory_reports(solution) -> list[InequalityReport]:
 
 
 def _fd_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights and sample indices of :func:`fd_derivative` on the grid x:
-    the derivative of y is ``einsum("ij,ij->i", weights, y[idx])``.
+    """The weights and sample indices of the derivative on the strictly
+    increasing grid x: that of samples y is ``einsum("ij,ij->i", weights,
+    y[idx])``, at x_i that of the Lagrange interpolant through five nodes
+    (all, on shorter grids), centred or shifted one-sided at the ends.  The
+    weights, k and j in the window (Fornberg, Math. Comp. 51, 1988), are w_i
+    = sum_{k!=i} 1/(x_i-x_k), w_j = prod_{k!=i,j}(x_i-x_k) /
+    prod_{k!=j}(x_j-x_k).
 
     Every product and sum runs over 1-D columns of length n, one per node
     k of the windows, in increasing k.  That is the order in which
@@ -343,16 +344,6 @@ def _fd_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(weights.T), idx
 
 
-def fd_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of samples ``y`` on the strictly increasing grid ``x``: at
-    x_i, that of the Lagrange interpolant through five nodes (all, on
-    shorter grids), centred or shifted one-sided at the ends.  Its weights,
-    k and j in the window (Fornberg, Math. Comp. 51, 1988), are w_i =
-    sum_{k!=i} 1/(x_i-x_k), w_j = prod_{k!=i,j}(x_i-x_k) / prod_{k!=j}(x_j-x_k)."""
-    weights, idx = _fd_weights(np.asarray(x, dtype=float))
-    return np.einsum("ij,ij->i", weights, np.asarray(y, dtype=float)[idx])
-
-
 def relative_residuals(
     spec: ProblemSpec,
     r: np.ndarray,
@@ -369,7 +360,7 @@ def relative_residuals(
     in W = du**(p-1-a) and Z = dv**(p-1), formed with their sources by
     :func:`_relations` as for the convexity bounds, each normalized by the
     sum of its term magnitudes.  W' and Z' come from the weights of
-    :func:`fd_derivative`, built once for both, on the sampled values, not
+    :func:`_fd_weights`, built once for both, on the sampled values, not
     from the integrator, so this is an independent check.  At r = 0 the
     removable limits W/r -> W'(0) and Z/r -> Z'(0) turn the left sides into
     (1+d) W'(0) and n Z'(0).
@@ -394,81 +385,3 @@ def relative_residuals(
             return np.abs(d + sing - src) / total
 
     return defect(dW, sing1, src1), defect(dZ, sing2, src2)
-
-
-def scale_problem(spec: ProblemSpec, lam: float) -> ProblemSpec:
-    """The rescaled problem whose solution (u~, v~) satisfies
-    u(r) = u~(r/lam), v(r) = v~(r/lam) against the original problem:
-
-        f1~(r) = lam**(p-alpha) f1(lam r),   f2~(r) = lam**p f2(lam r),
-        g~j = gj,                            h~(t) = h(t/lam).
-
-    Closed under the power-sum family.
-    """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    return ProblemSpec(
-        p=spec.p,
-        alpha=spec.alpha,
-        n=spec.n,
-        f1=spec.f1.scale_argument(lam).scale_value(lam ** (spec.p - spec.alpha)),
-        f2=spec.f2.scale_argument(lam).scale_value(lam**spec.p),
-        g1=spec.g1,
-        g2=spec.g2,
-        h=spec.h.scale_argument(1.0 / lam),
-    )
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Sup-norm comparison of a solution against its rescaled counterpart."""
-
-    sup_diff_u: float
-    sup_diff_v: float
-    bound: float
-    passed: bool
-
-
-def check_scaling_identity(
-    spec: ProblemSpec,
-    lam: float,
-    u0: float,
-    v0: float,
-    *,
-    radius: float = 1.0,
-    rel_tol: float = SolverOptions.rel_tol,
-    points: int = 201,
-) -> ScalingReport:
-    """Solve the problem on [0, radius] and its rescaling on [0, radius/lam],
-    then compare u(r) with u~(r/lam) (and v likewise) on a shared grid.
-
-    Both runs use a tolerance 30x tighter than ``rel_tol`` so the reported
-    gap reflects the identity rather than integrator drift; the pass bound
-    stays at 10 * rel_tol * (1 + sup|u|).  The window must end before any
-    blow-up; otherwise the solver failure propagates.
-    """
-    tilde = scale_problem(spec, lam)
-    tight = rel_tol / 30.0
-    orig = march(spec, u0, v0, SolverOptions(target_radius=radius, rel_tol=tight))
-    scaled = march(
-        tilde, u0, v0, SolverOptions(target_radius=radius / lam, rel_tol=tight)
-    )
-    for run, label in ((orig, "original"), (scaled, "rescaled")):
-        if run.terminated is not TerminationReason.REACHED_TARGET:
-            raise SolverError(
-                f"the {label} run terminated {run.terminated.value} inside the "
-                "comparison window; pick a radius below the blow-up radius"
-            )
-    grid = np.linspace(0.0, radius, points)
-    so = orig.sample(grid)
-    st = scaled.sample(grid / lam)
-    sup_u = float(np.max(so["u"]))
-    diff_u = float(np.max(np.abs(so["u"] - st["u"])))
-    diff_v = float(np.max(np.abs(so["v"] - st["v"])))
-    bound = 10.0 * rel_tol * (1.0 + sup_u)
-    return ScalingReport(
-        sup_diff_u=diff_u,
-        sup_diff_v=diff_v,
-        bound=bound,
-        passed=max(diff_u, diff_v) <= bound,
-    )

@@ -16,9 +16,9 @@ from radlab.criteria import (
     CriterionKind,
     Verdict,
     criterion,
+    log_sandwich_quantities,
     outer_power,
     phi,
-    sandwich_check,
     tail_exponent_verdict,
 )
 from radlab.expressions import FuncExpr, parse_expr
@@ -29,10 +29,11 @@ from radlab.solver import (
     blowup_envelope_check,
     march,
 )
-from radlab.verify import check_scaling_identity, trajectory_reports
+from radlab.verify import trajectory_reports
 
 from conftest import CASE_BY_NAME, REFERENCE_CASES, power_spec
 from quadrature_oracle import integral_to_infinity
+from scaling_oracle import check_scaling_identity
 
 #: Runs shared between criteria 3 and 4 (criterion 3 populates while timing).
 _RUNS: dict = {}
@@ -100,7 +101,7 @@ def test_criterion_02_criteria_equivalences():
             skipped += 1
             continue
         assert verdict_h is verdict_cum, (
-            f"h={h.to_text()}, p={p}, theta={th}, nu={nu}, w={weight}: "
+            f"h={h.terms}, p={p}, theta={th}, nu={nu}, w={weight}: "
             f"{verdict_h.value} vs {verdict_cum.value} (E={e_h}, {e_cum})"
         )
         compared += 1
@@ -110,12 +111,12 @@ def test_criterion_02_criteria_equivalences():
         h = random_h()
         p = float(rng.uniform(1.1, 4.0))
         s = float(10.0 ** rng.uniform(-2.0, 2.0))
-        lhs, mid, rhs = sandwich_check(h, p, s)
+        lhs, mid, rhs = (float(np.exp(q)) for q in log_sandwich_quantities(h, p)(s))
         scale = max(abs(lhs), abs(mid), abs(rhs), 1e-300)
         gap = max((lhs - mid) / scale, (mid - rhs) / scale)
         worst = max(worst, gap)
         assert gap <= 1e-9, (
-            f"sandwich violated: h={h.to_text()}, p={p}, s={s}: "
+            f"sandwich violated: h={h.terms}, p={p}, s={s}: "
             f"{lhs} !<= {mid} !<= {rhs}"
         )
     print(

@@ -1,5 +1,6 @@
 """Boundary-class prediction, numeric labelling, and their reconciliation."""
 
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +20,13 @@ from radlab.classify import (
     reconcile,
 )
 
+from radlab.config import load_config
 from radlab.expressions import parse_expr
 from radlab.solver import SolverOptions, TerminationReason, march
 
 from conftest import CASE_BY_NAME, REFERENCE_CASES, power_spec
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_predict_matches_reference_table():
@@ -172,6 +176,28 @@ def test_sigma_below_one_exactly_for_v_only_blowup():
             assert rates is not None and rates[1] < 1.0, case.name
         if case.expected == "B3":
             assert rates is not None and rates[1] >= 1.0, case.name
+
+
+@pytest.mark.parametrize(
+    "rel_tol, cut", [(1e-4, "0.9"), (1e-6, "0.99"), (1e-8, "0.9999"), (1e-11, "0.9999999")]
+)
+def test_on_boundary_blow_ups_stay_b3_as_the_cut_follows_rel_tol(rel_tol, cut):
+    # sigma = 1 exactly on C, on stress_b3_multi and on the ladders' rows
+    # p = 2, q = 4 and p = 3, alpha = 1, q = 7.  The cut 1 - min(0.1, 1e4
+    # rel_tol) nears 1 as rel_tol shrinks, and sigma_hat - 1 shrinks faster
+    # (+1.3e-8 on the last row at 1e-11), so each stays B3; the details
+    # print the cut.
+    b3_multi = load_config(str(ROOT / "radbench" / "configs" / "stress_b3_multi.cfg"))
+    for spec in (
+        CASE_BY_NAME["C"].spec(),
+        b3_multi.spec(),
+        power_spec(2.0, 0.0, 1, 0, 4),
+        power_spec(3.0, 1.0, 1, 0, 7),
+    ):
+        run = march(spec, 1.0, 1.0, SolverOptions(20.0, rel_tol=rel_tol))
+        label = numeric_classify(run, Domain.BALL)
+        assert label.label is BoundaryClass.B3, (spec, run.sigma_hat)
+        assert label.details[-1] == f"sigma >= {cut}: u unbounded alongside v"
 
 
 def test_reconcile_undecided_is_indeterminate():

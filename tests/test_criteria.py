@@ -13,13 +13,10 @@ from radlab.criteria import (
     CriterionKind,
     Verdict,
     criterion,
-    h_theta,
-    inner_integral,
     log_sandwich_quantities,
     outer_power,
     phi,
     phi_inverse,
-    sandwich_check,
 )
 from radlab.expressions import FuncExpr, parse_expr
 from radlab.quadrature import adaptive_quad
@@ -28,6 +25,19 @@ from radlab.verify import SANDWICH_GRID, check_sandwich
 
 from conftest import power_spec
 from quadrature_oracle import integral_to_infinity, integral_with_endpoint_power
+
+
+def inner_integral(h, theta_value, p, s):
+    """The criterion's inner integral  integral_0^s h(t**theta)**(1/p) dt,
+    the exponential of the logarithm that the criteria read."""
+    log_root = criteria._log_root_integral(h.compose_power(theta_value), 1.0 / p)
+    return float(np.exp(log_root(math.log(s))))
+
+
+def sandwich_check(h, p, s):
+    """The three quantities of the sandwich at one point s, the exponentials
+    of :func:`log_sandwich_quantities`."""
+    return tuple(float(np.exp(q)) for q in log_sandwich_quantities(h, p)(s))
 
 
 def test_theta_and_outer_power_reference_values():
@@ -116,8 +126,8 @@ def test_h_theta_matches_quadrature():
     th = 0.7
     for t in (0.5, 1.0, 4.0):
         oracle = adaptive_quad(lambda s: h(s**th), 0.0, t)
-        assert h_theta(h, th, t) == pytest.approx(oracle, rel=1e-10)
-    assert h_theta(h, th, 0.0) == 0.0
+        assert h.compose_power(th).antiderivative()(t) == pytest.approx(oracle, rel=1e-10)
+    assert h.compose_power(th).antiderivative()(0.0) == 0.0
 
 
 def test_inner_integral_matches_quadrature():
@@ -318,7 +328,7 @@ def test_fixed_rule_matches_quadrature_and_is_converged(p, constant, terms, s):
     got = evaluate()
     h_th = h.compose_power(th)
     inner = integral_with_endpoint_power(
-        lambda t: h_th(t) ** (1.0 / p), s, h_th.smallest_exponent / p, rel_tol=1e-12
+        lambda t: h_th(t) ** (1.0 / p), s, h_th.terms[0][1] / p, rel_tol=1e-12
     )
     tail = integral_to_infinity(
         lambda x: inner_integral(h, th, p, x) ** -nu, s,
@@ -328,6 +338,23 @@ def test_fixed_rule_matches_quadrature_and_is_converged(p, constant, terms, s):
     assert got == pytest.approx(want, rel=1e-10)
     doubled = _with_gauss_points(2 * criteria._GAUSS_POINTS, evaluate)
     assert doubled == pytest.approx(got, rel=1e-13, abs=0.0)
+
+
+def test_phi_inverse_closed_form_holds_where_its_factor_leaves_the_floats():
+    # Problem B at p = 1.179 with these sums puts inner_coeff**power, a
+    # factor of the single-term closed form, at 5.5e-314, below the normal
+    # floats: y = 1e-300 took the product to 0.0, whose negative power
+    # raised ZeroDivisionError, and y = 1 lost all but ten digits of it.
+    base = power_spec(1.179, 0.0, 1, 0, 1)
+    spec = type(base)(
+        p=base.p, alpha=base.alpha, n=base.n, f1=base.f1, f2=base.f2,
+        g1=parse_expr("7.5e-13*t^2.618"), g2=parse_expr("1.7e-11*t^1.997"),
+        h=parse_expr("8.5e-152*t^0.664"),
+    )
+    for y in (1e-300, 1.0, 1e300):
+        t = phi_inverse(spec, y)
+        assert 0.0 < t < math.inf
+        assert phi(spec, t) == pytest.approx(y, rel=1e-12), y
 
 
 def test_phi_inverse_rejects_values_above_phi_at_zero():
@@ -386,11 +413,11 @@ def _sandwich_by_quadrature(h, p, s):
 
     def integral_H_root(upper):
         return integral_with_endpoint_power(
-            lambda t: H(t) ** root, upper, H.smallest_exponent * root, rel_tol=1e-12
+            lambda t: H(t) ** root, upper, H.terms[0][1] * root, rel_tol=1e-12
         )
 
     h_integral = integral_with_endpoint_power(
-        lambda t: h(t) ** (1.0 / p), p * s, h.smallest_exponent / p, rel_tol=1e-12
+        lambda t: h(t) ** (1.0 / p), p * s, h.terms[0][1] / p, rel_tol=1e-12
     )
     return (
         (p - 1.0) ** (2.0 * p - 1.0) * integral_H_root(s) ** (p - 1.0),
@@ -452,9 +479,9 @@ def test_log_rule_matches_the_binomial_expansion(f, k):
 def test_sandwich_rejects_bad_arguments():
     h = parse_expr("t")
     with pytest.raises(ValueError):
-        sandwich_check(h, 2.0, 0.0)
+        check_sandwich(h, 2.0, [0.0])
     with pytest.raises(ValueError):
-        sandwich_check(h, 1.0, 1.0)
+        check_sandwich(h, 1.0, [1.0])
 
 
 def test_borderline_survives_float_rounding_noise():

@@ -38,13 +38,13 @@ from radlab.verify import (
     check_convexity_bounds,
     check_monotone,
     check_sandwich,
-    check_scaling_identity,
-    fd_derivative,
     relative_residuals,
     trajectory_reports,
 )
 
+import step_oracle
 from conftest import CASE_BY_NAME, exact_power_solution, power_spec
+from scaling_oracle import check_scaling_identity
 
 
 def test_bootstrap_matches_series_expansion():
@@ -470,25 +470,6 @@ def test_atlas_march_work_is_pinned():
     assert (rows, accepted, rejected, evals) == (40, 3_282, 460, 44_944)
 
 
-def test_march_takes_only_the_fused_step(monkeypatch):
-    # dop853.step is the fused step's reference, never the march's step.
-    sweep_q = load_config(str(ROOT / "configs" / "sweep_q.cfg")).with_value("q", 5.0)
-    problem_b = load_config(str(ROOT / "configs" / "problem_b.cfg"))
-    runs = [
-        (config.spec(), config.u0, config.v0, config.solver_options())
-        for config in (problem_b, sweep_q)
-    ]
-    want = [{name: getattr(march(*args), name) for name in VERDICT} for args in runs]
-
-    def refused(*args):
-        raise AssertionError("the march called dop853.step")
-
-    monkeypatch.setattr(dop853, "step", refused)
-    got = [{name: getattr(march(*args), name) for name in VERDICT} for args in runs]
-    assert got == want
-    assert [verdict["terminated"] for verdict in got] == [TerminationReason.BLOW_UP] * 2
-
-
 def test_blow_up_radius_is_checked_at_construction(solved_cases):
     run = solved_cases["B"]
     for R0 in (run.r_end, 0.5 * run.r_end):
@@ -579,6 +560,13 @@ def test_sample_between_nodes_is_held_to_rel_tol(name, solved_cases):
     got, want = run.sample(middle), tight.sample(middle)
     for key in ("u", "v"):
         assert np.allclose(got[key], want[key], rtol=options.rel_tol / 10.0, atol=0.0), key
+
+
+def fd_derivative(x, y):
+    """The derivative of samples ``y`` on the grid ``x`` from the weights
+    that the residuals read."""
+    weights, idx = verify._fd_weights(np.asarray(x, dtype=float))
+    return np.einsum("ij,ij->i", weights, np.asarray(y, dtype=float)[idx])
 
 
 def test_fd_derivative_exact_on_quartics():
@@ -1028,7 +1016,7 @@ def _march_case(name):
 @pytest.mark.parametrize("seed", range(8))
 def test_dp_step_matches_loop_reference(seed, case):
     f, x, h, y, tol = case(np.random.default_rng(seed))
-    got = dop853.step(f, x, h, y, f(x, *y), tol)
+    got = step_oracle.step(f, x, h, y, f(x, *y), tol)
     want = reference_dop853_step(f, x, h, y, tol)
     # The stages, solution and row are the same float operations in the
     # same order, so they agree to the bit; the error formula differs.
@@ -1051,7 +1039,7 @@ def test_dp_step_overflow_gives_no_solution():
     for f, y in ((raising, (700.0, 1.0, 1.0, 1.0)), (overflowing, (1.0, 1.0, 1.0, 1.0))):
         k1 = f(0.0, *y)
         assert all(map(math.isfinite, k1))
-        result = dop853.step(f, 0.0, 1.0, y, k1, 1e-9)
+        result = step_oracle.step(f, 0.0, 1.0, y, k1, 1e-9)
         assert result == (None, None, None, math.inf)
 
 
@@ -1097,7 +1085,7 @@ def _fixed_step_errors(steps, end=2.0):
     k1 = _rotation_rhs(x, *y)
     rows, first_err = [], None
     for _ in range(steps):
-        y_new, k13, row, err = dop853.step(_rotation_rhs, x, h, y, k1, 1.0)
+        y_new, k13, row, err = step_oracle.step(_rotation_rhs, x, h, y, k1, 1.0)
         first_err = err if first_err is None else first_err
         rows.append(row)
         x, y, k1 = x + h, y_new, k13
@@ -1289,7 +1277,7 @@ def test_compiled_kernels_agree_with_the_linear_formulas(p, alpha_share, n, sums
 )
 @_at_the_folds
 def test_fused_step_keeps_the_bits_of_the_reference_step(p, alpha_share, n, sums, seed):
-    # The fused step returns what dop853.step returns for the scalar kernel:
+    # The fused step returns what the reference step returns for the scalar kernel:
     # y_new, k13, row and err, to the bit.
     f1, f2, g1, g2, h = sums
     spec = ProblemSpec(
@@ -1300,7 +1288,7 @@ def test_fused_step_keeps_the_bits_of_the_reference_step(p, alpha_share, n, sums
 
     def step(x, size, y, k1):
         got = kernels.step(x, size, y, k1, tol)
-        assert repr(got) == repr(dop853.step(kernels.rhs, x, size, y, k1, tol))
+        assert repr(got) == repr(step_oracle.step(kernels.rhs, x, size, y, k1, tol))
         return got
 
     for x, *y in zip(*_log_states(np.random.default_rng(seed))[:4]):
@@ -1323,7 +1311,7 @@ def test_a_step_whose_stage_leaves_the_real_line_is_rejected():
         return (1j if x >= 1.0 else 1.0), 1.0, 1.0, 1.0
 
     none = (None, None, None, math.inf)
-    assert dop853.step(late, 0.0, 1.0, (1.0,) * 4, late(0.0), 1e-8) == none
+    assert step_oracle.step(late, 0.0, 1.0, (1.0,) * 4, late(0.0), 1e-8) == none
 
 
 def reference_dense_output(f, row, theta):
@@ -1353,7 +1341,7 @@ def test_dense_output_node_matrix_matches_horner_reference():
     k1 = _rotation_rhs(x, *y)
     rows = []
     for _ in range(8):
-        y, k1, row, _ = dop853.step(_rotation_rhs, x, h, y, k1, 1.0)
+        y, k1, row, _ = step_oracle.step(_rotation_rhs, x, h, y, k1, 1.0)
         rows.append(row)
         x += h
     thetas = np.arange(1, 14) / 14.0
