@@ -271,9 +271,10 @@ def reconcile(predicted: Classification, numeric: Classification) -> dict:
     global solution, which is the only observable evidence for ``Global``
     at any finite horizon.  ``Undecided`` on either side yields
     ``"indeterminate"`` rather than a hard disagreement, and so does a run
-    that reached its target (``B1``) against a predicted blow-up (``B2`` or
-    ``B3``): the blow-up radius may lie beyond the target, which the
-    numeric details then record.
+    that reached its target (``B1`` on a ball, ``Global`` on the whole
+    space) against a predicted blow-up (``B2`` or ``B3``, or ``NoSolution``
+    on the whole space): the blow-up radius may lie beyond the target,
+    which the numeric details then record.
     """
 
     if (
@@ -281,8 +282,10 @@ def reconcile(predicted: Classification, numeric: Classification) -> dict:
         or numeric.label is BoundaryClass.UNDECIDED
     ):
         status = "indeterminate"
-    elif numeric.label is BoundaryClass.B1 and predicted.label in (
-        BoundaryClass.B2, BoundaryClass.B3
+    elif (numeric.label, predicted.label) in (
+        (BoundaryClass.B1, BoundaryClass.B2),
+        (BoundaryClass.B1, BoundaryClass.B3),
+        (BoundaryClass.GLOBAL, BoundaryClass.NO_SOLUTION),
     ):
         status = "indeterminate"
         numeric = replace(numeric, details=numeric.details + ("R0 > target",))

@@ -159,8 +159,8 @@ class SolverOptions:
     def __post_init__(self):
         if not self.target_radius > 0.0:
             raise ValueError("target_radius must be positive")
-        if not 0.0 < self.rel_tol < 0.1:
-            raise ValueError("rel_tol must lie in (0, 0.1)")
+        if not 0.0 < self.rel_tol <= 0.01:
+            raise ValueError("rel_tol must lie in (0, 0.01]")
 
 
 def _column(name: str) -> property:

@@ -121,7 +121,9 @@ class TrajectoryData:
             np.isfinite(arr).all() for arr in (self.r, self.u, self.v, self.w, self.dv)
         ):
             raise ValueError("trajectory values must be finite")
-        if np.any(self.r[1:] <= self.r[:-1]):  # np.diff would overflow on +-1e308
+        if self.r[0] < 0.0:
+            raise ValueError(f"radii must be non-negative, got r = {float(self.r[0])!r}")
+        if np.any(self.r[1:] <= self.r[:-1]):
             raise ValueError("the grid must be strictly increasing")
 
 
@@ -190,9 +192,7 @@ def check_convexity_bounds(solution) -> InequalityReport:
     r = solution.r
     spec = solution.spec
     W, Z, src1, src2 = _relations(spec, r, solution.v, solution.w, solution.dv)
-    # A panel wider than the float range is inf wide; it fails on its bounds.
-    with np.errstate(over="ignore"):
-        dr = np.diff(r)
+    dr = np.diff(r)
 
     # Panels [r_i, r_{i+1}] whose closure lies in the window (0, 0.9*r_end];
     # the first panel touches r = 0 but tests the derivative on its interior.

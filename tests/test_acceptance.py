@@ -5,7 +5,6 @@ offending values in its assertion message.  Tolerances are pinned here
 and must not be loosened to make a run pass.
 """
 
-import json
 import time
 
 import numpy as np
@@ -21,14 +20,9 @@ from radlab.criteria import (
     phi,
     tail_exponent_verdict,
 )
-from radlab.expressions import FuncExpr, parse_expr
+from radlab.expressions import FuncExpr
 from radlab.quadrature import adaptive_quad
-from radlab.solver import (
-    SolverOptions,
-    TerminationReason,
-    blowup_envelope_check,
-    march,
-)
+from radlab.solver import TerminationReason, blowup_envelope_check, march
 from radlab.verify import trajectory_reports
 
 from conftest import CASE_BY_NAME, REFERENCE_CASES, power_spec

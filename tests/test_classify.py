@@ -3,7 +3,6 @@
 import pathlib
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -212,13 +211,15 @@ def test_reconcile_undecided_is_indeterminate():
     assert report["agree"] is False
 
 
-def test_reconcile_reached_target_against_blowup_is_indeterminate():
-    # From u0 = 1e6, v0 = 1e-6 the predicted B2 blow-up lies beyond r = 20,
-    # so the run reaches its target; a finite run cannot refute the blow-up.
+@pytest.mark.parametrize("omega", [Domain.BALL, Domain.WHOLE_SPACE], ids=["ball", "wholespace"])
+def test_reconcile_reached_target_against_blowup_is_indeterminate(omega):
+    # From u0 = 1e6, v0 = 1e-6 the predicted blow-up (B2 on the ball,
+    # NoSolution on the whole space) lies beyond r = 20, so the run reaches
+    # its target; a finite run cannot refute the blow-up.
     spec = power_spec(2.0, 0.0, 1, 0, 6)
     run = march(spec, 1e6, 1e-6, SolverOptions(target_radius=20.0))
     assert run.terminated is TerminationReason.REACHED_TARGET
-    report = reconcile(predict(spec, Domain.BALL), numeric_classify(run))
+    report = reconcile(predict(spec, omega), numeric_classify(run, omega))
     assert report["status"] == "indeterminate"
     assert report["agree"] is False
     assert any(d.startswith("R0 > target") for d in report["numeric"]["details"])

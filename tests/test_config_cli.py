@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import radlab.cli
 from radlab.cli import _write_trajectory, main
-from radlab.config import ConfigError, RunConfig, load_config, parse_config_text
+from radlab.config import ConfigError, load_config, parse_config_text
 from radlab.criteria import CriterionDiverges
 from radlab.solver import SolverError, blowup_envelope_check, march
 from radlab.verify import SANDWICH_GRID, relative_residuals, trajectory_reports
@@ -191,19 +191,20 @@ def test_infinite_integer_is_a_config_error(line, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["0.5", "0.1", "-1"])
+@pytest.mark.parametrize("value", ["0.5", "0.1", "0.03", "-1"])
 def test_rel_tol_outside_solver_range_is_a_config_error(value, tmp_path, capsys):
     # The parser applies SolverOptions' own rule; rel_tol = 0.5 used to
-    # load and then end solve and sweep --solve in a ValueError traceback.
+    # load and then end solve and sweep --solve in a ValueError traceback,
+    # and from 0.03 the convexity check failed on correct problems.
     text = GOOD.replace("target_radius = 20", f"target_radius = 20\nrel_tol = {value}")
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
-    assert err.value.errors == ["line 19: rel_tol must lie in (0, 0.1)"]
+    assert err.value.errors == ["line 19: rel_tol must lie in (0, 0.01]"]
     path = write(tmp_path, text)
     for command in (["solve", "--out", str(tmp_path)], ["sweep", "--solve"]):
         code, out, err_text = run_cli([command[0], "--config", path, *command[1:]], capsys)
         assert (code, out) == (2, "")
-        assert "line 19: rel_tol must lie in (0, 0.1)" in err_text
+        assert "line 19: rel_tol must lie in (0, 0.01]" in err_text
 
 
 def test_duplicate_key_and_section_rejected():
@@ -355,6 +356,19 @@ def test_classify_unbalanced_alpha_is_no_solution(tmp_path, capsys):
     assert payload["criterion_unweighted"] is None
 
 
+def test_classify_gives_a_multi_term_criterion_value(capsys):
+    # stress_b3_multi's h is a sum of powers: the unweighted criterion has a
+    # finite positive value and the weighted one diverges, so the class is B3.
+    config = str(CONFIGS.parent / "radbench" / "configs" / "stress_b3_multi.cfg")
+    code, out, err = run_cli(["classify", "--config", config], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    unweighted = payload["criterion_unweighted"]
+    assert payload["predicted_class"] == "B3"
+    assert unweighted["verdict"] == "Finite" and 0.0 < unweighted["value"] < math.inf
+    assert payload["criterion_weighted"]["verdict"] == "Infinite"
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     path = write(tmp_path, "[problem]\np = 0.5\n")
     code, out, err = run_cli(["classify", "--config", path], capsys)
@@ -466,13 +480,13 @@ def test_solve_with_unstartable_centre_value_fails_cleanly(tmp_path):
 
 
 def _config_with(tmp_path, source, **values):
-    """A copy of the config file ``source`` with each ``key = value`` line
-    of ``values`` replaced."""
+    """A copy of the config file ``source``, a path relative to
+    ``configs/``, with each ``key = value`` line of ``values`` replaced."""
     text = (CONFIGS / source).read_text()
     for key, value in values.items():
         text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
         assert count == 1, key
-    return write(tmp_path, text, name=source)
+    return write(tmp_path, text, name=pathlib.Path(source).name)
 
 
 def _run_warning_free(argv, capsys):
@@ -651,15 +665,30 @@ def test_solve_carries_problem_a_past_the_float_range(tmp_path, capsys):
         ("problem_b.cfg", dict(p="1.025", h='"t^3.71"'), "BlowUp", None),
         ("problem_b.cfg", dict(p="1.031", h='"t^5.89"'), "BlowUp", None),
         ("problem_b.cfg", dict(p="1.046", h='"t^6.52"'), "BlowUp", None),
+        # The benchmark's stress configs: four blow-ups, the multi-term h of
+        # stress_b3_multi among them, and two starts that hold to the target.
+        *(
+            pytest.param(f"../radbench/configs/{name}.cfg", {}, termination, None, id=name)
+            for name, termination in (
+                ("stress_b3_multi", "BlowUp"),
+                ("stress_pole_stall", "BlowUp"),
+                ("stress_pole_stall_f1", "BlowUp"),
+                ("stress_p15_alpha025", "BlowUp"),
+                ("stress_alpha099", "ReachedTarget"),
+                ("stress_extreme_start", "ReachedTarget"),
+            )
+        ),
     ],
 )
 def test_solve_passes_every_check_on_short_and_low_p_runs(
     source, values, termination, convexity_points, tmp_path, capsys
 ):
-    # Each used to end solve in a traceback (a trajectory under 10 nodes, or
-    # an empty convexity window) or fail the sandwich check on a correct
-    # problem.  A check takes the panels it is given, an empty window
-    # passes, and the sandwich is compared in logarithms.
+    # Each short or low-p run used to end solve in a traceback (a trajectory
+    # under 10 nodes, or an empty convexity window) or fail the sandwich
+    # check on a correct problem.  A check takes the panels it is given, an
+    # empty window passes, and the sandwich is compared in logarithms.  A
+    # blow-up agrees and its envelope passes; every run here that reaches
+    # its target does so from the start, with R0 beyond it.
     config = _config_with(tmp_path, source, **values)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -672,6 +701,11 @@ def test_solve_passes_every_check_on_short_and_low_p_runs(
     assert report == json.loads(out)
     assert report["termination"] == termination
     assert report["verify"] and all(check["pass"] for check in report["verify"])
+    if termination == "BlowUp":
+        assert report["reconcile"]["status"] == "agree" and report["envelope"]["pass"] is True
+    else:
+        assert report["reconcile"]["status"] == "indeterminate"
+        assert (report["stats"]["start_radius"], report["stats"]["accepted_steps"]) == (20.0, 0)
     convexity = next(check for check in report["verify"] if check["name"] == "convexity_bounds")
     if convexity_points is not None:
         assert convexity["points_checked"] == convexity_points
@@ -843,13 +877,33 @@ def test_sweep_q_labels_do_not_depend_on_u0(u0, tmp_path, capsys):
     # u enters the system only through u', so u0 shifts u and changes no
     # label; a cut on u[-1]/u[0] used to turn the B2 rows B3 at small u0.
     config = _config_with(tmp_path, "sweep_q.cfg", u0=u0)
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["sweep", "--config", config, "--out", str(tmp_path), "--solve"], capsys
     )
-    assert code == 0
+    assert (code, err) == (0, "")
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [row[5] for row in rows] == ["B1", "B3", "B3", "B3", "B2", "B2", "B2", "B2"]
     assert all(row[6] == "true" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "parameter, values",
+    [("p", "1.5, 2, 2.5, 3, 4"), ("n", "2, 3, 4, 5"), ("alpha", "0, 0.25, 0.5, 0.75")],
+)
+def test_solved_sweeps_agree_where_kernels_fold_constants(parameter, values, tmp_path, capsys):
+    # With h = t^5 the rows of these ladders leave the constants ln c1 = 0
+    # and delta, n - 1, theta and 1/(p-1) = 1 out of their kernels in
+    # different sets; every row's kernel compiles and its run agrees.
+    config = _config_with(
+        tmp_path, "sweep_q.cfg", h='"t^5"', parameter=parameter, values=values
+    )
+    code, out, err = run_cli(
+        ["sweep", "--config", config, "--out", str(tmp_path), "--solve"], capsys
+    )
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["value"] for row in rows] == [repr(float(v)) for v in values.split(",")]
+    assert all(row["agree"] == "true" for row in rows), rows
 
 
 def test_verify_solves_and_passes(tmp_path, capsys):
@@ -972,6 +1026,30 @@ def test_verify_rejects_non_finite_trajectory_cell(column, cell, tmp_path, capsy
     assert str(csv_path) in payload["error"]
 
 
+@pytest.mark.parametrize(
+    "radii, f1",
+    [
+        # A window (0, 0.9 r_end] that holds no node: numpy's "zero-size
+        # array" error.
+        ((-3.0, -2.0, -1.0), "1"),
+        # f1 = t^0.5 at r = -1: numpy's "invalid value" warning.
+        ((-1.0, 0.5, 1.0, 2.0), "t^0.5"),
+        # Panels wider than the float range.
+        ((-1e308, 1e308, 1.7e308), "1"),
+    ],
+)
+def test_verify_rejects_a_negative_radius(radii, f1, tmp_path, capsys):
+    config = _config_with(tmp_path, "problem_a.cfg", f1=f'"{f1}"')
+    csv_path = tmp_path / "trajectory.csv"
+    csv_path.write_text("r,u,v,du,dv\n" + "".join(f"{r!r},1.0,1.0,1.0,1.0\n" for r in radii))
+    code, out, err = run_cli(
+        ["verify", "--config", config, "--trajectory", str(csv_path)], capsys
+    )
+    assert (code, err) == (1, "")
+    error = f"{csv_path}: radii must be non-negative, got r = {radii[0]!r}"
+    assert json.loads(out) == {"reports": [], "pass": False, "error": error}
+
+
 @pytest.mark.parametrize("name", ["a", "b", "c"])
 def test_verify_trajectory_round_trip(name, tmp_path, capsys):
     # The CSV carries every float in shortest round-trip form: it holds the
@@ -989,13 +1067,15 @@ def test_verify_trajectory_round_trip(name, tmp_path, capsys):
     assert np.array_equal(written.view(np.int64), expected.view(np.int64))
 
     report = json.loads((tmp_path / "report.json").read_text())
-    code, out, _ = run_cli(
-        ["verify", "--config", config, "--trajectory",
-         str(tmp_path / "trajectory.csv")],
-        capsys,
-    )
-    assert code == 0
-    assert json.loads(out)["reports"] == report["verify"]
+    assert report["stats"]["nodes"] == len(written)
+    assert (report["r_end"], report["v_final"]) == (written[-1, 0], written[-1, 2])
+    # The same file with CRLF line ends takes the general reader.
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes((tmp_path / "trajectory.csv").read_bytes().replace(b"\n", b"\r\n"))
+    for path in (tmp_path / "trajectory.csv", crlf):
+        code, out, _ = run_cli(["verify", "--config", config, "--trajectory", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["reports"] == report["verify"]
 
 
 # ------------------------------------------------------------------ trajectory CSV
@@ -1071,8 +1151,9 @@ def test_nan_residual_is_written_as_nan(tmp_path, capsys, monkeypatch):
 
 @st.composite
 def _trajectory_tables(draw):
-    """(N, 7) tables of ``_CELLS`` with a strictly increasing r column."""
-    r = sorted(draw(st.lists(_CELLS, min_size=2, max_size=12, unique=True)))
+    """(N, 7) tables of ``_CELLS`` with a strictly increasing r column of
+    radii, which are non-negative."""
+    r = sorted(draw(st.lists(_CELLS.map(abs), min_size=2, max_size=12, unique=True)))
     rest = draw(
         st.lists(
             st.tuples(*[_CELLS] * 4, _RESIDUAL_CELLS, _RESIDUAL_CELLS),
@@ -1092,7 +1173,7 @@ def _read_with_both(path):
     for load in (radlab.cli._load_trajectory, load_trajectory):
         try:
             with warnings.catch_warnings():
-                # an r column spanning +-1.8e308 must not overflow in a check
+                # an r column spanning 0 to 1.8e308 must not overflow in a check
                 warnings.simplefilter("error", RuntimeWarning)
                 data = load(str(path), _READER_SPEC)
         except ValueError as exc:
@@ -1113,7 +1194,7 @@ def _written_csv(table):
 @settings(derandomize=True, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_trajectory_tables())
-@example(table=np.array([[-1e308, *[1.0] * 6], [1e308, *[1.0] * 6]]))
+@example(table=np.array([[0.0, *[1.0] * 6], [1.7976931348623157e308, *[1.0] * 6]]))
 def test_trajectory_reader_reads_back_every_written_float(table, tmp_path):
     path = tmp_path / "trajectory.csv"
     data = _written_csv(table)

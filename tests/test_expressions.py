@@ -1,7 +1,5 @@
 """The power-sum expression language: parsing, algebra, calculus."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given

@@ -51,7 +51,7 @@ def test_solved_sweep_atlas_matches_golden(name, tmp_path, capsys):
     # with the predicted one.
     config, golden = SOLVED_LADDERS[name]
     assert main(["sweep", "--config", str(ROOT / config), "--solve", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""
     atlas = (tmp_path / "atlas.csv").read_text()
     expected = (GOLDEN / golden).read_text()
     assert atlas == expected

@@ -3,7 +3,8 @@
 Every function, class and method of ``src/radlab`` must be read somewhere
 in ``src`` outside its own body, by name or as an attribute, unless a
 benchmark file holds it.  Imports, ``__all__`` and dunders do not count as
-a reader; the test's oracles live under ``tests/``.
+a reader; the test's oracles live under ``tests/``.  And every name a
+module of ``src``, ``tests`` or ``scripts`` imports must be read in it.
 """
 
 import ast
@@ -59,6 +60,44 @@ def test_src_reaches_its_own_definitions():
     assert unreached_definitions() == sorted(RADBENCH_HELD)
     for qualified, path in RADBENCH_HELD.items():
         assert qualified.split(".")[-1] in (ROOT / path).read_text(), (qualified, path)
+
+
+def unused_imports() -> list[str]:
+    """``path:line name`` of each name that a module of ``src``, ``tests``
+    or ``scripts`` imports and never loads.  ``__future__`` features, the
+    names of ``__all__`` and the imports of a line marked ``# noqa: F401``
+    (the ones a benchmark file reads) are left out."""
+    paths = [*SRC.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")]
+    unused = []
+    for path in sorted(paths):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [
+                getattr(target, "id", None) for target in node.targets
+            ] == ["__all__"]:
+                loaded.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]
+            ):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
 
 
 def test_verify_imports_nothing_from_the_solver():

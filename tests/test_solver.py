@@ -269,7 +269,8 @@ def test_verdict_is_that_of_the_built_columns(config, dense_stage_calls):
     # once they are: r_end and v_final are the last node's r and v, unless
     # a column is past the float range there, where the node is dropped
     # (and v_final is inf if v is); and a run whose columns were built
-    # first reports the same.
+    # first reports the same.  Where the last node is finite, so is every
+    # value sampled on [0, r_end].
     args = (config.spec(), config.u0, config.v0, config.solver_options())
     try:
         lazy = march(*args)
@@ -291,6 +292,8 @@ def test_verdict_is_that_of_the_built_columns(config, dense_stage_calls):
     if np.isfinite(end).all():
         assert lazy.r[-1].hex() == verdict["r_end"].hex()
         assert lazy.v[-1].hex() == verdict["v_final"].hex()
+        sampled = lazy.sample(np.linspace(0.0, lazy.r_end, 201))
+        assert all(np.isfinite(column).all() for column in sampled.values())
     else:
         assert lazy.r[-1] < verdict["r_end"] and np.isfinite(lazy.v[-1])
     assert {name: getattr(lazy, name) for name in VERDICT} == verdict
@@ -738,6 +741,7 @@ def test_solver_options_validation():
         SolverOptions(target_radius=0.0)
     with pytest.raises(ValueError):
         SolverOptions(target_radius=1.0, rel_tol=0.0)
+    assert SolverOptions(target_radius=1.0, rel_tol=0.01).rel_tol == 0.01
 
 
 def test_march_resolves_steep_blowup():

@@ -1,7 +1,5 @@
 """Inequality checks: they pass on honest runs and catch doctored ones."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from radlab.verify import (
     SANDWICH_SLACK,
     UPRIME_SLACK,
     _U_BLOWUP_LEVEL,
-    InequalityReport,
     TrajectoryData,
     check_convexity_bounds,
     check_monotone,
