@@ -1,18 +1,22 @@
 """The Dormand-Prince 8(5,3) pair, the code DOP853 of Hairer, Norsett &
-Wanner (Solving ODEs I, II.5 and II.10): one step for a system of four
-scalar equations, and its seventh-order continuous extension on arrays of
-accepted steps.
+Wanner (Solving ODEs I, II.5 and II.10): one step for a system of a few
+scalar equations, its seventh-order continuous extension on arrays of
+accepted steps, and a linear component added to accepted steps after the
+fact.
 
 The tableau is data: the node and nonzero coefficients of each stage, the
 weights of the solution and of the two error estimates, and the rows of
 the dense output.  :func:`_step_source` generates a step from it as
-straight-line Python source with the four components written out, where
-loops over the tableau would cost more than the arithmetic.  It takes a
-stage writer, the hook that writes how each stage evaluates the
-right-hand side.  Every component's error is in units of tol alone, as
-for a state held in logarithms.  The march runs the steps that
-:mod:`radlab.solver` generates from it per problem shape, with the
-right-hand side written into every stage.
+straight-line Python source with the components written out, where loops
+over the tableau would cost more than the arithmetic.  It takes a stage
+writer, the hook that writes how each stage evaluates the right-hand
+side.  Every component's error is in units of tol alone, as for a state
+held in logarithms.  The march runs the steps that :mod:`radlab.solver`
+generates from it per problem shape, with the right-hand side written
+into every stage.  A step keeps all 13 of its stages, so a linear
+equation that no other slope reads, and whose coefficients the stages
+give, can be stepped over the accepted steps afterwards, on arrays
+(:func:`appended`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dense_stages", "dense_nodes"]
+__all__ = ["appended", "dense_stages", "dense_nodes"]
 
 # The tableau, to the digits of Hairer's Fortran source.  _STAGES holds, for
 # stages 2 to 12, the node c_i and the nonzero a_ij by j.  _B holds the
@@ -105,12 +109,12 @@ _DENSE_D = np.array([
 # in from the tableau.
 _STEP_SOURCE = '''\
 def {signature}:
-    y0, y1, y2, y3 = y
-    k1_0, k1_1, k1_2, k1_3 = k1
+    {y} = y
+    {k1} = k1
     try:
 {stages}\
 {weights}
-        n0, n1, n2, n3 = y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3
+        {n} = {solution}
 {last}\
         if not ({finite}):
             return None, None, None, inf
@@ -120,29 +124,29 @@ def {signature}:
     err = 0.0
 {estimates}
     err *= h
-    return (n0, n1, n2, n3), (k13_0, k13_1, k13_2, k13_3), ({row}), err
+    return ({n}), ({k13}), ({row}), err
 '''
 #: The names a generated step reads besides its arguments and its stages.
 _STEP_GLOBALS = {"inf": math.inf, "isfinite": math.isfinite, "sqrt": math.sqrt}
 
 
-def _step_source(signature: str, stage) -> str:
+def _step_source(signature: str, stage, size: int) -> str:
     """The source of a step function ``def <signature>:`` that takes
     (x, h, y, k1, tol) among its arguments: one Dormand-Prince 8(5,3) step
-    of size h from (x, y), where k1 is the slope at (x, y).  It returns the
-    eighth-order solution, its slope k13, the step as one flat row for
-    :func:`dense_stages` (x, h, y, y_new and the stages 1, 6 to 13, four
-    components each), and the error estimate: the largest over the
-    components of h * e5**2 / sqrt(e5**2 + 0.01 * e3**2), Hairer's
-    combination of the fifth- and third-order estimates e5 and e3 of a
-    component, in units of tol.  err is inf, with no solution, when a stage
-    overflows or leaves the real line (a negative float to a fractional
-    power is complex), or the solution leaves the finite range.
+    of size h from (x, y), y of ``size`` components, where k1 is the slope
+    at (x, y).  It returns the eighth-order solution, its slope k13, the
+    step as one flat row for :func:`dense_stages` (x, h, y, y_new and the
+    13 stages, ``size`` components each), and the error estimate: the
+    largest over the components of h * e5**2 / sqrt(e5**2 + 0.01 * e3**2),
+    Hairer's combination of the fifth- and third-order estimates e5 and e3
+    of a component, in units of tol.  err is inf, with no solution, when a
+    stage overflows or leaves the real line (a negative float to a
+    fractional power is complex), or the solution leaves the finite range.
 
     ``stage(s=s, x=x, y=y)`` writes stage s: the lines, indented by eight
-    spaces, that set k<s>_0 to k<s>_3 to the right-hand side at the source
-    expressions x and y (four of them).  It is called for stages 2 to 12
-    and for stage 13 at (x + h, n0, ..., n3), the solution.
+    spaces, that set k<s>_0 to k<s>_<size-1> to the right-hand side at the
+    source expressions x and y (``size`` of them).  It is called for
+    stages 2 to 12 and for stage 13 at (x + h, n0, ...), the solution.
 
     A stage's argument is y + h * (the sum of its a_ij * k_j in increasing
     j), the solution y + h * d with d the same sum over the b_j, and the
@@ -150,7 +154,10 @@ def _step_source(signature: str, stage) -> str:
     written by repr, which round-trips; and the third-order estimate of a
     component is made only when its fifth-order one is positive, the only
     case that reads it."""
-    comps = range(4)
+    comps = range(size)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in comps)
 
     def dot(weights, i, sep=" + "):
         return sep.join(f"{w!r} * k{j}_{i}" for j, w in weights.items())
@@ -168,34 +175,93 @@ def _step_source(signature: str, stage) -> str:
 
     return _STEP_SOURCE.format(
         signature=signature,
+        y=names("y"),
+        k1=names("k1_"),
         stages="".join(
             stage(s=s, x=f"x + {c!r} * h", y=[f"y{i} + h * ({dot(a, i)})" for i in comps])
             for s, (c, a) in enumerate(_STAGES, start=2)
         ),
         weights="\n".join(f"        d{i} = {dot(_B, i)}" for i in comps),
+        n=names("n"),
+        solution=", ".join(f"y{i} + h * d{i}" for i in comps),
         last=stage(s=13, x="x + h", y=[f"n{i}" for i in comps]),
         finite=" and ".join(f"isfinite({v}{i})" for v in ("n", "k13_") for i in comps),
         estimates="\n".join(map(estimate, comps)),
-        row="x, h, y0, y1, y2, y3, n0, n1, n2, n3, "
-        + ", ".join(f"k{j}_{i}" for j in _DENSE_STAGES[:9] for i in comps),
+        k13=names("k13_"),
+        row=", ".join(["x, h", names("y"), names("n")]
+                      + [names(f"k{j}_") for j in range(1, 14)]),
     )
+
+
+def _split(steps):
+    """The starts y0 and ends y1 of the step rows ``steps``, (steps, size)
+    arrays, and their stages, a (steps, 13, size) array: a row is x, h, y0,
+    y1 and the 13 stages, 2 + 15 * size floats."""
+    size = (steps.shape[1] - 2) // 15
+    ends = 2 + 2 * size
+    return steps[:, 2:2 + size], steps[:, 2 + size:ends], steps[:, ends:].reshape(len(steps), 13, size)
+
+
+#: The rows a_ij of stages 2 to 12 over the stages before them, and the
+#: weights b_j of the solution, the point of stage 13, as the rows of one
+#: lower-triangular matrix, for stages formed on arrays.
+_A_ROWS = np.array([[row.get(j, 0.0) for j in range(1, 13)] for _, row in (*_STAGES, (1.0, _B))])
+
+
+def appended(steps, rates, start):
+    """The step rows ``steps`` with one more component z, which solves the
+    linear equation z' = a - m z and which no other slope reads:
+    ``rates(k)`` gives the coefficients (a, m) at the stages of each step,
+    two (13, steps) arrays, from the stages k of the rows, a (size, 13,
+    steps) array, and ``start`` is z where the first step starts.
+
+    The step of a linear equation is affine in its start, z1 = alpha z0 +
+    beta: alpha is the same step from 1 with a = 0, and beta from 0.  Both
+    are formed for all steps at once, stage by stage, and chained in
+    order, each step starting where the one before it ended.  z's stages
+    in the rows are its slopes a - m z at its stage values."""
+    count = len(steps)
+    y0, y1, K = _split(steps)
+    a, m = rates(K.T)
+    # The responses to the start 1 with a = 0 and to the start 0, side by
+    # side: their slopes S at the stages; their values at stage 13, the
+    # step's end, are its alpha and beta.
+    h, units = np.tile(steps[:, 1], 2), np.repeat([1.0, 0.0], count)
+    a, m = np.hstack([np.zeros_like(a), a]), np.hstack([m, m])
+    S = np.empty((13, 2 * count))
+    S[0] = a[0] - m[0] * units
+    for i, row in enumerate(_A_ROWS, start=1):
+        values = units + h * (row[:i] @ S[:i])
+        S[i] = a[i] - m[i] * values
+    z = [start]
+    for alpha, beta in zip(*values.reshape(2, count).tolist()):
+        z.append(alpha * z[-1] + beta)
+    z = np.array(z)
+    homogeneous, particular = S.reshape(13, 2, count).transpose(1, 0, 2)
+    slopes = (homogeneous * z[:-1] + particular).T[:, :, None]
+    stages = np.concatenate([K, slopes], axis=2).reshape(count, -1)
+    return np.hstack([steps[:, :2], y0, z[:-1, None], y1, z[1:, None], stages])
+
+
+#: The stages of _DENSE_STAGES that a step row holds, by their index there.
+_ROW_STAGES = [j - 1 for j in _DENSE_STAGES[:9]]
 
 
 def dense_stages(f, steps):
     """What the continuous extensions of accepted steps are linear in: y1 -
     y0 and h times the 12 stages of _DENSE_STAGES of each step, as a (13,
-    steps, 4) array.  ``steps`` stacks the rows that a step returns.
+    steps, size) array.  ``steps`` stacks the rows that a step returns.
     f is the right-hand side on arrays; one call of it evaluates an extra
     stage for every step."""
     x, h = steps[:, 0], steps[:, 1]
-    y0 = steps[:, 2:6]
-    m = len(steps)
-    V = np.zeros((1 + len(_DENSE_STAGES), m, 4))
-    V[0] = steps[:, 6:10] - y0
+    y0, y1, stages = _split(steps)
+    m, size = y0.shape
+    V = np.zeros((1 + len(_DENSE_STAGES), m, size))
+    V[0] = y1 - y0
     K = V[1:]
-    K[:9] = steps[:, 10:].reshape(m, 9, 4).transpose(1, 0, 2)
+    K[:9] = stages[:, _ROW_STAGES].transpose(1, 0, 2)
     for i, (c, row) in enumerate(zip(_DENSE_C, _DENSE_A)):
-        at = y0 + h[:, None] * (row @ K.reshape(len(row), -1)).reshape(m, 4)
+        at = y0 + h[:, None] * (row @ K.reshape(len(row), -1)).reshape(m, size)
         K[9 + i] = np.stack(f(x + c * h, *at.T), axis=1)
     K *= h[:, None]
     return V
@@ -204,7 +270,7 @@ def dense_stages(f, steps):
 def dense_nodes(steps, V, thetas):
     """The continuous extensions of the accepted steps ``steps``, whose
     :func:`dense_stages` are V, at one fraction of each, ``thetas``: a
-    (steps, 4) array.
+    (steps, size) array.
 
     The extension is y0 + t (F0 + (1-t) (F1 + t (F2 + (1-t) (F3 + t (F4 +
     (1-t) (F5 + t F6)))))) with F0 = y1 - y0, F1 = h K_1 - F0, F2 = 2 F0 -
@@ -220,4 +286,4 @@ def dense_nodes(steps, V, thetas):
     N[:, 1:] = P[:, 3:] @ _DENSE_D
     N[:, 1] += P[:, 1] - P[:, 2]
     N[:, 1 + _DENSE_STAGES.index(13)] -= P[:, 2]
-    return steps[:, 2:6] + np.einsum("ij,jik->ik", N, V)
+    return _split(steps)[0] + np.einsum("ij,jik->ik", N, V)

@@ -28,18 +28,17 @@ The march has one independent variable, tau = ln r + ln v, which rises
 along every solution, since dtau/dr = D = 1/r + v'/v > 0: near the origin
 it is ln r, near a pole ln v (Stuart & Floater, Eur. J. Appl. Math. 1,
 1990), and under power or exponential growth its slopes stay bounded.  The
-state is (ln r, ln I1, ln I2, ln(u - u0)), and ln v = tau - ln r.  Each
-slope is a rate over r D = 1 + r v'/v:
+state is (ln r, ln I1, ln I2), and ln v = tau - ln r.  Each slope is a
+rate over r D = 1 + r v'/v:
 
     d ln r / dtau = 1 / (r D),    d ln Ii / dtau = r fIi / Ii / (r D),
-    d ln(u - u0) / dtau = r w / (u - u0) / (r D),
 
 where fI1 = r**d f1 g1(v) and fI2 = r**(n-1) f2 g2(v) h(w) are the
 integrands.  ln w, ln v', ln fI1 and ln fI2 are sums of logarithms, with
-log-sum-exp over the terms of a multi-term power sum, so no stage forms v,
-u or an accumulator, which may lie far beyond the float range, and the
+log-sum-exp over the terms of a multi-term power sum, so no stage forms v
+or an accumulator, which may lie far beyond the float range, and the
 error of each component is absolute in its logarithm, as in the rescaling
-of Berger & Kohn (CPAM 41, 1988): relative in r, I1, I2 and u - u0.
+of Berger & Kohn (CPAM 41, 1988): relative in r, I1 and I2.
 
 Each step is a Dormand-Prince 8(5,3) pair, the code DOP853 (Hairer,
 Norsett & Wanner, Solving ODEs I, II.5 and II.10): twelve stages and a
@@ -51,7 +50,8 @@ The right-hand side is one body for the shape of the problem's power sums
 and of its constants that are neutral (a factor 1, a logarithm 0), which
 it leaves out, written into one phase map; every kernel is rendered from
 it, the step as straight-line code from the tableau with the body in
-every stage.  u enters the system only through u', so no kernel reads u.
+every stage.  u enters the system only through u', so the march steps
+no u: no slope and no verdict reads it.
 
 R0 is the limit of r(tau), estimated at each step as r + b * dr/dtau with
 b = -1 / (d ln(dr/dtau)/dtau): near a pole dr/dtau ~ (R0 - r)/b, and the
@@ -63,9 +63,21 @@ extrapolated to R0.  Power and exponential growth keep dr/dtau from
 decaying, as r/(1 + k) and 1/c do not, so the estimate keeps moving with r
 and global solutions are not mislabelled.
 
-Every accepted step keeps its stages, and the verdict of a run needs
+Every accepted step keeps its 13 stages, and the verdict of a run needs
 nothing more: its end, R0 and rates come from the last step.  The
-trajectory is built from the kept steps when it is first read: three
+trajectory is built from the kept steps when it is first read.  u - u0 is
+r w q, where q = (u - u0) / (r w) solves the linear equation
+
+    dq/dtau = d ln r/dtau - q d ln(r w)/dtau,
+
+whose coefficients the kept stages give; q is smooth where u - u0 and
+r w grow alike (1/2 at the origin, 1/(j+1) under w ~ r**j), where a
+quadrature of du/dtau itself is not: near the origin it grows like
+e**(2 tau) over steps that the march, blind to u, makes long.  The
+march's own steps are taken again for q alone, on arrays, with no call
+of a kernel, from its value at r0 by the start's closed form; its
+largest error at the nodes against a rel_tol 1e-12 run is 3.2e-9 of
+u - u0 at rel_tol 1e-8 on problems A, B, C and four stress runs.  Three
 more stages per step, evaluated for all steps at once on arrays, give
 the seventh-order continuous extension; it is linear in the step's
 increment and stages, so each step is emitted as 14 equal sub-panels, or
@@ -147,10 +159,16 @@ class SolverOptions:
     """Numeric knobs for :func:`march` and :func:`advance`.
 
     ``rel_tol`` bounds the local error of each Dormand-Prince 8(5,3) step,
-    per component, at 0.05 * rel_tol absolute in the logarithms of r, I1, I2
-    and u - u0, so relative in those quantities; the closed-form start
-    holds its truncations to 0.01 * rel_tol, and a blow-up radius is
-    resolved to about 0.05 * rel_tol.  The march stops at ``target_radius``.
+    per component, at 0.05 * rel_tol absolute in the logarithms of r, I1
+    and I2, the state (ln r, ln I1, ln I2) of the march, so relative in
+    those quantities; the closed-form start holds its truncations to 0.01 *
+    rel_tol, and a blow-up radius is resolved to about 0.05 * rel_tol.  The
+    march stops at ``target_radius``.  u - u0 is not stepped: it is formed
+    when the trajectory is built, as r w times the solution q of a linear
+    equation, over the march's own steps (:func:`_with_u`), which calls no
+    kernel and so adds no evaluation of the right-hand side; its largest
+    error at the nodes at rel_tol 1e-8 is 3.2e-9 relative on the runs
+    measured (problems A, B, C and four stress runs).
     """
 
     target_radius: float
@@ -190,9 +208,11 @@ class BootstrapSegment(_Columns):
     and log, the defaults, on arrays under the caller's error state, or by
     math's at a float, which raise where a profile leaves the floats.
     ``state`` is (ln v, ln I1, ln I2, ln(u - u0)) at r0, where :func:`advance`
-    takes over, and ``kernels`` the problem's compiled right-hand side, which
-    the march goes on with.  The columns, built on first read, are the
-    profiles on the grid of :func:`picard_bootstrap`."""
+    takes over: the march steps from the first three, and u - u0 is formed
+    from the fourth when the trajectory is built.  ``kernels`` is the
+    problem's compiled right-hand side, which the march goes on with.  The
+    columns, built on first read, are the profiles on the grid of
+    :func:`picard_bootstrap`."""
 
     r0: float
     u0: float
@@ -319,10 +339,11 @@ def picard_bootstrap(
     :class:`SolverError` is raised when they, or the slopes of I1 and I2,
     are not positive normal floats there, when r0 itself is below the
     smallest float, or when a coefficient of a binomial series is beyond
-    the float range or below it.  The state the march starts
-    from, (ln v, ln I1, ln I2, ln(u - u0)) at r0, is taken in logarithms
-    from the same power sums (:func:`_log_evaluate`), not from differences
-    of floats.  The segment's columns, built on first read, are the origin
+    the float range or below it.  The state it hands over, (ln v, ln I1,
+    ln I2, ln(u - u0)) at r0, is taken in logarithms from the same power
+    sums (:func:`_log_evaluate`), not from differences of floats; the march
+    steps from the first three, and the trajectory's u - u0 starts from
+    the fourth.  The segment's columns, built on first read, are the origin
     and 1024 geometrically spaced nodes over [1e-3 * r0, r0], less the
     lowest of them where a profile or slope is not yet a positive normal
     float, as when h(w) underflows for large theta.  The segment carries
@@ -451,8 +472,13 @@ class RadialSolution(_Columns):
     dropped.  :meth:`sample` reads the run between them.
 
     ``rhs_evals`` counts the evaluations of the right-hand side made so
-    far: the march's stages and, once the columns are built, the three
-    dense-output stages of every step, evaluated on arrays.
+    far: the march's stages of (ln r, ln I1, ln I2) and, once the columns
+    are built, the three dense-output stages of every step, evaluated on
+    arrays.  u - u0 is formed as r w q, q = (u - u0) / (r w), over the
+    march's own steps from the coefficients that their stages give
+    (:func:`_with_u`), with no call of a kernel, so it adds no evaluation;
+    at rel_tol 1e-8 its largest error at the nodes is 3.2e-9 relative on
+    problems A, B, C and four stress runs.
     ``accepted_steps`` and ``rejected_steps`` count the march's steps, and
     ``dt_min``/``dt_max`` bound the increments in r of its accepted steps
     (None when no step was accepted), whatever nodes those steps emit.
@@ -498,8 +524,9 @@ class RadialSolution(_Columns):
         r_end], as the nodes are made: the start's profiles up to r0, and
         beyond it the extension of the step that holds the radius, at the
         fraction where its ln r is ln(rs), which bisection finds, since ln r
-        rises along every step.  The three extra stages are evaluated once,
-        for every step that holds a radius, and these evaluations of the
+        rises along every step, with u - u0 from the steps of
+        :func:`_with_u`.  The three extra stages are evaluated once, for
+        every step that holds a radius, and these evaluations of the
         right-hand side are not counted in ``rhs_evals``."""
         boot, rows = self.steps
         rs = np.clip(np.asarray(rs, dtype=float), 0.0, self.r_end)
@@ -510,10 +537,10 @@ class RadialSolution(_Columns):
             out[:, ~mine] = boot.profiles(rs[~mine])[:4]
             if np.any(mine):
                 log_r = np.log(rs[mine])
-                steps = _stacked(rows)
+                steps = _with_u(self.spec, boot, rows)
                 at = np.searchsorted(steps[:, 2], log_r, side="right") - 1
                 steps = steps[np.maximum(at, 0)]
-                V = dop853.dense_stages(boot.kernels.rhs_arrays, steps)
+                V = dop853.dense_stages(_with_u_slope(self.spec, boot.kernels), steps)
                 # 53 halvings take the fraction to the float spacing below 1.
                 lo, hi = np.zeros_like(log_r), np.ones_like(log_r)
                 for _ in range(53):
@@ -528,8 +555,8 @@ class RadialSolution(_Columns):
 
 class _Kernels(NamedTuple):
     """The right-hand side of one problem, compiled: each kernel is the one
-    body written into the phase map in tau for (ln r, ln I1, ln I2,
-    ln(u - u0)), and takes (x, *y).  On floats, for the march: ``rhs`` gives
+    body written into the phase map in tau for (ln r, ln I1, ln I2), and
+    takes (x, *y).  On floats, for the march: ``rhs`` gives
     the first slope, and ``step(x, h, y, k1, tol)`` is the Dormand-Prince
     8(5,3) step of :func:`dop853._step_source` with the body written into
     every stage: it returns, to the bit, what the same step returns with
@@ -556,7 +583,7 @@ class _Kernels(NamedTuple):
 _FLOATS = ("exp", "({a} if {a} > {b} else {b}) + log1p(exp(-abs({a} - {b})))")
 _ARRAYS = ("np.exp", "np.logaddexp({a}, {b})")
 # The phase map: the body's inputs bound to a stage's arguments, and the
-# stage's slopes k<s>_0..3 from its results, each a rate over r D, where
+# stage's slopes k<s>_0..2 from its results, each a rate over r D, where
 # r D = r dtau/dr = 1 + r v'/v.
 _STAGE = """\
         lr = {y[0]}
@@ -567,13 +594,12 @@ _STAGE = """\
         k{s}_0 = 1.0 / (1.0 + {exp}(lr + ldv - lv))
         k{s}_1 = {exp}(lr + lfI1 - lI1) * k{s}_0
         k{s}_2 = {exp}(lr + lfI2 - lI2) * k{s}_0
-        k{s}_3 = {exp}(lr + lw - ({y[3]})) * k{s}_0
 """
 # A kernel that is not a step is stage 1 of the phase map at its arguments.
 _STAGE_KERNEL = """\
-def {name}(x, y0, y1, y2, y3):
+def {name}(x, y0, y1, y2):
 {stage}\
-        return k1_0, k1_1, k1_2, k1_3
+        return k1_0, k1_1, k1_2
 """
 #: The constants of the body and the value at which each is left out.
 _NEUTRAL = {"lc1": 0.0, "delta": 1.0, "nm1": 1.0, "theta": 1.0, "inv_pm1": 1.0}
@@ -655,9 +681,9 @@ def _kernel_factory(constants: dict, shape: tuple) -> Callable:
         exp, add = _ARRAYS if name == "rhs_arrays" else _FLOATS
         stage = functools.partial(_STAGE.format, body=_body(shape, add), exp=exp)
         if name == "step":
-            kernel = dop853._step_source("step(x, h, y, k1, tol)", stage)
+            kernel = dop853._step_source("step(x, h, y, k1, tol)", stage, 3)
         else:
-            y = ["y0", "y1", "y2", "y3"]
+            y = ["y0", "y1", "y2"]
             kernel = _STAGE_KERNEL.format(name=name, stage=stage(s=1, x="x", y=y))
         source += textwrap.indent(kernel, "    ")
     source += f"    return {', '.join(_Kernels._fields)}\n"
@@ -741,13 +767,20 @@ def advance(
 
     ``start`` is the closed-form start of :func:`march` or any other
     segment with ``state`` (ln v, ln I1, ln I2, ln(u - u0)) at ``r0`` and
-    the ``kernels`` of ``spec``, such as an exact solution's; its ``u0``
-    and ``profiles`` are read only for the columns and samples.  ``spec``
-    is taken as valid, with alpha < p - 1, as :func:`march` checks; the
+    the ``kernels`` of ``spec``, such as an exact solution's; its ``u0``,
+    its ``profiles`` and the state's ln(u - u0), which must be finite, are
+    read only for the columns and samples.  ``spec`` is taken as valid,
+    with alpha < p - 1, as :func:`march` checks; the
     columns keep the invariants :func:`_emit_nodes` states for the
     closed-form start only when the start's own columns keep them.  From
     tau = ln r0 + ln v, with a first trial step that moves ln r by 0.1,
-    Dormand-Prince 8(5,3) steps advance (ln r, ln I1, ln I2, ln(u - u0)).
+    Dormand-Prince 8(5,3) steps advance (ln r, ln I1, ln I2): the march
+    computes nothing for u.  u - u0 is formed when the columns are built,
+    as r w times the solution q of a linear equation stepped over the
+    march's steps from their kept stages (:func:`_with_u`); that calls no
+    kernel, so it adds no evaluation of the right-hand side, and at
+    rel_tol 1e-8 its largest error at the nodes is 3.2e-9 relative on the
+    runs measured (problems A, B, C and four stress runs).
     A step is accepted when its combined error estimate, absolute in each
     logarithm, lies below 0.05 * rel_tol in every component; the next step
     size is the current one times 0.9 * err**(-1/8), clamped to [0.2, 5].
@@ -755,9 +788,9 @@ def advance(
     with the right-hand side written into every stage, so it returns the
     bits of the same step with stages that call the scalar kernel, which
     gives the first slope.
-    Each accepted step keeps its stages.  The run's columns are not built
-    here: on their first read :func:`_emit_nodes` emits each step as equal
-    sub-panels whose interior nodes come from the seventh-order continuous
+    Each accepted step keeps its 13 stages.  The run's columns are not
+    built here: on their first read :func:`_emit_nodes` emits each step as
+    equal sub-panels whose interior nodes come from the seventh-order continuous
     extension; emission drops the nodes that are not finite or do not
     advance r, and changes nothing else.  ``r_end`` and ``v_final`` are
     taken from the last step with the float operations that give its end
@@ -790,10 +823,10 @@ def advance(
     rows: list[tuple] = []
     keep = rows.append
 
-    # x is tau and y is (ln r, ln I1, ln I2, ln(u - u0)).
+    # x is tau and y is (ln r, ln I1, ln I2).
     lr = math.log(start.r0)
     x = lr + start.state[0]
-    y = (lr, *start.state[1:])
+    y = (lr, *start.state[1:3])
     k1 = _first_slope(start.kernels.rhs, x, y, start.r0)
     accepted = rejected = 0
     h = _FIRST_STEP / k1[0]
@@ -854,11 +887,11 @@ def advance(
         # and end state: ln r, and ln v = x + h * 1.0 - ln r.
         last = rows[-1]
         with np.errstate(over="ignore"):
-            r_end, v_final = np.exp((last[6], last[0] + last[1] - last[6]))
+            r_end, v_final = np.exp((last[5], last[0] + last[1] - last[5]))
         # The accepted steps' increments in r, read off their rows: each
         # step starts at the ln r where the one before it ended.
         radii = [math.exp(row[2]) for row in rows]
-        radii.append(math.exp(last[6]))
+        radii.append(math.exp(last[5]))
         increments = [b - a for a, b in zip(radii, radii[1:])]
         dt_min, dt_max = min(increments), max(increments)
     else:
@@ -910,15 +943,52 @@ def _log_gradients(spec: ProblemSpec, lr, lI1, lI2) -> tuple:
 
 
 def _nodes(spec: ProblemSpec, u0: float, steps: np.ndarray, theta, y) -> tuple:
-    """(r, u, v, w, dv, I1, I2) where the step rows ``steps`` reach the log
-    state y, four arrays, at the fractions theta of their steps, one each:
-    with tau = x0 + h * theta, the exponentials of ln r, tau - ln r, ln w,
-    ln dv and the logarithms of the accumulators, and u = u0 + e**y3."""
-    lr, lI1, lI2, lU = y
+    """(r, u, v, w, dv, I1, I2) where the step rows ``steps`` of
+    :func:`_with_u` reach the state y, four arrays (ln r, ln I1, ln I2, q),
+    at the fractions theta of their steps, one each: with tau = x0 + h *
+    theta, the exponentials of ln r, tau - ln r, ln w, ln dv and the
+    logarithms of the accumulators, and u = u0 + e**(ln r + ln w + ln q)."""
+    lr, lI1, lI2, q = y
     x = steps[:, 0] + steps[:, 1] * theta
-    logs = (lr, x - lr, *_log_gradients(spec, lr, lI1, lI2), lI1, lI2)
-    r, v, w, dv, I1, I2 = (np.exp(value) for value in logs)
-    return r, u0 + np.exp(lU), v, w, dv, I1, I2
+    lw, ldv = _log_gradients(spec, lr, lI1, lI2)
+    logs = (lr, x - lr, lw, ldv, lI1, lI2, lr + lw + np.log(q))
+    r, v, w, dv, I1, I2, U = (np.exp(value) for value in logs)
+    return r, u0 + U, v, w, dv, I1, I2
+
+
+def _u_rates(spec: ProblemSpec, k) -> tuple:
+    """The coefficients (a, m) of dq/dtau = a - m q, where q = (u - u0) /
+    (r w), at slopes k of (ln r, ln I1, ln I2): with u' = w, du/dtau = r w
+    k0, so a = k0 = d ln r/dtau and m = d ln(r w)/dtau = k0 + theta (k1 -
+    delta k0)."""
+    k0, k1 = k[0], k[1]
+    return k0, k0 + spec.theta * (k1 - spec.delta * k0)
+
+
+def _with_u(spec: ProblemSpec, boot: BootstrapSegment, rows) -> np.ndarray:
+    """The step rows ``rows`` as an array, with q = (u - u0) / (r w) appended
+    as a fourth component by :func:`dop853.appended`, from its value at r0,
+    e**(ln(u - u0) - ln r0 - ln w) by the start's state, and with the
+    coefficients of :func:`_u_rates` at the stages that the rows keep.  No
+    kernel is called."""
+    steps = _stacked(rows)
+    _, lI1, lI2, lU = boot.state
+    lr = math.log(boot.r0)
+    q0 = math.exp(lU - lr - _log_gradients(spec, lr, lI1, lI2)[0])
+    return dop853.appended(steps, functools.partial(_u_rates, spec), q0)
+
+
+def _with_u_slope(spec: ProblemSpec, kernels: _Kernels) -> Callable:
+    """The array kernel of ``kernels`` with the slope a - m q of q =
+    (u - u0) / (r w) appended (:func:`_u_rates`), for the dense stages of
+    the rows of :func:`_with_u`: it calls the kernel once."""
+
+    def rhs_arrays(x, lr, lI1, lI2, q):
+        k = kernels.rhs_arrays(x, lr, lI1, lI2)
+        a, m = _u_rates(spec, k)
+        return (*k, a - m * q)
+
+    return rhs_arrays
 
 
 def _stacked(rows) -> np.ndarray:
@@ -935,10 +1005,11 @@ def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, rows):
     nodes of its continuous extension at the ends of K equal sub-panels in
     tau, K the larger of 14 and the number that keeps them no wider in ln r
     than the start grid's spacing, and its end node, mapped to (r, u, v, w,
-    dv, I1, I2) by :func:`_nodes`.  The step rows are read into one array,
-    their three extra stages are evaluated for all steps at once by the
-    compiled array kernel, and each interior node is the extension of its
-    step at its own fraction, by :func:`dop853.dense_nodes`.
+    dv, I1, I2) by :func:`_nodes`.  The step rows are read into one array
+    with q = (u - u0) / (r w) appended (:func:`_with_u`), their three
+    extra stages are evaluated for all steps at once by the compiled array
+    kernel, and each interior node is the extension of its step at its
+    own fraction, by :func:`dop853.dense_nodes`.
     A node that is not finite, as past the float range, or whose radius
     does not exceed every earlier one, is dropped; when every node is kept
     nothing is copied.
@@ -951,17 +1022,17 @@ def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, rows):
     parts = [(boot.r, boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2)]
     evals = 0
     if rows:
-        steps = _stacked(rows)
-        counts = np.ceil((steps[:, 6] - steps[:, 2]) / _SPACING).astype(int)
-        counts = np.maximum(counts, _SUBPANELS)
-        # Node j of a step of K sub-panels lies at the fraction j / K, j = 1..K.
-        at = np.repeat(np.arange(len(steps)), counts)
-        j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        theta = j / counts[at]
-        # Extra stages and nodes that leave the float range are not finite,
-        # and are dropped below.
+        # Extra stages, q and nodes that leave the float range are not
+        # finite, and are dropped below.
         with np.errstate(all="ignore"):
-            V = dop853.dense_stages(boot.kernels.rhs_arrays, steps)
+            steps = _with_u(spec, boot, rows)
+            counts = np.ceil((steps[:, 6] - steps[:, 2]) / _SPACING).astype(int)
+            counts = np.maximum(counts, _SUBPANELS)
+            # Node j of a step of K sub-panels lies at the fraction j / K, j = 1..K.
+            at = np.repeat(np.arange(len(steps)), counts)
+            j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+            theta = j / counts[at]
+            V = dop853.dense_stages(_with_u_slope(spec, boot.kernels), steps)
             states = dop853.dense_nodes(steps[at], V[:, at], theta).T
             # A step's end node is its end state.
             states[:, theta == 1.0] = steps[:, 6:10].T

@@ -5,28 +5,32 @@ reference for the march's fused steps.
 where k1 = f(x, *y), and returns what :func:`radlab.dop853._step_source`
 states.  It is generated by that function, the generator of the march's
 steps, with a stage writer that calls f in place of the right-hand side
-that the march writes into every stage.  On the march's own scalar kernel
-it must give the fused step's bits.
+that the march writes into every stage, once for each number of
+components.  On the march's own scalar kernel it must give the fused
+step's bits.
 """
 
 from __future__ import annotations
+
+import functools
 
 from radlab import dop853
 
 
 def _call_stage(s, x, y):
     """A stage of :func:`step`: one call of its argument f."""
-    return f"        k{s}_0, k{s}_1, k{s}_2, k{s}_3 = f({x}, {', '.join(y)})\n"
+    slopes = ", ".join(f"k{s}_{i}" for i in range(len(y)))
+    return f"        {slopes} = f({x}, {', '.join(y)})\n"
 
 
-_namespace = {"__name__": __name__, **dop853._STEP_GLOBALS}
-exec(
-    compile(
-        dop853._step_source("step(f, x, h, y, k1, tol)", _call_stage),
-        "<dop853 reference step>",
-        "exec",
-    ),
-    _namespace,
-)
-step = _namespace.pop("step")
-del _namespace
+@functools.cache
+def _compiled(size):
+    """The reference step for ``size`` components."""
+    namespace = {"__name__": __name__, **dop853._STEP_GLOBALS}
+    source = dop853._step_source("step(f, x, h, y, k1, tol)", _call_stage, size)
+    exec(compile(source, "<dop853 reference step>", "exec"), namespace)
+    return namespace["step"]
+
+
+def step(f, x, h, y, k1, tol):
+    return _compiled(len(y))(f, x, h, y, k1, tol)

@@ -788,18 +788,31 @@ def test_a_solved_sweep_builds_no_trajectory(dense_stage_calls, monkeypatch):
         solutions.append(march(*args))
         return solutions[-1]
 
+    # Nor does a row run the u quadrature, which the columns alone read.
+    quadratures = []
+    appended = radlab.dop853.appended
+
+    def counted(*args):
+        quadratures.append(args)
+        return appended(*args)
+
     monkeypatch.setattr(radlab.cli, "march", kept)
+    monkeypatch.setattr(radlab.dop853, "appended", counted)
     config = load_config(str(CONFIGS / "sweep_q.cfg"))
     for value in config.sweep_values:
         row = radlab.cli.sweep_row(config.with_value("q", value), "q", value, True)
         assert row["numeric_class"] and row["error"] == "", row
     assert dense_stage_calls == []
+    assert quadratures == []
     assert len(solutions) == len(config.sweep_values)
     for solution in solutions:
         assert "_columns" not in vars(solution)
         assert "_columns" not in vars(solution.steps.boot)
         assert solution.bootstrap_nodes == 1025
         assert "_columns" not in vars(solution)
+    # Reading a column runs it, once.
+    solutions[0].u
+    assert len(quadratures) == 1
 
 
 def test_solve_builds_the_trajectory_once(dense_stage_calls, tmp_path, capsys, monkeypatch):

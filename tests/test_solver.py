@@ -148,7 +148,7 @@ def test_march_step_diagnostics(solved_cases):
         assert run.accepted_steps > 0 and run.rejected_steps >= 0
         assert 0.0 < run.dt_min <= run.dt_max < run.options.target_radius
         march_nodes = len(run.r) - run.bootstrap_nodes
-        widths = [row[6] - row[2] for row in run.steps.rows]
+        widths = [row[5] - row[2] for row in run.steps.rows]
         assert march_nodes == sum(max(14, math.ceil(w / solver._SPACING)) for w in widths)
         assert march_nodes > solver._SUBPANELS * run.accepted_steps
 
@@ -176,7 +176,7 @@ def test_stalled_sub_nodes_are_dropped(monkeypatch, solved_cases):
     case = CASE_BY_NAME["B"]
     run = march(case.spec(), 1.0, 1.0, case.options())
     run.r
-    kept = ~((full.r > math.exp(row[2])) & (full.r < math.exp(row[6])))
+    kept = ~((full.r > math.exp(row[2])) & (full.r < math.exp(row[5])))
     assert np.count_nonzero(~kept) == solver._SUBPANELS - 1
     for name in (
         "terminated", "R0", "b_hat", "sigma_hat", "accepted_steps",
@@ -206,7 +206,7 @@ def test_a_sub_node_that_is_not_finite_is_dropped(monkeypatch, solved_cases):
     run = march(case.spec(), 1.0, 1.0, case.options())
     kept = np.isin(full.r, run.r)
     (dropped,) = np.flatnonzero(~kept)
-    assert math.exp(row[2]) < full.r[dropped] < math.exp(row[6])
+    assert math.exp(row[2]) < full.r[dropped] < math.exp(row[5])
     for name in ("terminated", "R0", "b_hat", "sigma_hat", "accepted_steps"):
         assert getattr(run, name) == getattr(full, name), name
     for name in ("r", "u", "v", "w", "dv", "I1", "I2"):
@@ -286,8 +286,8 @@ def test_verdict_is_that_of_the_built_columns(config, dense_stage_calls):
     assert type(lazy.r_end) is float and type(lazy.v_final) is float
     end = ()
     if lazy.steps.rows:
-        last = solver._stacked(lazy.steps.rows[-1:])
-        with np.errstate(over="ignore"):
+        with np.errstate(all="ignore"):
+            last = solver._with_u(lazy.spec, lazy.steps.boot, lazy.steps.rows)[-1:]
             end = solver._nodes(lazy.spec, config.u0, last, 1.0, last[:, 6:10].T)
     if np.isfinite(end).all():
         assert lazy.r[-1].hex() == verdict["r_end"].hex()
@@ -406,12 +406,12 @@ def test_march_reads_no_power_sum_on_arrays_until_its_columns_are(config, monkey
     # bootstrap_nodes counts the start's grid, so it builds it.
     names = [name for name in VERDICT if name != "bootstrap_nodes"]
     assert [getattr(got, name) for name in names] == [getattr(want, name) for name in names]
-    increments = [math.exp(row[6]) - math.exp(row[2]) for row in got.steps.rows]
+    increments = [math.exp(row[5]) - math.exp(row[2]) for row in got.steps.rows]
     assert (got.dt_min, got.dt_max) == (min(increments), max(increments))
 
 
 def test_reference_evaluation_count_includes_the_build():
-    # Problems A, B and C take 4,056 evaluations with their columns built,
+    # Problems A, B and C take 4,029 evaluations with their columns built,
     # as when every run built them in the march.
     total = 0
     for name in "abc":
@@ -419,7 +419,7 @@ def test_reference_evaluation_count_includes_the_build():
         run = march(config.spec(), config.u0, config.v0, config.solver_options())
         run.r
         total += run.rhs_evals
-    assert total == 4_056
+    assert total == 4_029
 
 
 #: The march's work on problems A, B and C: the reprs of its verdict floats
@@ -428,9 +428,9 @@ def test_reference_evaluation_count_includes_the_build():
 REFERENCE_MARCHES = {
     "a": dict(
         R0="None", b_hat="None", sigma_hat="None", r_end="49.99999999999999",
-        v_final="1.003795900311605e+19", dt_min="1.2924594727792282e-08",
-        dt_max="0.8889766234039129", accepted_steps="97", rejected_steps="13",
-        rhs_evals="1321",
+        v_final="1.0037959003102355e+19", dt_min="2.3103297053239658e-10",
+        dt_max="0.8903756131930933", accepted_steps="96", rejected_steps="12",
+        rhs_evals="1297",
     ),
     "b": dict(
         R0="4.44001536421933", b_hat="1.599999992443372",
@@ -440,10 +440,10 @@ REFERENCE_MARCHES = {
         rhs_evals="973",
     ),
     "c": dict(
-        R0="4.945361380011528", b_hat="1.9999999991546158",
-        sigma_hat="1.0000000001935745", r_end="4.94523732885292",
-        v_final="118083496.06709312", dt_min="4.554965666248023e-05",
-        dt_max="0.2505114218725837", accepted_steps="76", rejected_steps="10",
+        R0="4.945361380009993", b_hat="1.9999999991533117",
+        sigma_hat="1.0000000001932865", r_end="4.945237291201447",
+        v_final="118011851.8367443", dt_min="4.556208784567417e-05",
+        dt_max="0.2514242624992935", accepted_steps="76", rejected_steps="10",
         rhs_evals="1033",
     ),
 }
@@ -457,20 +457,41 @@ def test_reference_march_keeps_its_bits(name):
     assert {field: repr(getattr(run, field)) for field in want} == want
 
 
-def test_atlas_march_work_is_pinned():
-    # The 40 rows of the atlas workload: sweep_q and the four atlas ladders.
-    accepted = rejected = evals = rows = 0
-    ladders = [ROOT / "configs" / "sweep_q.cfg", *sorted(ROOT.glob("radbench/configs/atlas_*.cfg"))]
-    for path in ladders:
+def _atlas_rows():
+    """The run configs of the 40 rows of the atlas workload: sweep_q and the
+    four atlas ladders."""
+    rows = []
+    for path in [ROOT / "configs" / "sweep_q.cfg", *sorted(ROOT.glob("radbench/configs/atlas_*.cfg"))]:
         config = load_config(str(path))
-        for value in config.sweep_values:
-            row = config.with_value(config.sweep_parameter, value)
-            run = march(row.spec(), row.u0, row.v0, row.solver_options())
-            accepted += run.accepted_steps
-            rejected += run.rejected_steps
-            evals += run.rhs_evals
-            rows += 1
-    assert (rows, accepted, rejected, evals) == (40, 3_282, 460, 44_944)
+        rows += [config.with_value(config.sweep_parameter, value) for value in config.sweep_values]
+    return rows
+
+
+def test_atlas_march_work_is_pinned():
+    accepted = rejected = evals = 0
+    rows = _atlas_rows()
+    for row in rows:
+        run = march(row.spec(), row.u0, row.v0, row.solver_options())
+        accepted += run.accepted_steps
+        rejected += run.rejected_steps
+        evals += run.rhs_evals
+    assert (len(rows), accepted, rejected, evals) == (40, 3_273, 454, 44_764)
+
+
+def test_the_march_is_blind_to_u():
+    # u enters the system only through u', so the march steps (ln r, ln I1,
+    # ln I2) alone: from a start whose ln(u - u0) is off by 1, advance takes
+    # the same steps to the same verdict, to the bit, on problems A, B and C
+    # and the 40 atlas rows.
+    configs = [load_config(str(ROOT / "configs" / f"problem_{name}.cfg")) for name in "abc"]
+    for config in configs + _atlas_rows():
+        spec, options = config.spec(), config.solver_options()
+        start = picard_bootstrap(spec, config.u0, config.v0, options)
+        shifted = dataclasses.replace(start, state=(*start.state[:3], start.state[3] + 1.0))
+        want, got = (solver.advance(spec, begin, options) for begin in (start, shifted))
+        for name in (*VERDICT, "rhs_evals"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+        assert repr(got.steps.rows) == repr(want.steps.rows)
 
 
 def test_blow_up_radius_is_checked_at_construction(solved_cases):
@@ -509,20 +530,37 @@ def test_march_rejects_unbalanced_gradient_exponent():
         march(spec, 1.0, 1.0, SolverOptions(target_radius=1.0))
 
 
-def test_march_tolerance_convergence():
-    # Halving the tolerance ladder must converge toward a fixed profile:
-    # the loose-run error against a tight reference shrinks with rel_tol.
-    spec = CASE_BY_NAME["C"].spec()
-    probe = np.linspace(0.5, 2.0, 11)
-    reference = march(spec, 1.0, 1.0, SolverOptions(target_radius=2.2, rel_tol=1e-11))
-    ref_u = reference.sample(probe)["u"]
+#: Problems A, B and C and four stress runs, all at rel_tol 1e-8.
+U_RUNS = {
+    "A": "configs/problem_a.cfg",
+    "B": "configs/problem_b.cfg",
+    "C": "configs/problem_c.cfg",
+    **{name: f"radbench/configs/stress_{name}.cfg"
+       for name in ("b3_multi", "pole_stall", "pole_stall_f1", "p15_alpha025")},
+}
+
+
+@pytest.mark.parametrize("name", list(U_RUNS))
+def test_u_minus_u0_is_held_to_rel_tol(name):
+    # The march does not step u: u - u0 = r w q is formed over its steps
+    # when the columns are built.  At rel_tol 1e-8, u - u0 at the nodes
+    # beyond r0 lies within 1e-8, relative, of a rel_tol 1e-12 run read
+    # through sample (at most 3.2e-9 here), and the error shrinks from
+    # rel_tol 1e-4 to 1e-6 to 1e-8.  A quadrature of du/dtau over the same steps missed this by
+    # 1.9e-5 on A, where du/dtau grows like e**(2 tau) near the origin.
+    config = load_config(str(ROOT / U_RUNS[name]))
+    options = config.solver_options()
+    assert options.rel_tol == 1e-8
+    args = (config.spec(), config.u0, config.v0)
+    tight = march(*args, dataclasses.replace(options, rel_tol=1e-12))
     errors = []
     for rel_tol in (1e-4, 1e-6, 1e-8):
-        run = march(spec, 1.0, 1.0, SolverOptions(target_radius=2.2, rel_tol=rel_tol))
-        errors.append(float(np.max(np.abs(run.sample(probe)["u"] - ref_u))))
-    assert errors[1] < errors[0]
-    assert errors[2] < errors[1]
-    assert errors[2] < 1e-7
+        run = march(*args, dataclasses.replace(options, rel_tol=rel_tol))
+        beyond = run.r > run.start_radius
+        want = tight.sample(run.r[beyond])["u"] - config.u0
+        errors.append(float(np.max(np.abs((run.u[beyond] - config.u0) / want - 1.0))))
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] <= 1e-8
 
 
 def test_sample_reproduces_nodes(solved_cases):
@@ -873,7 +911,7 @@ def test_advance_follows_exact_power_solutions_past_the_float_range(q, target):
     assert run.terminated is TerminationReason.REACHED_TARGET
     assert run.v_final == math.inf
     x, h, *_ = row = run.steps.rows[-1]
-    lr, log_v = row[6], x + h - row[6]
+    lr, log_v = row[5], x + h - row[5]
     assert math.exp(lr) == run.r_end == pytest.approx(target, rel=1e-13)
     assert log_v > 1500.0
     assert abs(log_v - math.log(A) - k * lr) <= 10.0 * options.rel_tol
@@ -969,17 +1007,18 @@ def _in_order(weights, k, c):
 
 def reference_dop853_step(f, x, h, y, tol):
     """One DOP853 step written as loops over the tableau above."""
+    comps = range(len(y))
     k = [f(x, *y)]
     for i in range(1, 12):
-        stage = [y[c] + h * _in_order(_A[i], k, c) for c in range(4)]
+        stage = [y[c] + h * _in_order(_A[i], k, c) for c in comps]
         k.append(f(x + _C[i] * h, *stage))
-    d = [_in_order(_B, k, c) for c in range(4)]
-    y_new = [y[c] + h * d[c] for c in range(4)]
-    e5 = [abs(_in_order(_E5, k, c)) / tol for c in range(4)]
-    e3 = [abs(d[c] - _in_order(_BHH, k, c)) / tol for c in range(4)]
+    d = [_in_order(_B, k, c) for c in comps]
+    y_new = [y[c] + h * d[c] for c in comps]
+    e5 = [abs(_in_order(_E5, k, c)) / tol for c in comps]
+    e3 = [abs(d[c] - _in_order(_BHH, k, c)) / tol for c in comps]
     err = max(h * p**2 / math.sqrt(p**2 + 0.01 * q**2) for p, q in zip(e5, e3))
     k13 = f(x + h, *y_new)
-    row = [x, h, *y, *y_new] + [kj[c] for kj in (k[0], *k[5:], k13) for c in range(4)]
+    row = [x, h, *y, *y_new] + [kj[c] for kj in (*k, k13) for c in comps]
     return y_new, k13, row, err
 
 
@@ -1002,8 +1041,7 @@ def _march_case(name):
 
     def case(rng):
         f = solver._kernels(load_config(str(ROOT / "configs" / f"{name}.cfg")).spec()).rhs
-        x, *y = (float(c[0]) for c in _log_states(rng)[:4])
-        y = (*y, math.log(0.5 + x % 1.0))
+        x, *y = (float(c[0]) for c in _log_states(rng))
         # a step that moves no component by much more than dx
         dx = 0.05 + 0.25 * (x % 1.0)
         return f, x, dx / (1.0 + max(map(abs, f(x, *y)))), y, 5e-10
@@ -1034,13 +1072,13 @@ def test_dp_step_overflow_gives_no_solution():
     # A stage argument past ~709.8 makes exp raise OverflowError; a product
     # past the float range turns into inf without raising.  k1 is finite in
     # both cases, and a step of size 1 reaches the overflow.
-    def raising(x, a, b, c, d):
-        return math.exp(a), 1.0, 1.0, 1.0
+    def raising(x, a, b, c):
+        return math.exp(a), 1.0, 1.0
 
-    def overflowing(x, a, b, c, d):
-        return 1.0, a * 1e308, 1.0, 1.0
+    def overflowing(x, a, b, c):
+        return 1.0, a * 1e308, 1.0
 
-    for f, y in ((raising, (700.0, 1.0, 1.0, 1.0)), (overflowing, (1.0, 1.0, 1.0, 1.0))):
+    for f, y in ((raising, (700.0, 1.0, 1.0)), (overflowing, (1.0, 1.0, 1.0))):
         k1 = f(0.0, *y)
         assert all(map(math.isfinite, k1))
         result = step_oracle.step(f, 0.0, 1.0, y, k1, 1e-9)
@@ -1142,17 +1180,17 @@ def test_first_slope_outside_the_float_range_is_a_solver_error():
     # The first evaluation of the march sits outside the step's overflow
     # guard; where it raises or returns a non-finite slope, the run fails
     # with a SolverError, which the CLI reports as a "solver failed" note.
-    def raising(x, a, b, c, d):
-        return 1.0, 2.0**x, 1.0, 1.0  # OverflowError once x > 1023
+    def raising(x, a, b, c):
+        return 1.0, 2.0**x, 1.0  # OverflowError once x > 1023
 
-    def overflowing(x, a, b, c, d):
-        return 1.0, 1.0, a * 1e308, 1.0  # inf once a > 1.8
+    def overflowing(x, a, b, c):
+        return 1.0, 1.0, a * 1e308  # inf once a > 1.8
 
     for f in (raising, overflowing):
-        y = (1.0,) * 4
+        y = (1.0,) * 3
         assert solver._first_slope(f, 1.0, y, 1.0) == f(1.0, *y)
         with pytest.raises(SolverError, match="not finite at r=3.0"):
-            solver._first_slope(f, 2000.0, (10.0,) * 4, 3.0)
+            solver._first_slope(f, 2000.0, (10.0,) * 3, 3.0)
 
 
 def test_start_reaches_the_target_where_it_holds():
@@ -1197,17 +1235,17 @@ def test_rejection_floor_does_not_depend_on_the_target():
     assert near.rhs_evals == far.rhs_evals
 
 
-def _linear_slopes(spec, x, lr, lI1, lI2, lU):
+def _linear_slopes(spec, x, lr, lI1, lI2):
     """The slopes in tau from the system's formulas in floats, on arrays:
     the reference that the kernels in logarithms must agree with."""
-    r, v, I1, I2, U = np.exp(lr), np.exp(x - lr), np.exp(lI1), np.exp(lI2), np.exp(lU)
+    r, v, I1, I2 = np.exp(lr), np.exp(x - lr), np.exp(lI1), np.exp(lI2)
     delta = spec.delta
     w = (delta / (spec.n - 1.0) * I1 / r**delta) ** spec.theta
     dv = (I2 / r ** float(spec.n - 1)) ** (1.0 / (spec.p - 1.0))
     fI1 = r**delta * spec.f1(r) * spec.g1(v)
     fI2 = r ** float(spec.n - 1) * spec.f2(r) * spec.g2(v) * spec.h(w)
     D = 1.0 / r + dv / v
-    return 1.0 / (r * D), fI1 / (I1 * D), fI2 / (I2 * D), w / (U * D)
+    return 1.0 / (r * D), fI1 / (I1 * D), fI2 / (I2 * D)
 
 
 def _bits(values):
@@ -1240,10 +1278,10 @@ def _at_the_folds(test):
 
 
 def _log_states(rng):
-    """Eight states (tau, ln r, ln I1, ln I2, ln(u - u0)) with r, v, I1, I2
-    and u - u0 in [0.2, 5]."""
-    x, lr, lI1, lI2, lU = np.log(rng.uniform(0.2, 5.0, (5, 8)))
-    return x + lr, lr, lI1, lI2, lU
+    """Eight states (tau, ln r, ln I1, ln I2) with r, v, I1 and I2 in
+    [0.2, 5]."""
+    x, lr, lI1, lI2 = np.log(rng.uniform(0.2, 5.0, (4, 8)))
+    return x + lr, lr, lI1, lI2
 
 
 @settings(derandomize=True, max_examples=120)
@@ -1295,16 +1333,15 @@ def test_fused_step_keeps_the_bits_of_the_reference_step(p, alpha_share, n, sums
         assert repr(got) == repr(step_oracle.step(kernels.rhs, x, size, y, k1, tol))
         return got
 
-    for x, *y in zip(*_log_states(np.random.default_rng(seed))[:4]):
-        y = (*y, float(np.log(0.5 + x % 1.0)))
+    for x, *y in zip(*_log_states(np.random.default_rng(seed))):
         k1 = kernels.rhs(x, *y)
         # a step that moves no component by much more than dx
         dx = 0.05 + 0.25 * (x % 1.0)
         assert step(x, dx / (1.0 + max(map(abs, k1))), y, k1)[3] < math.inf
     # A stage past the float range: a slope of ln I2 of 1e3 takes
     # r v'/v = e**z past the largest float, where exp raises.
-    y = (0.0, 0.0, 0.0, 0.0)
-    assert step(0.0, 1.0, y, (1.0, 1.0, 1e3, 1.0)) == (None, None, None, math.inf)
+    y = (0.0, 0.0, 0.0)
+    assert step(0.0, 1.0, y, (1.0, 1.0, 1e3)) == (None, None, None, math.inf)
 
 
 def test_a_step_whose_stage_leaves_the_real_line_is_rejected():
@@ -1322,7 +1359,7 @@ def reference_dense_output(f, row, theta):
     """One step's continuous extension at theta, as loops over the named
     dense-output coefficients, in Horner form."""
     x, h, y0, y1 = row[0], row[1], row[2:6], row[6:10]
-    K = [row[10 + 4 * j : 14 + 4 * j] for j in range(9)]  # stages 1, 6 to 13
+    K = [row[6 + 4 * j : 10 + 4 * j] for j in dop853._DENSE_STAGES[:9]]  # stages 1, 6 to 13
     for c, a in zip(dop853._DENSE_C, dop853._DENSE_A):
         stage = [y0[i] + h * sum(a[j] * K[j][i] for j in range(len(K))) for i in range(4)]
         K.append(f(x + c * h, *stage))
@@ -1362,6 +1399,31 @@ def test_dense_output_node_matrix_matches_horner_reference():
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def test_appended_component_is_that_of_the_full_steps():
+    # z' = a - m z, with a and m the slopes of two other components and read
+    # by none, appended to the steps of the other three after the fact, is
+    # the fourth component of the same steps of the four-component system:
+    # its values at the step ends and its 13 stages, chained over 8 steps.
+    def three(x, a, b, c):
+        return _rotation_rhs(x, a, b, c, 0.0)[:3]
+
+    def four(x, a, b, c, z):
+        ka, kb, kc = three(x, a, b, c)
+        return ka, kb, kc, ka - kb * z
+
+    h, start = 0.25, 0.7
+    rows = {3: [], 4: []}
+    for f, y in ((three, tuple(_rotation_exact(0.0)[:3])), (four, (*_rotation_exact(0.0)[:3], start))):
+        x, k1 = 0.0, f(0.0, *y)
+        for _ in range(8):
+            y, k1, row, _ = step_oracle.step(f, x, h, y, k1, 1.0)
+            rows[len(y)].append(row)
+            x += h
+    got = dop853.appended(np.array(rows[3]), lambda k: (k[0], k[1]), start)
+    assert got.shape == (8, 2 + 15 * 4)
+    assert np.allclose(got, rows[4], rtol=1e-13, atol=1e-15)
+
+
 def test_sweep_rows_share_one_compiled_kernel():
     # Nothing compiles at import; the sweep's rows differ only in the
     # exponent of h, so they share one compiled source, bound to their own
@@ -1376,7 +1438,7 @@ two, three = (solver._kernels(config.with_value("q", q).spec()) for q in (2.0, 3
 assert len(solver._KERNEL_FACTORIES) == 1
 for a, b in zip(two, three):
     assert a.__code__ is b.__code__ and a is not b
-assert two.rhs(0.5, 0.1, 0.4, 0.3, 0.2) != three.rhs(0.5, 0.1, 0.4, 0.3, 0.2)
+assert two.rhs(0.5, 0.1, 0.4, 0.3) != three.rhs(0.5, 0.1, 0.4, 0.3)
 """
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -1440,23 +1502,25 @@ def test_sample_evaluates_the_dense_stages_once():
     got = counting.sample(rs)
     assert len(calls) == 3
 
-    steps = solver._stacked(run.steps.rows)
+    steps = solver._with_u(run.spec, run.steps.boot, run.steps.rows)
     steps = steps[np.searchsorted(steps[:, 2], np.log(rs), side="right") - 1]
+    rhs_arrays = solver._with_u_slope(run.spec, kernels)
 
     def extension(theta):
-        return dop853.dense_nodes(steps, dop853.dense_stages(kernels.rhs_arrays, steps), theta)
+        return dop853.dense_nodes(steps, dop853.dense_stages(rhs_arrays, steps), theta)
 
     lo, hi = np.zeros_like(rs), np.ones_like(rs)
     for _ in range(53):
         theta = 0.5 * (lo + hi)
         below = extension(theta)[:, 0] < np.log(rs)
         lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
-    lr, lI1, lI2, lU = extension(theta).T
+    lr, lI1, lI2, q = extension(theta).T
     spec = run.spec
     v = np.exp(steps[:, 0] + steps[:, 1] * theta - lr)
-    du = np.exp(spec.theta * (math.log(spec.delta / (spec.n - 1)) + lI1 - spec.delta * lr))
+    lw = spec.theta * (math.log(spec.delta / (spec.n - 1)) + lI1 - spec.delta * lr)
     dv = np.exp((lI2 - (spec.n - 1) * lr) / (spec.p - 1))
-    for key, want in (("u", 1.0 + np.exp(lU)), ("v", v), ("du", du), ("dv", dv)):
+    u = 1.0 + np.exp(lr + lw + np.log(q))
+    for key, want in (("u", u), ("v", v), ("du", np.exp(lw)), ("dv", dv)):
         assert _bits(got[key]) == _bits(want), key
 
 
