@@ -18,9 +18,8 @@ govern the integrated first-order form used by the solver and the criteria.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .expressions import FuncExpr
 
@@ -120,7 +119,7 @@ class ProblemSpec:
         if k2 > k1:
             errors.append("the growth order k2 of g2 must not exceed k1")
         for name in _FUNCTION_FIELDS:
-            if not _finite_on_grid(getattr(self, name)):
+            if not _finite_on_range(getattr(self, name)):
                 errors.append(f"{name} produced non-finite values on the sampled grid")
         return ValidationReport(ok=not errors, errors=tuple(errors), k1=k1, k2=k2)
 
@@ -133,16 +132,14 @@ class ValidationReport:
     k2: float
 
 
-_SAMPLE_GRID = np.logspace(-3.0, 6.0, 40)
-
-
-@functools.lru_cache(maxsize=256)
-def _finite_on_grid(f: FuncExpr) -> bool:
-    """Whether the power sum f stays finite on the sample grid.  A power sum
-    is immutable, and the rows of a sweep share most of theirs, so each is
-    checked once."""
-    with np.errstate(over="ignore"):
-        return bool(np.all(np.isfinite(f(_SAMPLE_GRID))))
+def _finite_on_range(f: FuncExpr) -> bool:
+    """Whether the power sum f stays finite on [1e-3, 1e6]: f is
+    non-decreasing, so whether f(1e6) is, in floats, where a power that
+    leaves the float range raises OverflowError."""
+    try:
+        return math.isfinite(f(1e6))
+    except OverflowError:
+        return False
 
 
 def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
@@ -150,7 +147,7 @@ def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
 
     Power sums are continuous, non-decreasing and positive by construction,
     but a large exponent can still overflow: each function must stay finite
-    on a log grid over [1e-3, 1e6].  The growth orders must satisfy k1 > 0
+    on [1e-3, 1e6], so at 1e6.  The growth orders must satisfy k1 > 0
     and 0 <= k2 <= k1.  A spec is validated once; later calls return the
     same report.
     """

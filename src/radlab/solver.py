@@ -84,9 +84,11 @@ increment and stages, so each step is emitted as 14 equal sub-panels, or
 more where they would be wider in ln r than the start grid's, by products
 with rows of a node matrix, and the trajectory is dense enough for
 finite-difference residuals, panel quotients and the blow-up envelope at
-any step size.  The nodes are the exponentials of the logs, and a node
-beyond the float range is dropped.  Between nodes a run is read from the
-same closed form and extensions.
+any step size.  The nodes are the exponentials of the logs; a node beyond
+the float range is dropped, and so is one where ln I1 or ln I2 lies beyond
+it, since the checks form W, Z and the sources in floats.  Between nodes a run is
+read from the same closed form and extensions, whose extra stages are
+evaluated once per run, for the nodes and every sample alike.
 
 The envelope fit of a blow-up takes C1 and C2 as the extremes of
 C(r) = phi(w**(p-1-alpha)) / (R0 - r) over the last decade before R0, so
@@ -162,13 +164,13 @@ class SolverOptions:
     per component, at 0.05 * rel_tol absolute in the logarithms of r, I1
     and I2, the state (ln r, ln I1, ln I2) of the march, so relative in
     those quantities; the closed-form start holds its truncations to 0.01 *
-    rel_tol, and a blow-up radius is resolved to about 0.05 * rel_tol.  The
-    march stops at ``target_radius``.  u - u0 is not stepped: it is formed
-    when the trajectory is built, as r w times the solution q of a linear
-    equation, over the march's own steps (:func:`_with_u`), which calls no
-    kernel and so adds no evaluation of the right-hand side; its largest
-    error at the nodes at rel_tol 1e-8 is 3.2e-9 relative on the runs
-    measured (problems A, B, C and four stress runs).
+    rel_tol.  The march stops at ``target_radius``.  A blow-up radius at
+    rel_tol 1e-8 lies within 4.8e-10 (problem B) and 4.3e-10 (problem C),
+    relative, of a rel_tol 1e-12 run, which a test holds to 0.1 * rel_tol;
+    over the scoreboard's blow-ups ROADMAP item 21 measured up to 1.2e-9 on
+    pure powers and 2.6e-8 on multi-term sums.  u - u0 is not stepped but
+    formed when the trajectory is built, to the accuracy the module
+    docstring states.
     """
 
     target_radius: float
@@ -189,16 +191,14 @@ def _column(name: str) -> property:
 
 
 class _Columns:
-    """The columns r, u, v, w (u'), dv (v'), I1 and I2 of a trajectory, each
-    read from the dict ``_columns`` that a subclass builds on first read."""
+    """The columns r, u, v, w (u') and dv (v') of a trajectory, each read
+    from the dict ``_columns`` that a subclass builds on first read."""
 
     r = _column("r")
     u = _column("u")
     v = _column("v")
     w = _column("w")
     dv = _column("dv")
-    I1 = _column("I1")
-    I2 = _column("I2")
 
 
 @dataclass(frozen=True)
@@ -233,12 +233,14 @@ class BootstrapSegment(_Columns):
         with np.errstate(all="ignore"):
             values = self.profiles(r)
         keep = _normal(values) | (r == 0.0)
-        names = ("r", "u", "v", "w", "dv", "I1", "I2")
-        return {name: column[keep] for name, column in zip(names, (r, *values[:6]))}
+        names = ("r", "u", "v", "w", "dv")
+        return {name: column[keep] for name, column in zip(names, (r, *values[:4]))}
 
 
 #: The least positive normal float.
 _TINY = sys.float_info.min
+#: The largest logarithm whose exponential is a float.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _normal(values) -> np.ndarray:
@@ -464,24 +466,23 @@ class RadialSolution(_Columns):
     step, set and unset with ``R0``.  ``start_radius`` is r0, where the
     start hands over to the steps of :func:`advance`.
 
-    The columns ``r``, ``u``, ``v``, ``w`` (u'), ``dv`` (v'), ``I1`` and
-    ``I2`` (the accumulated source integrals) are emitted by
-    :func:`_emit_nodes` from ``steps`` when one of them is first read, once:
-    for a march, their radii increase strictly from 0 and end at ``r_end``,
-    unless a column is past the float range there, where the node is
-    dropped.  :meth:`sample` reads the run between them.
+    The columns ``r``, ``u``, ``v``, ``w`` (u') and ``dv`` (v') are
+    emitted by :func:`_emit_nodes` from ``steps`` when one of them is first
+    read, once: for a march, their radii increase strictly from 0 and end
+    at ``r_end``, unless the node there is dropped as past the float range.
+    :meth:`sample` reads the run between them.  Both read the one dense
+    pass of the run, ``_dense``, made when first needed.
 
     ``rhs_evals`` counts the evaluations of the right-hand side made so
-    far: the march's stages of (ln r, ln I1, ln I2) and, once the columns
-    are built, the three dense-output stages of every step, evaluated on
-    arrays.  u - u0 is formed as r w q, q = (u - u0) / (r w), over the
-    march's own steps from the coefficients that their stages give
-    (:func:`_with_u`), with no call of a kernel, so it adds no evaluation;
-    at rel_tol 1e-8 its largest error at the nodes is 3.2e-9 relative on
-    problems A, B, C and four stress runs.
+    far: the march's stages of (ln r, ln I1, ln I2) and, once the dense
+    pass is made, the three extra stages of every step, evaluated on
+    arrays.  u - u0 is formed there as r w q, q = (u - u0) / (r w), with
+    no call of a kernel, so it adds no evaluation; the module docstring
+    states its accuracy.
     ``accepted_steps`` and ``rejected_steps`` count the march's steps, and
     ``dt_min``/``dt_max`` bound the increments in r of its accepted steps
-    (None when no step was accepted), whatever nodes those steps emit.
+    (None when no step was accepted), whatever nodes those steps emit;
+    they are read off the step rows when first asked for.
     """
 
     spec: ProblemSpec
@@ -496,8 +497,6 @@ class RadialSolution(_Columns):
     rhs_evals: int
     accepted_steps: int
     rejected_steps: int
-    dt_min: float | None
-    dt_max: float | None
     steps: _MarchSteps = field(repr=False, compare=False)
     notes: tuple[str, ...] = ()
 
@@ -509,10 +508,48 @@ class RadialSolution(_Columns):
             raise ValueError("a blow-up radius must lie beyond the last node")
 
     @functools.cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """The step rows as an array with q = (u - u0) / (r w) appended by
+        :func:`dop853.appended`, from its value at r0 by the start's state
+        and with the coefficients of :func:`_u_rates` at the kept stages,
+        which calls no kernel; and their :func:`dop853.dense_stages`, by the
+        array kernel with the slope of q appended, which ``rhs_evals``
+        counts here, once.  Values beyond the float range are not finite,
+        and the nodes drop them."""
+        spec, (boot, rows) = self.spec, self.steps
+        rates = functools.partial(_u_rates, spec)
+        _, lI1, lI2, lU = boot.state
+        lr0 = math.log(boot.r0)
+        q0 = math.exp(lU - lr0 - _log_gradients(spec, lr0, lI1, lI2)[0])
+
+        def rhs_arrays(x, lr, lI1, lI2, q):
+            k = boot.kernels.rhs_arrays(x, lr, lI1, lI2)
+            a, m = rates(k)
+            return (*k, a - m * q)
+
+        width = len(rows[0])
+        steps = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+        with np.errstate(all="ignore"):
+            steps = dop853.appended(steps.reshape(-1, width), rates, q0)
+            V = dop853.dense_stages(rhs_arrays, steps)
+        object.__setattr__(self, "rhs_evals", self.rhs_evals + 3 * len(steps))
+        return steps, V
+
+    @functools.cached_property
     def _columns(self) -> dict[str, np.ndarray]:
-        columns, evals = _emit_nodes(self.spec, *self.steps)
-        object.__setattr__(self, "rhs_evals", self.rhs_evals + evals)
-        return columns
+        boot, rows = self.steps
+        return _emit_nodes(self.spec, boot, self._dense if rows else None)
+
+    @functools.cached_property
+    def _dt_bounds(self) -> tuple[float | None, float | None]:
+        # Each accepted step starts at the ln r where the one before it ended.
+        rows = self.steps.rows
+        radii = [math.exp(row[2]) for row in rows] + [math.exp(row[5]) for row in rows[-1:]]
+        increments = [b - a for a, b in zip(radii, radii[1:])]
+        return min(increments, default=None), max(increments, default=None)
+
+    dt_min = property(lambda self: self._dt_bounds[0])
+    dt_max = property(lambda self: self._dt_bounds[1])
 
     @property
     def bootstrap_nodes(self) -> int:
@@ -524,11 +561,8 @@ class RadialSolution(_Columns):
         r_end], as the nodes are made: the start's profiles up to r0, and
         beyond it the extension of the step that holds the radius, at the
         fraction where its ln r is ln(rs), which bisection finds, since ln r
-        rises along every step, with u - u0 from the steps of
-        :func:`_with_u`.  The three extra stages are evaluated once, for
-        every step that holds a radius, and these evaluations of the
-        right-hand side are not counted in ``rhs_evals``."""
-        boot, rows = self.steps
+        rises along every step, from the run's one dense pass."""
+        boot = self.steps.boot
         rs = np.clip(np.asarray(rs, dtype=float), 0.0, self.r_end)
         out = np.empty((4, len(rs)))
         mine = rs > boot.r0
@@ -537,10 +571,9 @@ class RadialSolution(_Columns):
             out[:, ~mine] = boot.profiles(rs[~mine])[:4]
             if np.any(mine):
                 log_r = np.log(rs[mine])
-                steps = _with_u(self.spec, boot, rows)
-                at = np.searchsorted(steps[:, 2], log_r, side="right") - 1
-                steps = steps[np.maximum(at, 0)]
-                V = dop853.dense_stages(_with_u_slope(self.spec, boot.kernels), steps)
+                steps, V = self._dense
+                at = np.maximum(np.searchsorted(steps[:, 2], log_r, side="right") - 1, 0)
+                steps, V = steps[at], V[:, at]
                 # 53 halvings take the fraction to the float spacing below 1.
                 lo, hi = np.zeros_like(log_r), np.ones_like(log_r)
                 for _ in range(53):
@@ -548,7 +581,7 @@ class RadialSolution(_Columns):
                     below = dop853.dense_nodes(steps, V, theta)[:, 0] < log_r
                     lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
                 y = dop853.dense_nodes(steps, V, theta).T
-                _, u, v, w, dv, _, _ = _nodes(self.spec, boot.u0, steps, theta, y)
+                _, u, v, w, dv = _nodes(self.spec, boot.u0, steps, theta, y)
                 out[:, mine] = [u, v, w, dv]
         return dict(zip(("u", "v", "du", "dv"), out))
 
@@ -775,12 +808,8 @@ def advance(
     closed-form start only when the start's own columns keep them.  From
     tau = ln r0 + ln v, with a first trial step that moves ln r by 0.1,
     Dormand-Prince 8(5,3) steps advance (ln r, ln I1, ln I2): the march
-    computes nothing for u.  u - u0 is formed when the columns are built,
-    as r w times the solution q of a linear equation stepped over the
-    march's steps from their kept stages (:func:`_with_u`); that calls no
-    kernel, so it adds no evaluation of the right-hand side, and at
-    rel_tol 1e-8 its largest error at the nodes is 3.2e-9 relative on the
-    runs measured (problems A, B, C and four stress runs).
+    computes nothing for u, which is formed when the columns are built,
+    to the accuracy the module docstring states.
     A step is accepted when its combined error estimate, absolute in each
     logarithm, lies below 0.05 * rel_tol in every component; the next step
     size is the current one times 0.9 * err**(-1/8), clamped to [0.2, 5].
@@ -794,7 +823,7 @@ def advance(
     extension; emission drops the nodes that are not finite or do not
     advance r, and changes nothing else.  ``r_end`` and ``v_final`` are
     taken from the last step with the float operations that give its end
-    node.
+    node; nothing else is computed beyond what the verdict reads.
 
     The run ends as ReachedTarget once ln r is within 1e-14 of the target's;
     a step that would overshoot it by more than that is shrunk onto it.  It
@@ -881,19 +910,12 @@ def advance(
 
     # numpy's elementwise results do not depend on the length of the array,
     # so r and v at the end alone have the bits of the trajectory's last node.
-    dt_min = dt_max = None
     if rows:
         # The end of the last step as _nodes makes it, from the row's x, h
         # and end state: ln r, and ln v = x + h * 1.0 - ln r.
         last = rows[-1]
         with np.errstate(over="ignore"):
             r_end, v_final = np.exp((last[5], last[0] + last[1] - last[5]))
-        # The accepted steps' increments in r, read off their rows: each
-        # step starts at the ln r where the one before it ended.
-        radii = [math.exp(row[2]) for row in rows]
-        radii.append(math.exp(last[5]))
-        increments = [b - a for a, b in zip(radii, radii[1:])]
-        dt_min, dt_max = min(increments), max(increments)
     else:
         r_end, v_final = start.r0, start.profiles(np.array([start.r0]))[1][0]
     return RadialSolution(
@@ -910,8 +932,6 @@ def advance(
         rhs_evals=12 * (accepted + rejected) + 1,
         accepted_steps=accepted,
         rejected_steps=rejected,
-        dt_min=dt_min,
-        dt_max=dt_max,
         steps=_MarchSteps(start, rows),
         notes=tuple(notes),
     )
@@ -943,17 +963,16 @@ def _log_gradients(spec: ProblemSpec, lr, lI1, lI2) -> tuple:
 
 
 def _nodes(spec: ProblemSpec, u0: float, steps: np.ndarray, theta, y) -> tuple:
-    """(r, u, v, w, dv, I1, I2) where the step rows ``steps`` of
-    :func:`_with_u` reach the state y, four arrays (ln r, ln I1, ln I2, q),
-    at the fractions theta of their steps, one each: with tau = x0 + h *
-    theta, the exponentials of ln r, tau - ln r, ln w, ln dv and the
-    logarithms of the accumulators, and u = u0 + e**(ln r + ln w + ln q)."""
+    """(r, u, v, w, dv) where the step rows ``steps`` of a dense pass
+    reach the state y, four arrays (ln r, ln I1, ln I2, q), at the
+    fractions theta of their steps, one each: with tau = x0 + h * theta,
+    the exponentials of ln r, tau - ln r, ln w and ln dv, and u = u0 +
+    e**(ln r + ln w + ln q)."""
     lr, lI1, lI2, q = y
     x = steps[:, 0] + steps[:, 1] * theta
     lw, ldv = _log_gradients(spec, lr, lI1, lI2)
-    logs = (lr, x - lr, lw, ldv, lI1, lI2, lr + lw + np.log(q))
-    r, v, w, dv, I1, I2, U = (np.exp(value) for value in logs)
-    return r, u0 + U, v, w, dv, I1, I2
+    r, v, w, dv, U = (np.exp(value) for value in (lr, x - lr, lw, ldv, lr + lw + np.log(q)))
+    return r, u0 + U, v, w, dv
 
 
 def _u_rates(spec: ProblemSpec, k) -> tuple:
@@ -965,88 +984,59 @@ def _u_rates(spec: ProblemSpec, k) -> tuple:
     return k0, k0 + spec.theta * (k1 - spec.delta * k0)
 
 
-def _with_u(spec: ProblemSpec, boot: BootstrapSegment, rows) -> np.ndarray:
-    """The step rows ``rows`` as an array, with q = (u - u0) / (r w) appended
-    as a fourth component by :func:`dop853.appended`, from its value at r0,
-    e**(ln(u - u0) - ln r0 - ln w) by the start's state, and with the
-    coefficients of :func:`_u_rates` at the stages that the rows keep.  No
-    kernel is called."""
-    steps = _stacked(rows)
-    _, lI1, lI2, lU = boot.state
-    lr = math.log(boot.r0)
-    q0 = math.exp(lU - lr - _log_gradients(spec, lr, lI1, lI2)[0])
-    return dop853.appended(steps, functools.partial(_u_rates, spec), q0)
-
-
-def _with_u_slope(spec: ProblemSpec, kernels: _Kernels) -> Callable:
-    """The array kernel of ``kernels`` with the slope a - m q of q =
-    (u - u0) / (r w) appended (:func:`_u_rates`), for the dense stages of
-    the rows of :func:`_with_u`: it calls the kernel once."""
-
-    def rhs_arrays(x, lr, lI1, lI2, q):
-        k = kernels.rhs_arrays(x, lr, lI1, lI2)
-        a, m = _u_rates(spec, k)
-        return (*k, a - m * q)
-
-    return rhs_arrays
-
-
-def _stacked(rows) -> np.ndarray:
-    """The step rows as an array, a row per step."""
-    width = len(rows[0])
-    return np.fromiter(chain.from_iterable(rows), float, len(rows) * width).reshape(-1, width)
-
-
-def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, rows):
-    """The trajectory columns and the evaluations of the right-hand side this
-    pass makes.
+def _emit_nodes(spec: ProblemSpec, boot: BootstrapSegment, dense):
+    """The trajectory columns, from the start and the run's dense pass
+    ``dense`` (:attr:`RadialSolution._dense`), None when it took no step.
 
     The columns are the start's, then every accepted step as the interior
     nodes of its continuous extension at the ends of K equal sub-panels in
     tau, K the larger of 14 and the number that keeps them no wider in ln r
     than the start grid's spacing, and its end node, mapped to (r, u, v, w,
-    dv, I1, I2) by :func:`_nodes`.  The step rows are read into one array
-    with q = (u - u0) / (r w) appended (:func:`_with_u`), their three
-    extra stages are evaluated for all steps at once by the compiled array
-    kernel, and each interior node is the extension of its step at its
-    own fraction, by :func:`dop853.dense_nodes`.
+    dv) by :func:`_nodes`; each interior node is the extension of its step
+    at its own fraction, by :func:`dop853.dense_nodes`.
     A node that is not finite, as past the float range, or whose radius
-    does not exceed every earlier one, is dropped; when every node is kept
-    nothing is copied.
+    does not exceed every earlier one, is dropped; so is a march node where
+    ln I1 or ln I2 lies beyond the float range, since the checks form W =
+    c1 I1 / r**delta, Z = I2 / r**(n-1) and the sources in floats from the
+    columns.  When every node is kept nothing is copied.
     Roundoff-level dips of the dense output are clamped so every profile
     stays nondecreasing.  So, from the closed-form start of
     :func:`picard_bootstrap`, r starts at 0, on its origin row (u0, v0 > 0
     and w = dv = 0), and increases strictly, and u, v, w and dv never
     decrease; another start's columns must hold its own part of that,
-    which nothing here re-checks."""
-    parts = [(boot.r, boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2)]
-    evals = 0
-    if rows:
-        # Extra stages, q and nodes that leave the float range are not
-        # finite, and are dropped below.
+    which nothing here re-checks.  Over the scoreboard's runs that start
+    and the committed configs, the clamps change v alone, on 31 of 438
+    runs: the march's first nodes sit up to 2.8e-14 below the start's
+    float v0 + growth, and v is held flat over up to 5,893 nodes (corpus
+    row 21)."""
+    parts = [(boot.r, boot.u, boot.v, boot.w, boot.dv)]
+    # The start's nodes are normal floats, I1 and I2 among its profiles.
+    inside = [np.ones(len(boot.r), dtype=bool)]
+    if dense is not None:
+        steps, V = dense
+        # Nodes that leave the float range are not finite, and are dropped
+        # below.
         with np.errstate(all="ignore"):
-            steps = _with_u(spec, boot, rows)
             counts = np.ceil((steps[:, 6] - steps[:, 2]) / _SPACING).astype(int)
             counts = np.maximum(counts, _SUBPANELS)
             # Node j of a step of K sub-panels lies at the fraction j / K, j = 1..K.
             at = np.repeat(np.arange(len(steps)), counts)
             j = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
             theta = j / counts[at]
-            V = dop853.dense_stages(_with_u_slope(spec, boot.kernels), steps)
             states = dop853.dense_nodes(steps[at], V[:, at], theta).T
             # A step's end node is its end state.
             states[:, theta == 1.0] = steps[:, 6:10].T
             parts.append(_nodes(spec, boot.u0, steps[at], theta, states))
-        evals = 3 * len(steps)
-    r, u, v, w, dv, I1, I2 = nodes = [np.concatenate(col) for col in zip(*parts)]
+            inside.append((states[1:3] <= _LOG_MAX).all(axis=0))
+    r, u, v, w, dv = nodes = [np.concatenate(col) for col in zip(*parts)]
     # A finite node is kept when its radius exceeds every earlier finite one.
-    finite = np.isfinite(nodes).all(axis=0)
+    finite = np.isfinite(nodes).all(axis=0) & np.concatenate(inside)
     highest = np.maximum.accumulate(np.where(finite, r, -np.inf))
     keep = finite & np.append(True, r[1:] > highest[:-1])
     if not keep.all():
-        r, u, v, w, dv, I1, I2 = (col[keep] for col in nodes)
-    u, v, w, dv, I1, I2 = (np.maximum.accumulate(col) for col in (u, v, w, dv, I1, I2))
-    return dict(r=r, u=u, v=v, w=w, dv=dv, I1=I1, I2=I2), evals
+        r, u, v, w, dv = (col[keep] for col in nodes)
+    u, v, w, dv = (np.maximum.accumulate(col) for col in (u, v, w, dv))
+    return dict(r=r, u=u, v=v, w=w, dv=dv)
 
 
 @dataclass(frozen=True)

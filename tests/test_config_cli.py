@@ -817,8 +817,8 @@ def test_a_solved_sweep_builds_no_trajectory(dense_stage_calls, monkeypatch):
 
 def test_solve_builds_the_trajectory_once(dense_stage_calls, tmp_path, capsys, monkeypatch):
     # solve evaluates the dense stages of problem B's steps once, and no
-    # later reader of the columns emits them again.  sample evaluates the
-    # extensions of its own steps, and builds no column.
+    # later reader of the columns emits them again.  sample reads the same
+    # dense pass: it evaluates no stage and builds no column.
     solutions = []
     builds = []
     emit_nodes = radlab.solver._emit_nodes
@@ -847,6 +847,7 @@ def test_solve_builds_the_trajectory_once(dense_stage_calls, tmp_path, capsys, m
     solution.sample(np.linspace(0.0, solution.r_end, 5))
     assert solution.r is solution.r and solution.w is solution.w
     assert len(builds) == 1
+    assert dense_stage_calls == ["rhs_arrays"]
     assert report["stats"]["rhs_evals"] == solution.rhs_evals
 
 

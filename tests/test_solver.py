@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ def test_march_detects_blowup(solved_cases):
     assert run.r_end < run.R0 < 1.02 * run.r_end
 
 
+@pytest.mark.parametrize("name", ["b", "c"])
+def test_blow_up_radius_is_resolved_as_stated(name):
+    # SolverOptions states what was measured: at rel_tol 1e-8, R0 on B and
+    # C lies within 4.8e-10 and 4.3e-10, relative, of a rel_tol 1e-12 run.
+    config = load_config(str(ROOT / "configs" / f"problem_{name}.cfg"))
+    options = config.solver_options()
+    assert options.rel_tol == 1e-8
+    run, tight = (
+        march(config.spec(), config.u0, config.v0, dataclasses.replace(options, rel_tol=rel_tol))
+        for rel_tol in (1e-8, 1e-12)
+    )
+    assert abs(run.R0 / tight.R0 - 1.0) <= 0.1 * options.rel_tol
+
+
 def test_march_rhs_budget_on_problem_c(solved_cases):
     # Dormand-Prince 8(5,3) with dense output needs ~2.6k evaluations here,
     # Dormand-Prince 5(4) needed 3,194, and the step-doubled Heun march
@@ -209,7 +224,7 @@ def test_a_sub_node_that_is_not_finite_is_dropped(monkeypatch, solved_cases):
     assert math.exp(row[2]) < full.r[dropped] < math.exp(row[5])
     for name in ("terminated", "R0", "b_hat", "sigma_hat", "accepted_steps"):
         assert getattr(run, name) == getattr(full, name), name
-    for name in ("r", "u", "v", "w", "dv", "I1", "I2"):
+    for name in ("r", "u", "v", "w", "dv"):
         column = getattr(run, name)
         assert np.all(np.isfinite(column)), name
         assert np.array_equal(column, getattr(full, name)[kept]), name
@@ -267,9 +282,9 @@ COMMITTED_RUNS = _committed_runs()
 def test_verdict_is_that_of_the_built_columns(config, dense_stage_calls):
     # The verdict is read before any column is built, and keeps its bits
     # once they are: r_end and v_final are the last node's r and v, unless
-    # a column is past the float range there, where the node is dropped
-    # (and v_final is inf if v is); and a run whose columns were built
-    # first reports the same.  Where the last node is finite, so is every
+    # a column, ln I1 or ln I2 is past the float range there, where the
+    # node is dropped (and v_final is inf if v is); and a run whose columns
+    # were built first reports the same.  Where the last node is finite, so is every
     # value sampled on [0, r_end].
     args = (config.spec(), config.u0, config.v0, config.solver_options())
     try:
@@ -284,12 +299,13 @@ def test_verdict_is_that_of_the_built_columns(config, dense_stage_calls):
     built.r
     assert {name: getattr(built, name) for name in VERDICT} == verdict
     assert type(lazy.r_end) is float and type(lazy.v_final) is float
-    end = ()
+    kept = True
     if lazy.steps.rows:
+        last = lazy._dense[0][-1:]
         with np.errstate(all="ignore"):
-            last = solver._with_u(lazy.spec, lazy.steps.boot, lazy.steps.rows)[-1:]
             end = solver._nodes(lazy.spec, config.u0, last, 1.0, last[:, 6:10].T)
-    if np.isfinite(end).all():
+        kept = np.isfinite(end).all() and np.all(last[:, 7:9] <= solver._LOG_MAX)
+    if kept:
         assert lazy.r[-1].hex() == verdict["r_end"].hex()
         assert lazy.v[-1].hex() == verdict["v_final"].hex()
         sampled = lazy.sample(np.linspace(0.0, lazy.r_end, 201))
@@ -307,20 +323,22 @@ def test_verdict_is_that_of_the_built_columns(config, dense_stage_calls):
 def test_start_grid_is_built_on_read_and_ends_on_the_handover_state(label, config):
     # The march reads the start's logarithms at r0 alone; the grid, built
     # when its columns are first read, starts on the origin and ends on the
-    # same state, taken in floats from the same power sums, and keeps its
-    # 1,025 nodes (21 on stress_alpha099, whose lower nodes are subnormal).
+    # same state (I1 and I2 from the profiles there), taken in floats from
+    # the same power sums, and keeps its 1,025 nodes (21 on
+    # stress_alpha099, whose lower nodes are subnormal).
     try:
         boot = picard_bootstrap(config.spec(), config.u0, config.v0, config.solver_options())
     except SolverError as exc:
         assert "not normal floats" in str(exc)  # extreme_v0 has no start
         return
     assert "_columns" not in vars(boot)
-    columns = (boot.r, boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2)
-    origin = (0.0, config.u0, config.v0, 0.0, 0.0, 0.0, 0.0)
+    columns = (boot.r, boot.u, boot.v, boot.w, boot.dv)
+    origin = (0.0, config.u0, config.v0, 0.0, 0.0)
     assert [float(column[0]).hex() for column in columns] == [value.hex() for value in origin]
     assert boot.r[-1] == boot.r0
     lv, lI1, lI2, lU = boot.state
-    last = [column[-1] for column in (boot.u, boot.v, boot.I1, boot.I2)]
+    I1, I2 = boot.profiles(boot.r[-1:])[4:6]
+    last = [boot.u[-1], boot.v[-1], I1[0], I2[0]]
     want = [config.u0 + math.exp(lU), *np.exp([lv, lI1, lI2])]
     np.testing.assert_allclose(last, want, rtol=1e-13, atol=0.0)
     assert len(boot.r) == (21 if label == "stress_alpha099" else 1025)
@@ -1205,10 +1223,9 @@ def test_start_reaches_the_target_where_it_holds():
     for spec, u0, v0 in ((alpha099, 1.0, 1.0), (power_spec(2.0, 0.0, 1, 0, 6), 1e6, 1e-6)):
         boot = picard_bootstrap(spec, u0, v0, options)
         assert boot.r0 == 20.0
-        fI1, fI2 = boot.profiles(boot.r[1:])[6:8]
-        for column in (boot.u, boot.v, boot.w, boot.dv, boot.I1, boot.I2):
+        for column in (boot.u, boot.v, boot.w, boot.dv):
             assert np.all(column[1:] >= tiny) and np.all(np.isfinite(column))
-        for column in (fI1, fI2):
+        for column in boot.profiles(boot.r[1:])[4:8]:  # I1, I2, fI1 and fI2
             assert np.all(column >= tiny) and np.all(np.isfinite(column))
         run = march(spec, u0, v0, options)
         assert run.terminated is TerminationReason.REACHED_TARGET
@@ -1484,9 +1501,12 @@ def test_march_stops_at_its_step_budget(spare, monkeypatch):
 
 
 def test_sample_evaluates_the_dense_stages_once():
-    # sample's bisection for the fraction where ln r reaches ln(rs) reads
-    # every halving off the same three extra stages, evaluated in one call,
-    # and keeps the bits of stages evaluated afresh for each halving.
+    # sample reads the run's one dense pass: its three extra stages are
+    # evaluated for every step, a call each, when first needed, and counted
+    # then; a later sample and the columns evaluate none again.  The
+    # bisection for the fraction where ln r reaches ln(rs) reads every
+    # halving off those stages, and keeps the bits of stages evaluated
+    # afresh for each halving.
     config = load_config(str(ROOT / "configs" / "problem_b.cfg"))
     run = march(config.spec(), config.u0, config.v0, config.solver_options())
     kernels = run.steps.boot.kernels
@@ -1501,13 +1521,23 @@ def test_sample_evaluates_the_dense_stages_once():
     rs = np.linspace(run.start_radius, run.r_end, 9)[1:]
     got = counting.sample(rs)
     assert len(calls) == 3
+    assert counting.rhs_evals == run.rhs_evals + 3 * run.accepted_steps
+    counting.sample(rs[::-1])
+    counting.r
+    assert len(calls) == 3
+    assert counting.rhs_evals == run.rhs_evals + 3 * run.accepted_steps
 
-    steps = solver._with_u(run.spec, run.steps.boot, run.steps.rows)
-    steps = steps[np.searchsorted(steps[:, 2], np.log(rs), side="right") - 1]
-    rhs_arrays = solver._with_u_slope(run.spec, kernels)
+    every = counting._dense[0]
+    at = np.searchsorted(every[:, 2], np.log(rs), side="right") - 1
+    steps = every[at]
+
+    def rhs_arrays(x, lr, lI1, lI2, q):
+        k = kernels.rhs_arrays(x, lr, lI1, lI2)
+        a, m = solver._u_rates(run.spec, k)
+        return (*k, a - m * q)
 
     def extension(theta):
-        return dop853.dense_nodes(steps, dop853.dense_stages(rhs_arrays, steps), theta)
+        return dop853.dense_nodes(steps, dop853.dense_stages(rhs_arrays, every)[:, at], theta)
 
     lo, hi = np.zeros_like(rs), np.ones_like(rs)
     for _ in range(53):
@@ -1588,6 +1618,28 @@ def test_blow_up_radius_scales_with_v0_on_a_slow_pole():
     config = dataclasses.replace(sweep_q, h="t^1.01", target_radius=1e6, rel_tol=1e-8)
     radii = _scaled_blow_up_radii(config, (1e-6, 1.0, 1e6))
     assert max(radii) - min(radii) <= 10.0 * config.rel_tol * min(radii)
+
+
+def test_nodes_end_where_ln_I2_leaves_the_float_range():
+    # Sample row 22 at target 1e4: I2 passes the largest float at r ~ 176.9,
+    # where r, u, v, u' and v' are still finite, and the march runs on to
+    # r_end = 188.93.  The checks form W, Z and the sources in floats, so
+    # no node is kept beyond that point (ln I2 = (n-1) ln r + (p-1) ln v'),
+    # and the checks and the residuals run without a numpy warning; with
+    # those nodes kept, both overflow (ROADMAP item 22).
+    sweep_q = load_config(str(ROOT / "configs" / "sweep_q.cfg"))
+    config = dataclasses.replace(
+        sweep_q, p=3.57, alpha=1.77, g1="t^1.46", g2="t^0.54", h="t^1.14", target_radius=1e4,
+    )
+    run = march(config.spec(), config.u0, config.v0, config.solver_options())
+    spec = run.spec
+    lI2 = (spec.n - 1.0) * np.log(run.r[1:]) + (spec.p - 1.0) * np.log(run.dv[1:])
+    assert np.all(lI2 <= solver._LOG_MAX)
+    assert run.r[-1] < run.r_end
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(report.passed for report in trajectory_reports(run))
+        relative_residuals(spec, run.r, run.v, run.w, run.dv)
 
 
 def test_sampled_row_22_blows_up():
